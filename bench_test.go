@@ -305,7 +305,7 @@ func BenchmarkScannerThroughputInterpreted(b *testing.B) {
 
 // BenchmarkScannerThroughputInstrumented is BenchmarkScannerThroughput
 // with the full telemetry stack attached — sharded counters, histograms,
-// the flight-recorder ring, the engine collector and a (quiet) monitor.
+// the engine collector and a (quiet) monitor.
 // The contract it guards: instrumentation stays allocation-free and
 // within a few percent of the bare scanner (compare ns/op against
 // BenchmarkScannerThroughput in the same run).

@@ -20,31 +20,38 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "loopscan:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run executes one CLI invocation. Flags live on a private FlagSet and
+// all output goes through the writer arguments, so tests drive the
+// command end to end without process-global state.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("loopscan", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		mode     = flag.String("mode", "isp", "isp: sweep one ISP window; bgp: sweep advertised prefixes")
-		ispIndex = flag.Int("isp", 12, "ISP index for -mode isp")
-		seed     = flag.Int64("seed", 1, "deployment seed")
-		scale    = flag.Float64("scale", 0.0005, "population scale (isp mode)")
-		width    = flag.Int("width", 12, "window width in bits (isp mode)")
-		maxDev   = flag.Int("max-devices", 2000, "device cap per ISP (isp mode)")
-		bgpASes  = flag.Int("ases", 200, "AS count (bgp mode)")
-		hopLimit = flag.Int("hop-limit", loopscan.DefaultHopLimit, "probe hop limit h")
-		statusF  = flag.String("status-json", "", "write the sweep's telemetry snapshot as JSON to this file ('-' for stderr)")
+		mode     = fs.String("mode", "isp", "isp: sweep one ISP window; bgp: sweep advertised prefixes")
+		ispIndex = fs.Int("isp", 12, "ISP index for -mode isp")
+		seed     = fs.Int64("seed", 1, "deployment seed")
+		scale    = fs.Float64("scale", 0.0005, "population scale (isp mode)")
+		width    = fs.Int("width", 12, "window width in bits (isp mode)")
+		maxDev   = fs.Int("max-devices", 2000, "device cap per ISP (isp mode)")
+		bgpASes  = fs.Int("ases", 200, "AS count (bgp mode)")
+		hopLimit = fs.Int("hop-limit", loopscan.DefaultHopLimit, "probe hop limit h")
+		statusF  = fs.String("status-json", "", "write the sweep's telemetry snapshot as JSON to this file ('-' for stderr)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	switch *mode {
 	case "isp":
-		return runISP(*ispIndex, *seed, *scale, *width, *maxDev, uint8(*hopLimit), *statusF)
+		return runISP(*ispIndex, *seed, *scale, *width, *maxDev, uint8(*hopLimit), *statusF, stdout, stderr)
 	case "bgp":
-		return runBGP(*seed, *bgpASes, uint8(*hopLimit), *statusF)
+		return runBGP(*seed, *bgpASes, uint8(*hopLimit), *statusF, stdout, stderr)
 	default:
 		return fmt.Errorf("unknown mode %q", *mode)
 	}
@@ -62,25 +69,25 @@ func attachTelemetry(det *loopscan.Detector, drv *xmap.SimDriver, statusF string
 	return reg
 }
 
-func writeStatus(reg *telemetry.Registry, statusF string) error {
+func writeStatus(reg *telemetry.Registry, statusF string, stderr io.Writer) error {
 	if reg == nil {
 		return nil
 	}
 	if statusF == "-" {
-		return reg.WriteJSON(os.Stderr)
+		return reg.WriteJSON(stderr)
 	}
 	fh, err := os.Create(statusF)
 	if err != nil {
 		return err
 	}
-	if err := reg.WriteJSON(io.Writer(fh)); err != nil {
+	if err := reg.WriteJSON(fh); err != nil {
 		fh.Close()
 		return err
 	}
 	return fh.Close()
 }
 
-func runISP(ispIndex int, seed int64, scale float64, width, maxDev int, h uint8, statusF string) error {
+func runISP(ispIndex int, seed int64, scale float64, width, maxDev int, h uint8, statusF string, stdout, stderr io.Writer) error {
 	dep, err := topo.Build(topo.Config{
 		Seed: seed, Scale: scale, WindowWidth: width,
 		MaxDevicesPerISP: maxDev, OnlyISPs: []int{ispIndex},
@@ -97,13 +104,13 @@ func runISP(ispIndex int, seed int64, scale float64, width, maxDev int, h uint8,
 	if err != nil {
 		return err
 	}
-	if err := writeStatus(reg, statusF); err != nil {
+	if err := writeStatus(reg, statusF, stderr); err != nil {
 		return err
 	}
 	vuln := res.VulnerableHops()
 	sort.Slice(vuln, func(i, j int) bool { return vuln[i].Addr.Less(vuln[j].Addr) })
 
-	fmt.Printf("ISP %d (%s), window %s: %d targets, %d responses, %d loop-vulnerable last hops\n",
+	fmt.Fprintf(stdout, "ISP %d (%s), window %s: %d targets, %d responses, %d loop-vulnerable last hops\n",
 		isp.Spec.Index, isp.Spec.Name, isp.Window, res.Targets, res.Responses, len(vuln))
 	var same, diff int
 	t := report.Table{Headers: []string{"Last hop", "IID class", "same", "diff"}}
@@ -113,15 +120,15 @@ func runISP(ispIndex int, seed int64, scale float64, width, maxDev int, h uint8,
 		t.AddRow(hop.Addr.String(), ipv6.Classify(hop.Addr).String(),
 			fmt.Sprintf("%d", hop.SameCount), fmt.Sprintf("%d", hop.DiffCount))
 	}
-	fmt.Print(t.String())
+	fmt.Fprint(stdout, t.String())
 	if same+diff > 0 {
-		fmt.Printf("loop replies: %.1f%% same /64, %.1f%% diff\n",
+		fmt.Fprintf(stdout, "loop replies: %.1f%% same /64, %.1f%% diff\n",
 			100*float64(same)/float64(same+diff), 100*float64(diff)/float64(same+diff))
 	}
 	return nil
 }
 
-func runBGP(seed int64, ases int, h uint8, statusF string) error {
+func runBGP(seed int64, ases int, h uint8, statusF string, stdout, stderr io.Writer) error {
 	dep, err := topo.BuildBGPUniverse(topo.BGPConfig{Seed: seed, NumASes: ases})
 	if err != nil {
 		return err
@@ -134,7 +141,7 @@ func runBGP(seed int64, ases int, h uint8, statusF string) error {
 	if err != nil {
 		return err
 	}
-	if err := writeStatus(reg, statusF); err != nil {
+	if err := writeStatus(reg, statusF, stderr); err != nil {
 		return err
 	}
 	summary := analysis.BuildTableIX(res, dep.Geo)
@@ -144,7 +151,7 @@ func runBGP(seed int64, ases int, h uint8, statusF string) error {
 	}
 	t.AddRow("Total", report.Count(summary.TotalHops), report.Count(summary.TotalASNs), report.Count(summary.TotalCountry))
 	t.AddRow("with Routing Loop", report.Count(summary.LoopHops), report.Count(summary.LoopASNs), report.Count(summary.LoopCountries))
-	fmt.Print(t.String())
+	fmt.Fprint(stdout, t.String())
 
 	fig := analysis.BuildFigure5(res, dep.Geo, 10)
 	labels := make([]string, 0, len(fig.TopCountries))
@@ -153,6 +160,6 @@ func runBGP(seed int64, ases int, h uint8, statusF string) error {
 		labels = append(labels, r.Label)
 		values = append(values, r.Count)
 	}
-	fmt.Print((report.Bars{Title: "\nTop loop countries", Width: 30}).Render(labels, values))
+	fmt.Fprint(stdout, (report.Bars{Title: "\nTop loop countries", Width: 30}).Render(labels, values))
 	return nil
 }

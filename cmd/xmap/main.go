@@ -77,7 +77,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fastF    = fs.Bool("fastpath", true, "compiled forwarding fast path in the simulated network (disable to A/B the interpreted engine)")
 		statusF  = fs.String("status-json", "", "write the merged telemetry snapshot as JSON to this file ('-' for stderr)")
 		listenF  = fs.String("listen", "", "serve /telemetry, /trace, expvar and pprof over HTTP on this address for the scan's duration")
-		traceF   = fs.String("trace", "", "write the flight-recorder dump as JSON to this file ('-' for stderr)")
 		sampleF  = fs.Int("trace-sample", -1, "trace 1/2^k of targets through the full probe lifecycle (0 = every target, -1 = off)")
 		traceOut = fs.String("trace-out", "", "write the probe-lifecycle trace to this file ('-' for stderr); a .json suffix selects Chrome-trace/Perfetto format, anything else NDJSON")
 		watchF   = fs.Bool("watchdog", false, "watch per-shard progress and print a structured stall diagnosis to stderr when a shard wedges")
@@ -232,7 +231,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// bare scan keeps the zero-cost detached path.
 	var reg *telemetry.Registry
 	var mon *telemetry.Monitor
-	if *monitorN > 0 || *statusF != "" || *listenF != "" || *traceF != "" {
+	if *monitorN > 0 || *statusF != "" || *listenF != "" {
 		regShards := *parallel
 		if regShards < 1 {
 			regShards = 1
@@ -242,14 +241,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 		reg.AttachTracer(tracer)
 		cfg.Telemetry = reg
 
-		// SIGQUIT dumps the flight recorder without stopping the scan —
-		// the "what is it doing right now" escape hatch.
+		// SIGQUIT dumps the span streams and exemplars without stopping
+		// the scan — the "what is it doing right now" escape hatch.
 		quitCh := make(chan os.Signal, 1)
 		signal.Notify(quitCh, syscall.SIGQUIT)
 		defer signal.Stop(quitCh)
 		go func() {
 			for range quitCh {
-				fmt.Fprintln(stderr, "xmap: SIGQUIT: flight-recorder dump")
+				fmt.Fprintln(stderr, "xmap: SIGQUIT: trace dump")
 				if derr := reg.DumpTrace(stderr); derr != nil {
 					fmt.Fprintln(stderr, "xmap: trace dump:", derr)
 				}
@@ -336,11 +335,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *statusF != "" {
 		if err := writeSink(*statusF, stderr, reg.WriteJSON); err != nil {
 			return fmt.Errorf("writing status JSON: %w", err)
-		}
-	}
-	if *traceF != "" {
-		if err := writeSink(*traceF, stderr, reg.DumpTrace); err != nil {
-			return fmt.Errorf("writing trace: %w", err)
 		}
 	}
 	if *traceOut != "" {

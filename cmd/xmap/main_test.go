@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -141,42 +142,44 @@ func TestMonitorLines(t *testing.T) {
 	}
 }
 
-// TestTraceDump: -trace writes a JSON flight-recorder dump whose event
-// stream covers every probe of a small scan.
+// TestTraceDump: at full sampling the -trace-out dump covers every
+// probe of a small scan — one sent span per target, each carrying its
+// address, and the replies that came back.
 func TestTraceDump(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.json")
-	runOnce(t, "-max-targets", "20", "-quiet", "-trace", path)
+	path := filepath.Join(t.TempDir(), "trace.ndjson")
+	runOnce(t, "-max-targets", "20", "-quiet", "-trace-sample", "0", "-trace-out", path)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc struct {
-		Shards []struct {
-			Recorded uint64 `json:"recorded"`
-			Events   []struct {
-				Kind string `json:"kind"`
-				Addr string `json:"addr"`
-			} `json:"events"`
-		} `json:"shards"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.Shards) != 1 {
-		t.Fatalf("trace has %d shards, want 1", len(doc.Shards))
-	}
 	kinds := map[string]int{}
-	for _, e := range doc.Shards[0].Events {
-		kinds[e.Kind]++
-		if e.Kind == "probe" && e.Addr == "" {
-			t.Error("probe event without address")
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var span struct {
+			Stream int    `json:"stream"`
+			Kind   string `json:"kind"`
+			Addr   string `json:"addr"`
+		}
+		if err := json.Unmarshal([]byte(line), &span); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", line, err)
+		}
+		if span.Stream != 0 {
+			continue // the simulator's hop stream
+		}
+		kinds[span.Kind]++
+		if span.Kind == "sent" && span.Addr == "" {
+			t.Error("sent span without address")
 		}
 	}
-	if kinds["probe"] != 20 {
-		t.Errorf("trace has %d probe events, want 20", kinds["probe"])
+	if kinds["sent"] != 20 {
+		t.Errorf("trace has %d sent spans, want 20", kinds["sent"])
 	}
 	if kinds["reply"]+kinds["icmp-error"] == 0 {
-		t.Error("trace has no reply events")
+		t.Error("trace has no reply spans")
+	}
+	// The flight-recorder flag is gone; -trace-out is its superset.
+	var errb bytes.Buffer
+	if err := run([]string{"-max-targets", "1", "-trace", path}, io.Discard, &errb); err == nil {
+		t.Error("-trace still accepted")
 	}
 }
 

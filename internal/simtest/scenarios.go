@@ -23,9 +23,9 @@ type DiscoveryRun struct {
 	ProbeDsts []ipv6.Addr
 	// Violations are the invariant-checker findings for the run.
 	Violations []string
-	// Events is the run's flight-recorder stream, attached to failure
-	// messages via AttachTrace.
-	Events []telemetry.Event
+	// Spans is the scanner's span stream (every target traced),
+	// attached to failure messages via AttachTrace.
+	Spans []telemetry.Span
 	// Snapshot is the run's merged telemetry view (scan, engine and
 	// injector counters in one document).
 	Snapshot *telemetry.Snapshot
@@ -43,12 +43,17 @@ func runDiscovery(seed int64, p FaultProfile, exact bool) (DiscoveryRun, error) 
 	f.Eng.SetFault(inj.Apply)
 	iv.Attach(f.Eng)
 	rec := &recordingDriver{Driver: f.Drv}
-	reg := telemetry.New(telemetry.Options{Shards: 1, TraceDepth: 512})
+	reg := telemetry.New(telemetry.Options{Shards: 1})
 	inj.RegisterTelemetry(reg)
 	f.Drv.RegisterTelemetry(reg)
+	// The tracer hangs on the scanner only, not the engine: the tail of
+	// a failing run should read probe → reply, not be flooded by hops.
+	tracer := telemetry.NewTracer(telemetry.TracerOptions{
+		Seed: scanSeed(seed), SampleShift: 0, Depth: 512,
+	})
 	s, err := xmap.New(xmap.Config{
 		Window: f.Window, Seed: scanSeed(seed), DedupExact: exact,
-		Telemetry: reg,
+		Telemetry: reg, Tracer: tracer,
 	}, rec)
 	if err != nil {
 		return out, err
@@ -63,7 +68,7 @@ func runDiscovery(seed int64, p FaultProfile, exact bool) (DiscoveryRun, error) 
 	out.Stats = stats
 	out.ProbeDsts = rec.dsts
 	out.Violations = iv.Violations()
-	out.Events = reg.Events()
+	out.Spans = tracer.AppendSpans(0, nil)
 	out.Snapshot = reg.Snapshot()
 	return out, nil
 }
@@ -155,26 +160,17 @@ func RunDiscoveryScenario(seed int64, p FaultProfile) ([]string, error) {
 	if exact.Stats.Received != replay.Stats.Received || exact.Stats.Duplicates != replay.Stats.Duplicates {
 		problems = append(problems, "replay diverged in receive statistics")
 	}
-	// Oracle: the telemetry counters are a second, independently
-	// maintained account of the same run — they must agree with the
-	// scanner's Stats exactly.
-	for _, chk := range []struct {
-		counter telemetry.Counter
-		want    uint64
-	}{
-		{telemetry.ScanTargets, exact.Stats.Targets},
-		{telemetry.ScanSent, exact.Stats.Sent},
-		{telemetry.ScanReceived, exact.Stats.Received},
-		{telemetry.ScanDuplicates, exact.Stats.Duplicates},
-		{telemetry.ScanUnique, exact.Stats.Unique},
-	} {
-		if got := exact.Snapshot.Counters[chk.counter.String()]; got != chk.want {
+	// Oracle: the telemetry scan.* counters are a published view of the
+	// scanner's Stats — once the run has returned they must agree with
+	// it over the whole field table.
+	exact.Stats.Counters(func(c telemetry.Counter, want uint64) {
+		if got := exact.Snapshot.Counters[c.String()]; got != want {
 			problems = append(problems, fmt.Sprintf(
-				"telemetry counter %s = %d, stats say %d", chk.counter, got, chk.want))
+				"telemetry counter %s = %d, stats say %d", c, got, want))
 		}
-	}
+	})
 	// A failing scenario carries the packet-level tail of the run.
-	problems = AttachTrace(problems, exact.Events, 16)
+	problems = AttachTrace(problems, exact.Spans, 16)
 	return problems, nil
 }
 

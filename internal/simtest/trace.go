@@ -8,25 +8,25 @@ import (
 	"repro/internal/telemetry"
 )
 
-// AttachTrace appends the tail of a scan's flight-recorder stream to a
-// failing scenario's problem list, so a seed-replayable failure carries
-// the packet-level moments leading up to it (what was probed, what
+// AttachTrace appends the tail of a scan's span stream to a failing
+// scenario's problem list, so a seed-replayable failure carries the
+// packet-level moments leading up to it (what was probed, what
 // answered, which retries fired) instead of just the final counts. A
-// clean run (no problems) or an empty recorder returns problems
+// clean run (no problems) or an empty stream returns problems
 // unchanged. k bounds the tail (<=0 means 16).
-func AttachTrace(problems []string, events []telemetry.Event, k int) []string {
-	if len(problems) == 0 || len(events) == 0 {
+func AttachTrace(problems []string, spans []telemetry.Span, k int) []string {
+	if len(problems) == 0 || len(spans) == 0 {
 		return problems
 	}
 	if k <= 0 {
 		k = 16
 	}
-	if len(events) > k {
-		events = events[len(events)-k:]
+	if len(spans) > k {
+		spans = spans[len(spans)-k:]
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "flight recorder (last %d events):", len(events))
-	for _, e := range events {
+	fmt.Fprintf(&b, "trace (last %d spans):", len(spans))
+	for _, e := range spans {
 		fmt.Fprintf(&b, "\n  #%d clock=%d %s", e.Seq, e.Clock, e.Kind)
 		if e.Addr != ([16]byte{}) {
 			fmt.Fprintf(&b, " addr=%s", ipv6.AddrFromBytes(e.Addr[:]))

@@ -7,11 +7,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-func traceEvents(n int) []telemetry.Event {
-	ev := make([]telemetry.Event, n)
+func traceSpans(n int) []telemetry.Span {
+	ev := make([]telemetry.Span, n)
 	for i := range ev {
-		ev[i] = telemetry.Event{
-			Seq: uint64(i), Clock: uint64(i * 2), Kind: telemetry.EvProbeSent,
+		ev[i] = telemetry.Span{
+			Seq: uint64(i), Clock: uint64(i * 2), Kind: telemetry.SpanSent,
 			Addr: [16]byte{0x20, 0x01, 0x0d, 0xb8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, byte(i)},
 			Arg:  uint64(i),
 		}
@@ -20,44 +20,44 @@ func traceEvents(n int) []telemetry.Event {
 }
 
 // TestAttachTraceTailsEvents: a failing problem list gains one entry
-// holding the last k recorder events, newest-last.
+// holding the last k spans, newest-last.
 func TestAttachTraceTailsEvents(t *testing.T) {
-	problems := AttachTrace([]string{"stats diverged"}, traceEvents(40), 5)
+	problems := AttachTrace([]string{"stats diverged"}, traceSpans(40), 5)
 	if len(problems) != 2 {
 		t.Fatalf("got %d problems, want the original plus the trace", len(problems))
 	}
 	tail := problems[1]
-	if !strings.Contains(tail, "flight recorder (last 5 events):") {
+	if !strings.Contains(tail, "trace (last 5 spans):") {
 		t.Errorf("missing header: %q", tail)
 	}
 	if !strings.Contains(tail, "#35") || !strings.Contains(tail, "#39") {
-		t.Errorf("tail does not span events 35..39: %q", tail)
+		t.Errorf("tail does not cover spans 35..39: %q", tail)
 	}
 	if strings.Contains(tail, "#34") {
-		t.Errorf("tail includes event before the window: %q", tail)
+		t.Errorf("tail includes a span before the window: %q", tail)
 	}
-	if !strings.Contains(tail, "probe") || !strings.Contains(tail, "addr=2001:db8::27") {
-		t.Errorf("event line missing kind or address: %q", tail)
+	if !strings.Contains(tail, " sent ") || !strings.Contains(tail, "addr=2001:db8::27") {
+		t.Errorf("span line missing kind or address: %q", tail)
 	}
 }
 
-// TestAttachTraceNoOps: clean runs and empty recorders leave the
+// TestAttachTraceNoOps: clean runs and empty streams leave the
 // problem list untouched; k<=0 defaults to 16.
 func TestAttachTraceNoOps(t *testing.T) {
-	if got := AttachTrace(nil, traceEvents(3), 5); got != nil {
+	if got := AttachTrace(nil, traceSpans(3), 5); got != nil {
 		t.Errorf("clean run grew problems: %v", got)
 	}
 	if got := AttachTrace([]string{"p"}, nil, 5); len(got) != 1 {
-		t.Errorf("empty recorder changed problems: %v", got)
+		t.Errorf("empty stream changed problems: %v", got)
 	}
-	got := AttachTrace([]string{"p"}, traceEvents(40), 0)
-	if !strings.Contains(got[1], "last 16 events") {
+	got := AttachTrace([]string{"p"}, traceSpans(40), 0)
+	if !strings.Contains(got[1], "last 16 spans") {
 		t.Errorf("default tail is not 16: %q", got[1])
 	}
-	// Fewer events than k: take them all.
-	got = AttachTrace([]string{"p"}, traceEvents(3), 16)
-	if !strings.Contains(got[1], "last 3 events") {
-		t.Errorf("short recorder not fully included: %q", got[1])
+	// Fewer spans than k: take them all.
+	got = AttachTrace([]string{"p"}, traceSpans(3), 16)
+	if !strings.Contains(got[1], "last 3 spans") {
+		t.Errorf("short stream not fully included: %q", got[1])
 	}
 }
 
@@ -71,20 +71,20 @@ func TestDiscoveryFailureCarriesTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(run.Events) == 0 {
-		t.Fatal("discovery run recorded no flight-recorder events")
+	if len(run.Spans) == 0 {
+		t.Fatal("discovery run recorded no spans")
 	}
-	problems := AttachTrace([]string{"synthetic failure"}, run.Events, 16)
+	problems := AttachTrace([]string{"synthetic failure"}, run.Spans, 16)
 	if len(problems) != 2 {
 		t.Fatalf("got %d problems, want 2", len(problems))
 	}
 	tail := problems[1]
-	if !strings.Contains(tail, "flight recorder") {
-		t.Fatalf("failure message lacks the recorder tail: %q", tail)
+	if !strings.Contains(tail, "trace (last 16 spans)") {
+		t.Fatalf("failure message lacks the span tail: %q", tail)
 	}
-	// The tail of a scan ends in receive-side events with real addresses.
+	// The tail of a scan ends in receive-side spans with real addresses.
 	if !strings.Contains(tail, "addr=") {
-		t.Errorf("recorder tail carries no addresses: %q", tail)
+		t.Errorf("span tail carries no addresses: %q", tail)
 	}
 	// The scenario's snapshot view covers all three layers of the stack.
 	if run.Snapshot == nil {

@@ -74,7 +74,7 @@ func RunWatchdogScenario(seed int64) ([]string, error) {
 	// Shard 0 runs to completion first: it must report StageDone and
 	// stay exempt from every later stall check.
 	cfg0 := cfg
-	cfg0.ShardIndex, cfg0.TraceStream = 0, 0
+	cfg0.ShardIndex = 0
 	s0, err := xmap.New(cfg0, f.Drv)
 	if err != nil {
 		return nil, err
@@ -89,7 +89,7 @@ func RunWatchdogScenario(seed int64) ([]string, error) {
 	ring := xmap.NewRingDriver(wedge, 8)
 	ring.SetTracer(tracer, 1)
 	cfg1 := cfg
-	cfg1.ShardIndex, cfg1.TraceStream = 1, 1
+	cfg1.ShardIndex = 1
 	s1, err := xmap.New(cfg1, ring)
 	if err != nil {
 		ring.Close()

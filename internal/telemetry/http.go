@@ -19,7 +19,7 @@ var expvarPublished atomic.Bool
 // Handler returns the registry's HTTP mux:
 //
 //	/telemetry    merged Snapshot JSON
-//	/trace        flight-recorder dump JSON
+//	/trace        span streams + anomaly exemplars JSON
 //	/debug/vars   expvar (includes the "telemetry" var)
 //	/debug/pprof  the standard pprof index and profiles
 func (r *Registry) Handler() http.Handler {
@@ -42,7 +42,7 @@ func (r *Registry) Handler() http.Handler {
 }
 
 // Serve exposes the registry over HTTP on addr (the -listen flag): the
-// snapshot, the flight recorder, expvar and pprof. It returns the
+// snapshot, the trace dump, expvar and pprof. It returns the
 // running server and its bound address; callers Close the server when
 // the scan ends. The registry is also published as the expvar var
 // "telemetry" so stock expvar scrapers see it.

@@ -26,9 +26,6 @@ type Snapshot struct {
 	// PerShard breaks the counters down by shard (only with >1 shard;
 	// zero slots are omitted per shard).
 	PerShard []map[string]uint64 `json:"per_shard,omitempty"`
-	// TraceRecorded is the total flight-recorder events ever recorded
-	// across shards.
-	TraceRecorded uint64 `json:"trace_recorded"`
 	// TraceSpans is the total lifecycle spans the attached span tracer
 	// recorded across streams (0 when no tracer is attached).
 	TraceSpans uint64 `json:"trace_spans"`
@@ -59,29 +56,12 @@ func (r *Registry) Snapshot() *Snapshot {
 		return s
 	}
 	s.Shards = len(r.shards)
-	totals := [NumCounters]uint64{}
-	for _, sh := range r.shards {
-		for c := Counter(0); c < NumCounters; c++ {
-			totals[c] += sh.counters[c].Load()
-		}
-		s.TraceRecorded += sh.ring.Recorded()
-	}
 	if t := r.Tracer(); t != nil {
 		s.TraceSpans = t.SpansRecorded()
 		s.TraceExemplars = uint64(t.ExemplarCount())
 	}
-	r.colMu.Lock()
-	cols := append([]Collector(nil), r.collectors...)
-	r.colMu.Unlock()
-	for _, col := range cols {
-		col(func(c Counter, n uint64) {
-			if c < NumCounters {
-				totals[c] += n
-			}
-		})
-	}
-	for c := Counter(0); c < NumCounters; c++ {
-		s.Counters[c.String()] = totals[c]
+	for c, total := range r.collectTotals() {
+		s.Counters[Counter(c).String()] = total
 	}
 	for g := Gauge(0); g < NumGauges; g++ {
 		var v int64

@@ -31,6 +31,7 @@ const (
 	SpanQuarantine
 	SpanAliasCooldown
 	SpanShed
+	SpanCheckpoint
 )
 
 // spanKindNames is indexed by SpanKind; the zero kind is unused.
@@ -48,6 +49,7 @@ var spanKindNames = [...]string{
 	SpanQuarantine:    "quarantine",
 	SpanAliasCooldown: "alias-cooldown",
 	SpanShed:          "shed",
+	SpanCheckpoint:    "checkpoint",
 }
 
 func (k SpanKind) String() string {
@@ -128,9 +130,11 @@ func (s Sampler) SampleAddr(a [16]byte) bool {
 	return s.Sample(binary.BigEndian.Uint64(a[0:8]), binary.BigEndian.Uint64(a[8:16]))
 }
 
-// SpanRing is a bounded span recorder, the span twin of the
-// flight-recorder Ring: fixed power-of-two storage, oldest entries
-// overwritten, recording allocation-free behind one short mutex.
+// SpanRing is a bounded span recorder: single-block, fixed power-of-two
+// storage — recording a 2^40-probe scan holds exactly the same bytes as
+// recording twenty — oldest entries overwritten, recording
+// allocation-free behind one short mutex (each stream has one writer,
+// so the lock only synchronizes with readers).
 type SpanRing struct {
 	mu  sync.Mutex
 	buf []Span
@@ -469,6 +473,14 @@ func (t *Tracer) LastKind(stream int) SpanKind {
 	return t.stream(stream).lastKind()
 }
 
+// AppendSpans appends one stream's retained spans, oldest first.
+func (t *Tracer) AppendSpans(stream int, dst []Span) []Span {
+	if t == nil {
+		return dst
+	}
+	return t.stream(stream).AppendSpans(dst)
+}
+
 // Streams returns the stream count.
 func (t *Tracer) Streams() int {
 	if t == nil {
@@ -588,4 +600,59 @@ func writeChromeEvent(w io.Writer, stream int, sp Span) error {
 	}
 	_, err := io.WriteString(w, "}}")
 	return err
+}
+
+// traceDoc is the JSON shape of a trace dump.
+type traceDoc struct {
+	Spans     []streamTrace  `json:"spans"`
+	Exemplars []exemplarJSON `json:"exemplars,omitempty"`
+}
+
+type streamTrace struct {
+	Stream   int        `json:"stream"`
+	Recorded uint64     `json:"recorded"`
+	Spans    []spanJSON `json:"spans"`
+}
+
+type exemplarJSON struct {
+	Kind   string     `json:"kind"`
+	Clock  uint64     `json:"clock"`
+	Addr   string     `json:"addr,omitempty"`
+	Stream int        `json:"stream"`
+	Spans  []spanJSON `json:"spans"`
+}
+
+// DumpTrace writes every stream's retained spans and the captured
+// anomaly exemplars of the attached tracer as one indented JSON
+// document — the /trace endpoint and the SIGQUIT dump. Without a tracer
+// the document is empty.
+func (r *Registry) DumpTrace(w io.Writer) error {
+	doc := traceDoc{Spans: []streamTrace{}}
+	if t := r.Tracer(); t != nil {
+		var scratch []Span
+		for i, ring := range t.streams {
+			st := streamTrace{Stream: i, Recorded: ring.Recorded(), Spans: []spanJSON{}}
+			scratch = ring.AppendSpans(scratch[:0])
+			for _, sp := range scratch {
+				st.Spans = append(st.Spans, spanToJSON(i, sp))
+			}
+			doc.Spans = append(doc.Spans, st)
+		}
+		for _, ex := range t.Exemplars() {
+			ej := exemplarJSON{
+				Kind: ex.Kind.String(), Clock: ex.Clock, Stream: ex.Stream,
+				Spans: []spanJSON{},
+			}
+			if ex.Addr != ([16]byte{}) {
+				ej.Addr = ipv6.AddrFromBytes(ex.Addr[:]).String()
+			}
+			for _, sp := range ex.Spans[:ex.N] {
+				ej.Spans = append(ej.Spans, spanToJSON(ex.Stream, sp))
+			}
+			doc.Exemplars = append(doc.Exemplars, ej)
+		}
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(doc)
 }

@@ -19,9 +19,8 @@ func addrN(i uint64) [16]byte {
 	return a
 }
 
-// TestSpanRingWraparoundBoundedMemory mirrors
-// TestRingWraparoundBoundedMemory for the span ring: fixed power-of-two
-// storage, oldest spans overwritten, strict ordering preserved.
+// TestSpanRingWraparoundBoundedMemory: fixed power-of-two storage,
+// oldest spans overwritten, strict ordering preserved.
 func TestSpanRingWraparoundBoundedMemory(t *testing.T) {
 	r := newSpanRing(100) // rounds up to 128
 	if r.Cap() != 128 {
@@ -267,7 +266,8 @@ func TestTracerNilSafe(t *testing.T) {
 	if tr.SpansRecorded() != 0 || tr.ExemplarCount() != 0 || tr.AnomalyCount() != 0 {
 		t.Error("nil tracer reports recorded state")
 	}
-	if tr.Exemplars() != nil || tr.LastKind(0) != 0 || tr.Streams() != 0 || tr.SimStream(3) != 0 {
+	if tr.Exemplars() != nil || tr.LastKind(0) != 0 || tr.Streams() != 0 || tr.SimStream(3) != 0 ||
+		tr.AppendSpans(0, nil) != nil {
 		t.Error("nil tracer accessors returned non-zero values")
 	}
 	if err := tr.WriteNDJSON(io.Discard); err != nil {
@@ -406,7 +406,7 @@ func TestWatchdogWithoutTracer(t *testing.T) {
 // TestSpanKindNamesComplete mirrors TestCounterNamesComplete for the
 // span and anomaly vocabularies.
 func TestSpanKindNamesComplete(t *testing.T) {
-	for k := SpanSent; k <= SpanShed; k++ {
+	for k := SpanSent; k <= SpanCheckpoint; k++ {
 		if k.String() == "unknown" {
 			t.Errorf("span kind %d has no name", k)
 		}
@@ -420,7 +420,7 @@ func TestSpanKindNamesComplete(t *testing.T) {
 		}
 	}
 	seen := map[string]bool{}
-	for k := SpanSent; k <= SpanShed; k++ {
+	for k := SpanSent; k <= SpanCheckpoint; k++ {
 		if seen[k.String()] {
 			t.Errorf("duplicate span kind name %q", k.String())
 		}

@@ -12,10 +12,11 @@
 //     power-of-two-bucket histograms, sharded per scan shard so
 //     concurrent scanner goroutines never contend, merged only at
 //     Snapshot time;
-//   - a flight recorder (Ring): a bounded per-shard ring of recent
-//     packet events — probe sent, reply, ICMPv6 error, retry, AIMD
-//     window change, checkpoint cut — dumpable as JSON on demand, on
-//     SIGQUIT, or when a simulation-test oracle fails;
+//   - one event recorder (Tracer): bounded per-stream rings of
+//     probe-lifecycle spans — sent, hop, reply, ICMPv6 error, retry,
+//     AIMD window change, checkpoint cut, defense verdicts — sampled by
+//     address hash, exportable as NDJSON or Perfetto JSON and dumpable
+//     on demand, on SIGQUIT, or when a simulation-test oracle fails;
 //   - exposition: a deterministic Snapshot JSON document, a ZMap-style
 //     periodic status line (Monitor), and an optional net/http endpoint
 //     serving expvar and pprof (Serve).
@@ -34,7 +35,9 @@ import (
 // and monotone; each layer of the stack owns a named group.
 type Counter uint8
 
-// Counter slots. The scan.* group backs xmap.Stats, sim.* the netsim
+// Counter slots. The scan.* group is a view of xmap.Stats (the scanner
+// publishes its Stats growth once per drain window; only
+// scan.checkpoints is counted directly), sim.* the netsim
 // engine totals (the per-link LinkStats aggregate), loop.* the loopscan
 // detector, and inject.* the simtest fault injector — one snapshot
 // covers the whole stack.
@@ -184,14 +187,13 @@ func (h Hist) String() string {
 }
 
 // Shard is one scan shard's private metrics slice: fixed arrays of
-// atomics plus the shard's flight-recorder ring. A shard is written by
-// its scanner goroutine and read concurrently by snapshotters; all
-// methods are nil-receiver safe so detached code paths cost one branch.
+// atomics. A shard is written by its scanner goroutine and read
+// concurrently by snapshotters; all methods are nil-receiver safe so
+// detached code paths cost one branch.
 type Shard struct {
 	counters [NumCounters]atomic.Uint64
 	gauges   [NumGauges]atomic.Int64
 	hists    [NumHists]histogram
-	ring     *Ring
 }
 
 // Inc adds one to a counter slot.
@@ -238,42 +240,17 @@ func (s *Shard) Observe(h Hist, v uint64) {
 	}
 }
 
-// Trace records one flight-recorder event (a no-op when telemetry is
-// detached or tracing disabled).
-func (s *Shard) Trace(kind EventKind, clock uint64, addr [16]byte, arg uint64) {
-	if s != nil {
-		s.ring.Record(kind, clock, addr, arg)
-	}
-}
-
-// Ring returns the shard's flight-recorder ring (nil when telemetry is
-// detached or tracing disabled; Ring methods are nil-safe too).
-func (s *Shard) Ring() *Ring {
-	if s == nil {
-		return nil
-	}
-	return s.ring
-}
-
 // Collector folds externally maintained counts into a snapshot. Layers
 // that already serialize internally (the simulation engine counts under
 // its own lock) register a collector instead of paying atomics on their
 // hot path; collectors run on the snapshot reader, merge-on-read.
 type Collector func(add func(c Counter, n uint64))
 
-// DefaultTraceDepth is the per-shard flight-recorder capacity when
-// Options.TraceDepth is zero.
-const DefaultTraceDepth = 4096
-
 // Options parameterizes a Registry.
 type Options struct {
 	// Shards is the number of independent metric shards (one per scan
 	// shard; <=0 means 1).
 	Shards int
-	// TraceDepth is the per-shard flight-recorder ring capacity,
-	// rounded up to a power of two (0 = DefaultTraceDepth, <0 disables
-	// tracing).
-	TraceDepth int
 }
 
 // Registry owns the sharded metric state. All methods are safe for
@@ -293,17 +270,9 @@ func New(o Options) *Registry {
 	if n <= 0 {
 		n = 1
 	}
-	depth := o.TraceDepth
-	if depth == 0 {
-		depth = DefaultTraceDepth
-	}
 	r := &Registry{shards: make([]*Shard, n)}
 	for i := range r.shards {
-		sh := &Shard{}
-		if depth > 0 {
-			sh.ring = newRing(depth)
-		}
-		r.shards[i] = sh
+		r.shards[i] = &Shard{}
 	}
 	return r
 }
@@ -342,7 +311,7 @@ func (r *Registry) Register(c Collector) {
 
 // AttachTracer associates a span tracer with the registry, so the
 // snapshot, the monitor line, the /trace endpoint and the SIGQUIT dump
-// all report the sampled span streams alongside the flight recorder.
+// all report its span streams and exemplars.
 func (r *Registry) AttachTracer(t *Tracer) {
 	if r == nil {
 		return
@@ -361,17 +330,4 @@ func (r *Registry) Tracer() *Tracer {
 	r.tracerMu.Lock()
 	defer r.tracerMu.Unlock()
 	return r.tracer
-}
-
-// Events returns every shard's flight-recorder contents, shard by shard
-// in recording order (oldest first within a shard).
-func (r *Registry) Events() []Event {
-	if r == nil {
-		return nil
-	}
-	var out []Event
-	for _, sh := range r.shards {
-		out = sh.ring.AppendEvents(out)
-	}
-	return out
 }

@@ -44,7 +44,7 @@ func TestHistBucketBoundaries(t *testing.T) {
 }
 
 func TestHistogramCountSumQuantiles(t *testing.T) {
-	r := New(Options{TraceDepth: -1})
+	r := New(Options{})
 	sh := r.Shard(0)
 	// 100 samples of 1, 10 of 100, 1 of 10000.
 	for i := 0; i < 100; i++ {
@@ -82,7 +82,7 @@ func TestHistogramCountSumQuantiles(t *testing.T) {
 }
 
 func TestConcurrentCounters(t *testing.T) {
-	r := New(Options{Shards: 4, TraceDepth: 64})
+	r := New(Options{Shards: 4})
 	const goroutines = 8
 	const perG = 10000
 	var wg sync.WaitGroup
@@ -95,7 +95,6 @@ func TestConcurrentCounters(t *testing.T) {
 				sh.Inc(ScanSent)
 				sh.Add(SimBytes, 3)
 				sh.Observe(HistDrainBatch, uint64(i&0xff))
-				sh.Trace(EvProbeSent, uint64(i), [16]byte{byte(g)}, uint64(i))
 				if i%64 == 0 {
 					_ = r.Snapshot() // concurrent readers must not race
 				}
@@ -123,11 +122,10 @@ func TestNilRegistryAndShardAreNoOps(t *testing.T) {
 	sh.Add(ScanSent, 5)
 	sh.SetGauge(GaugeWindow, 7)
 	sh.Observe(HistDrainBatch, 1)
-	sh.Trace(EvReply, 1, [16]byte{}, 2)
-	if sh.Counter(ScanSent) != 0 || sh.Gauge(GaugeWindow) != 0 || sh.Ring().Len() != 0 {
+	if sh.Counter(ScanSent) != 0 || sh.Gauge(GaugeWindow) != 0 {
 		t.Error("nil shard mutated state")
 	}
-	if r.CounterTotal(ScanSent) != 0 || r.NumShards() != 0 || r.Events() != nil {
+	if r.CounterTotal(ScanSent) != 0 || r.NumShards() != 0 || r.Tracer() != nil {
 		t.Error("nil registry not empty")
 	}
 	snap := r.Snapshot()
@@ -143,48 +141,15 @@ func TestNilRegistryAndShardAreNoOps(t *testing.T) {
 	}
 }
 
-func TestRingWraparoundBoundedMemory(t *testing.T) {
-	r := newRing(100) // rounds up to 128
-	if r.Cap() != 128 {
-		t.Fatalf("Cap = %d, want 128 (next power of two)", r.Cap())
-	}
-	for i := 0; i < 1000; i++ {
-		r.Record(EvProbeSent, uint64(i), [16]byte{}, uint64(i))
-	}
-	if r.Len() != 128 {
-		t.Errorf("Len = %d, want capacity 128 after wrap", r.Len())
-	}
-	if r.Recorded() != 1000 {
-		t.Errorf("Recorded = %d, want 1000", r.Recorded())
-	}
-	ev := r.Events()
-	if len(ev) != 128 {
-		t.Fatalf("Events returned %d, want 128", len(ev))
-	}
-	// Oldest surviving event is #872, newest #999, strictly ordered.
-	if ev[0].Seq != 872 || ev[127].Seq != 999 {
-		t.Errorf("event range [%d,%d], want [872,999]", ev[0].Seq, ev[127].Seq)
-	}
-	for i := 1; i < len(ev); i++ {
-		if ev[i].Seq != ev[i-1].Seq+1 {
-			t.Fatalf("events out of order at %d: %d after %d", i, ev[i].Seq, ev[i-1].Seq)
-		}
-	}
-	if ev[0].Arg != 872 || ev[0].Clock != 872 {
-		t.Errorf("oldest event payload = clock %d arg %d, want 872/872", ev[0].Clock, ev[0].Arg)
-	}
-}
-
 func TestSnapshotJSONDeterministic(t *testing.T) {
 	build := func() *Registry {
-		r := New(Options{Shards: 2, TraceDepth: 16})
+		r := New(Options{Shards: 2})
 		for i := 0; i < 2; i++ {
 			sh := r.Shard(i)
 			sh.Add(ScanSent, uint64(10*(i+1)))
 			sh.Add(ScanUnique, uint64(i))
 			sh.SetGauge(GaugeWindow, 64)
 			sh.Observe(HistReplyHopLimit, 55)
-			sh.Trace(EvReply, 1, [16]byte{0x20, 0x01}, 55)
 		}
 		r.Register(func(add func(Counter, uint64)) { add(SimEvents, 42) })
 		return r
@@ -209,37 +174,43 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 	if len(snap.PerShard) != 2 {
 		t.Errorf("PerShard has %d entries, want 2", len(snap.PerShard))
 	}
-	if snap.TraceRecorded != 2 {
-		t.Errorf("TraceRecorded = %d, want 2", snap.TraceRecorded)
-	}
 	if hr := snap.HitRate(); hr != float64(1)/30 {
 		t.Errorf("HitRate = %v, want 1/30", hr)
 	}
 }
 
 func TestDumpTraceJSON(t *testing.T) {
-	r := New(Options{Shards: 1, TraceDepth: 8})
+	r := New(Options{Shards: 1})
+	var empty bytes.Buffer
+	if err := r.DumpTrace(&empty); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(empty.String(), `"spans": []`) {
+		t.Errorf("dump without a tracer is not the empty document:\n%s", empty.String())
+	}
+	tr := NewTracer(TracerOptions{Depth: 8})
+	r.AttachTracer(tr)
 	addr := [16]byte{0x20, 0x01, 0x0d, 0xb8}
-	r.Shard(0).Trace(EvProbeSent, 7, addr, 1)
-	r.Shard(0).Trace(EvAIMD, 8, [16]byte{}, 128)
+	tr.Span(0, SpanSent, 7, addr, 1)
+	tr.Span(0, SpanAIMD, 8, [16]byte{}, 128)
 	var buf bytes.Buffer
 	if err := r.DumpTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{`"kind": "probe"`, `"addr": "2001:db8::"`, `"kind": "aimd-window"`, `"arg": 128`} {
+	for _, want := range []string{`"kind": "sent"`, `"addr": "2001:db8::"`, `"kind": "aimd-window"`, `"arg": 128`, `"recorded": 2`} {
 		if !strings.Contains(out, want) {
 			t.Errorf("trace dump missing %s:\n%s", want, out)
 		}
 	}
-	// The window-change event has no address and must omit the field.
+	// The window-change span has no address and must omit the field.
 	if strings.Count(out, `"addr"`) != 1 {
 		t.Errorf("zero addresses must be omitted:\n%s", out)
 	}
 }
 
 func TestMonitorProbeClockCadence(t *testing.T) {
-	r := New(Options{TraceDepth: -1})
+	r := New(Options{})
 	sh := r.Shard(0)
 	var buf bytes.Buffer
 	m := NewMonitor(r, &buf, 100)
@@ -291,7 +262,7 @@ func TestMonitorProbeClockCadence(t *testing.T) {
 }
 
 func TestMonitorTickAllocFree(t *testing.T) {
-	r := New(Options{TraceDepth: -1})
+	r := New(Options{})
 	m := NewMonitor(r, &bytes.Buffer{}, 1000000)
 	r.Shard(0).Add(ScanTargets, 1)
 	m.Tick()
@@ -302,7 +273,7 @@ func TestMonitorTickAllocFree(t *testing.T) {
 }
 
 func TestShardModulo(t *testing.T) {
-	r := New(Options{Shards: 2, TraceDepth: -1})
+	r := New(Options{Shards: 2})
 	if r.Shard(0) != r.Shard(2) || r.Shard(1) != r.Shard(3) {
 		t.Error("Shard does not wrap modulo the shard count")
 	}
@@ -327,14 +298,9 @@ func TestCounterNamesComplete(t *testing.T) {
 			t.Errorf("hist %d has no name", h)
 		}
 	}
-	for _, k := range []EventKind{EvProbeSent, EvReply, EvICMPError, EvRetry, EvAIMD, EvCheckpoint} {
-		if strings.Contains(k.String(), "?") {
-			t.Errorf("event kind %d has no name", k)
-		}
-	}
 	// Snapshot documents every counter, including zeros: the JSON doubles
 	// as the schema.
-	snap := New(Options{TraceDepth: -1}).Snapshot()
+	snap := New(Options{}).Snapshot()
 	if len(snap.Counters) != int(NumCounters) {
 		t.Errorf("snapshot has %d counters, want %d", len(snap.Counters), NumCounters)
 	}
@@ -356,9 +322,11 @@ func TestFmtDuration(t *testing.T) {
 }
 
 func TestHTTPHandler(t *testing.T) {
-	r := New(Options{Shards: 1, TraceDepth: 8})
+	r := New(Options{Shards: 1})
 	r.Shard(0).Add(ScanSent, 3)
-	r.Shard(0).Trace(EvReply, 1, [16]byte{}, 9)
+	tr := NewTracer(TracerOptions{Depth: 8})
+	tr.Span(0, SpanReply, 1, [16]byte{}, 9)
+	r.AttachTracer(tr)
 	srv, addr, err := r.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -376,7 +344,7 @@ func TestHTTPHandler(t *testing.T) {
 		t.Errorf("/telemetry missing counter:\n%s", body)
 	}
 	if body := get("/trace"); !strings.Contains(body, `"kind": "reply"`) {
-		t.Errorf("/trace missing event:\n%s", body)
+		t.Errorf("/trace missing span:\n%s", body)
 	}
 	if body := get("/debug/vars"); !strings.Contains(body, "telemetry") {
 		t.Errorf("/debug/vars missing published var:\n%s", body)

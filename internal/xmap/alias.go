@@ -7,6 +7,28 @@ import (
 	"repro/internal/wire"
 )
 
+// Alias-detector parameters.
+const (
+	// aliasPrefixLen is the detect-prefix granularity (<= 64): one
+	// detect-prefix per 16 window /64s, the aliased-delegation size the
+	// periphery papers report most often.
+	aliasPrefixLen = 60
+	// cooldownProbes is j, the number of deterministic pseudo-random
+	// re-probes sent into a suspicious prefix.
+	cooldownProbes = 3
+	// cooldownWindow is the cooldown length in drain windows before an
+	// unconfirmed suspicious prefix is cleared.
+	cooldownWindow = 4
+	// aliasConfirm is the cooldown evidence needed to blocklist a
+	// suspicious prefix.
+	aliasConfirm = 2
+	// aliasEchoThresh is the distinct self-echo targets, and
+	// aliasQuarThresh the quarantined replies, that send a prefix into
+	// cooldown.
+	aliasEchoThresh = 2
+	aliasQuarThresh = 3
+)
+
 // Alias-detector prefix states. A detect-prefix starts counting, moves
 // to cooling when a saturation trigger fires, and resolves to blocked
 // (folded into the runtime blocklist) or cleared (honest; never
@@ -66,13 +88,6 @@ type respSlot struct {
 // trie entries are created only by those signatures (an honest scan
 // creates none).
 type aliasDetector struct {
-	bits       int // detect-prefix length, <= 64
-	probes     int // cooldown probes per suspicious prefix (j)
-	confirm    int // evidence needed to blocklist
-	window     uint64 // cooldown length in drain ticks
-	echoThresh int // distinct self-echo targets to trigger
-	quarThresh int // quarantined replies to trigger
-
 	trie map[uint64]*aliasEntry
 	// resp64 records the first validated error responder seen per
 	// responder /64: a second distinct responder in one /64 is the
@@ -98,30 +113,25 @@ type aliasDetector struct {
 	prf subPRF
 }
 
-// newAliasDetector wires the detector from a validated Config.
-func newAliasDetector(cfg *Config) *aliasDetector {
+// newAliasDetector builds a detector whose cooldown targets are keyed
+// by the scan seed.
+func newAliasDetector(seed []byte) *aliasDetector {
 	return &aliasDetector{
-		bits:        cfg.AliasPrefixLen,
-		probes:      cfg.CooldownProbes,
-		confirm:     cfg.AliasConfirm,
-		window:      uint64(cfg.CooldownWindow),
-		echoThresh:  2,
-		quarThresh:  3,
 		trie:        make(map[uint64]*aliasEntry),
 		outstanding: make(map[ipv6.Addr]*aliasProbe),
-		prf:         newSubPRF(append(append([]byte{}, cfg.Seed...), "-alias-cooldown"...)),
+		prf:         newSubPRF(append(append([]byte{}, seed...), "-alias-cooldown"...)),
 	}
 }
 
 // keyOf maps an address to its detect-prefix key.
 func (d *aliasDetector) keyOf(a ipv6.Addr) uint64 {
-	return a.Uint128().Hi >> (64 - uint(d.bits))
+	return a.Uint128().Hi >> (64 - aliasPrefixLen)
 }
 
 // prefixOf inverts keyOf.
 func (d *aliasDetector) prefixOf(key uint64) ipv6.Prefix {
-	hi := key << (64 - uint(d.bits))
-	p, _ := ipv6.NewPrefix(ipv6.AddrFrom128(uint128.New(hi, 0)), d.bits)
+	hi := key << (64 - aliasPrefixLen)
+	p, _ := ipv6.NewPrefix(ipv6.AddrFrom128(uint128.New(hi, 0)), aliasPrefixLen)
 	return p
 }
 
@@ -140,9 +150,9 @@ func (d *aliasDetector) entry(key uint64) *aliasEntry {
 // from the scan PRF, so cooldown targets never collide with the
 // permutation's probe addresses.
 func (d *aliasDetector) cooldownTarget(key uint64, i int) ipv6.Addr {
-	base := key << (64 - uint(d.bits))
+	base := key << (64 - aliasPrefixLen)
 	iidHi, iidLo, _ := d.prf.derive(base, uint64(i))
-	hostHi := iidHi & (1<<(64-uint(d.bits)) - 1)
+	hostHi := iidHi & (1<<(64-aliasPrefixLen) - 1)
 	if hostHi == 0 && iidLo == 0 {
 		iidLo = 1
 	}
@@ -172,14 +182,11 @@ func (s *Scanner) BlockedPrefixes() []ipv6.Prefix {
 func (s *Scanner) aliasCool(key uint64, e *aliasEntry, stats *Stats) {
 	d := s.alias
 	e.state = aliasCooling
-	e.deadline = d.ticks + d.window
+	e.deadline = d.ticks + cooldownWindow
 	d.cooling = append(d.cooling, key)
 	stats.AliasDetected++
-	s.tel.Inc(telemetry.ScanAliasDetected)
-	if s.tracer != nil {
-		s.tracer.Anomaly(telemetry.AnomalyAlias, s.trStream, stats.Sent, d.prefixOf(key).Addr().Bytes())
-	}
-	for i := 0; i < d.probes; i++ {
+	s.tracer.Anomaly(telemetry.AnomalyAlias, s.trStream, stats.Sent, d.prefixOf(key).Addr().Bytes())
+	for i := 0; i < cooldownProbes; i++ {
 		dst := d.cooldownTarget(key, i)
 		if _, dup := d.outstanding[dst]; dup {
 			continue
@@ -198,7 +205,6 @@ func (s *Scanner) aliasBlock(key uint64, e *aliasEntry, stats *Stats) {
 	s.BlockRuntime(p)
 	d.blocked = append(d.blocked, p)
 	stats.AliasBlocked++
-	s.tel.Inc(telemetry.ScanAliasBlocked)
 }
 
 // aliasObserve feeds one validated response through the detector. It
@@ -222,7 +228,7 @@ func (s *Scanner) aliasObserve(resp *Response, stats *Stats) bool {
 				(isErr && resp.Responder != resp.ProbeDst && !s.dedup.seen(resp.Responder)) {
 				o.evidenced = true
 				e.evidence++
-				if int(e.evidence) >= d.confirm {
+				if e.evidence >= aliasConfirm {
 					s.aliasBlock(o.key, e, stats)
 				}
 			}
@@ -259,7 +265,7 @@ func (s *Scanner) aliasObserve(resp *Response, stats *Stats) bool {
 		if e.state == aliasCounting && resp.ProbeDst != e.lastEchoDst {
 			e.lastEchoDst = resp.ProbeDst
 			e.selfEchoes++
-			if int(e.selfEchoes) >= d.echoThresh {
+			if e.selfEchoes >= aliasEchoThresh {
 				s.aliasCool(k, e, stats)
 			}
 		}
@@ -286,31 +292,25 @@ func (s *Scanner) aliasObserve(resp *Response, stats *Stats) bool {
 // malformed-responder trigger and its cooldown evidence.
 func (s *Scanner) aliasQuarantine(raw []byte, stats *Stats) {
 	stats.Quarantined++
-	s.tel.Inc(telemetry.ScanQuarantined)
-	if len(raw) < wire.HeaderLen || raw[0]>>4 != 6 {
+	src, ok := shedSrc(raw)
+	if !ok {
 		return
 	}
-	src := ipv6.AddrFromBytes(raw[8:24])
-	if s.tracer != nil {
-		b := src.Bytes()
-		if s.tracer.SampleAddr(b) {
-			s.tracer.Span(s.trStream, telemetry.SpanQuarantine, stats.Sent, b, 0)
-		}
-		s.tracer.Anomaly(telemetry.AnomalyQuarantine, s.trStream, stats.Sent, b)
-	}
+	s.span(telemetry.SpanQuarantine, stats.Sent, src, 0)
+	s.tracer.Anomaly(telemetry.AnomalyQuarantine, s.trStream, stats.Sent, src.Bytes())
 	d := s.alias
 	k := d.keyOf(src)
 	e := d.entry(k)
 	switch e.state {
 	case aliasCounting:
 		e.quarantined++
-		if int(e.quarantined) >= d.quarThresh {
+		if e.quarantined >= aliasQuarThresh {
 			s.aliasCool(k, e, stats)
 		}
 	case aliasCooling:
-		if int(e.evidence) < d.confirm {
+		if e.evidence < aliasConfirm {
 			e.evidence++
-			if int(e.evidence) >= d.confirm {
+			if e.evidence >= aliasConfirm {
 				s.aliasBlock(k, e, stats)
 			}
 		}
@@ -352,8 +352,9 @@ func (s *Scanner) aliasTick() {
 	}
 }
 
-// shedSrc extracts the outer IPv6 source of a raw reply for the shed
-// pre-pass; ok is false for packets too short to carry one.
+// shedSrc extracts the outer IPv6 source of a raw reply (for the shed
+// pre-pass and quarantine attribution); ok is false for packets too
+// short to carry one.
 func shedSrc(raw []byte) (ipv6.Addr, bool) {
 	if len(raw) < wire.HeaderLen || raw[0]>>4 != 6 {
 		return ipv6.Addr{}, false
@@ -394,7 +395,6 @@ func (s *Scanner) shed(stats *Stats, releaser Releaser) {
 				if drop {
 					need--
 					stats.Shed++
-					s.tel.Inc(telemetry.ScanShed)
 					if releaser != nil {
 						s.recycle = append(s.recycle, raw)
 					}

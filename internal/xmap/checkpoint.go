@@ -73,22 +73,20 @@ func ConfigDigest(cfg Config, shards int) [32]byte {
 // Checkpoint wire format: magic+version, digest, shard count, responder
 // list, shard states. Every variable-length field is bounded against the
 // remaining input before allocation, so a corrupt file errors instead of
-// exhausting memory.
+// exhausting memory. Version 2 stores every Stats counter in statsFields
+// order, then Elapsed; version 1 stopped before the defense counters,
+// so its files are refused rather than resumed with those zeroed.
 const (
-	checkpointMagic  = 0x58435001 // "XCP" 0x01
-	statsFieldCount  = 15
-	maxStateBlobSize = 1 << 31
+	checkpointMagic   = 0x58435002 // "XCP" 0x02
+	checkpointMagicV1 = 0x58435001
+	maxStateBlobSize  = 1 << 31
 )
 
-func appendStats(dst []byte, s Stats) []byte {
-	for _, v := range []uint64{
-		s.Targets, s.Sent, s.SendErrors, s.Received, s.Invalid, s.Duplicates,
-		s.Unique, s.Blocked, s.Retried, s.RetryDropped, s.RetryExhausted,
-		s.RetryAbandoned, s.RateUp, s.RateDown, uint64(s.Elapsed),
-	} {
-		dst = binary.BigEndian.AppendUint64(dst, v)
+func appendStats(dst []byte, s *Stats) []byte {
+	for _, f := range statsFields {
+		dst = binary.BigEndian.AppendUint64(dst, *f.field(s))
 	}
-	return dst
+	return binary.BigEndian.AppendUint64(dst, uint64(s.Elapsed))
 }
 
 // Marshal serializes the checkpoint.
@@ -112,7 +110,7 @@ func (c *Checkpoint) Marshal() []byte {
 		}
 		out = binary.BigEndian.AppendUint64(out, st.Consumed.Hi)
 		out = binary.BigEndian.AppendUint64(out, st.Consumed.Lo)
-		out = appendStats(out, st.Stats)
+		out = appendStats(out, &st.Stats)
 		out = append(out, st.DedupKind)
 		out = binary.BigEndian.AppendUint32(out, uint32(len(st.Dedup)))
 		out = append(out, st.Dedup...)
@@ -183,25 +181,23 @@ func (r *ckptReader) blob(what string) []byte {
 	return append([]byte(nil), r.take(int(n))...)
 }
 
-func (r *ckptReader) stats() Stats {
-	var f [statsFieldCount]uint64
-	for i := range f {
-		f[i] = r.u64()
+func (r *ckptReader) stats() (s Stats) {
+	for _, f := range statsFields {
+		*f.field(&s) = r.u64()
 	}
-	return Stats{
-		Targets: f[0], Sent: f[1], SendErrors: f[2], Received: f[3],
-		Invalid: f[4], Duplicates: f[5], Unique: f[6], Blocked: f[7],
-		Retried: f[8], RetryDropped: f[9], RetryExhausted: f[10],
-		RetryAbandoned: f[11], RateUp: f[12], RateDown: f[13],
-		Elapsed: time.Duration(f[14]),
-	}
+	s.Elapsed = time.Duration(r.u64())
+	return s
 }
 
 // UnmarshalCheckpoint decodes a checkpoint, rejecting malformed,
 // truncated or version-skewed input with an error (never a panic).
 func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
 	r := &ckptReader{data: data}
-	if magic := r.u32(); r.err == nil && magic != checkpointMagic {
+	switch magic := r.u32(); {
+	case r.err != nil:
+	case magic == checkpointMagicV1:
+		return nil, fmt.Errorf("xmap: checkpoint: unsupported checkpoint version 1 (written before the defense counters were stored; restart the scan)")
+	case magic != checkpointMagic:
 		return nil, fmt.Errorf("xmap: checkpoint: bad magic/version %#08x", magic)
 	}
 	c := &Checkpoint{}

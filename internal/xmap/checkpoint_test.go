@@ -2,8 +2,10 @@ package xmap
 
 import (
 	"bytes"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -30,6 +32,7 @@ func sampleCheckpoint() *Checkpoint {
 			Stats: Stats{
 				Targets: 1234, Sent: 1300, Received: 40, Unique: 6,
 				Retried: 66, RetryDropped: 1, RateDown: 2,
+				AliasDetected: 2, AliasCooldown: 6, AliasBlocked: 1, Quarantined: 9, Shed: 4,
 				Elapsed: 3 * time.Second,
 			},
 			DedupKind: dedupKindExact,
@@ -70,13 +73,35 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCheckpointStatsRoundTripProperty: any Stats survives
+// Marshal→Unmarshal field for field — every counter in the table and
+// Elapsed, so a counter added to Stats cannot be dropped by the codec.
+func TestCheckpointStatsRoundTripProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for i := 0; i < 200; i++ {
+		var st Stats
+		for _, f := range statsFields {
+			*f.field(&st) = rng.Uint64() >> uint(rng.Intn(64))
+		}
+		st.Elapsed = time.Duration(rng.Int63())
+		c := &Checkpoint{Shards: 1, States: []ShardState{{Stats: st}}}
+		got, err := UnmarshalCheckpoint(c.Marshal())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.States[0].Stats != st {
+			t.Fatalf("stats changed across the checkpoint:\n got %+v\nwant %+v", got.States[0].Stats, st)
+		}
+	}
+}
+
 func TestUnmarshalCheckpointRejectsMalformed(t *testing.T) {
 	good := sampleCheckpoint().Marshal()
 	cases := map[string][]byte{
 		"empty":      {},
 		"header":     good[:10],
 		"bad magic":  append([]byte{0xde, 0xad, 0xbe, 0xef}, good[4:]...),
-		"version up": append([]byte{0x58, 0x43, 0x50, 0x02}, good[4:]...),
+		"version up": append([]byte{0x58, 0x43, 0x50, 0x03}, good[4:]...),
 		"trailing":   append(append([]byte{}, good...), 1, 2, 3),
 	}
 	// Every truncation point must error, never panic.
@@ -89,6 +114,11 @@ func TestUnmarshalCheckpointRejectsMalformed(t *testing.T) {
 		if _, err := UnmarshalCheckpoint(data); err == nil {
 			t.Errorf("%s input accepted", name)
 		}
+	}
+	// A version-1 file is refused by name, not misread as truncated.
+	_, err := UnmarshalCheckpoint(append([]byte{0x58, 0x43, 0x50, 0x01}, good[4:]...))
+	if err == nil || !strings.Contains(err.Error(), "unsupported checkpoint version") {
+		t.Errorf("v1 checkpoint: err = %v, want an unsupported-version error", err)
 	}
 	// Absurd counts must not allocate: claim 2^32-1 responders.
 	huge := append([]byte{}, good[:40]...)
@@ -240,9 +270,12 @@ func TestDedupStateRoundTrip(t *testing.T) {
 // FuzzUnmarshalCheckpoint: the decoder must never panic, and anything it
 // accepts must re-marshal to a decodable equivalent.
 func FuzzUnmarshalCheckpoint(f *testing.F) {
-	f.Add(sampleCheckpoint().Marshal())
+	good := sampleCheckpoint().Marshal()
+	f.Add(good)
 	f.Add([]byte{})
-	f.Add([]byte{0x58, 0x43, 0x50, 0x01})
+	f.Add([]byte{0x58, 0x43, 0x50, 0x02})
+	f.Add(append([]byte{0x58, 0x43, 0x50, 0x01}, good[4:]...)) // v1 magic
+	f.Add(good[:len(good)-5*8-9])                              // cut inside the stats block
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := UnmarshalCheckpoint(data)
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/ipv6"
 	"repro/internal/perm"
+	"repro/internal/telemetry"
 )
 
 // dedupStripes splits ScanParallel's cross-shard responder dedup into
@@ -131,9 +132,6 @@ func ScanParallel(ctx context.Context, cfg Config, drv Driver, shards int, handl
 	for i := 0; i < shards; i++ {
 		shardCfg := cfg
 		shardCfg.ShardIndex = i
-		// Each shard writes its own tracer span stream: single-writer
-		// streams keep the exported trace deterministic under concurrency.
-		shardCfg.TraceStream = i
 		shardCfg.CheckpointPath = ""
 		shardCfg.ResumeFrom = nil
 		if cfg.ResumeFrom != nil {
@@ -184,7 +182,9 @@ func ScanParallel(ctx context.Context, cfg Config, drv Driver, shards int, handl
 				// (they were already counted sent at ring acceptance, the
 				// TX-queue analogue).
 				ring.Close()
-				stats.SendErrors += ring.Failed()
+				failed := ring.Failed()
+				stats.SendErrors += failed
+				cfg.Telemetry.Shard(i).Add(telemetry.ScanSendErrors, failed)
 			}
 			mu.Lock()
 			defer mu.Unlock()

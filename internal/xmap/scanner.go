@@ -64,18 +64,11 @@ type Config struct {
 	// targets are tracked at once; overflow is dropped and counted in
 	// Stats.RetryDropped (default 1024).
 	RetryRing int
-	// RetryTimeout is the probe-clock delay (in probes sent) before an
-	// unanswered target's first retry; retry k waits RetryTimeout<<k
-	// (default 2*DrainEvery).
-	RetryTimeout int
 	// AIMD adapts the send window — probes between receive drains — to
 	// the observed reply rate: additive increase on clean windows,
 	// multiplicative decrease when the reply ratio collapses (the
 	// back-pressure signal of ICMPv6 rate limiting, RFC 4443 §2.4).
 	AIMD bool
-	// CooldownDrains bounds the drain phase at scan end, when stragglers
-	// and pending retries are collected (default 3, or 8 with retries).
-	CooldownDrains int
 	// CheckpointEvery emits a resumable ShardState through OnCheckpoint
 	// after roughly this many targets (0 = only at exit).
 	CheckpointEvery uint64
@@ -92,11 +85,11 @@ type Config struct {
 	// ResumeFrom, under ScanParallel, resumes a checkpoint written via
 	// CheckpointPath; its config digest is verified first.
 	ResumeFrom *Checkpoint
-	// Telemetry, when set, receives live counters, histograms and
-	// flight-recorder events as the scan runs; the scanner writes to the
-	// registry shard matching ShardIndex. The instrumentation is
-	// allocation-free and, when Telemetry is nil, costs one predictable
-	// branch per event.
+	// Telemetry, when set, receives live counters, gauges and histograms
+	// as the scan runs; the scanner writes to the registry shard
+	// matching ShardIndex. The scan.* counters are a view of Stats,
+	// published once per drain window, so a live read lags by at most
+	// one window. Allocation-free; nil costs one branch per window.
 	Telemetry *telemetry.Registry
 	// Monitor, when set, is ticked on the probe clock once per drain
 	// window, driving the periodic ZMap-style status line.
@@ -108,20 +101,6 @@ type Config struct {
 	// validation, reply quarantine, and drain-window overload shedding.
 	// Off by default; the hot path then carries no defense state.
 	Defend bool
-	// AliasPrefixLen is the detect-prefix granularity of the alias
-	// detector, in [16,64] (default 60 — one detect-prefix per 16
-	// window /64s, the aliased-delegation size the periphery papers
-	// report most often).
-	AliasPrefixLen int
-	// CooldownProbes is j, the number of deterministic pseudo-random
-	// re-probes sent into a suspicious prefix (default 3).
-	CooldownProbes int
-	// CooldownWindow is the cooldown length in drain windows before an
-	// unconfirmed suspicious prefix is cleared (default 4).
-	CooldownWindow int
-	// AliasConfirm is the cooldown evidence needed to blocklist a
-	// suspicious prefix (default 2).
-	AliasConfirm int
 	// ShedBudget caps the replies processed per drain under Defend:
 	// when RecvBatch floods past it, lowest-value replies are dropped
 	// deterministically instead of stalling the send path (default
@@ -129,13 +108,11 @@ type Config struct {
 	ShedBudget int
 
 	// Tracer, when set, records sampled probe-lifecycle spans: the
-	// scanner writes span stream TraceStream and fires anomaly
-	// exemplars on quarantine, alias detection, retry exhaustion and
-	// shedding. Nil costs one predictable branch per hook.
+	// scanner writes the span stream of its ShardIndex and fires
+	// anomaly exemplars on quarantine, alias detection, retry
+	// exhaustion and shedding. Nil costs one predictable branch per
+	// hook.
 	Tracer *telemetry.Tracer
-	// TraceStream is the tracer span stream this scanner writes
-	// (its shard index under ScanParallel).
-	TraceStream int
 	// Watchdog, when set, receives this shard's stage transitions and
 	// one progress beat per drain window for stall diagnosis.
 	Watchdog *telemetry.Watchdog
@@ -145,71 +122,6 @@ type Config struct {
 	// construction — safe-prime search, generator selection — is the
 	// dominant per-scanner setup cost).
 	cycle *perm.Cycle
-}
-
-// Stats summarizes a finished scan.
-type Stats struct {
-	// Targets is the number of sub-prefixes probed.
-	Targets    uint64
-	Sent       uint64
-	SendErrors uint64
-	Received   uint64 // validated responses, including duplicates
-	Invalid    uint64 // packets failing parse or validation
-	Duplicates uint64 // validated responses from already-seen responders
-	Unique     uint64 // unique responders handed to the handler
-	Blocked    uint64 // targets skipped by blocklist/allowlist
-	// Retry scheduler accounting.
-	Retried        uint64 // retry probes sent
-	RetryDropped   uint64 // targets untracked because the retry ring was full
-	RetryExhausted uint64 // targets still silent after every allowed retry
-	RetryAbandoned uint64 // pending retries given up at the cooldown deadline
-	// AIMD rate-controller accounting.
-	RateUp   uint64 // additive-increase decisions (clean windows)
-	RateDown uint64 // multiplicative-decrease decisions (lossy windows)
-	// Adversarial-defense accounting (Config.Defend).
-	AliasDetected uint64 // prefixes entering an alias cooldown window
-	AliasCooldown uint64 // cooldown re-probes sent
-	AliasBlocked  uint64 // prefixes confirmed saturated and blocklisted
-	Quarantined   uint64 // unvalidatable replies quarantined
-	Shed          uint64 // buffered replies shed under overload
-	Elapsed       time.Duration
-}
-
-// HitRate is unique responders per probe sent.
-func (s Stats) HitRate() float64 {
-	if s.Sent == 0 {
-		return 0
-	}
-	return float64(s.Unique) / float64(s.Sent)
-}
-
-// Merge folds one shard scanner's stats into an aggregate: counts sum,
-// Elapsed takes the slowest shard (the shards run concurrently). Unique
-// is deliberately NOT merged — shard-local uniqueness double-counts a
-// responder first seen by two shards, so aggregators (ScanParallel)
-// count uniqueness across their own cross-shard dedup instead.
-func (s *Stats) Merge(o Stats) {
-	s.Targets += o.Targets
-	s.Sent += o.Sent
-	s.SendErrors += o.SendErrors
-	s.Received += o.Received
-	s.Invalid += o.Invalid
-	s.Duplicates += o.Duplicates
-	s.Blocked += o.Blocked
-	s.Retried += o.Retried
-	s.RetryDropped += o.RetryDropped
-	s.RetryExhausted += o.RetryExhausted
-	s.RetryAbandoned += o.RetryAbandoned
-	s.RateUp += o.RateUp
-	s.RateDown += o.RateDown
-	s.AliasDetected += o.AliasDetected
-	s.AliasCooldown += o.AliasCooldown
-	s.AliasBlocked += o.AliasBlocked
-	s.Quarantined += o.Quarantined
-	s.Shed += o.Shed
-	if o.Elapsed > s.Elapsed {
-		s.Elapsed = o.Elapsed
-	}
 }
 
 // Handler consumes one first-seen responder.
@@ -237,6 +149,10 @@ type Scanner struct {
 	tracer   *telemetry.Tracer
 	trStream int
 	wd       *telemetry.Watchdog
+
+	// retryTimeout is the probe-clock delay (in probes sent) before an
+	// unanswered target's first retry; retry k waits retryTimeout<<k.
+	retryTimeout uint64
 
 	// prf derives per-sub-prefix material; one derivation feeds both the
 	// target IID and the validation value, and the lastSub cache means
@@ -302,42 +218,11 @@ func New(cfg Config, drv Driver) (*Scanner, error) {
 	if cfg.Retries < 0 || cfg.Retries > 16 {
 		return nil, fmt.Errorf("xmap: %d retries out of [0,16]", cfg.Retries)
 	}
-	if cfg.Retries > 0 {
-		if cfg.RetryRing <= 0 {
-			cfg.RetryRing = 1024
-		}
-		if cfg.RetryTimeout <= 0 {
-			cfg.RetryTimeout = 2 * cfg.DrainEvery
-		}
+	if cfg.Retries > 0 && cfg.RetryRing <= 0 {
+		cfg.RetryRing = 1024
 	}
-	if cfg.CooldownDrains <= 0 {
-		if cfg.Retries > 0 {
-			// Retries need headroom: each cooldown round both drains and
-			// fires the next backoff tier.
-			cfg.CooldownDrains = 8
-		} else {
-			cfg.CooldownDrains = 3
-		}
-	}
-	if cfg.Defend {
-		if cfg.AliasPrefixLen == 0 {
-			cfg.AliasPrefixLen = 60
-		}
-		if cfg.AliasPrefixLen < 16 || cfg.AliasPrefixLen > 64 {
-			return nil, fmt.Errorf("xmap: alias prefix length /%d out of [16,64]", cfg.AliasPrefixLen)
-		}
-		if cfg.CooldownProbes <= 0 {
-			cfg.CooldownProbes = 3
-		}
-		if cfg.CooldownWindow <= 0 {
-			cfg.CooldownWindow = 4
-		}
-		if cfg.AliasConfirm <= 0 {
-			cfg.AliasConfirm = 2
-		}
-		if cfg.ShedBudget <= 0 {
-			cfg.ShedBudget = 4 * cfg.DrainEvery
-		}
+	if cfg.Defend && cfg.ShedBudget <= 0 {
+		cfg.ShedBudget = 4 * cfg.DrainEvery
 	}
 	cfg.Seed = seedOrDefault(cfg.Seed)
 	size, ok := cfg.Window.Size()
@@ -356,8 +241,9 @@ func New(cfg Config, drv Driver) (*Scanner, error) {
 	s.flusher, _ = drv.(Flusher)
 	s.tel = cfg.Telemetry.Shard(cfg.ShardIndex)
 	s.tracer = cfg.Tracer
-	s.trStream = cfg.TraceStream
+	s.trStream = cfg.ShardIndex
 	s.wd = cfg.Watchdog
+	s.retryTimeout = retryTimeoutWindows * uint64(cfg.DrainEvery)
 	s.prf = newSubPRF(cfg.Seed)
 	s.validate = s.Validation
 	s.probe = cfg.Probe
@@ -365,7 +251,7 @@ func New(cfg Config, drv Driver) (*Scanner, error) {
 		s.probe = &ICMPEchoProbe{}
 	}
 	if cfg.Defend {
-		s.alias = newAliasDetector(&s.cfg)
+		s.alias = newAliasDetector(cfg.Seed)
 		// Strict embedded-quote validation: error replies must quote an
 		// invoking packet sourced from this scanner, closing the forged
 		// verbatim-quote hole the malformed responder exploits.
@@ -497,6 +383,18 @@ func (s *Scanner) TargetFor(idx uint128.Uint128) (ipv6.Addr, error) {
 // a wedged driver must not hang the scan.
 const maxSendStalls = 1 << 16
 
+const (
+	// retryTimeoutWindows is the first retry's backoff in drain windows
+	// (DrainEvery probes each): a reply has had two full drains to arrive.
+	retryTimeoutWindows = 2
+	// cooldownDrains bounds the drain phase at scan end, when stragglers
+	// and pending retries are collected. Retries need the headroom of
+	// cooldownDrainsRetry: each cooldown round both drains and fires the
+	// next backoff tier.
+	cooldownDrains      = 3
+	cooldownDrainsRetry = 8
+)
+
 // Run executes the scan, invoking handler for each first-seen responder.
 // It honors ctx cancellation between probes.
 //
@@ -526,15 +424,16 @@ func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
 	defer s.wd.Stage(s.cfg.ShardIndex, telemetry.StageDone)
 	// pender exposes a pipelined driver's queued depth for watchdog beats.
 	pender, _ := s.drv.(interface{ Pending() int })
-	// traceSpan records one sampled probe-lifecycle span keyed by the
-	// probe target; the address-hash sampler makes the decision, so the
-	// same targets are traced here and in every other layer.
-	traceSpan := func(kind telemetry.SpanKind, dst ipv6.Addr, arg uint64) {
-		if s.tracer != nil {
-			if b := dst.Bytes(); s.tracer.SampleAddr(b) {
-				s.tracer.Span(s.trStream, kind, stats.Sent, b, arg)
-			}
-		}
+	// published is the Stats the telemetry counters already reflect;
+	// starting from the restored Stats keeps a resumed scan's counters to
+	// the resumed part.
+	published := stats
+	// finish is every return path: it stamps Elapsed and publishes the
+	// last window's counters.
+	finish := func(err error) (Stats, error) {
+		stats.Elapsed = priorElapsed + time.Since(start)
+		stats.publish(s.tel, &published)
+		return stats, err
 	}
 
 	var limiter *rateLimiter
@@ -554,7 +453,6 @@ func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
 		for len(pkts) > 0 {
 			n, err := s.drv.SendBatch(pkts)
 			stats.Sent += uint64(n)
-			s.tel.Add(telemetry.ScanSent, uint64(n))
 			pkts = pkts[n:]
 			if len(pkts) == 0 {
 				return
@@ -562,7 +460,6 @@ func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
 			if err != nil {
 				// pkts[0] is the packet the driver rejected.
 				stats.SendErrors++
-				s.tel.Inc(telemetry.ScanSendErrors)
 				pkts = pkts[1:]
 				continue
 			}
@@ -570,7 +467,6 @@ func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
 			// whatever drains the packet layer can run, then retry.
 			if idle++; idle > maxSendStalls {
 				stats.SendErrors += uint64(len(pkts))
-				s.tel.Add(telemetry.ScanSendErrors, uint64(len(pkts)))
 				return
 			}
 			runtime.Gosched()
@@ -604,11 +500,7 @@ func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
 		}
 		limiter.wait()
 		if s.tracer != nil && len(pkt) >= wire.HeaderLen && pkt[0]>>4 == 6 {
-			var dst [16]byte
-			copy(dst[:], pkt[24:40])
-			if s.tracer.SampleAddr(dst) {
-				s.tracer.Span(s.trStream, telemetry.SpanRateGate, stats.Sent, dst, 0)
-			}
+			s.span(telemetry.SpanRateGate, stats.Sent, ipv6.AddrFromBytes(pkt[24:40]), 0)
 		}
 		s.one[0] = pkt
 		sendAll(s.one[:])
@@ -663,7 +555,9 @@ func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
 		}
 		s.cfg.OnCheckpoint(st)
 		s.tel.Inc(telemetry.ScanCheckpoints)
-		s.tel.Trace(telemetry.EvCheckpoint, stats.Sent, zeroAddr, stats.Targets)
+		// Checkpoint cuts and window changes are rare and concern every
+		// target, so their spans are recorded unsampled.
+		s.tracer.Span(s.trStream, telemetry.SpanCheckpoint, stats.Sent, zeroAddr, stats.Targets)
 	}
 	// pumpDue reports whether the send window should close now: it is
 	// full, or a checkpoint interval expired (a checkpoint needs the
@@ -689,13 +583,13 @@ func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
 			}
 			send(pkt)
 			stats.AliasCooldown++
-			s.tel.Inc(telemetry.ScanAliasCooldown)
-			traceSpan(telemetry.SpanAliasCooldown, dst, 0)
+			s.span(telemetry.SpanAliasCooldown, stats.Sent, dst, 0)
 		}
 		flush()
 	}
 	// pump closes a send window: flush, drain, let AIMD reconsider the
-	// window, and checkpoint if the interval has passed.
+	// window, checkpoint if the interval has passed, and publish the
+	// window's counters.
 	pump := func() {
 		if s.wd != nil {
 			depth := 0
@@ -713,21 +607,13 @@ func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
 		sinceDrain = 0
 		if s.aimd != nil {
 			prevWindow := window
-			prevUp, prevDown := stats.RateUp, stats.RateDown
 			window = s.aimd.update(stats.Sent-lastSent, stats.Received-lastRecv)
 			lastSent, lastRecv = stats.Sent, stats.Received
 			stats.RateUp = baseUp + s.aimd.ups
 			stats.RateDown = baseDown + s.aimd.downs
-			s.tel.Add(telemetry.ScanRateUp, stats.RateUp-prevUp)
-			s.tel.Add(telemetry.ScanRateDown, stats.RateDown-prevDown)
 			if window != prevWindow {
-				s.tel.Trace(telemetry.EvAIMD, stats.Sent, zeroAddr, uint64(window))
 				s.tel.SetGauge(telemetry.GaugeWindow, int64(window))
-				// Window changes are rare and concern every target, so the
-				// span is recorded unsampled.
-				if s.tracer != nil {
-					s.tracer.Span(s.trStream, telemetry.SpanAIMD, stats.Sent, zeroAddr, uint64(window))
-				}
+				s.tracer.Span(s.trStream, telemetry.SpanAIMD, stats.Sent, zeroAddr, uint64(window))
 			}
 		}
 		if s.retry != nil {
@@ -737,6 +623,7 @@ func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
 			emit(false)
 			nextCkpt = stats.Targets + s.cfg.CheckpointEvery
 		}
+		stats.publish(s.tel, &published)
 		s.cfg.Monitor.Tick()
 	}
 	// sendRetry re-probes a due entry (one probe, not ProbesPerTarget
@@ -750,15 +637,32 @@ func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
 		stats.Retried++
 		sinceDrain++
 		e.attempts++
-		e.due = stats.Sent + uint64(s.cfg.RetryTimeout)<<(e.attempts-1)
-		s.tel.Inc(telemetry.ScanRetried)
-		s.tel.Trace(telemetry.EvRetry, stats.Sent, e.dst.Bytes(), uint64(e.attempts))
-		traceSpan(telemetry.SpanRetry, e.dst, uint64(e.attempts))
+		e.due = stats.Sent + s.retryTimeout<<(e.attempts-1)
+		s.span(telemetry.SpanRetry, stats.Sent, e.dst, uint64(e.attempts))
 		if !s.retry.push(e) {
 			stats.RetryDropped++
-			s.tel.Inc(telemetry.ScanRetryDropped)
 		}
 		return nil
+	}
+	// popRetries resolves every retry entry due at *clock (re-read per
+	// entry: sending advances the probe clock): one that has used all its
+	// attempts is counted exhausted and leaves an exemplar, the rest go
+	// to live.
+	popRetries := func(clock *uint64, live func(retryEntry) error) error {
+		for {
+			e, ok := s.retry.popDue(*clock)
+			if !ok {
+				return nil
+			}
+			if int(e.attempts) >= 1+s.cfg.Retries {
+				stats.RetryExhausted++
+				s.tracer.Anomaly(telemetry.AnomalyRetryExhausted, s.trStream, stats.Sent, e.dst.Bytes())
+				continue
+			}
+			if err := live(e); err != nil {
+				return err
+			}
+		}
 	}
 
 	ranOut := false
@@ -772,31 +676,23 @@ func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
 				s.drain(&stats, handler)
 				emit(false)
 			}
-			stats.Elapsed = priorElapsed + time.Since(start)
-			return stats, err
+			return finish(err)
 		}
 		// Service due retries ahead of fresh targets: their backoff
 		// deadline has passed, and resolving them frees ring capacity.
 		if s.retry != nil {
-			for {
-				e, ok := s.retry.popDue(stats.Sent)
-				if !ok {
-					break
-				}
-				if int(e.attempts) >= 1+s.cfg.Retries {
-					stats.RetryExhausted++
-					s.tel.Inc(telemetry.ScanRetryExhausted)
-					s.tracer.Anomaly(telemetry.AnomalyRetryExhausted, s.trStream, stats.Sent, e.dst.Bytes())
-					continue
-				}
+			err := popRetries(&stats.Sent, func(e retryEntry) error {
 				if err := sendRetry(e); err != nil {
-					flush()
-					stats.Elapsed = priorElapsed + time.Since(start)
-					return stats, err
+					return err
 				}
 				if pumpDue() {
 					pump()
 				}
+				return nil
+			})
+			if err != nil {
+				flush()
+				return finish(err)
 			}
 		}
 		if s.cfg.MaxTargets > 0 && stats.Targets >= s.cfg.MaxTargets {
@@ -810,19 +706,16 @@ func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
 		target, err := s.TargetFor(idx)
 		if err != nil {
 			flush()
-			stats.Elapsed = priorElapsed + time.Since(start)
-			return stats, err
+			return finish(err)
 		}
 		if s.skipTarget(target) {
 			stats.Blocked++
-			s.tel.Inc(telemetry.ScanBlocked)
 			continue
 		}
 		pkt, err := buildProbe(target)
 		if err != nil {
 			flush()
-			stats.Elapsed = priorElapsed + time.Since(start)
-			return stats, fmt.Errorf("xmap: building probe for %s: %w", target, err)
+			return finish(fmt.Errorf("xmap: building probe for %s: %w", target, err))
 		}
 		for copyN := 0; copyN < s.cfg.ProbesPerTarget; copyN++ {
 			send(pkt)
@@ -831,18 +724,15 @@ func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
 			if !s.retry.push(retryEntry{
 				idx:      idx,
 				dst:      target,
-				due:      stats.Sent + uint64(s.cfg.RetryTimeout),
+				due:      stats.Sent + s.retryTimeout,
 				attempts: 1,
 			}) {
 				stats.RetryDropped++
-				s.tel.Inc(telemetry.ScanRetryDropped)
 			}
 		}
 		stats.Targets++
 		sinceDrain++
-		s.tel.Inc(telemetry.ScanTargets)
-		s.tel.Trace(telemetry.EvProbeSent, stats.Sent, target.Bytes(), stats.Targets)
-		traceSpan(telemetry.SpanSent, target, stats.Targets)
+		s.span(telemetry.SpanSent, stats.Sent, target, stats.Targets)
 		if pumpDue() {
 			pump()
 		}
@@ -855,60 +745,53 @@ func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
 	// tiers fired before the deadline expires; the final round only
 	// drains.
 	s.wd.Stage(s.cfg.ShardIndex, "cooldown")
-	for round := 0; round < s.cfg.CooldownDrains; round++ {
+	rounds := cooldownDrains
+	if s.retry != nil {
+		rounds = cooldownDrainsRetry
+	}
+	for round := 0; round < rounds; round++ {
 		s.drain(&stats, handler)
 		sendCooldown()
-		if s.retry == nil || round == s.cfg.CooldownDrains-1 {
+		stats.publish(s.tel, &published)
+		if s.retry == nil || round == rounds-1 {
 			continue
 		}
 		clock := stats.Sent
 		if due, ok := s.retry.nextDue(); ok && due > clock {
 			clock = due
 		}
-		for {
-			e, ok := s.retry.popDue(clock)
-			if !ok {
-				break
-			}
-			if int(e.attempts) >= 1+s.cfg.Retries {
-				stats.RetryExhausted++
-				s.tel.Inc(telemetry.ScanRetryExhausted)
-				s.tracer.Anomaly(telemetry.AnomalyRetryExhausted, s.trStream, stats.Sent, e.dst.Bytes())
-				continue
-			}
-			if err := sendRetry(e); err != nil {
-				stats.Elapsed = priorElapsed + time.Since(start)
-				return stats, err
-			}
+		if err := popRetries(&clock, sendRetry); err != nil {
+			return finish(err)
 		}
 		flush()
 	}
 	// Account for whatever the deadline left unresolved.
 	if s.retry != nil {
-		for {
-			e, ok := s.retry.popDue(^uint64(0))
-			if !ok {
-				break
-			}
-			if int(e.attempts) >= 1+s.cfg.Retries {
-				stats.RetryExhausted++
-				s.tel.Inc(telemetry.ScanRetryExhausted)
-				s.tracer.Anomaly(telemetry.AnomalyRetryExhausted, s.trStream, stats.Sent, e.dst.Bytes())
-			} else {
-				stats.RetryAbandoned++
-				s.tel.Inc(telemetry.ScanRetryAbandoned)
-			}
-		}
+		never := ^uint64(0)
+		_ = popRetries(&never, func(retryEntry) error { // the callback never fails
+			stats.RetryAbandoned++
+			return nil
+		})
 		s.tel.SetGauge(telemetry.GaugeRetryPending, 0)
 	}
 	emit(ranOut)
-	stats.Elapsed = priorElapsed + time.Since(start)
-	return stats, nil
+	return finish(nil)
 }
 
-// zeroAddr is the all-zero trace address for events that concern no
+// zeroAddr is the all-zero span address for events that concern no
 // particular target (window changes, checkpoints).
 var zeroAddr [16]byte
+
+// span records one sampled probe-lifecycle span keyed by addr. The
+// address-hash sampler makes the decision, so the same targets are
+// traced here and in every other layer.
+func (s *Scanner) span(kind telemetry.SpanKind, clock uint64, addr ipv6.Addr, arg uint64) {
+	if s.tracer != nil {
+		if b := addr.Bytes(); s.tracer.SampleAddr(b) {
+			s.tracer.Span(s.trStream, kind, clock, b, arg)
+		}
+	}
+}
 
 // skipTarget applies allowlist then blocklist.
 func (s *Scanner) skipTarget(a ipv6.Addr) bool {
@@ -959,42 +842,31 @@ func (s *Scanner) drain(stats *Stats, handler Handler) {
 		}
 		if !ok {
 			stats.Invalid++
-			s.tel.Inc(telemetry.ScanInvalid)
 			if s.alias != nil {
 				s.aliasQuarantine(raw, stats)
 			}
 			continue
 		}
 		stats.Received++
-		s.tel.Inc(telemetry.ScanReceived)
 		var hop uint64
 		if parsed {
 			hop = uint64(s.sum.IP.HopLimit)
 			s.tel.Observe(telemetry.HistReplyHopLimit, hop)
 		}
-		ev := telemetry.EvReply
-		if resp.Kind == KindDestUnreach || resp.Kind == KindTimeExceeded {
-			ev = telemetry.EvICMPError
-		}
-		s.tel.Trace(ev, stats.Sent, resp.Responder.Bytes(), hop)
 		// Spans key by the probed target (not the responder) so the
 		// reply stitches onto the target's sent/hop spans.
-		if s.tracer != nil {
-			if b := resp.ProbeDst.Bytes(); s.tracer.SampleAddr(b) {
-				kind := telemetry.SpanReply
-				if ev == telemetry.EvICMPError {
-					kind = telemetry.SpanICMPError
-				}
-				s.tracer.Span(s.trStream, kind, stats.Sent, b, hop)
-			}
+		kind := telemetry.SpanReply
+		if resp.Kind == KindDestUnreach || resp.Kind == KindTimeExceeded {
+			kind = telemetry.SpanICMPError
 		}
+		s.span(kind, stats.Sent, resp.ProbeDst, hop)
 		if s.retry != nil {
 			// Any validated response resolves the probed target, even a
 			// duplicate responder or an ICMP error: the path answered. The
 			// resolved entry dates the probe, yielding the reply latency in
 			// probe-clock ticks.
 			if e, answered := s.retry.answered(resp.ProbeDst); answered {
-				sentAt := e.due - uint64(s.cfg.RetryTimeout)<<(e.attempts-1)
+				sentAt := e.due - s.retryTimeout<<(e.attempts-1)
 				s.tel.Observe(telemetry.HistReplyLatency, stats.Sent-sentAt)
 			}
 		}
@@ -1006,16 +878,10 @@ func (s *Scanner) drain(stats *Stats, handler Handler) {
 		}
 		if !s.dedup.checkAdd(resp.Responder) {
 			stats.Duplicates++
-			s.tel.Inc(telemetry.ScanDuplicates)
-			if s.tracer != nil {
-				if b := resp.ProbeDst.Bytes(); s.tracer.SampleAddr(b) {
-					s.tracer.Span(s.trStream, telemetry.SpanDedup, stats.Sent, b, 0)
-				}
-			}
+			s.span(telemetry.SpanDedup, stats.Sent, resp.ProbeDst, 0)
 			continue
 		}
 		stats.Unique++
-		s.tel.Inc(telemetry.ScanUnique)
 		if handler != nil {
 			handler(resp)
 		}

@@ -1,45 +1,48 @@
 package xmap
 
 import (
+	"context"
+	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/ipv6"
 	"repro/internal/telemetry"
 )
 
-// TestTelemetryMatchesStats: the telemetry counters are a second,
-// independently maintained account of a scan — on a clean fixture they
-// must agree with Stats slot for slot, and the flight recorder must
-// carry one probe event per target.
+// checkTelemetryMatchesStats walks the whole Stats field table: every
+// scan.* counter must equal the Stats field it is a view of.
+func checkTelemetryMatchesStats(t *testing.T, snap *telemetry.Snapshot, stats Stats) {
+	t.Helper()
+	n := 0
+	stats.Counters(func(c telemetry.Counter, want uint64) {
+		n++
+		if got := snap.Counters[c.String()]; got != want {
+			t.Errorf("counter %s = %d, stats say %d", c, got, want)
+		}
+	})
+	if n != len(statsFields) {
+		t.Errorf("Counters visited %d fields, table has %d", n, len(statsFields))
+	}
+}
+
+// TestTelemetryMatchesStats: the scan.* counters are a published view
+// of Stats — after a scan they must agree with it field for field, over
+// the whole field table, on a clean scan, on a scan with every optional
+// subsystem counting against a failing driver, and behind a
+// transmission ring whose under-driver fails sends. At full sampling
+// the span stream carries one sent span per target.
 func TestTelemetryMatchesStats(t *testing.T) {
 	f := buildFixture(t)
-	reg := telemetry.New(telemetry.Options{Shards: 1, TraceDepth: 2048})
+	reg := telemetry.New(telemetry.Options{Shards: 1})
+	tracer := telemetry.NewTracer(telemetry.TracerOptions{Seed: []byte("tel"), SampleShift: 0})
 	f.drv.RegisterTelemetry(reg)
 	stats, results := runScan(t, Config{
-		Window: window(t, f), Seed: []byte("tel"), Telemetry: reg,
+		Window: window(t, f), Seed: []byte("tel"), Telemetry: reg, Tracer: tracer,
 	}, f.drv)
 
 	snap := reg.Snapshot()
-	for _, chk := range []struct {
-		counter telemetry.Counter
-		want    uint64
-	}{
-		{telemetry.ScanTargets, stats.Targets},
-		{telemetry.ScanSent, stats.Sent},
-		{telemetry.ScanSendErrors, stats.SendErrors},
-		{telemetry.ScanReceived, stats.Received},
-		{telemetry.ScanInvalid, stats.Invalid},
-		{telemetry.ScanDuplicates, stats.Duplicates},
-		{telemetry.ScanUnique, stats.Unique},
-		{telemetry.ScanBlocked, stats.Blocked},
-		{telemetry.ScanRetried, stats.Retried},
-		{telemetry.ScanRateUp, stats.RateUp},
-		{telemetry.ScanRateDown, stats.RateDown},
-	} {
-		if got := snap.Counters[chk.counter.String()]; got != chk.want {
-			t.Errorf("counter %s = %d, stats say %d", chk.counter, got, chk.want)
-		}
-	}
+	checkTelemetryMatchesStats(t, snap, stats)
 	if stats.Unique != uint64(len(results)) {
 		t.Fatalf("fixture sanity: Unique %d != %d results", stats.Unique, len(results))
 	}
@@ -51,24 +54,24 @@ func TestTelemetryMatchesStats(t *testing.T) {
 	if snap.Counters[telemetry.SimBytes.String()] == 0 {
 		t.Error("sim.bytes = 0")
 	}
-	// Every probe left a flight-recorder event carrying its target.
-	var probes, replies uint64
-	for _, e := range reg.Events() {
-		switch e.Kind {
-		case telemetry.EvProbeSent:
-			probes++
-			if e.Addr == ([16]byte{}) {
-				t.Error("probe event without a target address")
+	// Every probe left a sent span carrying its target.
+	var sent, replies uint64
+	for _, sp := range tracer.AppendSpans(0, nil) {
+		switch sp.Kind {
+		case telemetry.SpanSent:
+			sent++
+			if sp.Addr == ([16]byte{}) {
+				t.Error("sent span without a target address")
 			}
-		case telemetry.EvReply, telemetry.EvICMPError:
+		case telemetry.SpanReply, telemetry.SpanICMPError:
 			replies++
 		}
 	}
-	if probes != stats.Targets {
-		t.Errorf("%d probe events for %d targets", probes, stats.Targets)
+	if sent != stats.Targets {
+		t.Errorf("%d sent spans for %d targets", sent, stats.Targets)
 	}
 	if replies != stats.Received {
-		t.Errorf("%d reply events for %d received responses", replies, stats.Received)
+		t.Errorf("%d reply spans for %d received responses", replies, stats.Received)
 	}
 	// The hop-limit histogram saw every validated response.
 	hh := snap.Histograms[telemetry.HistReplyHopLimit.String()]
@@ -78,6 +81,43 @@ func TestTelemetryMatchesStats(t *testing.T) {
 	if snap.Gauges[telemetry.GaugeWindow.String()] == 0 {
 		t.Error("scan.window gauge never set")
 	}
+
+	t.Run("busy", func(t *testing.T) {
+		f := buildFixture(t)
+		reg := telemetry.New(telemetry.Options{Shards: 1})
+		stats, _ := runScan(t, Config{
+			Window: window(t, f), Seed: []byte("tel"), Telemetry: reg,
+			Retries: 2, RetryRing: 8, AIMD: true, Defend: true, DrainEvery: 16,
+			Blocklist: []ipv6.Prefix{ipv6.MustParsePrefix("2001:db8:0:80::/58")},
+		}, &faultyDriver{d: f.drv, failEvery: 5})
+		for name, v := range map[string]uint64{
+			"SendErrors": stats.SendErrors, "Blocked": stats.Blocked, "Retried": stats.Retried,
+			"RetryDropped": stats.RetryDropped, "RateUp": stats.RateUp,
+		} {
+			if v == 0 {
+				t.Errorf("fixture sanity: %s = 0, the leg does not exercise it", name)
+			}
+		}
+		checkTelemetryMatchesStats(t, reg.Snapshot(), stats)
+	})
+
+	t.Run("ring", func(t *testing.T) {
+		f := buildFixture(t)
+		reg := telemetry.New(telemetry.Options{Shards: 1})
+		faulty := &faultyDriver{d: f.drv, failEvery: 5}
+		stats, err := ScanParallel(context.Background(), Config{
+			Window: window(t, f), Seed: []byte("tel"), Telemetry: reg, RingSize: 64,
+		}, faulty, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The ring accepted every probe; the under-driver's rejections
+		// surface as send errors when the ring closes.
+		if stats.SendErrors == 0 || stats.SendErrors != uint64(faulty.failed) {
+			t.Fatalf("SendErrors = %d, under-driver failed %d sends", stats.SendErrors, faulty.failed)
+		}
+		checkTelemetryMatchesStats(t, reg.Snapshot(), stats)
+	})
 }
 
 // TestScanUnaffectedByTelemetry: attaching a registry must not change
@@ -106,6 +146,31 @@ func TestScanUnaffectedByTelemetry(t *testing.T) {
 // Unique stays untouched (aggregators count uniqueness across their own
 // cross-shard dedup).
 func TestStatsMerge(t *testing.T) {
+	// The table lists every counter field of Stats exactly once.
+	var probe Stats
+	fields := map[*uint64]bool{}
+	for _, f := range statsFields {
+		fields[f.field(&probe)] = true
+	}
+	if want := reflect.TypeOf(probe).NumField() - 1; len(fields) != want { // all but Elapsed
+		t.Errorf("statsFields covers %d distinct fields, Stats has %d counters", len(fields), want)
+	}
+	// Over the whole field table: every counter but Unique sums.
+	var x, y Stats
+	for i, f := range statsFields {
+		*f.field(&x), *f.field(&y) = uint64(i+1), uint64(100*(i+1))
+	}
+	x.Merge(y)
+	for i, f := range statsFields {
+		want := uint64(101 * (i + 1))
+		if f.shardLocal {
+			want = uint64(i + 1)
+		}
+		if got := *f.field(&x); got != want {
+			t.Errorf("merged %s = %d, want %d", f.counter, got, want)
+		}
+	}
+
 	a := Stats{Targets: 10, Sent: 12, Received: 5, Duplicates: 1, Unique: 4,
 		Retried: 2, RateUp: 1, Elapsed: 3 * time.Second}
 	b := Stats{Targets: 20, Sent: 21, Received: 9, Duplicates: 2, Unique: 7,
