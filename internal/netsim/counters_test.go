@@ -90,8 +90,45 @@ func TestGroupCountersSumShards(t *testing.T) {
 		want.FastPathHits += c.FastPathHits
 		want.FastPathMisses += c.FastPathMisses
 		want.FastPathInvalidations += c.FastPathInvalidations
+		want.FastPathBatched += c.FastPathBatched
+		want.FastPathCompiles += c.FastPathCompiles
+		want.FastPathEvictions += c.FastPathEvictions
+	}
+	if want.FastPathCompiles == 0 {
+		t.Error("FastPathCompiles = 0 after cold probes on every shard")
 	}
 	if got := n.grp.Counters(); got != want {
 		t.Errorf("group counters = %+v, shard sum = %+v", got, want)
+	}
+}
+
+// TestEngineCountersCompilesAndEvictions: a flow compiles once and then
+// replays (compiles stay put while hits grow), and a table pushed past
+// fpMaxSlots reports the live entries it overwrites.
+func TestEngineCountersCompilesAndEvictions(t *testing.T) {
+	n := buildGroupNet(t, 1)
+	eng := n.grp.Shard(0)
+	for i := 0; i < 10; i++ {
+		n.grp.Inject(echoTo(t, n.addrs[0], uint16(i)))
+	}
+	n.edge.Drain()
+	c := eng.Counters()
+	if c.FastPathCompiles == 0 || c.FastPathCompiles > 2 {
+		t.Errorf("FastPathCompiles = %d for one flow probed ten times, want 1 or 2", c.FastPathCompiles)
+	}
+	if c.FastPathEvictions != 0 {
+		t.Errorf("FastPathEvictions = %d on a near-empty table", c.FastPathEvictions)
+	}
+
+	fp := flowCache{gen: 1}
+	var cold flowCold
+	for i := uint64(0); i < 2*fpMaxSlots; i++ {
+		fp.insert(&flowHot{ifid: 1, hi: i << 8, width: 56, flags: fpFlagWide, kind: entryError}, &cold)
+	}
+	if len(fp.hot) != fpMaxSlots {
+		t.Fatalf("table holds %d slots, want it capped at %d", len(fp.hot), fpMaxSlots)
+	}
+	if fp.evictions == 0 {
+		t.Errorf("%d inserts into %d slots evicted nothing", 2*fpMaxSlots, fpMaxSlots)
 	}
 }

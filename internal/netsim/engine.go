@@ -372,10 +372,16 @@ type Counters struct {
 	// FastPathInvalidations counts generation bumps (each discards
 	// every compiled flow). FastPathBatched is the subset of hits
 	// served by the batched injection path (group-charged replays).
+	// FastPathCompiles counts route-compilation walks and
+	// FastPathEvictions live entries overwritten because the table was
+	// full: compiles near the probe count, or any evictions, mean the
+	// cache is thrashing rather than caching.
 	FastPathHits          uint64
 	FastPathMisses        uint64
 	FastPathInvalidations uint64
 	FastPathBatched       uint64
+	FastPathCompiles      uint64
+	FastPathEvictions     uint64
 }
 
 // Counters returns the engine totals, consistent under the engine lock.
@@ -391,6 +397,8 @@ func (e *Engine) Counters() Counters {
 		FastPathMisses:        e.fp.misses,
 		FastPathInvalidations: e.fp.invalidations,
 		FastPathBatched:       e.fp.batched,
+		FastPathCompiles:      e.fp.compiles,
+		FastPathEvictions:     e.fp.evictions,
 	}
 }
 

@@ -1,9 +1,11 @@
 package netsim
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/ipv6"
+	"repro/internal/uint128"
 	"repro/internal/wire"
 )
 
@@ -64,4 +66,66 @@ func BenchmarkEnginePump(b *testing.B) {
 	}
 	b.Run("ordered", func(b *testing.B) { run(b, false) })
 	b.Run("disordered", func(b *testing.B) { run(b, true) })
+}
+
+// BenchmarkEngineInjectColdSparse measures the cold sweep the paper's
+// scan is: one probe into every /60 cell of a sparse window (2^16 cells,
+// 1024 subscribers holding a delegated /60 each plus a WAN /64 in a side
+// region, so the ISP's finest table is /64), in permuted order through
+// 64-probe InjectBatch bursts, against a fresh engine — every flow entry
+// is compiled during the timed pass. hit_share is the fraction of probes
+// served from an entry an earlier probe of the same pass compiled.
+func BenchmarkEngineInjectColdSparse(b *testing.B) {
+	const winBits, subscribers, burst = 16, 1024, 64
+	rng := rand.New(rand.NewSource(1))
+	cells := rng.Perm(1 << winBits)
+	var delegs []ipv6.Prefix
+	for i, c := range cells[:subscribers] {
+		for _, sub := range []struct {
+			bits int
+			idx  uint64
+		}{{60, uint64(c)}, {64, 16<<winBits + uint64(i)}} {
+			p, err := sparseBlock.Sub(sub.bits, uint128.From64(sub.idx))
+			if err != nil {
+				b.Fatal(err)
+			}
+			delegs = append(delegs, p)
+		}
+	}
+	base := sparseBlock.Addr().Uint128().Hi
+	pkts := make([][]byte, 1<<winBits)
+	for i, c := range rng.Perm(len(pkts)) {
+		dst := ipv6.AddrFrom128(uint128.New(base|uint64(c)<<4|uint64(rng.Intn(16)), rng.Uint64()|1))
+		pkt, err := wire.BuildEchoRequest(scannerAddr, dst, 64, 7, uint16(i), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pkts[i] = pkt
+	}
+	var rx [][]byte
+	var total Counters
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; {
+		b.StopTimer()
+		n := buildSparseNet(b, sparseBlock, delegs)
+		pass := pkts[:min(len(pkts), b.N-done)]
+		b.StartTimer()
+		for len(pass) > 0 {
+			k := min(burst, len(pass))
+			n.eng.InjectBatch(n.scanner.Iface(), pass[:k])
+			rx = n.scanner.DrainInto(rx[:0])
+			n.eng.ReleaseBufs(rx)
+			pass = pass[k:]
+			done += k
+		}
+		b.StopTimer()
+		c := n.eng.Counters()
+		total.Events += c.Events
+		total.FastPathHits += c.FastPathHits
+		total.FastPathMisses += c.FastPathMisses
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(total.Events)/float64(b.N), "events/probe")
+	b.ReportMetric(float64(total.FastPathHits)/float64(total.FastPathHits+total.FastPathMisses), "hit_share")
 }

@@ -281,6 +281,10 @@ const (
 // for exact and /64 entries plus the ISP delegation granularities).
 const fpWidthCap = 8
 
+// fpWidthDecay is the per-width hit count at which all counts halve:
+// the probe order follows roughly the last 2^16 hits.
+const fpWidthDecay = 1 << 16
+
 // flowCache is the per-engine compiled-flow table.
 //
 // tags is a parallel array of one 8-byte hash tag per slot (eight per
@@ -307,15 +311,22 @@ type flowCache struct {
 	// widths lists the distinct key widths of live entries. Probe order
 	// is a perf knob, not a correctness one — a wide entry refuses
 	// destinations in its exclusions/holes (shadowed), so any entry a
-	// lookup matches is safe to replay — and lookups bubble the width
-	// that hits toward the front, keeping the workload's dominant
-	// granularity first. Reset on bump along with the entries.
+	// lookup matches is safe to replay — and lookups keep it sorted by
+	// whits, each width's recent hit count (halved all round when one
+	// reaches fpWidthDecay), so the workload's dominant granularity is
+	// probed first and stays first while a second one takes a steady
+	// share of the hits. Reset on bump along with the entries.
 	widths  [fpWidthCap]uint8
+	whits   [fpWidthCap]uint32
 	nWidths uint8
 
 	hits          uint64
 	misses        uint64
 	invalidations uint64
+	// compiles counts compileFlow walks; evictions counts live entries
+	// overwritten because their probe window was full at fpMaxSlots.
+	compiles  uint64
+	evictions uint64
 	// batched counts the hits served by the batched injection path
 	// (inject.go) — a subset of hits, surfaced so telemetry can show
 	// how much of a scan ran batch-grained.
@@ -372,20 +383,29 @@ func fpTagExact(h, lo uint64) uint64 {
 	return x | 1
 }
 
-// registerWidth records a live entry width. ok=false when the width
-// table is full — the caller must then key the entry exactly.
-func (fp *flowCache) registerWidth(w uint8) bool {
-	for pos := uint8(0); pos < fp.nWidths; pos++ {
-		if fp.widths[pos] == w {
-			return true
+// keyWidth returns the width an entry claiming w is keyed at: w itself
+// when it is live or the width table has room for it, else the nearest
+// live width above it. Narrowing a claim is always sound — the smaller
+// region is a subset of a uniform one, aligned on the same destination,
+// and the exclusions and holes stay a superset of what it needs — and
+// keeps the entry shared across a region instead of degrading it to one
+// address. ok=false when no live width is that narrow.
+func (fp *flowCache) keyWidth(w uint8) (uint8, bool) {
+	var above uint8
+	for _, lw := range fp.widths[:fp.nWidths] {
+		if lw == w {
+			return w, true
+		}
+		if lw > w && (above == 0 || lw < above) {
+			above = lw
 		}
 	}
-	if int(fp.nWidths) == fpWidthCap {
-		return false
+	if int(fp.nWidths) < fpWidthCap {
+		fp.widths[fp.nWidths], fp.whits[fp.nWidths] = w, 0
+		fp.nWidths++
+		return w, true
 	}
-	fp.widths[fp.nWidths] = w
-	fp.nWidths++
-	return true
+	return above, above != 0
 }
 
 // buildShadowCells precomputes a wide entry's shadow pre-filter: one
@@ -448,9 +468,9 @@ func shadowed(h *flowHot, c *flowCold, hi, lo uint64) bool {
 // lookup finds a live entry for (ifid, dst), probing once per live key
 // width, and returns its slot index (-1 on miss). Wide entries match
 // any address sharing the masked hi bits outside their exclusions;
-// exact entries require the full destination. The width that hits
-// bubbles one position forward, so steady-state traffic resolves
-// against its dominant granularity on the first probe.
+// exact entries require the full destination. The width that hits moves
+// ahead of any it has out-hit, so steady-state traffic resolves against
+// its dominant granularity on the first probe.
 func (fp *flowCache) lookup(ifid uint32, hi, lo uint64) int {
 	if fp.tags == nil {
 		return -1
@@ -483,8 +503,14 @@ func (fp *flowCache) lookup(ifid uint32, hi, lo uint64) int {
 					continue
 				}
 			}
-			if wi > 0 {
+			if fp.whits[wi]++; fp.whits[wi] == fpWidthDecay {
+				for k := range fp.whits {
+					fp.whits[k] >>= 1
+				}
+			}
+			if wi > 0 && fp.whits[wi] > fp.whits[wi-1] {
 				fp.widths[wi-1], fp.widths[wi] = fp.widths[wi], fp.widths[wi-1]
+				fp.whits[wi-1], fp.whits[wi] = fp.whits[wi], fp.whits[wi-1]
 			}
 			return int(j)
 		}
@@ -570,6 +596,7 @@ func (fp *flowCache) place(h *flowHot, c *flowCold) int {
 		return j
 	}
 	hash := slotHash(h.ifid, h.width, h.hi)
+	fp.evictions++
 	return fp.setSlot(hash&fp.mask, h, c) // window full: evict
 }
 
@@ -686,6 +713,7 @@ func (e *Engine) fpAttempt(d delivery) (fpResult, delivery) {
 // entry is built in the engine's scratch pair, so even a flow that
 // cannot be cached is compiled without allocating.
 func (e *Engine) compileFlow(to *Iface, pkt []byte) (*flowHot, *flowCold) {
+	e.fp.compiles++
 	dst := ipv6.AddrFromBytes(pkt[24:40])
 	u := dst.Uint128()
 	ent := &e.fpScratchH
@@ -803,8 +831,12 @@ func (e *Engine) compileFlow(to *Iface, pkt []byte) (*flowHot, *flowCold) {
 	if ent.kind == entryNeg {
 		ent.nf = 0
 	}
-	if ent.wide() && !e.fp.registerWidth(ent.width) {
-		ent.flags &^= fpFlagWide // width table saturated: key exactly
+	if ent.wide() {
+		if w, ok := e.fp.keyWidth(ent.width); ok {
+			ent.width = w
+		} else {
+			ent.flags &^= fpFlagWide // no live width this narrow: key exactly
+		}
 	}
 	if ent.wide() {
 		ent.hi &= fpMask(ent.width)
@@ -814,7 +846,7 @@ func (e *Engine) compileFlow(to *Iface, pkt []byte) (*flowHot, *flowCold) {
 		// and never match a special address or hole.
 		ent.width = 64
 		ent.nExcl, ent.nHole = 0, 0
-		if !e.fp.registerWidth(64) {
+		if _, ok := e.fp.keyWidth(64); !ok {
 			return ent, cld // unkeyable: serve this delivery uncached
 		}
 	}

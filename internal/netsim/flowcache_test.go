@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/ipv6"
+	"repro/internal/uint128"
 	"repro/internal/wire"
 )
 
@@ -146,6 +147,34 @@ func TestFlowCachePropertyNoStaleReplay(t *testing.T) {
 					p.fast.eng.InvalidateFlows()
 				}
 				p.compare(t, fmt.Sprintf("op %d", op))
+			}
+			// Gap mutation: warm one wide entry over an empty stretch,
+			// plant a delegation in the middle of it, then probe the new
+			// delegation and its neighbours on both sides. The new link is
+			// unnumbered (it reuses the upstream address), so only the
+			// emptiness index stands between the old claim and the new
+			// delegation — no router address narrows the claim for it.
+			gap := func(cell uint64) ipv6.Addr {
+				hi := ipv6.MustParseAddr("2001:db8:9000::").Uint128().Hi | uint64(seed)<<16 | cell
+				return ipv6.AddrFrom128(uint128.New(hi, uint64(rng.Int63())|1))
+			}
+			p.inject(t, gap(0x10), 64, seq)
+			before := p.fast.eng.Counters().FastPathHits
+			p.inject(t, gap(0x20), 64, seq+1)
+			p.compare(t, "gap warm")
+			if p.fast.eng.Counters().FastPathHits == before {
+				t.Error("two probes into one empty stretch did not share an entry; the gap mutation tests nothing")
+			}
+			planted := gap(0x18).Prefix64()
+			for _, n := range []*testNet{p.fast, p.slow} {
+				down := n.isp.AddIface(n.isp.upstream.Addr(), "isp:gap")
+				if err := n.isp.Delegate(planted, down); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i, cell := range []uint64{0x18, 0x17, 0x19, 0x10, 0x20, 0x18} {
+				p.inject(t, gap(cell), 64, seq+2+uint16(i))
+				p.compare(t, fmt.Sprintf("gap cell %#x after Delegate", cell))
 			}
 			if hits := p.fast.eng.Counters().FastPathHits; hits == 0 {
 				t.Error("property run never hit the flow cache; the test lost its teeth")

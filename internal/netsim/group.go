@@ -221,6 +221,8 @@ func (g *EngineGroup) Counters() Counters {
 		c.FastPathMisses += sc.FastPathMisses
 		c.FastPathInvalidations += sc.FastPathInvalidations
 		c.FastPathBatched += sc.FastPathBatched
+		c.FastPathCompiles += sc.FastPathCompiles
+		c.FastPathEvictions += sc.FastPathEvictions
 	}
 	return c
 }

@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"math/bits"
+	"sort"
 
 	"repro/internal/ipv6"
 	"repro/internal/wire"
@@ -26,8 +27,14 @@ type ISPRouter struct {
 	// map if a topology ever gives every interface its own address.
 	addrList []ipv6.Addr
 	delegs   []*delegTable
-	gate     errorGate
-	sc       emitScratch
+	// assigned is the emptiness index gap claims are answered from: the
+	// delegations of every table as merged, sorted ranges over the top 64
+	// address bits. Delegate marks it stale; the next gap claim rebuilds
+	// it (route compilation is its only reader).
+	assigned      []hiRange
+	assignedStale bool
+	gate          errorGate
+	sc            emitScratch
 
 	// CountForwarded tallies transit packets for amplification
 	// measurements.
@@ -127,6 +134,7 @@ func (r *ISPRouter) Delegate(p ipv6.Prefix, out *Iface) error {
 	if idx.Hi != 0 {
 		return fmt.Errorf("netsim: delegation index for %s exceeds 64 bits", p)
 	}
+	r.assignedStale = true
 	for _, t := range r.delegs {
 		if t.subLen == p.Bits() {
 			t.set(idx.Lo, out)
@@ -213,14 +221,77 @@ func (r *ISPRouter) Handle(in *Iface, pkt []byte) []Emission {
 	return r.emitError(in, pkt, wire.ICMPDestUnreach, wire.UnreachNoRoute)
 }
 
+// gapStep quantises gap claims: an unassigned region's width is rounded
+// up (narrowed) to a multiple of it, so a window's gaps share a handful
+// of flow-cache key widths instead of one per bit — every live width is
+// one more probe in flowCache.lookup, and fpWidthCap bounds them. Two
+// bits is the measured optimum (DESIGN.md "Forwarding fast path"):
+// nybble steps leave each subscriber fifteen single-probe sibling
+// entries and overflow the flow table on a 2^20 window, one-bit steps
+// need more live widths than fpWidthCap holds.
+const gapStep = 2
+
+// hiRange is an inclusive range of top-64-bit address words.
+type hiRange struct{ lo, hi uint64 }
+
+// assignedRanges returns the emptiness index, rebuilding it if a
+// delegation landed since the last claim. Only valid when every table's
+// length is ≤ 64 (uniformWidth checks before asking).
+func (r *ISPRouter) assignedRanges() []hiRange {
+	if !r.assignedStale {
+		return r.assigned
+	}
+	rs := r.assigned[:0]
+	base := r.block.Addr().Uint128().Hi
+	for _, t := range r.delegs {
+		shift := uint(64 - t.subLen)
+		for idx := range t.entries {
+			lo := base | idx<<shift
+			rs = append(rs, hiRange{lo, lo | (uint64(1)<<shift - 1)})
+		}
+	}
+	sort.Slice(rs, func(i, j int) bool { return rs[i].lo < rs[j].lo })
+	n := 0
+	for _, x := range rs {
+		if n > 0 && x.lo <= rs[n-1].hi {
+			// Prefixes only ever nest; keep the outer one's extent.
+			rs[n-1].hi = max(rs[n-1].hi, x.hi)
+			continue
+		}
+		rs[n] = x
+		n++
+	}
+	r.assigned, r.assignedStale = rs[:n], false
+	return r.assigned
+}
+
+// gapWidth returns the length of the widest aligned prefix around dh —
+// the top word of an in-block destination no table delegates — that
+// contains no delegation at all: it must split from both the nearest
+// assigned range below and the nearest above.
+func (r *ISPRouter) gapWidth(dh uint64) uint8 {
+	rs := r.assignedRanges()
+	i := sort.Search(len(rs), func(i int) bool { return rs[i].lo > dh })
+	w := 1
+	if i < len(rs) {
+		w = bits.LeadingZeros64(dh^rs[i].lo) + 1
+	}
+	if i > 0 {
+		w = max(w, bits.LeadingZeros64(dh^rs[i-1].hi)+1)
+	}
+	return uint8(w)
+}
+
 // uniformWidth returns the width of the largest region around dst over
-// which the forwarding decision is uniform: one cell of the finest
+// which the forwarding decision is uniform, clipped to the block
+// boundary. For a delegated destination that is one cell of the finest
 // delegation table (every address of a delegated /60 resolves to the
-// same subscriber, every address of an unassigned cell to none),
-// clipped to the block boundary. For destinations outside the block
-// the region extends to the first bit where dst and the block diverge.
-// 0 means unexpressible in the top 64 bits (claim must be exact).
-func (r *ISPRouter) uniformWidth(dst ipv6.Addr) uint8 {
+// same subscriber); for an unassigned one (gap) it is the whole empty
+// stretch around it, so one entry answers every probe into the gap.
+// For destinations outside the block the region extends to the first
+// bit where dst and the block diverge. 0 means unexpressible in the top
+// 64 bits (claim must be exact).
+func (r *ISPRouter) uniformWidth(dst ipv6.Addr, gap bool) uint8 {
 	if r.block.Bits() > 64 {
 		return 0
 	}
@@ -232,6 +303,9 @@ func (r *ISPRouter) uniformWidth(dst ipv6.Addr) uint8 {
 		w = uint8(r.delegs[0].subLen)
 	}
 	if r.block.Contains(dst) {
+		if gap {
+			w = r.gapWidth(dst.Uint128().Hi)
+		}
 		if bw := uint8(r.block.Bits()); bw > w {
 			w = bw
 		}
@@ -250,9 +324,10 @@ func (r *ISPRouter) uniformWidth(dst ipv6.Addr) uint8 {
 }
 
 // regionClaim is uniformWidth bounded away from the router's own
-// interface addresses (same-/64 ones are excluded instead).
-func (r *ISPRouter) regionClaim(dst ipv6.Addr, excl *[fpExclCap]ipv6.Addr, nExcl *uint8) uint8 {
-	w := r.uniformWidth(dst)
+// interface addresses (same-/64 ones are excluded instead); a gap claim
+// is then narrowed to the next gapStep multiple.
+func (r *ISPRouter) regionClaim(dst ipv6.Addr, gap bool, excl *[fpExclCap]ipv6.Addr, nExcl *uint8) uint8 {
+	w := r.uniformWidth(dst, gap)
 	if w == 0 {
 		return 0
 	}
@@ -260,6 +335,9 @@ func (r *ISPRouter) regionClaim(dst ipv6.Addr, excl *[fpExclCap]ipv6.Addr, nExcl
 	if !ok {
 		*nExcl = 0
 		return 0
+	}
+	if gap {
+		width = (width + gapStep - 1) &^ (gapStep - 1)
 	}
 	return width
 }
@@ -278,15 +356,15 @@ func (r *ISPRouter) CompileStep(in *Iface, dst ipv6.Addr) (CompiledStep, bool) {
 		out = r.upstream
 	}
 	step := CompiledStep{Out: out, Forwarded: &r.CountForwarded}
-	step.Width = r.regionClaim(dst, &step.Excl, &step.NExcl)
+	step.Width = r.regionClaim(dst, false, &step.Excl, &step.NExcl)
 	return step, true
 }
 
 // CompileTerminal implements terminalCompiler: unassigned space within
 // the block — and, absent a usable upstream, anything unrouted — draws
 // Destination Unreachable / no route. This is the error the paper's
-// periphery discovery exploits one hop early; the whole unassigned
-// delegation cell compiles to one wide entry.
+// periphery discovery exploits one hop early; the whole empty stretch
+// around dst compiles to one wide entry.
 func (r *ISPRouter) CompileTerminal(in *Iface, dst ipv6.Addr) (compiledTerm, bool) {
 	if r.isLocal(dst) {
 		return compiledTerm{}, false
@@ -303,7 +381,7 @@ func (r *ISPRouter) CompileTerminal(in *Iface, dst ipv6.Addr) (compiledTerm, boo
 		src:  in.addr,
 		gate: &r.gate,
 	}
-	t.width = r.regionClaim(dst, &t.excl, &t.nExcl)
+	t.width = r.regionClaim(dst, r.block.Contains(dst), &t.excl, &t.nExcl)
 	return t, true
 }
 

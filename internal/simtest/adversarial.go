@@ -68,26 +68,35 @@ func BuildHostileFixture(seed int64, hp HostileProfile) (*ISPFixture, error) {
 		if err != nil {
 			return nil, err
 		}
-		h := netsim.NewHostile(netsim.HostileConfig{
-			Name:        fmt.Sprintf("hostile%d", i),
-			Prefix:      region,
-			Mode:        hp.Mode,
-			Seed:        seed*100 + int64(i),
-			StormFactor: hp.StormFactor,
-		})
-		first64, err := region.Sub(64, uint128.Zero)
-		if err != nil {
+		if err := f.plant(region, hp, seed, i); err != nil {
 			return nil, err
 		}
-		down := f.isp.AddIface(ipv6.SLAAC(first64, 1), h.Name()+":down")
-		f.Eng.Connect(down, h.Iface(), 0)
-		if err := f.isp.Delegate(region, down); err != nil {
-			return nil, err
-		}
-		f.Routes = append(f.Routes, Route{Prefix: region, Label: "isp->" + h.Name()})
-		f.Hostile = append(f.Hostile, PlantedRegion{Prefix: region, Mode: hp.Mode, Node: h})
 	}
 	return f, nil
+}
+
+// plant delegates region to the fixture's i-th hostile node, playing
+// hp's model, exactly as the honest CPE delegations are wired.
+func (f *ISPFixture) plant(region ipv6.Prefix, hp HostileProfile, seed int64, i int) error {
+	h := netsim.NewHostile(netsim.HostileConfig{
+		Name:        fmt.Sprintf("hostile%d", i),
+		Prefix:      region,
+		Mode:        hp.Mode,
+		Seed:        seed*100 + int64(i),
+		StormFactor: hp.StormFactor,
+	})
+	first64, err := region.Sub(64, uint128.Zero)
+	if err != nil {
+		return err
+	}
+	down := f.isp.AddIface(ipv6.SLAAC(first64, 1), h.Name()+":down")
+	f.Eng.Connect(down, h.Iface(), 0)
+	if err := f.isp.Delegate(region, down); err != nil {
+		return err
+	}
+	f.Routes = append(f.Routes, Route{Prefix: region, Label: "isp->" + h.Name()})
+	f.Hostile = append(f.Hostile, PlantedRegion{Prefix: region, Mode: hp.Mode, Node: h})
+	return nil
 }
 
 // hostileRun is one scan leg's comparable outcome under a hostile

@@ -100,8 +100,8 @@ func (c *chunkDriver) Release(pkts [][]byte) {
 // world twice with the engine's compiled forwarding fast path on or
 // off. batch > 0 caps the engine-visible send batch size via
 // chunkDriver; 0 leaves the scanner's native bursts intact.
-func runFastPathLeg(seed int64, p FaultProfile, fastpath bool, batch int) (fastPathLeg, error) {
-	f, err := reliabilityFixture(seed, p)
+func runFastPathLeg(build func(int64) (*ISPFixture, error), seed int64, p FaultProfile, fastpath bool, batch int) (fastPathLeg, error) {
+	f, err := faultWorld(build, seed, p)
 	if err != nil {
 		return fastPathLeg{}, err
 	}
@@ -259,6 +259,63 @@ func diffFlowTraces(name string, got, ref *traceCollector) []string {
 	return problems
 }
 
+// fastPathLegs runs the oracle's battery over one fixture builder: the
+// compiled leg against the interpreted reference, then the compiled leg
+// again at every batch size, each diffed against that same reference.
+// It returns the native-burst compiled leg for fixture-specific checks.
+func fastPathLegs(tag string, build func(int64) (*ISPFixture, error), seed int64, p FaultProfile) (fastPathLeg, []string, error) {
+	on, err := runFastPathLeg(build, seed, p, true, 0)
+	if err != nil {
+		return on, nil, err
+	}
+	off, err := runFastPathLeg(build, seed, p, false, 0)
+	if err != nil {
+		return on, nil, err
+	}
+
+	problems := diffFastPathLegs(tag, on, off)
+	// The comparison is only meaningful if each leg took the path it
+	// claims: fused replays on one side, none on the other.
+	if on.counters.FastPathHits == 0 {
+		problems = append(problems, tag+" leg recorded zero flow-cache hits: fast path never engaged")
+	}
+	// The trace-parity comparison is only meaningful if the compiled leg
+	// actually captured crossings (i.e. fused replays synthesized them
+	// rather than silencing the tracer).
+	if on.trace.total == 0 {
+		problems = append(problems, tag+" leg captured zero flow crossings: trace synthesis never engaged")
+	}
+	if off.counters.FastPathHits != 0 || off.counters.FastPathMisses != 0 {
+		problems = append(problems, fmt.Sprintf(
+			"%s interpreted leg recorded flow-cache traffic (%d hits, %d misses): SetFastPath(false) leaked",
+			tag, off.counters.FastPathHits, off.counters.FastPathMisses))
+	}
+	if on.counters.Events >= off.counters.Events {
+		problems = append(problems, fmt.Sprintf(
+			"%s leg pumped %d events, interpreted %d: fusing saved nothing",
+			tag, on.counters.Events, off.counters.Events))
+	}
+
+	for _, bs := range []int{1, 7, 64, netsim.InjectRunLen} {
+		name := fmt.Sprintf("%s[batch=%d]", tag, bs)
+		leg, err := runFastPathLeg(build, seed, p, true, bs)
+		if err != nil {
+			return on, nil, err
+		}
+		problems = append(problems, diffFastPathLegs(name, leg, off)...)
+		if leg.counters.FastPathHits == 0 {
+			problems = append(problems, name+" leg recorded zero flow-cache hits: fast path never engaged")
+		}
+		// A fault-free world must actually exercise the batched resolve
+		// path (profiles with an armed fault layer legitimately fall
+		// back to per-packet interpretation).
+		if !p.Active() && leg.counters.FastPathBatched == 0 {
+			problems = append(problems, name+" leg replayed zero probes through the batched path")
+		}
+	}
+	return on, problems, nil
+}
+
 // RunFastPathOracle is the compiled-vs-interpreted differential oracle:
 // the same seeded scan, against the same seeded fault world, with the
 // netsim flow cache on (fused replays) and off (every crossing
@@ -279,56 +336,35 @@ func diffFlowTraces(name string, got, ref *traceCollector) []string {
 // charging in InjectBatch must be invisible at every batch size — in
 // particular batch 1 pins that a trivial batch and the per-probe path
 // agree, so batched-vs-per-probe equivalence is transitive through the
-// reference.
+// reference. The whole battery then runs a second time over the sparse
+// fixture, where entries span empty stretches of the window rather than
+// single cells.
 func RunFastPathOracle(seed int64, p FaultProfile) ([]string, error) {
-	on, err := runFastPathLeg(seed, p, true, 0)
-	if err != nil {
-		return nil, err
-	}
-	off, err := runFastPathLeg(seed, p, false, 0)
+	_, problems, err := fastPathLegs("fastpath", BuildISPFixture, seed, p)
 	if err != nil {
 		return nil, err
 	}
 
-	problems := diffFastPathLegs("fastpath", on, off)
-	// The comparison is only meaningful if each leg took the path it
-	// claims: fused replays on one side, none on the other.
-	if on.counters.FastPathHits == 0 {
-		problems = append(problems, "fastpath leg recorded zero flow-cache hits: fast path never engaged")
+	// Sparse leg: the dense fixture's gaps are a few cells wide, so its
+	// region claims rarely exceed one cell. The same battery over a
+	// 2^12-cell window holding a dozen CPEs and a hostile /58 replays
+	// gap-wide entries under every fault profile and batch size — and
+	// must actually be served by them: a pass that compiled per probe
+	// would compile thousands of entries and miss on all of pass one.
+	// (The share is only asserted fault-free: a layer that queues
+	// duplicates or delays hands most hops to the interpreter, each a
+	// miss of its own, whatever the claims are.)
+	son, sparse, err := fastPathLegs("sparse", BuildSparseFixture, seed, p)
+	if err != nil {
+		return nil, err
 	}
-	// The trace-parity comparison is only meaningful if the compiled leg
-	// actually captured crossings (i.e. fused replays synthesized them
-	// rather than silencing the tracer).
-	if on.trace.total == 0 {
-		problems = append(problems, "fastpath leg captured zero flow crossings: trace synthesis never engaged")
-	}
-	if off.counters.FastPathHits != 0 || off.counters.FastPathMisses != 0 {
+	problems = append(problems, sparse...)
+	c := son.counters
+	share := float64(c.FastPathHits) / float64(c.FastPathHits+c.FastPathMisses)
+	if c.FastPathCompiles*4 > son.stats[0].Sent || !p.Active() && !(share > 0.9) {
 		problems = append(problems, fmt.Sprintf(
-			"interpreted leg recorded flow-cache traffic (%d hits, %d misses): SetFastPath(false) leaked",
-			off.counters.FastPathHits, off.counters.FastPathMisses))
-	}
-	if on.counters.Events >= off.counters.Events {
-		problems = append(problems, fmt.Sprintf(
-			"fastpath leg pumped %d events, interpreted %d: fusing saved nothing",
-			on.counters.Events, off.counters.Events))
-	}
-
-	for _, bs := range []int{1, 7, 64, netsim.InjectRunLen} {
-		name := fmt.Sprintf("fastpath[batch=%d]", bs)
-		leg, err := runFastPathLeg(seed, p, true, bs)
-		if err != nil {
-			return nil, err
-		}
-		problems = append(problems, diffFastPathLegs(name, leg, off)...)
-		if leg.counters.FastPathHits == 0 {
-			problems = append(problems, name+" leg recorded zero flow-cache hits: fast path never engaged")
-		}
-		// A fault-free world must actually exercise the batched resolve
-		// path (profiles with an armed fault layer legitimately fall
-		// back to per-packet interpretation).
-		if !p.Active() && leg.counters.FastPathBatched == 0 {
-			problems = append(problems, name+" leg replayed zero probes through the batched path")
-		}
+			"sparse leg compiled %d flows for %d cells, hit share %.3f (want < cells/4, fault-free > 0.9): gap-wide claims never engaged",
+			c.FastPathCompiles, son.stats[0].Sent, share))
 	}
 
 	// Hostile legs: the flow cache must stay invisible under every

@@ -2,6 +2,7 @@ package simtest
 
 import (
 	"fmt"
+	"math/rand"
 
 	"repro/internal/ipv6"
 	"repro/internal/netsim"
@@ -66,9 +67,52 @@ func (f *ISPFixture) Truth() map[ipv6.Addr]bool {
 // seeded from seed, so two fixtures built with the same seed behave
 // identically.
 func BuildISPFixture(seed int64) (*ISPFixture, error) {
+	cells := make([]uint64, FixtureCPEs)
+	for i := range cells {
+		cells[i] = uint64(i)
+	}
+	return buildFixture(seed, ipv6.MustParsePrefix("2001:db8::/56"), cells, 200)
+}
+
+// Sparse-fixture shape: a 2^12-cell window holding a dozen CPEs and one
+// hostile /58 (its top 64 cells), so nearly every probe lands in
+// unassigned space — the regime the paper's cold sweep runs in, which
+// the dense fixture (every cell within a few of a delegation) never
+// reaches.
+const (
+	sparseBlockBits   = 52
+	sparseCPEs        = 12
+	sparseHostileBits = 58
+)
+
+// BuildSparseFixture constructs the sparse fixture: CPE and LAN cells
+// drawn from seed below the hostile region, which answers as an aliased
+// prefix.
+func BuildSparseFixture(seed int64) (*ISPFixture, error) {
+	block := ipv6.MustPrefix(ipv6.MustParseAddr("2001:db8::"), sparseBlockBits)
+	const cells, hostileCells = 1 << (64 - sparseBlockBits), 1 << (64 - sparseHostileBits)
+	perm := rand.New(rand.NewSource(seed)).Perm(cells - hostileCells)
+	wans := make([]uint64, sparseCPEs)
+	for i := range wans {
+		wans[i] = uint64(perm[i])
+	}
+	f, err := buildFixture(seed, block, wans, uint64(perm[sparseCPEs]))
+	if err != nil {
+		return nil, err
+	}
+	region, err := block.Sub(sparseHostileBits, uint128.From64(cells/hostileCells-1))
+	if err != nil {
+		return nil, err
+	}
+	return f, f.plant(region, HostileProfile{Mode: netsim.HostileAliased}, seed, 0)
+}
+
+// buildFixture wires scanner, core and ISP over block, one CPE per
+// listed /64 cell; the first CPE also holds the LAN delegation lanCell.
+func buildFixture(seed int64, block ipv6.Prefix, cells []uint64, lanCell uint64) (*ISPFixture, error) {
 	f := &ISPFixture{
 		Eng:     netsim.New(seed),
-		Block:   ipv6.MustParsePrefix("2001:db8::/56"),
+		Block:   block,
 		ISPAddr: ipv6.MustParseAddr("2001:feed::2"),
 	}
 	f.Edge = netsim.NewEdge("scanner", ipv6.MustParseAddr("2001:beef::100"))
@@ -89,15 +133,15 @@ func BuildISPFixture(seed int64) (*ISPFixture, error) {
 		Route{Prefix: f.Block, Label: "core->isp"},
 		Route{Prefix: scanNet, Label: "core->scan"})
 
-	for i := 0; i < FixtureCPEs; i++ {
-		wanPrefix, err := f.Block.Sub(64, uint128.From64(uint64(i)))
+	for i, cell := range cells {
+		wanPrefix, err := f.Block.Sub(64, uint128.From64(cell))
 		if err != nil {
 			return nil, err
 		}
 		wanAddr := ipv6.SLAAC(wanPrefix, 0x0211_22ff_fe00_0000|uint64(i))
 		cfg := netsim.CPEConfig{Name: "cpe", WANAddr: wanAddr, WANPrefix: wanPrefix}
 		if i == 0 {
-			lan, err := f.Block.Sub(64, uint128.From64(200))
+			lan, err := f.Block.Sub(64, uint128.From64(lanCell))
 			if err != nil {
 				return nil, err
 			}

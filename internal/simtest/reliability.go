@@ -19,7 +19,12 @@ const resumeCheckpointEvery = 32
 // leg to per-packet interpretation and hide the batched path from the
 // oracles.
 func reliabilityFixture(seed int64, p FaultProfile) (*ISPFixture, error) {
-	f, err := BuildISPFixture(seed)
+	return faultWorld(BuildISPFixture, seed, p)
+}
+
+// faultWorld is reliabilityFixture over any fixture builder.
+func faultWorld(build func(int64) (*ISPFixture, error), seed int64, p FaultProfile) (*ISPFixture, error) {
+	f, err := build(seed)
 	if err != nil {
 		return nil, err
 	}

@@ -70,6 +70,8 @@ const (
 	SimFastPathMisses
 	SimFastPathInvalidations
 	SimFastPathBatched
+	SimFastPathCompiles
+	SimFastPathEvictions
 	LoopProbes
 	LoopResponses
 	LoopConfirmed
@@ -109,6 +111,8 @@ var counterNames = [NumCounters]string{
 	SimFastPathMisses:        "sim.fastpath.misses",
 	SimFastPathInvalidations: "sim.fastpath.invalidations",
 	SimFastPathBatched:       "sim.fastpath.batched",
+	SimFastPathCompiles:      "sim.fastpath.compiles",
+	SimFastPathEvictions:     "sim.fastpath.evictions",
 	LoopProbes:               "loop.probes",
 	LoopResponses:            "loop.responses",
 	LoopConfirmed:            "loop.confirmed",

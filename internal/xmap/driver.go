@@ -249,6 +249,8 @@ func engineCollector(counters func() netsim.Counters) telemetry.Collector {
 		add(telemetry.SimFastPathMisses, c.FastPathMisses)
 		add(telemetry.SimFastPathInvalidations, c.FastPathInvalidations)
 		add(telemetry.SimFastPathBatched, c.FastPathBatched)
+		add(telemetry.SimFastPathCompiles, c.FastPathCompiles)
+		add(telemetry.SimFastPathEvictions, c.FastPathEvictions)
 	}
 }
 

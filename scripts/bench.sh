@@ -24,7 +24,8 @@
 # Each entry records name, ns/op, B/op, allocs/op, probes/sec (derived
 # as 1e9/ns_per_op for benchmarks that report a "probes" metric) and
 # events_per_probe (the simulator's pumped-events-per-probe ratio, the
-# quantity the forwarding fast path compresses). The -check gate also
+# quantity the forwarding fast path compresses). A benchmark the
+# baseline does not list is reported and skipped. The -check gate also
 # fails if events_per_probe rises >10% over the baseline — unlike the
 # timing and bytes gates this is a deterministic count, so it holds in
 # -short runs too. Snapshots take the per-benchmark minimum of three timed runs (the
@@ -54,7 +55,7 @@ while [ $# -gt 0 ]; do
     esac
 done
 
-pattern='ScannerThroughput|ScannerTraced|EnginePump'
+pattern='ScannerThroughput|ScannerTraced|EnginePump|EngineInjectColdSparse'
 
 run_suite() {
     go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -count "${1:-1}" -benchmem ./... 2>/dev/null |
@@ -142,7 +143,14 @@ if [ "$check" = 1 ]; then
                 if ($(i+1) == "events/probe") ev = $i
                 if ($(i+1) == "B/op") b = $i
             }
-            if (ns == "" || !(name in base_ns)) next
+            if (ns == "") next
+            if (!(name in base_ns)) {
+                # A benchmark added since the baseline was taken has
+                # nothing to regress against yet.
+                if (!(name in warned)) printf "  %-45s not in %s: skipped\n", name, baseline
+                warned[name] = 1
+                next
+            }
             if (!(name in best_ns) || ns + 0 < best_ns[name] + 0) best_ns[name] = ns
             if (a != "" && (!(name in best_allocs) || a + 0 < best_allocs[name] + 0)) best_allocs[name] = a
             if (ev != "" && (!(name in best_ev) || ev + 0 < best_ev[name] + 0)) best_ev[name] = ev
