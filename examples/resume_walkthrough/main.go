@@ -17,6 +17,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -36,7 +37,7 @@ const (
 
 func main() {
 	flag.Parse()
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "resume_walkthrough:", err)
 		os.Exit(1)
 	}
@@ -52,7 +53,7 @@ func buildDeployment() (*topo.Deployment, ipv6.Window, error) {
 	return dep, dep.ISPs[0].Window, nil
 }
 
-func run() error {
+func run(out io.Writer) error {
 	ckptPath := filepath.Join(os.TempDir(), fmt.Sprintf("resume-walkthrough-%d.ckpt", *seed))
 	defer os.Remove(ckptPath)
 
@@ -68,7 +69,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("reference scan:  %5d probes, %4d responders\n", refStats.Sent, refStats.Unique)
+	fmt.Fprintf(out, "reference scan:  %5d probes, %4d responders\n", refStats.Sent, refStats.Unique)
 
 	// Leg 1: fresh identical world, checkpoint to disk, crash mid-scan.
 	// The cancellation fires from a checkpoint callback, so the "kill"
@@ -93,7 +94,7 @@ func run() error {
 	if err != nil && !errors.Is(err, context.Canceled) {
 		return err
 	}
-	fmt.Printf("crashed leg:     %5d probes, %4d responders, checkpoint %s\n",
+	fmt.Fprintf(out, "crashed leg:     %5d probes, %4d responders, checkpoint %s\n",
 		leg1.Sent, leg1.Unique, ckptPath)
 
 	// Leg 2: a new process (modelled by a fresh ScanParallel call) loads
@@ -110,7 +111,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("resumed leg:     %5d probes cumulative, %4d responders cumulative\n",
+	fmt.Fprintf(out, "resumed leg:     %5d probes cumulative, %4d responders cumulative\n",
 		leg2.Sent, leg2.Unique)
 
 	// The crash-cost audit.
@@ -133,12 +134,12 @@ func run() error {
 		ckptSent += st.Stats.Sent
 	}
 	resent := int64(leg1.Sent-ckptSent) + int64(leg2.Sent) - int64(refStats.Sent)
-	fmt.Printf("crash cost:      %d probes re-sent (bound: %d = %d shards x one checkpoint interval)\n",
+	fmt.Fprintf(out, "crash cost:      %d probes re-sent (bound: %d = %d shards x one checkpoint interval)\n",
 		resent, shards*checkpointEvery, shards)
-	fmt.Printf("consistency:     %d missing, %d invented, %d double-reported\n", missing, invented, repeated)
+	fmt.Fprintf(out, "consistency:     %d missing, %d invented, %d double-reported\n", missing, invented, repeated)
 	if missing > 0 || invented > 0 || repeated > 0 || resent > shards*checkpointEvery {
 		return fmt.Errorf("kill-and-resume diverged from the uninterrupted scan")
 	}
-	fmt.Println("resumed scan is equivalent to the uninterrupted scan")
+	fmt.Fprintln(out, "resumed scan is equivalent to the uninterrupted scan")
 	return nil
 }

@@ -1,8 +1,8 @@
 // Package bloom implements a Bloom filter sized for response
 // deduplication at scan scale, as ZMap-family scanners use to suppress
 // duplicate replies without storing every responder address. The filter
-// is fully serializable (Marshal/Unmarshal), so a crashed scan resumes
-// with its dedup state intact.
+// is memory-only: a scan checkpoint stores the exact responder list, and
+// a resumed scan re-adds it (inserts are order-independent).
 //
 // The filter is cache-line blocked: each key selects one 512-bit block
 // and sets all k of its bits inside it, so an insert or query touches
@@ -28,8 +28,8 @@ const blockWords = 8
 // Filter is a blocked Bloom filter over 16-byte keys (IPv6 addresses).
 // Not safe for concurrent use; the scanner owns one per receive loop.
 // Hashing uses explicit uint64 seeds (not hash/maphash, whose seeds are
-// opaque), so a marshaled filter round-trips bit-exactly across
-// processes.
+// opaque), so a filter rebuilt in another process from the same seed and
+// keys is bit-identical.
 type Filter struct {
 	bits  []uint64
 	nbits uint64
@@ -214,78 +214,4 @@ func (f *Filter) FillRatio() float64 {
 		}
 	}
 	return float64(ones) / float64(f.nbits)
-}
-
-// Serialized format: magic "BF" + version 2, then the filter parameters
-// and the raw bit words, all big-endian. The header is fixed-size so the
-// decoder can bound-check the payload before allocating. Version 2
-// introduced the blocked bit layout; version-1 blobs place the same keys
-// at different bits, so they are rejected rather than silently misread.
-const (
-	marshalMagic   = 0x42460002 // "BF" 0x0002
-	marshalHdrLen  = 4 + 4 + 8 + 8 + 8 + 8
-	maxMarshalBits = uint64(1) << 36 // 8 GiB of filter; beyond this is corruption
-)
-
-// MarshaledSize returns the exact byte length Marshal will produce.
-func (f *Filter) MarshaledSize() int { return marshalHdrLen + len(f.bits)*8 }
-
-// AppendMarshal appends the serialized filter to dst and returns the
-// extended slice.
-func (f *Filter) AppendMarshal(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, marshalMagic)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(f.k))
-	dst = binary.BigEndian.AppendUint64(dst, f.nbits)
-	dst = binary.BigEndian.AppendUint64(dst, f.seed1)
-	dst = binary.BigEndian.AppendUint64(dst, f.seed2)
-	dst = binary.BigEndian.AppendUint64(dst, f.count)
-	for _, w := range f.bits {
-		dst = binary.BigEndian.AppendUint64(dst, w)
-	}
-	return dst
-}
-
-// Marshal serializes the filter.
-func (f *Filter) Marshal() []byte {
-	return f.AppendMarshal(make([]byte, 0, f.MarshaledSize()))
-}
-
-// Unmarshal reconstructs a filter serialized by Marshal. Malformed,
-// truncated or version-skewed input yields an error, never a panic, and
-// never an oversized allocation.
-func Unmarshal(data []byte) (*Filter, error) {
-	if len(data) < marshalHdrLen {
-		return nil, fmt.Errorf("bloom: truncated header: %d bytes", len(data))
-	}
-	if magic := binary.BigEndian.Uint32(data[0:4]); magic != marshalMagic {
-		return nil, fmt.Errorf("bloom: bad magic/version %#08x", magic)
-	}
-	k := binary.BigEndian.Uint32(data[4:8])
-	nbits := binary.BigEndian.Uint64(data[8:16])
-	if k < 1 || k > 64 {
-		return nil, fmt.Errorf("bloom: hash count %d out of [1,64]", k)
-	}
-	// The blocked layout requires whole 512-bit blocks, a power of two of
-	// them (block selection is a mask).
-	if nbits == 0 || nbits%512 != 0 || nbits > maxMarshalBits ||
-		(nbits/512)&(nbits/512-1) != 0 {
-		return nil, fmt.Errorf("bloom: bit count %d invalid", nbits)
-	}
-	words := int(nbits / 64)
-	if got, want := len(data)-marshalHdrLen, words*8; got != want {
-		return nil, fmt.Errorf("bloom: payload %d bytes, want %d", got, want)
-	}
-	f := &Filter{
-		bits:  make([]uint64, words),
-		nbits: nbits,
-		bmask: nbits/512 - 1,
-		k:     int(k),
-		seed1: binary.BigEndian.Uint64(data[16:24]),
-		seed2: binary.BigEndian.Uint64(data[24:32]),
-		count: binary.BigEndian.Uint64(data[32:40]),
-	}
-	for i := range f.bits {
-		f.bits[i] = binary.BigEndian.Uint64(data[marshalHdrLen+i*8:])
-	}
-	return f, nil
 }

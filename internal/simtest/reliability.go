@@ -37,8 +37,12 @@ func faultWorld(build func(int64) (*ISPFixture, error), seed int64, p FaultProfi
 
 // RunResumeOracle is the kill-and-resume differential oracle: a scan
 // killed mid-cycle and resumed from its last periodic checkpoint must
-// report exactly the responder set of an uninterrupted scan, and the
-// crash may cost at most one checkpoint interval of re-sent probes.
+// report exactly the responder set of an uninterrupted scan, must not
+// hand the handler any responder it was given before the checkpointed
+// cut (responders first seen in the re-sent tail may repeat — the
+// documented kill -9 cost), and the crash may cost at most one
+// checkpoint interval of re-sent probes. Odd seeds dedup through the
+// Bloom filter, even seeds through the exact map.
 // It applies to lossless profiles (duplication and reordering included):
 // under loss, responses to pre-crash probes are genuinely gone, so set
 // equality is not a sound oracle there — the adaptive oracle covers the
@@ -57,7 +61,7 @@ func RunResumeOracle(seed int64, p FaultProfile) ([]string, error) {
 	}
 	var problems []string
 	cfgFor := func(f *ISPFixture) xmap.Config {
-		return xmap.Config{Window: f.Window, Seed: scanSeed(seed), DedupExact: true}
+		return xmap.Config{Window: f.Window, Seed: scanSeed(seed), DedupExact: seed%2 == 0}
 	}
 
 	// Reference leg: the uninterrupted scan, direct driver.
@@ -85,7 +89,11 @@ func RunResumeOracle(seed int64, p FaultProfile) ([]string, error) {
 		return nil, err
 	}
 	ringKill := xmap.NewRingDriver(fB.Drv, resumeCheckpointEvery)
-	var states []xmap.ShardState
+	var (
+		states  []xmap.ShardState
+		cuts    []int       // emissions so far at each state
+		emitted []ipv6.Addr // kill-leg emissions, in order
+	)
 	cfgKill := cfgFor(fB)
 	cfgKill.MaxTargets = killAt
 	cfgKill.CheckpointEvery = resumeCheckpointEvery
@@ -95,13 +103,13 @@ func RunResumeOracle(seed int64, p FaultProfile) ([]string, error) {
 				"checkpoint at %d targets emitted with %d probes still in the ring", st.Stats.Targets, n))
 		}
 		states = append(states, st)
+		cuts = append(cuts, len(emitted))
 	}
 	sKill, err := xmap.New(cfgKill, ringKill)
 	if err != nil {
 		return nil, err
 	}
-	union := map[ipv6.Addr]bool{}
-	killStats, err := sKill.Run(context.Background(), func(r xmap.Response) { union[r.Responder] = true })
+	killStats, err := sKill.Run(context.Background(), func(r xmap.Response) { emitted = append(emitted, r.Responder) })
 	ringKill.Close()
 	if err != nil {
 		return nil, err
@@ -109,19 +117,38 @@ func RunResumeOracle(seed int64, p FaultProfile) ([]string, error) {
 	if len(states) < 2 {
 		return []string{fmt.Sprintf("kill at %d targets emitted only %d checkpoint states", killAt, len(states))}, nil
 	}
-	crash := states[len(states)-2]
+	crash, cut := states[len(states)-2], cuts[len(cuts)-2]
 
 	// Resume leg: continue on the same (still-running) network from the
-	// last periodic checkpoint, again through a fresh ring — as a
-	// restarted process would build one.
+	// last periodic checkpoint — that state and the responders reported
+	// up to it, as the file would hold them — again through a fresh ring,
+	// as a restarted process would build one.
 	ringResume := xmap.NewRingDriver(fB.Drv, resumeCheckpointEvery)
 	cfgResume := cfgFor(fB)
-	cfgResume.Resume = &crash
+	cfgResume.ResumeFrom = &xmap.Checkpoint{
+		Digest: xmap.ConfigDigest(cfgResume, 1), Shards: 1,
+		Responders: emitted[:cut], States: []xmap.ShardState{crash},
+	}
 	sResume, err := xmap.New(cfgResume, ringResume)
 	if err != nil {
 		return nil, err
 	}
-	resumeStats, err := sResume.Run(context.Background(), func(r xmap.Response) { union[r.Responder] = true })
+	union := map[ipv6.Addr]bool{}
+	beforeCut := map[ipv6.Addr]bool{}
+	for i, a := range emitted {
+		union[a] = true
+		if i < cut {
+			beforeCut[a] = true
+		}
+	}
+	resumeStats, err := sResume.Run(context.Background(), func(r xmap.Response) {
+		if beforeCut[r.Responder] {
+			problems = append(problems, fmt.Sprintf(
+				"responder %s, reported before the checkpoint at %d targets, was handed to the handler again after resume",
+				r.Responder, crash.Stats.Targets))
+		}
+		union[r.Responder] = true
+	})
 	ringResume.Close()
 	if err != nil {
 		return nil, err

@@ -6,30 +6,28 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"repro/internal/ipv6"
 	"repro/internal/uint128"
 )
 
-// ShardState is one scanner's resumable position: the permutation
-// cursor, cumulative statistics, and the serialized dedup and retry
-// state. A scanner emits it through Config.OnCheckpoint and accepts it
-// back through Config.Resume.
+// ShardState is what only one scanner knows of its resumable position:
+// the permutation cursor, cumulative statistics and the serialized retry
+// ring. A scanner emits it through Config.OnCheckpoint and accepts it
+// back inside a Checkpoint through Config.ResumeFrom.
 type ShardState struct {
-	Shard     int
-	Done      bool // the shard finished its permutation walk
-	Consumed  uint128.Uint128
-	Stats     Stats
-	DedupKind byte
-	Dedup     []byte
-	Retry     []byte
+	Shard    int
+	Done     bool // the shard finished its permutation walk
+	Consumed uint128.Uint128
+	Stats    Stats
+	Retry    []byte
 }
 
 // Checkpoint is a whole scan's crash-recovery state: a digest binding it
-// to the scan configuration, the cross-shard responder set already
-// reported to the handler, and every shard's state.
+// to the scan configuration, the responders already reported to the
+// handler — the scan's only persisted seen-set, from which every shard's
+// dedup filter is re-seeded — and every shard's state.
 type Checkpoint struct {
 	Digest     [32]byte
 	Shards     int
@@ -38,10 +36,10 @@ type Checkpoint struct {
 }
 
 // ConfigDigest fingerprints the scan parameters a checkpoint depends on:
-// window, seed, probe module, shard count and dedup implementation.
-// Operational knobs (rate, drain cadence, retry depth) may change across
-// a resume; these may not, or the permutation, validation values and
-// dedup state would silently mismatch.
+// window, seed, probe module and shard count. Operational knobs (rate,
+// drain cadence, retry depth, dedup implementation) may change across a
+// resume; these may not, or the permutation and validation values would
+// silently mismatch.
 func ConfigDigest(cfg Config, shards int) [32]byte {
 	if shards <= 0 {
 		shards = 1
@@ -54,13 +52,10 @@ func ConfigDigest(cfg Config, shards int) [32]byte {
 	h.Write([]byte("xmap-checkpoint-v1\x00"))
 	base := cfg.Window.Base.Addr().Bytes()
 	h.Write(base[:])
-	var meta [16]byte
+	var meta [12]byte
 	binary.BigEndian.PutUint32(meta[0:], uint32(cfg.Window.Base.Bits()))
 	binary.BigEndian.PutUint32(meta[4:], uint32(cfg.Window.To))
 	binary.BigEndian.PutUint32(meta[8:], uint32(shards))
-	if cfg.DedupExact {
-		meta[12] = 1
-	}
 	h.Write(meta[:])
 	h.Write(seedOrDefault(cfg.Seed))
 	h.Write([]byte{0})
@@ -73,13 +68,15 @@ func ConfigDigest(cfg Config, shards int) [32]byte {
 // Checkpoint wire format: magic+version, digest, shard count, responder
 // list, shard states. Every variable-length field is bounded against the
 // remaining input before allocation, so a corrupt file errors instead of
-// exhausting memory. Version 2 stores every Stats counter in statsFields
-// order, then Elapsed; version 1 stopped before the defense counters,
-// so its files are refused rather than resumed with those zeroed.
+// exhausting memory. A shard state is its index, done flag, cursor, every
+// Stats counter in statsFields order, Elapsed, and the retry ring: the
+// file is O(unique responders), with no term in the window size. The
+// magic's low byte is the version; files of another version (1: fewer
+// counters, 2: a serialized dedup filter per shard) are refused, never
+// half-read.
 const (
-	checkpointMagic   = 0x58435002 // "XCP" 0x02
-	checkpointMagicV1 = 0x58435001
-	maxStateBlobSize  = 1 << 31
+	checkpointMagic  = 0x58435003 // "XCP" 0x03
+	maxStateBlobSize = 1 << 31
 )
 
 func appendStats(dst []byte, s *Stats) []byte {
@@ -111,9 +108,6 @@ func (c *Checkpoint) Marshal() []byte {
 		out = binary.BigEndian.AppendUint64(out, st.Consumed.Hi)
 		out = binary.BigEndian.AppendUint64(out, st.Consumed.Lo)
 		out = appendStats(out, &st.Stats)
-		out = append(out, st.DedupKind)
-		out = binary.BigEndian.AppendUint32(out, uint32(len(st.Dedup)))
-		out = append(out, st.Dedup...)
 		out = binary.BigEndian.AppendUint32(out, uint32(len(st.Retry)))
 		out = append(out, st.Retry...)
 	}
@@ -195,8 +189,9 @@ func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
 	r := &ckptReader{data: data}
 	switch magic := r.u32(); {
 	case r.err != nil:
-	case magic == checkpointMagicV1:
-		return nil, fmt.Errorf("xmap: checkpoint: unsupported checkpoint version 1 (written before the defense counters were stored; restart the scan)")
+	case magic != checkpointMagic && magic>>8 == checkpointMagic>>8:
+		return nil, fmt.Errorf("xmap: checkpoint: unsupported checkpoint version %d (this build reads version %d; restart the scan)",
+			magic&0xff, checkpointMagic&0xff)
 	case magic != checkpointMagic:
 		return nil, fmt.Errorf("xmap: checkpoint: bad magic/version %#08x", magic)
 	}
@@ -223,8 +218,6 @@ func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
 		st.Done = r.u8() != 0
 		st.Consumed = uint128.New(r.u64(), r.u64())
 		st.Stats = r.stats()
-		st.DedupKind = r.u8()
-		st.Dedup = r.blob("dedup")
 		st.Retry = r.blob("retry")
 		if r.err != nil {
 			break
@@ -303,76 +296,7 @@ func (c *Checkpoint) Verify(cfg Config, shards int) error {
 		return fmt.Errorf("xmap: checkpoint taken with %d shards, resuming with %d", c.Shards, shards)
 	}
 	if want := ConfigDigest(cfg, shards); c.Digest != want {
-		return fmt.Errorf("xmap: checkpoint config digest mismatch (window, seed, probe, shards or dedup changed)")
+		return fmt.Errorf("xmap: checkpoint config digest mismatch (window, seed, probe or shards changed)")
 	}
 	return nil
-}
-
-// Checkpointer accumulates per-shard states and persists the assembled
-// checkpoint on every update — the file sink behind ScanParallel's
-// Config.CheckpointPath. Safe for concurrent use by shard goroutines.
-type Checkpointer struct {
-	mu         sync.Mutex
-	path       string
-	digest     [32]byte
-	shards     int
-	states     map[int]ShardState
-	responders func() []ipv6.Addr
-	writeErr   error
-}
-
-// NewCheckpointer creates a checkpointer writing to path.
-func NewCheckpointer(path string, digest [32]byte, shards int) *Checkpointer {
-	if shards <= 0 {
-		shards = 1
-	}
-	return &Checkpointer{path: path, digest: digest, shards: shards, states: map[int]ShardState{}}
-}
-
-// SetResponders installs the provider of the cross-shard responder
-// snapshot (ScanParallel points it at its dedup stripes).
-func (c *Checkpointer) SetResponders(fn func() []ipv6.Addr) {
-	c.mu.Lock()
-	c.responders = fn
-	c.mu.Unlock()
-}
-
-// Update records one shard's state and rewrites the checkpoint file.
-func (c *Checkpointer) Update(st ShardState) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.states[st.Shard] = st
-	if err := c.flushLocked(); err != nil && c.writeErr == nil {
-		c.writeErr = err
-	}
-}
-
-// Flush rewrites the checkpoint file from the recorded states.
-func (c *Checkpointer) Flush() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.flushLocked(); err != nil && c.writeErr == nil {
-		c.writeErr = err
-	}
-	return c.writeErr
-}
-
-// Err returns the first write error, if any.
-func (c *Checkpointer) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.writeErr
-}
-
-func (c *Checkpointer) flushLocked() error {
-	ck := Checkpoint{Digest: c.digest, Shards: c.shards}
-	if c.responders != nil {
-		ck.Responders = c.responders()
-	}
-	for i := 0; i < c.shards; i++ {
-		if st, ok := c.states[i]; ok {
-			ck.States = append(ck.States, st)
-		}
-	}
-	return ck.WriteFile(c.path)
 }

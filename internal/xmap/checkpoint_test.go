@@ -2,6 +2,7 @@ package xmap
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -24,7 +25,6 @@ func sampleCheckpoint() *Checkpoint {
 	for i := range c.Digest {
 		c.Digest[i] = byte(i * 7)
 	}
-	dedup := mapDedup{ipv6.MustParseAddr("2001:db8::1"): 3}
 	c.States = []ShardState{
 		{
 			Shard:    0,
@@ -35,9 +35,7 @@ func sampleCheckpoint() *Checkpoint {
 				AliasDetected: 2, AliasCooldown: 6, AliasBlocked: 1, Quarantined: 9, Shed: 4,
 				Elapsed: 3 * time.Second,
 			},
-			DedupKind: dedupKindExact,
-			Dedup:     dedup.appendState(nil),
-			Retry:     []byte{0, 0, 0, 0},
+			Retry: []byte{0, 0, 0, 0},
 		},
 		{Shard: 2, Done: true, Consumed: uint128.New(1, 0)},
 	}
@@ -63,8 +61,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	for i := range c.States {
 		w, g := c.States[i], got.States[i]
 		if g.Shard != w.Shard || g.Done != w.Done || g.Consumed != w.Consumed ||
-			g.Stats != w.Stats || g.DedupKind != w.DedupKind ||
-			!bytes.Equal(g.Dedup, w.Dedup) || !bytes.Equal(g.Retry, w.Retry) {
+			g.Stats != w.Stats || !bytes.Equal(g.Retry, w.Retry) {
 			t.Fatalf("state %d: got %+v, want %+v", i, g, w)
 		}
 	}
@@ -95,13 +92,36 @@ func TestCheckpointStatsRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestCheckpointSizeLaw: a marshaled checkpoint is a fixed header, 16
+// bytes per responder and, per shard, a fixed state plus its retry ring
+// — nothing that grows with the window.
+func TestCheckpointSizeLaw(t *testing.T) {
+	const header = 4 + 32 + 4 + 4 + 4 // magic, digest, shard count, two list counts
+	state := 4 + 1 + 16 + 8*(len(statsFields)+1) + 4
+	rng := rand.New(rand.NewSource(16))
+	for i := 0; i < 100; i++ {
+		c := &Checkpoint{Shards: 1 + rng.Intn(8)}
+		c.Responders = make([]ipv6.Addr, rng.Intn(500))
+		want := header + 16*len(c.Responders)
+		for sh := 0; sh < c.Shards; sh++ {
+			st := ShardState{Shard: sh, Retry: make([]byte, rng.Intn(300))}
+			st.Stats.Targets = rng.Uint64()
+			c.States = append(c.States, st)
+			want += state + len(st.Retry)
+		}
+		if got := len(c.Marshal()); got != want {
+			t.Fatalf("%d responders, %d shards: %d bytes, want %d", len(c.Responders), c.Shards, got, want)
+		}
+	}
+}
+
 func TestUnmarshalCheckpointRejectsMalformed(t *testing.T) {
 	good := sampleCheckpoint().Marshal()
 	cases := map[string][]byte{
 		"empty":      {},
 		"header":     good[:10],
 		"bad magic":  append([]byte{0xde, 0xad, 0xbe, 0xef}, good[4:]...),
-		"version up": append([]byte{0x58, 0x43, 0x50, 0x03}, good[4:]...),
+		"version up": append([]byte{0x58, 0x43, 0x50, 0x04}, good[4:]...),
 		"trailing":   append(append([]byte{}, good...), 1, 2, 3),
 	}
 	// Every truncation point must error, never panic.
@@ -115,10 +135,16 @@ func TestUnmarshalCheckpointRejectsMalformed(t *testing.T) {
 			t.Errorf("%s input accepted", name)
 		}
 	}
-	// A version-1 file is refused by name, not misread as truncated.
-	_, err := UnmarshalCheckpoint(append([]byte{0x58, 0x43, 0x50, 0x01}, good[4:]...))
-	if err == nil || !strings.Contains(err.Error(), "unsupported checkpoint version") {
-		t.Errorf("v1 checkpoint: err = %v, want an unsupported-version error", err)
+	// Version 1 and 2 files are refused by name, whatever follows the
+	// magic — never half-read, never misreported as truncated.
+	for _, v := range []byte{1, 2} {
+		for _, tail := range [][]byte{good[4:], nil} {
+			_, err := UnmarshalCheckpoint(append([]byte{0x58, 0x43, 0x50, v}, tail...))
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unsupported checkpoint version %d", v)) ||
+				!strings.Contains(err.Error(), "restart the scan") {
+				t.Errorf("v%d checkpoint: err = %v, want an unsupported-version error", v, err)
+			}
+		}
 	}
 	// Absurd counts must not allocate: claim 2^32-1 responders.
 	huge := append([]byte{}, good[:40]...)
@@ -182,19 +208,22 @@ func TestConfigDigestSensitivity(t *testing.T) {
 	ops.MaxTargets = 7
 	ops.Retries = 3
 	ops.DrainEvery = 8
+	ops.DedupExact = true // the file holds no dedup state to mismatch
 	if ConfigDigest(ops, 4) != d0 {
 		t.Error("operational knobs changed the digest")
 	}
 	// Identity parameters must not.
 	seed := base
 	seed.Seed = []byte("other")
-	shard := ConfigDigest(base, 8)
-	exact := base
-	exact.DedupExact = true
+	narrow := base
+	narrow.Window.To--
+	probe := base
+	probe.Probe = &TCPSynProbe{Port: 80}
 	for name, d := range map[string][32]byte{
-		"seed":  ConfigDigest(seed, 4),
-		"shard": shard,
-		"dedup": ConfigDigest(exact, 4),
+		"seed":   ConfigDigest(seed, 4),
+		"shards": ConfigDigest(base, 8),
+		"window": ConfigDigest(narrow, 4),
+		"probe":  ConfigDigest(probe, 4),
 	} {
 		if d == d0 {
 			t.Errorf("%s change kept the digest", name)
@@ -218,64 +247,16 @@ func TestCheckpointVerify(t *testing.T) {
 	}
 }
 
-func TestDedupStateRoundTrip(t *testing.T) {
-	// Exact map.
-	m := mapDedup{}
-	for i := 0; i < 50; i++ {
-		a := ipv6.AddrFrom128(uint128.New(0x2001_0db8, uint64(i*17)))
-		m[a] = uint64(i + 1)
-	}
-	restored, err := dedupFromState(dedupKindExact, m.appendState(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rm := restored.(mapDedup)
-	if len(rm) != len(m) {
-		t.Fatalf("restored %d entries, want %d", len(rm), len(m))
-	}
-	for a, c := range m {
-		if rm[a] != c {
-			t.Fatalf("count for %s = %d, want %d", a, rm[a], c)
-		}
-	}
-	// Bloom filter: restored filter must agree on membership.
-	bd, err := newBloomDedup(uint128.From64(4096), []byte("bloomseed"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var addrs []ipv6.Addr
-	for i := 0; i < 200; i++ {
-		a := ipv6.AddrFrom128(uint128.New(0xfd00, uint64(i*31)))
-		addrs = append(addrs, a)
-		bd.add(a)
-	}
-	rb, err := dedupFromState(dedupKindBloom, bd.appendState(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range addrs {
-		if !rb.seen(a) {
-			t.Fatalf("restored filter lost %s", a)
-		}
-	}
-	// Kind skew.
-	if _, err := dedupFromState(dedupKindBloom, m.appendState(nil)); err == nil {
-		t.Error("map state accepted as a bloom filter")
-	}
-	if _, err := dedupFromState(99, nil); err == nil {
-		t.Error("unknown dedup kind accepted")
-	}
-}
-
 // FuzzUnmarshalCheckpoint: the decoder must never panic, and anything it
 // accepts must re-marshal to a decodable equivalent.
 func FuzzUnmarshalCheckpoint(f *testing.F) {
 	good := sampleCheckpoint().Marshal()
 	f.Add(good)
 	f.Add([]byte{})
-	f.Add([]byte{0x58, 0x43, 0x50, 0x02})
-	f.Add(append([]byte{0x58, 0x43, 0x50, 0x01}, good[4:]...)) // v1 magic
+	f.Add([]byte{0x58, 0x43, 0x50, 0x03})
+	f.Add(append([]byte{0x58, 0x43, 0x50, 0x02}, good[4:]...)) // v2 magic
 	f.Add(good[:len(good)-5*8-9])                              // cut inside the stats block
+	f.Add((&Checkpoint{Shards: 1, States: []ShardState{{Done: true}}}).Marshal())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := UnmarshalCheckpoint(data)
 		if err != nil {

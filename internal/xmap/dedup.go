@@ -3,26 +3,19 @@ package xmap
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
-	"sort"
 
 	"repro/internal/bloom"
 	"repro/internal/ipv6"
 	"repro/internal/uint128"
 )
 
-// Dedup state kinds, as serialized into checkpoints.
-const (
-	dedupKindExact byte = 1
-	dedupKindBloom byte = 2
-)
-
 // dedupSet suppresses duplicate responders. Two implementations back the
 // ablation in DESIGN.md: an exact map (unbounded memory, no false
 // positives) and a Bloom filter (fixed memory, responders may very
-// rarely be dropped as presumed duplicates). Both serialize into the
-// scan checkpoint so a resumed scan keeps suppressing responders it
-// already reported.
+// rarely be dropped as presumed duplicates). Neither is persisted: a
+// checkpoint stores the exact responder list, and a resumed scanner
+// re-adds that list (New), so it keeps suppressing responders the
+// handler was already given.
 type dedupSet interface {
 	seen(a ipv6.Addr) bool
 	add(a ipv6.Addr)
@@ -30,8 +23,6 @@ type dedupSet interface {
 	// records a and reports whether it was new (one hashing/probing pass
 	// instead of two).
 	checkAdd(a ipv6.Addr) bool
-	kind() byte
-	appendState(dst []byte) []byte
 }
 
 // mapDedup is the exact-set implementation. It also counts responses per
@@ -50,51 +41,6 @@ func (m mapDedup) checkAdd(a ipv6.Addr) bool {
 	c := m[a]
 	m[a] = c + 1
 	return c == 0
-}
-
-func (m mapDedup) kind() byte { return dedupKindExact }
-
-// appendState serializes the map sorted by address, so equal sets
-// checkpoint to equal bytes.
-func (m mapDedup) appendState(dst []byte) []byte {
-	addrs := make([]ipv6.Addr, 0, len(m))
-	for a := range m {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i].Less(addrs[j]) })
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(addrs)))
-	for _, a := range addrs {
-		b := a.Bytes()
-		dst = append(dst, b[:]...)
-		dst = binary.BigEndian.AppendUint64(dst, m[a])
-	}
-	return dst
-}
-
-// mapDedupFromState decodes an appendState payload.
-func mapDedupFromState(data []byte) (mapDedup, error) {
-	if len(data) < 4 {
-		return nil, fmt.Errorf("xmap: exact dedup state truncated: %d bytes", len(data))
-	}
-	n := binary.BigEndian.Uint32(data[:4])
-	data = data[4:]
-	if uint64(len(data)) != uint64(n)*24 {
-		return nil, fmt.Errorf("xmap: exact dedup state %d bytes for %d entries", len(data), n)
-	}
-	m := make(mapDedup, n)
-	for i := uint32(0); i < n; i++ {
-		off := int(i) * 24
-		a := ipv6.AddrFromBytes(data[off : off+16])
-		c := binary.BigEndian.Uint64(data[off+16 : off+24])
-		if c == 0 {
-			return nil, fmt.Errorf("xmap: exact dedup state has zero count for %s", a)
-		}
-		if _, dup := m[a]; dup {
-			return nil, fmt.Errorf("xmap: exact dedup state repeats %s", a)
-		}
-		m[a] = c
-	}
-	return m, nil
 }
 
 // bloomDedup wraps the Bloom filter.
@@ -137,26 +83,4 @@ func (b *bloomDedup) add(a ipv6.Addr) {
 func (b *bloomDedup) checkAdd(a ipv6.Addr) bool {
 	u := a.Uint128()
 	return b.f.AddIfAbsentUint64Pair(u.Hi, u.Lo)
-}
-
-func (b *bloomDedup) kind() byte { return dedupKindBloom }
-
-func (b *bloomDedup) appendState(dst []byte) []byte { return b.f.AppendMarshal(dst) }
-
-// dedupFromState reconstructs a serialized dedup set, rejecting kind
-// skew (a checkpoint taken with one implementation cannot resume under
-// the other: the bloom filter cannot be converted back to exact counts).
-func dedupFromState(kind byte, data []byte) (dedupSet, error) {
-	switch kind {
-	case dedupKindExact:
-		return mapDedupFromState(data)
-	case dedupKindBloom:
-		f, err := bloom.Unmarshal(data)
-		if err != nil {
-			return nil, err
-		}
-		return &bloomDedup{f: f}, nil
-	default:
-		return nil, fmt.Errorf("xmap: unknown dedup kind %d", kind)
-	}
 }

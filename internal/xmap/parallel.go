@@ -2,7 +2,6 @@ package xmap
 
 import (
 	"context"
-	"errors"
 	"sync"
 
 	"repro/internal/ipv6"
@@ -10,29 +9,57 @@ import (
 	"repro/internal/telemetry"
 )
 
-// dedupStripes splits ScanParallel's cross-shard responder dedup into
-// independently locked stripes so concurrent scanner goroutines rarely
-// contend; a power of two keeps stripe selection a mask.
-const dedupStripes = 16
-
-// dedupStripe is one lock-striped slice of the seen-responder set.
-type dedupStripe struct {
+// seenSet is a parallel scan's cross-shard responder set — the one
+// seen-set a checkpoint persists. Its lock covers insert and handler
+// call together, so a snapshot never lists a responder whose handler
+// call has not returned. Traffic is light: each shard's own dedup
+// absorbs repeats first, so a responder arrives at most once per shard.
+type seenSet struct {
 	mu   sync.Mutex
-	seen map[ipv6.Addr]struct{}
+	m    map[ipv6.Addr]struct{}
 	dups uint64
 }
 
-// stripeFor maps a responder to its dedup stripe.
-func stripeFor(a ipv6.Addr) int {
-	u := a.Uint128()
-	return int((u.Lo ^ u.Hi ^ u.Lo>>17 ^ u.Hi>>31) & (dedupStripes - 1))
+// checkpointer assembles per-shard states and the responder set into the
+// file behind Config.CheckpointPath, rewriting it on every update.
+type checkpointer struct {
+	mu   sync.Mutex // serializes writes, so a later snapshot is never replaced by an earlier one
+	path string
+	ck   Checkpoint // Responders is refilled per write
+	seen *seenSet
+	err  error // first write failure
+}
+
+// write persists the recorded states with a fresh responder snapshot.
+func (c *checkpointer) write() {
+	c.seen.mu.Lock()
+	c.ck.Responders = c.ck.Responders[:0]
+	for a := range c.seen.m {
+		c.ck.Responders = append(c.ck.Responders, a)
+	}
+	c.seen.mu.Unlock()
+	if err := c.ck.WriteFile(c.path); err != nil && c.err == nil {
+		c.err = err
+	}
+}
+
+// update records one shard's state and rewrites the file.
+func (c *checkpointer) update(st ShardState) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if cur, ok := c.ck.StateFor(st.Shard); ok {
+		*cur = st
+	} else {
+		c.ck.States = append(c.ck.States, st)
+	}
+	c.write()
 }
 
 // ScanParallel splits the window into shards (Config.Shards is
 // overridden) and runs one scanner goroutine per shard against the same
 // driver — the multi-threaded operation mode of the real tool. The
 // handler receives each responder exactly once across all shards; it is
-// invoked from multiple goroutines through an internal lock, so it needs
+// invoked from multiple goroutines under an internal lock, so it needs
 // no synchronization of its own. The driver must be safe for concurrent
 // use (all bundled drivers are); against a sharded deployment, use a
 // GroupDriver so the senders pump disjoint engine shards.
@@ -44,21 +71,14 @@ func stripeFor(a ipv6.Addr) int {
 // With Config.CheckpointPath set, every shard's periodic and exit
 // checkpoint states are assembled into one file (atomically replaced on
 // each update) together with the cross-shard responder set. With
-// Config.ResumeFrom set, the checkpoint — digest-verified against this
-// configuration — restores every shard's cursor, statistics, dedup and
-// retry state, and the handler is never re-invoked for responders the
-// interrupted scan already reported.
+// Config.ResumeFrom set, each shard's scanner resumes from the
+// checkpoint (see New), and the handler is never re-invoked for
+// responders the interrupted scan already reported.
 func ScanParallel(ctx context.Context, cfg Config, drv Driver, shards int, handler Handler) (Stats, error) {
 	if shards <= 0 {
 		shards = 1
 	}
 	cfg.Shards = shards
-	if cfg.ResumeFrom != nil {
-		if err := cfg.ResumeFrom.Verify(cfg, shards); err != nil {
-			var zero Stats
-			return zero, err
-		}
-	}
 	// Build the permutation once; it is immutable and every shard
 	// scanner iterates its own slice of the same cycle.
 	if cfg.cycle == nil && cfg.Window.To != 0 {
@@ -70,82 +90,51 @@ func ScanParallel(ctx context.Context, cfg Config, drv Driver, shards int, handl
 		}
 	}
 
-	var stripes [dedupStripes]dedupStripe
-	for i := range stripes {
-		stripes[i].seen = make(map[ipv6.Addr]struct{})
-	}
-	if cfg.ResumeFrom != nil {
-		// Preseed the cross-shard dedup with responders the interrupted
-		// scan already reported: re-probed targets must not re-emit, and
-		// the final Unique count stays cumulative.
-		for _, a := range cfg.ResumeFrom.Responders {
-			stripes[stripeFor(a)].seen[a] = struct{}{}
-		}
-	}
-	var ckpt *Checkpointer
-	if cfg.CheckpointPath != "" {
-		ckpt = NewCheckpointer(cfg.CheckpointPath, ConfigDigest(cfg, shards), shards)
-		ckpt.SetResponders(func() []ipv6.Addr {
-			var out []ipv6.Addr
-			for i := range stripes {
-				st := &stripes[i]
-				st.mu.Lock()
-				for a := range st.seen {
-					out = append(out, a)
-				}
-				st.mu.Unlock()
-			}
-			return out
-		})
-		if cfg.ResumeFrom != nil {
-			// Carry forward states of shards that may finish before their
-			// first fresh checkpoint (or that were already done).
-			for _, st := range cfg.ResumeFrom.States {
-				ckpt.Update(st)
-			}
-		}
-	}
-	var (
-		mu        sync.Mutex // guards total / firstErr
-		handlerMu sync.Mutex // serializes handler invocations
-		total     Stats
-		firstErr  error
-	)
+	seen := &seenSet{m: make(map[ipv6.Addr]struct{})}
 	dedupHandler := func(r Response) {
-		st := &stripes[stripeFor(r.Responder)]
-		st.mu.Lock()
-		if _, ok := st.seen[r.Responder]; ok {
-			st.dups++
-			st.mu.Unlock()
+		seen.mu.Lock()
+		defer seen.mu.Unlock()
+		if _, ok := seen.m[r.Responder]; ok {
+			seen.dups++
 			return
 		}
-		st.seen[r.Responder] = struct{}{}
-		st.mu.Unlock()
+		seen.m[r.Responder] = struct{}{}
 		if handler != nil {
-			handlerMu.Lock()
 			handler(r)
-			handlerMu.Unlock()
+		}
+	}
+	var ckpt *checkpointer
+	if cfg.CheckpointPath != "" {
+		ckpt = &checkpointer{
+			path: cfg.CheckpointPath,
+			ck:   Checkpoint{Digest: ConfigDigest(cfg, shards), Shards: shards},
+			seen: seen,
+		}
+	}
+	if ck := cfg.ResumeFrom; ck != nil {
+		// Responders the interrupted scan reported are never re-emitted
+		// and stay in the cumulative Unique; states are carried forward
+		// for shards that finish before their first fresh checkpoint (or
+		// were already done).
+		for _, a := range ck.Responders {
+			seen.m[a] = struct{}{}
+		}
+		if ckpt != nil {
+			ckpt.ck.States = append(ckpt.ck.States, ck.States...)
 		}
 	}
 
-	var wg sync.WaitGroup
-	for i := 0; i < shards; i++ {
+	// Construct every shard's scanner before any runs or the file is
+	// touched: New is where a checkpoint that does not fit this scan is
+	// refused.
+	scanners := make([]*Scanner, shards)
+	rings := make([]*RingDriver, shards)
+	for i := range scanners {
 		shardCfg := cfg
 		shardCfg.ShardIndex = i
-		shardCfg.CheckpointPath = ""
-		shardCfg.ResumeFrom = nil
-		if cfg.ResumeFrom != nil {
-			if st, ok := cfg.ResumeFrom.StateFor(i); ok {
-				stCopy := *st
-				shardCfg.Resume = &stCopy
-			}
-		}
-		if userSink := cfg.OnCheckpoint; ckpt != nil || userSink != nil {
-			sink := ckpt
+		if userSink := cfg.OnCheckpoint; ckpt != nil {
 			shardCfg.OnCheckpoint = func(st ShardState) {
-				if sink != nil {
-					sink.Update(st)
-				}
+				ckpt.update(st)
 				if userSink != nil {
 					userSink(st)
 				}
@@ -157,26 +146,35 @@ func ScanParallel(ctx context.Context, cfg Config, drv Driver, shards int, handl
 		// into the packet layer, and the scanner's pre-drain Flush keeps
 		// checkpoint and dedup semantics identical to direct sends.
 		shardDrv := drv
-		var ring *RingDriver
 		if cfg.RingSize > 0 {
-			ring = NewRingDriver(drv, cfg.RingSize)
+			rings[i] = NewRingDriver(drv, cfg.RingSize)
 			if cfg.Tracer != nil {
-				ring.SetTracer(cfg.Tracer, i)
+				rings[i].SetTracer(cfg.Tracer, i)
 			}
-			shardDrv = ring
+			shardDrv = rings[i]
 		}
-		scanner, err := New(shardCfg, shardDrv)
-		if err != nil {
-			if ring != nil {
-				ring.Close()
+		var err error
+		if scanners[i], err = New(shardCfg, shardDrv); err != nil {
+			for _, ring := range rings[:i+1] {
+				if ring != nil {
+					ring.Close()
+				}
 			}
-			return total, err
+			return Stats{}, err
 		}
+	}
+	var (
+		mu       sync.Mutex // guards total / firstErr
+		total    Stats
+		firstErr error
+		wg       sync.WaitGroup
+	)
+	for i := range scanners {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			stats, err := scanner.Run(ctx, dedupHandler)
-			if ring != nil {
+			stats, err := scanners[i].Run(ctx, dedupHandler)
+			if ring := rings[i]; ring != nil {
 				// Close drains anything still queued; transmissions the
 				// underlying driver then rejected surface as send errors
 				// (they were already counted sent at ring acceptance, the
@@ -196,22 +194,15 @@ func ScanParallel(ctx context.Context, cfg Config, drv Driver, shards int, handl
 	}
 	wg.Wait()
 
-	for i := range stripes {
-		total.Unique += uint64(len(stripes[i].seen))
-		total.Duplicates += stripes[i].dups
-	}
-	mu.Lock()
+	total.Unique = uint64(len(seen.m))
+	total.Duplicates += seen.dups
 	if ckpt != nil {
 		// Rewrite once more so the file's responder set includes every
 		// shard's final emissions, and surface any write failure.
-		if err := ckpt.Flush(); err != nil && firstErr == nil {
-			firstErr = err
+		ckpt.write()
+		if firstErr == nil {
+			firstErr = ckpt.err
 		}
 	}
-	err := firstErr
-	mu.Unlock()
-	if err != nil && !errors.Is(err, context.Canceled) {
-		return total, err
-	}
-	return total, err
+	return total, firstErr
 }

@@ -1,7 +1,9 @@
 package xmap
 
 import (
+	"bytes"
 	"context"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -24,6 +26,47 @@ func collectScan(t *testing.T, cfg Config, drv Driver) (Stats, map[ipv6.Addr]boo
 	return stats, seen
 }
 
+// recordedLeg is one scanner run with everything a resume needs: every
+// checkpoint state, the emissions in order, and how many had been made
+// when each state was cut.
+type recordedLeg struct {
+	states  []ShardState
+	cuts    []int
+	emitted []ipv6.Addr
+	stats   Stats
+	err     error
+}
+
+// runRecorded runs cfg to its end (or ctx's), recording as above; an
+// OnCheckpoint already in cfg runs after the record is taken.
+func runRecorded(t *testing.T, ctx context.Context, cfg Config, drv Driver) *recordedLeg {
+	t.Helper()
+	leg := &recordedLeg{}
+	user := cfg.OnCheckpoint
+	cfg.OnCheckpoint = func(st ShardState) {
+		leg.states = append(leg.states, st)
+		leg.cuts = append(leg.cuts, len(leg.emitted))
+		if user != nil {
+			user(st)
+		}
+	}
+	s, err := New(cfg, drv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leg.stats, leg.err = s.Run(ctx, func(r Response) { leg.emitted = append(leg.emitted, r.Responder) })
+	return leg
+}
+
+// checkpointAt is the one-shard Checkpoint a kill right after state i
+// would leave on disk: that state and the responders reported up to it.
+func (l *recordedLeg) checkpointAt(cfg Config, i int) *Checkpoint {
+	return &Checkpoint{
+		Digest: ConfigDigest(cfg, 1), Shards: 1,
+		Responders: l.emitted[:l.cuts[i]], States: []ShardState{l.states[i]},
+	}
+}
+
 // TestResumeMatchesUninterrupted is the kill-and-resume differential
 // oracle at the single-scanner level: a scan stopped mid-cycle and
 // resumed from its last periodic checkpoint must report exactly the
@@ -43,43 +86,30 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 	// 100 with periodic checkpoints. The crash discards everything after
 	// the last periodic state (target 96), like a real kill -9 would.
 	f := buildFixture(t)
-	var states []ShardState
 	cfg := base(f)
 	cfg.MaxTargets = 100
 	cfg.CheckpointEvery = checkpointEvery
-	cfg.OnCheckpoint = func(st ShardState) { states = append(states, st) }
-	s, err := New(cfg, f.drv)
-	if err != nil {
-		t.Fatal(err)
+	leg1 := runRecorded(t, context.Background(), cfg, f.drv)
+	if leg1.err != nil {
+		t.Fatal(leg1.err)
 	}
-	leg1Seen := map[ipv6.Addr]bool{}
-	if _, err := s.Run(context.Background(), func(r Response) { leg1Seen[r.Responder] = true }); err != nil {
-		t.Fatal(err)
+	if len(leg1.states) < 2 {
+		t.Fatalf("only %d checkpoint states emitted", len(leg1.states))
 	}
-	if len(states) < 2 {
-		t.Fatalf("only %d checkpoint states emitted", len(states))
-	}
-	crash := states[len(states)-2] // last periodic state, not the exit flush
+	last := len(leg1.states) - 2 // last periodic state, not the exit flush
+	crash := leg1.states[last]
 	if crash.Stats.Targets != 96 {
 		t.Fatalf("periodic checkpoint at %d targets, want 96", crash.Stats.Targets)
 	}
 
 	// Leg 2: resume on the same fixture (the network kept existing).
 	cfg2 := base(f)
-	cfg2.Resume = &crash
-	s2, err := New(cfg2, f.drv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	leg2Seen := map[ipv6.Addr]bool{}
-	leg2Stats, err := s2.Run(context.Background(), func(r Response) { leg2Seen[r.Responder] = true })
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg2.ResumeFrom = leg1.checkpointAt(cfg2, last)
+	leg2Stats, leg2Seen := collectScan(t, cfg2, f.drv)
 
 	// The union of both legs' emissions equals the uninterrupted set.
 	union := map[ipv6.Addr]bool{}
-	for a := range leg1Seen {
+	for _, a := range leg1.emitted {
 		union[a] = true
 	}
 	for a := range leg2Seen {
@@ -109,37 +139,29 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 func TestResumeAfterCancellation(t *testing.T) {
 	f := buildFixture(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	var last ShardState
 	cfg := Config{
 		Window: window(t, f), Seed: []byte("cancel"),
 		CheckpointEvery: 16,
 		OnCheckpoint: func(st ShardState) {
-			last = st
 			if st.Stats.Targets >= 48 {
 				cancel() // the "signal" arrives mid-scan
 			}
 		},
 	}
-	s, err := New(cfg, f.drv)
-	if err != nil {
-		t.Fatal(err)
+	leg1 := runRecorded(t, ctx, cfg, f.drv)
+	if leg1.err != context.Canceled {
+		t.Fatalf("run returned %v, want context.Canceled", leg1.err)
 	}
-	seen := map[ipv6.Addr]bool{}
-	if _, err := s.Run(ctx, func(r Response) { seen[r.Responder] = true }); err != context.Canceled {
-		t.Fatalf("run returned %v, want context.Canceled", err)
-	}
-	if last.Done {
+	exit := len(leg1.states) - 1
+	if leg1.states[exit].Done {
 		t.Fatal("cancelled scan checkpointed as done")
 	}
 
-	cfg2 := Config{Window: window(t, f), Seed: []byte("cancel"), Resume: &last}
-	s2, err := New(cfg2, f.drv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := s2.Run(context.Background(), func(r Response) { seen[r.Responder] = true })
-	if err != nil {
-		t.Fatal(err)
+	cfg2 := Config{Window: window(t, f), Seed: []byte("cancel")}
+	cfg2.ResumeFrom = leg1.checkpointAt(cfg2, exit)
+	stats, seen := collectScan(t, cfg2, f.drv)
+	for _, a := range leg1.emitted {
+		seen[a] = true
 	}
 	if stats.Targets != 256 {
 		t.Errorf("cumulative targets = %d, want 256", stats.Targets)
@@ -216,11 +238,20 @@ func TestScanParallelCheckpointResume(t *testing.T) {
 }
 
 // TestScanParallelResumeRejectsSkew: a checkpoint must not resume under
-// a different identity configuration.
+// a different identity configuration, and the refusal leaves the file
+// it was loaded from as it was.
 func TestScanParallelResumeRejectsSkew(t *testing.T) {
 	f := buildFixture(t)
 	cfg := Config{Window: window(t, f), Seed: []byte("skew")}
-	ck := &Checkpoint{Digest: ConfigDigest(cfg, 2), Shards: 2}
+	cfg.CheckpointPath = filepath.Join(t.TempDir(), "scan.ckpt")
+	ck := &Checkpoint{Digest: ConfigDigest(cfg, 2), Shards: 2, States: []ShardState{{Shard: 1}}}
+	if err := ck.WriteFile(cfg.CheckpointPath); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(cfg.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	bad := cfg
 	bad.Seed = []byte("other-seed")
@@ -232,86 +263,135 @@ func TestScanParallelResumeRejectsSkew(t *testing.T) {
 	if _, err := ScanParallel(context.Background(), cfg, f.drv, 4, nil); err == nil {
 		t.Error("shard-count skew accepted")
 	}
-}
-
-// TestResumeRestoresDedup: a responder reported before the crash must
-// not be re-emitted after resume even when its sub-prefix is re-probed.
-func TestResumeRestoresDedup(t *testing.T) {
-	for _, exact := range []bool{false, true} {
-		f := buildFixture(t)
-		var states []ShardState
-		cfg := Config{
-			Window: window(t, f), Seed: []byte("dedup-resume"),
-			DedupExact: exact, MaxTargets: 220, CheckpointEvery: 16,
-			OnCheckpoint: func(st ShardState) { states = append(states, st) },
-		}
-		s, err := New(cfg, f.drv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stats1, err := s.Run(context.Background(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats1.Unique == 0 {
-			t.Fatal("leg 1 found nothing; dedup restore untestable")
-		}
-		crash := states[len(states)-1]
-		cfg2 := Config{
-			Window: window(t, f), Seed: []byte("dedup-resume"),
-			DedupExact: exact, Resume: &crash,
-		}
-		s2, err := New(cfg2, f.drv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reEmitted := 0
-		stats2, err := s2.Run(context.Background(), func(r Response) { reEmitted++ })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := stats2.Unique - stats1.Unique; uint64(reEmitted) != want {
-			t.Errorf("exact=%v: leg 2 emitted %d responders, want %d new ones", exact, reEmitted, want)
-		}
-		if exact {
-			// The restored exact set still carries response counts.
-			if counts := s2.ResponderCounts(); len(counts) == 0 {
-				t.Error("restored exact dedup lost responder counts")
-			}
-		}
+	if after, err := os.ReadFile(cfg.CheckpointPath); err != nil || !bytes.Equal(after, before) {
+		t.Errorf("refused resume rewrote the checkpoint file (read error %v)", err)
 	}
 }
 
-// TestResumeValidation: malformed shard states must be rejected at
-// construction, not crash the scan.
+// TestResumeRestoresDedup: a scan killed after its last periodic
+// checkpoint re-probes the tail, and the ISP router that answered before
+// the cut answers again. No responder reported before the cut may reach
+// the handler a second time — under both dedup implementations, direct
+// and through a transmission ring. Responders first seen in the re-sent
+// tail may repeat: the file never heard of them (the kill -9 cost).
+func TestResumeRestoresDedup(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		exact, ring bool
+	}{
+		{"bloom", false, false},
+		{"exact", true, false},
+		{"bloom-ring", false, true},
+		{"exact-ring", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := buildFixture(t)
+			driver := func() (Driver, func()) {
+				if !tc.ring {
+					return f.drv, func() {}
+				}
+				ring := NewRingDriver(f.drv, 16)
+				return ring, ring.Close
+			}
+			cfg := Config{
+				Window: window(t, f), Seed: []byte("dedup-resume"),
+				DedupExact: tc.exact, MaxTargets: 220, CheckpointEvery: 16,
+			}
+			drv, closeDrv := driver()
+			leg1 := runRecorded(t, context.Background(), cfg, drv)
+			closeDrv()
+			if leg1.err != nil {
+				t.Fatal(leg1.err)
+			}
+			last := len(leg1.states) - 2 // last periodic state, not the exit flush
+			cut := leg1.cuts[last]
+			if cut == 0 || leg1.states[last].Stats.Targets >= 220 {
+				t.Fatalf("cut after %d emissions at %d targets; nothing to suppress or no tail to re-probe",
+					cut, leg1.states[last].Stats.Targets)
+			}
+			beforeCut := map[ipv6.Addr]bool{}
+			for _, a := range leg1.emitted[:cut] {
+				beforeCut[a] = true
+			}
+
+			cfg2 := Config{Window: window(t, f), Seed: []byte("dedup-resume"), DedupExact: tc.exact}
+			cfg2.ResumeFrom = leg1.checkpointAt(cfg2, last)
+			drv, closeDrv = driver()
+			defer closeDrv()
+			s2, err := New(cfg2, drv)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh := 0
+			stats2, err := s2.Run(context.Background(), func(r Response) {
+				if beforeCut[r.Responder] {
+					t.Errorf("responder %s, reported before the cut, handed to the handler again", r.Responder)
+				}
+				fresh++
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats2.Duplicates <= leg1.states[last].Stats.Duplicates {
+				t.Error("resumed leg suppressed nothing: the router never answered again, so the test proves nothing")
+			}
+			if want := leg1.states[last].Stats.Unique + uint64(fresh); stats2.Unique != want {
+				t.Errorf("cumulative Unique = %d, want %d (checkpointed) + %d (new)", stats2.Unique, want-uint64(fresh), fresh)
+			}
+			if tc.exact {
+				// The seeded exact set counts from 1: the resumed leg's answers.
+				counts := s2.ResponderCounts()
+				for a := range beforeCut {
+					if counts[a] == 0 {
+						t.Errorf("seeded responder %s missing from ResponderCounts", a)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestResumeValidation: a checkpoint that does not fit the scanner must
+// be rejected at construction, not crash or silently misdirect the scan.
 func TestResumeValidation(t *testing.T) {
 	f := buildFixture(t)
 	base := Config{Window: window(t, f), Seed: []byte("val")}
-
-	wrongShard := base
-	wrongShard.Resume = &ShardState{Shard: 3}
-	if _, err := New(wrongShard, f.drv); err == nil {
-		t.Error("shard-index mismatch accepted")
+	resume := func(cfg Config, shards int, st ShardState) Config {
+		cfg.ResumeFrom = &Checkpoint{Digest: ConfigDigest(cfg, shards), Shards: shards, States: []ShardState{st}}
+		return cfg
 	}
 
-	kindSkew := base
-	kindSkew.Resume = &ShardState{DedupKind: dedupKindExact, Dedup: (mapDedup{}).appendState(nil)}
-	if _, err := New(kindSkew, f.drv); err == nil {
-		t.Error("dedup kind skew accepted (bloom config, exact state)")
+	if _, err := New(resume(base, 1, ShardState{}), f.drv); err != nil {
+		t.Errorf("fitting checkpoint refused: %v", err)
 	}
 
-	badDedup := base
-	badDedup.DedupExact = true
-	badDedup.Resume = &ShardState{DedupKind: dedupKindExact, Dedup: []byte{1, 2, 3}}
-	if _, err := New(badDedup, f.drv); err == nil {
-		t.Error("corrupt dedup state accepted")
+	seedSkew := resume(base, 1, ShardState{})
+	seedSkew.Seed = []byte("other")
+	if _, err := New(seedSkew, f.drv); err == nil {
+		t.Error("checkpoint of another seed accepted")
 	}
 
-	retriesOff := base
+	shardSkew := resume(base, 4, ShardState{})
+	if _, err := New(shardSkew, f.drv); err == nil {
+		t.Error("four-shard checkpoint accepted by a lone scanner")
+	}
+
+	// The dedup implementation is not part of a checkpoint's identity.
+	exact := resume(base, 1, ShardState{})
+	exact.DedupExact = true
+	if _, err := New(exact, f.drv); err != nil {
+		t.Errorf("switching dedup implementation across a resume refused: %v", err)
+	}
+
 	r := newRetryRing(4)
 	r.push(retryEntry{dst: retryAddr(1), due: 1, attempts: 1})
-	retriesOff.Resume = &ShardState{Retry: r.appendState(nil)}
+	retriesOff := resume(base, 1, ShardState{Retry: r.appendState(nil)})
 	if _, err := New(retriesOff, f.drv); err == nil {
 		t.Error("pending retries accepted with retries disabled")
+	}
+	badRetry := resume(base, 1, ShardState{Retry: []byte{0, 0, 0, 9, 1, 2, 3}})
+	badRetry.Retries = 1
+	if _, err := New(badRetry, f.drv); err == nil {
+		t.Error("corrupt retry state accepted")
 	}
 }

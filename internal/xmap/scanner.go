@@ -75,15 +75,15 @@ type Config struct {
 	// OnCheckpoint, when set, receives checkpoint states: periodically
 	// per CheckpointEvery, and at every exit including cancellation.
 	OnCheckpoint func(ShardState)
-	// Resume restores a previous run's ShardState — permutation cursor,
-	// cumulative statistics, dedup and retry state — and continues the
-	// scan mid-cycle.
-	Resume *ShardState
 	// CheckpointPath, under ScanParallel, persists the assembled scan
 	// checkpoint to this file (atomic replace) on every shard update.
 	CheckpointPath string
-	// ResumeFrom, under ScanParallel, resumes a checkpoint written via
-	// CheckpointPath; its config digest is verified first.
+	// ResumeFrom continues an interrupted scan mid-cycle. New verifies
+	// the checkpoint's config digest, restores the state recorded for
+	// ShardIndex (permutation cursor, cumulative statistics, retry ring;
+	// a shard without one starts over) and re-adds every listed responder
+	// to the dedup set, so none is handed to the handler again. A lone
+	// Scanner takes a one-shard Checkpoint.
 	ResumeFrom *Checkpoint
 	// Telemetry, when set, receives live counters, gauges and histograms
 	// as the scan runs; the scanner writes to the registry shard
@@ -140,6 +140,7 @@ type Scanner struct {
 	block   *lpm.Table[bool]
 	allow   *lpm.Table[bool]
 	dedup   dedupSet
+	resume  *ShardState     // nil unless Config.ResumeFrom holds this shard's state
 	retry   *retryRing      // nil unless Config.Retries > 0
 	aimd    *aimdController // nil unless Config.AIMD
 	alias   *aliasDetector  // nil unless Config.Defend
@@ -292,21 +293,19 @@ func New(cfg Config, drv Driver) (*Scanner, error) {
 	if cfg.AIMD {
 		s.aimd = newAIMD(cfg.DrainEvery)
 	}
-	if r := cfg.Resume; r != nil {
-		if r.Shard != cfg.ShardIndex {
-			return nil, fmt.Errorf("xmap: resume state is for shard %d, scanner is shard %d", r.Shard, cfg.ShardIndex)
+	if ck := cfg.ResumeFrom; ck != nil {
+		if err := ck.Verify(cfg, cfg.Shards); err != nil {
+			return nil, err
 		}
-		if len(r.Dedup) > 0 {
-			if r.DedupKind != s.dedup.kind() {
-				return nil, fmt.Errorf("xmap: resume dedup kind %d, configuration wants %d (DedupExact changed?)", r.DedupKind, s.dedup.kind())
-			}
-			restored, err := dedupFromState(r.DedupKind, r.Dedup)
-			if err != nil {
-				return nil, fmt.Errorf("xmap: restoring dedup state: %w", err)
-			}
-			s.dedup = restored
+		// The list holds every responder any shard reported, a superset of
+		// what this shard's set held when the state was cut; adds are
+		// order-independent, so the seeded set suppresses at least what
+		// the interrupted one did.
+		for _, a := range ck.Responders {
+			s.dedup.add(a)
 		}
-		if len(r.Retry) > 4 { // 4 bytes is an empty ring's count header
+		s.resume, _ = ck.StateFor(cfg.ShardIndex)
+		if r := s.resume; r != nil && len(r.Retry) > 4 { // 4 bytes is an empty ring's count header
 			if s.retry == nil {
 				return nil, fmt.Errorf("xmap: resume state has pending retries but retries are disabled")
 			}
@@ -321,7 +320,9 @@ func New(cfg Config, drv Driver) (*Scanner, error) {
 // ResponderCounts returns per-responder response counts when the exact
 // dedup set is in use (Config.DedupExact), nil otherwise. Infrastructure
 // routers answer for many destinations; peripheries for few — the
-// distinction Section IV-E's periphery validation leans on.
+// distinction Section IV-E's periphery validation leans on. After a
+// resume the counts cover the resumed leg only: every responder of the
+// checkpoint starts at 1.
 func (s *Scanner) ResponderCounts() map[ipv6.Addr]uint64 {
 	if m, ok := s.dedup.(mapDedup); ok {
 		return m
@@ -403,16 +404,16 @@ const (
 // the burst. A rate limit forces per-probe pacing, so the paced path
 // sends each probe as a one-packet burst instead.
 //
-// With Config.Resume set, the scan continues mid-cycle: the permutation
-// cursor fast-forwards past the probed prefix of the shard's sequence,
-// statistics accumulate on top of the restored ones, and the restored
-// dedup state keeps already-reported responders suppressed.
+// With Config.ResumeFrom set, the scan continues mid-cycle: the
+// permutation cursor fast-forwards past the probed prefix of the shard's
+// sequence, statistics accumulate on top of the restored ones, and the
+// re-seeded dedup set keeps already-reported responders suppressed.
 func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
 	var stats Stats
 	var priorElapsed time.Duration
 	start := time.Now()
 	var it *perm.Iterator
-	if r := s.cfg.Resume; r != nil {
+	if r := s.resume; r != nil {
 		stats = r.Stats
 		priorElapsed = r.Stats.Elapsed
 		it = s.cycle.ShardAt(s.cfg.ShardIndex, s.cfg.Shards, r.Consumed)
@@ -535,20 +536,18 @@ func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
 		nextCkpt = stats.Targets + s.cfg.CheckpointEvery
 	}
 	// emit hands the current resumable state to the checkpoint sink. It
-	// runs only after a flush+drain, so the serialized dedup set reflects
-	// every response collected so far.
+	// runs only after a flush+drain, so the handler has been given every
+	// responder of the probes the cursor covers.
 	emit := func(done bool) {
 		if s.cfg.OnCheckpoint == nil {
 			return
 		}
 		stats.Elapsed = priorElapsed + time.Since(start)
 		st := ShardState{
-			Shard:     s.cfg.ShardIndex,
-			Done:      done,
-			Consumed:  it.Consumed(),
-			Stats:     stats,
-			DedupKind: s.dedup.kind(),
-			Dedup:     s.dedup.appendState(nil),
+			Shard:    s.cfg.ShardIndex,
+			Done:     done,
+			Consumed: it.Consumed(),
+			Stats:    stats,
 		}
 		if s.retry != nil {
 			st.Retry = s.retry.appendState(nil)
@@ -561,7 +560,7 @@ func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
 	}
 	// pumpDue reports whether the send window should close now: it is
 	// full, or a checkpoint interval expired (a checkpoint needs the
-	// flush+drain for a consistent dedup snapshot, so it forces one).
+	// flush+drain for a consistent responder snapshot, so it forces one).
 	pumpDue := func() bool {
 		return sinceDrain >= window || (nextCkpt > 0 && stats.Targets >= nextCkpt)
 	}
