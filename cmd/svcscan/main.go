@@ -7,6 +7,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/analysis"
@@ -18,26 +19,38 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "svcscan:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run executes one CLI invocation. Flags live on a private FlagSet and
+// all output goes through the writer arguments, so tests drive the
+// command end to end without process-global state.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("svcscan", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		ispIndex = flag.Int("isp", 13, "Table I ISP index to scan (1-15)")
-		seed     = flag.Int64("seed", 1, "deployment seed")
-		scale    = flag.Float64("scale", 0.0005, "population scale")
-		width    = flag.Int("width", 12, "window width in bits")
-		maxDev   = flag.Int("max-devices", 2000, "cap on devices per ISP")
+		ispIndex = fs.Int("isp", 13, "Table I ISP index to scan (1-15)")
+		seed     = fs.Int64("seed", 1, "deployment seed")
+		scale    = fs.Float64("scale", 0.0005, "population scale")
+		width    = fs.Int("width", 12, "window width in bits")
+		maxDev   = fs.Int("max-devices", 2000, "cap on devices per ISP")
 	)
-	flag.Parse()
-
-	dep, err := topo.Build(topo.Config{
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	return census(topo.Config{
 		Seed: *seed, Scale: *scale, WindowWidth: *width,
 		MaxDevicesPerISP: *maxDev, OnlyISPs: []int{*ispIndex},
-	})
+	}, stdout)
+}
+
+// census builds the one-ISP deployment cfg describes, discovers its
+// peripheries, probes their services and prints both tables.
+func census(cfg topo.Config, stdout io.Writer) error {
+	dep, err := topo.Build(cfg)
 	if err != nil {
 		return err
 	}
@@ -46,7 +59,7 @@ func run() error {
 
 	scanner, err := xmap.New(xmap.Config{
 		Window:     isp.Window,
-		Seed:       []byte(fmt.Sprintf("svcscan-%d", *seed)),
+		Seed:       []byte(fmt.Sprintf("svcscan-%d", cfg.Seed)),
 		DedupExact: true,
 	}, drv)
 	if err != nil {
@@ -85,7 +98,7 @@ func run() error {
 		}
 		t.AddRow("Total (>=1)", report.Count(row.Total), report.Pct(row.TotalPct()))
 	}
-	fmt.Print(t.String())
+	fmt.Fprint(stdout, t.String())
 
 	sw := analysis.BuildTableVIII(peripheries)
 	st := report.Table{
@@ -97,6 +110,6 @@ func run() error {
 			st.AddRow(svc.String(), sc.Software, report.Count(sc.Count), fmt.Sprintf("%d", sc.CVEs))
 		}
 	}
-	fmt.Print(st.String())
+	fmt.Fprint(stdout, st.String())
 	return nil
 }

@@ -74,7 +74,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		ckptN    = fs.Uint64("checkpoint-every", 4096, "targets between periodic checkpoints")
 		resumeF  = fs.Bool("resume", false, "resume the scan recorded in the -checkpoint file")
 		monitorN = fs.Int("monitor-every", 0, "print a ZMap-style status line to stderr every N probed targets (0 = off)")
-		fastF    = fs.Bool("fastpath", true, "compiled forwarding fast path in the simulated network, cold sweeps included (disable to A/B the interpreted engine)")
+		fastF    = fs.Bool("fastpath", true, "compiled forwarding fast path in the simulated network: consulted at injection, for plain runs, when no fault layer or tap is installed (disable to A/B the interpreted engine)")
 		statusF  = fs.String("status-json", "", "write the merged telemetry snapshot as JSON to this file ('-' for stderr)")
 		listenF  = fs.String("listen", "", "serve /telemetry, /trace, expvar and pprof over HTTP on this address for the scan's duration")
 		sampleF  = fs.Int("trace-sample", -1, "trace 1/2^k of targets through the full probe lifecycle (0 = every target, -1 = off)")

@@ -45,6 +45,27 @@ func TestEngineCounters(t *testing.T) {
 	if c.Dropped != 0 {
 		t.Errorf("Dropped = %d on a lossless link", c.Dropped)
 	}
+	// Hits and misses partition the packets offered to the flow cache:
+	// one per injection, none for the replies on their way back. The
+	// router answers echoes to its own address itself — a negative
+	// entry, so every one of these is a miss.
+	if c.FastPathHits != 0 || c.FastPathMisses != 10 {
+		t.Errorf("hits %d, misses %d, want 0 and 10 (one miss per injection)", c.FastPathHits, c.FastPathMisses)
+	}
+	// A tapped or armed engine offers nothing to the cache, so neither
+	// counter moves; a disabled one likewise.
+	eng.SetTap(func(*Iface, []byte, bool) {})
+	n.grp.Inject(echoTo(t, n.addrs[0], 10))
+	eng.SetTap(nil)
+	eng.SetFault(func(*Iface, []byte) FaultOutcome { return FaultOutcome{} })
+	n.grp.Inject(echoTo(t, n.addrs[0], 11))
+	eng.SetFault(nil)
+	eng.SetFastPath(false)
+	n.grp.Inject(echoTo(t, n.addrs[0], 12))
+	if c2 := eng.Counters(); c2.FastPathHits != c.FastPathHits || c2.FastPathMisses != c.FastPathMisses {
+		t.Errorf("observed/disabled injections moved the account: hits %d -> %d, misses %d -> %d",
+			c.FastPathHits, c2.FastPathHits, c.FastPathMisses, c2.FastPathMisses)
+	}
 }
 
 // TestEngineCountersCountDrops: on a 100%-loss link every attempt is
@@ -65,6 +86,10 @@ func TestEngineCountersCountDrops(t *testing.T) {
 	}
 	if c.Transmissions != 5 {
 		t.Errorf("Transmissions = %d, want 5 attempts counted", c.Transmissions)
+	}
+	// A lossy injection link is a failed replay guard: offered, missed.
+	if c.FastPathHits != 0 || c.FastPathMisses != 5 {
+		t.Errorf("hits %d, misses %d on a lossy injection link, want 0 and 5", c.FastPathHits, c.FastPathMisses)
 	}
 }
 
@@ -90,7 +115,6 @@ func TestGroupCountersSumShards(t *testing.T) {
 		want.FastPathHits += c.FastPathHits
 		want.FastPathMisses += c.FastPathMisses
 		want.FastPathInvalidations += c.FastPathInvalidations
-		want.FastPathBatched += c.FastPathBatched
 		want.FastPathCompiles += c.FastPathCompiles
 		want.FastPathEvictions += c.FastPathEvictions
 	}
@@ -108,16 +132,26 @@ func TestGroupCountersSumShards(t *testing.T) {
 func TestEngineCountersCompilesAndEvictions(t *testing.T) {
 	n := buildGroupNet(t, 1)
 	eng := n.grp.Shard(0)
+	// No route behind the router: every probe draws the same compiled
+	// Destination Unreachable.
+	noRoute := ipv6.MustParseAddr("2001:100:dead::1")
 	for i := 0; i < 10; i++ {
-		n.grp.Inject(echoTo(t, n.addrs[0], uint16(i)))
+		n.grp.Inject(echoTo(t, noRoute, uint16(i)))
 	}
-	n.edge.Drain()
+	if got := len(n.edge.Drain()); got != 10 {
+		t.Fatalf("%d replies to 10 no-route probes", got)
+	}
 	c := eng.Counters()
-	if c.FastPathCompiles == 0 || c.FastPathCompiles > 2 {
-		t.Errorf("FastPathCompiles = %d for one flow probed ten times, want 1 or 2", c.FastPathCompiles)
+	if c.FastPathCompiles != 1 {
+		t.Errorf("FastPathCompiles = %d for one flow probed ten times, want 1", c.FastPathCompiles)
 	}
 	if c.FastPathEvictions != 0 {
 		t.Errorf("FastPathEvictions = %d on a near-empty table", c.FastPathEvictions)
+	}
+	// The compile is the miss of the injection that needed it; the other
+	// nine replay it.
+	if c.FastPathHits != 9 || c.FastPathMisses != 1 {
+		t.Errorf("hits %d, misses %d over 10 injections of one flow, want 9 and 1", c.FastPathHits, c.FastPathMisses)
 	}
 
 	fp := flowCache{gen: 1}

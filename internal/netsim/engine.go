@@ -194,18 +194,12 @@ type Engine struct {
 	owner       *byte
 	ownerReused bool
 
-	// ftr observes sampled flow crossings (trace.go). trOn/trHi/trLo
-	// latch one fused replay's sampling decision so the plain charging
-	// loops synthesize crossings without re-deriving the flow key.
-	ftr  FlowTracer
-	trOn bool
-	trHi uint64
-	trLo uint64
+	// ftr observes sampled flow crossings (trace.go).
+	ftr FlowTracer
 
 	// fp is the compiled forwarding fast path (flowcache.go);
 	// fpScratchH/fpScratchC are the hot/cold halves of the entry under
-	// compilation, kept off the stack so flows that turn out unkeyable
-	// can still be served from them without the compile allocating.
+	// compilation, kept off the stack so a compile never allocates.
 	fp         flowCache
 	fpScratchH flowHot
 	fpScratchC flowCold
@@ -260,19 +254,18 @@ func (e *Engine) Links() []*Link {
 
 // SetFault installs (or, with nil, removes) a fault-injection layer
 // consulted on every link transmission. Simulation tests use it for
-// seeded loss, duplication, reordering and outage windows.
+// seeded loss, duplication, reordering and outage windows. While a
+// layer is installed every packet is interpreted; the flows compiled
+// before stay valid for when it is removed.
 func (e *Engine) SetFault(f FaultFunc) {
 	e.mu.Lock()
 	e.fault = f
-	// Replay consults the live fault layer, but compiled entries also
-	// cache fault-independent facts (losslessness); recompile.
-	e.fp.bumpLocked()
 	e.mu.Unlock()
 }
 
 // SetFastPath enables or disables the compiled forwarding fast path
 // (flowcache.go). Enabled by default; disabling frees the flow table
-// and forces every delivery onto the interpreted path.
+// and forces every packet onto the interpreted path.
 func (e *Engine) SetFastPath(on bool) {
 	e.mu.Lock()
 	if e.fp.enabled != on {
@@ -298,7 +291,8 @@ func (e *Engine) InvalidateFlows() {
 }
 
 // SetTap installs (or, with nil, removes) an observer of every link
-// transmission. Invariant checkers hook in here.
+// transmission. Invariant checkers hook in here. While a tap is
+// installed every packet is interpreted, crossing by crossing.
 func (e *Engine) SetTap(t TapFunc) {
 	e.mu.Lock()
 	e.tap = t
@@ -311,10 +305,8 @@ func (e *Engine) SetTap(t TapFunc) {
 func (e *Engine) Inject(from *Iface, pkt []byte) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	cp := e.getBufLocked(len(pkt))
-	copy(cp, pkt)
-	e.transmitLocked(from, cp, false)
-	return e.runLocked()
+	one := [1][]byte{pkt}
+	return e.injectLocked(from, one[:])
 }
 
 // InjectBatch is Inject for multiple packets from the same interface
@@ -322,17 +314,21 @@ func (e *Engine) Inject(from *Iface, pkt []byte) int {
 // packets were injected one Inject call at a time — every stat charge,
 // seeded loss and fault decision lands identically — which is what lets
 // the batched scanner path be diffed against the per-packet path under
-// fault injection. Runs of packets that resolve to warm lossless flow
-// entries are replayed batch-at-a-time (inject.go); everything else
-// falls back to the per-packet transmit-and-pump loop.
+// fault injection.
 func (e *Engine) InjectBatch(from *Iface, pkts [][]byte) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.injectLocked(from, pkts)
+}
+
+// injectLocked is the body of Inject and InjectBatch: runs the flow
+// cache can answer are replayed whole (inject.go), every other packet is
+// interpreted to quiescence before the next is looked at.
+func (e *Engine) injectLocked(from *Iface, pkts [][]byte) int {
 	n := 0
-	i := 0
-	for i < len(pkts) {
-		if k, ev := e.injectFastLocked(from, pkts[i:]); k > 0 {
-			n += ev
+	for i := 0; i < len(pkts); {
+		if k := e.injectFastLocked(from, pkts[i:]); k > 0 {
+			n += k
 			i += k
 			continue
 		}
@@ -366,12 +362,12 @@ type Counters struct {
 	// Dropped counts transmissions discarded by link loss or a fault
 	// layer's Drop decision.
 	Dropped uint64
-	// FastPathHits counts deliveries served as fused replays from a
-	// warm compiled flow; FastPathMisses counts deliveries that had to
-	// compile first or fall back to the interpreter;
-	// FastPathInvalidations counts generation bumps (each discards
-	// every compiled flow). FastPathBatched is the subset of hits
-	// served by the batched injection path (group-charged replays).
+	// FastPathHits and FastPathMisses partition the packets offered to
+	// the flow cache — every injection while the fast path is enabled
+	// and the engine has neither a fault layer nor a tap: a hit replayed
+	// a flow compiled earlier, a miss compiled first, met a negative
+	// entry or failed a replay guard. FastPathInvalidations counts
+	// generation bumps (each discards every compiled flow).
 	// FastPathCompiles counts route-compilation walks and
 	// FastPathEvictions live entries overwritten because the table was
 	// full: compiles near the probe count, or any evictions, mean the
@@ -379,7 +375,6 @@ type Counters struct {
 	FastPathHits          uint64
 	FastPathMisses        uint64
 	FastPathInvalidations uint64
-	FastPathBatched       uint64
 	FastPathCompiles      uint64
 	FastPathEvictions     uint64
 }
@@ -396,7 +391,6 @@ func (e *Engine) Counters() Counters {
 		FastPathHits:          e.fp.hits,
 		FastPathMisses:        e.fp.misses,
 		FastPathInvalidations: e.fp.invalidations,
-		FastPathBatched:       e.fp.batched,
 		FastPathCompiles:      e.fp.compiles,
 		FastPathEvictions:     e.fp.evictions,
 	}
@@ -464,8 +458,8 @@ func (e *Engine) discardLocked(pkt []byte) {
 // the fault layer) and hands the arrival at the peer to the event
 // queue. The engine owns pkt from here on. With chain set, a plain
 // in-order single delivery is returned to the caller instead of
-// enqueued — the pump's chained fast path, which forwards a packet hop
-// to hop without queue traffic. Drops and fault-layer rewrites
+// enqueued — the pump's chaining, which forwards a packet hop to hop
+// without queue traffic. Drops and fault-layer rewrites
 // (duplication, deferral) never chain.
 func (e *Engine) transmitLocked(from *Iface, pkt []byte, chain bool) (delivery, bool) {
 	l := from.link
@@ -586,27 +580,7 @@ func (e *Engine) runLocked() int {
 		} else {
 			d = e.fifo.pop()
 		}
-		// lookupFP gates the fast path per delivery: after a fused
-		// replay hands a packet back to the interpreter (fpContinue),
-		// that delivery runs interpreted once before lookups resume.
-		lookupFP := true
 		for {
-			if lookupFP && e.fp.enabled && e.queuedLocked() == 0 && n < e.budget {
-				res, cont := e.fpAttempt(d)
-				if res != fpMiss {
-					// The fused replay is one event, charged exactly
-					// like a queued delivery.
-					n++
-					e.steps++
-					if res == fpDone {
-						break
-					}
-					d = cont
-					lookupFP = false
-					continue
-				}
-			}
-			lookupFP = true
 			n++
 			e.steps++
 			e.owner, e.ownerReused = bufBase(d.pkt), false

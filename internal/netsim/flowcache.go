@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"encoding/binary"
 	"math/bits"
 	"unsafe"
 
@@ -10,24 +9,28 @@ import (
 )
 
 // This file is the compiled forwarding fast path: a per-engine flow
-// cache that records, on first delivery, the traversal a packet class
-// takes through statically-forwarding nodes — the ordered links
-// crossed, the per-hop hop-limit decrements, and the terminal action —
-// and replays it for subsequent packets of the same flow as one fused
-// event. Replay charges per-link stats and consumes per-link fault-RNG
-// draws in exactly the order sequential forwarding would, so loss,
-// duplication, reordering and rate-limiting behave identically (pinned
-// by simtest.RunFastPathOracle). Flows are keyed by (ingress interface,
-// destination); entries whose every forwarding decision is uniform
-// across the destination's /64 are stored wide, so the scanner's
-// random-IID probes into one window /64 share a single entry.
+// cache that records, the first time a packet class is injected, the
+// round trip it takes through statically-forwarding nodes — the links
+// crossed, the hop-limit decrements, the terminal action, the reply's
+// way back to an Edge — so later injections of the flow replay as one
+// fused event each (inject.go). The cache is consulted at injection,
+// for plain runs, on an unobserved engine: queued and chained
+// deliveries are interpreted; a round trip that did not compile end to
+// end over lossless links is cached negative and interpreted; and with
+// a fault layer or a tap installed nothing is looked up or compiled, so
+// loss, duplication, reordering and rate limiting are the interpreter's
+// alone. Flows are keyed by (ingress interface, destination); entries
+// whose every decision is uniform across a region of the destination
+// space are stored wide, so the scanner's random-IID probes into one
+// window cell share an entry.
 //
 // Only nodes that opt in via CompilableHop participate; anything with
 // per-packet state (a CPE in a vulnerable-loop mode, a UE, a node
-// behind a rate limiter whose decision isn't a pure error gate) falls
-// back to the interpreted path. Entries are validated against a
-// generation counter bumped on topology mutation, fault-layer change,
-// or fast-path toggle — a stale compiled path is never replayed.
+// behind a rate limiter whose decision isn't a pure error gate) stays
+// interpreted. Entries are validated against a generation counter
+// bumped on topology mutation or fast-path toggle — a stale compiled
+// path is never replayed — and hold no fault-dependent fact, so arming
+// and disarming a fault layer leaves them valid.
 
 // CompiledStep is one statically-forwarding hop recorded by route
 // compilation: the egress interface a packet to dst leaves through and
@@ -118,12 +121,10 @@ type hopExpirer interface {
 type entryKind uint8
 
 const (
-	// entryNeg: compilation failed; the flow is interpreted (cached so
-	// the walk isn't retried per packet). Always exact-match.
+	// entryNeg: the round trip did not compile end to end (a stateful
+	// hop or terminal, a lossy link, more than maxCompiledHops); the flow
+	// is interpreted, cached so the walk isn't retried. Always exact.
 	entryNeg entryKind = iota
-	// entryNode: fused transit crossings, then interpreted delivery to
-	// the terminal node.
-	entryNode
 	// entryEdge: fused transit ending in inline delivery to an Edge.
 	entryEdge
 	// entryError: fused transit, compiled ICMPv6 error at the terminal,
@@ -140,7 +141,7 @@ const (
 )
 
 // maxCompiledHops bounds recorded path length in each direction; longer
-// paths replay their prefix fused and continue interpreted.
+// paths are interpreted.
 const maxCompiledHops = 6
 
 // fpTmplLen is the inline error-template length: exactly the error's
@@ -170,12 +171,8 @@ const (
 	// fpFlagWide: the entry serves every destination sharing its masked
 	// hi bits (minus the cold tail's exclusions/holes).
 	fpFlagWide = 1 << 0
-	// fpFlagLossless: no crossed link has built-in loss, so replay under
-	// a nil fault layer consumes no RNG draws (matching the interpreter,
-	// which only draws when loss > 0) and can charge stats directly.
-	fpFlagLossless = 1 << 1
 	// fpFlagTmpl: the cold tail's error template is valid.
-	fpFlagTmpl = 1 << 2
+	fpFlagTmpl = 1 << 1
 )
 
 // flowHot is the hot header of one compiled flow: everything the
@@ -190,7 +187,6 @@ type flowHot struct {
 	hi, lo uint64 // destination (hi masked to width); lo ignored when wide
 	// gen validates the slot: live iff gen == flowCache.gen.
 	gen  uint64
-	term *Iface // terminal ingress (entryNode) / error emitter (entryError)
 	gate *errorGate
 	ifid uint32
 	// Shadow pre-filter: the region's /64 cells (≤16 of them when width
@@ -221,7 +217,7 @@ type flowHot struct {
 	hlIn      uint8
 	loopStart uint8
 	loopLen   uint8
-	_         [1]byte // explicit pad: 64 bytes total, asserted below
+	_         [9]byte // explicit pad: 64 bytes total, asserted below
 }
 
 // flowHotSize pins flowHot to one cache line; either assertion failing
@@ -231,9 +227,8 @@ const flowHotSize = 64
 var _ [flowHotSize - unsafe.Sizeof(flowHot{})]byte
 var _ [unsafe.Sizeof(flowHot{}) - flowHotSize]byte
 
-func (h *flowHot) wide() bool     { return h.flags&fpFlagWide != 0 }
-func (h *flowHot) lossless() bool { return h.flags&fpFlagLossless != 0 }
-func (h *flowHot) hasTmpl() bool  { return h.flags&fpFlagTmpl != 0 }
+func (h *flowHot) wide() bool    { return h.flags&fpFlagWide != 0 }
+func (h *flowHot) hasTmpl() bool { return h.flags&fpFlagTmpl != 0 }
 
 // flowCold is the cold tail of one compiled flow, held in an array
 // parallel to the hot headers: the forward/reverse hop lists, the reply
@@ -327,10 +322,6 @@ type flowCache struct {
 	// overwritten because their probe window was full at fpMaxSlots.
 	compiles  uint64
 	evictions uint64
-	// batched counts the hits served by the batched injection path
-	// (inject.go) — a subset of hits, surfaced so telemetry can show
-	// how much of a scan ran batch-grained.
-	batched uint64
 }
 
 // bumpLocked invalidates all compiled flows.
@@ -652,67 +643,13 @@ func prefixWidth(p ipv6.Prefix) uint8 {
 	return 0
 }
 
-// fpResult is the outcome of a fast-path attempt.
-type fpResult uint8
-
-const (
-	// fpMiss: nothing was replayed and no state changed; the caller
-	// interprets the delivery normally.
-	fpMiss fpResult = iota
-	// fpDone: the flow was fully replayed as one fused event.
-	fpDone
-	// fpContinue: a fused prefix of the path was replayed as one event;
-	// the returned delivery continues on the interpreted path.
-	fpContinue
-)
-
-// fpAttempt tries to serve delivery d from the flow cache, compiling
-// the flow on a miss. Called from the pump with the engine lock held
-// and the event queue empty.
-func (e *Engine) fpAttempt(d delivery) (fpResult, delivery) {
-	pkt := d.pkt
-	// Same validation as wire.ForwardDst: anything else takes the
-	// interpreted path (nodes drop it without touching the cache).
-	if len(pkt) < wire.HeaderLen || pkt[0]>>4 != 6 ||
-		len(pkt)-wire.HeaderLen < int(binary.BigEndian.Uint16(pkt[4:6])) {
-		return fpMiss, d
-	}
-	ifid := d.to.fpID
-	if ifid == 0 {
-		return fpMiss, d
-	}
-	hi := binary.BigEndian.Uint64(pkt[24:32])
-	lo := binary.BigEndian.Uint64(pkt[32:40])
-	j := e.fp.lookup(ifid, hi, lo)
-	cold := j < 0
-	var h *flowHot
-	var c *flowCold
-	if cold {
-		h, c = e.compileFlow(d.to, pkt)
-	} else {
-		h, c = &e.fp.hot[j], &e.fp.cold[j]
-	}
-	if h.kind == entryNeg {
-		e.fp.misses++
-		return fpMiss, d
-	}
-	res, cont := e.fpReplay(h, c, d)
-	switch {
-	case res == fpMiss || cold:
-		e.fp.misses++
-	default:
-		e.fp.hits++
-	}
-	return res, cont
-}
-
-// compileFlow dry-walks the path a packet delivered at `to` takes to
-// dst, recording compilable hops, and installs the resulting entry
-// (negative if nothing compiled). No Handle is executed and no state
-// mutated: the walk queries CompileStep/CompileTerminal only. The
-// entry is built in the engine's scratch pair, so even a flow that
-// cannot be cached is compiled without allocating.
-func (e *Engine) compileFlow(to *Iface, pkt []byte) (*flowHot, *flowCold) {
+// compileFlow dry-walks the round trip a packet delivered at `to` takes
+// to dst and installs the resulting entry (negative unless the whole
+// trip compiled) for the caller to look up. No Handle is executed and
+// no state mutated: the walk queries CompileStep/CompileTerminal only.
+// The entry is built in the engine's scratch pair, so compiling never
+// allocates.
+func (e *Engine) compileFlow(to *Iface, pkt []byte) {
 	e.fp.compiles++
 	dst := ipv6.AddrFromBytes(pkt[24:40])
 	u := dst.Uint128()
@@ -723,7 +660,7 @@ func (e *Engine) compileFlow(to *Iface, pkt []byte) (*flowHot, *flowCold) {
 	ent.ifid = to.fpID
 	ent.hi, ent.lo = u.Hi, u.Lo
 	ent.kind = entryNeg
-	ent.flags = fpFlagWide | fpFlagLossless
+	ent.flags = fpFlagWide
 	ent.width = 1
 	hlIn := pkt[7]
 	hl := hlIn
@@ -737,7 +674,7 @@ func (e *Engine) compileFlow(to *Iface, pkt []byte) (*flowHot, *flowCold) {
 		if _, isEdge := node.(*Edge); isEdge {
 			if ent.nf > 0 {
 				ent.kind = entryEdge
-				ent.term = in
+				cld.edge = in
 			}
 			break
 		}
@@ -745,33 +682,19 @@ func (e *Engine) compileFlow(to *Iface, pkt []byte) (*flowHot, *flowCold) {
 			// The hop limit expires at this node before any forwarding.
 			if he, ok := node.(hopExpirer); ok {
 				if term, ok := he.compileExpiry(in, dst); ok {
-					e.compileLoopTerm(ent, cld, in, term, pkt, hlIn,
-						int(ent.nf), 0, int(ent.nf))
-					break
+					compileLoopTerm(ent, cld, in, term, pkt, int(ent.nf), 0, int(ent.nf))
 				}
-			}
-			ent.flags &^= fpFlagWide
-			if ent.nf > 0 {
-				ent.kind = entryNode
-				ent.term = in
 			}
 			break
 		}
 		if ch, ok := node.(CompilableHop); ok {
 			if step, ok := ch.CompileStep(in, dst); ok {
-				if int(ent.nf) == maxCompiledHops || step.Out.link == nil {
-					// Path too long (replay the recorded prefix fused)
-					// or egress unconnected (interpreted: vanishes).
-					if int(ent.nf) == maxCompiledHops {
-						ent.kind = entryNode
-						ent.term = in
-					}
+				if int(ent.nf) == maxCompiledHops || step.Out.link == nil || step.Out.link.loss != 0 {
+					// Path too long, egress unconnected or link lossy
+					// (an RNG draw per crossing): interpreted.
 					break
 				}
 				applyStepRegion(ent, cld, &step)
-				if step.Out.link.loss != 0 {
-					ent.flags &^= fpFlagLossless
-				}
 				cld.fwd[ent.nf] = hopTo(step.Out, step.Forwarded)
 				ent.nf++
 				hl--
@@ -793,14 +716,9 @@ func (e *Engine) compileFlow(to *Iface, pkt []byte) (*flowHot, *flowCold) {
 					exp := ins[p+(k-p)%l]
 					if he, ok := exp.node.(hopExpirer); ok {
 						if term, ok := he.compileExpiry(exp, dst); ok {
-							e.compileLoopTerm(ent, cld, exp, term, pkt, hlIn, p, l, k)
-							break
+							compileLoopTerm(ent, cld, exp, term, pkt, p, l, k)
 						}
 					}
-					// Expiry node uncompilable: replay the recorded
-					// crossings fused, bounce on interpreted.
-					ent.kind = entryNode
-					ent.term = next
 					break
 				}
 				ins[ent.nf] = next
@@ -810,26 +728,13 @@ func (e *Engine) compileFlow(to *Iface, pkt []byte) (*flowHot, *flowCold) {
 		}
 		if tc, ok := node.(terminalCompiler); ok {
 			if term, ok := tc.CompileTerminal(in, dst); ok {
-				e.compileErrorTerm(ent, cld, in, term, pkt)
-				break
+				compileErrorTerm(ent, cld, in, term, pkt)
 			}
-			// Terminal refused (special address, vulnerable behavior):
-			// cache the transit prefix for this destination only.
-			ent.flags &^= fpFlagWide
-		}
-		if ent.nf > 0 {
-			ent.kind = entryNode
-			ent.term = in
 		}
 		break
 	}
-	if ent.kind == entryNeg || ent.kind == entryNode && ent.term != nil && !compilableTerm(ent.term.node) {
-		// A terminal outside the capability interfaces may treat
-		// different addresses of one region differently; stay exact.
-		ent.flags &^= fpFlagWide
-	}
 	if ent.kind == entryNeg {
-		ent.nf = 0
+		ent.flags &^= fpFlagWide
 	}
 	if ent.wide() {
 		if w, ok := e.fp.keyWidth(ent.width); ok {
@@ -847,11 +752,10 @@ func (e *Engine) compileFlow(to *Iface, pkt []byte) (*flowHot, *flowCold) {
 		ent.width = 64
 		ent.nExcl, ent.nHole = 0, 0
 		if _, ok := e.fp.keyWidth(64); !ok {
-			return ent, cld // unkeyable: serve this delivery uncached
+			return // unkeyable
 		}
 	}
-	j := e.fp.insert(ent, cld)
-	return &e.fp.hot[j], &e.fp.cold[j]
+	e.fp.insert(ent, cld)
 }
 
 // applyStepRegion folds one compiled hop's region claim into the
@@ -934,25 +838,15 @@ outer:
 	return true
 }
 
-func compilableTerm(n Node) bool {
-	_, ok := n.(terminalCompiler)
-	return ok
-}
-
 // compileReply records the error's return path from termIn back to an
 // Edge into the cold tail's rev list (rev[0] is the emission out the
 // arrival interface, the rest forwarding crossings). false when any
-// reverse hop is uncompilable; the lossless flag may have been cleared
-// regardless, which is safe (the transmit-path replay is exact, just
-// slower).
+// reverse hop is uncompilable or crosses a lossy link.
 func compileReply(h *flowHot, c *flowCold, termIn *Iface, rdst ipv6.Addr) bool {
-	if termIn.link == nil {
+	if termIn.link == nil || termIn.link.loss != 0 {
 		return false
 	}
 	c.rev[0] = hopTo(termIn, nil)
-	if termIn.link.loss != 0 {
-		h.flags &^= fpFlagLossless
-	}
 	nr := 1
 	rin := termIn.link.ends[1-termIn.end]
 	for {
@@ -966,11 +860,8 @@ func compileReply(h *flowHot, c *flowCold, termIn *Iface, rdst ipv6.Addr) bool {
 			return false
 		}
 		step, ok := ch.CompileStep(rin, rdst)
-		if !ok || nr == maxCompiledHops || step.Out.link == nil {
+		if !ok || nr == maxCompiledHops || step.Out.link == nil || step.Out.link.loss != 0 {
 			return false
-		}
-		if step.Out.link.loss != 0 {
-			h.flags &^= fpFlagLossless
 		}
 		c.rev[nr] = hopTo(step.Out, step.Forwarded)
 		nr++
@@ -982,22 +873,15 @@ func compileReply(h *flowHot, c *flowCold, termIn *Iface, rdst ipv6.Addr) bool {
 
 // compileErrorTerm upgrades the entry to a fully fused error round
 // trip: the terminal's compiled ICMPv6 error plus the compiled reply
-// path back to an Edge. Any obstacle downgrades to entryNode
-// (interpreted terminal).
-func (e *Engine) compileErrorTerm(h *flowHot, c *flowCold, termIn *Iface, term compiledTerm, pkt []byte) {
-	// The reply path is compiled for this probe's source; replay guards
-	// on it and falls back to the interpreted terminal for other
-	// sources.
+// path back to an Edge; without one the entry stays negative.
+func compileErrorTerm(h *flowHot, c *flowCold, termIn *Iface, term compiledTerm, pkt []byte) {
+	// The reply path is compiled for this probe's source; the resolve
+	// pass guards on it.
 	rdst := ipv6.AddrFromBytes(pkt[8:24])
 	if !compileReply(h, c, termIn, rdst) {
-		if h.nf > 0 {
-			h.kind = entryNode
-			h.term = termIn
-		}
 		return
 	}
 	h.kind = entryError
-	h.term = termIn
 	h.errType, h.errCode = term.typ, term.code
 	c.errSrc = term.src
 	h.gate = term.gate
@@ -1009,248 +893,17 @@ func (e *Engine) compileErrorTerm(h *flowHot, c *flowCold, termIn *Iface, term c
 // trip: prefix crossings (fwd[:p]), a cycle of l crossings (fwd[p:p+l],
 // zero for a plain short-hop-limit path), cross total crossings until
 // the Time Exceeded fires at expIn's node, and the compiled reply. Only
-// valid for packets arriving with exactly hlIn; replay guards on it.
-// Any obstacle downgrades to entryNode (bounces stay interpreted).
-func (e *Engine) compileLoopTerm(h *flowHot, c *flowCold, expIn *Iface, term compiledTerm, pkt []byte, hlIn uint8, p, l, cross int) {
-	rdst := ipv6.AddrFromBytes(pkt[8:24])
-	if !compileReply(h, c, expIn, rdst) {
-		if h.nf > 0 {
-			h.kind = entryNode
-			h.term = expIn
-		}
+// valid for packets arriving with exactly pkt's hop limit; the resolve
+// pass guards on it.
+func compileLoopTerm(h *flowHot, c *flowCold, expIn *Iface, term compiledTerm, pkt []byte, p, l, cross int) {
+	compileErrorTerm(h, c, expIn, term, pkt)
+	if h.kind != entryError {
 		return
 	}
 	h.kind = entryLoop
-	h.term = expIn
-	h.errType, h.errCode = term.typ, term.code
-	c.errSrc = term.src
-	h.gate = term.gate
-	c.replySrc = rdst
-	h.hlIn = hlIn
+	h.hlIn = pkt[7]
 	h.loopStart, h.loopLen = uint8(p), uint8(l)
 	h.loopCross = uint16(cross)
-	applyTermRegion(h, c, &term)
-}
-
-// fpReplay replays a compiled entry for delivery d. The contract with
-// the interpreter: every link-stat charge, RNG draw, fault consult, tap
-// call, hop-limit decrement, transit-counter increment, error-gate
-// decision and buffer-pool movement happens in exactly the order
-// sequential forwarding would produce.
-func (e *Engine) fpReplay(ent *flowHot, cld *flowCold, d delivery) (fpResult, delivery) {
-	pkt := d.pkt
-	// A flow tracer never forces the interpreted path: the plain loops
-	// below synthesize the crossing sequence from the compiled entry.
-	e.traceFlowStart(pkt)
-	if ent.kind == entryLoop {
-		return e.fpReplayLoop(ent, cld, d)
-	}
-	// One fused event can use the pure-add charging loop only when
-	// nothing can observe or perturb individual crossings.
-	plain := ent.lossless() && e.fault == nil && e.tap == nil
-
-	in := d.to
-	for j := uint8(0); j < ent.nf; j++ {
-		if pkt[7] <= 1 {
-			// Hop limit expires at this node: its interpreted Handle
-			// emits the Time Exceeded.
-			if j == 0 {
-				return fpMiss, d
-			}
-			return fpContinue, delivery{to: in, pkt: pkt}
-		}
-		pkt[7]--
-		h := &cld.fwd[j]
-		if h.fwd != nil {
-			*h.fwd++
-		}
-		if plain {
-			l := h.out.link
-			st := &l.stats[h.out.end]
-			n := uint64(len(pkt))
-			st.Packets++
-			st.Bytes += n
-			e.txPackets++
-			e.txBytes += n
-			e.seq++
-			if e.trOn {
-				e.traceSynthLocked(h.out, pkt[7])
-			}
-			in = l.ends[1-h.out.end]
-		} else {
-			nd, ok := e.transmitLocked(h.out, pkt, true)
-			if !ok {
-				// Dropped, deferred or duplicated: the queue owns
-				// whatever survives; the fused event ends here.
-				return fpDone, delivery{}
-			}
-			pkt = nd.pkt
-			in = nd.to
-		}
-	}
-
-	switch ent.kind {
-	case entryEdge:
-		ent.term.node.Handle(ent.term, pkt) // Edge retains; returns nil
-		return fpDone, delivery{}
-	case entryNode:
-		return fpContinue, delivery{to: in, pkt: pkt}
-	}
-
-	// entryError: the terminal's guards, in Handle's order. Bailing
-	// here hands the packet to the terminal's interpreted Handle, which
-	// reaches the same decision point with identical state.
-	bail := func() (fpResult, delivery) {
-		if ent.nf == 0 {
-			return fpMiss, d
-		}
-		return fpContinue, delivery{to: in, pkt: pkt}
-	}
-	if pkt[7] <= 1 {
-		return bail() // interpreted Time Exceeded at the terminal
-	}
-	if binary.BigEndian.Uint64(pkt[8:16]) != cld.replySrc.Uint128().Hi ||
-		binary.BigEndian.Uint64(pkt[16:24]) != cld.replySrc.Uint128().Lo {
-		return bail() // reply path compiled for a different source
-	}
-	pkt[7]--
-	if !ent.gate.allow() {
-		e.putBufLocked(pkt)
-		return fpDone, delivery{}
-	}
-	if isICMPError(pkt) {
-		// RFC 4443 2.4(e): no errors about errors; the interpreter
-		// refunds the gate budget in this case.
-		ent.gate.generated--
-		e.putBufLocked(pkt)
-		return fpDone, delivery{}
-	}
-	reply := e.fpBuildError(ent, cld, pkt)
-	e.putBufLocked(pkt) // the probe's delivery lifecycle ends at the terminal
-	return e.fpReplayReverse(ent, cld, reply, plain)
-}
-
-// fpReplayReverse drives the compiled error reply from the terminal
-// back to the Edge and delivers it inline.
-func (e *Engine) fpReplayReverse(ent *flowHot, cld *flowCold, reply []byte, plain bool) (fpResult, delivery) {
-	rin := ent.term
-	for j := uint8(0); j < ent.nr; j++ {
-		if j > 0 {
-			if reply[7] <= 1 {
-				return fpContinue, delivery{to: rin, pkt: reply}
-			}
-			reply[7]--
-			if cld.rev[j].fwd != nil {
-				*cld.rev[j].fwd++
-			}
-		}
-		h := &cld.rev[j]
-		if plain {
-			l := h.out.link
-			st := &l.stats[h.out.end]
-			n := uint64(len(reply))
-			st.Packets++
-			st.Bytes += n
-			e.txPackets++
-			e.txBytes += n
-			e.seq++
-			if e.trOn {
-				e.traceSynthLocked(h.out, reply[7])
-			}
-			rin = l.ends[1-h.out.end]
-		} else {
-			nd, ok := e.transmitLocked(h.out, reply, true)
-			if !ok {
-				return fpDone, delivery{}
-			}
-			reply = nd.pkt
-			rin = nd.to
-		}
-	}
-	cld.edge.node.Handle(cld.edge, reply) // Edge retains; returns nil
-	return fpDone, delivery{}
-}
-
-// fpReplayLoop replays a hop-limit-expiry entry: the acyclic prefix
-// plus however many turns of the recorded cycle the packet's hop limit
-// affords, the expiring node's Time Exceeded, and the fused reply. On a
-// lossless fault-free engine the dozens of bounce crossings are charged
-// arithmetically — per recorded hop, not per crossing — in one fused
-// event; otherwise each crossing runs through transmitLocked so every
-// fault consult, RNG draw and tap call happens in interpreted order.
-func (e *Engine) fpReplayLoop(ent *flowHot, cld *flowCold, d delivery) (fpResult, delivery) {
-	pkt := d.pkt
-	if pkt[7] != ent.hlIn {
-		// Compiled for a different incoming hop limit (expiry would
-		// land elsewhere): interpret this packet.
-		return fpMiss, d
-	}
-	if binary.BigEndian.Uint64(pkt[8:16]) != cld.replySrc.Uint128().Hi ||
-		binary.BigEndian.Uint64(pkt[16:24]) != cld.replySrc.Uint128().Lo {
-		return fpMiss, d // reply path compiled for a different source
-	}
-	cross := int(ent.loopCross)
-	plain := ent.lossless() && e.fault == nil && e.tap == nil
-	if plain {
-		p, l := int(ent.loopStart), int(ent.loopLen)
-		n := uint64(len(pkt))
-		for i := 0; i < int(ent.nf); i++ {
-			cnt := loopHopCount(i, p, l, cross)
-			if cnt == 0 {
-				continue
-			}
-			h := &cld.fwd[i]
-			if h.fwd != nil {
-				*h.fwd += cnt
-			}
-			lk := h.out.link
-			st := &lk.stats[h.out.end]
-			st.Packets += cnt
-			st.Bytes += cnt * n
-			e.txPackets += cnt
-			e.txBytes += cnt * n
-		}
-		e.seq += uint64(cross)
-		if e.trOn {
-			e.traceLoopCrossingsLocked(ent, cld, ent.hlIn, cross)
-		}
-		pkt[7] = ent.hlIn - uint8(cross) // what the expiring node sees
-	} else {
-		for j := 0; j < cross; j++ {
-			i := j
-			if p := int(ent.loopStart); j >= p {
-				i = p + (j-p)%int(ent.loopLen)
-			}
-			pkt[7]--
-			h := &cld.fwd[i]
-			if h.fwd != nil {
-				*h.fwd++
-			}
-			nd, ok := e.transmitLocked(h.out, pkt, true)
-			if !ok {
-				// Dropped, deferred or duplicated mid-bounce: the queue
-				// owns whatever survives.
-				return fpDone, delivery{}
-			}
-			pkt = nd.pkt
-		}
-	}
-	// The expiring node's guards, in Handle's order (the hop limit is
-	// exhausted by construction, so the error path is unconditional).
-	if !ent.gate.allow() {
-		e.putBufLocked(pkt)
-		return fpDone, delivery{}
-	}
-	if isICMPError(pkt) {
-		// RFC 4443 2.4(e): no errors about errors; the interpreter
-		// refunds the gate budget in this case.
-		ent.gate.generated--
-		e.putBufLocked(pkt)
-		return fpDone, delivery{}
-	}
-	reply := e.fpBuildError(ent, cld, pkt)
-	e.putBufLocked(pkt)
-	return e.fpReplayReverse(ent, cld, reply, plain)
 }
 
 // loopHopCount is how many times recorded hop i is crossed when a loop
@@ -1269,43 +922,4 @@ func loopHopCount(i, p, l, cross int) uint64 {
 		cnt++
 	}
 	return cnt
-}
-
-// fpBuildError produces the terminal's ICMPv6 error for the invoking
-// packet. The first replay builds it through the wire builders
-// (byte-exact by construction) and captures its headers as the entry's
-// template; later replays copy the 48-byte header, splice the invoking
-// packet after it, and finish the checksum from the cached
-// constant-region sum.
-func (e *Engine) fpBuildError(ent *flowHot, cld *flowCold, pkt []byte) []byte {
-	const invOff = fpTmplLen
-	n := len(pkt)
-	if ent.hasTmpl() && int(ent.probeLen) == n {
-		out := e.getBufLocked(invOff + n)
-		copy(out[:invOff], cld.tmpl[:])
-		copy(out[invOff:], pkt)
-		cs := wire.FoldSum(cld.tmplSum + wire.SumWords(pkt))
-		binary.BigEndian.PutUint16(out[invOff-6:invOff-4], cs)
-		return out
-	}
-	scratch := e.getBufLocked(wire.ErrorLen(pkt))
-	rdst := ipv6.AddrFromBytes(pkt[8:24])
-	var out []byte
-	if ent.errType == wire.ICMPTimeExceeded {
-		out, _ = wire.AppendTimeExceeded(scratch, cld.errSrc, rdst, wire.MaxHopLimit, pkt)
-	} else {
-		out, _ = wire.AppendDestUnreach(scratch, cld.errSrc, rdst, wire.MaxHopLimit, ent.errCode, pkt)
-	}
-	if len(out) == invOff+n {
-		// Untruncated: cache the headers as the template. The constant
-		// checksum region is the pseudo-header plus the 8-byte ICMPv6
-		// header with a zeroed checksum — of which only type and code
-		// are non-zero.
-		copy(cld.tmpl[:], out[:invOff])
-		ent.flags |= fpFlagTmpl
-		ent.probeLen = uint16(n)
-		cld.tmplSum = wire.PseudoSum(cld.errSrc, rdst, wire.ProtoICMPv6, len(out)-wire.HeaderLen) +
-			uint64(ent.errType)<<8 + uint64(ent.errCode)
-	}
-	return out
 }

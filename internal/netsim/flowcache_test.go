@@ -183,12 +183,30 @@ func TestFlowCachePropertyNoStaleReplay(t *testing.T) {
 	}
 }
 
-// TestFlowCacheFaultReplayParity drives the mirror under a
-// deterministic fault layer (drop every 3rd transmission, duplicate
-// every 7th) — replay must consume fault decisions in exactly the
-// interpreted order for the two nets to stay in lockstep.
-func TestFlowCacheFaultReplayParity(t *testing.T) {
+// TestFlowCacheArmedEngineInterprets pins the fault layer's side of the
+// one rule: while a layer is installed the cache is neither consulted
+// nor filled — no hits, no compiles, outcomes equal to a fast-path-off
+// engine under the same deterministic layer (drop every 3rd
+// transmission, duplicate every 7th) — and removing it brings the
+// entries compiled before back into use without an invalidation.
+func TestFlowCacheArmedEngineInterprets(t *testing.T) {
 	p := buildMirror(t, CPEBehavior{}, ErrorPolicy{})
+	dsts := []ipv6.Addr{wanAddr, lanHost, ipv6.MustParseAddr("2001:db8:aaaa:bbbb::1")}
+	seq := uint16(1)
+	round := func(tag string, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			p.inject(t, dsts[i%len(dsts)], 64, seq)
+			seq++
+			p.compare(t, fmt.Sprintf("%s probe %d", tag, i))
+		}
+	}
+	round("cold", len(dsts))
+	compiled := p.fast.eng.Counters()
+	if compiled.FastPathCompiles == 0 {
+		t.Fatal("nothing compiled before arming; the test has no entries to keep")
+	}
+
 	mkFault := func() FaultFunc {
 		n := 0
 		return func(from *Iface, pkt []byte) FaultOutcome {
@@ -204,13 +222,32 @@ func TestFlowCacheFaultReplayParity(t *testing.T) {
 	}
 	p.fast.eng.SetFault(mkFault())
 	p.slow.eng.SetFault(mkFault())
-	dsts := []ipv6.Addr{wanAddr, lanHost, ipv6.MustParseAddr("2001:db8:aaaa:bbbb::1")}
-	for i := 0; i < 60; i++ {
-		p.inject(t, dsts[i%len(dsts)], 64, uint16(i+1))
-		p.compare(t, fmt.Sprintf("faulty probe %d", i))
+	round("armed", 60)
+	armed := p.fast.eng.Counters()
+	if armed.FastPathHits != compiled.FastPathHits || armed.FastPathMisses != compiled.FastPathMisses ||
+		armed.FastPathCompiles != compiled.FastPathCompiles {
+		t.Errorf("armed engine consulted the cache: hits %d -> %d, misses %d -> %d, compiles %d -> %d",
+			compiled.FastPathHits, armed.FastPathHits, compiled.FastPathMisses, armed.FastPathMisses,
+			compiled.FastPathCompiles, armed.FastPathCompiles)
 	}
-	if p.fast.eng.Counters().FastPathHits == 0 {
-		t.Error("fault-layer replays never hit the cache")
+	if armed.Dropped == 0 {
+		t.Error("the fault layer dropped nothing; the armed leg tests nothing")
+	}
+
+	p.fast.eng.SetFault(nil)
+	p.slow.eng.SetFault(nil)
+	round("disarmed", len(dsts))
+	after := p.fast.eng.Counters()
+	if after.FastPathCompiles != armed.FastPathCompiles {
+		t.Errorf("disarming recompiled: compiles %d -> %d, want the earlier entries reused",
+			armed.FastPathCompiles, after.FastPathCompiles)
+	}
+	if after.FastPathHits == armed.FastPathHits {
+		t.Error("entries compiled before arming did not hit after disarming")
+	}
+	if after.FastPathInvalidations != compiled.FastPathInvalidations {
+		t.Errorf("SetFault moved FastPathInvalidations %d -> %d",
+			compiled.FastPathInvalidations, after.FastPathInvalidations)
 	}
 }
 
@@ -306,8 +343,11 @@ func TestFlowCacheInvalidationCounter(t *testing.T) {
 	expect("Delegate")
 	n.core.AddRoute(ipv6.MustParsePrefix("2001:dead::/64"), n.core.ifs[0])
 	expect("AddRoute")
+	// Entries hold no fault-dependent fact: arming leaves them alone.
 	n.eng.SetFault(func(*Iface, []byte) FaultOutcome { return FaultOutcome{} })
-	expect("SetFault")
+	if now := n.eng.Counters().FastPathInvalidations; now != last {
+		t.Errorf("SetFault ticked FastPathInvalidations %d -> %d", last, now)
+	}
 	n.eng.InvalidateFlows()
 	expect("InvalidateFlows")
 	n.eng.SetFastPath(false)
@@ -357,8 +397,8 @@ func TestFlowCacheConcurrentInject(t *testing.T) {
 // TestFlowCacheConcurrentInjectBatch hammers one engine with
 // concurrent InjectBatch calls of mixed sizes (1 up to a full resolve
 // run) interleaved with InvalidateFlows, for the -race runner: the
-// batched resolve/replay passes and their engine-inline scratch must
-// stay entirely under the engine lock.
+// resolve/replay passes and their engine-inline scratch must stay
+// entirely under the engine lock.
 func TestFlowCacheConcurrentInjectBatch(t *testing.T) {
 	n := buildTestNet(t, CPEBehavior{}, ErrorPolicy{})
 	dsts := []ipv6.Addr{
@@ -393,8 +433,8 @@ func TestFlowCacheConcurrentInjectBatch(t *testing.T) {
 	}
 	wg.Wait()
 	c := n.eng.Counters()
-	if c.FastPathBatched == 0 {
-		t.Error("concurrent batches never took the batched replay path")
+	if c.FastPathHits == 0 {
+		t.Error("concurrent batches never hit the flow cache")
 	}
 	if got := uint64(n.scanner.Pending()); got == 0 {
 		t.Error("no replies delivered")

@@ -220,7 +220,6 @@ func (g *EngineGroup) Counters() Counters {
 		c.FastPathHits += sc.FastPathHits
 		c.FastPathMisses += sc.FastPathMisses
 		c.FastPathInvalidations += sc.FastPathInvalidations
-		c.FastPathBatched += sc.FastPathBatched
 		c.FastPathCompiles += sc.FastPathCompiles
 		c.FastPathEvictions += sc.FastPathEvictions
 	}

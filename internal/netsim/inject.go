@@ -3,29 +3,31 @@ package netsim
 import (
 	"encoding/binary"
 
+	"repro/internal/ipv6"
 	"repro/internal/wire"
 )
 
-// Batched fast-path injection: InjectBatch resolves a whole send burst
-// against the flow cache in one pass before replaying anything. The
-// per-packet path serializes one cache-miss chain per probe (tag line,
-// hot header, cold tail, back to back); the resolve pass below issues
-// those loads for up to injRun probes in a tight loop, so the misses
-// overlap in the memory system instead of queuing behind each other.
-// The replay pass then charges link stats, transit counters and engine
+// Fast-path injection, the one place the flow cache is consulted:
+// Inject and InjectBatch offer every send burst to injectFastLocked,
+// which resolves a whole run of probes against the cache before
+// replaying anything. A lookup is one cache-miss chain (tag line, hot
+// header, cold tail, back to back); the resolve pass issues those loads
+// for up to injRun probes in a tight loop, so the misses overlap in the
+// memory system instead of queuing behind each other. The one replay,
+// fpReplayRun, then charges link stats, transit counters and engine
 // totals arithmetically — once per distinct flow entry in the run,
 // multiplied by how many probes resolved to it — and builds replies in
-// strict probe order, with totals, ordering, and edge delivery order
-// provably identical to k per-packet replays. Scanners randomize probe
-// order, so aggregation keys on the distinct entries of the whole run
-// rather than on consecutive-probe groups; a run that touches e
+// strict probe order, with totals, ordering and edge delivery order
+// identical to interpreting the k probes one by one. Scanners randomize
+// probe order, so aggregation keys on the distinct entries of the whole
+// run rather than on consecutive-probe groups; a run that touches e
 // entries pays the pointer-chasing stat walk e times, not k.
 //
-// Only the plain case qualifies: warm entries whose path is lossless,
-// a loss-free injection link, no fault layer, no tap, empty queue.
-// Anything else — cold flows, lossy links, entryNode/entryNeg kinds,
-// ICMP-error probes, guard mismatches — ends the run and takes the
-// per-packet path, which preserves interpreted fault-RNG order exactly.
+// Only the plain case qualifies: a fully compiled round trip, a
+// loss-free injection link, no fault layer, no tap. An unseen flow is
+// compiled at the head of a run; anything else — negative entries,
+// ICMP-error probes, guard mismatches — ends the run and that one
+// packet is interpreted.
 
 // injRun caps how many probes one batched pass resolves, sizing the
 // engine-inline scratch below (no per-batch allocation).
@@ -52,23 +54,23 @@ type injScratch struct {
 	sink    uint64         // defeats dead-code elimination of warm loads
 }
 
-// injectFastLocked replays a prefix of pkts through the flow cache as a
-// batch. Returns packets consumed and events charged; 0 packets means
-// the caller must handle pkts[0] on the per-packet path.
-func (e *Engine) injectFastLocked(from *Iface, pkts [][]byte) (int, int) {
-	if !e.fp.enabled || e.fault != nil || e.tap != nil || e.queuedLocked() != 0 {
-		return 0, 0
+// injectFastLocked replays a prefix of pkts through the flow cache as
+// one run and returns how many packets it consumed, each one event; 0
+// means the caller must interpret pkts[0]. On an engine with a fault
+// layer or a tap the cache is not consulted at all; otherwise every
+// packet offered is counted as exactly one hit or one miss.
+func (e *Engine) injectFastLocked(from *Iface, pkts [][]byte) int {
+	if !e.fp.enabled || e.fault != nil || e.tap != nil {
+		return 0
 	}
+	fp := &e.fp
 	l := from.link
 	if l == nil || l.loss != 0 {
-		return 0, 0
+		fp.misses++
+		return 0
 	}
 	to := l.ends[1-from.end]
 	ifid := to.fpID
-	if ifid == 0 {
-		return 0, 0
-	}
-	fp := &e.fp
 
 	n := len(pkts)
 	if n > injRun {
@@ -79,8 +81,9 @@ func (e *Engine) injectFastLocked(from *Iface, pkts [][]byte) (int, int) {
 	// cold lines before the dependent lookups below. These loads have no
 	// dependencies between iterations, so their cache misses overlap;
 	// the resolve pass then runs against warm lines. The xor-sum into
-	// the scratch sink keeps the compiler from deleting the loads.
-	if fp.nWidths > 0 && fp.tags != nil {
+	// the scratch sink keeps the compiler from deleting the loads. A
+	// lone probe has nothing to overlap with and skips the pass.
+	if n > 1 && fp.nWidths > 0 && fp.tags != nil {
 		w := fp.widths[0]
 		mask := fpMask(w)
 		var warm uint64
@@ -96,15 +99,18 @@ func (e *Engine) injectFastLocked(from *Iface, pkts [][]byte) (int, int) {
 		e.inj.sink = warm
 	}
 
-	// Resolve pass: per-probe flow lookup plus every guard the plain
-	// replay would check, stopping at the first probe the batch cannot
-	// replay exactly. Each resolved probe is folded into the run's
+	// Resolve pass: per-probe flow lookup plus every guard the replay
+	// relies on, stopping at the first probe the run cannot replay
+	// exactly. Each resolved probe is folded into the run's
 	// distinct-entry table as it lands.
 	k, d := 0, 0
+	cold := false
 	var sumAll uint64
 resolve:
 	for k < n {
 		pkt := pkts[k]
+		// Same validation as wire.ForwardDst: anything else is
+		// interpreted (nodes drop it without touching the cache).
 		if len(pkt) < wire.HeaderLen || pkt[0]>>4 != 6 ||
 			len(pkt)-wire.HeaderLen < int(binary.BigEndian.Uint16(pkt[4:6])) {
 			break
@@ -113,12 +119,18 @@ resolve:
 		lo := binary.BigEndian.Uint64(pkt[32:40])
 		j := fp.lookup(ifid, hi, lo)
 		if j < 0 {
-			break
+			// A compile may grow or evict the table the run's dslot
+			// indices point into: only the head of a run compiles.
+			if k > 0 {
+				break
+			}
+			e.compileFlow(to, pkt)
+			cold = true
+			if j = fp.lookup(ifid, hi, lo); j < 0 {
+				break
+			}
 		}
 		h := &fp.hot[j]
-		if !h.lossless() {
-			break
-		}
 		switch h.kind {
 		case entryEdge:
 			// The probe must survive nf hop-limit decrements.
@@ -146,7 +158,7 @@ resolve:
 				binary.BigEndian.Uint64(pkt[16:24]) != c.replySrc.Uint128().Lo {
 				break resolve
 			}
-		default: // entryNeg, entryNode: interpreted continuation
+		default: // entryNeg: interpreted
 			break resolve
 		}
 		di := -1
@@ -176,19 +188,24 @@ resolve:
 		k++
 	}
 	if k == 0 {
-		return 0, 0
+		fp.misses++
+		return 0
 	}
 	e.fpReplayRun(from, pkts[:k], d, sumAll)
 	e.steps += uint64(k)
 	fp.hits += uint64(k)
-	fp.batched += uint64(k)
-	return k, k
+	if cold {
+		// The head of the run compiled first: a miss, though replayed.
+		fp.hits--
+		fp.misses++
+	}
+	return k
 }
 
 // fpReplayRun replays one resolved run of probes, all guards
 // pre-checked. Charging is arithmetic — once per distinct flow entry,
-// scaled by its probe count — but sums to exactly what k sequential
-// per-probe replays would charge; the error gate is consumed in probe
+// scaled by its probe count — but sums to exactly what interpreting the
+// k probes in turn would charge; the error gate is consumed in probe
 // order; and deliveries reach each edge in probe order, batched into as
 // few handoffs as the run's edge sequence allows.
 func (e *Engine) fpReplayRun(from *Iface, pkts [][]byte, d int, sumAll uint64) {
@@ -285,7 +302,7 @@ func (e *Engine) fpReplayRun(from *Iface, pkts [][]byte, d int, sumAll uint64) {
 		h := &fp.hot[j]
 		c := &fp.cold[j]
 		if h.kind == entryEdge {
-			ed := h.term.node.(*Edge)
+			ed := c.edge.node.(*Edge)
 			if cur != ed && len(out) > 0 {
 				cur.handleBatch(out)
 				out = out[:0]
@@ -368,12 +385,13 @@ func (e *Engine) fpReplayRun(from *Iface, pkts [][]byte, d int, sumAll uint64) {
 }
 
 // fpBuildErrorFrom builds the terminal's ICMPv6 error for an invoking
-// probe without mutating or copying it: the quote is spliced from the
-// caller's packet with the hop-limit byte patched to hl (what the
-// terminal saw), its checksum contribution adjusted in place, and the
-// reply's own hop limit pre-decremented for the nr-1 reverse forwarding
-// crossings. Falls back to the template-capturing builder on a patched
-// scratch copy until the entry has a template for this probe length.
+// probe without mutating it: the quote is spliced from the caller's
+// packet with the hop-limit byte patched to hl (what the terminal saw),
+// its checksum contribution adjusted in place, and the reply's own hop
+// limit pre-decremented for the nr-1 reverse forwarding crossings. The
+// first reply for a probe length goes through the wire builders on a
+// patched scratch copy (byte-exact by construction) and captures its
+// headers as the entry's template for the later ones.
 func (e *Engine) fpBuildErrorFrom(ent *flowHot, cld *flowCold, pkt []byte, hl uint8) []byte {
 	hlOut := uint8(wire.MaxHopLimit)
 	if ent.nr > 1 {
@@ -396,8 +414,25 @@ func (e *Engine) fpBuildErrorFrom(ent *flowHot, cld *flowCold, pkt []byte, hl ui
 	cp := e.getBufLocked(n)
 	copy(cp, pkt)
 	cp[7] = hl
-	out := e.fpBuildError(ent, cld, cp)
+	scratch := e.getBufLocked(wire.ErrorLen(cp))
+	rdst := ipv6.AddrFromBytes(cp[8:24])
+	var out []byte
+	if ent.errType == wire.ICMPTimeExceeded {
+		out, _ = wire.AppendTimeExceeded(scratch, cld.errSrc, rdst, wire.MaxHopLimit, cp)
+	} else {
+		out, _ = wire.AppendDestUnreach(scratch, cld.errSrc, rdst, wire.MaxHopLimit, ent.errCode, cp)
+	}
 	e.putBufLocked(cp)
+	if len(out) == invOff+n {
+		// Untruncated: cache the headers as the template. The constant
+		// checksum region is the pseudo-header plus the ICMPv6 header,
+		// of which only type and code are non-zero.
+		copy(cld.tmpl[:], out[:invOff])
+		ent.flags |= fpFlagTmpl
+		ent.probeLen = uint16(n)
+		cld.tmplSum = wire.PseudoSum(cld.errSrc, rdst, wire.ProtoICMPv6, len(out)-wire.HeaderLen) +
+			uint64(ent.errType)<<8 + uint64(ent.errCode)
+	}
 	out[7] = hlOut
 	return out
 }

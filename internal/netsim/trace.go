@@ -14,18 +14,16 @@ import (
 // source — so one target's entire round trip stitches into a single
 // hop sequence however many packets realize it.
 //
-// The interpreted path records crossings from transmitLocked, right
-// where the tap runs. The compiled fast path does NOT fall back to the
-// interpreter when a tracer is attached: its plain (pure-arithmetic)
-// replays synthesize the identical crossing sequence from the compiled
-// entry — same (node, iface, hop-limit) triples, same order — and its
-// non-plain replays route through transmitLocked anyway. The batched
-// injection path (fpReplayRun) likewise synthesizes per traced probe
-// during the strict-probe-order delivery pass. Parity between the two
-// is pinned by simtest.RunFastPathOracle's trace leg.
+// The interpreter records crossings from transmitLocked, right where
+// the tap runs. A tracer, unlike a tap, does not keep the flow cache
+// from being consulted: the fused replay (fpReplayRun) synthesizes, per
+// traced probe during its strict-probe-order delivery pass, the
+// identical crossing sequence from the compiled entry — same (node,
+// iface, hop-limit) triples, same order. Parity between the two is
+// pinned by simtest.RunFastPathOracle's trace leg.
 
 // FlowTracer receives sampled flow crossings. Implementations decide
-// sampling via SampleFlow — called per packet on the interpreted path
+// sampling via SampleFlow — called per crossing on the interpreted path
 // and per replayed probe on the fast path, so it must be cheap and
 // pure (same key, same answer) — and record crossings via HopCrossing.
 // Both run with the engine lock held and must not call back into the
@@ -41,8 +39,9 @@ type FlowTracer interface {
 }
 
 // SetFlowTracer installs (or, with nil, removes) the flow-crossing
-// observer. Unlike SetTap it does not perturb the compiled fast path:
-// plain replays stay fused and synthesize their crossings.
+// observer. Unlike SetTap it leaves the engine unobserved as far as the
+// flow cache goes: injected runs stay fused and synthesize their
+// crossings.
 func (e *Engine) SetFlowTracer(t FlowTracer) {
 	e.mu.Lock()
 	e.ftr = t
@@ -86,45 +85,9 @@ func (e *Engine) traceCrossingLocked(from *Iface, pkt []byte, drop bool) {
 	}
 }
 
-// traceFlowStart latches the sampling decision for one fused replay, so
-// the plain charging loops (including fpReplayReverse, which has no
-// access to the probe) can synthesize crossings without re-keying.
-func (e *Engine) traceFlowStart(pkt []byte) {
-	e.trOn = false
-	if e.ftr == nil {
-		return
-	}
-	if hi, lo, ok := flowTraceKey(pkt); ok && e.ftr.SampleFlow(hi, lo) {
-		e.trOn, e.trHi, e.trLo = true, hi, lo
-	}
-}
-
-// traceSynthLocked records one synthesized crossing of the latched flow
-// out of iface `out` at hop limit hl — what transmitLocked would have
-// recorded had the replay run interpreted (plain replays never drop).
-func (e *Engine) traceSynthLocked(out *Iface, hl uint8) {
-	e.ftr.HopCrossing(e.trHi, e.trLo, out.node.Name(), out.name, hl, false)
-}
-
-// traceLoopCrossingsLocked synthesizes a loop entry's bounce crossings:
-// crossing j leaves recorded hop i (prefix then cycle arithmetic, the
-// same index fpReplayLoop's non-plain path walks) at hop limit hlIn-1-j.
-func (e *Engine) traceLoopCrossingsLocked(h *flowHot, c *flowCold, hlIn uint8, cross int) {
-	p, l := int(h.loopStart), int(h.loopLen)
-	hl := hlIn
-	for j := 0; j < cross; j++ {
-		i := j
-		if j >= p {
-			i = p + (j-p)%l
-		}
-		hl--
-		e.traceSynthLocked(c.fwd[i].out, hl)
-	}
-}
-
-// traceRunStretch synthesizes, per traced probe of one batched-replay
-// stretch, the crossings k sequential per-packet replays would have
-// produced: the injection crossing out of `from`, the forward crossings
+// traceRunStretch synthesizes, per traced probe of one replayed
+// stretch, the crossings interpreting the probes in turn would have
+// recorded: the injection crossing out of `from`, the forward crossings
 // (every probe reaches the terminal — the stretch pre-resolved), and
 // the reply crossings for the first `granted` probes the error gate
 // admitted. entryEdge stretches pass granted=0 (delivery, no reply).

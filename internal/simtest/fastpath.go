@@ -4,10 +4,14 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"reflect"
 
 	"repro/internal/ipv6"
+	"repro/internal/loopscan"
 	"repro/internal/netsim"
+	"repro/internal/subnet"
 	"repro/internal/xmap"
+	"repro/internal/zgrab"
 )
 
 // fastPathLeg is one leg of the compiled-vs-interpreted oracle: the
@@ -105,12 +109,6 @@ func runFastPathLeg(build func(int64) (*ISPFixture, error), seed int64, p FaultP
 	if err != nil {
 		return fastPathLeg{}, err
 	}
-	return scanFastPathLeg(f, seed, fastpath, batch)
-}
-
-// scanFastPathLeg runs the two-pass fast-path scan over an already
-// built fixture.
-func scanFastPathLeg(f *ISPFixture, seed int64, fastpath bool, batch int) (fastPathLeg, error) {
 	f.Eng.SetFastPath(fastpath)
 	var drv xmap.Driver = f.Drv
 	if batch > 0 {
@@ -130,14 +128,31 @@ func scanFastPathLeg(f *ISPFixture, seed int64, fastpath bool, batch int) (fastP
 		}
 	}
 	leg.counters = f.Eng.Counters()
-	for _, l := range f.Eng.Links() {
+	leg.links = snapshotLinks(f.Eng)
+	return leg, nil
+}
+
+// fastPathPair runs the native-burst compiled leg and its interpreted
+// reference.
+func fastPathPair(build func(int64) (*ISPFixture, error), seed int64, p FaultProfile) (on, off fastPathLeg, err error) {
+	if on, err = runFastPathLeg(build, seed, p, true, 0); err == nil {
+		off, err = runFastPathLeg(build, seed, p, false, 0)
+	}
+	return on, off, err
+}
+
+// snapshotLinks reads every link's per-direction counters, in
+// connection order.
+func snapshotLinks(eng *netsim.Engine) []fastPathLink {
+	var links []fastPathLink
+	for _, l := range eng.Links() {
 		ends := l.Ends()
-		leg.links = append(leg.links, fastPathLink{
+		links = append(links, fastPathLink{
 			ends:  [2]string{ends[0].Name(), ends[1].Name()},
 			stats: [2]netsim.LinkStats{l.StatsFrom(ends[0]), l.StatsFrom(ends[1])},
 		})
 	}
-	return leg, nil
+	return links
 }
 
 // diffFastPathLegs compares one leg against the interpreted reference:
@@ -181,13 +196,22 @@ func diffFastPathLegs(name string, got, ref fastPathLeg) []string {
 			problems = append(problems, fmt.Sprintf("%s leg found phantom responder %s", name, a))
 		}
 	}
-	if len(got.links) != len(ref.links) {
-		problems = append(problems, fmt.Sprintf(
-			"%s leg link counts differ: %d vs %d (fixtures diverged)", name, len(got.links), len(ref.links)))
-		return problems
+	problems = append(problems, diffLinks(name, got.links, ref.links)...)
+	if got.trace != nil && ref.trace != nil {
+		problems = append(problems, diffFlowTraces(name, got.trace, ref.trace)...)
 	}
-	for i := range got.links {
-		a, b := got.links[i], ref.links[i]
+	return problems
+}
+
+// diffLinks compares two legs' link snapshots direction by direction.
+func diffLinks(name string, got, ref []fastPathLink) []string {
+	if len(got) != len(ref) {
+		return []string{fmt.Sprintf(
+			"%s leg link counts differ: %d vs %d (fixtures diverged)", name, len(got), len(ref))}
+	}
+	var problems []string
+	for i := range got {
+		a, b := got[i], ref[i]
 		for end := 0; end < 2; end++ {
 			if a.ends[end] != b.ends[end] {
 				problems = append(problems, fmt.Sprintf(
@@ -200,9 +224,6 @@ func diffFastPathLegs(name string, got, ref fastPathLeg) []string {
 					name, a.ends[end], a.ends[1-end], a.stats[end], b.stats[end]))
 			}
 		}
-	}
-	if got.trace != nil && ref.trace != nil {
-		problems = append(problems, diffFlowTraces(name, got.trace, ref.trace)...)
 	}
 	return problems
 }
@@ -259,29 +280,23 @@ func diffFlowTraces(name string, got, ref *traceCollector) []string {
 	return problems
 }
 
-// fastPathLegs runs the oracle's battery over one fixture builder: the
-// compiled leg against the interpreted reference, then the compiled leg
-// again at every batch size, each diffed against that same reference.
-// It returns the native-burst compiled leg for fixture-specific checks.
-func fastPathLegs(tag string, build func(int64) (*ISPFixture, error), seed int64, p FaultProfile) (fastPathLeg, []string, error) {
-	on, err := runFastPathLeg(build, seed, p, true, 0)
+// fastPathLegs runs the oracle's fault-free battery over one fixture
+// builder: the compiled leg against the interpreted reference, then the
+// compiled leg again at every batch size, each diffed against that same
+// reference. It returns the native-burst compiled leg for
+// fixture-specific checks.
+func fastPathLegs(tag string, build func(int64) (*ISPFixture, error), seed int64) (fastPathLeg, []string, error) {
+	on, off, err := fastPathPair(build, seed, FaultProfile{})
 	if err != nil {
 		return on, nil, err
 	}
-	off, err := runFastPathLeg(build, seed, p, false, 0)
-	if err != nil {
-		return on, nil, err
-	}
-
 	problems := diffFastPathLegs(tag, on, off)
 	// The comparison is only meaningful if each leg took the path it
-	// claims: fused replays on one side, none on the other.
+	// claims: fused replays (which synthesized their flow crossings
+	// rather than silencing the tracer) on one side, none on the other.
 	if on.counters.FastPathHits == 0 {
 		problems = append(problems, tag+" leg recorded zero flow-cache hits: fast path never engaged")
 	}
-	// The trace-parity comparison is only meaningful if the compiled leg
-	// actually captured crossings (i.e. fused replays synthesized them
-	// rather than silencing the tracer).
 	if on.trace.total == 0 {
 		problems = append(problems, tag+" leg captured zero flow crossings: trace synthesis never engaged")
 	}
@@ -295,10 +310,16 @@ func fastPathLegs(tag string, build func(int64) (*ISPFixture, error), seed int64
 			"%s leg pumped %d events, interpreted %d: fusing saved nothing",
 			tag, on.counters.Events, off.counters.Events))
 	}
+	// Every probe of both passes was offered to the cache exactly once.
+	if c, sent := on.counters, on.stats[0].Sent+on.stats[1].Sent; c.FastPathHits+c.FastPathMisses != sent {
+		problems = append(problems, fmt.Sprintf(
+			"%s leg counted %d hits + %d misses for %d probes: the account does not partition the injections",
+			tag, c.FastPathHits, c.FastPathMisses, sent))
+	}
 
 	for _, bs := range []int{1, 7, 64, netsim.InjectRunLen} {
 		name := fmt.Sprintf("%s[batch=%d]", tag, bs)
-		leg, err := runFastPathLeg(build, seed, p, true, bs)
+		leg, err := runFastPathLeg(build, seed, FaultProfile{}, true, bs)
 		if err != nil {
 			return on, nil, err
 		}
@@ -306,41 +327,46 @@ func fastPathLegs(tag string, build func(int64) (*ISPFixture, error), seed int64
 		if leg.counters.FastPathHits == 0 {
 			problems = append(problems, name+" leg recorded zero flow-cache hits: fast path never engaged")
 		}
-		// A fault-free world must actually exercise the batched resolve
-		// path (profiles with an armed fault layer legitimately fall
-		// back to per-packet interpretation).
-		if !p.Active() && leg.counters.FastPathBatched == 0 {
-			problems = append(problems, name+" leg replayed zero probes through the batched path")
-		}
 	}
 	return on, problems, nil
 }
 
 // RunFastPathOracle is the compiled-vs-interpreted differential oracle:
-// the same seeded scan, against the same seeded fault world, with the
-// netsim flow cache on (fused replays) and off (every crossing
+// the same seeded scan, against the same seeded world, with the netsim
+// flow cache on (injected runs replayed fused) and off (every crossing
 // interpreted). The fast path must be invisible to everything except
-// the event count: identical responder sets, identical dedup accounting,
-// identical engine transmission/byte/drop totals, and identical
-// per-link per-direction stats under EVERY fault profile — which only
-// holds because replay charges stats and consumes fault-RNG draws in
-// exactly the interpreted order. Counters.Events is deliberately NOT
-// compared: collapsing ~13 events per probe into one fused event is the
-// fast path's entire point.
+// the event count: identical responder sets, dedup accounting, engine
+// transmission/byte/drop totals, per-link per-direction stats and flow
+// traces. Counters.Events is deliberately NOT compared: collapsing ~13
+// events per probe into one fused event is the fast path's entire point.
 //
-// The same interpreted reference also judges the batched replay: extra
+// Under an active fault profile the cache is not consulted at all, so
+// one on/off pair asserts exactly that: no hits, no misses, no compiles
+// and — here — an equal event count. The battery below runs fault-free.
+//
+// The same interpreted reference also judges every batch size: extra
 // fast-path legs rerun the scan with the engine-visible send batch
-// clamped to 1, 7 (odd, straddles drain windows), 64 (the scanner's
-// native drain window) and netsim.InjectRunLen (the resolve-run scratch
-// size, so larger bursts span multiple locked runs). The aggregated
-// charging in InjectBatch must be invisible at every batch size — in
-// particular batch 1 pins that a trivial batch and the per-probe path
-// agree, so batched-vs-per-probe equivalence is transitive through the
-// reference. The whole battery then runs a second time over the sparse
-// fixture, where entries span empty stretches of the window rather than
-// single cells.
+// clamped to 1 (Engine.Inject's shape), 7 (odd, straddles drain
+// windows), 64 (the scanner's native drain window) and
+// netsim.InjectRunLen (the resolve-run scratch size, so larger bursts
+// span multiple locked runs). The whole battery then runs a second time
+// over the sparse fixture, where entries span empty stretches of the
+// window rather than single cells.
 func RunFastPathOracle(seed int64, p FaultProfile) ([]string, error) {
-	_, problems, err := fastPathLegs("fastpath", BuildISPFixture, seed, p)
+	if p.Active() {
+		on, off, err := fastPathPair(BuildISPFixture, seed, p)
+		if err != nil {
+			return nil, err
+		}
+		problems := diffFastPathLegs("fastpath[armed]", on, off)
+		if c := on.counters; c.FastPathHits|c.FastPathMisses|c.FastPathCompiles != 0 || c.Events != off.counters.Events {
+			problems = append(problems, fmt.Sprintf(
+				"armed engine consulted the flow cache: %d hits, %d misses, %d compiles, %d events vs %d interpreted",
+				c.FastPathHits, c.FastPathMisses, c.FastPathCompiles, c.Events, off.counters.Events))
+		}
+		return problems, nil
+	}
+	_, problems, err := fastPathLegs("fastpath", BuildISPFixture, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -348,58 +374,133 @@ func RunFastPathOracle(seed int64, p FaultProfile) ([]string, error) {
 	// Sparse leg: the dense fixture's gaps are a few cells wide, so its
 	// region claims rarely exceed one cell. The same battery over a
 	// 2^12-cell window holding a dozen CPEs and a hostile /58 replays
-	// gap-wide entries under every fault profile and batch size — and
-	// must actually be served by them: a pass that compiled per probe
-	// would compile thousands of entries and miss on all of pass one.
-	// (The share is only asserted fault-free: a layer that queues
-	// duplicates or delays hands most hops to the interpreter, each a
-	// miss of its own, whatever the claims are.)
-	son, sparse, err := fastPathLegs("sparse", BuildSparseFixture, seed, p)
+	// gap-wide entries at every batch size — and must actually be served
+	// by them: a pass that compiled per probe would compile thousands of
+	// entries and miss on all of pass one.
+	son, sparse, err := fastPathLegs("sparse", BuildSparseFixture, seed)
 	if err != nil {
 		return nil, err
 	}
 	problems = append(problems, sparse...)
 	c := son.counters
 	share := float64(c.FastPathHits) / float64(c.FastPathHits+c.FastPathMisses)
-	if c.FastPathCompiles*4 > son.stats[0].Sent || !p.Active() && !(share > 0.9) {
+	if c.FastPathCompiles*4 > son.stats[0].Sent || !(share > 0.9) {
 		problems = append(problems, fmt.Sprintf(
-			"sparse leg compiled %d flows for %d cells, hit share %.3f (want < cells/4, fault-free > 0.9): gap-wide claims never engaged",
+			"sparse leg compiled %d flows for %d cells, hit share %.3f (want < cells/4, > 0.9): gap-wide claims never engaged",
 			c.FastPathCompiles, son.stats[0].Sent, share))
 	}
 
 	// Hostile legs: the flow cache must stay invisible under every
 	// adversarial responder model too. Hostile nodes install no compile
-	// hooks, so their flows fall back to interpreted delivery (a negative
-	// cache entry) while the honest flows still compile — the on leg must
-	// therefore still record cache hits. Run once per seed, on the
-	// fault-free profile, so the hostile sweep doesn't multiply the fault
-	// sweep.
-	if !p.Active() {
-		for _, hp := range HostileProfiles {
-			if hp.Mode == 0 {
-				continue
-			}
-			name := "fastpath[hostile=" + hp.Name + "]"
-			build := func(fastpath bool) (fastPathLeg, error) {
-				f, err := BuildHostileFixture(seed, hp)
-				if err != nil {
-					return fastPathLeg{}, err
-				}
-				return scanFastPathLeg(f, seed, fastpath, 0)
-			}
-			hon, err := build(true)
-			if err != nil {
-				return nil, err
-			}
-			hoff, err := build(false)
-			if err != nil {
-				return nil, err
-			}
-			problems = append(problems, diffFastPathLegs(name, hon, hoff)...)
-			if hon.counters.FastPathHits == 0 {
-				problems = append(problems, name+" leg recorded zero flow-cache hits: fast path never engaged")
-			}
+	// hooks, so their flows are interpreted (a negative cache entry)
+	// while the honest flows still compile — the on leg must therefore
+	// still record cache hits.
+	for _, hp := range HostileProfiles {
+		if hp.Mode == 0 {
+			continue
 		}
+		name := "fastpath[hostile=" + hp.Name + "]"
+		build := func(seed int64) (*ISPFixture, error) { return BuildHostileFixture(seed, hp) }
+		hon, hoff, err := fastPathPair(build, seed, FaultProfile{})
+		if err != nil {
+			return nil, err
+		}
+		problems = append(problems, diffFastPathLegs(name, hon, hoff)...)
+		if hon.counters.FastPathHits == 0 {
+			problems = append(problems, name+" leg recorded zero flow-cache hits: fast path never engaged")
+		}
+	}
+	return problems, nil
+}
+
+// toolLeg is one leg of the tool-parity oracle: what the three
+// per-packet tools reported over one generated deployment, and what
+// they cost the engine.
+type toolLeg struct {
+	subnet     subnet.Result
+	subnetErr  error
+	grabs      []*zgrab.DeviceResult
+	loop       *loopscan.ScanResult
+	loopEvents uint64
+	counters   netsim.Counters
+	links      []fastPathLink
+}
+
+func runToolLeg(seed int64, fastpath bool) (toolLeg, error) {
+	var leg toolLeg
+	dep, err := BuildLoopDeployment(seed)
+	if err != nil {
+		return leg, err
+	}
+	dep.Engine.SetFastPath(fastpath)
+	isp := dep.ISPs[0]
+	drv := xmap.NewSimDriver(dep.Engine, dep.Edge)
+	leg.subnet, leg.subnetErr = subnet.Infer(drv, isp.Window.Base, subnet.Options{Seed: seed})
+	prober := zgrab.New(drv)
+	for _, dev := range isp.Devices {
+		grab, err := prober.ProbeDevice(dev.WANAddr, nil)
+		if err != nil {
+			return leg, err
+		}
+		leg.grabs = append(leg.grabs, grab)
+	}
+	before := dep.Engine.Counters().Events
+	leg.loop, err = loopscan.NewDetector(drv).ScanWindows([]ipv6.Window{isp.Window}, scanSeed(seed))
+	if err != nil {
+		return leg, err
+	}
+	leg.counters = dep.Engine.Counters()
+	leg.loopEvents = leg.counters.Events - before
+	leg.links = snapshotLinks(dep.Engine)
+	return leg, nil
+}
+
+// RunToolParityOracle runs the per-packet tools — sub-prefix inference,
+// the eight-service prober over every device, the routing-loop sweep —
+// over one generated deployment with the flow cache on and off, no tap,
+// fault-free. Every packet they send goes through Engine.Inject, and
+// the Discovery/Subnet/Loop scenarios attach the Invariants tap (an
+// observed engine is interpreted), so this leg is what runs the tools
+// over the compiled path: identical reports, identical per-link stats,
+// cache hits on the on leg, and a loop sweep that costs fewer events
+// there (loop fusion engaged at injection).
+func RunToolParityOracle(seed int64) ([]string, error) {
+	on, err := runToolLeg(seed, true)
+	if err != nil {
+		return nil, err
+	}
+	off, err := runToolLeg(seed, false)
+	if err != nil {
+		return nil, err
+	}
+	var problems []string
+	differ := func(what string, got, ref any) {
+		if !reflect.DeepEqual(got, ref) {
+			problems = append(problems, fmt.Sprintf("%s: fastpath %+v, interpreted %+v", what, got, ref))
+		}
+	}
+	differ("subnet.Infer error", fmt.Sprint(on.subnetErr), fmt.Sprint(off.subnetErr))
+	differ("subnet.Infer", on.subnet, off.subnet)
+	differ("zgrab.ProbeDevice", on.grabs, off.grabs)
+	differ("loop sweep", on.loop, off.loop)
+	a, b := on.counters, off.counters
+	differ("engine transmissions/bytes/dropped",
+		[3]uint64{a.Transmissions, a.Bytes, a.Dropped}, [3]uint64{b.Transmissions, b.Bytes, b.Dropped})
+	problems = append(problems, diffLinks("tools", on.links, off.links)...)
+	// The comparison needs teeth on both sides: an inference and a loop
+	// found at all, the cache used on one leg and untouched on the other.
+	if off.subnetErr != nil || len(off.loop.VulnerableHops()) == 0 {
+		problems = append(problems, fmt.Sprintf("interpreted tools leg inferred nothing (%v) or found no loop", off.subnetErr))
+	}
+	if a.FastPathHits == 0 || b.FastPathHits|b.FastPathMisses != 0 {
+		problems = append(problems, fmt.Sprintf(
+			"tools legs took the wrong path: %d hits fastpath, %d hits + %d misses interpreted",
+			a.FastPathHits, b.FastPathHits, b.FastPathMisses))
+	}
+	if on.loopEvents >= off.loopEvents {
+		problems = append(problems, fmt.Sprintf(
+			"loop sweep pumped %d events fastpath, %d interpreted: loop fusion never engaged at injection",
+			on.loopEvents, off.loopEvents))
 	}
 	return problems, nil
 }

@@ -14,10 +14,9 @@ const resumeCheckpointEvery = 32
 
 // reliabilityFixture is one seeded fixture with the profile's injector
 // installed — every oracle leg starts from an identical world. An
-// inactive profile ("none") installs no fault layer at all, keeping the
-// engine's batched replay eligible; a no-op injector would pin every
-// leg to per-packet interpretation and hide the batched path from the
-// oracles.
+// inactive profile ("none") installs no fault layer at all, so the
+// engine's flow cache stays consulted; a no-op injector would pin every
+// leg to the interpreter and hide the fused replay from the oracles.
 func reliabilityFixture(seed int64, p FaultProfile) (*ISPFixture, error) {
 	return faultWorld(BuildISPFixture, seed, p)
 }

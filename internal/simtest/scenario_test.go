@@ -71,6 +71,10 @@ func TestScenarios(t *testing.T) {
 					report(t, "fastpath-vs-interpreted/"+p.Name, problems, err)
 				}
 			})
+			t.Run("oracle-tools", func(t *testing.T) {
+				problems, err := RunToolParityOracle(seed)
+				report(t, "tools-fastpath-vs-interpreted", problems, err)
+			})
 			t.Run("oracle-resume", func(t *testing.T) {
 				for _, p := range Profiles {
 					if !p.Lossless() {

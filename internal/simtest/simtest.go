@@ -62,8 +62,8 @@ func (p FaultProfile) Lossless() bool {
 
 // Active reports whether the profile injects any fault at all. An
 // inactive profile leaves the engine's fault layer uninstalled, so the
-// fixture exercises the engine's fully fused fast paths (an armed fault
-// layer — even a no-op one — forces per-packet interpretation so fault
+// fixture exercises the engine's fused replay (an armed fault layer —
+// even a no-op one — means every packet is interpreted, so fault
 // decisions land in sequential order).
 func (p FaultProfile) Active() bool {
 	return p.LossProb > 0 || p.DupProb > 0 || p.ReorderProb > 0 ||

@@ -69,7 +69,6 @@ const (
 	SimFastPathHits
 	SimFastPathMisses
 	SimFastPathInvalidations
-	SimFastPathBatched
 	SimFastPathCompiles
 	SimFastPathEvictions
 	LoopProbes
@@ -110,7 +109,6 @@ var counterNames = [NumCounters]string{
 	SimFastPathHits:          "sim.fastpath.hits",
 	SimFastPathMisses:        "sim.fastpath.misses",
 	SimFastPathInvalidations: "sim.fastpath.invalidations",
-	SimFastPathBatched:       "sim.fastpath.batched",
 	SimFastPathCompiles:      "sim.fastpath.compiles",
 	SimFastPathEvictions:     "sim.fastpath.evictions",
 	LoopProbes:               "loop.probes",

@@ -248,7 +248,6 @@ func engineCollector(counters func() netsim.Counters) telemetry.Collector {
 		add(telemetry.SimFastPathHits, c.FastPathHits)
 		add(telemetry.SimFastPathMisses, c.FastPathMisses)
 		add(telemetry.SimFastPathInvalidations, c.FastPathInvalidations)
-		add(telemetry.SimFastPathBatched, c.FastPathBatched)
 		add(telemetry.SimFastPathCompiles, c.FastPathCompiles)
 		add(telemetry.SimFastPathEvictions, c.FastPathEvictions)
 	}
