@@ -452,6 +452,69 @@ func BenchmarkScannerThroughputSharded(b *testing.B) {
 	b.ReportMetric(float64(dep.Group.Counters().Events)/float64(sent), "events/probe")
 }
 
+// benchResponses is a periphery-shaped result stream for the output
+// benchmarks: full-length SLAAC responders, each probed at another /64 of
+// the same block, as a dense window reports them.
+func benchResponses() []xmap.Response {
+	rng := rand.New(rand.NewSource(9))
+	rs := make([]xmap.Response, 1024)
+	for i := range rs {
+		hi := 0x2401_0db8_0000_0000 | uint64(rng.Intn(1<<20))
+		rs[i] = xmap.Response{
+			Responder: ipv6.AddrFrom128(uint128.New(hi, rng.Uint64())),
+			ProbeDst:  ipv6.AddrFrom128(uint128.New(hi+1, rng.Uint64())),
+			Kind:      xmap.KindDestUnreach,
+			Code:      3,
+		}
+	}
+	return rs
+}
+
+func benchOutputWrite(b *testing.B, out xmap.OutputModule) {
+	rs := benchResponses()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := out.Write(rs[i%len(rs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := out.Flush(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkCSVOutputWrite is the cost of one result row through the CSV
+// module, buffer flushes included. The contract bench.sh gates: zero
+// allocations per row, like every scanner row above.
+func BenchmarkCSVOutputWrite(b *testing.B) {
+	out, err := xmap.NewCSVOutput(io.Discard)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchOutputWrite(b, out)
+}
+
+// BenchmarkJSONOutputWrite is BenchmarkCSVOutputWrite for NDJSON.
+func BenchmarkJSONOutputWrite(b *testing.B) {
+	benchOutputWrite(b, xmap.NewJSONOutput(io.Discard))
+}
+
+// BenchmarkAddrAppendTo formats one address into a reused buffer — the
+// formatter under both output modules and Addr.String.
+func BenchmarkAddrAppendTo(b *testing.B) {
+	rs := benchResponses()
+	buf := make([]byte, 0, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = rs[i%len(rs)].Responder.AppendTo(buf[:0])
+	}
+	if len(buf) == 0 {
+		b.Fatal("nothing formatted")
+	}
+}
+
 // BenchmarkAmplification measures the per-packet cost of the loop attack
 // and prints the achieved amplification factor (Section VI-A: >200).
 func BenchmarkAmplification(b *testing.B) {

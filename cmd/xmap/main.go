@@ -70,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		retries  = fs.Int("retries", 0, "re-probe unanswered targets up to this many times with backoff")
 		defend   = fs.Bool("defend", false, "adversarial defenses: alias/cooldown detection, strict reply validation, overload shedding")
 		aimd     = fs.Bool("aimd", false, "adapt the send window to the reply rate (AIMD)")
-		ckptF    = fs.String("checkpoint", "", "write a resumable scan checkpoint to this file (periodically, on SIGINT/SIGTERM, and on exit)")
+		ckptF    = fs.String("checkpoint", "", "write a resumable scan checkpoint to this file (periodically, on SIGINT/SIGTERM, and on exit); output rows are flushed before each write, so they are durable up to the last checkpoint even across kill -9")
 		ckptN    = fs.Uint64("checkpoint-every", 4096, "targets between periodic checkpoints")
 		resumeF  = fs.Bool("resume", false, "resume the scan recorded in the -checkpoint file")
 		monitorN = fs.Int("monitor-every", 0, "print a ZMap-style status line to stderr every N probed targets (0 = off)")
@@ -308,6 +308,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		cfg.CheckpointPath = *ckptF
 		if *ckptF != "" {
 			cfg.CheckpointEvery = *ckptN
+			// Rows reach stdout before the file lists their responders:
+			// a resume suppresses exactly what a kill -9 cannot have lost.
+			cfg.BeforeCheckpoint = out.Flush
 		}
 		if *resumeF {
 			ck, lerr := xmap.LoadCheckpoint(*ckptF)

@@ -78,13 +78,34 @@ func (a Addr) Less(b Addr) bool { return a.u.Less(b.u) }
 // Next returns the numerically next address, wrapping at the top.
 func (a Addr) Next() Addr { return Addr{u: a.u.Add64(1)} }
 
-// String renders a in RFC 5952 canonical form: lower-case hex, leading
-// zeros suppressed, the longest run of two or more zero segments
-// (leftmost on a tie) compressed to "::", and IPv4-mapped addresses in
-// mixed notation (section 5).
+// String renders a in RFC 5952 canonical form; see AppendTo.
 func (a Addr) String() string {
-	if v4, ok := a.AsV4(); ok && a.u.Lo>>32 == 0xffff {
-		return fmt.Sprintf("::ffff:%d.%d.%d.%d", byte(v4>>24), byte(v4>>16), byte(v4>>8), byte(v4))
+	var buf [maxAddrText]byte
+	return string(a.AppendTo(buf[:0]))
+}
+
+// maxAddrText is the longest text AppendTo produces: eight full hextets
+// and seven colons.
+const maxAddrText = 39
+
+const hexDigits = "0123456789abcdef"
+
+// AppendTo appends a's RFC 5952 canonical form to b and returns the
+// extended slice: lower-case hex, leading zeros suppressed, the longest
+// run of two or more zero segments (leftmost on a tie) compressed to
+// "::", and IPv4-mapped addresses in mixed notation (section 5). It is
+// the package's only text formatter and allocates nothing when b has
+// room.
+func (a Addr) AppendTo(b []byte) []byte {
+	if v4, ok := a.AsV4(); ok {
+		b = append(b, "::ffff:"...)
+		for shift := 24; shift >= 0; shift -= 8 {
+			b = strconv.AppendUint(b, uint64(byte(v4>>shift)), 10)
+			if shift > 0 {
+				b = append(b, '.')
+			}
+		}
+		return b
 	}
 	seg := a.Segments()
 
@@ -108,20 +129,27 @@ func (a Addr) String() string {
 		bestStart = -1
 	}
 
-	var b strings.Builder
-	b.Grow(41)
 	for i := 0; i < 8; i++ {
 		if i == bestStart {
-			b.WriteString("::")
+			b = append(b, ':', ':')
 			i += bestLen - 1
 			continue
 		}
 		if i > 0 && !(bestStart >= 0 && i == bestStart+bestLen) {
-			b.WriteByte(':')
+			b = append(b, ':')
 		}
-		b.WriteString(strconv.FormatUint(uint64(seg[i]), 16))
+		switch v := seg[i]; {
+		case v >= 0x1000:
+			b = append(b, hexDigits[v>>12], hexDigits[v>>8&0xf], hexDigits[v>>4&0xf], hexDigits[v&0xf])
+		case v >= 0x100:
+			b = append(b, hexDigits[v>>8], hexDigits[v>>4&0xf], hexDigits[v&0xf])
+		case v >= 0x10:
+			b = append(b, hexDigits[v>>4], hexDigits[v&0xf])
+		default:
+			b = append(b, hexDigits[v])
+		}
 	}
-	return b.String()
+	return b
 }
 
 // ParseAddr parses an IPv6 address in textual form: the full grammar of

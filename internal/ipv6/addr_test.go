@@ -19,16 +19,72 @@ func (Addr) Generate(r *rand.Rand, _ int) reflect.Value {
 	return reflect.ValueOf(randAddr(r))
 }
 
-func TestStringMatchesNetip(t *testing.T) {
-	// The standard library's netip formatting is RFC 5952 compliant;
-	// use it as a reference implementation.
-	f := func(a Addr) bool {
-		b := a.Bytes()
-		want := netip.AddrFrom16(b).String()
-		return a.String() == want
+// checkText fails unless AppendTo (onto a non-empty slice) and String
+// both render a exactly as the standard library's RFC 5952 formatter
+// does.
+func checkText(t *testing.T, a Addr) {
+	t.Helper()
+	want := netip.AddrFrom16(a.Bytes()).String()
+	if got := string(a.AppendTo([]byte("x,"))); got != "x,"+want {
+		t.Errorf("AppendTo(%x) = %q, want %q", a.Bytes(), got, "x,"+want)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
+	if got := a.String(); got != want {
+		t.Errorf("String(%x) = %q, want %q", a.Bytes(), got, want)
+	}
+}
+
+func TestStringMatchesNetip(t *testing.T) {
+	// Uniform addresses almost never hold a zero hextet, so every second
+	// one has a random subset of its hextets zeroed and another subset
+	// cut to one or two digits: zero runs of every length and position,
+	// ties included, and every leading-zero count.
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 100000; i++ {
+		a := randAddr(r)
+		if i%2 == 1 {
+			seg := a.Segments()
+			zero, short := r.Intn(256), r.Intn(256)
+			for j := range seg {
+				if zero>>j&1 == 1 {
+					seg[j] = 0
+				} else if short>>j&1 == 1 {
+					seg[j] &= 0xff >> (4 * (j & 1))
+				}
+			}
+			a = AddrFromSegments(seg)
+		}
+		checkText(t, a)
+	}
+}
+
+func FuzzAddrAppendTo(f *testing.F) {
+	for _, s := range []string{
+		"::", "::1", "1::", "1:0:0:2::", // leading, trailing, longest-run choice
+		"1:0:0:2:0:0:3:4", // two equal-length zero runs: leftmost wins
+		"1:2:3:0:5:6:7:8", // a lone zero hextet is not compressed
+		"::ffff:1.2.3.4",
+		"ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff",
+	} {
+		u := MustParseAddr(s).Uint128()
+		f.Add(u.Hi, u.Lo)
+	}
+	f.Fuzz(func(t *testing.T, hi, lo uint64) {
+		checkText(t, AddrFrom128(uint128.New(hi, lo)))
+	})
+}
+
+func TestStringAllocatesOnce(t *testing.T) {
+	a := MustParseAddr("2001:1db8:1234:5678:9abc:def0:1234:5678")
+	buf := make([]byte, 0, maxAddrText)
+	if n := testing.AllocsPerRun(100, func() { buf = a.AppendTo(buf[:0]) }); n != 0 {
+		t.Errorf("AppendTo allocates %v times per call", n)
+	}
+	if len(buf) != maxAddrText {
+		t.Errorf("longest form is %d bytes, maxAddrText says %d", len(buf), maxAddrText)
+	}
+	var s string
+	if n := testing.AllocsPerRun(100, func() { s = a.String() }); n != 1 {
+		t.Errorf("String allocates %v times per call (%q)", n, s)
 	}
 }
 

@@ -2,6 +2,7 @@ package xmap
 
 import (
 	"context"
+	"fmt"
 	"sync"
 
 	"repro/internal/ipv6"
@@ -27,20 +28,38 @@ type checkpointer struct {
 	path string
 	ck   Checkpoint // Responders is refilled per write
 	seen *seenSet
-	err  error // first write failure
+	// before is Config.BeforeCheckpoint: what the handler buffered is
+	// drained before the file may list it.
+	before func() error
+	err    error // first write failure
 }
 
 // write persists the recorded states with a fresh responder snapshot.
+// Drain and snapshot share one hold of the handler's lock, so the file
+// lists exactly the responders whose output has been drained.
 func (c *checkpointer) write() {
+	err := c.snapshot()
+	if err == nil {
+		err = c.ck.WriteFile(c.path)
+	}
+	if err != nil && c.err == nil {
+		c.err = err
+	}
+}
+
+func (c *checkpointer) snapshot() error {
 	c.seen.mu.Lock()
+	defer c.seen.mu.Unlock()
+	if c.before != nil {
+		if err := c.before(); err != nil {
+			return fmt.Errorf("xmap: before checkpoint: %w", err)
+		}
+	}
 	c.ck.Responders = c.ck.Responders[:0]
 	for a := range c.seen.m {
 		c.ck.Responders = append(c.ck.Responders, a)
 	}
-	c.seen.mu.Unlock()
-	if err := c.ck.WriteFile(c.path); err != nil && c.err == nil {
-		c.err = err
-	}
+	return nil
 }
 
 // update records one shard's state and rewrites the file.
@@ -70,7 +89,8 @@ func (c *checkpointer) update(st ShardState) {
 //
 // With Config.CheckpointPath set, every shard's periodic and exit
 // checkpoint states are assembled into one file (atomically replaced on
-// each update) together with the cross-shard responder set. With
+// each update) together with the cross-shard responder set, after
+// Config.BeforeCheckpoint has drained the handler's output. With
 // Config.ResumeFrom set, each shard's scanner resumes from the
 // checkpoint (see New), and the handler is never re-invoked for
 // responders the interrupted scan already reported.
@@ -106,9 +126,10 @@ func ScanParallel(ctx context.Context, cfg Config, drv Driver, shards int, handl
 	var ckpt *checkpointer
 	if cfg.CheckpointPath != "" {
 		ckpt = &checkpointer{
-			path: cfg.CheckpointPath,
-			ck:   Checkpoint{Digest: ConfigDigest(cfg, shards), Shards: shards},
-			seen: seen,
+			path:   cfg.CheckpointPath,
+			ck:     Checkpoint{Digest: ConfigDigest(cfg, shards), Shards: shards},
+			seen:   seen,
+			before: cfg.BeforeCheckpoint,
 		}
 	}
 	if ck := cfg.ResumeFrom; ck != nil {

@@ -3,8 +3,10 @@ package xmap
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/ipv6"
@@ -234,6 +236,80 @@ func TestScanParallelCheckpointResume(t *testing.T) {
 		if !st.Done {
 			t.Errorf("shard %d not marked done after completion", st.Shard)
 		}
+	}
+}
+
+// TestBeforeCheckpointDrainsOutput: with a handler that only buffers and
+// a BeforeCheckpoint that drains the buffer, the file on disk never lists
+// a responder whose row is still buffered — what a kill -9 right after
+// any checkpoint write would lose, a resume re-probes. Without the
+// callback the same scan leaves listed responders undrained, and a
+// failing callback fails the scan and skips the write.
+func TestBeforeCheckpointDrainsOutput(t *testing.T) {
+	const shards = 2
+	scan := func(drain bool, beforeErr error) (undrained, writes int, err error) {
+		f := buildFixture(t)
+		path := filepath.Join(t.TempDir(), "scan.ckpt")
+		var buffered []ipv6.Addr // the handler's output buffer
+		var mu sync.Mutex        // shards call OnCheckpoint concurrently
+		durable := map[ipv6.Addr]bool{}
+		cfg := Config{
+			Window: window(t, f), Seed: []byte("before-checkpoint"),
+			CheckpointEvery: 16,
+			CheckpointPath:  path,
+			// OnCheckpoint runs after the write: read back what a kill
+			// would leave (this write or another shard's later one).
+			OnCheckpoint: func(ShardState) {
+				mu.Lock()
+				defer mu.Unlock()
+				ck, lerr := LoadCheckpoint(path)
+				if lerr != nil {
+					if beforeErr == nil {
+						t.Error(lerr)
+					}
+					return
+				}
+				writes++
+				for _, a := range ck.Responders {
+					if !durable[a] {
+						undrained++
+					}
+				}
+			},
+		}
+		if drain || beforeErr != nil {
+			cfg.BeforeCheckpoint = func() error {
+				mu.Lock()
+				defer mu.Unlock()
+				for _, a := range buffered {
+					durable[a] = true
+				}
+				buffered = buffered[:0]
+				return beforeErr
+			}
+		}
+		_, err = ScanParallel(context.Background(), cfg, f.drv, shards, func(r Response) {
+			buffered = append(buffered, r.Responder)
+		})
+		return undrained, writes, err
+	}
+
+	undrained, writes, err := scan(true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if writes < 256/16 {
+		t.Errorf("%d checkpoint writes observed, want at least %d", writes, 256/16)
+	}
+	if undrained != 0 {
+		t.Errorf("%d listed responders had rows still buffered at a checkpoint write", undrained)
+	}
+	if undrained, _, err = scan(false, nil); err != nil || undrained == 0 {
+		t.Errorf("without BeforeCheckpoint: %d undrained, err %v; the test cannot see the defect", undrained, err)
+	}
+	errDrain := errors.New("disk full")
+	if _, writes, err = scan(false, errDrain); !errors.Is(err, errDrain) || writes != 0 {
+		t.Errorf("failing BeforeCheckpoint: err %v after %d file writes, want %v and none", err, writes, errDrain)
 	}
 }
 

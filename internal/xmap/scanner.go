@@ -78,6 +78,13 @@ type Config struct {
 	// CheckpointPath, under ScanParallel, persists the assembled scan
 	// checkpoint to this file (atomic replace) on every shard update.
 	CheckpointPath string
+	// BeforeCheckpoint, when set, runs before every write of the
+	// CheckpointPath file, under the lock the handler runs under: every
+	// responder the file is about to list has been through the handler
+	// and none is in it. An output module's Flush belongs here, so that a
+	// hard kill never leaves the file listing a responder whose row was
+	// still buffered. An error skips that write and fails the scan.
+	BeforeCheckpoint func() error
 	// ResumeFrom continues an interrupted scan mid-cycle. New verifies
 	// the checkpoint's config digest, restores the state recorded for
 	// ShardIndex (permutation cursor, cumulative statistics, retry ring;

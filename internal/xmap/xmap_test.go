@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/filter"
 	"repro/internal/ipv6"
 	"repro/internal/netsim"
 	"repro/internal/uint128"
@@ -544,6 +545,9 @@ func TestCSVAndJSONOutput(t *testing.T) {
 	if err := jo.Write(r); err != nil {
 		t.Fatal(err)
 	}
+	if err := jo.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(jbuf.String(), `"kind":"dest-unreach"`) {
 		t.Errorf("json = %q", jbuf.String())
 	}
@@ -871,7 +875,7 @@ func TestResponseRecordFields(t *testing.T) {
 		ProbeDst:  ipv6.MustParseAddr("2001:db8::99"),
 		Kind:      KindTimeExceeded, Code: 0,
 	}
-	rec := r.Record()
+	var rec filter.Record = &r
 	for _, field := range []string{"responder", "probe_dst", "kind", "code", "same_prefix64"} {
 		if _, ok := rec.Field(field); !ok {
 			t.Errorf("field %q missing", field)

@@ -15,6 +15,14 @@
 # per-window state. Everything is seeded, so any diff is a real
 # regression in the checkpoint/resume path, never flake.
 #
+# A third pair of legs is a real kill: the -parallel 2 scan, slowed by
+# -rate, gets kill -9 as soon as its checkpoint file lists a responder,
+# and is resumed from whatever file that left. Nothing flushes on the way
+# out, so leg1 ∪ leg2 equals the reference only if every responder the
+# file lists had its row written out before the file was (rows are
+# flushed ahead of each checkpoint write). Responders seen after the last
+# checkpoint are re-probed and may appear in both legs.
+#
 # Usage: scripts/resume_smoke.sh [seed]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -64,4 +72,41 @@ kill_and_resume() {
 kill_and_resume 1 2048
 kill_and_resume 2 1024
 
-echo "resume_smoke: OK — $total responders identical across kill+resume, one shard and two (seed $seed)"
+# listed <checkpoint>: how many responders the file lists (big-endian
+# count behind the magic, the 32-byte digest and the shard count).
+listed() {
+    od -An -tu1 -j40 -N4 "$1" 2>/dev/null | awk '{ print (($1 * 256 + $2) * 256 + $3) * 256 + $4 }'
+}
+
+hard_kill_and_resume() {
+    local ckpt="$work/scan-kill.ckpt" pid n
+    local mode="kill -9, -parallel 2, seed $seed"
+    # 500 pps per shard: the 4096-target window takes about four seconds.
+    "$work/xmap" "${common[@]}" -parallel 2 -checkpoint "$ckpt" -checkpoint-every 256 \
+        -rate 500 >"$work/leg1.csv" &
+    pid=$!
+    while n=$(listed "$ckpt"); [ "${n:-0}" -lt 1 ]; do
+        if ! kill -0 "$pid" 2>/dev/null; then
+            echo "resume_smoke: the scan ended before its checkpoint listed a responder ($mode)" >&2
+            exit 1
+        fi
+        sleep 0.05
+    done
+    kill -9 "$pid"
+    wait "$pid" 2>/dev/null || true
+    if [ "$(listed "$ckpt")" -ge "$total" ]; then
+        echo "resume_smoke: the scan was complete before the kill; lower -rate ($mode)" >&2
+        exit 1
+    fi
+
+    "$work/xmap" "${common[@]}" -parallel 2 -checkpoint "$ckpt" -resume >"$work/leg2.csv"
+    cat "$work/leg1.csv" "$work/leg2.csv" >"$work/both.csv"
+    if ! diff -u "$work/want" <(responders "$work/both.csv"); then
+        echo "resume_smoke: rows lost across kill -9: the checkpoint listed responders whose rows were still buffered ($mode)" >&2
+        exit 1
+    fi
+}
+
+hard_kill_and_resume
+
+echo "resume_smoke: OK — $total responders identical across kill+resume, one shard, two, and two under kill -9 (seed $seed)"
