@@ -235,6 +235,11 @@ func (e *Engine) Connect(a, b *Iface, loss float64) *Link {
 	a.link, a.end = l, 0
 	b.link, b.end = l, 1
 	a.eng, b.eng = e, e
+	for _, ifc := range l.ends {
+		if n, ok := ifc.node.(interface{ attach(*Engine) }); ok {
+			n.attach(e)
+		}
+	}
 	e.mu.Lock()
 	e.links = append(e.links, l)
 	e.fp.assignIDLocked(a)

@@ -129,3 +129,69 @@ func BenchmarkEngineInjectColdSparse(b *testing.B) {
 	b.ReportMetric(float64(total.Events)/float64(b.N), "events/probe")
 	b.ReportMetric(float64(total.FastPathHits)/float64(total.FastPathHits+total.FastPathMisses), "hit_share")
 }
+
+// BenchmarkFlowCacheLookupGap measures flowCache.lookup against a block's
+// gap flow whose emptiness index holds 4,096 ranges (a 2^16-cell window,
+// one /60 in sixteen delegated). "hit" looks up unassigned space: key
+// match, one index search, served. "shadowed" alternates those with
+// lookups of delegated space, which the gap flow refuses so the lookup
+// goes on to the delegation's own entry at the next width — alternating
+// because the probe order follows the hits, and in a sweep the gap
+// flow's width stays first; its ns/op is the mean of one of each.
+func BenchmarkFlowCacheLookupGap(b *testing.B) {
+	const winBits, subscribers = 16, 4096
+	rng := rand.New(rand.NewSource(1))
+	cells := rng.Perm(1 << winBits)
+	delegs := make([]ipv6.Prefix, subscribers)
+	for i, c := range cells[:subscribers] {
+		p, err := sparseBlock.Sub(60, uint128.From64(uint64(c)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		delegs[i] = p
+	}
+	n := buildSparseNet(b, sparseBlock, delegs)
+	base := sparseBlock.Addr().Uint128().Hi
+	// One probe compiles the gap flow, one per subscriber its /60 (the
+	// sixth /64: the first is the CPE's WAN subnet, a hole of that entry).
+	warm := func(hi uint64) {
+		pkt, err := wire.BuildEchoRequest(scannerAddr, ipv6.AddrFrom128(uint128.New(hi, 1)), 64, 7, 1, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n.eng.Inject(n.scanner.Iface(), pkt)
+	}
+	warm(base | uint64(cells[subscribers])<<4)
+	for _, c := range cells[:subscribers] {
+		warm(base | uint64(c)<<4 | 5)
+	}
+	n.scanner.Drain()
+	if got := len(n.isp.gaps.ranges); got < subscribers*9/10 {
+		b.Fatalf("index holds %d ranges for %d delegations", got, subscribers)
+	}
+	fp, ifid := &n.eng.fp, n.scanner.Iface().Peer().fpID
+	// his[2i] is unassigned, his[2i+1] delegated.
+	his := make([]uint64, 1<<13)
+	for i := range his {
+		from, sub := cells[subscribers:], uint64(0)
+		if i&1 == 1 {
+			from, sub = cells[:subscribers], 5
+		}
+		his[i] = base | uint64(from[rng.Intn(len(from))])<<4 | sub
+		if j := fp.lookup(ifid, his[i], 9); j < 0 || (fp.hot[j].gaps != nil) != (i&1 == 0) {
+			b.Fatalf("lookup(%x) = slot %d, want a hit on a gap flow = %v", his[i], j, i&1 == 0)
+		}
+	}
+	run := func(b *testing.B, step int) {
+		sink := 0
+		for i, k := 0, 0; i < b.N; i, k = i+1, (k+step)&(len(his)-1) {
+			sink += fp.lookup(ifid, his[k], uint64(i)|1)
+		}
+		benchSink = sink
+	}
+	b.Run("hit", func(b *testing.B) { run(b, 2) })
+	b.Run("shadowed", func(b *testing.B) { run(b, 1) })
+}
+
+// benchSink keeps benchmarked results alive.
+var benchSink int

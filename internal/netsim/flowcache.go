@@ -22,7 +22,9 @@ import (
 // alone. Flows are keyed by (ingress interface, destination); entries
 // whose every decision is uniform across a region of the destination
 // space are stored wide, so the scanner's random-IID probes into one
-// window cell share an entry.
+// window cell share an entry — and all the unassigned space of an ISP
+// block is one entry, the gap flow, whose hole set is the provider
+// edge's own emptiness index (gapIndex, isp.go), not a list it carries.
 //
 // Only nodes that opt in via CompilableHop participate; anything with
 // per-packet state (a CPE in a vulnerable-loop mode, a UE, a node
@@ -95,6 +97,8 @@ type compiledTerm struct {
 	nHole uint8
 	src   ipv6.Addr
 	gate  *errorGate
+	// gaps, when non-nil, holds further holes (an ISP block's gap flow).
+	gaps  *gapIndex
 	excl  [fpExclCap]ipv6.Addr
 	holes [fpHoleCap]ipv6.Prefix
 }
@@ -188,6 +192,9 @@ type flowHot struct {
 	// gen validates the slot: live iff gen == flowCache.gen.
 	gen  uint64
 	gate *errorGate
+	// gaps is a gap flow's hole set, the terminal ISP router's emptiness
+	// index: the entry serves no /64 it holds. nil on every other entry.
+	gaps *gapIndex
 	ifid uint32
 	// Shadow pre-filter: the region's /64 cells (≤16 of them when width
 	// ≥ 60; cellShift = 64-width) that contain a hole or an exclusion.
@@ -217,7 +224,7 @@ type flowHot struct {
 	hlIn      uint8
 	loopStart uint8
 	loopLen   uint8
-	_         [9]byte // explicit pad: 64 bytes total, asserted below
+	_         [1]byte // explicit pad: 64 bytes total, asserted below
 }
 
 // flowHotSize pins flowHot to one cache line; either assertion failing
@@ -273,7 +280,8 @@ const (
 
 // fpWidthCap bounds how many distinct entry widths one cache tracks; a
 // lookup probes once per live width, so topologies keep this tiny (64
-// for exact and /64 entries plus the ISP delegation granularities).
+// for exact and /64 entries, the ISP delegation granularities, and the
+// gap flows' block width as the upstream hops' addresses narrow it).
 const fpWidthCap = 8
 
 // fpWidthDecay is the per-width hit count at which all counts halve:
@@ -488,6 +496,9 @@ func (fp *flowCache) lookup(ifid uint32, hi, lo uint64) int {
 				(s.flags&fpFlagWide == 0 && s.lo != lo) {
 				continue
 			}
+			if s.gaps != nil && s.gaps.assigned(hi) {
+				continue // a hole of the gap flow: the narrower widths hold it
+			}
 			if s.flags&fpFlagWide != 0 && s.nExcl|s.nHole != 0 {
 				cell := uint16(1) << (hi & (uint64(1)<<s.cellShift - 1))
 				if s.shadowCell&cell != 0 && shadowed(s, &fp.cold[j], hi, lo) {
@@ -609,10 +620,10 @@ func (fp *flowCache) grow() {
 // avoidAddrs returns the width (≥ width) of the largest claimable
 // region around dst that keeps every element of addrs out of it;
 // addresses sharing dst's full /64 cannot be widened past and join the
-// exclusion list instead. ok=false when the exclusion list overflows
-// (the claim must then be exact). Routers use this to bound region
-// claims by their own interface addresses.
-func avoidAddrs(width uint8, dst ipv6.Addr, addrs []ipv6.Addr, excl *[fpExclCap]ipv6.Addr, nExcl *uint8) (uint8, bool) {
+// exclusion list instead. When that list overflows it is emptied and
+// the width is 0: the claim must be exact. Routers use this to bound
+// region claims by their own interface addresses.
+func avoidAddrs(width uint8, dst ipv6.Addr, addrs []ipv6.Addr, excl *[fpExclCap]ipv6.Addr, nExcl *uint8) uint8 {
 	dh := dst.Uint128().Hi
 	for _, a := range addrs {
 		c := bits.LeadingZeros64(dh ^ a.Uint128().Hi)
@@ -621,7 +632,8 @@ func avoidAddrs(width uint8, dst ipv6.Addr, addrs []ipv6.Addr, excl *[fpExclCap]
 				continue // the caller already handled dst itself
 			}
 			if int(*nExcl) == fpExclCap {
-				return width, false
+				*nExcl = 0
+				return 0
 			}
 			excl[*nExcl] = a
 			*nExcl++
@@ -631,7 +643,7 @@ func avoidAddrs(width uint8, dst ipv6.Addr, addrs []ipv6.Addr, excl *[fpExclCap]
 			width = w
 		}
 	}
-	return width, true
+	return width
 }
 
 // prefixWidth converts a region prefix into a width claim: its length
@@ -694,7 +706,7 @@ func (e *Engine) compileFlow(to *Iface, pkt []byte) {
 					// (an RNG draw per crossing): interpreted.
 					break
 				}
-				applyStepRegion(ent, cld, &step)
+				applyRegion(ent, cld, step.Width, step.Excl[:step.NExcl], step.Holes[:step.NHole])
 				cld.fwd[ent.nf] = hopTo(step.Out, step.Forwarded)
 				ent.nf++
 				hl--
@@ -750,7 +762,7 @@ func (e *Engine) compileFlow(to *Iface, pkt []byte) {
 		// Exact entries are keyed at /64 with the low half compared,
 		// and never match a special address or hole.
 		ent.width = 64
-		ent.nExcl, ent.nHole = 0, 0
+		ent.nExcl, ent.nHole, ent.gaps = 0, 0, nil
 		if _, ok := e.fp.keyWidth(64); !ok {
 			return // unkeyable
 		}
@@ -758,38 +770,21 @@ func (e *Engine) compileFlow(to *Iface, pkt []byte) {
 	e.fp.insert(ent, cld)
 }
 
-// applyStepRegion folds one compiled hop's region claim into the
-// entry: the width narrows to the step's (larger width = smaller
+// applyRegion folds one hop's or the terminal's region claim into the
+// entry: the width narrows to the claim's (larger width = smaller
 // region), exclusions and holes accumulate; any overflow forces the
 // entry exact.
-func applyStepRegion(h *flowHot, c *flowCold, step *CompiledStep) {
-	if step.Width == 0 {
+func applyRegion(h *flowHot, c *flowCold, width uint8, excl []ipv6.Addr, holes []ipv6.Prefix) {
+	if width == 0 {
 		h.flags &^= fpFlagWide
-	} else if step.Width > h.width {
-		h.width = step.Width
+	} else if width > h.width {
+		h.width = width
 	}
-	if step.NExcl > 0 && !mergeExcl(h, c, step.Excl[:step.NExcl]) {
-		h.flags &^= fpFlagWide
-	}
-	for k := uint8(0); k < step.NHole; k++ {
-		if !mergeHole(h, c, step.Holes[k]) {
-			h.flags &^= fpFlagWide
-		}
-	}
-}
-
-// applyTermRegion is applyStepRegion for a compiled terminal.
-func applyTermRegion(h *flowHot, c *flowCold, term *compiledTerm) {
-	if term.width == 0 {
-		h.flags &^= fpFlagWide
-	} else if term.width > h.width {
-		h.width = term.width
-	}
-	if term.nExcl > 0 && !mergeExcl(h, c, term.excl[:term.nExcl]) {
+	if !mergeExcl(h, c, excl) {
 		h.flags &^= fpFlagWide
 	}
-	for k := uint8(0); k < term.nHole; k++ {
-		if !mergeHole(h, c, term.holes[k]) {
+	for _, p := range holes {
+		if !mergeHole(h, c, p) {
 			h.flags &^= fpFlagWide
 		}
 	}
@@ -886,7 +881,8 @@ func compileErrorTerm(h *flowHot, c *flowCold, termIn *Iface, term compiledTerm,
 	c.errSrc = term.src
 	h.gate = term.gate
 	c.replySrc = rdst
-	applyTermRegion(h, c, &term)
+	applyRegion(h, c, term.width, term.excl[:term.nExcl], term.holes[:term.nHole])
+	h.gaps = term.gaps
 }
 
 // compileLoopTerm upgrades the entry to a fused hop-limit-expiry round

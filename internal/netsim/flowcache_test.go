@@ -141,19 +141,22 @@ func TestFlowCachePropertyNoStaleReplay(t *testing.T) {
 					}
 				case r == 8: // reroute scan-net return traffic (a no-op route re-insert)
 					for _, n := range []*testNet{p.fast, p.slow} {
-						n.core.AddRoute(ipv6.MustParsePrefix("2001:beef::/64"), n.core.ifs[0])
+						n.core.AddRoute(ipv6.MustParsePrefix("2001:beef::/64"), n.scanner.Iface().Peer())
 					}
 				default: // discard valid cache state on the fast net only
 					p.fast.eng.InvalidateFlows()
 				}
 				p.compare(t, fmt.Sprintf("op %d", op))
 			}
-			// Gap mutation: warm one wide entry over an empty stretch,
-			// plant a delegation in the middle of it, then probe the new
-			// delegation and its neighbours on both sides. The new link is
-			// unnumbered (it reuses the upstream address), so only the
-			// emptiness index stands between the old claim and the new
-			// delegation — no router address narrows the claim for it.
+			// Gap mutation: warm the block's gap flow, plant a delegation in
+			// space it covers, then probe the new delegation and its
+			// neighbours on both sides. The new link is unnumbered (it
+			// reuses the upstream address), so only the emptiness index
+			// stands between the old entry and the new delegation — and the
+			// entry holds a pointer to that index, not a copy: Delegate must
+			// have bumped the flow generation before the index is rebuilt,
+			// or the old entry would answer for the new subscriber's
+			// neighbours from a half-updated hole set.
 			gap := func(cell uint64) ipv6.Addr {
 				hi := ipv6.MustParseAddr("2001:db8:9000::").Uint128().Hi | uint64(seed)<<16 | cell
 				return ipv6.AddrFrom128(uint128.New(hi, uint64(rng.Int63())|1))
@@ -165,16 +168,36 @@ func TestFlowCachePropertyNoStaleReplay(t *testing.T) {
 			if p.fast.eng.Counters().FastPathHits == before {
 				t.Error("two probes into one empty stretch did not share an entry; the gap mutation tests nothing")
 			}
-			planted := gap(0x18).Prefix64()
-			for _, n := range []*testNet{p.fast, p.slow} {
-				down := n.isp.AddIface(n.isp.upstream.Addr(), "isp:gap")
-				if err := n.isp.Delegate(planted, down); err != nil {
-					t.Fatal(err)
+			seq += 2
+			isPlanted := map[uint64]bool{}
+			for round, cells := range [][]uint64{{0x18, 0x17, 0x19, 0x10, 0x20, 0x18}, {0x11, 0x10, 0x12, 0x18, 0x20, 0x11}} {
+				planted := gap(cells[0]).Prefix64()
+				isPlanted[cells[0]] = true
+				gen, compiles := p.fast.eng.fp.gen, p.fast.eng.Counters().FastPathCompiles
+				for _, n := range []*testNet{p.fast, p.slow} {
+					down := n.isp.AddIface(n.isp.upstream.Addr(), "isp:gap")
+					if err := n.isp.Delegate(planted, down); err != nil {
+						t.Fatal(err)
+					}
 				}
-			}
-			for i, cell := range []uint64{0x18, 0x17, 0x19, 0x10, 0x20, 0x18} {
-				p.inject(t, gap(cell), 64, seq+2+uint16(i))
-				p.compare(t, fmt.Sprintf("gap cell %#x after Delegate", cell))
+				if p.fast.eng.fp.gen == gen || !p.fast.isp.gapsStale {
+					t.Fatalf("round %d: Delegate left the flow generation at %d (index stale = %v): the old gap flow outlives its index",
+						round, gen, p.fast.isp.gapsStale)
+				}
+				// The planted links lead nowhere, so every probe into one is
+				// an exact negative; all the empty cells share one new flow.
+				want := uint64(1)
+				for _, cell := range cells {
+					if isPlanted[cell] {
+						want++
+					}
+					p.inject(t, gap(cell), 64, seq)
+					seq++
+					p.compare(t, fmt.Sprintf("round %d: gap cell %#x after Delegate", round, cell))
+				}
+				if got := p.fast.eng.Counters().FastPathCompiles - compiles; got != want {
+					t.Errorf("round %d: %d compiles for six probes around the planted delegations, want %d", round, got, want)
+				}
 			}
 			if hits := p.fast.eng.Counters().FastPathHits; hits == 0 {
 				t.Error("property run never hit the flow cache; the test lost its teeth")
@@ -341,7 +364,7 @@ func TestFlowCacheInvalidationCounter(t *testing.T) {
 		t.Fatal(err)
 	}
 	expect("Delegate")
-	n.core.AddRoute(ipv6.MustParsePrefix("2001:dead::/64"), n.core.ifs[0])
+	n.core.AddRoute(ipv6.MustParsePrefix("2001:dead::/64"), n.scanner.Iface().Peer())
 	expect("AddRoute")
 	// Entries hold no fault-dependent fact: arming leaves them alone.
 	n.eng.SetFault(func(*Iface, []byte) FaultOutcome { return FaultOutcome{} })
@@ -352,6 +375,57 @@ func TestFlowCacheInvalidationCounter(t *testing.T) {
 	expect("InvalidateFlows")
 	n.eng.SetFastPath(false)
 	expect("SetFastPath(false)")
+}
+
+// TestFlowCacheBumpPerEngine pins what an invalidation costs: a mutator
+// bumps each engine the node is attached to exactly once, however many
+// of its interfaces lead into it, and a node attached to nothing bumps
+// nothing (topo.Build delegates thousands of subscribers to one router;
+// walking its interfaces per Delegate made that quadratic).
+func TestFlowCacheBumpPerEngine(t *testing.T) {
+	engs := []*Engine{New(1), New(2)}
+	isp := NewISPRouter("isp", ispBlock, ErrorPolicy{})
+	var downs []*Iface
+	for i := 0; i < 6; i++ { // interfaces alternate between the engines
+		down := isp.AddIface(ipv6.MustParseAddr("2001:db8:fffe::3"), fmt.Sprintf("isp:down%d", i))
+		peer := NewEdge(fmt.Sprintf("peer%d", i), ipv6.MustParseAddr("2001:beef::100"))
+		engs[i%2].Connect(down, peer.Iface(), 0)
+		downs = append(downs, down)
+	}
+	count := func() [2]uint64 {
+		return [2]uint64{engs[0].Counters().FastPathInvalidations, engs[1].Counters().FastPathInvalidations}
+	}
+	step := func(tag string, mutate func()) {
+		t.Helper()
+		before := count()
+		mutate()
+		if after := count(); after[0] != before[0]+1 || after[1] != before[1]+1 {
+			t.Errorf("%s moved the engines' invalidations %v -> %v, want one bump each", tag, before, after)
+		}
+	}
+	step("Delegate (new table)", func() {
+		if err := isp.Delegate(ipv6.MustParsePrefix("2001:db8:1::/64"), downs[0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	step("Delegate (live table)", func() {
+		if err := isp.Delegate(ipv6.MustParsePrefix("2001:db8:2::/64"), downs[1]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	step("AddIface", func() { isp.AddIface(ipv6.MustParseAddr("2001:db8:fffe::4"), "isp:spare") })
+	step("SetUpstream", func() { isp.SetUpstream(downs[2]) })
+
+	before := count()
+	loose := NewISPRouter("loose", ispBlock, ErrorPolicy{})
+	if err := loose.Delegate(ipv6.MustParsePrefix("2001:db8:3::/64"), loose.AddIface(ipv6.MustParseAddr("2001:db8:fffe::5"), "loose:down")); err != nil {
+		t.Fatal(err)
+	}
+	core := NewRouter("core", ErrorPolicy{})
+	core.AddRoute(ispBlock, core.AddIface(ipv6.MustParseAddr("2001:beef::1"), "core:if"))
+	if after := count(); after != before || len(loose.engines)+len(core.engines) != 0 {
+		t.Errorf("unattached nodes bumped the engines %v -> %v (attached to %d)", before, after, len(loose.engines)+len(core.engines))
+	}
 }
 
 // TestFlowCacheConcurrentInject hammers one engine from several

@@ -18,7 +18,8 @@ type sparseNet struct {
 	scanner *Edge
 	core    *Router
 	isp     *ISPRouter
-	up      *Iface // isp's upstream interface
+	up      *Iface   // isp's upstream interface
+	downs   []*Iface // isp's subscriber interfaces, in delegation order
 }
 
 var sparseBlock = ipv6.MustParsePrefix("2001:db8::/40")
@@ -66,16 +67,23 @@ func (n *sparseNet) delegate(tb testing.TB, p ipv6.Prefix, i int) {
 	cpe := NewCPE(cfg)
 	down := n.isp.AddIface(ipv6.SLAAC(n.up.Addr().Prefix64(), 3), cfg.Name+":down")
 	n.eng.Connect(down, cpe.WAN(), 0)
+	n.downs = append(n.downs, down)
 	if err := n.isp.Delegate(p, down); err != nil {
 		tb.Fatal(err)
 	}
 }
 
+// mixedLens is several delegation tables' worth of lengths: hostile-style
+// /52 and /54 regions, /56s, /60s and side-region-style /64s.
+var mixedLens = []int{52, 54, 56, 60, 60, 64, 64, 64}
+
 // randomDelegs draws count non-overlapping delegations of mixed lengths
-// inside the first 2^winBits /64s of block: hostile-style /52 and /54
-// regions, /56s, /60s and side-region-style /64s.
-func randomDelegs(rng *rand.Rand, block ipv6.Prefix, winBits, count int) []ipv6.Prefix {
-	lens := []int{52, 54, 56, 60, 60, 64, 64, 64}
+// inside the first 2^winBits /64s of block, their lengths drawn from
+// lens (mixedLens unless the caller wants one table).
+func randomDelegs(rng *rand.Rand, block ipv6.Prefix, winBits, count int, lens ...int) []ipv6.Prefix {
+	if len(lens) == 0 {
+		lens = mixedLens
+	}
 	var out []ipv6.Prefix
 	for len(out) < count {
 		l := lens[rng.Intn(len(lens))]
@@ -95,128 +103,238 @@ func randomDelegs(rng *rand.Rand, block ipv6.Prefix, winBits, count int) []ipv6.
 	return out
 }
 
-// TestFlowCacheGapClaimSound is the claim-soundness property: for random
-// delegation sets and random unassigned in-block destinations, the
-// region CompileTerminal claims holds no delegation in any /64 cell,
-// stays inside the block, holds no router address outside its
-// exclusions, sits on a gapStep boundary, and is maximal — the next
-// wider step would take in a delegation, a router address or space
-// outside the block.
+// gapFlowHit reports whether a lookup of dst from the scanner's side of
+// the net resolves, as the cache stands, to a gap flow.
+func (n *sparseNet) gapFlowHit(dst ipv6.Addr) bool {
+	n.eng.mu.Lock()
+	defer n.eng.mu.Unlock()
+	u := dst.Uint128()
+	j := n.eng.fp.lookup(n.scanner.Iface().Peer().fpID, u.Hi, u.Lo)
+	return j >= 0 && n.eng.fp.hot[j].gaps != nil
+}
+
+// liveGapFlows counts the live entries that carry an emptiness index.
+func (n *sparseNet) liveGapFlows() int {
+	n.eng.mu.Lock()
+	defer n.eng.mu.Unlock()
+	live := 0
+	for j := range n.eng.fp.hot {
+		if h := &n.eng.fp.hot[j]; n.eng.fp.tags[j] != 0 && h.gen == n.eng.fp.gen && h.gaps != nil {
+			live++
+		}
+	}
+	return live
+}
+
+// probe injects one echo request and returns the raw replies.
+func (n *sparseNet) probe(tb testing.TB, dst ipv6.Addr, seq uint16) [][]byte {
+	tb.Helper()
+	pkt, err := wire.BuildEchoRequest(scannerAddr, dst, 64, 0xbeef, seq, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	n.eng.Inject(n.scanner.Iface(), pkt)
+	return n.scanner.Drain()
+}
+
+// TestFlowCacheGapClaimSound is the gap flow's contract: over random
+// /52-/64 delegation sets spread over several tables, with a router
+// address planted inside the window, the block's gap flow serves an
+// address iff the interpreted mirror answers it "no route" from the
+// provider edge and its /64 holds no router address (those /64s are
+// holes: their unassigned remainder compiles its own /64 entry). The
+// window shares one gap flow (the upstream hops' own in-block addresses
+// split off only the regions beside them), and a Delegate into space a
+// gap flow covered leaves no live entry holding the index.
 func TestFlowCacheGapClaimSound(t *testing.T) {
 	const winBits = 16 // delegations land in the block's first 2^16 /64s
+	base := sparseBlock.Addr().Uint128().Hi
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		delegs := randomDelegs(rng, sparseBlock, winBits, 1+rng.Intn(24))
-		n := buildSparseNet(t, sparseBlock, delegs)
-		r := n.isp
-
-		// uniform reports whether prefix(dh, w) is claimable as one gap:
-		// inside the block, every /64 cell unassigned, and every router
-		// address in it sharing dst's /64 (excludable).
-		base := sparseBlock.Addr().Uint128().Hi
-		uniform := func(dh uint64, w uint8) bool {
-			if int(w) < sparseBlock.Bits() {
-				return false
-			}
-			lo := dh & fpMask(w)
-			for _, a := range r.addrList {
-				ah := a.Uint128().Hi
-				if ah&fpMask(w) == lo && ah != dh {
-					return false
-				}
-			}
-			// Delegations only land in the window, so the cells of the
-			// region past it need no lookup.
-			hi := min(dh|^fpMask(w), base|(1<<winBits-1))
-			for c := lo; c <= hi; c++ {
-				if _, ok := r.lookup(ipv6.AddrFrom128(uint128.New(c, 1))); ok {
-					return false
-				}
-			}
-			return true
+		fast := buildSparseNet(t, sparseBlock, delegs)
+		slow := buildSparseNet(t, sparseBlock, delegs)
+		slow.eng.SetFastPath(false)
+		if n := len(fast.isp.delegs); n < 2 && len(delegs) > 4 {
+			t.Fatalf("seed %d: %d delegations in %d tables; the draw lost its spread", seed, len(delegs), n)
 		}
 
-		claims := 0
-		for trial := 0; trial < 400; trial++ {
-			var dh uint64
-			switch trial % 4 {
-			case 0: // anywhere in the block
-				dh = base | rng.Uint64()>>uint(sparseBlock.Bits())
-			case 1: // beside the router's own addresses
-				dh = n.up.Addr().Uint128().Hi - uint64(rng.Intn(40))
-			default: // inside the populated window
-				dh = base | rng.Uint64()&(1<<winBits-1)
-			}
-			dst := ipv6.AddrFrom128(uint128.New(dh, rng.Uint64()|1))
-			term, ok := r.CompileTerminal(n.up, dst)
-			if _, deleg := r.lookup(dst); deleg || r.isLocal(dst) {
-				if ok {
-					t.Fatalf("seed %d: %s is delegated or local but compiled a terminal", seed, dst)
-				}
-				continue
-			}
-			if !ok || term.width == 0 {
-				t.Fatalf("seed %d: unassigned %s compiled no region (ok=%v width=%d)", seed, dst, ok, term.width)
-			}
-			claims++
-			w := term.width
-			if w%gapStep != 0 || w > 64 {
-				t.Fatalf("seed %d: %s claimed /%d, not a multiple of %d", seed, dst, w, gapStep)
-			}
-			for _, a := range term.excl[:term.nExcl] {
-				if a.Uint128().Hi != dh || !r.isLocal(a) {
-					t.Fatalf("seed %d: %s excludes %s, not a router address of its /64", seed, dst, a)
-				}
-			}
-			if !uniform(dh, w) {
-				t.Fatalf("seed %d: %s claimed /%d, which is not uniformly unassigned", seed, dst, w)
-			}
-			if w >= gapStep && uniform(dh, w-gapStep) {
-				t.Fatalf("seed %d: %s claimed /%d but /%d is uniformly unassigned too", seed, dst, w, w-gapStep)
+		// A router address in an unassigned /64 of the window.
+		var local ipv6.Addr
+		for {
+			local = ipv6.AddrFrom128(uint128.New(base|rng.Uint64()&(1<<winBits-1), 0x10ca1))
+			if _, ok := fast.isp.lookup(local); !ok {
+				break
 			}
 		}
-		if claims < 100 {
-			t.Fatalf("seed %d: only %d gap claims checked", seed, claims)
+		fast.isp.AddIface(local, "isp:lo")
+		slow.isp.AddIface(local, "isp:lo")
+		localCell := func(a ipv6.Addr) bool {
+			for _, l := range fast.isp.addrList {
+				if l.Uint128().Hi == a.Uint128().Hi {
+					return true
+				}
+			}
+			return false
 		}
+
+		// check probes dst on both nets and holds the contract for it.
+		seq := uint16(0)
+		served := 0
+		check := func(tag string, dst ipv6.Addr) {
+			t.Helper()
+			seq++
+			hit := fast.gapFlowHit(dst)
+			fr, sr := fast.probe(t, dst, seq), slow.probe(t, dst, seq)
+			if len(fr) != len(sr) || len(fr) > 0 && string(fr[0]) != string(sr[0]) {
+				t.Fatalf("seed %d %s: %s answered differently:\nfast %x\nslow %x", seed, tag, dst, fr, sr)
+			}
+			noRoute := false
+			if len(sr) == 1 {
+				sum, err := wire.ParsePacket(sr[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				noRoute = sum.ICMP != nil && sum.ICMP.Type == wire.ICMPDestUnreach &&
+					sum.ICMP.Code == wire.UnreachNoRoute && sum.IP.Src == slow.up.Addr()
+			}
+			want := noRoute && sparseBlock.Contains(dst) && !localCell(dst)
+			if hit && !want {
+				t.Fatalf("seed %d %s: a gap flow served %s, which the interpreter does not answer as plain unassigned space", seed, tag, dst)
+			}
+			// The probe above compiled dst's region if nothing held it.
+			if got := fast.gapFlowHit(dst); got != want {
+				t.Fatalf("seed %d %s: gap flow serves %s = %v, interpreted no-route from the edge outside a router /64 = %v",
+					seed, tag, dst, got, want)
+			}
+			if want {
+				served++
+			}
+		}
+		trial := func(tag string, n int) {
+			for i := 0; i < n; i++ {
+				var dh uint64
+				switch i % 6 {
+				case 0: // anywhere in the block
+					dh = base | rng.Uint64()>>uint(sparseBlock.Bits())
+				case 1: // beside the router's link addresses
+					dh = fast.up.Addr().Uint128().Hi - uint64(rng.Intn(40))
+				case 2: // beside the planted router address
+					dh = local.Uint128().Hi + uint64(rng.Intn(5)) - 2
+				case 3: // inside a delegation
+					p := delegs[rng.Intn(len(delegs))]
+					dh = p.Addr().Uint128().Hi | rng.Uint64()&^fpMask(uint8(p.Bits()))
+				default: // inside the populated window
+					dh = base | rng.Uint64()&(1<<winBits-1)
+				}
+				check(tag, ipv6.AddrFrom128(uint128.New(dh, rng.Uint64()|1)))
+			}
+			check(tag, local)
+			check(tag, fast.up.Addr())
+			check(tag, ipv6.MustParseAddr("2001:beef::77")) // off-block
+		}
+		trial("cold", 300)
+		if served < 100 {
+			t.Fatalf("seed %d: only %d addresses were gap-flow territory", seed, served)
+		}
+		// Everything below the block's top half is one key region: the
+		// core's in-block address sits in the block's last /64.
+		before := fast.liveGapFlows()
+		for i := 0; i < 50; i++ {
+			check("low half", ipv6.AddrFrom128(uint128.New(base|rng.Uint64()>>uint(sparseBlock.Bits()+1), 3)))
+		}
+		if live := fast.liveGapFlows(); live != before || live < 1 {
+			t.Fatalf("seed %d: 50 more probes into the block's lower half took the live gap flows %d -> %d", seed, before, live)
+		}
+		if c := fast.eng.Counters(); c.FastPathEvictions != 0 {
+			t.Fatalf("seed %d: %d evictions", seed, c.FastPathEvictions)
+		}
+
+		// Delegate into covered space: the flow generation moves with the
+		// index, so no entry compiled against the old index survives, and the
+		// subscriber answers for its new prefix at once.
+		var planted ipv6.Prefix
+		for {
+			l := 52 + rng.Intn(13)
+			p, err := sparseBlock.Sub(l, uint128.From64(rng.Uint64()%(1<<(l-(64-winBits)))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			clash := p.Contains(local)
+			for _, q := range delegs {
+				clash = clash || q.Overlaps(p)
+			}
+			if !clash {
+				planted = p
+				break
+			}
+		}
+		inside := ipv6.AddrFrom128(uint128.New(planted.Addr().Uint128().Hi|rng.Uint64()&^fpMask(uint8(planted.Bits())), 9))
+		if !fast.gapFlowHit(inside) {
+			check("warm", inside)
+		}
+		// To a subscriber already wired: Delegate alone must invalidate.
+		for _, n := range []*sparseNet{fast, slow} {
+			if err := n.isp.Delegate(planted, n.downs[0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		delegs = append(delegs, planted)
+		if live := fast.liveGapFlows(); live != 0 || !fast.isp.gapsStale {
+			t.Fatalf("seed %d: after Delegate(%s) %d gap flows are live, index stale = %v",
+				seed, planted, live, fast.isp.gapsStale)
+		}
+		check("planted", inside)
+		if fast.gapFlowHit(inside) {
+			t.Fatalf("seed %d: %s is delegated now but a gap flow serves it", seed, inside)
+		}
+		trial("after Delegate", 120)
 	}
 }
 
 // TestFlowCacheGapClaimReplay drives a sparse net and its interpreted
-// mirror through one pass over every /64 of the window: the wide gap
-// entries must replay byte-identically, and the pass must be served
-// mostly from them.
+// mirror through one pass over every /64 of the window: the gap flow
+// must replay byte-identically and serve all of the window's empty
+// space, so the pass compiles about one flow per delegation. (One table
+// per run: a delegation costs a flow per cell of the finest table, which
+// the gap flow does not change.)
 func TestFlowCacheGapClaimReplay(t *testing.T) {
-	const winBits = 12
-	rng := rand.New(rand.NewSource(7))
-	delegs := randomDelegs(rng, sparseBlock, winBits, 12)
-	fast := buildSparseNet(t, sparseBlock, delegs)
-	slow := buildSparseNet(t, sparseBlock, delegs)
-	slow.eng.SetFastPath(false)
-	base := sparseBlock.Addr().Uint128().Hi
-	for i, c := range rng.Perm(1 << winBits) {
-		dst := ipv6.AddrFrom128(uint128.New(base|uint64(c), rng.Uint64()|1))
-		pkt, err := wire.BuildEchoRequest(scannerAddr, dst, 64, 0xbeef, uint16(i), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fast.eng.Inject(fast.scanner.Iface(), pkt)
-		slow.eng.Inject(slow.scanner.Iface(), pkt)
-		fr, sr := fast.scanner.Drain(), slow.scanner.Drain()
-		if len(fr) != len(sr) {
-			t.Fatalf("%s: fastpath delivered %d replies, interpreted %d", dst, len(fr), len(sr))
-		}
-		for k := range fr {
-			if string(fr[k]) != string(sr[k]) {
-				t.Fatalf("%s: reply %d differs:\nfast %x\nslow %x", dst, k, fr[k], sr[k])
+	const winBits, count = 14, 24
+	for _, bits := range []int{56, 60, 64} {
+		rng := rand.New(rand.NewSource(int64(bits)))
+		delegs := randomDelegs(rng, sparseBlock, winBits, count, bits)
+		fast := buildSparseNet(t, sparseBlock, delegs)
+		slow := buildSparseNet(t, sparseBlock, delegs)
+		slow.eng.SetFastPath(false)
+		base := sparseBlock.Addr().Uint128().Hi
+		for i, c := range rng.Perm(1 << winBits) {
+			dst := ipv6.AddrFrom128(uint128.New(base|uint64(c), rng.Uint64()|1))
+			fr, sr := fast.probe(t, dst, uint16(i)), slow.probe(t, dst, uint16(i))
+			if len(fr) != len(sr) {
+				t.Fatalf("/%d %s: fastpath delivered %d replies, interpreted %d", bits, dst, len(fr), len(sr))
+			}
+			for k := range fr {
+				if string(fr[k]) != string(sr[k]) {
+					t.Fatalf("/%d %s: reply %d differs:\nfast %x\nslow %x", bits, dst, k, fr[k], sr[k])
+				}
 			}
 		}
-	}
-	fc, sc := fast.eng.Counters(), slow.eng.Counters()
-	if fc.Transmissions != sc.Transmissions || fc.Bytes != sc.Bytes {
-		t.Errorf("counters diverge: fastpath %+v, interpreted %+v", fc, sc)
-	}
-	if share := float64(fc.FastPathHits) / float64(fc.FastPathHits+fc.FastPathMisses); share < 0.8 {
-		t.Errorf("hit share %.3f over a sparse cold pass (%d compiles), want > 0.8", share, fc.FastPathCompiles)
+		fc, sc := fast.eng.Counters(), slow.eng.Counters()
+		if fc.Transmissions != sc.Transmissions || fc.Bytes != sc.Bytes {
+			t.Errorf("/%d: counters diverge: fastpath %+v, interpreted %+v", bits, fc, sc)
+		}
+		share := float64(fc.FastPathHits) / float64(fc.FastPathHits+fc.FastPathMisses)
+		if share <= 0.99 || fc.FastPathEvictions != 0 {
+			t.Errorf("/%d: hit share %.4f, %d evictions over a sparse cold pass, want > 0.99 and none",
+				bits, share, fc.FastPathEvictions)
+		}
+		budget := uint64(count + 4)
+		if bits < 64 {
+			budget += count // a CPE's WAN /64 inside its delegation is a second flow
+		}
+		if fc.FastPathCompiles > budget {
+			t.Errorf("/%d: %d compiles for %d delegations: the empty space was not one flow", bits, fc.FastPathCompiles, count)
+		}
 	}
 }
 
@@ -250,7 +368,7 @@ func TestFlowCacheWidthOverflowNarrows(t *testing.T) {
 	}
 
 	// End to end: saturate an engine's width table, then probe a gap whose
-	// claim (/44 here: the block's empty upper half, quantised) is not
+	// claim (/42 here: the core's own in-block address bounds it) is not
 	// live. The entry must land at a live width and serve its neighbours.
 	n := buildSparseNet(t, sparseBlock, []ipv6.Prefix{ipv6.MustParsePrefix("2001:db8::/64")})
 	n.eng.mu.Lock()

@@ -2,10 +2,12 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/ipv6"
 	"repro/internal/lpm"
+	"repro/internal/uint128"
 )
 
 // EngineGroup shards one simulated internet across several independent
@@ -30,20 +32,24 @@ import (
 type EngineGroup struct {
 	shards  []*Engine
 	entries []*Iface
-	routes  *lpm.Table[int]
-	// pin64 holds exactly-/64 routes keyed by their masked address.
-	// topo.Build pins one /64 per simulated device, so with large
-	// topologies these dominate the table; keeping them out of the LPM
-	// leaves it with only the coarse window routes (its small-table
-	// linear path) and turns the per-packet longest-match walk into one
-	// map probe. A /64 is the longest prefix topo installs, so checking
-	// pin64 first preserves longest-match order; if a caller ever
-	// installs a route longer than /64 the pins migrate into the LPM
-	// and pin64 is retired (see Route).
-	pin64 map[ipv6.Addr]int
+	// routes is the general table. While every route is a /64 or shorter
+	// — all topo.Build installs — ShardFor never walks it: the top 64
+	// destination bits decide, through pin64 (the /64 routes, one per
+	// simulated device, checked first: nothing is longer) and coarse (the
+	// shorter ones, a block and a few window chunks per ISP, longest
+	// first). The first longer route folds the pins in and retires both.
+	routes *lpm.Table[int]
+	pin64  map[uint64]int
+	coarse []coarseRoute
 	// bucketPool recycles InjectBatch's per-shard partition scratch
 	// across concurrent callers.
 	bucketPool sync.Pool
+}
+
+// coarseRoute matches a dst whose top word agrees with hi under mask.
+type coarseRoute struct {
+	hi, mask uint64
+	shard    int
 }
 
 // NewEngineGroup creates n independent shard engines. Shard 0 uses
@@ -54,7 +60,7 @@ func NewEngineGroup(seed int64, n int) *EngineGroup {
 	if n < 1 {
 		n = 1
 	}
-	g := &EngineGroup{routes: lpm.New[int](), pin64: make(map[ipv6.Addr]int)}
+	g := &EngineGroup{routes: lpm.New[int](), pin64: make(map[uint64]int)}
 	for i := 0; i < n; i++ {
 		s := seed
 		if i > 0 {
@@ -87,19 +93,27 @@ func (g *EngineGroup) Route(p ipv6.Prefix, shard int) {
 	if shard < 0 || shard >= len(g.shards) {
 		panic(fmt.Sprintf("netsim: Route to nonexistent shard %d", shard))
 	}
-	if p.Bits() == 64 && g.pin64 != nil {
-		g.pin64[p.Addr()] = shard
+	hi := p.Addr().Uint128().Hi
+	switch {
+	case g.pin64 == nil:
+	case p.Bits() == 64:
+		g.pin64[hi] = shard
 		return
-	}
-	if p.Bits() > 64 && g.pin64 != nil {
-		// A route longer than /64 can shadow a pin, so the map-first
-		// shortcut is no longer sound: fold the pins back into the LPM
-		// and retire the map.
-		for a, s := range g.pin64 {
-			p64, _ := ipv6.NewPrefix(a, 64)
-			g.routes.Insert(p64, s)
+	case p.Bits() > 64:
+		// It can shadow a pin, so the top word no longer decides.
+		for h, s := range g.pin64 {
+			g.routes.Insert(ipv6.MustPrefix(ipv6.AddrFrom128(uint128.New(h, 0)), 64), s)
 		}
-		g.pin64 = nil
+		g.pin64, g.coarse = nil, nil
+	default:
+		// Ahead of the first route no longer than it (a shorter prefix
+		// has the smaller mask), so a re-routed prefix shadows its old entry.
+		r := coarseRoute{hi: hi, mask: ^uint64(0) << (64 - p.Bits()), shard: shard}
+		i := slices.IndexFunc(g.coarse, func(c coarseRoute) bool { return c.mask <= r.mask })
+		if i < 0 {
+			i = len(g.coarse)
+		}
+		g.coarse = slices.Insert(g.coarse, i, r)
 	}
 	g.routes.Insert(p, shard)
 }
@@ -107,13 +121,18 @@ func (g *EngineGroup) Route(p ipv6.Prefix, shard int) {
 // ShardFor returns the shard owning dst (longest-prefix match; shard 0
 // on a miss).
 func (g *EngineGroup) ShardFor(dst ipv6.Addr) int {
-	if g.pin64 != nil {
-		if s, ok := g.pin64[dst.Prefix64().Addr()]; ok {
-			return s
-		}
-	}
-	if s, ok := g.routes.Lookup(dst); ok {
+	if g.pin64 == nil {
+		s, _ := g.routes.Lookup(dst)
 		return s
+	}
+	hi := dst.Uint128().Hi
+	if s, ok := g.pin64[hi]; ok {
+		return s
+	}
+	for i := range g.coarse {
+		if r := &g.coarse[i]; (hi^r.hi)&r.mask == 0 {
+			return r.shard
+		}
 	}
 	return 0
 }

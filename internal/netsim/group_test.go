@@ -2,9 +2,12 @@ package netsim
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/ipv6"
+	"repro/internal/lpm"
+	"repro/internal/uint128"
 	"repro/internal/wire"
 )
 
@@ -179,4 +182,91 @@ func TestGroupShardZeroMatchesSingleEngine(t *testing.T) {
 			t.Fatalf("loss streams diverge at injection %d: %d vs %d", i, single[i], sharded[i])
 		}
 	}
+}
+
+// TestGroupShardForMatchesLPM holds ShardFor's top-word shortcuts (the
+// /64 pin map, the coarse routes scanned longest-first) to a reference
+// LPM holding every route, over a table shaped like a sharded
+// topo.Build — per ISP a block route, window chunks dealt round-robin,
+// a hostile region, device WAN and LAN /64 pins that cross chunk lines —
+// at every pin, every chunk boundary and outside the windows; then again
+// after a route longer than /64 retires the shortcuts.
+func TestGroupShardForMatchesLPM(t *testing.T) {
+	const shards, chunkBits, winBits = 3, 2, 44
+	g := NewEngineGroup(1, shards)
+	ref := lpm.New[int]()
+	var probes []ipv6.Addr
+	route := func(p ipv6.Prefix, shard int) {
+		g.Route(p, shard)
+		ref.Insert(p, shard)
+		// Both ends of the prefix and the addresses just outside it.
+		lo := p.Addr().Uint128()
+		hi := lo.Or(uint128.Max.Rsh(uint(p.Bits())))
+		for _, u := range []uint128.Uint128{lo, hi, lo.Sub64(1), hi.Add64(1)} {
+			probes = append(probes, ipv6.AddrFrom128(u))
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for isp := 0; isp < 4; isp++ {
+		block := ipv6.MustPrefix(ipv6.AddrFromSegments([8]uint16{uint16(0x2400 + isp)}), 32)
+		route(block, 0)
+		win, err := block.Sub(winBits, uint128.Zero)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := 0; c < 1<<chunkBits; c++ {
+			chunk, err := win.Sub(winBits+chunkBits, uint128.From64(uint64(c)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			route(chunk, c%shards)
+		}
+		hostile, err := win.Sub(54, uint128.From64(1<<(54-winBits)-1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		route(hostile, 2)
+		for dev := 0; dev < 50; dev++ {
+			// A pin lands wherever the device's /64 was drawn: inside any
+			// chunk (WAN and dual-/64 LAN) or past the window (WAN region).
+			pin, err := block.Sub(64, uint128.From64(rng.Uint64()%(1<<(64-winBits+1))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			route(pin, rng.Intn(shards))
+		}
+	}
+	route(ipv6.MustParsePrefix("2400::/32"), 1) // re-routing a prefix replaces it
+	probes = append(probes,
+		ipv6.MustParseAddr("2400:0:8000::1"), // in a block, past its window
+		ipv6.MustParseAddr("2001:dead::1"),   // unrouted
+		ipv6.MustParseAddr("::"), ipv6.MustParseAddr("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff"))
+	agree := func(tag string) {
+		t.Helper()
+		for _, a := range probes {
+			want, _ := ref.Lookup(a)
+			if got := g.ShardFor(a); got != want {
+				t.Fatalf("%s: ShardFor(%s) = %d, LPM says %d", tag, a, got, want)
+			}
+		}
+	}
+	if g.pin64 == nil || len(g.coarse) != 4*(2+1<<chunkBits)+1 {
+		t.Fatalf("shortcuts not in use: pin64 = %v, %d coarse routes", g.pin64 != nil, len(g.coarse))
+	}
+	agree("shortcuts")
+
+	// A /96 inside a pinned /64 owned by another shard: the pin alone no
+	// longer decides, so the shortcuts retire and the LPM takes over.
+	var pinned uint64
+	for h := range g.pin64 {
+		pinned = max(pinned, h)
+	}
+	inner := ipv6.MustPrefix(ipv6.AddrFrom128(uint128.New(pinned, 0xabcd<<32)), 96)
+	route(inner, (g.pin64[pinned]+1)%shards)
+	if g.pin64 != nil || g.coarse != nil {
+		t.Fatal("a route longer than /64 left the top-word shortcuts in place")
+	}
+	agree(">/64 fallback")
+	route(ipv6.MustParsePrefix("2403:0:0:7::/64"), 2) // routes keep landing in the LPM
+	agree("after fallback")
 }

@@ -77,28 +77,6 @@ func (e *Engine) injectFastLocked(from *Iface, pkts [][]byte) int {
 		n = injRun
 	}
 
-	// Warm pass: touch each probe's dominant-width tag, hot and lead
-	// cold lines before the dependent lookups below. These loads have no
-	// dependencies between iterations, so their cache misses overlap;
-	// the resolve pass then runs against warm lines. The xor-sum into
-	// the scratch sink keeps the compiler from deleting the loads. A
-	// lone probe has nothing to overlap with and skips the pass.
-	if n > 1 && fp.nWidths > 0 && fp.tags != nil {
-		w := fp.widths[0]
-		mask := fpMask(w)
-		var warm uint64
-		for i := 0; i < n; i++ {
-			pkt := pkts[i]
-			if len(pkt) < wire.HeaderLen {
-				break
-			}
-			hi := binary.BigEndian.Uint64(pkt[24:32])
-			j := slotHash(ifid, w, hi&mask) & fp.mask
-			warm ^= fp.tags[j] + fp.hot[j].gen + fp.cold[j].replySrc.Uint128().Hi
-		}
-		e.inj.sink = warm
-	}
-
 	// Resolve pass: per-probe flow lookup plus every guard the replay
 	// relies on, stopping at the first probe the run cannot replay
 	// exactly. Each resolved probe is folded into the run's

@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/ipv6"
@@ -14,10 +15,10 @@ import (
 // table per delegated prefix length), which is both how provider BNGs
 // are provisioned and memory-proportional to the number of subscribers.
 type ISPRouter struct {
+	attachments
 	name     string
 	block    ipv6.Prefix
 	upstream *Iface
-	ifs      []*Iface
 	addrs    map[ipv6.Addr]struct{}
 	// addrList holds the distinct interface addresses. Provider edges
 	// share one provider-side address across all subscriber links
@@ -27,14 +28,12 @@ type ISPRouter struct {
 	// map if a topology ever gives every interface its own address.
 	addrList []ipv6.Addr
 	delegs   []*delegTable
-	// assigned is the emptiness index gap claims are answered from: the
-	// delegations of every table as merged, sorted ranges over the top 64
-	// address bits. Delegate marks it stale; the next gap claim rebuilds
-	// it (route compilation is its only reader).
-	assigned      []hiRange
-	assignedStale bool
-	gate          errorGate
-	sc            emitScratch
+	// gaps is what the block's gap flow does not cover. AddIface and
+	// Delegate mark it stale; the next gap claim rebuilds it.
+	gaps      gapIndex
+	gapsStale bool
+	gate      errorGate
+	sc        emitScratch
 
 	// CountForwarded tallies transit packets for amplification
 	// measurements.
@@ -105,12 +104,12 @@ func (r *ISPRouter) Block() ipv6.Prefix { return r.block }
 // AddIface registers a new interface with the given address.
 func (r *ISPRouter) AddIface(addr ipv6.Addr, name string) *Iface {
 	ifc := NewIface(r, addr, name)
-	r.ifs = append(r.ifs, ifc)
 	if _, ok := r.addrs[addr]; !ok {
 		r.addrs[addr] = struct{}{}
 		r.addrList = append(r.addrList, addr)
+		r.gapsStale = true
 	}
-	bumpFlows(r.ifs)
+	r.bumpFlows()
 	return ifc
 }
 
@@ -118,7 +117,7 @@ func (r *ISPRouter) AddIface(addr ipv6.Addr, name string) *Iface {
 // not covered by the block or delegations leaves through it.
 func (r *ISPRouter) SetUpstream(ifc *Iface) {
 	r.upstream = ifc
-	bumpFlows(r.ifs)
+	r.bumpFlows()
 }
 
 // Delegate routes the sub-prefix p of the block to the subscriber behind
@@ -134,25 +133,18 @@ func (r *ISPRouter) Delegate(p ipv6.Prefix, out *Iface) error {
 	if idx.Hi != 0 {
 		return fmt.Errorf("netsim: delegation index for %s exceeds 64 bits", p)
 	}
-	r.assignedStale = true
-	for _, t := range r.delegs {
-		if t.subLen == p.Bits() {
-			t.set(idx.Lo, out)
-			bumpFlows(r.ifs)
-			return nil
-		}
-	}
-	t := &delegTable{subLen: p.Bits(), entries: map[uint64]*Iface{}}
-	t.set(idx.Lo, out)
-	// Keep tables sorted longest-first so more-specific delegations win.
+	// Tables stay sorted longest-first so more-specific delegations win.
 	pos := 0
-	for pos < len(r.delegs) && r.delegs[pos].subLen > t.subLen {
+	for pos < len(r.delegs) && r.delegs[pos].subLen > p.Bits() {
 		pos++
 	}
-	r.delegs = append(r.delegs, nil)
-	copy(r.delegs[pos+1:], r.delegs[pos:])
-	r.delegs[pos] = t
-	bumpFlows(r.ifs)
+	if pos == len(r.delegs) || r.delegs[pos].subLen != p.Bits() {
+		t := &delegTable{subLen: p.Bits(), entries: map[uint64]*Iface{}}
+		r.delegs = slices.Insert(r.delegs, pos, t)
+	}
+	r.delegs[pos].set(idx.Lo, out)
+	r.gapsStale = true
+	r.bumpFlows()
 	return nil
 }
 
@@ -221,27 +213,59 @@ func (r *ISPRouter) Handle(in *Iface, pkt []byte) []Emission {
 	return r.emitError(in, pkt, wire.ICMPDestUnreach, wire.UnreachNoRoute)
 }
 
-// gapStep quantises gap claims: an unassigned region's width is rounded
-// up (narrowed) to a multiple of it, so a window's gaps share a handful
-// of flow-cache key widths instead of one per bit — every live width is
-// one more probe in flowCache.lookup, and fpWidthCap bounds them. Two
-// bits is the measured optimum (DESIGN.md "Forwarding fast path"):
-// nybble steps leave each subscriber fifteen single-probe sibling
-// entries and overflow the flow table on a 2^20 window, one-bit steps
-// need more live widths than fpWidthCap holds.
-const gapStep = 2
-
 // hiRange is an inclusive range of top-64-bit address words.
 type hiRange struct{ lo, hi uint64 }
 
-// assignedRanges returns the emptiness index, rebuilding it if a
-// delegation landed since the last claim. Only valid when every table's
-// length is ≤ 64 (uniformWidth checks before asking).
-func (r *ISPRouter) assignedRanges() []hiRange {
-	if !r.assignedStale {
-		return r.assigned
+// gapIndex is a block's emptiness index: everything in it that is not
+// plain unassigned space. The block's gap flow points at it as its hole
+// set (flowCache.lookup), and a live flow never reads a stale index:
+// whatever marks it stale also bumps the flow generation of every
+// engine the router is attached to, and the next claim rebuilds it.
+type gapIndex struct {
+	// ranges is every table's delegations, merged and sorted, over the
+	// top 64 address bits; own the /64s of the router's in-block addresses.
+	ranges []hiRange
+	own    []uint64
+	// start[k] is the first range ending at or past ranges[0].lo+k<<shift:
+	// delegations spread over the window, so a bucket holds about one, where
+	// a search over all of them mispredicts every other step of a sweep.
+	start []uint32
+	shift uint
+}
+
+// assigned reports whether the /64 with top word h lies in the index.
+func (g *gapIndex) assigned(h uint64) bool {
+	if slices.Contains(g.own, h) {
+		return true
 	}
-	rs := r.assigned[:0]
+	rs := g.ranges
+	if len(rs) == 0 || h < rs[0].lo || h > rs[len(rs)-1].hi {
+		return false
+	}
+	k := (h - rs[0].lo) >> g.shift
+	seg := rs[g.start[k]:min(int(g.start[k+1])+1, len(rs))]
+	i := sort.Search(len(seg), func(i int) bool { return seg[i].hi >= h })
+	return i < len(seg) && seg[i].lo <= h
+}
+
+// gapIndex returns the emptiness index, rebuilt if an interface or a
+// delegation landed since the last claim; nil when it is unexpressible
+// in the top 64 bits (gap claims are then exact).
+func (r *ISPRouter) gapIndex() *gapIndex {
+	if b := r.block.Bits(); b < 1 || b > 64 || len(r.delegs) > 0 && r.delegs[0].subLen > 64 {
+		return nil // delegs is sorted longest-first
+	}
+	g := &r.gaps
+	if !r.gapsStale {
+		return g
+	}
+	g.own = g.own[:0]
+	for _, a := range r.addrList {
+		if h := a.Uint128().Hi; r.block.Contains(a) && !slices.Contains(g.own, h) {
+			g.own = append(g.own, h)
+		}
+	}
+	rs := g.ranges[:0]
 	base := r.block.Addr().Uint128().Hi
 	for _, t := range r.delegs {
 		shift := uint(64 - t.subLen)
@@ -253,45 +277,42 @@ func (r *ISPRouter) assignedRanges() []hiRange {
 	sort.Slice(rs, func(i, j int) bool { return rs[i].lo < rs[j].lo })
 	n := 0
 	for _, x := range rs {
-		if n > 0 && x.lo <= rs[n-1].hi {
-			// Prefixes only ever nest; keep the outer one's extent.
+		if n > 0 && x.lo <= rs[n-1].hi+1 {
+			// Nested in the last range or adjacent to it: one range.
 			rs[n-1].hi = max(rs[n-1].hi, x.hi)
 			continue
 		}
 		rs[n] = x
 		n++
 	}
-	r.assigned, r.assignedStale = rs[:n], false
-	return r.assigned
+	g.ranges, g.start, g.shift = rs[:n], g.start[:0], 0
+	if n > 0 {
+		span := rs[n-1].hi - rs[0].lo
+		for span>>g.shift >= uint64(2*n) {
+			g.shift++
+		}
+		for k, j := uint64(0), 0; k <= span>>g.shift; k++ {
+			for rs[j].hi < rs[0].lo+k<<g.shift {
+				j++
+			}
+			g.start = append(g.start, uint32(j))
+		}
+		g.start = append(g.start, uint32(n))
+	}
+	r.gapsStale = false
+	return g
 }
 
-// gapWidth returns the length of the widest aligned prefix around dh —
-// the top word of an in-block destination no table delegates — that
-// contains no delegation at all: it must split from both the nearest
-// assigned range below and the nearest above.
-func (r *ISPRouter) gapWidth(dh uint64) uint8 {
-	rs := r.assignedRanges()
-	i := sort.Search(len(rs), func(i int) bool { return rs[i].lo > dh })
-	w := 1
-	if i < len(rs) {
-		w = bits.LeadingZeros64(dh^rs[i].lo) + 1
-	}
-	if i > 0 {
-		w = max(w, bits.LeadingZeros64(dh^rs[i-1].hi)+1)
-	}
-	return uint8(w)
-}
-
-// uniformWidth returns the width of the largest region around dst over
-// which the forwarding decision is uniform, clipped to the block
-// boundary. For a delegated destination that is one cell of the finest
-// delegation table (every address of a delegated /60 resolves to the
-// same subscriber); for an unassigned one (gap) it is the whole empty
-// stretch around it, so one entry answers every probe into the gap.
-// For destinations outside the block the region extends to the first
-// bit where dst and the block diverge. 0 means unexpressible in the top
-// 64 bits (claim must be exact).
-func (r *ISPRouter) uniformWidth(dst ipv6.Addr, gap bool) uint8 {
+// regionClaim returns the width of the largest region around dst — a
+// delegated or an out-of-block destination — over which the forwarding
+// decision is uniform, bounded away from the router's own interface
+// addresses (same-/64 ones are excluded instead). For a delegated
+// destination that is one cell of the finest delegation table (every
+// address of a delegated /60 resolves to the same subscriber); outside
+// the block the region also stops at the first bit where dst and the
+// block diverge. 0 means unexpressible in the top 64 bits (claim must
+// be exact).
+func (r *ISPRouter) regionClaim(dst ipv6.Addr, excl *[fpExclCap]ipv6.Addr, nExcl *uint8) uint8 {
 	if r.block.Bits() > 64 {
 		return 0
 	}
@@ -303,43 +324,15 @@ func (r *ISPRouter) uniformWidth(dst ipv6.Addr, gap bool) uint8 {
 		w = uint8(r.delegs[0].subLen)
 	}
 	if r.block.Contains(dst) {
-		if gap {
-			w = r.gapWidth(dst.Uint128().Hi)
-		}
-		if bw := uint8(r.block.Bits()); bw > w {
-			w = bw
-		}
+		w = max(w, uint8(r.block.Bits()))
 	} else {
-		// Outside the block the decision (upstream default) is uniform
-		// up to the first bit where dst and the block diverge.
 		c := bits.LeadingZeros64(dst.Uint128().Hi ^ r.block.Addr().Uint128().Hi)
 		if c >= 64 {
 			return 0
 		}
-		if uint8(c+1) > w {
-			w = uint8(c + 1)
-		}
+		w = max(w, uint8(c+1))
 	}
-	return w
-}
-
-// regionClaim is uniformWidth bounded away from the router's own
-// interface addresses (same-/64 ones are excluded instead); a gap claim
-// is then narrowed to the next gapStep multiple.
-func (r *ISPRouter) regionClaim(dst ipv6.Addr, gap bool, excl *[fpExclCap]ipv6.Addr, nExcl *uint8) uint8 {
-	w := r.uniformWidth(dst, gap)
-	if w == 0 {
-		return 0
-	}
-	width, ok := avoidAddrs(w, dst, r.addrList, excl, nExcl)
-	if !ok {
-		*nExcl = 0
-		return 0
-	}
-	if gap {
-		width = (width + gapStep - 1) &^ (gapStep - 1)
-	}
-	return width
+	return avoidAddrs(w, dst, r.addrList, excl, nExcl)
 }
 
 // CompileStep implements CompilableHop: transit via a delegation or the
@@ -356,15 +349,17 @@ func (r *ISPRouter) CompileStep(in *Iface, dst ipv6.Addr) (CompiledStep, bool) {
 		out = r.upstream
 	}
 	step := CompiledStep{Out: out, Forwarded: &r.CountForwarded}
-	step.Width = r.regionClaim(dst, false, &step.Excl, &step.NExcl)
+	step.Width = r.regionClaim(dst, &step.Excl, &step.NExcl)
 	return step, true
 }
 
 // CompileTerminal implements terminalCompiler: unassigned space within
 // the block — and, absent a usable upstream, anything unrouted — draws
 // Destination Unreachable / no route. This is the error the paper's
-// periphery discovery exploits one hop early; the whole empty stretch
-// around dst compiles to one wide entry.
+// periphery discovery exploits one hop early, and every unassigned
+// in-block dst draws it alike: it claims the whole block as one gap flow
+// whose holes are the emptiness index. Only the rest of a /64 the router
+// itself has an address in — a hole of that flow — is claimed alone.
 func (r *ISPRouter) CompileTerminal(in *Iface, dst ipv6.Addr) (compiledTerm, bool) {
 	if r.isLocal(dst) {
 		return compiledTerm{}, false
@@ -381,7 +376,15 @@ func (r *ISPRouter) CompileTerminal(in *Iface, dst ipv6.Addr) (compiledTerm, boo
 		src:  in.addr,
 		gate: &r.gate,
 	}
-	t.width = r.regionClaim(dst, r.block.Contains(dst), &t.excl, &t.nExcl)
+	if !r.block.Contains(dst) {
+		t.width = r.regionClaim(dst, &t.excl, &t.nExcl)
+	} else if idx := r.gapIndex(); idx != nil {
+		if !idx.assigned(dst.Uint128().Hi) {
+			t.width, t.gaps = uint8(r.block.Bits()), idx
+		} else {
+			t.width = avoidAddrs(64, dst, r.addrList, &t.excl, &t.nExcl)
+		}
+	}
 	return t, true
 }
 
@@ -398,11 +401,7 @@ func (r *ISPRouter) compileExpiry(in *Iface, dst ipv6.Addr) (compiledTerm, bool)
 		src:  in.addr,
 		gate: &r.gate,
 	}
-	if width, ok := avoidAddrs(1, dst, r.addrList, &t.excl, &t.nExcl); ok {
-		t.width = width
-	} else {
-		t.nExcl = 0
-	}
+	t.width = avoidAddrs(1, dst, r.addrList, &t.excl, &t.nExcl)
 	return t, true
 }
 

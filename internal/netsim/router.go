@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"slices"
+
 	"repro/internal/ipv6"
 	"repro/internal/lpm"
 	"repro/internal/wire"
@@ -131,9 +133,9 @@ type Route struct {
 // transit routers. It answers echo requests addressed to its interfaces
 // and generates RFC 4443 errors.
 type Router struct {
+	attachments
 	name  string
 	table *lpm.Table[Route]
-	ifs   []*Iface
 	addrs []ipv6.Addr // interface addresses; linear scan beats a map at router arity
 	gate  errorGate
 	sc    emitScratch
@@ -161,35 +163,40 @@ func (r *Router) Name() string { return r.name }
 // address. Connect it via Engine.Connect.
 func (r *Router) AddIface(addr ipv6.Addr, name string) *Iface {
 	ifc := NewIface(r, addr, name)
-	r.ifs = append(r.ifs, ifc)
 	r.addrs = append(r.addrs, addr)
-	bumpFlows(r.ifs)
+	r.bumpFlows()
 	return ifc
 }
 
 // AddRoute installs a forwarding route.
 func (r *Router) AddRoute(p ipv6.Prefix, out *Iface) {
 	r.table.Insert(p, Route{Kind: RouteForward, Out: out})
-	bumpFlows(r.ifs)
+	r.bumpFlows()
 }
 
 // AddRejectRoute installs an unreachable route.
 func (r *Router) AddRejectRoute(p ipv6.Prefix) {
 	r.table.Insert(p, Route{Kind: RouteReject})
-	bumpFlows(r.ifs)
+	r.bumpFlows()
 }
 
-// bumpFlows invalidates compiled flows on every engine the node's
-// interfaces are connected to, deduplicating the common single-engine
-// case. Node mutators call it so a routing change can never let a stale
-// compiled path replay.
-func bumpFlows(ifs []*Iface) {
-	var last *Engine
-	for _, ifc := range ifs {
-		if ifc.eng != nil && ifc.eng != last {
-			ifc.eng.InvalidateFlows()
-			last = ifc.eng
-		}
+// attachments is embedded by nodes whose mutators invalidate compiled
+// flows: the distinct engines Connect joined their interfaces into, so
+// a bump costs one lock per engine however many interfaces there are.
+type attachments struct{ engines []*Engine }
+
+func (a *attachments) attach(e *Engine) {
+	if !slices.Contains(a.engines, e) {
+		a.engines = append(a.engines, e)
+	}
+}
+
+// bumpFlows invalidates compiled flows on every engine the node is
+// attached to. Node mutators call it so a routing change can never let
+// a stale compiled path replay.
+func (a *attachments) bumpFlows() {
+	for _, e := range a.engines {
+		e.InvalidateFlows()
 	}
 }
 
@@ -232,12 +239,7 @@ func (r *Router) regionClaim(dst ipv6.Addr, excl *[fpExclCap]ipv6.Addr, nExcl *u
 	if w > 64 {
 		return 0
 	}
-	width, ok := avoidAddrs(uint8(w), dst, r.addrs, excl, nExcl)
-	if !ok {
-		*nExcl = 0
-		return 0
-	}
-	return width
+	return avoidAddrs(uint8(w), dst, r.addrs, excl, nExcl)
 }
 
 // CompileStep implements CompilableHop: a Router is statically
@@ -291,11 +293,7 @@ func (r *Router) compileExpiry(in *Iface, dst ipv6.Addr) (compiledTerm, bool) {
 		src:  in.addr,
 		gate: &r.gate,
 	}
-	if width, ok := avoidAddrs(1, dst, r.addrs, &t.excl, &t.nExcl); ok {
-		t.width = width
-	} else {
-		t.nExcl = 0
-	}
+	t.width = avoidAddrs(1, dst, r.addrs, &t.excl, &t.nExcl)
 	return t, true
 }
 

@@ -100,10 +100,30 @@ func (c *chunkDriver) Release(pkts [][]byte) {
 	}
 }
 
+// midScanDriver runs mutate once, between two send batches, as soon as
+// after packets have gone out: a topology change in the middle of a
+// scan, at the same probe on every leg.
+type midScanDriver struct {
+	xmap.Driver
+	after, sent int
+	mutate      func() error
+	err         error
+}
+
+func (m *midScanDriver) SendBatch(pkts [][]byte) (int, error) {
+	if m.mutate != nil && m.sent >= m.after {
+		m.err, m.mutate = m.mutate(), nil
+	}
+	n, err := m.Driver.SendBatch(pkts)
+	m.sent += n
+	return n, err
+}
+
 // runFastPathLeg scans one freshly built, identically seeded fault
 // world twice with the engine's compiled forwarding fast path on or
 // off. batch > 0 caps the engine-visible send batch size via
-// chunkDriver; 0 leaves the scanner's native bursts intact.
+// chunkDriver; 0 leaves the scanner's native bursts intact. A fixture's
+// midScan mutation is applied halfway through the first pass.
 func runFastPathLeg(build func(int64) (*ISPFixture, error), seed int64, p FaultProfile, fastpath bool, batch int) (fastPathLeg, error) {
 	f, err := faultWorld(build, seed, p)
 	if err != nil {
@@ -113,6 +133,11 @@ func runFastPathLeg(build func(int64) (*ISPFixture, error), seed int64, p FaultP
 	var drv xmap.Driver = f.Drv
 	if batch > 0 {
 		drv = &chunkDriver{under: f.Drv, n: batch}
+	}
+	var mid *midScanDriver
+	if f.midScan != nil {
+		mid = &midScanDriver{Driver: drv, after: 1 << (f.Window.Width() - 1), mutate: f.midScan}
+		drv = mid
 	}
 	leg := fastPathLeg{set: map[ipv6.Addr]bool{}, trace: newTraceCollector()}
 	f.Eng.SetFlowTracer(leg.trace)
@@ -126,6 +151,12 @@ func runFastPathLeg(build func(int64) (*ISPFixture, error), seed int64, p FaultP
 		if err != nil {
 			return fastPathLeg{}, err
 		}
+	}
+	if mid != nil && mid.mutate != nil {
+		return fastPathLeg{}, fmt.Errorf("the scan ended before its mid-scan mutation was due (%d probes sent)", mid.sent)
+	}
+	if mid != nil && mid.err != nil {
+		return fastPathLeg{}, fmt.Errorf("mid-scan mutation: %w", mid.err)
 	}
 	leg.counters = f.Eng.Counters()
 	leg.links = snapshotLinks(f.Eng)
@@ -371,23 +402,39 @@ func RunFastPathOracle(seed int64, p FaultProfile) ([]string, error) {
 		return nil, err
 	}
 
-	// Sparse leg: the dense fixture's gaps are a few cells wide, so its
-	// region claims rarely exceed one cell. The same battery over a
-	// 2^12-cell window holding a dozen CPEs and a hostile /58 replays
-	// gap-wide entries at every batch size — and must actually be served
-	// by them: a pass that compiled per probe would compile thousands of
-	// entries and miss on all of pass one.
+	// Sparse leg: the dense fixture is nearly all delegations. The same
+	// battery over a 2^12-cell window holding a dozen CPEs and a hostile
+	// /58 replays the block's gap flow at every batch size — and must
+	// actually be served by it: all the empty space is one compile, each
+	// device a couple more, and only the hostile cells (interpreted, so
+	// keyed per address: one exact negative per cell per pass) miss
+	// every time.
 	son, sparse, err := fastPathLegs("sparse", BuildSparseFixture, seed)
 	if err != nil {
 		return nil, err
 	}
 	problems = append(problems, sparse...)
+	const hostileProbes = 2 << (64 - sparseHostileBits) // two passes
 	c := son.counters
-	share := float64(c.FastPathHits) / float64(c.FastPathHits+c.FastPathMisses)
-	if c.FastPathCompiles*4 > son.stats[0].Sent || !(share > 0.9) {
+	share := float64(c.FastPathHits) / float64(c.FastPathHits+c.FastPathMisses-hostileProbes)
+	if c.FastPathCompiles > sparseCPEs+hostileProbes+8 || !(share > 0.99) || c.FastPathEvictions != 0 {
 		problems = append(problems, fmt.Sprintf(
-			"sparse leg compiled %d flows for %d cells, hit share %.3f (want < cells/4, > 0.9): gap-wide claims never engaged",
-			c.FastPathCompiles, son.stats[0].Sent, share))
+			"sparse leg compiled %d flows (want <= %d devices + %d hostile probes + 8), hit share outside the hostile region %.4f (want > 0.99), %d evictions: the gap flow never engaged",
+			c.FastPathCompiles, sparseCPEs, hostileProbes, share, c.FastPathEvictions))
+	}
+
+	// Mid-scan Delegate: halfway through pass one a CPE wired at build
+	// time is delegated a LAN /64 the live gap flow covers. Nothing but
+	// Delegate itself invalidates (no interface, no link is added), and
+	// the flow holds a pointer to the router's emptiness index: this is
+	// the leg that would see an old entry answer for the delegated cell.
+	don, doff, err := fastPathPair(buildLateLANFixture, seed, FaultProfile{})
+	if err != nil {
+		return nil, err
+	}
+	problems = append(problems, diffFastPathLegs("sparse[delegate]", don, doff)...)
+	if don.counters.FastPathHits == 0 {
+		problems = append(problems, "sparse[delegate] leg recorded zero flow-cache hits: fast path never engaged")
 	}
 
 	// Hostile legs: the flow cache must stay invisible under every

@@ -36,6 +36,9 @@ type ISPFixture struct {
 
 	// isp is kept so adversarial builders can delegate extra regions.
 	isp *netsim.ISPRouter
+	// midScan, when set, is a topology mutation the fast-path oracle
+	// applies halfway through its first pass.
+	midScan func() error
 }
 
 // PlantedRegion is ground truth for one adversarial responder planted
@@ -134,33 +137,17 @@ func buildFixture(seed int64, block ipv6.Prefix, cells []uint64, lanCell uint64)
 		Route{Prefix: scanNet, Label: "core->scan"})
 
 	for i, cell := range cells {
-		wanPrefix, err := f.Block.Sub(64, uint128.From64(cell))
+		lan := -1
+		if i == 0 {
+			lan = int(lanCell)
+		}
+		delegateLAN, err := f.addCPE(i, cell, lan)
+		if err == nil && delegateLAN != nil {
+			err = delegateLAN()
+		}
 		if err != nil {
 			return nil, err
 		}
-		wanAddr := ipv6.SLAAC(wanPrefix, 0x0211_22ff_fe00_0000|uint64(i))
-		cfg := netsim.CPEConfig{Name: "cpe", WANAddr: wanAddr, WANPrefix: wanPrefix}
-		if i == 0 {
-			lan, err := f.Block.Sub(64, uint128.From64(lanCell))
-			if err != nil {
-				return nil, err
-			}
-			cfg.Delegated = lan
-		}
-		cpe := netsim.NewCPE(cfg)
-		down := isp.AddIface(ipv6.SLAAC(wanPrefix, 1), "isp:down")
-		f.Eng.Connect(down, cpe.WAN(), 0)
-		if err := isp.Delegate(wanPrefix, down); err != nil {
-			return nil, err
-		}
-		f.Routes = append(f.Routes, Route{Prefix: wanPrefix, Label: fmt.Sprintf("isp->cpe%d", i)})
-		if cfg.Delegated.Bits() > 0 {
-			if err := isp.Delegate(cfg.Delegated, down); err != nil {
-				return nil, err
-			}
-			f.Routes = append(f.Routes, Route{Prefix: cfg.Delegated, Label: fmt.Sprintf("isp->cpe%d:lan", i)})
-		}
-		f.WANs = append(f.WANs, wanAddr)
 	}
 
 	w, err := ipv6.NewWindow(f.Block, 64)
@@ -170,6 +157,68 @@ func buildFixture(seed int64, block ipv6.Prefix, cells []uint64, lanCell uint64)
 	f.Window = w
 	f.Drv = xmap.NewSimDriver(f.Eng, f.Edge)
 	return f, nil
+}
+
+// addCPE plants CPE i behind the ISP on the /64 cell of the block. With
+// lan >= 0 the CPE also holds that cell as its LAN, and the returned
+// step delegates it.
+func (f *ISPFixture) addCPE(i int, cell uint64, lan int) (delegateLAN func() error, err error) {
+	wanPrefix, err := f.Block.Sub(64, uint128.From64(cell))
+	if err != nil {
+		return nil, err
+	}
+	wanAddr := ipv6.SLAAC(wanPrefix, 0x0211_22ff_fe00_0000|uint64(i))
+	cfg := netsim.CPEConfig{Name: "cpe", WANAddr: wanAddr, WANPrefix: wanPrefix}
+	if lan >= 0 {
+		if cfg.Delegated, err = f.Block.Sub(64, uint128.From64(uint64(lan))); err != nil {
+			return nil, err
+		}
+	}
+	cpe := netsim.NewCPE(cfg)
+	down := f.isp.AddIface(ipv6.SLAAC(wanPrefix, 1), "isp:down")
+	f.Eng.Connect(down, cpe.WAN(), 0)
+	if err := f.isp.Delegate(wanPrefix, down); err != nil {
+		return nil, err
+	}
+	f.Routes = append(f.Routes, Route{Prefix: wanPrefix, Label: fmt.Sprintf("isp->cpe%d", i)})
+	f.WANs = append(f.WANs, wanAddr)
+	if lan < 0 {
+		return nil, nil
+	}
+	return func() error {
+		if err := f.isp.Delegate(cfg.Delegated, down); err != nil {
+			return err
+		}
+		f.Routes = append(f.Routes, Route{Prefix: cfg.Delegated, Label: fmt.Sprintf("isp->cpe%d:lan", i)})
+		return nil
+	}, nil
+}
+
+// buildLateLANFixture is the sparse fixture with one more CPE on the
+// block's first two unrouted /64s: the WAN delegated at once, the LAN by
+// the fixture's mid-scan mutation — until then plain unassigned space
+// with no router address in it, so the block's gap flow answers for it.
+func buildLateLANFixture(seed int64) (*ISPFixture, error) {
+	f, err := BuildSparseFixture(seed)
+	if err != nil {
+		return nil, err
+	}
+	var free []uint64
+	for cell := uint64(0); len(free) < 2; cell++ {
+		p, err := f.Block.Sub(64, uint128.From64(cell))
+		if err != nil {
+			return nil, err
+		}
+		routed := false
+		for _, r := range f.Routes {
+			routed = routed || r.Prefix != f.Block && r.Prefix.Overlaps(p)
+		}
+		if !routed {
+			free = append(free, cell)
+		}
+	}
+	f.midScan, err = f.addCPE(len(f.WANs), free[0], int(free[1]))
+	return f, err
 }
 
 // BuildLoopDeployment generates a small single-ISP deployment (China

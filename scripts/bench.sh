@@ -55,7 +55,7 @@ while [ $# -gt 0 ]; do
     esac
 done
 
-pattern='ScannerThroughput|ScannerTraced|EnginePump|EngineInjectColdSparse|CSVOutputWrite|JSONOutputWrite|AddrAppendTo'
+pattern='ScannerThroughput|ScannerTraced|EnginePump|EngineInjectColdSparse|FlowCacheLookupGap|CSVOutputWrite|JSONOutputWrite|AddrAppendTo'
 
 run_suite() {
     go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -count "${1:-1}" -benchmem ./... 2>/dev/null |
