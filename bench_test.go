@@ -452,6 +452,22 @@ func BenchmarkScannerThroughputSharded(b *testing.B) {
 	b.ReportMetric(float64(dep.Group.Counters().Events)/float64(sent), "events/probe")
 }
 
+// BenchmarkTopoBuild is the set-up a whole cmd/xmap sweep pays before its
+// first probe: the 15-ISP, width-20 deployment of bench's scan_cold
+// workload. Run it with -benchmem; B/op is the build's garbage. It is not
+// in scripts/bench.sh's pattern: that script's -short -check mode runs
+// every benchmark 10,000 times, which here would be about 25 minutes of
+// builds.
+func BenchmarkTopoBuild(b *testing.B) {
+	cfg := topo.Config{Seed: 1, Scale: 0.0005, WindowWidth: 20, MaxDevicesPerISP: 4000}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := topo.Build(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // benchResponses is a periphery-shaped result stream for the output
 // benchmarks: full-length SLAAC responders, each probed at another /64 of
 // the same block, as a dense window reports them.

@@ -7,6 +7,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -17,21 +18,28 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "topogen:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run executes one CLI invocation. Flags live on a private FlagSet and
+// all output goes through the writer arguments, so tests drive the
+// command end to end without process-global state.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("topogen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		seed   = flag.Int64("seed", 1, "generation seed")
-		scale  = flag.Float64("scale", 0.0005, "population scale relative to the paper")
-		width  = flag.Int("width", 12, "scan window width in bits")
-		maxDev = flag.Int("max-devices", 4000, "cap on devices per ISP")
-		full   = flag.Bool("devices", false, "also dump every device")
+		seed   = fs.Int64("seed", 1, "generation seed")
+		scale  = fs.Float64("scale", 0.0005, "population scale relative to the paper")
+		width  = fs.Int("width", 12, "scan window width in bits")
+		maxDev = fs.Int("max-devices", 4000, "cap on devices per ISP")
+		full   = fs.Bool("devices", false, "also dump every device")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	dep, err := topo.Build(topo.Config{
 		Seed: *seed, Scale: *scale, WindowWidth: *width, MaxDevicesPerISP: *maxDev,
@@ -68,7 +76,7 @@ func run() error {
 			report.Count(eui), report.Count(loop), report.Count(svc),
 		)
 	}
-	fmt.Print(t.String())
+	fmt.Fprint(stdout, t.String())
 
 	// Vendor census across the deployment.
 	vendors := map[string]int{}
@@ -89,7 +97,7 @@ func run() error {
 	for _, v := range names {
 		vt.AddRow(v, report.Count(vendors[v]))
 	}
-	fmt.Print(vt.String())
+	fmt.Fprint(stdout, vt.String())
 
 	if *full {
 		dt := report.Table{
@@ -116,7 +124,7 @@ func run() error {
 			dt.AddRow(fmt.Sprintf("%d", d.Spec.Index), d.WANAddr.String(),
 				d.Vendor, d.Class.String(), loop, svcs)
 		}
-		fmt.Print(dt.String())
+		fmt.Fprint(stdout, dt.String())
 	}
 	return nil
 }

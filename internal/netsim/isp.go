@@ -64,8 +64,8 @@ const denseCap = 1 << 16
 func (t *delegTable) set(idx uint64, out *Iface) {
 	t.entries[idx] = out
 	if idx < denseCap {
-		for uint64(len(t.dense)) <= idx {
-			t.dense = append(t.dense, nil)
+		if n := uint64(len(t.dense)); idx >= n {
+			t.dense = append(t.dense, make([]*Iface, idx+1-n)...)
 		}
 		t.dense[idx] = out
 	}

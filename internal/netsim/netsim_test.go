@@ -389,6 +389,29 @@ func TestDelegateValidation(t *testing.T) {
 	}
 }
 
+// TestDelegTableGrowth: the dense slice grows to the highest index in one
+// step; lower indices set later, and a re-set, still resolve.
+func TestDelegTableGrowth(t *testing.T) {
+	a := NewIface(nil, ipv6.Addr{}, "a")
+	b := NewIface(nil, ipv6.Addr{}, "b")
+	tab := &delegTable{subLen: 64, entries: map[uint64]*Iface{}}
+	tab.set(40_000, a)
+	tab.set(3, a)
+	tab.set(40_000, b)
+	if got := len(tab.dense); got != 40_001 {
+		t.Errorf("len(dense) = %d, want 40001", got)
+	}
+	for _, c := range []struct {
+		idx  uint64
+		want *Iface
+	}{{40_000, b}, {3, a}, {4, nil}, {39_999, nil}, {40_001, nil}} {
+		got, ok := tab.get(c.idx)
+		if got != c.want || ok != (c.want != nil) {
+			t.Errorf("get(%d) = %v, %t; want %v", c.idx, got, ok, c.want)
+		}
+	}
+}
+
 // TestEventBudgetBoundsRunaway: even a deliberately unterminated loop
 // (max hop limit, vulnerable CPE, huge event budget not needed) cannot
 // exceed the engine's budget.

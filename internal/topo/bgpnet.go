@@ -160,7 +160,7 @@ func BuildBGPUniverse(cfg BGPConfig) (*BGPDeployment, error) {
 		if n > capacity/2 {
 			n = capacity / 2
 		}
-		perm := rng.Perm(capacity)
+		perm := permPrefix(rng, capacity, n)
 
 		mult := asMult[adv.ASN]
 		if m, ok := bgpLoopCountryMult[adv.Country]; ok {

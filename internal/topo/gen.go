@@ -364,7 +364,7 @@ func buildISP(dep *Deployment, spec *ISPSpec, cfg Config) (*ISPDeployment, error
 	// window cells from the top of the window downward, so honest
 	// devices (whose indices come from the permutation below) can never
 	// land inside an adversarial region — the ground truth stays exact.
-	var used []bool
+	var runs []cellRun
 	reserved := 0
 	top := capacity
 	hostileN := 0
@@ -389,12 +389,7 @@ func buildISP(dep *Deployment, spec *ISPSpec, cfg Config) (*ISPDeployment, error
 		if top < 0 {
 			return nil, fmt.Errorf("hostile regions exceed window capacity %d", capacity)
 		}
-		if used == nil {
-			used = make([]bool, capacity)
-		}
-		for c := top; c < top+cells; c++ {
-			used[c] = true
-		}
+		runs = append(runs, cellRun{top, top + cells})
 		reserved += cells
 		region, err := winBase.Sub(regionBits, uint128.From64(uint64(top/cells)))
 		if err != nil {
@@ -429,13 +424,16 @@ func buildISP(dep *Deployment, spec *ISPSpec, cfg Config) (*ISPDeployment, error
 		return nil, fmt.Errorf("population %d exceeds window capacity %d", n, capacity)
 	}
 
-	indices := rng.Perm(capacity)
+	// Every device takes at most two cells (the dual-/64 model), and
+	// every skip uses up a distinct reserved cell, so takeIdx never reads
+	// past the first 2n+reserved cells of the window's permutation.
+	indices := permPrefix(rng, capacity, n*2+reserved)
 	nextIdx := 0
 	takeIdx := func() uint64 {
 		for {
 			v := indices[nextIdx]
 			nextIdx++
-			if used == nil || !used[v] {
+			if !reservedCell(runs, v) {
 				return uint64(v)
 			}
 		}
@@ -465,6 +463,20 @@ func buildISP(dep *Deployment, spec *ISPSpec, cfg Config) (*ISPDeployment, error
 		dep.byWAN[dev.WANAddr] = dev
 	}
 	return isp, nil
+}
+
+// cellRun is the half-open run [lo, hi) of window cells one hostile
+// region reserves.
+type cellRun struct{ lo, hi int }
+
+// reservedCell reports whether window cell c lies in a reserved run.
+func reservedCell(runs []cellRun, c int) bool {
+	for _, r := range runs {
+		if r.lo <= c && c < r.hi {
+			return true
+		}
+	}
+	return false
 }
 
 // routerIID is the interface identifier provider-side link addresses use;

@@ -2,10 +2,15 @@ package topo
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/ipv6"
+	"repro/internal/netsim"
 	"repro/internal/services"
 	"repro/internal/uint128"
 	"repro/internal/wire"
@@ -71,6 +76,91 @@ func TestBuildDeterministic(t *testing.T) {
 			da[i].VulnLAN != db[i].VulnLAN || da[i].VulnWAN != db[i].VulnWAN {
 			t.Fatalf("device %d differs", i)
 		}
+	}
+}
+
+// scanHostile is the scan_hostile benchmark workload's four regions in
+// ISP 13 (/60 delegations: a /52 is 256 window cells, a /54 is 64).
+func scanHostile() []HostileSpec {
+	return []HostileSpec{
+		{ISP: 13, Mode: netsim.HostileAliased, RegionBits: 52},
+		{ISP: 13, Mode: netsim.HostileStorm, RegionBits: 54, StormFactor: 6},
+		{ISP: 13, Mode: netsim.HostileSpoofer, RegionBits: 54},
+		{ISP: 13, Mode: netsim.HostileMalformed, RegionBits: 54},
+	}
+}
+
+// deploymentDigest is a sha256 over every device's placement and ground
+// truth, in build order, plus the planted hostile regions.
+func deploymentDigest(dep *Deployment) string {
+	h := sha256.New()
+	for _, d := range dep.Devices() {
+		var deleg ipv6.Prefix
+		if d.CPE != nil {
+			deleg = d.CPE.Delegated()
+		}
+		fmt.Fprintf(h, "%d %s %s %d %s %s %t %t", d.Spec.Index, d.WANAddr, deleg,
+			d.Model, d.Vendor, d.Class, d.VulnWAN, d.VulnLAN)
+		for _, svc := range services.All {
+			if sw, ok := d.Services[svc]; ok {
+				fmt.Fprintf(h, " %s=%s", svc, sw)
+			}
+		}
+		fmt.Fprintln(h)
+	}
+	for _, r := range dep.HostileRegions() {
+		fmt.Fprintf(h, "hostile %s %s\n", r.Prefix, r.Mode)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestBuildPinned pins the generated deployment across commits, not only
+// within one run: a change to how devices are placed or drawn moves the
+// digest.
+func TestBuildPinned(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"hostile-w18", Config{
+			Seed: 1, Scale: 0.0005, WindowWidth: 18, MaxDevicesPerISP: 4000, OnlyISPs: []int{13},
+			Hostile: scanHostile(),
+		}, "3c6580f41c39c9e4c6ddbaaa2bc20aa761453e6d0f52fe198066ead9716a19e7"},
+		{"shards2-w16", Config{Seed: 1, Scale: 0.0005, WindowWidth: 16, MaxDevicesPerISP: 4000, Shards: 2},
+			"558680b8ea1c092de0d3bbb2061bf463ab4664bdb8777743f04e75e2a04114f3"},
+	}
+	for _, c := range cases {
+		dep, err := Build(c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := deploymentDigest(dep); got != c.want {
+			t.Errorf("%s: deployment digest %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
+// TestBuildMemoryTracksDevices: what a build allocates follows the
+// population, not the window. ISP 13 at width 24 places 3,658 devices in
+// 2^24 cells and allocates ~7 MB; a per-cell array anywhere in the build
+// (a shuffled window, a reserved-cell bitmap) adds 16-128 MB here.
+func TestBuildMemoryTracksDevices(t *testing.T) {
+	cfg := Config{
+		Seed: 1, Scale: 0.0005, WindowWidth: 24, MaxDevicesPerISP: 4000, OnlyISPs: []int{13},
+		Hostile: scanHostile(),
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	dep, err := Build(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const limit = 16 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Errorf("building %d devices allocated %.1f MB, want <= %d MB",
+			len(dep.Devices()), float64(got)/(1<<20), limit>>20)
 	}
 }
 

@@ -55,6 +55,9 @@ while [ $# -gt 0 ]; do
     esac
 done
 
+# BenchmarkTopoBuild is deliberately not matched: -short -check runs every
+# matched benchmark 10000 times, and one deployment build takes ~0.15 s
+# (about 25 minutes of builds). Run it by hand with -benchmem.
 pattern='ScannerThroughput|ScannerTraced|EnginePump|EngineInjectColdSparse|FlowCacheLookupGap|CSVOutputWrite|JSONOutputWrite|AddrAppendTo'
 
 run_suite() {
