@@ -43,9 +43,16 @@ func (m mapDedup) checkAdd(a ipv6.Addr) bool {
 	return c == 0
 }
 
-// bloomDedup wraps the Bloom filter.
+// bloomDedup wraps the Bloom filter. last is the responder checkAdd
+// answered for most recently: a repeat of it — the common case, one
+// router's errors for a run of unassigned targets — is a duplicate
+// without hashing. That is exact, since the filter has no false
+// negatives: once checkAdd has set a key's bits, the filter reports it
+// present for good.
 type bloomDedup struct {
-	f *bloom.Filter
+	f        *bloom.Filter
+	last     ipv6.Addr
+	haveLast bool
 }
 
 var _ dedupSet = (*bloomDedup)(nil)
@@ -81,6 +88,10 @@ func (b *bloomDedup) add(a ipv6.Addr) {
 }
 
 func (b *bloomDedup) checkAdd(a ipv6.Addr) bool {
+	if b.haveLast && a == b.last {
+		return false
+	}
+	b.last, b.haveLast = a, true
 	u := a.Uint128()
 	return b.f.AddIfAbsentUint64Pair(u.Hi, u.Lo)
 }

@@ -64,3 +64,10 @@ func (p subPRF) derive(hi, lo uint64) (iidHi, iidLo uint64, val uint32) {
 	val = uint32(mix64(x + p.k0))
 	return
 }
+
+// value is derive's validation value alone: the shared core and the val
+// avalanche, three mixer rounds instead of five. The receive path needs
+// only this word, and pays for it once per reply.
+func (p subPRF) value(hi, lo uint64) uint32 {
+	return uint32(mix64(mix64(mix64(hi^p.k0)^lo^p.k1) + p.k0))
+}

@@ -126,7 +126,7 @@ type echoTmpl struct {
 	sum     uint64
 }
 
-var _ ProbeModule = (*ICMPEchoProbe)(nil)
+var _ RawProbeModule = (*ICMPEchoProbe)(nil)
 var _ AppendProbeModule = (*ICMPEchoProbe)(nil)
 
 // Name implements ProbeModule.
@@ -222,6 +222,60 @@ func (p *ICMPEchoProbe) Classify(sum *wire.Summary, validate Validator) (Respons
 			Kind:      kind,
 			Code:      sum.ICMP.Code,
 		}, true
+	}
+	return Response{}, false
+}
+
+// ClassifyRaw implements RawProbeModule: the scanner's receive path. It
+// accepts exactly what Summary.Parse followed by Classify accepts
+// (FuzzClassifyRawParity pins the two equal) in one walk over the reply:
+// no header structs are built, the quote is read in place, and a single
+// SumWords over src|dst and the ICMPv6 message — contiguous from byte 8
+// — covers the checksum.
+func (p *ICMPEchoProbe) ClassifyRaw(raw []byte, validate Validator) (Response, bool) {
+	if len(raw) < wire.HeaderLen || raw[0]>>4 != 6 || raw[6] != wire.ProtoICMPv6 {
+		return Response{}, false
+	}
+	plen := int(binary.BigEndian.Uint16(raw[4:6]))
+	if plen < 8 || len(raw)-wire.HeaderLen < plen {
+		return Response{}, false
+	}
+	end := wire.HeaderLen + plen
+	if wire.FoldSum(wire.SumWords(raw[8:end])+uint64(plen)+wire.ProtoICMPv6) != 0 {
+		return Response{}, false
+	}
+	m := raw[wire.HeaderLen:end]
+	src := ipv6.AddrFromBytes(raw[8:24])
+	switch m[0] {
+	case wire.ICMPEchoReply:
+		// The responder is the probed address itself.
+		if binary.BigEndian.Uint32(m[4:8]) != validate(src) {
+			return Response{}, false
+		}
+		return Response{Responder: src, ProbeDst: src, Kind: KindEchoReply}, true
+
+	case wire.ICMPDestUnreach, wire.ICMPTimeExceeded:
+		inv := m[8:] // past type, code, checksum and the 4 unused bytes
+		if len(inv) < wire.HeaderLen || inv[0]>>4 != 6 || inv[6] != wire.ProtoICMPv6 {
+			return Response{}, false
+		}
+		if p.StrictSource != (ipv6.Addr{}) && ipv6.AddrFromBytes(inv[8:24]) != p.StrictSource {
+			return Response{}, false
+		}
+		// Only a quoted echo carries id/seq; any other quote reads as zero.
+		var idSeq uint32
+		if l4 := inv[wire.HeaderLen:]; len(l4) >= 8 && (l4[0] == wire.ICMPEchoRequest || l4[0] == wire.ICMPEchoReply) {
+			idSeq = binary.BigEndian.Uint32(l4[4:8])
+		}
+		probeDst := ipv6.AddrFromBytes(inv[24:40])
+		if idSeq != validate(probeDst) {
+			return Response{}, false
+		}
+		kind := KindDestUnreach
+		if m[0] == wire.ICMPTimeExceeded {
+			kind = KindTimeExceeded
+		}
+		return Response{Responder: src, ProbeDst: probeDst, Kind: kind, Code: m[1]}, true
 	}
 	return Response{}, false
 }

@@ -11,7 +11,8 @@ import (
 
 // RawProbeModule is implemented by probe modules that parse received
 // packets themselves — the IPv4 modules, whose wire format the default
-// IPv6 receive path cannot decode. XMap treats IPv4 targets as
+// IPv6 receive path cannot decode, and icmp6_echoscan, whose one-pass
+// classifier skips that path's general decode. XMap treats IPv4 targets as
 // IPv4-mapped IPv6 addresses internally, so the iterator, validation and
 // dedup machinery is shared across families (Section IV-B: the address
 // generation module permutes "any address space ... such as

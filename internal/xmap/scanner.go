@@ -171,6 +171,9 @@ type Scanner struct {
 	haveSub      bool
 	subHi, subLo uint64 // cached host-IID limbs for lastSub
 	subVal       uint32 // cached validation value for lastSub
+	// subMask keeps an address's sub-prefix bits (Window.To of them), so
+	// Validation finds the sub-prefix with one AND.
+	subMask uint128.Uint128
 	// validate is the bound Validation method, constructed once —
 	// passing s.Validation at a call site would allocate a closure per
 	// packet.
@@ -253,6 +256,7 @@ func New(cfg Config, drv Driver) (*Scanner, error) {
 	s.wd = cfg.Watchdog
 	s.retryTimeout = retryTimeoutWindows * uint64(cfg.DrainEvery)
 	s.prf = newSubPRF(cfg.Seed)
+	s.subMask = uint128.Max.Lsh(uint(128 - cfg.Window.To))
 	s.validate = s.Validation
 	s.probe = cfg.Probe
 	if s.probe == nil {
@@ -353,14 +357,15 @@ func (s *Scanner) subDerive(sub ipv6.Addr) {
 // The value is bound to the sub-prefix containing dst (a scan probes one
 // address per sub, so this loses no discrimination) and comes from the
 // same keyed derivation that generates the target IID — one PRF call
-// covers the whole send path.
+// covers the whole send path. Any other sub-prefix — nearly every reply
+// the receive path validates — gets the value alone, and the cache stays
+// TargetFor's.
 func (s *Scanner) Validation(dst ipv6.Addr) uint32 {
-	p, err := ipv6.NewPrefix(dst, s.cfg.Window.To)
-	if err != nil {
-		return 0
+	sub := dst.Uint128().And(s.subMask)
+	if s.haveSub && sub == s.lastSub.Uint128() {
+		return s.subVal
 	}
-	s.subDerive(p.Addr())
-	return s.subVal
+	return s.prf.value(sub.Hi, sub.Lo)
 }
 
 // TargetFor returns the probe address for a window index: the sub-prefix
@@ -833,15 +838,13 @@ func (s *Scanner) drain(stats *Stats, handler Handler) {
 	}
 	for _, raw := range s.rx {
 		var (
-			resp   Response
-			ok     bool
-			parsed bool
+			resp Response
+			ok   bool
 		)
 		if isRaw {
 			resp, ok = rawMod.ClassifyRaw(raw, s.validate)
 		} else if err := s.sum.Parse(raw); err == nil {
 			resp, ok = s.probe.Classify(&s.sum, s.validate)
-			parsed = true
 		}
 		if releaser != nil && resp.Payload == nil {
 			s.recycle = append(s.recycle, raw)
@@ -854,9 +857,10 @@ func (s *Scanner) drain(stats *Stats, handler Handler) {
 			continue
 		}
 		stats.Received++
+		// IPv4 replies (the raw v4 modules) record no hop limit.
 		var hop uint64
-		if parsed {
-			hop = uint64(s.sum.IP.HopLimit)
+		if len(raw) >= wire.HeaderLen && raw[0]>>4 == 6 {
+			hop = uint64(raw[7])
 			s.tel.Observe(telemetry.HistReplyHopLimit, hop)
 		}
 		// Spans key by the probed target (not the responder) so the

@@ -29,7 +29,7 @@ type scanFixture struct {
 
 const fixtureCPEs = 5
 
-func buildFixture(t *testing.T) *scanFixture {
+func buildFixture(t testing.TB) *scanFixture {
 	t.Helper()
 	f := &scanFixture{
 		eng:   netsim.New(42),
@@ -85,7 +85,7 @@ func buildFixture(t *testing.T) *scanFixture {
 	return f
 }
 
-func window(t *testing.T, f *scanFixture) ipv6.Window {
+func window(t testing.TB, f *scanFixture) ipv6.Window {
 	t.Helper()
 	w, err := ipv6.NewWindow(f.block, 64)
 	if err != nil {
