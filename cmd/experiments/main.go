@@ -9,6 +9,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -16,22 +17,29 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run executes one CLI invocation. Flags live on a private FlagSet and
+// all output goes through the writer arguments, so tests drive the
+// command end to end without process-global state.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		quick   = flag.Bool("quick", false, "run the small test-sized configuration")
-		only    = flag.String("run", "", "run one artifact: tableI..tableXII, figure2..figure6, mitigation, feasibility")
-		seed    = flag.Int64("seed", 0, "override the suite seed (0 keeps the default)")
-		scale   = flag.Float64("scale", 0, "override the population scale (e.g. 0.001 for 1/1000 of the paper)")
-		width   = flag.Int("width", 0, "override the scan window width in bits")
-		verbose = flag.Bool("v", false, "log progress to stderr")
+		quick   = fs.Bool("quick", false, "run the small test-sized configuration")
+		only    = fs.String("run", "", "run one artifact: tableI..tableXII, figure2..figure6, mitigation, feasibility")
+		seed    = fs.Int64("seed", 0, "override the suite seed (0 keeps the default)")
+		scale   = fs.Float64("scale", 0, "override the population scale (e.g. 0.001 for 1/1000 of the paper)")
+		width   = fs.Int("width", 0, "override the scan window width in bits")
+		verbose = fs.Bool("v", false, "log progress to stderr")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	opts := experiments.Default()
 	if *quick {
@@ -48,13 +56,13 @@ func run() error {
 		opts.WindowWidth = *width
 	}
 	if *verbose {
-		opts.Log = os.Stderr
+		opts.Log = stderr
 	}
 	suite := experiments.New(opts)
 
 	if *only == "" {
 		text, err := suite.All()
-		fmt.Print(text)
+		fmt.Fprint(stdout, text)
 		return err
 	}
 
@@ -90,6 +98,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Print(text)
+	fmt.Fprint(stdout, text)
 	return nil
 }

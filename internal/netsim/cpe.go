@@ -62,6 +62,7 @@ type CPEBehavior struct {
 // a delegated LAN prefix, one or more in-use subnets, and optionally a
 // set of LAN host addresses that answer pings.
 type CPE struct {
+	forwarder
 	name      string
 	wan       *Iface
 	wanPrefix ipv6.Prefix // the point-to-point /64 containing the WAN address
@@ -70,12 +71,7 @@ type CPE struct {
 	lanAddr   ipv6.Addr // CPE's own address inside the first subnet
 	hosts     map[ipv6.Addr]bool
 	behavior  CPEBehavior
-	stack     LocalStack
-	gate      errorGate
 	hasLAN    bool
-	sc        emitScratch
-
-	loopCount map[ipv6.Addr]int
 
 	// CountForwarded tallies packets the CPE sent back out its WAN
 	// interface in a loop; used for amplification accounting.
@@ -107,9 +103,12 @@ func NewCPE(cfg CPEConfig) *CPE {
 		subnets:   cfg.Subnets,
 		lanAddr:   cfg.LANAddr,
 		behavior:  cfg.Behavior,
-		stack:     cfg.Stack,
-		gate:      errorGate{policy: cfg.Policy},
 		hasLAN:    cfg.Delegated.Bits() > 0,
+	}
+	c.forwarder = forwarder{
+		self: c, stack: cfg.Stack, fwd: &c.CountForwarded,
+		loops: loopCap{limit: cfg.Behavior.LoopCap},
+		gate:  errorGate{policy: cfg.Policy},
 	}
 	if c.stack == nil {
 		c.stack = EchoStack{}
@@ -139,174 +138,118 @@ func (c *CPE) Behavior() CPEBehavior { return c.behavior }
 // Delegated returns the delegated LAN prefix (zero Prefix if none).
 func (c *CPE) Delegated() ipv6.Prefix { return c.delegated }
 
-// Handle implements Node, realizing the routing table of the paper's
-// Figure 4 — correct or flawed depending on Behavior.
-func (c *CPE) Handle(in *Iface, pkt []byte) []Emission {
-	dst, ok := wire.ForwardDst(pkt)
-	if !ok {
-		return nil
-	}
-
-	// Local delivery: WAN address, LAN interface address.
+// decide is the CPE's rule, the routing table of the paper's Figure 4 —
+// correct or flawed depending on Behavior: its own addresses go to the
+// stack and operated LAN hosts answer pings; on expiry, Time Exceeded
+// from the WAN address (how a looping probe finally exposes a flawed
+// CPE; expiry precedes routing, so it holds everywhere but those
+// specials); else the WAN /64, operated subnets, the Not-used Prefix and
+// the default route toward the ISP, each uniform over its prefix. All
+// errors carry the WAN address: RFC 4443 source selection picks the
+// interface the error leaves by, which is what exposes the periphery.
+func (c *CPE) decide(in *Iface, dst ipv6.Addr, expired bool, reg *region) verdict {
 	if dst == c.wan.addr || (c.lanAddr != (ipv6.Addr{}) && dst == c.lanAddr) {
-		return c.deliverLocal(in, dst, pkt)
+		return verdict{act: actLocal}
 	}
-	// A LAN host the subscriber actually operates: answers pings.
 	if c.hosts[dst] {
-		return hostEcho(&c.sc, in, dst, pkt)
+		return verdict{act: actEcho}
 	}
-
-	if !decrementHopLimit(pkt) {
-		return c.emitError(in, pkt, wire.ICMPTimeExceeded, wire.TimeExceedHopLimit)
-	}
-
+	var v verdict
+	var w uint8 // the region's width before the specials are excluded
 	switch {
+	case expired:
+		v, w = timeExceeded(c.wan), 1
 	case c.wanPrefix.Contains(dst):
 		// Nonexistent address in the WAN point-to-point /64.
-		if c.behavior.VulnWAN {
-			return c.loopForward(in, dst, pkt)
+		if !c.behavior.VulnWAN {
+			// Correct: neighbor discovery fails; address unreachable.
+			v, w = unreachable(c.wan, wire.UnreachAddress), prefixWidth(c.wanPrefix)
+			break
 		}
-		// Correct: neighbor discovery fails; address unreachable.
-		return c.emitError(in, pkt, wire.ICMPDestUnreach, wire.UnreachAddress)
-
-	case c.inSubnet(dst):
-		// In an operated subnet but no such host: NDP failure.
-		return c.emitError(in, pkt, wire.ICMPDestUnreach, wire.UnreachAddress)
-
-	case c.hasLAN && c.delegated.Contains(dst):
-		// Delegated-but-unassigned space: the Not-used Prefix.
-		if c.behavior.VulnLAN {
-			return c.loopForward(in, dst, pkt)
-		}
-		// Correct per RFC 7084: a discard/unreachable route.
-		return c.emitError(in, pkt, wire.ICMPDestUnreach, wire.UnreachNoRoute)
-
-	default:
-		// Default route: egress toward the ISP.
-		c.CountForwarded++
-		return c.sc.emit(c.wan, pkt)
-	}
-}
-
-// CompileStep implements CompilableHop for the CPE's statically
-// forwarding regions: the vulnerable loop behaviors (a flawed route
-// sends the packet straight back out the WAN — the paper's routing
-// loop) and the default route. Both are stateless single-decision
-// forwards unless a LoopCap bounds the bounce with per-destination
-// state, which stays interpreted.
-func (c *CPE) CompileStep(in *Iface, dst ipv6.Addr) (CompiledStep, bool) {
-	if dst == c.wan.addr || (c.lanAddr != (ipv6.Addr{}) && dst == c.lanAddr) || c.hosts[dst] {
-		return CompiledStep{}, false
-	}
-	step := CompiledStep{Out: c.wan, Forwarded: &c.CountForwarded}
-	loopOK := c.behavior.LoopCap == 0
-	switch {
-	case c.wanPrefix.Contains(dst):
-		if !c.behavior.VulnWAN || !loopOK {
-			return CompiledStep{}, false
-		}
-		if c.hasLAN && c.behavior.VulnLAN && c.delegated.Contains(dst) {
+		v = c.loop()
+		if reg != nil && c.hasLAN && c.behavior.VulnLAN && c.delegated.Contains(dst) {
 			// The WAN /64 sits inside the delegation and both flawed
 			// routes bounce out the WAN identically: one region spans
 			// the whole delegated prefix (minus operated subnets).
-			step.Width = c.loopRegion(dst, &step.Holes, &step.NHole)
+			w = c.loopRegion(dst, reg)
 		} else {
-			step.Width = prefixWidth(c.wanPrefix)
+			w = prefixWidth(c.wanPrefix)
 		}
 	case c.inSubnet(dst):
-		return CompiledStep{}, false // error terminal, not a forward
-	case c.hasLAN && c.delegated.Contains(dst):
-		if !c.behavior.VulnLAN || !loopOK {
-			return CompiledStep{}, false
-		}
-		step.Width = c.loopRegion(dst, &step.Holes, &step.NHole)
-	default:
-		// Default route toward the ISP (e.g. a reply transiting the CPE
-		// after an ISP-side hop-limit expiry): uniform up to the nearest
-		// special prefix.
-		step.Width = c.defaultRegion(dst, &step.Holes, &step.NHole)
-	}
-	if step.Width != 0 && !c.exclSpecials(step.Width, dst, &step.Excl, &step.NExcl) {
-		step.Width = 0
-	}
-	if step.Width == 0 {
-		step.NExcl, step.NHole = 0, 0
-	}
-	return step, true
-}
-
-// compileExpiry implements hopExpirer: any non-special destination
-// whose hop limit dies here draws Time Exceeded sourced from the WAN
-// address — how a looping probe ultimately exposes the flawed CPE.
-// Expiry precedes all routing, so the decision is uniform over
-// everything except the CPE's own addresses and operated hosts.
-func (c *CPE) compileExpiry(in *Iface, dst ipv6.Addr) (compiledTerm, bool) {
-	if dst == c.wan.addr || (c.lanAddr != (ipv6.Addr{}) && dst == c.lanAddr) || c.hosts[dst] {
-		return compiledTerm{}, false
-	}
-	t := compiledTerm{
-		typ: wire.ICMPTimeExceeded, code: wire.TimeExceedHopLimit,
-		src: c.wan.addr, gate: &c.gate, width: 1,
-	}
-	if !c.exclSpecials(1, dst, &t.excl, &t.nExcl) {
-		t.width = 0
-		t.nExcl = 0
-	}
-	return t, true
-}
-
-// CompileTerminal implements terminalCompiler for the correct-behavior
-// error regions of the paper's Figure 4 routing table: nonexistent WAN
-// /64 addresses and operated-subnet addresses draw address-unreachable,
-// the Not-used Prefix draws no-route. Vulnerable behaviors (VulnWAN,
-// VulnLAN) loop with per-destination state and stay interpreted, as do
-// local deliveries and the default route.
-func (c *CPE) CompileTerminal(in *Iface, dst ipv6.Addr) (compiledTerm, bool) {
-	if dst == c.wan.addr || (c.lanAddr != (ipv6.Addr{}) && dst == c.lanAddr) || c.hosts[dst] {
-		return compiledTerm{}, false
-	}
-	t := compiledTerm{typ: wire.ICMPDestUnreach, src: c.wan.addr, gate: &c.gate}
-	switch {
-	case c.wanPrefix.Contains(dst):
-		if c.behavior.VulnWAN {
-			return compiledTerm{}, false
-		}
-		t.code = wire.UnreachAddress
-		t.width = prefixWidth(c.wanPrefix)
-	case c.inSubnet(dst):
-		t.code = wire.UnreachAddress
-		// The region is the containing subnet; the WAN prefix is holed
-		// out if it reaches inside (its branch wins in Handle).
-		for _, s := range c.subnets {
-			if !s.Contains(dst) {
-				continue
-			}
-			t.width = prefixWidth(s)
-			if t.width != 0 && c.wanPrefix.Overlaps(s) {
-				t.holes[0] = c.wanPrefix
-				t.nHole = 1
-			}
-			break
+		// In an operated subnet but no such host: NDP failure.
+		v = unreachable(c.wan, wire.UnreachAddress)
+		if reg != nil {
+			w = c.subnetRegion(dst, reg)
 		}
 	case c.hasLAN && c.delegated.Contains(dst):
+		// Delegated-but-unassigned space: the Not-used Prefix. Correct
+		// per RFC 7084 is a discard/unreachable route; flawed, it
+		// matches the default route and bounces back.
 		if c.behavior.VulnLAN {
-			return compiledTerm{}, false
+			v = c.loop()
+		} else {
+			v = unreachable(c.wan, wire.UnreachNoRoute)
 		}
-		t.code = wire.UnreachNoRoute
-		// One region per delegation: the whole Not-used Prefix draws
-		// the same error, with the operated subnets and the WAN /64
-		// (different error code) carved out.
-		t.width = c.loopRegion(dst, &t.holes, &t.nHole)
+		if reg != nil {
+			w = c.loopRegion(dst, reg)
+		}
 	default:
-		return compiledTerm{}, false // default route: the CPE forwards, per-packet
+		// Default route: egress toward the ISP.
+		v = forwardOut(c.wan)
+		if reg != nil {
+			w = c.defaultRegion(dst, reg)
+		}
 	}
-	if t.width != 0 && !c.exclSpecials(t.width, dst, &t.excl, &t.nExcl) {
-		t.width = 0
+	if reg != nil {
+		reg.width = w
+		if w != 0 && !c.exclSpecials(w, dst, reg) {
+			reg.width = 0
+		}
+		if reg.width == 0 {
+			reg.nExcl, reg.nHole = 0, 0
+		}
 	}
-	if t.width == 0 {
-		t.nExcl, t.nHole = 0, 0
+	return v
+}
+
+// loop is a flawed route's verdict: straight back out the WAN — the
+// paper's routing loop. A LoopCap bounds it with per-destination state,
+// which only the interpreter applies.
+func (c *CPE) loop() verdict {
+	return verdict{act: actForward, interp: c.loops.limit > 0, ifc: c.wan}
+}
+
+// loopCap bounds how many times a CPE forwards packets of one looping
+// destination (CPEBehavior.LoopCap).
+type loopCap struct {
+	limit int
+	count map[ipv6.Addr]int
+}
+
+// admit counts one more forward toward dst and reports whether it stays
+// within the cap.
+func (l *loopCap) admit(dst ipv6.Addr) bool {
+	if l.count == nil || len(l.count) > 4096 { // bound state like a real embedded table
+		l.count = make(map[ipv6.Addr]int)
 	}
-	return t, true
+	l.count[dst]++
+	return l.count[dst] <= l.limit
+}
+
+// subnetRegion claims the operated subnet holding dst, holing out the
+// WAN prefix if it reaches inside (its rule outranks the subnet's).
+func (c *CPE) subnetRegion(dst ipv6.Addr, reg *region) uint8 {
+	for _, s := range c.subnets {
+		if !s.Contains(dst) {
+			continue
+		}
+		w := prefixWidth(s)
+		if w != 0 && c.wanPrefix.Overlaps(s) {
+			reg.addHole(c.wanPrefix)
+		}
+		return w
+	}
+	return 0
 }
 
 // loopRegion claims the whole delegated prefix as one region, holing
@@ -315,24 +258,16 @@ func (c *CPE) CompileTerminal(in *Iface, dst ipv6.Addr) (compiledTerm, bool) {
 // destination compiles its own narrower entry, so over-holing costs
 // only reuse, never correctness. Returns 0 (exact) when the region is
 // unexpressible or the holes overflow.
-func (c *CPE) loopRegion(dst ipv6.Addr, holes *[fpHoleCap]ipv6.Prefix, nHole *uint8) uint8 {
+func (c *CPE) loopRegion(dst ipv6.Addr, reg *region) uint8 {
 	w := prefixWidth(c.delegated)
 	if w == 0 {
 		return 0
 	}
 	add := func(p ipv6.Prefix) bool {
-		if p.Contains(dst) {
-			// dst's own branch outranks the hole (Handle checks the
-			// WAN prefix before subnets); holing it would shadow the
-			// entry's own destination.
-			return true
-		}
-		if int(*nHole) == fpHoleCap {
-			return false
-		}
-		holes[*nHole] = p
-		*nHole++
-		return true
+		// dst's own branch outranks the hole (decide checks the WAN
+		// prefix before subnets); holing it would shadow the entry's
+		// own destination.
+		return p.Contains(dst) || reg.addHole(p)
 	}
 	for _, s := range c.subnets {
 		if !add(s) {
@@ -350,7 +285,7 @@ func (c *CPE) loopRegion(dst ipv6.Addr, holes *[fpHoleCap]ipv6.Prefix, nHole *ui
 // default-route space: it stops at the first bit where dst diverges
 // from each special prefix, and carves out special prefixes narrower
 // than dst's /64.
-func (c *CPE) defaultRegion(dst ipv6.Addr, holes *[fpHoleCap]ipv6.Prefix, nHole *uint8) uint8 {
+func (c *CPE) defaultRegion(dst ipv6.Addr, reg *region) uint8 {
 	w := uint8(1)
 	dh := dst.Uint128().Hi
 	avoid := func(p ipv6.Prefix) bool {
@@ -362,12 +297,7 @@ func (c *CPE) defaultRegion(dst ipv6.Addr, holes *[fpHoleCap]ipv6.Prefix, nHole 
 			// p lives inside dst's /64 (it cannot contain dst — dst is
 			// in the default region): carve it out instead of
 			// narrowing below /64.
-			if int(*nHole) == fpHoleCap {
-				return false
-			}
-			holes[*nHole] = p
-			*nHole++
-			return true
+			return reg.addHole(p)
 		}
 		if uint8(cb+1) > w {
 			w = uint8(cb + 1)
@@ -391,18 +321,11 @@ func (c *CPE) defaultRegion(dst ipv6.Addr, holes *[fpHoleCap]ipv6.Prefix, nHole 
 // exclSpecials folds the CPE's own addresses and operated hosts that
 // fall inside prefix(dst, width) into the exclusion list — lookups to
 // them miss into the interpreter. ok=false on overflow.
-func (c *CPE) exclSpecials(width uint8, dst ipv6.Addr, excl *[fpExclCap]ipv6.Addr, nExcl *uint8) bool {
+func (c *CPE) exclSpecials(width uint8, dst ipv6.Addr, reg *region) bool {
 	dh := dst.Uint128().Hi
 	add := func(a ipv6.Addr) bool {
-		if a == dst || (dh^a.Uint128().Hi)&fpMask(width) != 0 {
-			return true // dst itself, or outside the region
-		}
-		if int(*nExcl) == fpExclCap {
-			return false
-		}
-		excl[*nExcl] = a
-		*nExcl++
-		return true
+		// dst itself, or outside the region, needs no exclusion.
+		return a == dst || (dh^a.Uint128().Hi)&fpMask(width) != 0 || reg.addExcl(a)
 	}
 	if !add(c.wan.addr) {
 		return false
@@ -418,25 +341,6 @@ func (c *CPE) exclSpecials(width uint8, dst ipv6.Addr, excl *[fpExclCap]ipv6.Add
 	return true
 }
 
-// loopForward sends the packet back out the WAN default route, applying
-// any per-destination loop cap.
-func (c *CPE) loopForward(in *Iface, dst ipv6.Addr, pkt []byte) []Emission {
-	if limit := c.behavior.LoopCap; limit > 0 {
-		if c.loopCount == nil {
-			c.loopCount = make(map[ipv6.Addr]int)
-		}
-		if len(c.loopCount) > 4096 { // bound state like a real embedded table
-			c.loopCount = make(map[ipv6.Addr]int)
-		}
-		c.loopCount[dst]++
-		if c.loopCount[dst] > limit {
-			return nil
-		}
-	}
-	c.CountForwarded++
-	return c.sc.emit(c.wan, pkt)
-}
-
 // inSubnet reports whether dst falls in an operated subnet.
 func (c *CPE) inSubnet(dst ipv6.Addr) bool {
 	for _, s := range c.subnets {
@@ -447,60 +351,22 @@ func (c *CPE) inSubnet(dst ipv6.Addr) bool {
 	return false
 }
 
-// deliverLocal hands the packet to the device stack.
-func (c *CPE) deliverLocal(in *Iface, self ipv6.Addr, pkt []byte) []Emission {
-	return c.sc.emitAll(in, c.stack.HandleLocal(self, pkt))
-}
-
-func (c *CPE) emitError(in *Iface, invoking []byte, typ, code uint8) []Emission {
-	if !c.gate.allow() {
-		return nil
-	}
-	// RFC 4443 source selection: the error leaves the WAN interface, so
-	// it carries the WAN address — this is what exposes the periphery.
-	out := icmpError(in, c.wan.addr, invoking, typ, code)
-	if out == nil {
-		c.gate.generated--
-		return nil
-	}
-	return c.sc.emit(in, out)
-}
-
-// hostEcho answers a ping to an existing LAN host on its behalf (the
-// host is modelled inside the CPE rather than as a separate node).
-func hostEcho(sc *emitScratch, in *Iface, self ipv6.Addr, pkt []byte) []Emission {
-	var s wire.Summary
-	if err := s.Parse(pkt); err != nil || s.ICMP == nil || s.ICMP.Type != wire.ICMPEchoRequest {
-		return nil
-	}
-	e, err := wire.ParseEcho(s.ICMP.Body)
-	if err != nil {
-		return nil
-	}
-	reply, err := wire.BuildEchoReply(self, s.IP.Src, 64, e.ID, e.Seq, e.Data)
-	if err != nil {
-		return nil
-	}
-	return sc.emit(in, reply)
-}
-
 // UE is a user-equipment periphery (paper Figure 1b): a device holding a
 // single /64 prefix on its radio interface. Nonexistent addresses inside
 // the prefix draw an address-unreachable error from the UE itself.
 type UE struct {
+	forwarder
 	name   string
 	ifc    *Iface
 	prefix ipv6.Prefix
-	stack  LocalStack
-	gate   errorGate
-	sc     emitScratch
 }
 
 var _ Node = (*UE)(nil)
 
 // NewUE builds a UE holding prefix, answering at addr.
 func NewUE(name string, addr ipv6.Addr, prefix ipv6.Prefix, stack LocalStack, policy ErrorPolicy) *UE {
-	u := &UE{name: name, prefix: prefix, stack: stack, gate: errorGate{policy: policy}}
+	u := &UE{name: name, prefix: prefix}
+	u.forwarder = forwarder{self: u, stack: stack, gate: errorGate{policy: policy}}
 	if u.stack == nil {
 		u.stack = EchoStack{}
 	}
@@ -517,55 +383,26 @@ func (u *UE) Iface() *Iface { return u.ifc }
 // Addr returns the UE's own address.
 func (u *UE) Addr() ipv6.Addr { return u.ifc.addr }
 
-// CompileTerminal implements terminalCompiler: a nonexistent address
-// inside the UE's prefix draws address-unreachable from the UE itself
-// (paper Figure 1b). The UE's own address is the only special case.
-func (u *UE) CompileTerminal(in *Iface, dst ipv6.Addr) (compiledTerm, bool) {
-	if dst == u.ifc.addr || !u.prefix.Contains(dst) {
-		return compiledTerm{}, false
-	}
-	t := compiledTerm{
-		typ: wire.ICMPDestUnreach, code: wire.UnreachAddress,
-		src: u.ifc.addr, gate: &u.gate,
-		width: prefixWidth(u.prefix),
-	}
-	if t.width != 0 {
-		t.excl[0] = u.ifc.addr
-		t.nExcl = 1
-	}
-	return t, true
-}
-
-// Handle implements Node.
-func (u *UE) Handle(in *Iface, pkt []byte) []Emission {
-	dst, ok := wire.ForwardDst(pkt)
-	if !ok {
-		return nil
-	}
+// decide is the UE's rule: its own address goes to the stack, and a
+// nonexistent address inside its prefix draws address-unreachable from
+// the UE itself (paper Figure 1b). A UE is not a transit router: it
+// drops anything else. Its hop-limit expiry is left to the interpreter.
+func (u *UE) decide(in *Iface, dst ipv6.Addr, expired bool, reg *region) verdict {
 	if dst == u.ifc.addr {
-		return u.sc.emitAll(in, u.stack.HandleLocal(u.ifc.addr, pkt))
+		return verdict{act: actLocal}
 	}
-	if !decrementHopLimit(pkt) {
-		if !u.gate.allow() {
-			return nil
-		}
-		if e := icmpError(in, u.ifc.addr, pkt, wire.ICMPTimeExceeded, wire.TimeExceedHopLimit); e != nil {
-			return u.sc.emit(in, e)
-		}
-		u.gate.generated--
-		return nil
+	if expired {
+		v := timeExceeded(u.ifc)
+		v.interp = true
+		return v
 	}
-	if u.prefix.Contains(dst) {
-		// Nonexistent address within the UE prefix.
-		if !u.gate.allow() {
-			return nil
-		}
-		if e := icmpError(in, u.ifc.addr, pkt, wire.ICMPDestUnreach, wire.UnreachAddress); e != nil {
-			return u.sc.emit(in, e)
-		}
-		u.gate.generated--
-		return nil
+	if !u.prefix.Contains(dst) {
+		return verdict{act: actDrop}
 	}
-	// A UE is not a transit router: anything else is dropped.
-	return nil
+	if reg != nil {
+		if reg.width = prefixWidth(u.prefix); reg.width != 0 {
+			reg.addExcl(u.ifc.addr)
+		}
+	}
+	return unreachable(u.ifc, wire.UnreachAddress)
 }

@@ -199,10 +199,12 @@ type Engine struct {
 
 	// fp is the compiled forwarding fast path (flowcache.go);
 	// fpScratchH/fpScratchC are the hot/cold halves of the entry under
-	// compilation, kept off the stack so a compile never allocates.
+	// compilation and fpScratchR the region a node's decide fills, kept
+	// off the stack so a compile never allocates.
 	fp         flowCache
 	fpScratchH flowHot
 	fpScratchC flowCold
+	fpScratchR region
 	// inj is the batched-injection scratch (inject.go).
 	inj injScratch
 }

@@ -26,55 +26,17 @@ import (
 // block is one entry, the gap flow, whose hole set is the provider
 // edge's own emptiness index (gapIndex, isp.go), not a list it carries.
 //
-// Only nodes that opt in via CompilableHop participate; anything with
-// per-packet state (a CPE in a vulnerable-loop mode, a UE, a node
-// behind a rate limiter whose decision isn't a pure error gate) stays
-// interpreted. Entries are validated against a generation counter
-// bumped on topology mutation or fast-path toggle — a stale compiled
-// path is never replayed — and hold no fault-dependent fact, so arming
-// and disarming a fault layer leaves them valid.
-
-// CompiledStep is one statically-forwarding hop recorded by route
-// compilation: the egress interface a packet to dst leaves through and
-// the node's transit counter to charge per replayed packet.
-type CompiledStep struct {
-	Out *Iface
-	// Forwarded, when non-nil, is incremented once per replayed packet
-	// (the node's CountForwarded).
-	Forwarded *uint64
-	// Width, when non-zero, declares the decision uniform across every
-	// destination sharing dst's first Width bits (1..64) — minus the
-	// exclusions below. The flow entry is then shared across that
-	// region: a provider-edge router whose delegations are /60s
-	// declares Width 60, and one cache entry serves the scanner's
-	// probes into all sixteen /64s of the cell. Width 0 means the
-	// decision holds for this exact destination only.
-	Width uint8
-	// Excl[:NExcl] lists addresses inside the region the decision does
-	// NOT cover (the node's own addresses, operated hosts); a wide
-	// entry's lookup hands those back to the interpreter.
-	NExcl uint8
-	// Holes[:NHole] lists sub-prefixes of the region the decision does
-	// not cover (an operated subnet inside a delegated prefix);
-	// lookups to them miss, so they compile their own narrower entry.
-	NHole uint8
-	Excl  [fpExclCap]ipv6.Addr
-	Holes [fpHoleCap]ipv6.Prefix
-}
-
-// CompilableHop is the capability interface a node implements to let
-// the engine compile its forwarding decision into a flow entry. The
-// contract: if CompileStep(in, dst) returns ok, then for any packet
-// arriving on in whose destination is dst (or any address sharing
-// dst's first Width bits, outside the exclusions, when Width > 0),
-// Handle would decrement the hop limit, increment *Forwarded, and emit
-// the packet unchanged out Out — with no other state change. Nodes
-// with per-packet state must not implement it (or must return
-// ok=false).
-type CompilableHop interface {
-	Node
-	CompileStep(in *Iface, dst ipv6.Addr) (CompiledStep, bool)
-}
+// The compiler walks the same rule the interpreter applies: each node
+// on the path that implements decider (rule.go) is asked for its verdict
+// and the region that verdict holds over, and the walk stops — the flow
+// stays interpreted — at any node that is not a decider (an Edge ends
+// the trip; Hostile, NAT and IPv4 nodes are interpreted) and at any
+// verdict that is not a stateless forward or error (local delivery, a
+// drop, a loop bounded by per-destination state, a UE's expiry). Entries
+// are validated against a generation counter bumped on topology
+// mutation or fast-path toggle — a stale compiled path is never
+// replayed — and hold no fault-dependent fact, so arming and disarming a
+// fault layer leaves them valid.
 
 // fpExclCap bounds the per-entry exclusion list: addresses inside a
 // wide entry's region that the path treats specially (a CPE's own WAN
@@ -85,41 +47,6 @@ const fpExclCap = 4
 // wide entry does not cover (operated subnets, the WAN /64 inside a
 // delegation). Lookups to them miss and compile their own entry.
 const fpHoleCap = 3
-
-// compiledTerm is a terminal node's compiled decision: every
-// non-special address in the region draws one ICMPv6 error, subject to
-// the node's error gate.
-type compiledTerm struct {
-	typ, code uint8
-	// width: same contract as CompiledStep.Width (0 = exact only).
-	width uint8
-	nExcl uint8
-	nHole uint8
-	src   ipv6.Addr
-	gate  *errorGate
-	// gaps, when non-nil, holds further holes (an ISP block's gap flow).
-	gaps  *gapIndex
-	excl  [fpExclCap]ipv6.Addr
-	holes [fpHoleCap]ipv6.Prefix
-}
-
-// terminalCompiler is the package-private capability of nodes whose
-// terminal action (for the given destination) is a pure ICMPv6 error:
-// Router reject/no-route, ISPRouter unassigned space, and the
-// correct-behavior CPE error regions. ok=false means the terminal is
-// not compilable for dst and the flow stays interpreted from this node.
-type terminalCompiler interface {
-	CompileTerminal(in *Iface, dst ipv6.Addr) (compiledTerm, bool)
-}
-
-// hopExpirer is the package-private capability of nodes whose response
-// to an exhausted hop limit is a pure Time Exceeded error: it describes
-// the error a packet arriving on in addressed to dst would draw when
-// the node cannot decrement the hop limit. ok=false when dst is special
-// to the node (delivered locally before the hop-limit check).
-type hopExpirer interface {
-	compileExpiry(in *Iface, dst ipv6.Addr) (compiledTerm, bool)
-}
 
 // entryKind discriminates flow-cache entries.
 type entryKind uint8
@@ -623,7 +550,7 @@ func (fp *flowCache) grow() {
 // exclusion list instead. When that list overflows it is emptied and
 // the width is 0: the claim must be exact. Routers use this to bound
 // region claims by their own interface addresses.
-func avoidAddrs(width uint8, dst ipv6.Addr, addrs []ipv6.Addr, excl *[fpExclCap]ipv6.Addr, nExcl *uint8) uint8 {
+func avoidAddrs(width uint8, dst ipv6.Addr, addrs []ipv6.Addr, reg *region) uint8 {
 	dh := dst.Uint128().Hi
 	for _, a := range addrs {
 		c := bits.LeadingZeros64(dh ^ a.Uint128().Hi)
@@ -631,12 +558,10 @@ func avoidAddrs(width uint8, dst ipv6.Addr, addrs []ipv6.Addr, excl *[fpExclCap]
 			if a == dst {
 				continue // the caller already handled dst itself
 			}
-			if int(*nExcl) == fpExclCap {
-				*nExcl = 0
+			if !reg.addExcl(a) {
+				reg.nExcl = 0
 				return 0
 			}
-			excl[*nExcl] = a
-			*nExcl++
 			continue
 		}
 		if w := uint8(c + 1); w > width {
@@ -658,15 +583,16 @@ func prefixWidth(p ipv6.Prefix) uint8 {
 // compileFlow dry-walks the round trip a packet delivered at `to` takes
 // to dst and installs the resulting entry (negative unless the whole
 // trip compiled) for the caller to look up. No Handle is executed and
-// no state mutated: the walk queries CompileStep/CompileTerminal only.
-// The entry is built in the engine's scratch pair, so compiling never
-// allocates.
+// no state mutated: the walk asks each node's decide for its verdict
+// and region only. The entry and the region are built in engine
+// scratch, so compiling never allocates.
 func (e *Engine) compileFlow(to *Iface, pkt []byte) {
 	e.fp.compiles++
 	dst := ipv6.AddrFromBytes(pkt[24:40])
 	u := dst.Uint128()
 	ent := &e.fpScratchH
 	cld := &e.fpScratchC
+	reg := &e.fpScratchR
 	*ent = flowHot{}
 	*cld = flowCold{}
 	ent.ifid = to.fpID
@@ -690,60 +616,59 @@ func (e *Engine) compileFlow(to *Iface, pkt []byte) {
 			}
 			break
 		}
-		if hl <= 1 {
-			// The hop limit expires at this node before any forwarding.
-			if he, ok := node.(hopExpirer); ok {
-				if term, ok := he.compileExpiry(in, dst); ok {
-					compileLoopTerm(ent, cld, in, term, pkt, int(ent.nf), 0, int(ent.nf))
+		d, ok := node.(decider)
+		if !ok {
+			break
+		}
+		*reg = region{}
+		v := d.decide(in, dst, hl <= 1, reg)
+		if !v.compiles() {
+			break
+		}
+		if v.act == actError {
+			if hl <= 1 {
+				// The hop limit expires here, before any forwarding.
+				compileLoopTerm(ent, cld, in, d, v, reg, pkt, int(ent.nf), 0, int(ent.nf))
+			} else {
+				compileErrorTerm(ent, cld, in, d, v, reg, pkt)
+			}
+			break
+		}
+		if int(ent.nf) == maxCompiledHops || v.ifc == nil || v.ifc.link == nil || v.ifc.link.loss != 0 {
+			// Path too long, egress unconnected or link lossy (an RNG
+			// draw per crossing): interpreted.
+			break
+		}
+		applyRegion(ent, cld, reg)
+		cld.fwd[ent.nf] = hopTo(v.ifc, d.fw().fwd)
+		ent.nf++
+		hl--
+		next := v.ifc.link.ends[1-v.ifc.end]
+		cycle := -1
+		for j := 0; j < int(ent.nf); j++ {
+			if ins[j] == next {
+				cycle = j
+				break
+			}
+		}
+		if cycle >= 0 {
+			// A routing loop: the packet bounces around the cycle until
+			// its hop limit dies. One decrement per crossing, so expiry
+			// lands after hlIn-1 crossings at a node fixed by cycle
+			// arithmetic.
+			p, l := cycle, int(ent.nf)-cycle
+			k := int(hlIn) - 1
+			exp := ins[p+(k-p)%l]
+			if d, ok := exp.node.(decider); ok {
+				*reg = region{}
+				if v := d.decide(exp, dst, true, reg); v.compiles() && v.act == actError {
+					compileLoopTerm(ent, cld, exp, d, v, reg, pkt, p, l, k)
 				}
 			}
 			break
 		}
-		if ch, ok := node.(CompilableHop); ok {
-			if step, ok := ch.CompileStep(in, dst); ok {
-				if int(ent.nf) == maxCompiledHops || step.Out.link == nil || step.Out.link.loss != 0 {
-					// Path too long, egress unconnected or link lossy
-					// (an RNG draw per crossing): interpreted.
-					break
-				}
-				applyRegion(ent, cld, step.Width, step.Excl[:step.NExcl], step.Holes[:step.NHole])
-				cld.fwd[ent.nf] = hopTo(step.Out, step.Forwarded)
-				ent.nf++
-				hl--
-				next := step.Out.link.ends[1-step.Out.end]
-				cycle := -1
-				for j := 0; j < int(ent.nf); j++ {
-					if ins[j] == next {
-						cycle = j
-						break
-					}
-				}
-				if cycle >= 0 {
-					// A routing loop: the packet bounces around the
-					// cycle until its hop limit dies. One decrement per
-					// crossing, so expiry lands after hlIn-1 crossings
-					// at a node fixed by cycle arithmetic.
-					p, l := cycle, int(ent.nf)-cycle
-					k := int(hlIn) - 1
-					exp := ins[p+(k-p)%l]
-					if he, ok := exp.node.(hopExpirer); ok {
-						if term, ok := he.compileExpiry(exp, dst); ok {
-							compileLoopTerm(ent, cld, exp, term, pkt, p, l, k)
-						}
-					}
-					break
-				}
-				ins[ent.nf] = next
-				in = next
-				continue
-			}
-		}
-		if tc, ok := node.(terminalCompiler); ok {
-			if term, ok := tc.CompileTerminal(in, dst); ok {
-				compileErrorTerm(ent, cld, in, term, pkt)
-			}
-		}
-		break
+		ins[ent.nf] = next
+		in = next
 	}
 	if ent.kind == entryNeg {
 		ent.flags &^= fpFlagWide
@@ -774,16 +699,16 @@ func (e *Engine) compileFlow(to *Iface, pkt []byte) {
 // entry: the width narrows to the claim's (larger width = smaller
 // region), exclusions and holes accumulate; any overflow forces the
 // entry exact.
-func applyRegion(h *flowHot, c *flowCold, width uint8, excl []ipv6.Addr, holes []ipv6.Prefix) {
-	if width == 0 {
+func applyRegion(h *flowHot, c *flowCold, reg *region) {
+	if reg.width == 0 {
 		h.flags &^= fpFlagWide
-	} else if width > h.width {
-		h.width = width
+	} else if reg.width > h.width {
+		h.width = reg.width
 	}
-	if !mergeExcl(h, c, excl) {
+	if !mergeExcl(h, c, reg.excl[:reg.nExcl]) {
 		h.flags &^= fpFlagWide
 	}
-	for _, p := range holes {
+	for _, p := range reg.holes[:reg.nHole] {
 		if !mergeHole(h, c, p) {
 			h.flags &^= fpFlagWide
 		}
@@ -850,26 +775,30 @@ func compileReply(h *flowHot, c *flowCold, termIn *Iface, rdst ipv6.Addr) bool {
 			c.edge = rin
 			break
 		}
-		ch, ok := node.(CompilableHop)
+		d, ok := node.(decider)
 		if !ok {
 			return false
 		}
-		step, ok := ch.CompileStep(rin, rdst)
-		if !ok || nr == maxCompiledHops || step.Out.link == nil || step.Out.link.loss != 0 {
+		// The reply path is keyed on the probe's source exactly, so no
+		// region is asked for.
+		v := d.decide(rin, rdst, false, nil)
+		if !v.compiles() || v.act != actForward || nr == maxCompiledHops ||
+			v.ifc == nil || v.ifc.link == nil || v.ifc.link.loss != 0 {
 			return false
 		}
-		c.rev[nr] = hopTo(step.Out, step.Forwarded)
+		c.rev[nr] = hopTo(v.ifc, d.fw().fwd)
 		nr++
-		rin = step.Out.link.ends[1-step.Out.end]
+		rin = v.ifc.link.ends[1-v.ifc.end]
 	}
 	h.nr = uint8(nr)
 	return true
 }
 
 // compileErrorTerm upgrades the entry to a fully fused error round
-// trip: the terminal's compiled ICMPv6 error plus the compiled reply
-// path back to an Edge; without one the entry stays negative.
-func compileErrorTerm(h *flowHot, c *flowCold, termIn *Iface, term compiledTerm, pkt []byte) {
+// trip: the terminal node's ICMPv6 error verdict over its region plus
+// the compiled reply path back to an Edge; without one the entry stays
+// negative.
+func compileErrorTerm(h *flowHot, c *flowCold, termIn *Iface, term decider, v verdict, reg *region, pkt []byte) {
 	// The reply path is compiled for this probe's source; the resolve
 	// pass guards on it.
 	rdst := ipv6.AddrFromBytes(pkt[8:24])
@@ -877,12 +806,12 @@ func compileErrorTerm(h *flowHot, c *flowCold, termIn *Iface, term compiledTerm,
 		return
 	}
 	h.kind = entryError
-	h.errType, h.errCode = term.typ, term.code
-	c.errSrc = term.src
-	h.gate = term.gate
+	h.errType, h.errCode = v.err.typ, v.err.code
+	c.errSrc = v.ifc.addr
+	h.gate = &term.fw().gate
 	c.replySrc = rdst
-	applyRegion(h, c, term.width, term.excl[:term.nExcl], term.holes[:term.nHole])
-	h.gaps = term.gaps
+	applyRegion(h, c, reg)
+	h.gaps = reg.gaps
 }
 
 // compileLoopTerm upgrades the entry to a fused hop-limit-expiry round
@@ -891,8 +820,8 @@ func compileErrorTerm(h *flowHot, c *flowCold, termIn *Iface, term compiledTerm,
 // the Time Exceeded fires at expIn's node, and the compiled reply. Only
 // valid for packets arriving with exactly pkt's hop limit; the resolve
 // pass guards on it.
-func compileLoopTerm(h *flowHot, c *flowCold, expIn *Iface, term compiledTerm, pkt []byte, p, l, cross int) {
-	compileErrorTerm(h, c, expIn, term, pkt)
+func compileLoopTerm(h *flowHot, c *flowCold, expIn *Iface, exp decider, v verdict, reg *region, pkt []byte, p, l, cross int) {
+	compileErrorTerm(h, c, expIn, exp, v, reg, pkt)
 	if h.kind != entryError {
 		return
 	}

@@ -16,6 +16,7 @@ import (
 // are provisioned and memory-proportional to the number of subscribers.
 type ISPRouter struct {
 	attachments
+	forwarder
 	name     string
 	block    ipv6.Prefix
 	upstream *Iface
@@ -32,8 +33,6 @@ type ISPRouter struct {
 	// Delegate mark it stale; the next gap claim rebuilds it.
 	gaps      gapIndex
 	gapsStale bool
-	gate      errorGate
-	sc        emitScratch
 
 	// CountForwarded tallies transit packets for amplification
 	// measurements.
@@ -87,12 +86,13 @@ func (t *delegTable) get(idx uint64) (*Iface, bool) {
 
 // NewISPRouter creates the edge router for the given ISP block.
 func NewISPRouter(name string, block ipv6.Prefix, policy ErrorPolicy) *ISPRouter {
-	return &ISPRouter{
+	r := &ISPRouter{
 		name:  name,
 		block: block,
 		addrs: make(map[ipv6.Addr]struct{}),
-		gate:  errorGate{policy: policy},
 	}
+	r.forwarder = forwarder{self: r, fwd: &r.CountForwarded, gate: errorGate{policy: policy}}
+	return r
 }
 
 // Name implements Node.
@@ -182,35 +182,51 @@ func (r *ISPRouter) isLocal(dst ipv6.Addr) bool {
 	return ok
 }
 
-// Handle implements Node: RFC 8200 forwarding with RFC 4443 errors. A
-// destination inside the block but matching no delegation draws an
-// address-unreachable error — exactly the mechanism the paper's
-// discovery strategy exploits at the periphery, here occurring one hop
-// earlier for unassigned space.
-func (r *ISPRouter) Handle(in *Iface, pkt []byte) []Emission {
-	dst, ok := wire.ForwardDst(pkt)
-	if !ok {
-		return nil
-	}
+// decide is the provider edge's rule: echo for its own addresses, Time
+// Exceeded from the arrival interface on expiry (the provider half of
+// the bounce when a looping probe dies here rather than at the CPE),
+// else the delegation tables, the upstream default for out-of-block
+// space — and for unassigned space within the block, no route: exactly
+// the error the paper's periphery discovery exploits, here one hop
+// early. Every unassigned in-block dst draws it alike, so it claims the
+// whole block as one gap flow whose holes are the emptiness index; only
+// the rest of a /64 the router itself has an address in — a hole of that
+// flow — is claimed alone.
+func (r *ISPRouter) decide(in *Iface, dst ipv6.Addr, expired bool, reg *region) verdict {
 	if r.isLocal(dst) {
-		return respondLocalEcho(&r.sc, in, dst, pkt)
+		return verdict{act: actEcho}
 	}
-	if !decrementHopLimit(pkt) {
-		return r.emitError(in, pkt, wire.ICMPTimeExceeded, wire.TimeExceedHopLimit)
+	if expired {
+		if reg != nil {
+			reg.width = avoidAddrs(1, dst, r.addrList, reg)
+		}
+		return timeExceeded(in)
 	}
 	if out, ok := r.lookup(dst); ok {
-		r.CountForwarded++
-		return r.sc.emit(out, pkt)
+		if reg != nil {
+			reg.width = r.regionClaim(dst, reg)
+		}
+		return forwardOut(out)
 	}
 	if r.block.Contains(dst) {
-		// Unassigned space within the block.
-		return r.emitError(in, pkt, wire.ICMPDestUnreach, wire.UnreachNoRoute)
+		if reg != nil {
+			if idx := r.gapIndex(); idx == nil {
+				reg.width = 0
+			} else if !idx.assigned(dst.Uint128().Hi) {
+				reg.width, reg.gaps = uint8(r.block.Bits()), idx
+			} else {
+				reg.width = avoidAddrs(64, dst, r.addrList, reg)
+			}
+		}
+		return unreachable(in, wire.UnreachNoRoute)
+	}
+	if reg != nil {
+		reg.width = r.regionClaim(dst, reg)
 	}
 	if r.upstream != nil && in != r.upstream {
-		r.CountForwarded++
-		return r.sc.emit(r.upstream, pkt)
+		return forwardOut(r.upstream)
 	}
-	return r.emitError(in, pkt, wire.ICMPDestUnreach, wire.UnreachNoRoute)
+	return unreachable(in, wire.UnreachNoRoute)
 }
 
 // hiRange is an inclusive range of top-64-bit address words.
@@ -312,7 +328,7 @@ func (r *ISPRouter) gapIndex() *gapIndex {
 // the block the region also stops at the first bit where dst and the
 // block diverge. 0 means unexpressible in the top 64 bits (claim must
 // be exact).
-func (r *ISPRouter) regionClaim(dst ipv6.Addr, excl *[fpExclCap]ipv6.Addr, nExcl *uint8) uint8 {
+func (r *ISPRouter) regionClaim(dst ipv6.Addr, reg *region) uint8 {
 	if r.block.Bits() > 64 {
 		return 0
 	}
@@ -332,89 +348,7 @@ func (r *ISPRouter) regionClaim(dst ipv6.Addr, excl *[fpExclCap]ipv6.Addr, nExcl
 		}
 		w = max(w, uint8(c+1))
 	}
-	return avoidAddrs(w, dst, r.addrList, excl, nExcl)
-}
-
-// CompileStep implements CompilableHop: transit via a delegation or the
-// upstream default.
-func (r *ISPRouter) CompileStep(in *Iface, dst ipv6.Addr) (CompiledStep, bool) {
-	if r.isLocal(dst) {
-		return CompiledStep{}, false
-	}
-	out, ok := r.lookup(dst)
-	if !ok {
-		if r.block.Contains(dst) || r.upstream == nil || in == r.upstream {
-			return CompiledStep{}, false
-		}
-		out = r.upstream
-	}
-	step := CompiledStep{Out: out, Forwarded: &r.CountForwarded}
-	step.Width = r.regionClaim(dst, &step.Excl, &step.NExcl)
-	return step, true
-}
-
-// CompileTerminal implements terminalCompiler: unassigned space within
-// the block — and, absent a usable upstream, anything unrouted — draws
-// Destination Unreachable / no route. This is the error the paper's
-// periphery discovery exploits one hop early, and every unassigned
-// in-block dst draws it alike: it claims the whole block as one gap flow
-// whose holes are the emptiness index. Only the rest of a /64 the router
-// itself has an address in — a hole of that flow — is claimed alone.
-func (r *ISPRouter) CompileTerminal(in *Iface, dst ipv6.Addr) (compiledTerm, bool) {
-	if r.isLocal(dst) {
-		return compiledTerm{}, false
-	}
-	if _, ok := r.lookup(dst); ok {
-		return compiledTerm{}, false
-	}
-	if !r.block.Contains(dst) && r.upstream != nil && in != r.upstream {
-		return compiledTerm{}, false // transit hop, not a terminal
-	}
-	t := compiledTerm{
-		typ:  wire.ICMPDestUnreach,
-		code: wire.UnreachNoRoute,
-		src:  in.addr,
-		gate: &r.gate,
-	}
-	if !r.block.Contains(dst) {
-		t.width = r.regionClaim(dst, &t.excl, &t.nExcl)
-	} else if idx := r.gapIndex(); idx != nil {
-		if !idx.assigned(dst.Uint128().Hi) {
-			t.width, t.gaps = uint8(r.block.Bits()), idx
-		} else {
-			t.width = avoidAddrs(64, dst, r.addrList, &t.excl, &t.nExcl)
-		}
-	}
-	return t, true
-}
-
-// compileExpiry implements hopExpirer: Time Exceeded from the arrival
-// interface's address for any non-local destination. This is the node
-// half of the bounce when a looping probe's hop limit happens to die on
-// the provider side rather than at the CPE.
-func (r *ISPRouter) compileExpiry(in *Iface, dst ipv6.Addr) (compiledTerm, bool) {
-	if r.isLocal(dst) {
-		return compiledTerm{}, false
-	}
-	t := compiledTerm{
-		typ: wire.ICMPTimeExceeded, code: wire.TimeExceedHopLimit,
-		src:  in.addr,
-		gate: &r.gate,
-	}
-	t.width = avoidAddrs(1, dst, r.addrList, &t.excl, &t.nExcl)
-	return t, true
-}
-
-func (r *ISPRouter) emitError(in *Iface, invoking []byte, typ, code uint8) []Emission {
-	if !r.gate.allow() {
-		return nil
-	}
-	out := icmpError(in, in.addr, invoking, typ, code)
-	if out == nil {
-		r.gate.generated--
-		return nil
-	}
-	return r.sc.emit(in, out)
+	return avoidAddrs(w, dst, r.addrList, reg)
 }
 
 // DelegationCount returns the number of installed delegations (for

@@ -18,17 +18,6 @@ func isICMPError(pkt []byte) bool {
 	return pkt[6] == wire.ProtoICMPv6 && pkt[wire.HeaderLen] < 128
 }
 
-// decrementHopLimit applies RFC 8200 section 3 hop-limit processing in
-// place. It returns false if the packet must be discarded (hop limit
-// exhausted); the caller is then responsible for the Time Exceeded error.
-func decrementHopLimit(pkt []byte) bool {
-	if pkt[7] <= 1 {
-		return false
-	}
-	pkt[7]--
-	return true
-}
-
 // icmpError builds an ICMPv6 error packet from the given source address
 // in response to the invoking packet, or nil if policy forbids one. The
 // error is built into a buffer borrowed from the engine pool of the
@@ -134,11 +123,10 @@ type Route struct {
 // and generates RFC 4443 errors.
 type Router struct {
 	attachments
+	forwarder
 	name  string
 	table *lpm.Table[Route]
 	addrs []ipv6.Addr // interface addresses; linear scan beats a map at router arity
-	gate  errorGate
-	sc    emitScratch
 
 	// CountForwarded tallies transit packets, used by the loop-attack
 	// experiments to measure amplification.
@@ -149,11 +137,9 @@ var _ Node = (*Router)(nil)
 
 // NewRouter creates a router with an empty routing table.
 func NewRouter(name string, policy ErrorPolicy) *Router {
-	return &Router{
-		name:  name,
-		table: lpm.New[Route](),
-		gate:  errorGate{policy: policy},
-	}
+	r := &Router{name: name, table: lpm.New[Route]()}
+	r.forwarder = forwarder{self: r, fwd: &r.CountForwarded, gate: errorGate{policy: policy}}
+	return r
 }
 
 // Name implements Node.
@@ -210,105 +196,41 @@ func (r *Router) isLocal(dst ipv6.Addr) bool {
 	return false
 }
 
-// Handle implements Node.
-func (r *Router) Handle(in *Iface, pkt []byte) []Emission {
-	dst, ok := wire.ForwardDst(pkt)
-	if !ok {
-		return nil
-	}
+// decide is the router's rule: echo for its own addresses, Time
+// Exceeded from the arrival interface on expiry (uniform over everything
+// but those addresses), else the routing table — forward, or no route
+// for a miss or a reject route, uniform over the table's neighborhood of
+// dst.
+func (r *Router) decide(in *Iface, dst ipv6.Addr, expired bool, reg *region) verdict {
 	if r.isLocal(dst) {
-		return respondLocalEcho(&r.sc, in, dst, pkt)
+		return verdict{act: actEcho}
 	}
-	if !decrementHopLimit(pkt) {
-		return r.emitError(in, pkt, wire.ICMPTimeExceeded, wire.TimeExceedHopLimit)
+	if expired {
+		if reg != nil {
+			reg.width = avoidAddrs(1, dst, r.addrs, reg)
+		}
+		return timeExceeded(in)
+	}
+	if reg != nil {
+		reg.width = r.regionClaim(dst, reg)
 	}
 	route, ok := r.table.Lookup(dst)
 	if !ok || route.Kind == RouteReject {
-		return r.emitError(in, pkt, wire.ICMPDestUnreach, wire.UnreachNoRoute)
+		return unreachable(in, wire.UnreachNoRoute)
 	}
-	r.CountForwarded++
-	return r.sc.emit(route.Out, pkt)
+	return forwardOut(route.Out)
 }
 
 // regionClaim computes the width of the largest region around dst over
 // which the routing table's decision is uniform, bounded away from the
 // router's own addresses (same-/64 ones are excluded instead). 0 means
 // the claim must be exact.
-func (r *Router) regionClaim(dst ipv6.Addr, excl *[fpExclCap]ipv6.Addr, nExcl *uint8) uint8 {
+func (r *Router) regionClaim(dst ipv6.Addr, reg *region) uint8 {
 	w := r.table.UniformWidth(dst)
 	if w > 64 {
 		return 0
 	}
-	return avoidAddrs(uint8(w), dst, r.addrs, excl, nExcl)
-}
-
-// CompileStep implements CompilableHop: a Router is statically
-// forwarding for dst when dst is not local and the table yields a
-// forwarding route. The claimed region is the uniform neighborhood of
-// dst in the routing table — the whole matched prefix when nothing
-// more specific is installed nearby.
-func (r *Router) CompileStep(in *Iface, dst ipv6.Addr) (CompiledStep, bool) {
-	if r.isLocal(dst) {
-		return CompiledStep{}, false
-	}
-	route, ok := r.table.Lookup(dst)
-	if !ok || route.Kind != RouteForward || route.Out == nil {
-		return CompiledStep{}, false
-	}
-	step := CompiledStep{Out: route.Out, Forwarded: &r.CountForwarded}
-	step.Width = r.regionClaim(dst, &step.Excl, &step.NExcl)
-	return step, true
-}
-
-// CompileTerminal implements terminalCompiler: a destination with no
-// route (or a reject route) draws Destination Unreachable / no route.
-func (r *Router) CompileTerminal(in *Iface, dst ipv6.Addr) (compiledTerm, bool) {
-	if r.isLocal(dst) {
-		return compiledTerm{}, false
-	}
-	route, ok := r.table.Lookup(dst)
-	if ok && route.Kind != RouteReject {
-		return compiledTerm{}, false
-	}
-	t := compiledTerm{
-		typ:  wire.ICMPDestUnreach,
-		code: wire.UnreachNoRoute,
-		src:  in.addr,
-		gate: &r.gate,
-	}
-	t.width = r.regionClaim(dst, &t.excl, &t.nExcl)
-	return t, true
-}
-
-// compileExpiry implements hopExpirer: Time Exceeded from the arrival
-// interface's address for any non-local destination. The decision
-// precedes routing entirely, so the claim is bounded only by the
-// router's own addresses.
-func (r *Router) compileExpiry(in *Iface, dst ipv6.Addr) (compiledTerm, bool) {
-	if r.isLocal(dst) {
-		return compiledTerm{}, false
-	}
-	t := compiledTerm{
-		typ: wire.ICMPTimeExceeded, code: wire.TimeExceedHopLimit,
-		src:  in.addr,
-		gate: &r.gate,
-	}
-	t.width = avoidAddrs(1, dst, r.addrs, &t.excl, &t.nExcl)
-	return t, true
-}
-
-// emitError generates an ICMPv6 error from the incoming interface's
-// address, subject to the node's error policy.
-func (r *Router) emitError(in *Iface, invoking []byte, typ, code uint8) []Emission {
-	if !r.gate.allow() {
-		return nil
-	}
-	out := icmpError(in, in.addr, invoking, typ, code)
-	if out == nil {
-		r.gate.generated-- // nothing was sent; refund the budget
-		return nil
-	}
-	return r.sc.emit(in, out)
+	return avoidAddrs(uint8(w), dst, r.addrs, reg)
 }
 
 // respondLocalEcho answers an ICMPv6 Echo Request addressed to self with
