@@ -282,6 +282,7 @@ func (e *Engine) SetFastPath(on bool) {
 			e.fp.tags = nil
 			e.fp.hot = nil
 			e.fp.cold = nil
+			e.fp.free = nil
 			e.fp.mask = 0
 		}
 	}

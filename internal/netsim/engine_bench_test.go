@@ -76,7 +76,36 @@ func BenchmarkEnginePump(b *testing.B) {
 // is compiled during the timed pass. hit_share is the fraction of probes
 // served from an entry an earlier probe of the same pass compiled.
 func BenchmarkEngineInjectColdSparse(b *testing.B) {
-	const winBits, subscribers, burst = 16, 1024, 64
+	delegs, pkts := coldSparseFixture(b)
+	var rx [][]byte
+	var total Counters
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; {
+		b.StopTimer()
+		n := buildSparseNet(b, sparseBlock, delegs)
+		pass := pkts[:min(len(pkts), b.N-done)]
+		b.StartTimer()
+		rx = n.sweep(pass, rx)
+		done += len(pass)
+		b.StopTimer()
+		c := n.eng.Counters()
+		total.Events += c.Events
+		total.FastPathHits += c.FastPathHits
+		total.FastPathMisses += c.FastPathMisses
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(total.Events)/float64(b.N), "events/probe")
+	b.ReportMetric(float64(total.FastPathHits)/float64(total.FastPathHits+total.FastPathMisses), "hit_share")
+}
+
+// coldSparseFixture returns BenchmarkEngineInjectColdSparse's window:
+// the delegations (a /60 plus a side WAN /64 for each of 1024
+// subscribers) and one echo request into every /60 cell of the 2^16,
+// in permuted order.
+func coldSparseFixture(tb testing.TB) ([]ipv6.Prefix, [][]byte) {
+	tb.Helper()
+	const winBits, subscribers = 16, 1024
 	rng := rand.New(rand.NewSource(1))
 	cells := rng.Perm(1 << winBits)
 	var delegs []ipv6.Prefix
@@ -87,7 +116,7 @@ func BenchmarkEngineInjectColdSparse(b *testing.B) {
 		}{{60, uint64(c)}, {64, 16<<winBits + uint64(i)}} {
 			p, err := sparseBlock.Sub(sub.bits, uint128.From64(sub.idx))
 			if err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 			delegs = append(delegs, p)
 		}
@@ -98,36 +127,26 @@ func BenchmarkEngineInjectColdSparse(b *testing.B) {
 		dst := ipv6.AddrFrom128(uint128.New(base|uint64(c)<<4|uint64(rng.Intn(16)), rng.Uint64()|1))
 		pkt, err := wire.BuildEchoRequest(scannerAddr, dst, 64, 7, uint16(i), nil)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		pkts[i] = pkt
 	}
-	var rx [][]byte
-	var total Counters
-	b.ReportAllocs()
-	b.ResetTimer()
-	for done := 0; done < b.N; {
-		b.StopTimer()
-		n := buildSparseNet(b, sparseBlock, delegs)
-		pass := pkts[:min(len(pkts), b.N-done)]
-		b.StartTimer()
-		for len(pass) > 0 {
-			k := min(burst, len(pass))
-			n.eng.InjectBatch(n.scanner.Iface(), pass[:k])
-			rx = n.scanner.DrainInto(rx[:0])
-			n.eng.ReleaseBufs(rx)
-			pass = pass[k:]
-			done += k
-		}
-		b.StopTimer()
-		c := n.eng.Counters()
-		total.Events += c.Events
-		total.FastPathHits += c.FastPathHits
-		total.FastPathMisses += c.FastPathMisses
-		b.StartTimer()
+	return delegs, pkts
+}
+
+// sweep injects pkts from the scanner in 64-probe InjectBatch bursts,
+// draining and recycling the replies after each, and returns the drain
+// slice for reuse.
+func (n *sparseNet) sweep(pkts, rx [][]byte) [][]byte {
+	const burst = 64
+	for len(pkts) > 0 {
+		k := min(burst, len(pkts))
+		n.eng.InjectBatch(n.scanner.Iface(), pkts[:k])
+		rx = n.scanner.DrainInto(rx[:0])
+		n.eng.ReleaseBufs(rx)
+		pkts = pkts[k:]
 	}
-	b.ReportMetric(float64(total.Events)/float64(b.N), "events/probe")
-	b.ReportMetric(float64(total.FastPathHits)/float64(total.FastPathHits+total.FastPathMisses), "hit_share")
+	return rx
 }
 
 // BenchmarkFlowCacheLookupGap measures flowCache.lookup against a block's

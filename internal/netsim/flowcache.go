@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math/bits"
+	"slices"
 	"unsafe"
 
 	"repro/internal/ipv6"
@@ -37,6 +38,10 @@ import (
 // mutation or fast-path toggle — a stale compiled path is never
 // replayed — and hold no fault-dependent fact, so arming and disarming a
 // fault layer leaves them valid.
+//
+// The table's memory follows its flows, not its slots: a slot is an
+// 8-byte tag plus a 64-byte hot header, and the ~504-byte cold tails
+// are held densely, one per live entry that replays (flowCache).
 
 // fpExclCap bounds the per-entry exclusion list: addresses inside a
 // wide entry's region that the path treats specially (a CPE's own WAN
@@ -110,14 +115,20 @@ const (
 // lookup's key confirmation and the replay dispatch decision need,
 // packed into exactly one 64-byte cache line. A warm probe touches one
 // tag line and this line before committing to a replay; the cold tail
-// (flowCold, a parallel array) is reached only once the entry is going
-// to be used. The layout is pinned by a compile-time assertion below
-// and by TestFlowEntryLayout — widening it past a cache line is a
-// silent ~30% lookup regression, so it fails the build instead.
+// (flowCold, in the dense tail array, found through cold) is reached
+// only once the entry is going to be used. The layout is pinned by a
+// compile-time assertion below and by TestFlowEntryLayout — widening it
+// past a cache line is a silent ~30% lookup regression, so it fails the
+// build instead.
 type flowHot struct {
 	hi, lo uint64 // destination (hi masked to width); lo ignored when wide
-	// gen validates the slot: live iff gen == flowCache.gen.
-	gen  uint64
+	// gen validates the slot: live iff gen == flowCache.gen. 32 bits: a
+	// bump that wraps it clears every tag (bumpLocked), so a slot written
+	// 2^32 generations ago cannot come back to life.
+	gen uint32
+	// cold indexes the entry's tail in flowCache.cold. Meaningless on a
+	// negative entry, which has none.
+	cold uint32
 	gate *errorGate
 	// gaps is a gap flow's hole set, the terminal ISP router's emptiness
 	// index: the entry serves no /64 it holds. nil on every other entry.
@@ -164,15 +175,17 @@ var _ [unsafe.Sizeof(flowHot{}) - flowHotSize]byte
 func (h *flowHot) wide() bool    { return h.flags&fpFlagWide != 0 }
 func (h *flowHot) hasTmpl() bool { return h.flags&fpFlagTmpl != 0 }
 
-// flowCold is the cold tail of one compiled flow, held in an array
-// parallel to the hot headers: the forward/reverse hop lists, the reply
-// path metadata, the cached error template and the wide-region
-// exclusion bookkeeping. Field order is replay order — the batched
-// resolve guard (replySrc), the delivery target (edge) and the template
-// checksum share the tail's first cache line, which the batched warm
-// pass pulls alongside the hot header — with the shadow-walk data
-// (holes, exclusions) last, touched only for destinations whose /64
-// cell the hot pre-filter marked.
+// flowCold is the cold tail of one compiled flow (~504 B): the
+// forward/reverse hop lists, the reply path metadata, the cached error
+// template and the wide-region exclusion bookkeeping. Tails are held
+// densely, one per live non-negative entry, not one per slot: the table
+// runs a few percent full (see the sizing comment), so a slot-parallel
+// array spent ~37 MB on a 64K-slot table to hold ~2 MB of flows. Field
+// order is replay order — the batched resolve guard (replySrc), the
+// delivery target (edge) and the template checksum share the tail's
+// first cache line, which the batched warm pass pulls alongside the hot
+// header — with the shadow-walk data (holes, exclusions) last, touched
+// only for destinations whose /64 cell the hot pre-filter marked.
 type flowCold struct {
 	replySrc ipv6.Addr // reply path below is valid only for this probe source
 	edge     *Iface    // edge ingress for the reply (entryError) or packet (entryEdge)
@@ -196,9 +209,15 @@ type flowCold struct {
 }
 
 // Flow-table sizing: open-addressed, fixed slot count per generation,
-// grown ×4 up to fpMaxSlots when fill passes 40%. A lookup probes
-// fpProbe consecutive slots; insert evicts within the same window, so a
-// hot flow displaced by a collision is simply recompiled.
+// grown ×4 up to fpMaxSlots when fill passes 40% or a probe window is
+// full. A lookup probes fpProbe consecutive slots; insert evicts within
+// the same window, so a hot flow displaced by a collision is simply
+// recompiled. In practice the full window, not the fill, sizes the
+// table: some 4-slot window overflows long before 40% fill (at 6–32%
+// for random keys, lower the larger the table), and a seed-1 scan_cold
+// sweep ends with 3,659 flows in 65,536 slots (5.6%). That is why a
+// slot carries only its tag and hot header (72 B) and the tails are
+// dense.
 const (
 	fpMinSlots = 1 << 10
 	fpMaxSlots = 1 << 16
@@ -221,21 +240,33 @@ const fpWidthDecay = 1 << 16
 // cache line), so a lookup's probe window costs one dense line load
 // instead of touching the entry payloads; a tag match reads the 64-byte
 // hot header, whose own key fields confirm it (a colliding tag is a
-// wasted slot load, never a wrong hit). Tag zero means the slot has
-// never been written. The payload itself is split hot/cold into two
-// further parallel arrays (flowHot, flowCold), so the per-probe line
-// budget of a warm error replay is tags + hot + the cold tail's first
-// line instead of the ~8 lines a single monolithic struct cost.
+// wasted slot load, never a wrong hit). Tag zero means the slot has not
+// been written since the table was made or the generation wrapped. The
+// payload itself is split hot/cold: hot is parallel to tags, and cold is
+// a dense array of tails, one per live non-negative entry, indexed by
+// flowHot.cold. The per-probe line budget of a warm error replay is
+// tags + hot + the cold tail's first line instead of the ~8 lines a
+// single monolithic struct cost.
+//
+// cold may move when a compile appends to it, so no *flowCold is held
+// across an insert. The run replay relies on only the head of a run
+// compiling (inject.go): every tail pointer it takes is taken after the
+// run's one compile.
 type flowCache struct {
 	enabled bool
 	tags    []uint64
 	hot     []flowHot
-	cold    []flowCold
 	mask    uint64
 	fill    int
-	// gen validates entries: a slot is live iff hot.gen == gen.
-	// Bumping gen invalidates every compiled flow at once.
-	gen    uint64
+	// cold holds the tails; free lists the indices of tails released
+	// when a live entry was overwritten by a negative one or evicted
+	// during growth, reused before cold is appended to. Both are
+	// emptied on a bump.
+	cold []flowCold
+	free []uint32
+	// gen validates entries: a slot is live iff its tag is non-zero and
+	// hot.gen == gen. Bumping gen invalidates every compiled flow at once.
+	gen    uint32
 	nextID uint32
 
 	// widths lists the distinct key widths of live entries. Probe order
@@ -254,18 +285,30 @@ type flowCache struct {
 	misses        uint64
 	invalidations uint64
 	// compiles counts compileFlow walks; evictions counts live entries
-	// overwritten because their probe window was full at fpMaxSlots.
+	// overwritten because their probe window was full at fpMaxSlots, or
+	// full of entries sharing the new one's slot hash, which no growth
+	// separates.
 	compiles  uint64
 	evictions uint64
 }
 
-// bumpLocked invalidates all compiled flows.
+// bumpLocked invalidates all compiled flows and drops their tails.
 func (fp *flowCache) bumpLocked() {
 	fp.gen++
+	if fp.gen == 0 {
+		// Wrapped: slots last written at this generation number 2^32
+		// bumps ago would read as live again. Kill them all.
+		clear(fp.tags)
+	}
+	fp.cold = fp.cold[:0]
+	fp.free = fp.free[:0]
 	fp.fill = 0
 	fp.nWidths = 0
 	fp.invalidations++
 }
+
+// live reports whether slot j holds an entry of the current generation.
+func (fp *flowCache) live(j uint64) bool { return fp.tags[j] != 0 && fp.hot[j].gen == fp.gen }
 
 // assignIDLocked gives an interface its engine-local flow-key id.
 func (fp *flowCache) assignIDLocked(i *Iface) {
@@ -428,7 +471,7 @@ func (fp *flowCache) lookup(ifid uint32, hi, lo uint64) int {
 			}
 			if s.flags&fpFlagWide != 0 && s.nExcl|s.nHole != 0 {
 				cell := uint16(1) << (hi & (uint64(1)<<s.cellShift - 1))
-				if s.shadowCell&cell != 0 && shadowed(s, &fp.cold[j], hi, lo) {
+				if s.shadowCell&cell != 0 && shadowed(s, &fp.cold[s.cold], hi, lo) {
 					continue
 				}
 			}
@@ -449,15 +492,14 @@ func (fp *flowCache) lookup(ifid uint32, hi, lo uint64) int {
 
 // insert stores the (hot, cold) pair and returns its table slot index.
 // The table grows when fill passes 40% — or, crucially, whenever a
-// probe window is full of live entries: evictions don't raise fill, so
-// without the second trigger a saturated table would stall below the
-// threshold and churn (every insert killing a live flow) instead of
-// growing.
+// probe window is full of live entries that growth can spread out:
+// evictions don't raise fill, so without the second trigger a saturated
+// table would stall below the threshold and churn (every insert killing
+// a live flow) instead of growing.
 func (fp *flowCache) insert(h *flowHot, c *flowCold) int {
 	if fp.hot == nil {
 		fp.tags = make([]uint64, fpMinSlots)
 		fp.hot = make([]flowHot, fpMinSlots)
-		fp.cold = make([]flowCold, fpMinSlots)
 		fp.mask = fpMinSlots - 1
 	} else if (fp.fill+1)*5 > len(fp.hot)*2 && len(fp.hot) < fpMaxSlots {
 		fp.grow()
@@ -466,11 +508,26 @@ func (fp *flowCache) insert(h *flowHot, c *flowCold) int {
 		if j, ok := fp.tryPlace(h, c); ok {
 			return j
 		}
-		if len(fp.hot) >= fpMaxSlots {
-			return fp.place(h, c) // capped: evict within the window
+		if len(fp.hot) >= fpMaxSlots || !fp.separable(h) {
+			return fp.place(h, c) // capped or inseparable: evict within the window
 		}
 		fp.grow()
 	}
+}
+
+// separable reports whether growing can split the full probe window h
+// hashes to: some resident has another slot hash, so a wider mask may
+// send it elsewhere. Residents sharing h's hash — exact entries of one
+// /64 through one ingress — share a window at every table size.
+func (fp *flowCache) separable(h *flowHot) bool {
+	hash := slotHash(h.ifid, h.width, h.hi)
+	for i := uint64(0); i < fpProbe; i++ {
+		s := &fp.hot[(hash+i)&fp.mask]
+		if slotHash(s.ifid, s.width, s.hi) != hash {
+			return true
+		}
+	}
+	return false
 }
 
 // fpTag is the tag the entry will carry, given its slot hash.
@@ -482,13 +539,43 @@ func (h *flowHot) fpTag(hash uint64) uint64 {
 }
 
 // setSlot writes the entry into slot j, keeping tag and payload in sync.
+// c is a freshly compiled entry's tail, or nil when growth moves an
+// entry that keeps the tail h.cold names. A tail held by the slot's
+// previous live occupant is reused for c, or released if c takes none.
 func (fp *flowCache) setSlot(j uint64, h *flowHot, c *flowCold) int {
+	old, had := fp.hot[j].cold, fp.live(j) && fp.hot[j].kind != entryNeg
 	fp.tags[j] = h.fpTag(slotHash(h.ifid, h.width, h.hi))
 	s := &fp.hot[j]
 	*s = *h
 	s.gen = fp.gen
-	fp.cold[j] = *c
+	if c != nil && h.kind != entryNeg {
+		if !had {
+			old = fp.newTail()
+		}
+		s.cold = old
+		fp.cold[old] = *c
+	} else if had {
+		fp.free = append(fp.free, old)
+	}
 	return int(j)
+}
+
+// newTail returns the index of an unused tail: a released one, else one
+// appended to cold (which may move it).
+func (fp *flowCache) newTail() uint32 {
+	if n := len(fp.free); n > 0 {
+		t := fp.free[n-1]
+		fp.free = fp.free[:n-1]
+		return t
+	}
+	if len(fp.cold) == cap(fp.cold) {
+		// Double: append steps a slice this large by ~1.25×, and every
+		// step leaves the old tails as garbage — ~4× the live tails
+		// over a sweep instead of ~1×.
+		fp.cold = slices.Grow(fp.cold, max(64, len(fp.cold)))
+	}
+	fp.cold = append(fp.cold, flowCold{})
+	return uint32(len(fp.cold) - 1)
 }
 
 // tryPlace stores the entry if its probe window has a dead slot or
@@ -501,7 +588,7 @@ func (fp *flowCache) tryPlace(h *flowHot, c *flowCold) (int, bool) {
 	for i := uint64(0); i < fpProbe; i++ {
 		j := (hash + i) & fp.mask
 		s := &fp.hot[j]
-		if fp.tags[j] != 0 && s.gen == fp.gen {
+		if fp.live(j) {
 			if fp.tags[j] == tag && s.ifid == h.ifid && s.width == h.width &&
 				s.hi == h.hi && s.flags&fpFlagWide == h.flags&fpFlagWide &&
 				(h.wide() || s.lo == h.lo) {
@@ -529,17 +616,18 @@ func (fp *flowCache) place(h *flowHot, c *flowCold) int {
 	return fp.setSlot(hash&fp.mask, h, c) // window full: evict
 }
 
+// grow rehashes the live entries into a table four times the size. The
+// tails stay where they are: each moved entry keeps its cold index.
 func (fp *flowCache) grow() {
-	oldTags, oldHot, oldCold := fp.tags, fp.hot, fp.cold
+	oldTags, oldHot := fp.tags, fp.hot
 	gen := fp.gen
 	fp.tags = make([]uint64, len(oldHot)*4)
 	fp.hot = make([]flowHot, len(oldHot)*4)
-	fp.cold = make([]flowCold, len(oldHot)*4)
 	fp.mask = uint64(len(fp.hot) - 1)
 	fp.fill = 0
 	for i := range oldHot {
 		if oldTags[i] != 0 && oldHot[i].gen == gen {
-			fp.place(&oldHot[i], &oldCold[i])
+			fp.place(&oldHot[i], nil)
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package netsim
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -64,7 +66,7 @@ func TestFlowCacheTagCollisionProperty(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(7))
-	wrong := func(s *flowHot, cold *flowCold, hi, lo uint64) bool {
+	wrong := func(s *flowHot, hi, lo uint64) bool {
 		if s.gen != fp.gen || s.ifid != ifid {
 			return true
 		}
@@ -75,7 +77,7 @@ func TestFlowCacheTagCollisionProperty(t *testing.T) {
 			return s.width != 64 || s.lo != lo
 		}
 		// A wide region hit must not sit in a hole or exclusion.
-		return s.nExcl|s.nHole != 0 && shadowed(s, cold, hi, lo)
+		return s.nExcl|s.nHole != 0 && shadowed(s, &fp.cold[s.cold], hi, lo)
 	}
 	for trial := 0; trial < 5000; trial++ {
 		hi, lo := rng.Uint64(), rng.Uint64()
@@ -89,11 +91,144 @@ func TestFlowCacheTagCollisionProperty(t *testing.T) {
 		old := fp.tags[j]
 		fp.tags[j] = tag
 		if got := fp.lookup(ifid, hi, lo); got >= 0 {
-			if wrong(&fp.hot[got], &fp.cold[got], hi, lo) {
+			if wrong(&fp.hot[got], hi, lo) {
 				t.Fatalf("trial %d: forged tag %#x at slot %d made lookup(%#x, %#x) return slot %d holding width=%d hi=%#x",
 					trial, tag, j, hi, lo, got, fp.hot[got].width, fp.hot[got].hi)
 			}
 		}
 		fp.tags[j] = old
+	}
+}
+
+// TestFlowCacheColdTailsTrackFlows pins the dense cold-tail layout on
+// the cold sweep BenchmarkEngineInjectColdSparse times: one tail per live
+// non-negative entry, and a sweep whose allocations follow the flows it
+// compiles, not the slots the table grows to. With a tail per slot the
+// same sweep allocated ~12.5 MB, nearly all of it table growth.
+func TestFlowCacheColdTailsTrackFlows(t *testing.T) {
+	delegs, pkts := coldSparseFixture(t)
+	n := buildSparseNet(t, sparseBlock, delegs)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	n.sweep(pkts, nil)
+	runtime.ReadMemStats(&after)
+
+	fp := &n.eng.fp
+	live := checkTails(t, fp)
+	// ~3.1 MB: 72 B per slot through two growths plus ~1,000 tails.
+	const bound = 6 << 20
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > bound {
+		t.Errorf("a cold sweep compiling %d flows into %d slots allocated %.1f MB, want <= %d MB",
+			live, len(fp.tags), float64(alloc)/(1<<20), bound>>20)
+	}
+}
+
+// TestFlowCacheColdTailsChurn drives a table through recompiles,
+// evictions between negative and compiled entries, growth and bumps,
+// checking the tail bookkeeping every 97 inserts and at the end.
+func TestFlowCacheColdTailsChurn(t *testing.T) {
+	fp := flowCache{gen: 1}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 20000; i++ {
+		if rng.Intn(5000) == 0 {
+			fp.bumpLocked()
+		}
+		fp.keyWidth(64)
+		h := flowHot{ifid: 1 + uint32(rng.Intn(2)), hi: uint64(rng.Intn(1 << 13)), lo: uint64(rng.Intn(3)), width: 64, kind: entryNeg}
+		if rng.Intn(2) == 0 {
+			h.kind = entryError
+		}
+		fp.insert(&h, &flowCold{})
+		if i%97 == 0 {
+			checkTails(t, &fp)
+		}
+	}
+	checkTails(t, &fp)
+	if fp.evictions == 0 || len(fp.free) == 0 {
+		t.Errorf("churn evicted %d entries and left %d free tails: the release path went unexercised", fp.evictions, len(fp.free))
+	}
+}
+
+// checkTails asserts the dense tail invariant: every live non-negative
+// entry owns a distinct tail that is not on the free list, and no other
+// tail is in use. It returns the number of live entries.
+func checkTails(t *testing.T, fp *flowCache) int {
+	t.Helper()
+	owner := make(map[uint32]int)
+	live := 0
+	for j := range fp.tags {
+		if !fp.live(uint64(j)) {
+			continue
+		}
+		live++
+		if fp.hot[j].kind == entryNeg {
+			continue
+		}
+		c := fp.hot[j].cold
+		if int(c) >= len(fp.cold) {
+			t.Fatalf("slot %d names tail %d of %d", j, c, len(fp.cold))
+		}
+		if o, dup := owner[c]; dup {
+			t.Fatalf("slots %d and %d share tail %d", o, j, c)
+		}
+		owner[c] = j
+	}
+	for _, c := range fp.free {
+		if o, used := owner[c]; used {
+			t.Fatalf("tail %d is free but slot %d holds it", c, o)
+		}
+	}
+	if tails := len(fp.cold) - len(fp.free); tails != len(owner) {
+		t.Fatalf("%d cold tails for %d live non-negative entries (%d live, %d slots)", tails, len(owner), live, len(fp.tags))
+	}
+	return live
+}
+
+// TestFlowCacheGenerationWrap bumps a table across 2^32 generations back
+// to the one an entry was written in: the narrowed generation counter
+// must not bring the entry back.
+func TestFlowCacheGenerationWrap(t *testing.T) {
+	fp := flowCache{gen: 5}
+	h := flowHot{ifid: 1, hi: 0x20010db8_00000000, width: 48, flags: fpFlagWide, kind: entryError}
+	fp.keyWidth(h.width)
+	fp.insert(&h, &flowCold{})
+	if fp.lookup(h.ifid, h.hi|7, 9) < 0 {
+		t.Fatal("a freshly inserted entry misses")
+	}
+	// Every bump below 2^32-1 only counts; skip to the last few.
+	fp.gen = math.MaxUint32
+	for fp.gen != 5 {
+		fp.bumpLocked()
+	}
+	fp.keyWidth(h.width) // the bumps forgot the width
+	if j := fp.lookup(h.ifid, h.hi|7, 9); j >= 0 {
+		t.Fatalf("an entry written 2^32 generations ago hits again at slot %d", j)
+	}
+	for j := range fp.tags {
+		if fp.live(uint64(j)) {
+			t.Fatalf("slot %d is live after the wrap", j)
+		}
+	}
+}
+
+// TestFlowCacheInseparableWindowEvicts fills one probe window with exact
+// entries of a single /64 through one ingress. They share a slot hash,
+// so no table size separates them: the fifth must evict within the
+// window instead of growing the table to its cap.
+func TestFlowCacheInseparableWindowEvicts(t *testing.T) {
+	fp := flowCache{gen: 1}
+	fp.keyWidth(64)
+	for lo := uint64(1); lo <= fpProbe+1; lo++ {
+		fp.insert(&flowHot{ifid: 1, hi: 0x20010db8_00000000, lo: lo, width: 64, kind: entryError}, &flowCold{})
+	}
+	if len(fp.hot) != fpMinSlots {
+		t.Errorf("%d inserts of one /64 grew the table to %d slots, want %d", fpProbe+1, len(fp.hot), fpMinSlots)
+	}
+	if fp.evictions != 1 {
+		t.Errorf("evictions = %d, want 1", fp.evictions)
+	}
+	if tails := len(fp.cold) - len(fp.free); tails != fpProbe {
+		t.Errorf("%d cold tails for %d live entries", tails, fpProbe)
 	}
 }

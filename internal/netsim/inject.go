@@ -98,7 +98,9 @@ resolve:
 		j := fp.lookup(ifid, hi, lo)
 		if j < 0 {
 			// A compile may grow or evict the table the run's dslot
-			// indices point into: only the head of a run compiles.
+			// indices point into, and may move the dense tails: only
+			// the head of a run compiles, so no tail pointer taken
+			// below outlives an insert.
 			if k > 0 {
 				break
 			}
@@ -122,7 +124,7 @@ resolve:
 			if int(pkt[7]) < int(h.nf)+2 || isICMPError(pkt) {
 				break resolve
 			}
-			c := &fp.cold[j]
+			c := &fp.cold[h.cold]
 			if binary.BigEndian.Uint64(pkt[8:16]) != c.replySrc.Uint128().Hi ||
 				binary.BigEndian.Uint64(pkt[16:24]) != c.replySrc.Uint128().Lo {
 				break resolve
@@ -131,7 +133,7 @@ resolve:
 			if pkt[7] != h.hlIn || isICMPError(pkt) {
 				break resolve
 			}
-			c := &fp.cold[j]
+			c := &fp.cold[h.cold]
 			if binary.BigEndian.Uint64(pkt[8:16]) != c.replySrc.Uint128().Hi ||
 				binary.BigEndian.Uint64(pkt[16:24]) != c.replySrc.Uint128().Lo {
 				break resolve
@@ -200,7 +202,7 @@ func (e *Engine) fpReplayRun(from *Iface, pkts [][]byte, d int, sumAll uint64) {
 	for di := 0; di < d; di++ {
 		j := int(e.inj.dslot[di])
 		h := &fp.hot[j]
-		c := &fp.cold[j]
+		c := &fp.cold[h.cold]
 		if g := h.gate; g != nil {
 			warm += uint64(g.generated)
 		}
@@ -225,7 +227,7 @@ func (e *Engine) fpReplayRun(from *Iface, pkts [][]byte, d int, sumAll uint64) {
 	for di := 0; di < d; di++ {
 		j := int(e.inj.dslot[di])
 		h := &fp.hot[j]
-		c := &fp.cold[j]
+		c := &fp.cold[h.cold]
 		cnt := uint64(e.inj.dcount[di])
 		cb := e.inj.dbytes[di]
 		switch h.kind {
@@ -278,7 +280,7 @@ func (e *Engine) fpReplayRun(from *Iface, pkts [][]byte, d int, sumAll uint64) {
 		}
 		j := int(e.inj.dslot[di])
 		h := &fp.hot[j]
-		c := &fp.cold[j]
+		c := &fp.cold[h.cold]
 		if h.kind == entryEdge {
 			ed := c.edge.node.(*Edge)
 			if cur != ed && len(out) > 0 {
@@ -341,7 +343,7 @@ func (e *Engine) fpReplayRun(from *Iface, pkts [][]byte, d int, sumAll uint64) {
 		}
 		j := int(e.inj.dslot[di])
 		h := &fp.hot[j]
-		c := &fp.cold[j]
+		c := &fp.cold[h.cold]
 		rb := e.inj.drbytes[di]
 		for i := uint8(0); i < h.nr; i++ {
 			hop := &c.rev[i]
