@@ -141,7 +141,9 @@ type FaultOutcome struct {
 	// one copy of the packet is enqueued per element, deferred past that
 	// many subsequently enqueued deliveries (0 = in order). A
 	// multi-element slice models duplication; a single positive element
-	// models reordering. Empty means one in-order delivery.
+	// models reordering. Empty means one in-order delivery. The engine
+	// only reads the slice and keeps no reference to it, so a fault
+	// layer may return the same slice for many transmissions.
 	Deliveries []int
 }
 

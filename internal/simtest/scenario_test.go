@@ -3,6 +3,7 @@ package simtest
 import (
 	"flag"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/ipv6"
@@ -275,6 +276,39 @@ func TestInjectorDeterminism(t *testing.T) {
 	}
 	if same {
 		t.Error("different seeds produced identical decision sequences")
+	}
+}
+
+// TestInjectorApplyAllocFree: a fault decision allocates nothing, so the
+// injector adds no garbage to a chaos scan's hot loop. Loss, reorder and
+// chaos all read 0 allocations over 10,000 Apply calls; the one
+// allocation the injector may make is the dup ledger's map growing for a
+// new flow, and a single repeated packet is one flow. The count is taken
+// whole rather than with testing.AllocsPerRun, whose integer average
+// reads an allocation every third call as 0.
+func TestInjectorApplyAllocFree(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	pkt := echoPkt(t, 64)
+	for _, name := range []string{"loss", "reorder", "chaos"} {
+		p, ok := ProfileByName(name)
+		if !ok {
+			t.Fatalf("%s profile missing", name)
+		}
+		inj := NewInjector(1, p)
+		// Warm up until chaos has duplicated the packet once, so the
+		// ledger already holds its flow.
+		for i := 0; i < 100; i++ {
+			inj.Apply(nil, pkt)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 10_000; i++ {
+			inj.Apply(nil, pkt)
+		}
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Errorf("%s: %d allocations in 10,000 Apply calls, want 0 (stats %+v)", name, n, inj.Stats())
+		}
 	}
 }
 

@@ -113,16 +113,28 @@ type Injector struct {
 	profile FaultProfile
 	dups    map[uint64]int
 	stats   InjectorStats
+	// delays backs the reorder outcomes: Deliveries for delay d is the
+	// one-element delays[d-1:d], shared by every transmission it delays.
+	delays []int
 }
+
+// dupDeliveries is the duplication outcome, shared read-only by every
+// duplicated transmission.
+var dupDeliveries = []int{0, 0}
 
 // NewInjector creates an injector for the profile, seeded independently
 // of the engine's own loss source.
 func NewInjector(seed int64, p FaultProfile) *Injector {
-	return &Injector{
+	j := &Injector{
 		rng:     rand.New(rand.NewSource(seed ^ 0x5117e57)),
 		profile: p,
 		dups:    map[uint64]int{},
+		delays:  make([]int, max(p.MaxDelay, 0)),
 	}
+	for i := range j.delays {
+		j.delays[i] = i + 1
+	}
+	return j
 }
 
 // Apply is the netsim.FaultFunc. Decision order: link flap (drops
@@ -150,11 +162,12 @@ func (j *Injector) Apply(from *netsim.Iface, pkt []byte) netsim.FaultOutcome {
 	if p.DupProb > 0 && j.rng.Float64() < p.DupProb {
 		j.stats.Duplicated++
 		j.dups[PacketKey(pkt)]++
-		return netsim.FaultOutcome{Deliveries: []int{0, 0}}
+		return netsim.FaultOutcome{Deliveries: dupDeliveries}
 	}
 	if p.ReorderProb > 0 && p.MaxDelay > 0 && j.rng.Float64() < p.ReorderProb {
 		j.stats.Delayed++
-		return netsim.FaultOutcome{Deliveries: []int{1 + j.rng.Intn(p.MaxDelay)}}
+		i := j.rng.Intn(p.MaxDelay)
+		return netsim.FaultOutcome{Deliveries: j.delays[i : i+1 : i+1]}
 	}
 	return netsim.FaultOutcome{}
 }

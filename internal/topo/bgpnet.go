@@ -94,7 +94,8 @@ func BuildBGPUniverse(cfg BGPConfig) (*BGPDeployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed + 99))
+	src := newSource(cfg.Seed + 99)
+	rng := rand.New(src)
 	iidGen := ipv6.NewIIDGenerator(cfg.Seed + 199)
 	oui := registry.NewOUIDB()
 
@@ -160,7 +161,7 @@ func BuildBGPUniverse(cfg BGPConfig) (*BGPDeployment, error) {
 		if n > capacity/2 {
 			n = capacity / 2
 		}
-		perm := permPrefix(rng, capacity, n)
+		perm := permPrefix(src, capacity, n)
 
 		mult := asMult[adv.ASN]
 		if m, ok := bgpLoopCountryMult[adv.Country]; ok {

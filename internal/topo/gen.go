@@ -3,6 +3,9 @@ package topo
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/ipv6"
 	"repro/internal/netsim"
@@ -274,12 +277,15 @@ func Build(cfg Config) (*Deployment, error) {
 		return false
 	}
 
+	var specs []*ISPSpec
 	for i := range Specs {
-		spec := &Specs[i]
-		if !want(spec.Index) {
-			continue
+		if want(Specs[i].Index) {
+			specs = append(specs, &Specs[i])
 		}
-		isp, err := buildISP(dep, spec, cfg)
+	}
+	places := placeAll(specs, cfg)
+	for i, spec := range specs {
+		isp, err := buildISP(dep, spec, cfg, &places[i])
 		if err != nil {
 			return nil, fmt.Errorf("topo: building ISP %d (%s): %w", spec.Index, spec.Name, err)
 		}
@@ -288,9 +294,83 @@ func Build(cfg Config) (*Deployment, error) {
 	return dep, nil
 }
 
-// buildISP populates one ISP block.
-func buildISP(dep *Deployment, spec *ISPSpec, cfg Config) (*ISPDeployment, error) {
-	rng := rand.New(rand.NewSource(cfg.Seed*1000 + int64(spec.Index)))
+// placement is one ISP's share of the placement stage: its population,
+// the window cells its hostile regions reserve, its generator, and the
+// prefix of the window permutation its devices take cells from.
+type placement struct {
+	n, reserved int
+	rng         *rand.Rand
+	indices     []int
+}
+
+// placeAll runs the placement stage: it seeds every ISP's generator and
+// draws its window permutation, one spec per worker at a time, and
+// returns when all are drawn. The draws share nothing — each ISP's
+// generator has its own seed and permPrefix is its first consumer — so
+// the stream every ISP's later draws see does not depend on scheduling.
+// Everything that touches the engines stays in buildISP, run serially
+// in spec order: Connect order fixes link order and flow-key ids.
+func placeAll(specs []*ISPSpec, cfg Config) []placement {
+	places := make([]placement, len(specs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(specs)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(specs) {
+					return
+				}
+				places[i] = place(specs[i], cfg)
+			}
+		}()
+	}
+	wg.Wait()
+	return places
+}
+
+// place computes one ISP's population and reserved cells and draws its
+// placements. A population the window cannot hold draws nothing;
+// buildISP reports it, as it reports invalid hostile regions, which
+// reserve nothing here.
+func place(spec *ISPSpec, cfg Config) placement {
+	src := newSource(cfg.Seed*1000 + int64(spec.Index))
+	p := placement{
+		n:   int(float64(spec.PaperLastHops)*cfg.Scale + 0.5),
+		rng: rand.New(src),
+	}
+	if p.n < 1 {
+		p.n = 1
+	}
+	if cfg.MaxDevicesPerISP > 0 && p.n > cfg.MaxDevicesPerISP {
+		p.n = cfg.MaxDevicesPerISP
+	}
+	for _, hs := range cfg.Hostile {
+		if hs.ISP != spec.Index {
+			continue
+		}
+		regionBits := hs.RegionBits
+		if regionBits == 0 {
+			regionBits = spec.DelegLen
+		}
+		if d := spec.DelegLen - regionBits; d >= 0 && d < cfg.WindowWidth {
+			p.reserved += 1 << d
+		}
+	}
+	// Every device takes at most two cells (the dual-/64 model), and
+	// every skip uses up a distinct reserved cell, so takeIdx never reads
+	// past the first 2n+reserved cells of the window's permutation.
+	if capacity := 1 << cfg.WindowWidth; p.n*2+p.reserved <= capacity {
+		p.indices = permPrefix(src, capacity, p.n*2+p.reserved)
+	}
+	return p
+}
+
+// buildISP wires one ISP block from its placement.
+func buildISP(dep *Deployment, spec *ISPSpec, cfg Config, pl *placement) (*ISPDeployment, error) {
+	rng := pl.rng
 	iidGen := ipv6.NewIIDGenerator(cfg.Seed*2000 + int64(spec.Index))
 
 	block := BlockFor(spec)
@@ -351,21 +431,14 @@ func buildISP(dep *Deployment, spec *ISPSpec, cfg Config) (*ISPDeployment, error
 		}
 	}
 
-	n := int(float64(spec.PaperLastHops)*cfg.Scale + 0.5)
-	if n < 1 {
-		n = 1
-	}
-	if cfg.MaxDevicesPerISP > 0 && n > cfg.MaxDevicesPerISP {
-		n = cfg.MaxDevicesPerISP
-	}
+	n := pl.n
 	capacity := 1 << cfg.WindowWidth
 
 	// Plant hostile regions first: each reserves an aligned run of
 	// window cells from the top of the window downward, so honest
-	// devices (whose indices come from the permutation below) can never
-	// land inside an adversarial region — the ground truth stays exact.
+	// devices (whose indices come from the permutation) can never land
+	// inside an adversarial region — the ground truth stays exact.
 	var runs []cellRun
-	reserved := 0
 	top := capacity
 	hostileN := 0
 	for _, hs := range cfg.Hostile {
@@ -390,7 +463,6 @@ func buildISP(dep *Deployment, spec *ISPSpec, cfg Config) (*ISPDeployment, error
 			return nil, fmt.Errorf("hostile regions exceed window capacity %d", capacity)
 		}
 		runs = append(runs, cellRun{top, top + cells})
-		reserved += cells
 		region, err := winBase.Sub(regionBits, uint128.From64(uint64(top/cells)))
 		if err != nil {
 			return nil, err
@@ -420,14 +492,11 @@ func buildISP(dep *Deployment, spec *ISPSpec, cfg Config) (*ISPDeployment, error
 		hostileN++
 	}
 
-	if n*2+reserved > capacity {
+	if n*2+pl.reserved > capacity {
 		return nil, fmt.Errorf("population %d exceeds window capacity %d", n, capacity)
 	}
 
-	// Every device takes at most two cells (the dual-/64 model), and
-	// every skip uses up a distinct reserved cell, so takeIdx never reads
-	// past the first 2n+reserved cells of the window's permutation.
-	indices := permPrefix(rng, capacity, n*2+reserved)
+	indices := pl.indices
 	nextIdx := 0
 	takeIdx := func() uint64 {
 		for {

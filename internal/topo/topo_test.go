@@ -91,7 +91,10 @@ func scanHostile() []HostileSpec {
 }
 
 // deploymentDigest is a sha256 over every device's placement and ground
-// truth, in build order, plus the planted hostile regions.
+// truth, in build order, the planted hostile regions, and every shard
+// engine's links in connection order (both ends' names and addresses):
+// link order fixes flow-key ids, so a build that wires the same devices
+// in another order moves the digest.
 func deploymentDigest(dep *Deployment) string {
 	h := sha256.New()
 	for _, d := range dep.Devices() {
@@ -111,12 +114,19 @@ func deploymentDigest(dep *Deployment) string {
 	for _, r := range dep.HostileRegions() {
 		fmt.Fprintf(h, "hostile %s %s\n", r.Prefix, r.Mode)
 	}
+	for s := 0; s < dep.Group.NumShards(); s++ {
+		for _, l := range dep.Group.Shard(s).Links() {
+			a, b := l.Ends()[0], l.Ends()[1]
+			fmt.Fprintf(h, "link %d %s %s %s %s\n", s, a.Name(), a.Addr(), b.Name(), b.Addr())
+		}
+	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
 // TestBuildPinned pins the generated deployment across commits, not only
-// within one run: a change to how devices are placed or drawn moves the
-// digest.
+// within one run: a change to how devices are placed, drawn or wired
+// moves the digest. Every case runs on one core and on four, so a build
+// whose result depends on how its work was scheduled fails here.
 func TestBuildPinned(t *testing.T) {
 	cases := []struct {
 		name string
@@ -126,17 +136,23 @@ func TestBuildPinned(t *testing.T) {
 		{"hostile-w18", Config{
 			Seed: 1, Scale: 0.0005, WindowWidth: 18, MaxDevicesPerISP: 4000, OnlyISPs: []int{13},
 			Hostile: scanHostile(),
-		}, "3c6580f41c39c9e4c6ddbaaa2bc20aa761453e6d0f52fe198066ead9716a19e7"},
+		}, "b86126d97b4c758083bcd87efb908e6dca510d30975a74d1165c8c9af007fbbe"},
 		{"shards2-w16", Config{Seed: 1, Scale: 0.0005, WindowWidth: 16, MaxDevicesPerISP: 4000, Shards: 2},
-			"558680b8ea1c092de0d3bbb2061bf463ab4664bdb8777743f04e75e2a04114f3"},
+			"adb2fc97a2753e6ec389b35ef734e613ece02bdb755b1396472d905d82655123"},
+		{"scan-cold-w20", Config{Seed: 1, Scale: 0.0005, WindowWidth: 20, MaxDevicesPerISP: 4000},
+			"68f63ed5a311d1ac2adb47c9c819eaa04c4f8bd77c9d0f6f731f2d89a8e30f55"},
 	}
-	for _, c := range cases {
-		dep, err := Build(c.cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if got := deploymentDigest(dep); got != c.want {
-			t.Errorf("%s: deployment digest %s, want %s", c.name, got, c.want)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, c := range cases {
+			dep, err := Build(c.cfg)
+			if err != nil {
+				t.Fatalf("%s at GOMAXPROCS %d: %v", c.name, procs, err)
+			}
+			if got := deploymentDigest(dep); got != c.want {
+				t.Errorf("%s at GOMAXPROCS %d: deployment digest %s, want %s", c.name, procs, got, c.want)
+			}
 		}
 	}
 }
