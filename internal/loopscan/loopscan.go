@@ -2,6 +2,12 @@
 // the h / h+2 hop-limit probe pair that confirms a forwarding loop, the
 // window sweeps over ISP blocks and BGP-advertised prefixes, and the
 // amplification accounting of the attack itself.
+//
+// Probes are built and classified by the scanner's icmp6_echoscan module
+// (xmap.ICMPEchoProbe), tagged with the scanner's validation PRF
+// (xmap.NewValidator). The per-sub-prefix target address stays an
+// HMAC-SHA256 derivation (targetIn): the committed goldens pin the
+// addresses it picks.
 package loopscan
 
 import (
@@ -57,8 +63,13 @@ type CheckResult struct {
 	Verdict   Verdict
 }
 
-// Detector probes for loops through a scan driver. A Detector is not
-// safe for concurrent use: probes share reusable HMAC scratch state.
+// Detector probes for loops through a scan driver. Probes are the
+// scanner's icmp6_echoscan module: each hop limit (h and h+2) has its own
+// ICMPEchoProbe and its own validator (xmap.NewValidator, the scanner's
+// PRF, keyed per hop limit so the two probes of a pair carry different
+// id/seq values), and replies are classified in place by ClassifyRaw. A
+// Detector is not safe for concurrent use: probes share one reused
+// packet buffer.
 type Detector struct {
 	drv xmap.PacketDriver
 	// HopLimit is h (default DefaultHopLimit).
@@ -66,65 +77,50 @@ type Detector struct {
 	// Tel, when set, counts probes, responses and confirmed loops into a
 	// telemetry shard (loop.* counters). Nil detaches instrumentation.
 	Tel *telemetry.Shard
-	seq uint16
 
-	// idMac is keyed once and Reset per probe, keeping the validation-ID
-	// derivation off the per-probe allocation path (as in xmap.Scanner).
-	idMac  hash.Hash
-	macSum [sha256.Size]byte
-	macIn  [16]byte
+	// first probes at h, confirm at h+2. One module per hop limit keeps
+	// each module's cached probe template valid across probes.
+	first, confirm hopProbe
+	buf            []byte
+}
+
+// hopProbe is the echo module and validator for one hop limit.
+type hopProbe struct {
+	mod      *xmap.ICMPEchoProbe
+	validate xmap.Validator
+}
+
+// at returns p, rebuilt first if it was made for another hop limit.
+func (p *hopProbe) at(hopLimit uint8) *hopProbe {
+	if p.mod == nil || p.mod.HopLimit != hopLimit {
+		p.mod = &xmap.ICMPEchoProbe{HopLimit: hopLimit}
+		p.validate = xmap.NewValidator(fmt.Appendf(nil, "loopscan-h%d", hopLimit))
+	}
+	return p
 }
 
 // NewDetector creates a detector.
 func NewDetector(drv xmap.PacketDriver) *Detector {
-	return &Detector{
-		drv:      drv,
-		HopLimit: DefaultHopLimit,
-		idMac:    hmac.New(sha256.New, []byte("loopscan")),
-	}
+	return &Detector{drv: drv, HopLimit: DefaultHopLimit}
 }
 
-// probe sends one echo request with the given hop limit and returns the
-// first matching ICMPv6 response.
-func (d *Detector) probe(dst ipv6.Addr, hopLimit uint8) (responder ipv6.Addr, icmpType uint8, ok bool, err error) {
-	d.seq++
-	id := d.validationID(dst)
-	pkt, err := wire.BuildEchoRequest(d.drv.SourceAddr(), dst, hopLimit, id, d.seq, nil)
+// probe sends one echo request through p and returns the first reply
+// ClassifyRaw validates for dst.
+func (d *Detector) probe(p *hopProbe, dst ipv6.Addr) (responder ipv6.Addr, kind xmap.ResponseKind, ok bool, err error) {
+	d.buf, err = p.mod.AppendProbe(d.buf, d.drv.SourceAddr(), dst, p.validate(dst))
 	if err != nil {
 		return ipv6.Addr{}, 0, false, err
 	}
-	if err := d.drv.Send(pkt); err != nil {
+	if err := d.drv.Send(d.buf); err != nil {
 		return ipv6.Addr{}, 0, false, err
 	}
 	d.Tel.Inc(telemetry.LoopProbes)
 	for _, raw := range d.drv.Recv() {
-		sum, perr := wire.ParsePacket(raw)
-		if perr != nil || sum.ICMP == nil {
-			continue
-		}
-		switch sum.ICMP.Type {
-		case wire.ICMPDestUnreach, wire.ICMPTimeExceeded:
-			inv, perr := wire.ParseInvoking(sum.ICMP.Body)
-			if perr != nil || inv.IP.Dst != dst || inv.EchoID != id {
-				continue
-			}
-			return sum.IP.Src, sum.ICMP.Type, true, nil
-		case wire.ICMPEchoReply:
-			if sum.IP.Src == dst {
-				return sum.IP.Src, wire.ICMPEchoReply, true, nil
-			}
+		if r, ok := p.mod.ClassifyRaw(raw, p.validate); ok && r.ProbeDst == dst {
+			return r.Responder, r.Kind, true, nil
 		}
 	}
 	return ipv6.Addr{}, 0, false, nil
-}
-
-// validationID derives the echo identifier from the target.
-func (d *Detector) validationID(dst ipv6.Addr) uint16 {
-	d.idMac.Reset()
-	d.macIn = dst.Bytes()
-	d.idMac.Write(d.macIn[:])
-	s := d.idMac.Sum(d.macSum[:0])
-	return uint16(s[0])<<8 | uint16(s[1])
 }
 
 // CheckAddr applies the paper's method to one address: a Time Exceeded
@@ -134,7 +130,7 @@ func (d *Detector) validationID(dst ipv6.Addr) uint16 {
 // the +2 step keeps loop parity so the same device answers).
 func (d *Detector) CheckAddr(dst ipv6.Addr) (CheckResult, error) {
 	res := CheckResult{Target: dst, Verdict: VerdictSilent}
-	from, typ, ok, err := d.probe(dst, d.HopLimit)
+	from, kind, ok, err := d.probe(d.first.at(d.HopLimit), dst)
 	if err != nil {
 		return res, err
 	}
@@ -143,18 +139,18 @@ func (d *Detector) CheckAddr(dst ipv6.Addr) (CheckResult, error) {
 	}
 	d.Tel.Inc(telemetry.LoopResponses)
 	res.Responder = from
-	if typ != wire.ICMPTimeExceeded {
+	if kind != xmap.KindTimeExceeded {
 		res.Verdict = VerdictUnreachable
 		return res, nil
 	}
-	from2, typ2, ok2, err := d.probe(dst, d.HopLimit+2)
+	from2, kind2, ok2, err := d.probe(d.confirm.at(d.HopLimit+2), dst)
 	if err != nil {
 		return res, err
 	}
 	if ok2 {
 		d.Tel.Inc(telemetry.LoopResponses)
 	}
-	if ok2 && typ2 == wire.ICMPTimeExceeded && from2 == from {
+	if ok2 && kind2 == xmap.KindTimeExceeded && from2 == from {
 		res.Verdict = VerdictLoop
 		d.Tel.Inc(telemetry.LoopConfirmed)
 		return res, nil

@@ -1,0 +1,139 @@
+package loopscan
+
+import (
+	"bytes"
+	"slices"
+	"testing"
+
+	"repro/internal/ipv6"
+	"repro/internal/topo"
+	"repro/internal/xmap"
+)
+
+// recordingDriver keeps a copy of every probe sent and of each drain's
+// replies.
+type recordingDriver struct {
+	xmap.PacketDriver
+	sent  [][]byte
+	recvd [][][]byte
+}
+
+func (r *recordingDriver) Send(pkt []byte) error {
+	r.sent = append(r.sent, slices.Clone(pkt))
+	return r.PacketDriver.Send(pkt)
+}
+
+func (r *recordingDriver) Recv() [][]byte {
+	got := r.PacketDriver.Recv()
+	var cp [][]byte
+	for _, p := range got {
+		cp = append(cp, slices.Clone(p))
+	}
+	r.recvd = append(r.recvd, cp)
+	return got
+}
+
+// loopingDevice returns a device whose unused delegated space loops.
+func loopingDevice(t *testing.T, dep *topo.Deployment) *topo.Device {
+	t.Helper()
+	for _, d := range dep.ISPs[0].Devices {
+		if d.VulnLAN {
+			return d
+		}
+	}
+	t.Fatal("fixture lacks a LAN-vulnerable device")
+	return nil
+}
+
+// TestCheckAddrProbesDistinct: the h and h+2 probes of one check differ
+// in more than their hop limit (each hop limit has its own validator),
+// so a reply quoting one probe never validates as the other's. With a
+// shared validator the pair would be the same packet but for byte 7.
+func TestCheckAddrProbesDistinct(t *testing.T) {
+	dep, _ := fixture(t)
+	rec := &recordingDriver{PacketDriver: xmap.NewSimDriver(dep.Engine, dep.Edge)}
+	det := NewDetector(rec)
+	dst := targetIn(loopingDevice(t, dep).CPE.Delegated(), []byte("x"))
+	res, err := det.CheckAddr(dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Verdict != VerdictLoop || len(rec.sent) != 2 || len(rec.recvd) != 2 {
+		t.Fatalf("verdict %s after %d probes and %d drains, want a loop from 2 and 2",
+			res.Verdict, len(rec.sent), len(rec.recvd))
+	}
+	h, h2 := rec.sent[0], rec.sent[1]
+	if h[7] != DefaultHopLimit || h2[7] != DefaultHopLimit+2 {
+		t.Fatalf("hop limits %d, %d, want %d, %d", h[7], h2[7], DefaultHopLimit, DefaultHopLimit+2)
+	}
+	masked := func(p []byte) []byte { c := slices.Clone(p); c[7] = 0; return c }
+	if bytes.Equal(masked(h), masked(h2)) {
+		t.Fatalf("the h and h+2 probes differ only in the hop limit:\n% x", h)
+	}
+
+	classify := func(p *hopProbe, raw []byte) bool {
+		r, ok := p.mod.ClassifyRaw(raw, p.validate)
+		return ok && r.ProbeDst == dst && r.Kind == xmap.KindTimeExceeded
+	}
+	for i, pair := range []struct {
+		own, other *hopProbe
+	}{{&det.first, &det.confirm}, {&det.confirm, &det.first}} {
+		accepted := 0
+		for _, raw := range rec.recvd[i] {
+			if !classify(pair.own, raw) {
+				continue
+			}
+			accepted++
+			if classify(pair.other, raw) {
+				t.Errorf("probe %d's Time Exceeded also validates for the other hop limit", i)
+			}
+		}
+		if accepted == 0 {
+			t.Errorf("probe %d drew no Time Exceeded its own classifier accepts", i)
+		}
+	}
+}
+
+// TestCheckAddrAllocs: the detector builds and classifies without
+// allocating. What remains is the simulator's, two per probe: the reply
+// buffer and Edge.Drain's slice.
+func TestCheckAddrAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	dep, det := fixture(t)
+	var safe *topo.Device
+	for _, d := range dep.ISPs[0].Devices {
+		if !d.Vulnerable() && d.CPE != nil && d.CPE.Delegated().Bits() > 0 {
+			safe = d
+			break
+		}
+	}
+	if safe == nil {
+		t.Fatal("fixture lacks a healthy CPE")
+	}
+	for _, tc := range []struct {
+		name   string
+		dst    ipv6.Addr
+		want   Verdict
+		probes float64
+	}{
+		{"unreachable", targetIn(safe.CPE.Delegated(), []byte("x")), VerdictUnreachable, 1},
+		{"loop", targetIn(loopingDevice(t, dep).CPE.Delegated(), []byte("x")), VerdictLoop, 2},
+	} {
+		var got Verdict
+		allocs := testing.AllocsPerRun(200, func() {
+			res, err := det.CheckAddr(tc.dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = res.Verdict
+		})
+		if got != tc.want {
+			t.Fatalf("%s: verdict %s, want %s", tc.name, got, tc.want)
+		}
+		if allocs > 2*tc.probes {
+			t.Errorf("%s: CheckAddr allocates %.1f times, want <= %.0f (2 per probe)", tc.name, allocs, 2*tc.probes)
+		}
+	}
+}

@@ -22,8 +22,15 @@ type EchoStack struct{}
 
 var _ LocalStack = EchoStack{}
 
-// HandleLocal implements LocalStack.
+// HandleLocal implements LocalStack. Tool traffic to a device without
+// services (TCP and UDP probes) is refused from two header bytes before
+// any parse: ParseIPv6 walks no extension headers, so only a packet
+// whose next header is ICMPv6 and whose first payload byte is Echo
+// Request can parse to one.
 func (EchoStack) HandleLocal(self ipv6.Addr, pkt []byte) [][]byte {
+	if len(pkt) <= wire.HeaderLen || pkt[6] != wire.ProtoICMPv6 || pkt[wire.HeaderLen] != wire.ICMPEchoRequest {
+		return nil
+	}
 	s, err := wire.ParsePacket(pkt)
 	if err != nil || s.ICMP == nil || s.ICMP.Type != wire.ICMPEchoRequest {
 		return nil

@@ -267,3 +267,40 @@ func TestValidationValueMatchesDerive(t *testing.T) {
 		}
 	}
 }
+
+// TestNewValidatorMatchesScanner: the exported validator, applied to a
+// sub-prefix base address, is the value a Scanner keyed by the same seed
+// gives every address of that sub-prefix — including under the default
+// seed an empty one stands for.
+func TestNewValidatorMatchesScanner(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, seed := range [][]byte{[]byte("loop"), nil} {
+		validate := NewValidator(seed)
+		for _, w := range []string{"2001:db8::/40-48", "2001:db8::/56-64", "2001:db8::/120-128"} {
+			win := ipv6.MustParseWindow(w)
+			s, err := New(Config{Window: win, Seed: seed}, &ChanDriver{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 256; i++ {
+				idx := uint128.From64(rng.Uint64() & 0xff)
+				sub, err := win.Sub(idx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				target, err := s.TargetFor(idx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				host := uint128.New(rng.Uint64(), rng.Uint64()).And(uint128.Max.Rsh(uint(win.To)))
+				want := validate(sub.Addr())
+				for _, dst := range []ipv6.Addr{sub.Addr(), target, ipv6.AddrFrom128(sub.Addr().Uint128().Or(host))} {
+					if got := s.Validation(dst); got != want {
+						t.Fatalf("seed %q %s: Validation(%s) = %08x, NewValidator(%s) = %08x",
+							seed, w, dst, got, sub.Addr(), want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
+
+	"repro/internal/ipv6"
 )
 
 // subPRF derives each sub-prefix's pseudo-random material — the host IID
@@ -70,4 +72,17 @@ func (p subPRF) derive(hi, lo uint64) (iidHi, iidLo uint64, val uint32) {
 // only this word, and pays for it once per reply.
 func (p subPRF) value(hi, lo uint64) uint32 {
 	return uint32(mix64(mix64(mix64(hi^p.k0)^lo^p.k1) + p.k0))
+}
+
+// NewValidator returns the scanner's validation PRF keyed by seed, taken
+// over the whole address: on a sub-prefix base address it returns what
+// Scanner.Validation returns, under the same seed, for every address in
+// that sub-prefix. Cooperating tools (the loop scanner) tag probes with
+// it and classify replies through the scanner's own probe modules.
+func NewValidator(seed []byte) Validator {
+	p := newSubPRF(seedOrDefault(seed))
+	return func(dst ipv6.Addr) uint32 {
+		u := dst.Uint128()
+		return p.value(u.Hi, u.Lo)
+	}
 }

@@ -352,12 +352,12 @@ func (s *Scanner) subDerive(sub ipv6.Addr) {
 	s.lastSub, s.haveSub = sub, true
 }
 
-// Validation derives the stateless validation value for dst, exposed so
-// cooperating tools (the loop scanner) can pre-compute expected values.
-// The value is bound to the sub-prefix containing dst (a scan probes one
-// address per sub, so this loses no discrimination) and comes from the
-// same keyed derivation that generates the target IID — one PRF call
-// covers the whole send path. Any other sub-prefix — nearly every reply
+// Validation derives the stateless validation value for dst
+// (NewValidator gives cooperating tools such as the loop scanner the
+// same PRF without a Scanner). The value is bound to the sub-prefix
+// containing dst (a scan probes one address per sub, so this loses no
+// discrimination) and comes from the same keyed derivation that
+// generates the target IID — one PRF call covers the whole send path. Any other sub-prefix — nearly every reply
 // the receive path validates — gets the value alone, and the cache stays
 // TargetFor's.
 func (s *Scanner) Validation(dst ipv6.Addr) uint32 {
