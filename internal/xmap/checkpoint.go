@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"time"
@@ -65,19 +66,55 @@ func ConfigDigest(cfg Config, shards int) [32]byte {
 	return out
 }
 
-// Checkpoint wire format: magic+version, digest, shard count, responder
-// list, shard states. Every variable-length field is bounded against the
-// remaining input before allocation, so a corrupt file errors instead of
-// exhausting memory. A shard state is its index, done flag, cursor, every
-// Stats counter in statsFields order, Elapsed, and the retry ring: the
-// file is O(unique responders), with no term in the window size. The
-// magic's low byte is the version; files of another version (1: fewer
-// counters, 2: a serialized dedup filter per shard) are refused, never
-// half-read.
+// Checkpoint file format: a 40-byte header — magic+version, digest,
+// shard count — then a log of records, each framed as
+//
+//	len u32 | crc32c(payload) u32 | payload
+//
+// A payload holds the responders new since the previous record (a count,
+// then 16 bytes each) and every shard's state (a count, then per state
+// its index, done flag, cursor, every Stats counter in statsFields
+// order, Elapsed, and the retry ring). A checkpoint is the union of its
+// records' responders with the last record's states: the file is
+// O(unique responders), with no term in the window size. Marshal emits
+// a one-record log (a snapshot); a running ScanParallel appends one
+// record per update and compacts by replacing the file with a snapshot.
+// Every variable-length field is bounded against the remaining input
+// before allocation, so a corrupt file errors instead of exhausting
+// memory. The magic's low byte is the version; files of another version
+// (1: fewer counters, 2: a serialized dedup filter per shard, 3: one
+// unframed snapshot) are refused, never half-read.
 const (
-	checkpointMagic  = 0x58435003 // "XCP" 0x03
+	checkpointMagic  = 0x58435004 // "XCP" 0x04
+	frameSize        = 4 + 4
 	maxStateBlobSize = 1 << 31
 )
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+func appendHeader(dst []byte, digest *[32]byte, shards int) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, checkpointMagic)
+	dst = append(dst, digest[:]...)
+	return binary.BigEndian.AppendUint32(dst, uint32(shards))
+}
+
+// appendRecord frames one log record listing resp and states, and
+// returns the extended buffer and the byte length of its state list.
+func appendRecord(dst []byte, resp []ipv6.Addr, states []ShardState) ([]byte, int) {
+	start := len(dst)
+	dst = append(dst, make([]byte, frameSize)...)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(resp)))
+	for _, a := range resp {
+		b := a.Bytes()
+		dst = append(dst, b[:]...)
+	}
+	mid := len(dst)
+	dst = appendStates(dst, states)
+	payload := dst[start+frameSize:]
+	binary.BigEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, castagnoli))
+	return dst, len(dst) - mid
+}
 
 func appendStats(dst []byte, s *Stats) []byte {
 	for _, f := range statsFields {
@@ -86,31 +123,28 @@ func appendStats(dst []byte, s *Stats) []byte {
 	return binary.BigEndian.AppendUint64(dst, uint64(s.Elapsed))
 }
 
-// Marshal serializes the checkpoint.
-func (c *Checkpoint) Marshal() []byte {
-	out := binary.BigEndian.AppendUint32(nil, checkpointMagic)
-	out = append(out, c.Digest[:]...)
-	out = binary.BigEndian.AppendUint32(out, uint32(c.Shards))
-	out = binary.BigEndian.AppendUint32(out, uint32(len(c.Responders)))
-	for _, a := range c.Responders {
-		b := a.Bytes()
-		out = append(out, b[:]...)
-	}
-	out = binary.BigEndian.AppendUint32(out, uint32(len(c.States)))
-	for i := range c.States {
-		st := &c.States[i]
-		out = binary.BigEndian.AppendUint32(out, uint32(st.Shard))
+func appendStates(dst []byte, states []ShardState) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(states)))
+	for i := range states {
+		st := &states[i]
+		dst = binary.BigEndian.AppendUint32(dst, uint32(st.Shard))
 		if st.Done {
-			out = append(out, 1)
+			dst = append(dst, 1)
 		} else {
-			out = append(out, 0)
+			dst = append(dst, 0)
 		}
-		out = binary.BigEndian.AppendUint64(out, st.Consumed.Hi)
-		out = binary.BigEndian.AppendUint64(out, st.Consumed.Lo)
-		out = appendStats(out, &st.Stats)
-		out = binary.BigEndian.AppendUint32(out, uint32(len(st.Retry)))
-		out = append(out, st.Retry...)
+		dst = binary.BigEndian.AppendUint64(dst, st.Consumed.Hi)
+		dst = binary.BigEndian.AppendUint64(dst, st.Consumed.Lo)
+		dst = appendStats(dst, &st.Stats)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(st.Retry)))
+		dst = append(dst, st.Retry...)
 	}
+	return dst
+}
+
+// Marshal serializes the checkpoint as a one-record log.
+func (c *Checkpoint) Marshal() []byte {
+	out, _ := appendRecord(appendHeader(nil, &c.Digest, c.Shards), c.Responders, c.States)
 	return out
 }
 
@@ -183,9 +217,18 @@ func (r *ckptReader) stats() (s Stats) {
 	return s
 }
 
-// UnmarshalCheckpoint decodes a checkpoint, rejecting malformed,
+// UnmarshalCheckpoint decodes a checkpoint log, rejecting malformed,
 // truncated or version-skewed input with an error (never a panic).
 func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
+	return decodeLog(data, false)
+}
+
+// decodeLog decodes the header and every record. With tornTail, a final
+// record cut short by the end of data — its frame runs past it, or ends
+// exactly at it with a bad CRC, as an interrupted append leaves it — is
+// dropped instead of refused; a bad record with bytes after it is still
+// corruption.
+func decodeLog(data []byte, tornTail bool) (*Checkpoint, error) {
 	r := &ckptReader{data: data}
 	switch magic := r.u32(); {
 	case r.err != nil:
@@ -198,20 +241,60 @@ func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
 	c := &Checkpoint{}
 	copy(c.Digest[:], r.take(32))
 	c.Shards = int(r.u32())
-	if r.err == nil && (c.Shards < 1 || c.Shards > 1<<16) {
+	if r.err != nil {
+		return nil, r.err
+	}
+	if c.Shards < 1 || c.Shards > 1<<16 {
 		return nil, fmt.Errorf("xmap: checkpoint: shard count %d out of range", c.Shards)
 	}
+	records := 0
+	for len(r.data) > 0 {
+		n := -1
+		if len(r.data) >= frameSize {
+			n = int(binary.BigEndian.Uint32(r.data))
+		}
+		if n < 0 || n > len(r.data)-frameSize {
+			if tornTail {
+				break
+			}
+			return nil, fmt.Errorf("xmap: checkpoint: record %d truncated: %d bytes left", records, len(r.data))
+		}
+		sum := binary.BigEndian.Uint32(r.data[4:])
+		payload := r.data[frameSize : frameSize+n]
+		r.data = r.data[frameSize+n:]
+		if crc32.Checksum(payload, castagnoli) != sum {
+			if tornTail && len(r.data) == 0 {
+				break
+			}
+			return nil, fmt.Errorf("xmap: checkpoint: record %d fails its CRC", records)
+		}
+		if err := c.decodeRecord(payload); err != nil {
+			return nil, fmt.Errorf("xmap: checkpoint: record %d: %w", records, err)
+		}
+		records++
+	}
+	if records == 0 {
+		return nil, fmt.Errorf("xmap: checkpoint: no complete record after the header")
+	}
+	return c, nil
+}
+
+// decodeRecord appends one record's responders to c and replaces c's
+// states with the record's.
+func (c *Checkpoint) decodeRecord(payload []byte) error {
+	r := &ckptReader{data: payload}
 	nResp := r.u32()
 	if r.err == nil && uint64(nResp)*16 > uint64(len(r.data)) {
-		return nil, fmt.Errorf("xmap: checkpoint: %d responders exceed remaining %d bytes", nResp, len(r.data))
+		return fmt.Errorf("%d responders exceed remaining %d bytes", nResp, len(r.data))
 	}
 	for i := uint32(0); i < nResp && r.err == nil; i++ {
 		c.Responders = append(c.Responders, ipv6.AddrFromBytes(r.take(16)))
 	}
 	nStates := r.u32()
 	if r.err == nil && int(nStates) > c.Shards {
-		return nil, fmt.Errorf("xmap: checkpoint: %d states for %d shards", nStates, c.Shards)
+		return fmt.Errorf("%d states for %d shards", nStates, c.Shards)
 	}
+	c.States = c.States[:0]
 	seen := map[int]bool{}
 	for i := uint32(0); i < nStates && r.err == nil; i++ {
 		st := ShardState{Shard: int(r.u32())}
@@ -223,21 +306,21 @@ func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
 			break
 		}
 		if st.Shard < 0 || st.Shard >= c.Shards {
-			return nil, fmt.Errorf("xmap: checkpoint: state for shard %d of %d", st.Shard, c.Shards)
+			return fmt.Errorf("state for shard %d of %d", st.Shard, c.Shards)
 		}
 		if seen[st.Shard] {
-			return nil, fmt.Errorf("xmap: checkpoint: duplicate state for shard %d", st.Shard)
+			return fmt.Errorf("duplicate state for shard %d", st.Shard)
 		}
 		seen[st.Shard] = true
 		c.States = append(c.States, st)
 	}
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if len(r.data) != 0 {
-		return nil, fmt.Errorf("xmap: checkpoint: %d trailing bytes", len(r.data))
+		return fmt.Errorf("%d trailing bytes", len(r.data))
 	}
-	return c, nil
+	return nil
 }
 
 // StateFor returns the state recorded for a shard index, if present.
@@ -250,17 +333,22 @@ func (c *Checkpoint) StateFor(shard int) (*ShardState, bool) {
 	return nil, false
 }
 
-// WriteFile atomically persists the checkpoint: the bytes land in a
-// temporary file in the same directory and replace path with a rename,
-// so a crash mid-write leaves the previous checkpoint intact.
+// WriteFile atomically persists the checkpoint as a one-record log:
+// the bytes land in a temporary file in the same directory and replace
+// path with a rename, so a crash mid-write leaves the previous
+// checkpoint intact.
 func (c *Checkpoint) WriteFile(path string) error {
+	return writeFileAtomic(path, c.Marshal())
+}
+
+func writeFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".ckpt-*")
 	if err != nil {
 		return fmt.Errorf("xmap: checkpoint write: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(c.Marshal()); err != nil {
+	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		return fmt.Errorf("xmap: checkpoint write: %w", err)
 	}
@@ -277,13 +365,16 @@ func (c *Checkpoint) WriteFile(path string) error {
 	return nil
 }
 
-// LoadCheckpoint reads and decodes a checkpoint file.
+// LoadCheckpoint reads and decodes a checkpoint file. Unlike
+// UnmarshalCheckpoint it tolerates a torn tail: a last record that an
+// interrupted append left incomplete is dropped, and the checkpoint is
+// the one the records before it describe.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return UnmarshalCheckpoint(data)
+	return decodeLog(data, true)
 }
 
 // Verify checks a checkpoint against the scan configuration it is about

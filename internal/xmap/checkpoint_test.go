@@ -2,7 +2,9 @@ package xmap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -96,7 +98,7 @@ func TestCheckpointStatsRoundTripProperty(t *testing.T) {
 // bytes per responder and, per shard, a fixed state plus its retry ring
 // — nothing that grows with the window.
 func TestCheckpointSizeLaw(t *testing.T) {
-	const header = 4 + 32 + 4 + 4 + 4 // magic, digest, shard count, two list counts
+	const header = 4 + 32 + 4 + 8 + 4 + 4 // magic, digest, shard count, record frame, two list counts
 	state := 4 + 1 + 16 + 8*(len(statsFields)+1) + 4
 	rng := rand.New(rand.NewSource(16))
 	for i := 0; i < 100; i++ {
@@ -121,7 +123,7 @@ func TestUnmarshalCheckpointRejectsMalformed(t *testing.T) {
 		"empty":      {},
 		"header":     good[:10],
 		"bad magic":  append([]byte{0xde, 0xad, 0xbe, 0xef}, good[4:]...),
-		"version up": append([]byte{0x58, 0x43, 0x50, 0x04}, good[4:]...),
+		"version up": append([]byte{0x58, 0x43, 0x50, 0x05}, good[4:]...),
 		"trailing":   append(append([]byte{}, good...), 1, 2, 3),
 	}
 	// Every truncation point must error, never panic.
@@ -135,9 +137,9 @@ func TestUnmarshalCheckpointRejectsMalformed(t *testing.T) {
 			t.Errorf("%s input accepted", name)
 		}
 	}
-	// Version 1 and 2 files are refused by name, whatever follows the
+	// Version 1, 2 and 3 files are refused by name, whatever follows the
 	// magic — never half-read, never misreported as truncated.
-	for _, v := range []byte{1, 2} {
+	for _, v := range []byte{1, 2, 3} {
 		for _, tail := range [][]byte{good[4:], nil} {
 			_, err := UnmarshalCheckpoint(append([]byte{0x58, 0x43, 0x50, v}, tail...))
 			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unsupported checkpoint version %d", v)) ||
@@ -146,11 +148,22 @@ func TestUnmarshalCheckpointRejectsMalformed(t *testing.T) {
 			}
 		}
 	}
-	// Absurd counts must not allocate: claim 2^32-1 responders.
-	huge := append([]byte{}, good[:40]...)
+	// Absurd counts must not allocate: claim a 2^32-1 byte record, and
+	// 2^32-1 responders inside a record whose CRC holds.
+	huge := append([]byte{}, good[:40]...) // the header
 	huge = append(huge, 0xff, 0xff, 0xff, 0xff)
 	if _, err := UnmarshalCheckpoint(huge); err == nil {
+		t.Error("absurd record length accepted")
+	}
+	payload := []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}
+	huge = binary.BigEndian.AppendUint32(append([]byte{}, good[:40]...), uint32(len(payload)))
+	huge = binary.BigEndian.AppendUint32(huge, crc32.Checksum(payload, castagnoli))
+	if _, err := UnmarshalCheckpoint(append(huge, payload...)); err == nil {
 		t.Error("absurd responder count accepted")
+	}
+	// A header alone lists nothing: no complete record, no checkpoint.
+	if _, err := UnmarshalCheckpoint(good[:40]); err == nil {
+		t.Error("record-less log accepted")
 	}
 	// Duplicate shard states.
 	dup := sampleCheckpoint()
@@ -257,6 +270,9 @@ func FuzzUnmarshalCheckpoint(f *testing.F) {
 	f.Add(append([]byte{0x58, 0x43, 0x50, 0x02}, good[4:]...)) // v2 magic
 	f.Add(good[:len(good)-5*8-9])                              // cut inside the stats block
 	f.Add((&Checkpoint{Shards: 1, States: []ShardState{{Done: true}}}).Marshal())
+	multi, _ := sampleLog()
+	f.Add(multi)
+	f.Add(multi[:len(multi)-11]) // torn inside the last record
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := UnmarshalCheckpoint(data)
 		if err != nil {
@@ -270,4 +286,131 @@ func FuzzUnmarshalCheckpoint(f *testing.F) {
 			t.Fatal("re-marshal is not stable")
 		}
 	})
+}
+
+// sampleLog is sampleCheckpoint as a three-record log, as a running
+// scan appends it: each record lists the responders new since the one
+// before and every shard state. ends holds each record's end offset.
+func sampleLog() (data []byte, ends []int) {
+	c := sampleCheckpoint()
+	extra := []ipv6.Addr{ipv6.MustParseAddr("2001:db8::77"), ipv6.MustParseAddr("2001:db8::78")}
+	data = appendHeader(nil, &c.Digest, c.Shards)
+	for i, resp := range [][]ipv6.Addr{c.Responders, extra[:1], extra[1:]} {
+		states := append([]ShardState(nil), c.States...)
+		states[0].Stats.Targets += uint64(100 * i)
+		if i == 2 {
+			states = append(states, ShardState{Shard: 1, Consumed: uint128.New(0, 5)})
+		}
+		data, _ = appendRecord(data, resp, states)
+		ends = append(ends, len(data))
+	}
+	return data, ends
+}
+
+// loadBytes writes data to a file and loads it back with LoadCheckpoint.
+func loadBytes(t *testing.T, data []byte) (*Checkpoint, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "scan.ckpt")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return LoadCheckpoint(path)
+}
+
+// TestCheckpointLogTornTail: an append interrupted at any byte leaves a
+// file LoadCheckpoint reads as exactly the record before it — its
+// responders and states — while UnmarshalCheckpoint still refuses the
+// torn bytes. A CRC failure before the last record is corruption.
+func TestCheckpointLogTornTail(t *testing.T) {
+	data, ends := sampleLog()
+	want := func(records int) *Checkpoint {
+		c, err := UnmarshalCheckpoint(data[:ends[records-1]])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	same := func(got, want *Checkpoint) bool {
+		if got == nil || got.Shards != want.Shards || got.Digest != want.Digest ||
+			len(got.Responders) != len(want.Responders) || len(got.States) != len(want.States) {
+			return false
+		}
+		return bytes.Equal(got.Marshal(), want.Marshal())
+	}
+	full, prev := want(3), want(2)
+	if len(full.Responders) != 4 || len(prev.Responders) != 3 || len(full.States) != 3 || len(prev.States) != 2 {
+		t.Fatalf("sample log decodes to %d/%d responders, %d/%d states", len(full.Responders), len(prev.Responders), len(full.States), len(prev.States))
+	}
+	if got, err := loadBytes(t, data); err != nil || !same(got, full) {
+		t.Fatalf("whole log: %+v, %v", got, err)
+	}
+	for cut := ends[1]; cut < ends[2]; cut++ {
+		got, err := loadBytes(t, data[:cut])
+		if err != nil || !same(got, prev) {
+			t.Fatalf("torn at %d of %d: %+v, %v; want the previous record's checkpoint", cut, ends[2], got, err)
+		}
+		if cut > ends[1] {
+			if _, err := UnmarshalCheckpoint(data[:cut]); err == nil {
+				t.Fatalf("UnmarshalCheckpoint accepted a log torn at %d", cut)
+			}
+		}
+	}
+	// A last record that reaches EOF with a bad CRC is a torn append too.
+	flipped := append([]byte{}, data...)
+	flipped[len(flipped)-1] ^= 1
+	if got, err := loadBytes(t, flipped); err != nil || !same(got, prev) {
+		t.Errorf("bad CRC on the last record: %+v, %v; want it dropped", got, err)
+	}
+	if _, err := UnmarshalCheckpoint(flipped); err == nil {
+		t.Error("UnmarshalCheckpoint accepted a bad CRC")
+	}
+	// The same flip in a middle record has bytes after it: corruption.
+	flipped = append([]byte{}, data...)
+	flipped[ends[1]-1] ^= 1
+	if _, err := loadBytes(t, flipped); err == nil || !strings.Contains(err.Error(), "CRC") {
+		t.Errorf("bad CRC on a middle record: err = %v, want a CRC error", err)
+	}
+}
+
+// TestCheckpointAppendAllocs: once the log is open, an update that
+// appends a record — a new responder and every shard state — allocates
+// nothing; the encoding buffer and the responder order are reused.
+func TestCheckpointAppendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	seen := &seenSet{m: make(map[ipv6.Addr]struct{}, 1024), order: make([]ipv6.Addr, 0, 1024), logOrder: true}
+	c := &checkpointer{
+		path: filepath.Join(t.TempDir(), "scan.ckpt"),
+		ck:   Checkpoint{Shards: 2},
+		seen: seen,
+	}
+	st := sampleCheckpoint().States[0]
+	c.update(st) // the run's first write: a snapshot opens the log
+	if c.err != nil || c.f == nil {
+		t.Fatalf("first write: %v", c.err)
+	}
+	defer c.close()
+	next := uint64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		next++
+		seen.add(ipv6.AddrFrom128(uint128.New(0x20010db8<<32, next)))
+		st.Shard = int(next % 2)
+		st.Stats.Targets = next
+		c.superseded = 0 // stay on the append path
+		c.update(st)
+	})
+	if c.err != nil {
+		t.Fatal(c.err)
+	}
+	if allocs != 0 {
+		t.Errorf("steady-state append allocated %.1f times per update, want 0", allocs)
+	}
+	got, err := LoadCheckpoint(c.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Responders) != int(next) || len(got.States) != 2 {
+		t.Errorf("log lists %d responders and %d states after %d appends", len(got.Responders), len(got.States), next)
+	}
 }

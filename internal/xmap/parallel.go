@@ -3,6 +3,7 @@ package xmap
 import (
 	"context"
 	"fmt"
+	"os"
 	"sync"
 
 	"repro/internal/ipv6"
@@ -16,53 +17,122 @@ import (
 // call has not returned. Traffic is light: each shard's own dedup
 // absorbs repeats first, so a responder arrives at most once per shard.
 type seenSet struct {
-	mu   sync.Mutex
-	m    map[ipv6.Addr]struct{}
-	dups uint64
+	mu sync.Mutex
+	m  map[ipv6.Addr]struct{}
+	// order lists m's members in insertion order when a checkpointer
+	// exists (logOrder), so each update finds its new responders as a
+	// suffix instead of walking the map.
+	order    []ipv6.Addr
+	logOrder bool
+	dups     uint64
 }
 
+func (s *seenSet) add(a ipv6.Addr) {
+	s.m[a] = struct{}{}
+	if s.logOrder {
+		s.order = append(s.order, a)
+	}
+}
+
+// compactBudget bounds the superseded shard-state bytes a checkpoint
+// log may carry: an update whose states would take them past it
+// replaces the file with a snapshot instead of appending.
+const compactBudget = 2 << 10
+
 // checkpointer assembles per-shard states and the responder set into the
-// file behind Config.CheckpointPath, rewriting it on every update.
+// log file behind Config.CheckpointPath. Its first write in a run, and
+// every write that would pass compactBudget, replaces the file with a
+// snapshot; every other update appends one fsync'd record holding the
+// responders new since the last record and every shard state.
 type checkpointer struct {
-	mu   sync.Mutex // serializes writes, so a later snapshot is never replaced by an earlier one
+	mu   sync.Mutex // serializes writes, so records land in update order
 	path string
-	ck   Checkpoint // Responders is refilled per write
+	ck   Checkpoint // States only; responders come from seen.order
 	seen *seenSet
 	// before is Config.BeforeCheckpoint: what the handler buffered is
 	// drained before the file may list it.
-	before func() error
-	err    error // first write failure
+	before     func() error
+	f          *os.File // the log, open for appending; nil until a snapshot
+	logged     int      // prefix of seen.order the file lists
+	superseded int      // state bytes appended since the last snapshot
+	buf        []byte   // reused encoding buffer
+	err        error    // first write failure
 }
 
-// write persists the recorded states with a fresh responder snapshot.
-// Drain and snapshot share one hold of the handler's lock, so the file
-// lists exactly the responders whose output has been drained.
+// write persists the recorded states and the responders new since the
+// last write. Drain and listing share one hold of the handler's lock,
+// so the file lists exactly the responders whose output has been
+// drained.
 func (c *checkpointer) write() {
-	err := c.snapshot()
+	order, err := c.drain()
 	if err == nil {
-		err = c.ck.WriteFile(c.path)
+		err = c.persist(order)
 	}
 	if err != nil && c.err == nil {
 		c.err = err
 	}
 }
 
-func (c *checkpointer) snapshot() error {
+// drain runs BeforeCheckpoint and returns the responder list as of it.
+// Only appends follow, so the returned prefix stays valid unlocked.
+func (c *checkpointer) drain() ([]ipv6.Addr, error) {
 	c.seen.mu.Lock()
 	defer c.seen.mu.Unlock()
 	if c.before != nil {
 		if err := c.before(); err != nil {
-			return fmt.Errorf("xmap: before checkpoint: %w", err)
+			return nil, fmt.Errorf("xmap: before checkpoint: %w", err)
 		}
 	}
-	c.ck.Responders = c.ck.Responders[:0]
-	for a := range c.seen.m {
-		c.ck.Responders = append(c.ck.Responders, a)
+	return c.seen.order, nil
+}
+
+// persist appends a record listing order[c.logged:], or compacts.
+func (c *checkpointer) persist(order []ipv6.Addr) error {
+	if c.f != nil {
+		var stateBytes int
+		c.buf, stateBytes = appendRecord(c.buf[:0], order[c.logged:], c.ck.States)
+		if c.superseded+stateBytes <= compactBudget {
+			_, err := c.f.Write(c.buf)
+			if err == nil {
+				err = c.f.Sync()
+			}
+			if err != nil {
+				// A torn record must not have a successor: the next
+				// write starts a fresh snapshot.
+				c.close()
+				return fmt.Errorf("xmap: checkpoint append: %w", err)
+			}
+			c.logged = len(order)
+			c.superseded += stateBytes
+			return nil
+		}
+		c.close()
 	}
+	c.buf = appendHeader(c.buf[:0], &c.ck.Digest, c.ck.Shards)
+	c.buf, _ = appendRecord(c.buf, order, c.ck.States)
+	if err := writeFileAtomic(c.path, c.buf); err != nil {
+		return err
+	}
+	f, err := os.OpenFile(c.path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		return fmt.Errorf("xmap: checkpoint open: %w", err)
+	}
+	c.f, c.logged, c.superseded = f, len(order), 0
 	return nil
 }
 
-// update records one shard's state and rewrites the file.
+// close releases the append handle; the next write snapshots.
+func (c *checkpointer) close() {
+	if c.f == nil {
+		return
+	}
+	if err := c.f.Close(); err != nil && c.err == nil {
+		c.err = fmt.Errorf("xmap: checkpoint close: %w", err)
+	}
+	c.f = nil
+}
+
+// update records one shard's state and persists it.
 func (c *checkpointer) update(st ShardState) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -88,8 +158,8 @@ func (c *checkpointer) update(st ShardState) {
 // (a responder first seen by another shard).
 //
 // With Config.CheckpointPath set, every shard's periodic and exit
-// checkpoint states are assembled into one file (atomically replaced on
-// each update) together with the cross-shard responder set, after
+// checkpoint states are assembled into one log file (see checkpointer)
+// together with the cross-shard responder set, after
 // Config.BeforeCheckpoint has drained the handler's output. With
 // Config.ResumeFrom set, each shard's scanner resumes from the
 // checkpoint (see New), and the handler is never re-invoked for
@@ -118,7 +188,7 @@ func ScanParallel(ctx context.Context, cfg Config, drv Driver, shards int, handl
 			seen.dups++
 			return
 		}
-		seen.m[r.Responder] = struct{}{}
+		seen.add(r.Responder)
 		if handler != nil {
 			handler(r)
 		}
@@ -131,6 +201,7 @@ func ScanParallel(ctx context.Context, cfg Config, drv Driver, shards int, handl
 			seen:   seen,
 			before: cfg.BeforeCheckpoint,
 		}
+		seen.logOrder = true
 	}
 	if ck := cfg.ResumeFrom; ck != nil {
 		// Responders the interrupted scan reported are never re-emitted
@@ -138,7 +209,9 @@ func ScanParallel(ctx context.Context, cfg Config, drv Driver, shards int, handl
 		// for shards that finish before their first fresh checkpoint (or
 		// were already done).
 		for _, a := range ck.Responders {
-			seen.m[a] = struct{}{}
+			if _, ok := seen.m[a]; !ok {
+				seen.add(a)
+			}
 		}
 		if ckpt != nil {
 			ckpt.ck.States = append(ckpt.ck.States, ck.States...)
@@ -218,9 +291,10 @@ func ScanParallel(ctx context.Context, cfg Config, drv Driver, shards int, handl
 	total.Unique = uint64(len(seen.m))
 	total.Duplicates += seen.dups
 	if ckpt != nil {
-		// Rewrite once more so the file's responder set includes every
+		// Write once more so the file's responder set includes every
 		// shard's final emissions, and surface any write failure.
 		ckpt.write()
+		ckpt.close()
 		if firstErr == nil {
 			firstErr = ckpt.err
 		}

@@ -471,3 +471,174 @@ func TestResumeValidation(t *testing.T) {
 		t.Error("corrupt retry state accepted")
 	}
 }
+
+// TestCheckpointLogBounded: a ScanParallel checkpointing every few
+// targets keeps its log within 16 bytes per responder plus 4 KiB after
+// every update — compaction caps the superseded shard states — and
+// takes both paths: appends to the open file and snapshot replacements.
+func TestCheckpointLogBounded(t *testing.T) {
+	const shards = 2
+	f := buildFixture(t)
+	path := filepath.Join(t.TempDir(), "scan.ckpt")
+	var (
+		mu                         sync.Mutex
+		emitted                    int
+		last                       os.FileInfo
+		updates, appends, replaces int
+	)
+	cfg := Config{
+		Window: window(t, f), Seed: []byte("bounded-log"),
+		CheckpointEvery: 4,
+		CheckpointPath:  path,
+		OnCheckpoint: func(ShardState) {
+			mu.Lock()
+			defer mu.Unlock()
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			updates++
+			if limit := int64(16*emitted + 4096); fi.Size() > limit {
+				t.Errorf("update %d: log is %d bytes for %d responders, want <= %d", updates, fi.Size(), emitted, limit)
+			}
+			if last != nil {
+				if os.SameFile(last, fi) {
+					appends++
+				} else {
+					replaces++
+				}
+			}
+			last = fi
+		},
+	}
+	_, err := ScanParallel(context.Background(), cfg, f.drv, shards, func(Response) {
+		mu.Lock()
+		emitted++
+		mu.Unlock()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if updates < 256/4 || appends == 0 || replaces == 0 {
+		t.Errorf("%d updates: %d appended, %d replaced the file; want both", updates, appends, replaces)
+	}
+	ck, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ck.Responders) != emitted || len(ck.States) != shards {
+		t.Errorf("final log: %d responders, %d states; handler saw %d", len(ck.Responders), len(ck.States), emitted)
+	}
+}
+
+// TestResumeFirstWriteReplacesFile: a resumed run never appends to the
+// file it resumed from. Until its first write that file is untouched and
+// loads as it was; the first write replaces it by rename.
+func TestResumeFirstWriteReplacesFile(t *testing.T) {
+	f := buildFixture(t)
+	path := filepath.Join(t.TempDir(), "scan.ckpt")
+	cfg := Config{
+		Window: window(t, f), Seed: []byte("resume-replace"),
+		MaxTargets: 40, CheckpointEvery: 8, CheckpointPath: path,
+	}
+	if _, err := ScanParallel(context.Background(), cfg, f.drv, 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldInfo, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var drained, writes int
+	cfg.MaxTargets = 0
+	cfg.ResumeFrom = ck
+	// The first drain precedes the first write: writes are serialised.
+	cfg.BeforeCheckpoint = func() error {
+		if drained++; drained > 1 {
+			return nil
+		}
+		if data, err := os.ReadFile(path); err != nil || !bytes.Equal(data, old) {
+			t.Errorf("the resumed-from file changed before the first write (read error %v)", err)
+		}
+		if _, err := LoadCheckpoint(path); err != nil {
+			t.Errorf("the resumed-from file no longer loads: %v", err)
+		}
+		return nil
+	}
+	cfg.OnCheckpoint = func(ShardState) {
+		if writes++; writes > 1 {
+			return
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if os.SameFile(oldInfo, fi) {
+			t.Error("the resumed run's first write reused the old file instead of renaming a snapshot over it")
+		}
+	}
+	// Both shards' goroutines run the hooks above: serialise them.
+	var mu sync.Mutex
+	before, on := cfg.BeforeCheckpoint, cfg.OnCheckpoint
+	cfg.BeforeCheckpoint = func() error { mu.Lock(); defer mu.Unlock(); return before() }
+	cfg.OnCheckpoint = func(st ShardState) { mu.Lock(); defer mu.Unlock(); on(st) }
+	if _, err := ScanParallel(context.Background(), cfg, f.drv, 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	if writes == 0 {
+		t.Fatal("the resumed run wrote no checkpoint")
+	}
+}
+
+// TestScanParallelClosesCheckpointLog: the append handle is closed on
+// every return path — completion, cancellation, a refused resume and a
+// failing BeforeCheckpoint.
+func TestScanParallelClosesCheckpointLog(t *testing.T) {
+	openFDs := func() int {
+		entries, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("no /proc/self/fd: %v", err)
+		}
+		return len(entries)
+	}
+	openFDs()
+	f := buildFixture(t)
+	base := func() Config {
+		return Config{
+			Window: window(t, f), Seed: []byte("close-log"),
+			CheckpointEvery: 16, CheckpointPath: filepath.Join(t.TempDir(), "scan.ckpt"),
+		}
+	}
+	cancelled := base()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cancelled.OnCheckpoint = func(ShardState) { cancel() }
+	skewed := base()
+	skewed.ResumeFrom = &Checkpoint{Digest: ConfigDigest(skewed, 3), Shards: 3}
+	failing := base()
+	failing.BeforeCheckpoint = func() error { return errors.New("disk full") }
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		cfg  Config
+	}{
+		{"complete", context.Background(), base()},
+		{"cancelled", ctx, cancelled},
+		{"refused-resume", context.Background(), skewed},
+		{"before-fails", context.Background(), failing},
+	} {
+		before := openFDs()
+		ScanParallel(tc.ctx, tc.cfg, f.drv, 2, nil)
+		if after := openFDs(); after != before {
+			t.Errorf("%s: %d open descriptors before the scan, %d after", tc.name, before, after)
+		}
+	}
+}

@@ -76,7 +76,8 @@ type Config struct {
 	// per CheckpointEvery, and at every exit including cancellation.
 	OnCheckpoint func(ShardState)
 	// CheckpointPath, under ScanParallel, persists the assembled scan
-	// checkpoint to this file (atomic replace) on every shard update.
+	// checkpoint to this file on every shard update: an appended record,
+	// or a snapshot replacing the file by rename (see checkpointer).
 	CheckpointPath string
 	// BeforeCheckpoint, when set, runs before every write of the
 	// CheckpointPath file, under the lock the handler runs under: every

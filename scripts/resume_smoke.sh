@@ -72,10 +72,23 @@ kill_and_resume() {
 kill_and_resume 1 2048
 kill_and_resume 2 1024
 
-# listed <checkpoint>: how many responders the file lists (big-endian
-# count behind the magic, the 32-byte digest and the shard count).
+# listed <checkpoint>: how many responders the file lists. After the
+# 40-byte header (magic, digest, shard count) come records framed as
+# big-endian length, CRC and payload, whose first four bytes count the
+# responders new in it: sum them over the complete records. A torn last
+# record lists nothing.
 listed() {
-    od -An -tu1 -j40 -N4 "$1" 2>/dev/null | awk '{ print (($1 * 256 + $2) * 256 + $3) * 256 + $4 }'
+    od -An -v -tu1 -j40 "$1" 2>/dev/null | awk '
+        { for (i = 1; i <= NF; i++) b[n++] = $i }
+        END {
+            sum = 0
+            for (p = 0; p + 12 <= n; p += 8 + len) {
+                len = ((b[p] * 256 + b[p + 1]) * 256 + b[p + 2]) * 256 + b[p + 3]
+                if (p + 8 + len > n) break
+                sum += ((b[p + 8] * 256 + b[p + 9]) * 256 + b[p + 10]) * 256 + b[p + 11]
+            }
+            print sum
+        }'
 }
 
 hard_kill_and_resume() {
