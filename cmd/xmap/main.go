@@ -6,8 +6,10 @@
 // Usage:
 //
 //	xmap -isp 13 -width 12 -scale 0.001 [-probe icmp|tcp:80|dns|ntp]
-//	     [-shards 4 -shard 1] [-output csv|json] [-rate 100000]
-//	xmap -window 2401::/48-64 ...   (scan an explicit window)
+//	     [-shards 4 -shard 1] [-parallel 2] [-checkpoint f [-resume]]
+//	     [-output csv|json] [-rate 100000]
+//	xmap -window 2401::/48-64 ...       (scan an explicit window)
+//	xmap -v4window 192.168.0.0/20-28 ...  (a NAT'd IPv4 neighborhood)
 package main
 
 import (
@@ -84,41 +86,33 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *resumeF && *ckptF == "" {
+		return fmt.Errorf("-resume needs -checkpoint to name the file")
+	}
 
-	// IPv4 mode scans a small simulated NAT deployment instead of the
-	// Table I ISPs.
+	// Every mode is one scan of one window through one simulated driver:
+	// a Table I ISP's window (or -window) in the generated deployment, or
+	// with -v4window a small NAT'd IPv4 neighborhood.
+	var (
+		window  ipv6.Window
+		drv     *xmap.SimDriver
+		seedFmt = "xmap-cli-%d"
+		err     error
+	)
 	if *v4F != "" {
 		if *probeF == "icmp" {
 			*probeF = "icmp4"
 		}
-		return runV4(*v4F, *probeF, *seed, *shards, *shard, *rate, *maxTgt, *outputF, *filterF, *metaF, *quiet, stdout, stderr)
+		window, drv, err = buildV4(*v4F, *seed)
+		seedFmt = "xmap-cli-v4-%d"
+	} else {
+		window, drv, err = buildV6(topo.Config{
+			Seed: *seed, Scale: *scale, WindowWidth: *width, MaxDevicesPerISP: *maxDev,
+			FastPath: fastF,
+		}, *windowF, *ispIndex)
 	}
-
-	dep, err := topo.Build(topo.Config{
-		Seed: *seed, Scale: *scale, WindowWidth: *width, MaxDevicesPerISP: *maxDev,
-		FastPath: fastF,
-	})
 	if err != nil {
 		return err
-	}
-
-	var window ipv6.Window
-	if *windowF != "" {
-		window, err = ipv6.ParseWindow(*windowF)
-		if err != nil {
-			return err
-		}
-	} else {
-		found := false
-		for _, isp := range dep.ISPs {
-			if isp.Spec.Index == *ispIndex {
-				window, found = isp.Window, true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("unknown ISP index %d", *ispIndex)
-		}
 	}
 
 	probe, err := parseProbe(*probeF)
@@ -163,7 +157,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	cfg := xmap.Config{
 		Window:          window,
 		Probe:           probe,
-		Seed:            []byte(fmt.Sprintf("xmap-cli-%d", *seed)),
+		Seed:            []byte(fmt.Sprintf(seedFmt, *seed)),
 		Shards:          *shards,
 		ShardIndex:      *shard,
 		Rate:            *rate,
@@ -176,7 +170,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		RingSize:        *ringSize,
 		Defend:          *defend,
 	}
-	drv := xmap.NewSimDriver(dep.Engine, dep.Edge)
+	// Telemetry shards, trace streams and watchdog slots are one per
+	// worker of the run.
+	workers := max(*parallel, 1)
 
 	// Probe-lifecycle tracing attaches only when asked for; the sampler
 	// is keyed by the scan seed, so the traced target set — and the
@@ -187,25 +183,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if shift < 0 {
 			shift = 10 // -trace-out alone: a 1/1024 default
 		}
-		scanStreams := *parallel
-		if scanStreams < 1 {
-			scanStreams = 1
-		}
 		tracer = telemetry.NewTracer(telemetry.TracerOptions{
 			Seed:        cfg.Seed,
 			SampleShift: shift,
-			ScanStreams: scanStreams,
+			ScanStreams: workers,
 			SimStreams:  1,
 		})
 		cfg.Tracer = tracer
 		drv.RegisterTracer(tracer)
 	}
 	if *watchF {
-		wdShards := *parallel
-		if wdShards < 1 {
-			wdShards = 1
-		}
-		wd := telemetry.NewWatchdog(wdShards, 8, tracer)
+		wd := telemetry.NewWatchdog(workers, 8, tracer)
 		cfg.Watchdog = wd
 		wdStop := make(chan struct{})
 		defer close(wdStop)
@@ -230,13 +218,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// Telemetry attaches only when an observability flag asks for it; a
 	// bare scan keeps the zero-cost detached path.
 	var reg *telemetry.Registry
-	var mon *telemetry.Monitor
 	if *monitorN > 0 || *statusF != "" || *listenF != "" {
-		regShards := *parallel
-		if regShards < 1 {
-			regShards = 1
-		}
-		reg = telemetry.New(telemetry.Options{Shards: regShards})
+		reg = telemetry.New(telemetry.Options{Shards: workers})
 		drv.RegisterTelemetry(reg)
 		reg.AttachTracer(tracer)
 		cfg.Telemetry = reg
@@ -256,13 +239,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}()
 	}
 	if *monitorN > 0 {
-		mon = telemetry.NewMonitor(reg, stderr, *monitorN)
-		if *maxTgt > 0 {
-			mon.SetTotal(*maxTgt)
-		} else if size, ok := window.Size(); ok && size.Hi == 0 {
-			mon.SetTotal(size.Lo)
-		}
-		cfg.Monitor = mon
+		// The scan sets the total: it knows its own budget.
+		cfg.Monitor = telemetry.NewMonitor(reg, stderr, *monitorN)
 	}
 	if *listenF != "" {
 		srv, addr, lerr := reg.Serve(*listenF)
@@ -285,42 +263,21 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	var (
-		stats   xmap.Stats
-		scanner *xmap.Scanner
-	)
-	if *ckptF == "" && !*resumeF && *parallel <= 1 {
-		// Distributed single-shard mode: -shards/-shard pick one slice of
-		// the permutation, exactly as before.
-		scanner, err = xmap.New(cfg, drv)
-		if err != nil {
-			return err
-		}
-		stats, err = scanner.Run(ctx, handler)
-	} else {
-		// Crash-safe and/or multi-shard-in-process mode via ScanParallel.
-		if *shards != 1 || *shard != 0 {
-			return fmt.Errorf("-shards/-shard cannot combine with -parallel/-checkpoint; use -parallel for local sharding")
-		}
-		if *resumeF && *ckptF == "" {
-			return fmt.Errorf("-resume needs -checkpoint to name the file")
-		}
+	if *ckptF != "" {
 		cfg.CheckpointPath = *ckptF
-		if *ckptF != "" {
-			cfg.CheckpointEvery = *ckptN
-			// Rows reach stdout before the file lists their responders:
-			// a resume suppresses exactly what a kill -9 cannot have lost.
-			cfg.BeforeCheckpoint = out.Flush
-		}
-		if *resumeF {
-			ck, lerr := xmap.LoadCheckpoint(*ckptF)
-			if lerr != nil {
-				return fmt.Errorf("loading checkpoint: %w", lerr)
-			}
-			cfg.ResumeFrom = ck
-		}
-		stats, err = xmap.ScanParallel(ctx, cfg, drv, *parallel, handler)
+		cfg.CheckpointEvery = *ckptN
+		// Rows reach stdout before the file lists their responders:
+		// a resume suppresses exactly what a kill -9 cannot have lost.
+		cfg.BeforeCheckpoint = out.Flush
 	}
+	if *resumeF {
+		ck, err := xmap.LoadCheckpoint(*ckptF)
+		if err != nil {
+			return fmt.Errorf("loading checkpoint: %w", err)
+		}
+		cfg.ResumeFrom = ck
+	}
+	stats, err := xmap.ScanParallel(ctx, cfg, drv, workers, handler)
 	if errors.Is(err, context.Canceled) && *ckptF != "" {
 		fmt.Fprintf(stderr, "xmap: interrupted; resumable checkpoint written to %s (resume with -resume)\n", *ckptF)
 		err = nil
@@ -334,7 +291,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := out.Flush(); err != nil {
 		return err
 	}
-	mon.Final()
+	cfg.Monitor.Final()
 	if *statusF != "" {
 		if err := writeSink(*statusF, stderr, reg.WriteJSON); err != nil {
 			return fmt.Errorf("writing status JSON: %w", err)
@@ -366,19 +323,32 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	if *metaF != "" {
-		if scanner == nil {
-			// ScanParallel path: build an equivalent scanner for metadata.
-			scanner, err = xmap.New(cfg, drv)
-			if err != nil {
-				return err
-			}
-		}
-		md := scanner.BuildMetadata(stats, time.Now())
+		md := xmap.NewMetadata(cfg, stats, time.Now())
 		if err := writeSink(*metaF, stderr, md.WriteJSON); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// buildV6 builds the Table I deployment and picks the window to scan:
+// spec if given, else the window of the ISP with the given index.
+func buildV6(cfg topo.Config, spec string, ispIndex int) (ipv6.Window, *xmap.SimDriver, error) {
+	dep, err := topo.Build(cfg)
+	if err != nil {
+		return ipv6.Window{}, nil, err
+	}
+	drv := xmap.NewSimDriver(dep.Engine, dep.Edge)
+	if spec != "" {
+		window, err := ipv6.ParseWindow(spec)
+		return window, drv, err
+	}
+	for _, isp := range dep.ISPs {
+		if isp.Spec.Index == ispIndex {
+			return isp.Window, drv, nil
+		}
+	}
+	return ipv6.Window{}, nil, fmt.Errorf("unknown ISP index %d", ispIndex)
 }
 
 // writeSink runs write against the named file ("-" means fallback,
@@ -418,16 +388,12 @@ func parseProbe(s string) (xmap.ProbeModule, error) {
 	return nil, fmt.Errorf("unknown probe module %q", s)
 }
 
-// runV4 builds a NAT'd IPv4 neighborhood inside the requested window and
-// scans it — the Section II contrast, driveable from the CLI.
-func runV4(windowSpec, probeF string, seed int64, shards, shard, rate int, maxTgt uint64, outputF, filterF, metaF string, quiet bool, stdout, stderr io.Writer) error {
-	window, err := xmap.ParseV4Window(windowSpec)
+// buildV4 builds a NAT'd IPv4 neighborhood inside the requested window
+// — the Section II contrast, driveable from the CLI.
+func buildV4(spec string, seed int64) (ipv6.Window, *xmap.SimDriver, error) {
+	window, err := xmap.ParseV4Window(spec)
 	if err != nil {
-		return err
-	}
-	probe, err := parseProbe(probeF)
-	if err != nil {
-		return err
+		return ipv6.Window{}, nil, err
 	}
 
 	eng := netsim.New(seed)
@@ -457,57 +423,5 @@ func runV4(windowSpec, probeF string, seed int64, shards, shard, rate int, maxTg
 		isp.AddRoute4(public, 32, down)
 	}
 
-	var out xmap.OutputModule
-	switch outputF {
-	case "csv":
-		out, err = xmap.NewCSVOutput(stdout)
-		if err != nil {
-			return err
-		}
-	case "json":
-		out = xmap.NewJSONOutput(stdout)
-	default:
-		return fmt.Errorf("unknown output module %q", outputF)
-	}
-	if filterF != "" {
-		out, err = xmap.NewFilteredOutput(filterF, out)
-		if err != nil {
-			return err
-		}
-	}
-
-	scanner, err := xmap.New(xmap.Config{
-		Window: window, Probe: probe,
-		Seed:   []byte(fmt.Sprintf("xmap-cli-v4-%d", seed)),
-		Shards: shards, ShardIndex: shard,
-		Rate: rate, MaxTargets: maxTgt,
-	}, xmap.NewSimDriver(eng, edge))
-	if err != nil {
-		return err
-	}
-	var writeErr error
-	stats, err := scanner.Run(context.Background(), func(r xmap.Response) {
-		if werr := out.Write(r); werr != nil && writeErr == nil {
-			writeErr = werr
-		}
-	})
-	if err != nil {
-		return err
-	}
-	if writeErr != nil {
-		return writeErr
-	}
-	if err := out.Flush(); err != nil {
-		return err
-	}
-	if !quiet {
-		fmt.Fprintf(stderr, "scanned %s: sent %d, unique responders %d\n", windowSpec, stats.Sent, stats.Unique)
-	}
-	if metaF != "" {
-		md := scanner.BuildMetadata(stats, time.Now())
-		if err := writeSink(metaF, stderr, md.WriteJSON); err != nil {
-			return err
-		}
-	}
-	return nil
+	return window, xmap.NewSimDriver(eng, edge), nil
 }

@@ -2,10 +2,16 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -125,20 +131,38 @@ func TestDefendFlag(t *testing.T) {
 }
 
 // TestMonitorLines: -monitor-every prints periodic status lines plus a
-// final "done" line on stderr.
+// final "done" line on stderr, and the final line's progress is 100% of
+// what the run probes — across -parallel workers, each with its own
+// -max-targets, and for one slice of a -shards scan.
 func TestMonitorLines(t *testing.T) {
-	_, errOut := runOnce(t, "-max-targets", "200", "-quiet", "-monitor-every", "64")
-	lines := strings.Split(strings.TrimSpace(errOut), "\n")
-	if len(lines) < 2 {
-		t.Fatalf("expected multiple monitor lines, got %q", errOut)
-	}
-	for _, l := range lines {
-		if !strings.Contains(l, "send:") || !strings.Contains(l, "hit rate") {
-			t.Errorf("malformed monitor line %q", l)
+	percent := regexp.MustCompile(` ([0-9.]+)%; send:`)
+	for _, args := range [][]string{
+		{"-max-targets", "200"},
+		{"-parallel", "2", "-max-targets", "1000"},
+		{"-shards", "2", "-shard", "1"},
+	} {
+		_, errOut := runOnce(t, append(args, "-quiet", "-monitor-every", "64")...)
+		lines := strings.Split(strings.TrimSpace(errOut), "\n")
+		if len(lines) < 2 {
+			t.Fatalf("%v: expected multiple monitor lines, got %q", args, errOut)
 		}
-	}
-	if !strings.HasSuffix(lines[len(lines)-1], "; done") {
-		t.Errorf("last line %q does not end in \"; done\"", lines[len(lines)-1])
+		for _, l := range lines {
+			if !strings.Contains(l, "send:") || !strings.Contains(l, "hit rate") {
+				t.Errorf("%v: malformed monitor line %q", args, l)
+			}
+		}
+		last := lines[len(lines)-1]
+		if !strings.HasSuffix(last, "; done") {
+			t.Errorf("%v: last line %q does not end in \"; done\"", args, last)
+		}
+		m := percent.FindStringSubmatch(last)
+		if m == nil {
+			t.Errorf("%v: last line %q shows no progress", args, last)
+			continue
+		}
+		if p, err := strconv.ParseFloat(m[1], 64); err != nil || math.Abs(p-100) > 0.5 {
+			t.Errorf("%v: the scan ends at %s%%, want 100.0%% ± 0.5", args, m[1])
+		}
 	}
 }
 
@@ -368,5 +392,92 @@ func TestBatchFlag(t *testing.T) {
 	}
 	if sc["scan.sent"] != 200 {
 		t.Errorf("scan.sent = %d, want 200", sc["scan.sent"])
+	}
+}
+
+// TestV4HonoursScanFlags: -v4window is the same run as a v6 scan, so
+// every scan flag applies — here -checkpoint and -status-json — and
+// neither changes the rows, pinned by the CSV's sha256 per seed.
+func TestV4HonoursScanFlags(t *testing.T) {
+	pinned := map[int]string{
+		1: "6402e8cfa0ec060b5f77e1a63c3c36836b892b248cd454a6b3b0b040e08438f0",
+		2: "a4b1fad894b0a8dd71a9e06b2359875e4977af1b8731109240379adc244e8d29",
+		3: "60fe808c5be923c0cdce80406f87835b0f5b397129cf12d16b4c6b819c0fa6e8",
+	}
+	for seed, want := range pinned {
+		dir := t.TempDir()
+		ckpt, status := filepath.Join(dir, "v4.ckpt"), filepath.Join(dir, "v4.json")
+		out, _ := runOnce(t, "-seed", strconv.Itoa(seed), "-quiet", "-v4window", "192.168.0.0/20-28",
+			"-checkpoint", ckpt, "-status-json", status)
+		for _, path := range []string{ckpt, status} {
+			if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+				t.Errorf("seed %d: %s not written (%v)", seed, filepath.Base(path), err)
+			}
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != want {
+			t.Errorf("seed %d: v4 CSV sha256 %s, want %s:\n%s", seed, got, want, out)
+		}
+	}
+}
+
+// TestShardTraceStream: one slice of a distributed scan is a one-worker
+// run, so its scanner spans go to scan stream 0 and leave the
+// simulator's hop stream to the simulator.
+func TestShardTraceStream(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.ndjson")
+	runOnce(t, "-shards", "2", "-shard", "1", "-quiet", "-trace-sample", "0", "-trace-out", path)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[string]int{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var span struct {
+			Stream int    `json:"stream"`
+			Kind   string `json:"kind"`
+		}
+		if err := json.Unmarshal([]byte(line), &span); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", line, err)
+		}
+		kinds[span.Kind]++
+		if (span.Kind == "hop") != (span.Stream == 1) {
+			t.Fatalf("%s span on stream %d: scanner spans belong on stream 0, hops on 1", span.Kind, span.Stream)
+		}
+	}
+	if kinds["sent"] == 0 || kinds["hop"] == 0 {
+		t.Errorf("trace kinds %v: want both sent and hop spans", kinds)
+	}
+}
+
+// csvResponders is the sorted, distinct responder column of CSV scan
+// outputs.
+func csvResponders(csv string) []string {
+	var out []string
+	for _, line := range strings.Split(strings.TrimSpace(csv), "\n") {
+		if responder, _, _ := strings.Cut(line, ","); responder != "responder" {
+			out = append(out, responder)
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// TestShardSlices: -shards/-shard combine with -checkpoint and
+// -parallel. The two checkpointed slices together find what the whole
+// scan finds, and cutting a slice among -parallel workers finds what
+// the slice finds.
+func TestShardSlices(t *testing.T) {
+	whole, _ := runOnce(t, "-quiet")
+	dir := t.TempDir()
+	slice := map[string]string{}
+	for _, k := range []string{"0", "1"} {
+		slice[k], _ = runOnce(t, "-quiet", "-shards", "2", "-shard", k, "-checkpoint", filepath.Join(dir, k+".ckpt"))
+	}
+	if got, want := csvResponders(slice["0"]+slice["1"]), csvResponders(whole); !slices.Equal(got, want) {
+		t.Errorf("the two slices find %d responders, the whole scan %d", len(got), len(want))
+	}
+	par, _ := runOnce(t, "-quiet", "-shards", "2", "-shard", "0", "-parallel", "2")
+	if got, want := csvResponders(par), csvResponders(slice["0"]); !slices.Equal(got, want) {
+		t.Errorf("slice 0 cut among 2 workers finds %d responders, the slice alone %d", len(got), len(want))
 	}
 }

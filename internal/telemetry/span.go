@@ -368,14 +368,24 @@ func (t *Tracer) stream(i int) *SpanRing {
 	return t.streams[i]
 }
 
-// Span records one non-hop lifecycle span. The caller has already made
-// the sampling decision (or the kind is an always-recorded anomaly
-// span).
+// scanStream keeps a scanner's index inside the scan streams, wrapping
+// like Registry.Shard, so an index past ScanStreams never lands in a
+// simulator stream.
+func (t *Tracer) scanStream(i int) int {
+	if i < 0 {
+		return 0
+	}
+	return i % t.nScan
+}
+
+// Span records one non-hop lifecycle span on a scan stream. The caller
+// has already made the sampling decision (or the kind is an
+// always-recorded anomaly span).
 func (t *Tracer) Span(stream int, kind SpanKind, clock uint64, addr [16]byte, arg uint64) {
 	if t == nil {
 		return
 	}
-	t.stream(stream).record(Span{Clock: clock, Addr: addr, Arg: arg, Kind: kind})
+	t.streams[t.scanStream(stream)].record(Span{Clock: clock, Addr: addr, Arg: arg, Kind: kind})
 }
 
 // Hop records one simulated link crossing of a traced flow. Clock is
@@ -398,12 +408,14 @@ func (t *Tracer) Hop(stream int, hi, lo uint64, node, iface string, hop uint8, d
 	r.mu.Unlock()
 }
 
-// Anomaly captures an exemplar: the firing stream's most recent spans,
-// frozen into the next free slot (first-N; later anomalies only count).
+// Anomaly captures an exemplar: the firing scan stream's most recent
+// spans, frozen into the next free slot (first-N; later anomalies only
+// count).
 func (t *Tracer) Anomaly(kind AnomalyKind, stream int, clock uint64, addr [16]byte) {
 	if t == nil {
 		return
 	}
+	stream = t.scanStream(stream)
 	t.exMu.Lock()
 	t.exTotal++
 	if t.exN >= len(t.ex) {

@@ -235,6 +235,32 @@ func TestTracerExemplarCapture(t *testing.T) {
 	}
 }
 
+// TestTracerScanIndexStaysInScanStreams: a scan index past ScanStreams
+// wraps into the scan streams, like Registry.Shard; it never evicts the
+// simulator's hop spans from their stream.
+func TestTracerScanIndexStaysInScanStreams(t *testing.T) {
+	tr := NewTracer(TracerOptions{Seed: []byte("wrap"), ScanStreams: 2, SimStreams: 1, Depth: 16})
+	tr.Hop(tr.SimStream(0), 1, 2, "node", "iface", 64, false)
+	for i, stream := range []int{2, 3, 5, -1} {
+		tr.Span(stream, SpanSent, uint64(i), addrN(uint64(i)), 0)
+	}
+	tr.Anomaly(AnomalyShed, 3, 9, addrN(0))
+	want := map[int]int{0: 2, 1: 2, 2: 1}
+	for stream, n := range want {
+		if got := len(tr.AppendSpans(stream, nil)); got != n {
+			t.Errorf("stream %d holds %d spans, want %d", stream, got, n)
+		}
+	}
+	if sim := tr.AppendSpans(tr.SimStream(0), nil); sim[0].Kind != SpanHop {
+		t.Errorf("sim stream holds %v, want only its hop span", sim)
+	}
+	for _, e := range tr.Exemplars() {
+		if e.Stream != 1 {
+			t.Errorf("exemplar on stream %d, want scan stream 1", e.Stream)
+		}
+	}
+}
+
 // TestTracerRecordAllocFree: the hot-path recording primitives — the
 // sampling decision, span recording, hop recording — allocate nothing.
 func TestTracerRecordAllocFree(t *testing.T) {

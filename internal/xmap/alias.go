@@ -185,7 +185,7 @@ func (s *Scanner) aliasCool(key uint64, e *aliasEntry, stats *Stats) {
 	e.deadline = d.ticks + cooldownWindow
 	d.cooling = append(d.cooling, key)
 	stats.AliasDetected++
-	s.tracer.Anomaly(telemetry.AnomalyAlias, s.trStream, stats.Sent, d.prefixOf(key).Addr().Bytes())
+	s.tracer.Anomaly(telemetry.AnomalyAlias, s.pos, stats.Sent, d.prefixOf(key).Addr().Bytes())
 	for i := 0; i < cooldownProbes; i++ {
 		dst := d.cooldownTarget(key, i)
 		if _, dup := d.outstanding[dst]; dup {
@@ -297,7 +297,7 @@ func (s *Scanner) aliasQuarantine(raw []byte, stats *Stats) {
 		return
 	}
 	s.span(telemetry.SpanQuarantine, stats.Sent, src, 0)
-	s.tracer.Anomaly(telemetry.AnomalyQuarantine, s.trStream, stats.Sent, src.Bytes())
+	s.tracer.Anomaly(telemetry.AnomalyQuarantine, s.pos, stats.Sent, src.Bytes())
 	d := s.alias
 	k := d.keyOf(src)
 	e := d.entry(k)
@@ -412,7 +412,7 @@ func (s *Scanner) shed(stats *Stats, releaser Releaser) {
 	if n := stats.Shed - before; n > 0 && s.tracer != nil {
 		// One span and one exemplar per shedding drain, the drop count
 		// as the argument — per-packet spans would amplify the flood.
-		s.tracer.Span(s.trStream, telemetry.SpanShed, stats.Sent, zeroAddr, n)
-		s.tracer.Anomaly(telemetry.AnomalyShed, s.trStream, stats.Sent, zeroAddr)
+		s.tracer.Span(s.pos, telemetry.SpanShed, stats.Sent, zeroAddr, n)
+		s.tracer.Anomaly(telemetry.AnomalyShed, s.pos, stats.Sent, zeroAddr)
 	}
 }

@@ -37,17 +37,15 @@ type Checkpoint struct {
 }
 
 // ConfigDigest fingerprints the scan parameters a checkpoint depends on:
-// window, seed, probe module and shard count. Operational knobs (rate,
-// drain cadence, retry depth, dedup implementation) may change across a
-// resume; these may not, or the permutation and validation values would
-// silently mismatch.
+// window, seed, probe module, shard count and, for one slice of a
+// distributed scan (Config.Shards > 1), which slice. Operational knobs
+// (rate, drain cadence, retry depth, dedup implementation) may change
+// across a resume; these may not, or the permutation and validation
+// values would silently mismatch. Without a slice the digest is the one
+// files written before slices existed carry.
 func ConfigDigest(cfg Config, shards int) [32]byte {
 	if shards <= 0 {
 		shards = 1
-	}
-	probe := cfg.Probe
-	if probe == nil {
-		probe = &ICMPEchoProbe{}
 	}
 	h := sha256.New()
 	h.Write([]byte("xmap-checkpoint-v1\x00"))
@@ -60,7 +58,13 @@ func ConfigDigest(cfg Config, shards int) [32]byte {
 	h.Write(meta[:])
 	h.Write(seedOrDefault(cfg.Seed))
 	h.Write([]byte{0})
-	h.Write([]byte(probe.Name()))
+	h.Write([]byte(probeOrDefault(cfg.Probe).Name()))
+	if cfg.Shards > 1 {
+		var slice [8]byte
+		binary.BigEndian.PutUint32(slice[0:], uint32(cfg.Shards))
+		binary.BigEndian.PutUint32(slice[4:], uint32(cfg.ShardIndex))
+		h.Write(slice[:])
+	}
 	var out [32]byte
 	h.Sum(out[:0])
 	return out
@@ -387,7 +391,7 @@ func (c *Checkpoint) Verify(cfg Config, shards int) error {
 		return fmt.Errorf("xmap: checkpoint taken with %d shards, resuming with %d", c.Shards, shards)
 	}
 	if want := ConfigDigest(cfg, shards); c.Digest != want {
-		return fmt.Errorf("xmap: checkpoint config digest mismatch (window, seed, probe or shards changed)")
+		return fmt.Errorf("xmap: checkpoint config digest mismatch (window, seed, probe, shards or slice changed)")
 	}
 	return nil
 }

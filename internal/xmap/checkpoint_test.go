@@ -244,6 +244,39 @@ func TestConfigDigestSensitivity(t *testing.T) {
 	}
 }
 
+// TestConfigDigestSlice: without a slice (Shards <= 1) the digest is
+// pinned to the value files written before slices existed carry, so they
+// still resume; each slice of a distributed scan has its own.
+func TestConfigDigestSlice(t *testing.T) {
+	w, err := ipv6.NewWindow(ipv6.MustParsePrefix("2001:db8::/48"), 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pinned = "760d5d3c012a6fddbb9a245dba63d9c4e53469af43253056332512e980f36fee"
+	digests := map[[32]byte]string{}
+	for _, tc := range []struct {
+		name          string
+		shards, index int
+	}{
+		{"unset", 0, 0}, {"one", 1, 0}, {"slice 0/2", 2, 0}, {"slice 1/2", 2, 1}, {"slice 0/3", 3, 0},
+	} {
+		d := ConfigDigest(Config{Window: w, Seed: []byte("digest-pin"), Shards: tc.shards, ShardIndex: tc.index}, 2)
+		if tc.shards <= 1 {
+			if got := fmt.Sprintf("%x", d); got != pinned {
+				t.Errorf("%s: digest %s, want the pinned %s", tc.name, got, pinned)
+			}
+			continue
+		}
+		if prev, dup := digests[d]; dup {
+			t.Errorf("%s and %s share a digest", tc.name, prev)
+		}
+		if fmt.Sprintf("%x", d) == pinned {
+			t.Errorf("%s: a slice's digest equals the whole scan's", tc.name)
+		}
+		digests[d] = tc.name
+	}
+}
+
 func TestCheckpointVerify(t *testing.T) {
 	f := buildFixture(t)
 	cfg := Config{Window: window(t, f), Seed: []byte("verify")}

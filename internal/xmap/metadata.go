@@ -29,15 +29,15 @@ type Metadata struct {
 	HitRate    float64 `json:"hit_rate"`
 }
 
-// BuildMetadata assembles the record for a finished run.
-func (s *Scanner) BuildMetadata(stats Stats, end time.Time) Metadata {
+// NewMetadata assembles the record for a finished run of cfg.
+func NewMetadata(cfg Config, stats Stats, end time.Time) Metadata {
 	return Metadata{
-		Window:          s.cfg.Window.String(),
-		Probe:           s.probe.Name(),
-		Shards:          s.cfg.Shards,
-		ShardIndex:      s.cfg.ShardIndex,
-		ProbesPerTarget: s.cfg.ProbesPerTarget,
-		Rate:            s.cfg.Rate,
+		Window:          cfg.Window.String(),
+		Probe:           probeOrDefault(cfg.Probe).Name(),
+		Shards:          max(cfg.Shards, 1),
+		ShardIndex:      cfg.ShardIndex,
+		ProbesPerTarget: max(cfg.ProbesPerTarget, 1),
+		Rate:            cfg.Rate,
 		Start:           end.Add(-stats.Elapsed),
 		End:             end,
 		Targets:         stats.Targets,

@@ -144,39 +144,54 @@ func (c *checkpointer) update(st ShardState) {
 	c.write()
 }
 
-// ScanParallel splits the window into shards (Config.Shards is
-// overridden) and runs one scanner goroutine per shard against the same
-// driver — the multi-threaded operation mode of the real tool. The
-// handler receives each responder exactly once across all shards; it is
-// invoked from multiple goroutines under an internal lock, so it needs
-// no synchronization of its own. The driver must be safe for concurrent
-// use (all bundled drivers are); against a sharded deployment, use a
-// GroupDriver so the senders pump disjoint engine shards.
+// ScanParallel runs one scan: slice Config.ShardIndex of Config.Shards
+// (0 means 1), cut among n scanner goroutines that share the driver —
+// the multi-threaded operation mode of the real tool. Worker i, at
+// worker position i, walks shard ShardIndex + i·Shards of Shards·n of
+// the cycle, whose positions are j, j+N, …: the slice holds the same
+// targets whatever n is. Config.MaxTargets applies per worker. The
+// handler receives each responder exactly once across all workers; it
+// is invoked from multiple goroutines under an internal lock, so it
+// needs no synchronization of its own. The driver must be safe for
+// concurrent use (all bundled drivers are); against a sharded
+// deployment, use a GroupDriver so the senders pump disjoint engine
+// shards.
 //
 // Stats.Duplicates sums the per-scanner duplicate counts (a responder
-// answering twice within one shard's drains) and the cross-shard ones
-// (a responder first seen by another shard).
+// answering twice within one worker's drains) and the cross-worker
+// ones (a responder first seen by another worker).
 //
-// With Config.CheckpointPath set, every shard's periodic and exit
+// With Config.CheckpointPath set, every worker's periodic and exit
 // checkpoint states are assembled into one log file (see checkpointer)
-// together with the cross-shard responder set, after
+// together with the cross-worker responder set, after
 // Config.BeforeCheckpoint has drained the handler's output. With
-// Config.ResumeFrom set, each shard's scanner resumes from the
-// checkpoint (see New), and the handler is never re-invoked for
-// responders the interrupted scan already reported.
-func ScanParallel(ctx context.Context, cfg Config, drv Driver, shards int, handler Handler) (Stats, error) {
-	if shards <= 0 {
-		shards = 1
+// Config.ResumeFrom set, the checkpoint is verified against this run
+// (ConfigDigest with n shards), each worker resumes from its state,
+// and the handler is never re-invoked for responders the interrupted
+// scan already reported. Config.Monitor's total is set to the run's
+// budget.
+func ScanParallel(ctx context.Context, cfg Config, drv Driver, n int, handler Handler) (Stats, error) {
+	if n <= 0 {
+		n = 1
 	}
-	cfg.Shards = shards
-	// Build the permutation once; it is immutable and every shard
-	// scanner iterates its own slice of the same cycle.
-	if cfg.cycle == nil && cfg.Window.To != 0 {
-		if size, ok := cfg.Window.Size(); ok {
-			if cyc, err := perm.NewCycle(size, seedOrDefault(cfg.Seed)); err == nil {
-				cfg.cycle = cyc
-			}
-			// On error, fall through: New reports it with context.
+	slices := max(cfg.Shards, 1)
+	if cfg.ShardIndex < 0 || cfg.ShardIndex >= slices {
+		return Stats{}, fmt.Errorf("xmap: shard %d of %d invalid", cfg.ShardIndex, slices)
+	}
+	if ck := cfg.ResumeFrom; ck != nil {
+		if err := ck.Verify(cfg, n); err != nil {
+			return Stats{}, err
+		}
+	}
+	// Build the permutation once; it is immutable and every worker
+	// iterates its own shard of the same cycle. On error, fall through:
+	// newScanner reports it with context.
+	if size, ok := cfg.Window.Size(); ok && cfg.Window.To != 0 {
+		cfg.cycle, _ = perm.NewCycle(size, seedOrDefault(cfg.Seed))
+	}
+	if cfg.Monitor != nil {
+		if total, ok := budget(cfg, slices, n); ok {
+			cfg.Monitor.SetTotal(total)
 		}
 	}
 
@@ -197,7 +212,7 @@ func ScanParallel(ctx context.Context, cfg Config, drv Driver, shards int, handl
 	if cfg.CheckpointPath != "" {
 		ckpt = &checkpointer{
 			path:   cfg.CheckpointPath,
-			ck:     Checkpoint{Digest: ConfigDigest(cfg, shards), Shards: shards},
+			ck:     Checkpoint{Digest: ConfigDigest(cfg, n), Shards: n},
 			seen:   seen,
 			before: cfg.BeforeCheckpoint,
 		}
@@ -218,14 +233,13 @@ func ScanParallel(ctx context.Context, cfg Config, drv Driver, shards int, handl
 		}
 	}
 
-	// Construct every shard's scanner before any runs or the file is
-	// touched: New is where a checkpoint that does not fit this scan is
-	// refused.
-	scanners := make([]*Scanner, shards)
-	rings := make([]*RingDriver, shards)
+	// Construct every worker's scanner before any runs or the file is
+	// touched: a state that does not fit its worker is refused here.
+	scanners := make([]*Scanner, n)
+	rings := make([]*RingDriver, n)
 	for i := range scanners {
 		shardCfg := cfg
-		shardCfg.ShardIndex = i
+		shardCfg.Shards, shardCfg.ShardIndex = slices*n, cfg.ShardIndex+i*slices
 		if userSink := cfg.OnCheckpoint; ckpt != nil {
 			shardCfg.OnCheckpoint = func(st ShardState) {
 				ckpt.update(st)
@@ -248,7 +262,7 @@ func ScanParallel(ctx context.Context, cfg Config, drv Driver, shards int, handl
 			shardDrv = rings[i]
 		}
 		var err error
-		if scanners[i], err = New(shardCfg, shardDrv); err != nil {
+		if scanners[i], err = newScanner(shardCfg, shardDrv, i); err != nil {
 			for _, ring := range rings[:i+1] {
 				if ring != nil {
 					ring.Close()
@@ -300,4 +314,26 @@ func ScanParallel(ctx context.Context, cfg Config, drv Driver, shards int, handl
 		}
 	}
 	return total, firstErr
+}
+
+// budget is what a run's workers probe: the slice's share of the window,
+// or n·MaxTargets when that is less, minus what the states it resumes
+// from already probed (the telemetry counters count the resumed leg
+// only). It fails for a slice past 2^64 targets.
+func budget(cfg Config, slices, n int) (uint64, bool) {
+	size, ok := cfg.Window.Size()
+	share, _ := size.Add64(uint64(slices) - 1).Div64(uint64(slices))
+	if !ok || share.Hi != 0 {
+		return 0, false
+	}
+	total := share.Lo
+	if cfg.MaxTargets > 0 && cfg.MaxTargets < total/uint64(n) {
+		total = cfg.MaxTargets * uint64(n)
+	}
+	if ck := cfg.ResumeFrom; ck != nil {
+		for _, st := range ck.States {
+			total -= min(st.Stats.Targets, total)
+		}
+	}
+	return total, true
 }

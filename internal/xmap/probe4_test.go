@@ -174,7 +174,8 @@ func TestMetadataRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Window: w, Probe: &ICMPEcho4Probe{}, Seed: []byte("md")}, f.drv)
+	cfg := Config{Window: w, Probe: &ICMPEcho4Probe{}, Seed: []byte("md")}
+	s, err := New(cfg, f.drv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +183,7 @@ func TestMetadataRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	md := s.BuildMetadata(stats, time.Now())
+	md := NewMetadata(cfg, stats, time.Now())
 	if md.Probe != "icmp4_echoscan" || md.Sent != 256 || md.Unique == 0 {
 		t.Errorf("metadata = %+v", md)
 	}

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -595,6 +597,55 @@ func TestResumeFirstWriteReplacesFile(t *testing.T) {
 	}
 	if writes == 0 {
 		t.Fatal("the resumed run wrote no checkpoint")
+	}
+}
+
+// TestScanParallelSliceCheckpoint: each slice of a distributed scan
+// checkpoints and resumes on its own, the resumed slices together find
+// what the undivided scan finds, and one slice's file never resumes
+// another.
+func TestScanParallelSliceCheckpoint(t *testing.T) {
+	f := buildFixture(t)
+	base := Config{Window: window(t, f), Seed: []byte("slice-ckpt"), DedupExact: true, CheckpointEvery: 16}
+	whole := map[ipv6.Addr]bool{}
+	if _, err := ScanParallel(context.Background(), base, f.drv, 1, func(r Response) { whole[r.Responder] = true }); err != nil {
+		t.Fatal(err)
+	}
+	union := map[ipv6.Addr]bool{}
+	collect := func(r Response) { union[r.Responder] = true }
+	dir := t.TempDir()
+	for k := 0; k < 2; k++ {
+		cfg := base
+		cfg.Shards, cfg.ShardIndex = 2, k
+		cfg.CheckpointPath = filepath.Join(dir, fmt.Sprintf("slice%d.ckpt", k))
+		half := cfg
+		half.MaxTargets = 32
+		if _, err := ScanParallel(context.Background(), half, f.drv, 2, collect); err != nil {
+			t.Fatal(err)
+		}
+		ck, err := LoadCheckpoint(cfg.CheckpointPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		other := cfg
+		other.ShardIndex = 1 - k
+		other.ResumeFrom = ck
+		if _, err := ScanParallel(context.Background(), other, f.drv, 2, nil); err == nil ||
+			!strings.Contains(err.Error(), "digest mismatch") {
+			t.Errorf("slice %d's checkpoint resumed slice %d: err %v", k, 1-k, err)
+		}
+		cfg.ResumeFrom = ck
+		if _, err := ScanParallel(context.Background(), cfg, f.drv, 2, collect); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(union) != len(whole) {
+		t.Errorf("resumed slices found %d responders, the whole scan %d", len(union), len(whole))
+	}
+	for a := range whole {
+		if !union[a] {
+			t.Errorf("responder %s missing from the resumed slices", a)
+		}
 	}
 }
 

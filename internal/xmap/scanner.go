@@ -26,17 +26,16 @@ type Config struct {
 	// validation. Scans with equal seeds are identical.
 	Seed []byte
 	// ShardIndex/Shards split the permutation across scanner instances
-	// (ZMap-style sharding); Shards=0 means 1.
+	// (ZMap-style sharding; ScanParallel cuts the slice among its
+	// workers); Shards=0 means 1.
 	ShardIndex, Shards int
 	// Rate caps probes per second; 0 disables limiting (the simulator
 	// runs faster than any real link).
 	Rate int
 	// MaxTargets stops after probing this many sub-prefixes (0 = all).
 	MaxTargets uint64
-	// Blocklist prefixes are never probed; Allowlist, when non-empty,
-	// restricts probing to within it.
+	// Blocklist prefixes are never probed.
 	Blocklist []ipv6.Prefix
-	Allowlist []ipv6.Prefix
 	// ProbesPerTarget sends this many copies of each probe (ZMap's -P),
 	// recovering hit rate on lossy paths; default 1. Duplicate replies
 	// are absorbed by responder dedup.
@@ -86,18 +85,18 @@ type Config struct {
 	// hard kill never leaves the file listing a responder whose row was
 	// still buffered. An error skips that write and fails the scan.
 	BeforeCheckpoint func() error
-	// ResumeFrom continues an interrupted scan mid-cycle. New verifies
-	// the checkpoint's config digest, restores the state recorded for
-	// ShardIndex (permutation cursor, cumulative statistics, retry ring;
-	// a shard without one starts over) and re-adds every listed responder
-	// to the dedup set, so none is handed to the handler again. A lone
-	// Scanner takes a one-shard Checkpoint.
+	// ResumeFrom continues an interrupted scan mid-cycle. The run (New,
+	// or ScanParallel) verifies the checkpoint's config digest; each
+	// scanner restores the state recorded for its worker position
+	// (permutation cursor, cumulative statistics, retry ring; one without
+	// a state starts over) and re-adds every listed responder to its
+	// dedup set, so none is handed to the handler again.
 	ResumeFrom *Checkpoint
 	// Telemetry, when set, receives live counters, gauges and histograms
-	// as the scan runs; the scanner writes to the registry shard
-	// matching ShardIndex. The scan.* counters are a view of Stats,
-	// published once per drain window, so a live read lags by at most
-	// one window. Allocation-free; nil costs one branch per window.
+	// as the scan runs; the scanner writes to the registry shard of its
+	// worker position. The scan.* counters are a view of Stats, published
+	// once per drain window, so a live read lags by at most one window.
+	// Allocation-free; nil costs one branch per window.
 	Telemetry *telemetry.Registry
 	// Monitor, when set, is ticked on the probe clock once per drain
 	// window, driving the periodic ZMap-style status line.
@@ -116,7 +115,7 @@ type Config struct {
 	ShedBudget int
 
 	// Tracer, when set, records sampled probe-lifecycle spans: the
-	// scanner writes the span stream of its ShardIndex and fires
+	// scanner writes the scan stream of its worker position and fires
 	// anomaly exemplars on quarantine, alias detection, retry
 	// exhaustion and shedding. Nil costs one predictable branch per
 	// hook.
@@ -146,7 +145,6 @@ type Scanner struct {
 	probe   ProbeModule
 	cycle   *perm.Cycle
 	block   *lpm.Table[bool]
-	allow   *lpm.Table[bool]
 	dedup   dedupSet
 	resume  *ShardState     // nil unless Config.ResumeFrom holds this shard's state
 	retry   *retryRing      // nil unless Config.Retries > 0
@@ -154,10 +152,14 @@ type Scanner struct {
 	alias   *aliasDetector  // nil unless Config.Defend
 	tel     *telemetry.Shard
 
+	// pos is the scanner's worker position: the telemetry shard, trace
+	// stream and watchdog slot it writes, and the index of the
+	// ShardState it emits and resumes from. A lone scanner's is its
+	// ShardIndex; a ScanParallel worker's is its place in the run.
+	pos int
 	// Probe-lifecycle tracing (nil tracer/watchdog = detached).
-	tracer   *telemetry.Tracer
-	trStream int
-	wd       *telemetry.Watchdog
+	tracer *telemetry.Tracer
+	wd     *telemetry.Watchdog
 
 	// retryTimeout is the probe-clock delay (in probes sent) before an
 	// unanswered target's first retry; retry k waits retryTimeout<<k.
@@ -204,8 +206,29 @@ func seedOrDefault(seed []byte) []byte {
 	return seed
 }
 
-// New validates the configuration and prepares a scanner.
+// probeOrDefault applies Config.Probe's default, ICMPv6 echo.
+func probeOrDefault(p ProbeModule) ProbeModule {
+	if p == nil {
+		return &ICMPEchoProbe{}
+	}
+	return p
+}
+
+// New validates the configuration and prepares a lone scanner: its
+// worker position is ShardIndex, and it resumes from a Checkpoint of
+// Shards shards.
 func New(cfg Config, drv Driver) (*Scanner, error) {
+	if ck := cfg.ResumeFrom; ck != nil {
+		if err := ck.Verify(cfg, cfg.Shards); err != nil {
+			return nil, err
+		}
+	}
+	return newScanner(cfg, drv, cfg.ShardIndex)
+}
+
+// newScanner prepares the scanner at worker position pos; the caller has
+// verified cfg.ResumeFrom against its run.
+func newScanner(cfg Config, drv Driver, pos int) (*Scanner, error) {
 	if drv == nil {
 		return nil, fmt.Errorf("xmap: nil driver")
 	}
@@ -249,20 +272,16 @@ func New(cfg Config, drv Driver) (*Scanner, error) {
 			return nil, fmt.Errorf("xmap: building permutation: %w", err)
 		}
 	}
-	s := &Scanner{cfg: cfg, drv: drv, cycle: cycle}
+	s := &Scanner{cfg: cfg, drv: drv, cycle: cycle, pos: pos}
 	s.flusher, _ = drv.(Flusher)
-	s.tel = cfg.Telemetry.Shard(cfg.ShardIndex)
+	s.tel = cfg.Telemetry.Shard(pos)
 	s.tracer = cfg.Tracer
-	s.trStream = cfg.ShardIndex
 	s.wd = cfg.Watchdog
 	s.retryTimeout = retryTimeoutWindows * uint64(cfg.DrainEvery)
 	s.prf = newSubPRF(cfg.Seed)
 	s.subMask = uint128.Max.Lsh(uint(128 - cfg.Window.To))
 	s.validate = s.Validation
-	s.probe = cfg.Probe
-	if s.probe == nil {
-		s.probe = &ICMPEchoProbe{}
-	}
+	s.probe = probeOrDefault(cfg.Probe)
 	if cfg.Defend {
 		s.alias = newAliasDetector(cfg.Seed)
 		// Strict embedded-quote validation: error replies must quote an
@@ -276,12 +295,6 @@ func New(cfg Config, drv Driver) (*Scanner, error) {
 		s.block = lpm.New[bool]()
 		for _, p := range cfg.Blocklist {
 			s.block.Insert(p, true)
-		}
-	}
-	if len(cfg.Allowlist) > 0 {
-		s.allow = lpm.New[bool]()
-		for _, p := range cfg.Allowlist {
-			s.allow.Insert(p, true)
 		}
 	}
 	if cfg.DedupExact {
@@ -306,9 +319,6 @@ func New(cfg Config, drv Driver) (*Scanner, error) {
 		s.aimd = newAIMD(cfg.DrainEvery)
 	}
 	if ck := cfg.ResumeFrom; ck != nil {
-		if err := ck.Verify(cfg, cfg.Shards); err != nil {
-			return nil, err
-		}
 		// The list holds every responder any shard reported, a superset of
 		// what this shard's set held when the state was cut; adds are
 		// order-independent, so the seeded set suppresses at least what
@@ -316,7 +326,7 @@ func New(cfg Config, drv Driver) (*Scanner, error) {
 		for _, a := range ck.Responders {
 			s.dedup.add(a)
 		}
-		s.resume, _ = ck.StateFor(cfg.ShardIndex)
+		s.resume, _ = ck.StateFor(pos)
 		if r := s.resume; r != nil && len(r.Retry) > 4 { // 4 bytes is an empty ring's count header
 			if s.retry == nil {
 				return nil, fmt.Errorf("xmap: resume state has pending retries but retries are disabled")
@@ -434,8 +444,8 @@ func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
 		it = s.cycle.Shard(s.cfg.ShardIndex, s.cfg.Shards)
 	}
 	src := s.drv.SourceAddr()
-	s.wd.Stage(s.cfg.ShardIndex, "send")
-	defer s.wd.Stage(s.cfg.ShardIndex, telemetry.StageDone)
+	s.wd.Stage(s.pos, "send")
+	defer s.wd.Stage(s.pos, telemetry.StageDone)
 	// pender exposes a pipelined driver's queued depth for watchdog beats.
 	pender, _ := s.drv.(interface{ Pending() int })
 	// published is the Stats the telemetry counters already reflect;
@@ -557,7 +567,7 @@ func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
 		}
 		stats.Elapsed = priorElapsed + time.Since(start)
 		st := ShardState{
-			Shard:    s.cfg.ShardIndex,
+			Shard:    s.pos,
 			Done:     done,
 			Consumed: it.Consumed(),
 			Stats:    stats,
@@ -569,7 +579,7 @@ func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
 		s.tel.Inc(telemetry.ScanCheckpoints)
 		// Checkpoint cuts and window changes are rare and concern every
 		// target, so their spans are recorded unsampled.
-		s.tracer.Span(s.trStream, telemetry.SpanCheckpoint, stats.Sent, zeroAddr, stats.Targets)
+		s.tracer.Span(s.pos, telemetry.SpanCheckpoint, stats.Sent, zeroAddr, stats.Targets)
 	}
 	// pumpDue reports whether the send window should close now: it is
 	// full, or a checkpoint interval expired (a checkpoint needs the
@@ -608,14 +618,14 @@ func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
 			if pender != nil {
 				depth = pender.Pending()
 			}
-			s.wd.Beat(s.cfg.ShardIndex, stats.Sent, depth, uint64(sinceDrain))
+			s.wd.Beat(s.pos, stats.Sent, depth, uint64(sinceDrain))
 		}
 		flush()
 		s.tel.Observe(telemetry.HistDrainBatch, uint64(sinceDrain))
-		s.wd.Stage(s.cfg.ShardIndex, "drain")
+		s.wd.Stage(s.pos, "drain")
 		s.drain(&stats, handler)
 		sendCooldown()
-		s.wd.Stage(s.cfg.ShardIndex, "send")
+		s.wd.Stage(s.pos, "send")
 		sinceDrain = 0
 		if s.aimd != nil {
 			prevWindow := window
@@ -625,7 +635,7 @@ func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
 			stats.RateDown = baseDown + s.aimd.downs
 			if window != prevWindow {
 				s.tel.SetGauge(telemetry.GaugeWindow, int64(window))
-				s.tracer.Span(s.trStream, telemetry.SpanAIMD, stats.Sent, zeroAddr, uint64(window))
+				s.tracer.Span(s.pos, telemetry.SpanAIMD, stats.Sent, zeroAddr, uint64(window))
 			}
 		}
 		if s.retry != nil {
@@ -668,7 +678,7 @@ func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
 			}
 			if int(e.attempts) >= 1+s.cfg.Retries {
 				stats.RetryExhausted++
-				s.tracer.Anomaly(telemetry.AnomalyRetryExhausted, s.trStream, stats.Sent, e.dst.Bytes())
+				s.tracer.Anomaly(telemetry.AnomalyRetryExhausted, s.pos, stats.Sent, e.dst.Bytes())
 				continue
 			}
 			if err := live(e); err != nil {
@@ -756,7 +766,7 @@ func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
 	// to the next retry deadline, so pending retries get their backoff
 	// tiers fired before the deadline expires; the final round only
 	// drains.
-	s.wd.Stage(s.cfg.ShardIndex, "cooldown")
+	s.wd.Stage(s.pos, "cooldown")
 	rounds := cooldownDrains
 	if s.retry != nil {
 		rounds = cooldownDrainsRetry
@@ -800,24 +810,18 @@ var zeroAddr [16]byte
 func (s *Scanner) span(kind telemetry.SpanKind, clock uint64, addr ipv6.Addr, arg uint64) {
 	if s.tracer != nil {
 		if b := addr.Bytes(); s.tracer.SampleAddr(b) {
-			s.tracer.Span(s.trStream, kind, clock, b, arg)
+			s.tracer.Span(s.pos, kind, clock, b, arg)
 		}
 	}
 }
 
-// skipTarget applies allowlist then blocklist.
+// skipTarget applies the blocklist.
 func (s *Scanner) skipTarget(a ipv6.Addr) bool {
-	if s.allow != nil {
-		if _, ok := s.allow.Lookup(a); !ok {
-			return true
-		}
+	if s.block == nil {
+		return false
 	}
-	if s.block != nil {
-		if _, ok := s.block.Lookup(a); ok {
-			return true
-		}
-	}
-	return false
+	_, ok := s.block.Lookup(a)
+	return ok
 }
 
 // drain pumps the receive path through classification, validation and

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/ipv6"
+	"repro/internal/telemetry"
 	"repro/internal/uint128"
 )
 
@@ -122,6 +123,109 @@ func TestScanParallelHandlerSerialized(t *testing.T) {
 	}
 	if maxSeen > 1 {
 		t.Errorf("handler ran %d-way concurrent; contract promises serialization", maxSeen)
+	}
+}
+
+// sentTargets lists the probe destinations a memDriver received.
+func sentTargets(d *memDriver) map[ipv6.Addr]int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	m := map[ipv6.Addr]int{}
+	for _, pkt := range d.pkts {
+		m[ipv6.AddrFrom128(uint128.FromBytes(pkt[24:40]))]++
+	}
+	return m
+}
+
+// TestScanParallelSliceIndependentOfWorkers: ScanParallel scans slice
+// ShardIndex of Shards whatever its worker count — the same targets as a
+// lone scanner of that slice — and the slices partition the window.
+func TestScanParallelSliceIndependentOfWorkers(t *testing.T) {
+	w, err := ipv6.NewWindow(ipv6.MustParsePrefix("2001:db8::/48"), 57)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const slices = 3
+	all := map[ipv6.Addr]int{}
+	for k := 0; k < slices; k++ {
+		cfg := Config{Window: w, Seed: []byte("slice"), Shards: slices, ShardIndex: k}
+		lone := &memDriver{}
+		runScan(t, cfg, lone)
+		want := sentTargets(lone)
+		for a, n := range want {
+			all[a] += n
+		}
+		for _, n := range []int{1, 2, 4} {
+			drv := &memDriver{}
+			if _, err := ScanParallel(context.Background(), cfg, drv, n, nil); err != nil {
+				t.Fatal(err)
+			}
+			got := sentTargets(drv)
+			if len(got) != len(want) {
+				t.Errorf("slice %d, %d workers: %d targets, a lone scanner of the slice probes %d", k, n, len(got), len(want))
+			}
+			for a, c := range got {
+				if want[a] == 0 || c != 1 {
+					t.Errorf("slice %d, %d workers: %s probed %d times, lone scanner %d", k, n, a, c, want[a])
+					break
+				}
+			}
+		}
+	}
+	if len(all) != 512 {
+		t.Errorf("slices probe %d distinct targets, want the window's 512", len(all))
+	}
+	for a, n := range all {
+		if n != 1 {
+			t.Errorf("%s probed by %d slices", a, n)
+		}
+	}
+	for _, bad := range []Config{{Window: w, Shards: 2, ShardIndex: 2}, {Window: w, ShardIndex: 1}, {Window: w, ShardIndex: -1}} {
+		if _, err := ScanParallel(context.Background(), bad, &memDriver{}, 2, nil); err == nil {
+			t.Errorf("slice %d of %d accepted", bad.ShardIndex, bad.Shards)
+		}
+	}
+}
+
+// TestScanParallelWorkerPositions: a slice's workers write the trace
+// streams, telemetry shards, watchdog slots and checkpoint states of
+// their place in the run, never of their global shard index.
+func TestScanParallelWorkerPositions(t *testing.T) {
+	w, err := ipv6.NewWindow(ipv6.MustParsePrefix("2001:db8::/48"), 57)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := telemetry.NewTracer(telemetry.TracerOptions{Seed: []byte("pos"), ScanStreams: 2, SimStreams: 1})
+	reg := telemetry.New(telemetry.Options{Shards: 4})
+	wd := telemetry.NewWatchdog(3, 8, nil)
+	var mu sync.Mutex
+	states := map[int]bool{}
+	cfg := Config{
+		Window: w, Seed: []byte("pos"), Shards: 3, ShardIndex: 2,
+		Tracer: tr, Telemetry: reg, Watchdog: wd,
+		OnCheckpoint: func(st ShardState) { mu.Lock(); states[st.Shard] = true; mu.Unlock() },
+	}
+	if _, err := ScanParallel(context.Background(), cfg, &memDriver{}, 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	for stream, wantSpans := range []bool{true, true, false} {
+		if got := len(tr.AppendSpans(stream, nil)) > 0; got != wantSpans {
+			t.Errorf("trace stream %d has spans: %v, want %v", stream, got, wantSpans)
+		}
+	}
+	for shard := 0; shard < 4; shard++ {
+		got := reg.Shard(shard).Counter(telemetry.ScanTargets) > 0
+		if want := shard < 2; got != want {
+			t.Errorf("telemetry shard %d counted targets: %v, want %v", shard, got, want)
+		}
+	}
+	// Slots 0 and 1 finished; slot 2, which no worker owns, never beat.
+	wd.Check(1)
+	if ds := wd.Check(100); len(ds) != 1 || ds[0].Shard != 2 {
+		t.Errorf("watchdog diagnoses %v, want only the unowned slot 2", ds)
+	}
+	if len(states) != 2 || !states[0] || !states[1] {
+		t.Errorf("checkpoint states for workers %v, want 0 and 1", states)
 	}
 }
 

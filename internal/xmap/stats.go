@@ -18,7 +18,7 @@ type Stats struct {
 	Invalid    uint64 // packets failing parse or validation
 	Duplicates uint64 // validated responses from already-seen responders
 	Unique     uint64 // unique responders handed to the handler
-	Blocked    uint64 // targets skipped by blocklist/allowlist
+	Blocked    uint64 // targets skipped by the blocklist
 	// Retry scheduler accounting.
 	Retried        uint64 // retry probes sent
 	RetryDropped   uint64 // targets untracked because the retry ring was full

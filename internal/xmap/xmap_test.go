@@ -352,24 +352,6 @@ func TestBlockRuntimeMidScan(t *testing.T) {
 	}
 }
 
-func TestAllowlistRestricts(t *testing.T) {
-	f := buildFixture(t)
-	allowed, err := f.block.Sub(60, uint128.From64(0)) // first 16 /64s
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, _ := runScan(t, Config{
-		Window: window(t, f), Seed: []byte("s"),
-		Allowlist: []ipv6.Prefix{allowed},
-	}, f.drv)
-	if stats.Sent != 16 {
-		t.Errorf("sent = %d, want 16", stats.Sent)
-	}
-	if stats.Blocked != 240 {
-		t.Errorf("blocked = %d, want 240", stats.Blocked)
-	}
-}
-
 func TestMaxTargets(t *testing.T) {
 	f := buildFixture(t)
 	stats, _ := runScan(t, Config{Window: window(t, f), Seed: []byte("s"), MaxTargets: 10}, f.drv)

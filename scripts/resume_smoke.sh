@@ -15,7 +15,17 @@
 # per-window state. Everything is seeded, so any diff is a real
 # regression in the checkpoint/resume path, never flake.
 #
-# A third pair of legs is a real kill: the -parallel 2 scan, slowed by
+# The distributed leg runs the same pair for each slice of a -shards 2
+# scan (-shard 0, then -shard 1, each with its own checkpoint file): the
+# four legs together must find the reference set, and a slice's file
+# must refuse to resume the other slice (config digest mismatch). The
+# dedup Bloom filter's false positives depend on which responders share
+# a filter, so a whole-window filter and two slice filters can drop
+# different peripheries: at seed 3 the slices find one responder the
+# reference drops, and this leg fails until the filter goes (DESIGN.md,
+# Checkpoint/resume; ROADMAP item 3).
+#
+# A last pair of legs is a real kill: the -parallel 2 scan, slowed by
 # -rate, gets kill -9 as soon as its checkpoint file lists a responder,
 # and is resumed from whatever file that left. Nothing flushes on the way
 # out, so leg1 ∪ leg2 equals the reference only if every responder the
@@ -72,6 +82,29 @@ kill_and_resume() {
 kill_and_resume 1 2048
 kill_and_resume 2 1024
 
+# distributed: each -shards 2 slice is 2048 targets; stop at half, resume.
+distributed() {
+    local mode="-shards 2, seed $seed" k
+    : >"$work/slices.csv"
+    for k in 0 1; do
+        "$work/xmap" "${common[@]}" -shards 2 -shard "$k" -checkpoint "$work/slice-$k.ckpt" \
+            -checkpoint-every 256 -max-targets 1024 >>"$work/slices.csv"
+        "$work/xmap" "${common[@]}" -shards 2 -shard "$k" -checkpoint "$work/slice-$k.ckpt" \
+            -resume >>"$work/slices.csv"
+    done
+    if ! diff -u "$work/want" <(responders "$work/slices.csv"); then
+        echo "resume_smoke: the killed+resumed slices diverged from the uninterrupted scan ($mode)" >&2
+        exit 1
+    fi
+    if "$work/xmap" "${common[@]}" -shards 2 -shard 1 -checkpoint "$work/slice-0.ckpt" -resume \
+        >/dev/null 2>"$work/cross.err" || ! grep -q 'digest mismatch' "$work/cross.err"; then
+        echo "resume_smoke: slice 1 resumed from slice 0's checkpoint: $(cat "$work/cross.err") ($mode)" >&2
+        exit 1
+    fi
+}
+
+distributed
+
 # listed <checkpoint>: how many responders the file lists. After the
 # 40-byte header (magic, digest, shard count) come records framed as
 # big-endian length, CRC and payload, whose first four bytes count the
@@ -122,4 +155,4 @@ hard_kill_and_resume() {
 
 hard_kill_and_resume
 
-echo "resume_smoke: OK — $total responders identical across kill+resume, one shard, two, and two under kill -9 (seed $seed)"
+echo "resume_smoke: OK — $total responders identical across kill+resume, one shard, two, two slices, and two under kill -9 (seed $seed)"
