@@ -481,3 +481,28 @@ func TestShardSlices(t *testing.T) {
 		t.Errorf("slice 0 cut among 2 workers finds %d responders, the slice alone %d", len(got), len(want))
 	}
 }
+
+// TestParallelStatusCountsRows: at -parallel 4 the workers share one
+// seen-set, so -status-json's scan.unique is the number of CSV rows and
+// scan.duplicates the rest of scan.received.
+func TestParallelStatusCountsRows(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "status.json")
+	out, _ := runOnce(t, "-quiet", "-parallel", "4", "-status-json", path)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		Counters map[string]uint64 `json:"counters"`
+	}
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	rows := uint64(strings.Count(out, "\n") - 1) // less the header
+	if got := snap.Counters["scan.unique"]; got != rows || rows == 0 {
+		t.Errorf("scan.unique = %d, the CSV has %d rows", got, rows)
+	}
+	if got, want := snap.Counters["scan.duplicates"], snap.Counters["scan.received"]-rows; got != want {
+		t.Errorf("scan.duplicates = %d, want scan.received - rows = %d", got, want)
+	}
+}

@@ -13,9 +13,7 @@ package tga
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-	"sort"
 
 	"repro/internal/ipv6"
 )
@@ -50,26 +48,6 @@ func Train(seeds []ipv6.Addr) (*Model, error) {
 	return m, nil
 }
 
-// Seeds returns the training-set size.
-func (m *Model) Seeds() int { return m.seeds }
-
-// Entropy returns the empirical entropy (bits, 0..4) of one nybble
-// position — the Entropy/IP fingerprint of where addresses vary.
-func (m *Model) Entropy(pos int) float64 {
-	if pos < 0 || pos >= nybbles {
-		return 0
-	}
-	var h float64
-	for _, c := range m.counts[pos] {
-		if c == 0 {
-			continue
-		}
-		p := float64(c) / float64(m.seeds)
-		h -= p * math.Log2(p)
-	}
-	return h
-}
-
 // Generate samples n candidate addresses, each nybble drawn
 // independently from its learned distribution (the core simplification
 // all of these generators make, and the source of their seed-diversity
@@ -101,40 +79,4 @@ func (m *Model) sample(rng *rand.Rand, pos int) byte {
 		r -= c
 	}
 	return 0
-}
-
-// TopPrefixes reports the most concentrated /length prefixes among the
-// seeds — a diagnostic showing how narrowly the model's probability mass
-// sits (6Tree-style space partitioning would find the same clusters).
-func (m *Model) TopPrefixes(seeds []ipv6.Addr, length, n int) []ipv6.Prefix {
-	counts := map[ipv6.Prefix]int{}
-	for _, a := range seeds {
-		p, err := ipv6.NewPrefix(a, length)
-		if err != nil {
-			continue
-		}
-		counts[p]++
-	}
-	type pc struct {
-		p ipv6.Prefix
-		c int
-	}
-	list := make([]pc, 0, len(counts))
-	for p, c := range counts {
-		list = append(list, pc{p, c})
-	}
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].c != list[j].c {
-			return list[i].c > list[j].c
-		}
-		return list[i].p.Addr().Less(list[j].p.Addr())
-	})
-	if n > len(list) {
-		n = len(list)
-	}
-	out := make([]ipv6.Prefix, 0, n)
-	for _, e := range list[:n] {
-		out = append(out, e.p)
-	}
-	return out
 }

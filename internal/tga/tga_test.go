@@ -2,6 +2,7 @@ package tga
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -37,6 +38,23 @@ func TestGenerateStaysInSeedPrefix(t *testing.T) {
 	}
 }
 
+// entropy is the empirical entropy (bits, 0..4) of one nybble position
+// of m — the Entropy/IP fingerprint of where addresses vary.
+func entropy(m *Model, pos int) float64 {
+	if pos < 0 || pos >= nybbles {
+		return 0
+	}
+	var h float64
+	for _, c := range m.counts[pos] {
+		if c == 0 {
+			continue
+		}
+		p := float64(c) / float64(m.seeds)
+		h -= p * math.Log2(p)
+	}
+	return h
+}
+
 func TestEntropyShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	base := ipv6.MustParsePrefix("2001:db8:1111:2222::/64")
@@ -50,40 +68,19 @@ func TestEntropyShape(t *testing.T) {
 	}
 	// Fixed prefix nybbles: zero entropy. Random IID nybbles: near 4.
 	for pos := 0; pos < 16; pos++ {
-		if h := m.Entropy(pos); h != 0 {
+		if h := entropy(m, pos); h != 0 {
 			t.Errorf("prefix nybble %d entropy = %v", pos, h)
 		}
 	}
 	var iidH float64
 	for pos := 16; pos < 32; pos++ {
-		iidH += m.Entropy(pos)
+		iidH += entropy(m, pos)
 	}
 	if iidH/16 < 3.2 {
 		t.Errorf("IID mean entropy = %v, want ~4", iidH/16)
 	}
-	if m.Entropy(-1) != 0 || m.Entropy(99) != 0 {
+	if entropy(m, -1) != 0 || entropy(m, 99) != 0 {
 		t.Error("out-of-range entropy not 0")
-	}
-}
-
-func TestTopPrefixes(t *testing.T) {
-	a := ipv6.MustParsePrefix("2001:db8:aaaa::/48")
-	b := ipv6.MustParsePrefix("2001:db8:bbbb::/48")
-	var seeds []ipv6.Addr
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 30; i++ {
-		seeds = append(seeds, ipv6.SLAAC(a, rng.Uint64()))
-	}
-	for i := 0; i < 10; i++ {
-		seeds = append(seeds, ipv6.SLAAC(b, rng.Uint64()))
-	}
-	m, err := Train(seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	top := m.TopPrefixes(seeds, 48, 2)
-	if len(top) != 2 || top[0] != a || top[1] != b {
-		t.Errorf("top = %v", top)
 	}
 }
 

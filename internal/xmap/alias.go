@@ -225,7 +225,7 @@ func (s *Scanner) aliasObserve(resp *Response, stats *Stats) bool {
 			// never-before-seen address (an honest prefix's errors come
 			// from its one already-discovered device or router).
 			if (resp.Kind == KindEchoReply && resp.Responder == resp.ProbeDst) ||
-				(isErr && resp.Responder != resp.ProbeDst && !s.dedup.seen(resp.Responder)) {
+				(isErr && resp.Responder != resp.ProbeDst && !s.run.seen.has(resp.Responder)) {
 				o.evidenced = true
 				e.evidence++
 				if e.evidence >= aliasConfirm {
@@ -389,7 +389,7 @@ func (s *Scanner) shed(stats *Stats, releaser Releaser) {
 							}
 						}
 					case 1:
-						drop = s.dedup.seen(src)
+						drop = s.run.seen.has(src)
 					}
 				}
 				if drop {

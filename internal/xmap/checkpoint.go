@@ -27,8 +27,8 @@ type ShardState struct {
 
 // Checkpoint is a whole scan's crash-recovery state: a digest binding it
 // to the scan configuration, the responders already reported to the
-// handler — the scan's only persisted seen-set, from which every shard's
-// dedup filter is re-seeded — and every shard's state.
+// handler — the scan's only persisted seen-set, from which a resumed
+// run's seen-set is seeded — and every shard's state.
 type Checkpoint struct {
 	Digest     [32]byte
 	Shards     int
@@ -81,7 +81,7 @@ func ConfigDigest(cfg Config, shards int) [32]byte {
 // order, Elapsed, and the retry ring). A checkpoint is the union of its
 // records' responders with the last record's states: the file is
 // O(unique responders), with no term in the window size. Marshal emits
-// a one-record log (a snapshot); a running ScanParallel appends one
+// a one-record log (a snapshot); a running scan appends one
 // record per update and compacts by replacing the file with a snapshot.
 // Every variable-length field is bounded against the remaining input
 // before allocation, so a corrupt file errors instead of exhausting

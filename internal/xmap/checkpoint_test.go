@@ -412,7 +412,7 @@ func TestCheckpointAppendAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	seen := &seenSet{m: make(map[ipv6.Addr]struct{}, 1024), order: make([]ipv6.Addr, 0, 1024), logOrder: true}
+	seen := &seenSet{set: make(mapDedup, 1024), order: make([]ipv6.Addr, 0, 1024), logOrder: true}
 	c := &checkpointer{
 		path: filepath.Join(t.TempDir(), "scan.ckpt"),
 		ck:   Checkpoint{Shards: 2},
@@ -427,7 +427,7 @@ func TestCheckpointAppendAllocs(t *testing.T) {
 	next := uint64(0)
 	allocs := testing.AllocsPerRun(100, func() {
 		next++
-		seen.add(ipv6.AddrFrom128(uint128.New(0x20010db8<<32, next)))
+		seen.offer(&Response{Responder: ipv6.AddrFrom128(uint128.New(0x20010db8<<32, next))}, nil)
 		st.Shard = int(next % 2)
 		st.Stats.Targets = next
 		c.superseded = 0 // stay on the append path

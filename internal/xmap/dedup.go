@@ -12,13 +12,12 @@ import (
 // dedupSet suppresses duplicate responders. Two implementations back the
 // ablation in DESIGN.md: an exact map (unbounded memory, no false
 // positives) and a Bloom filter (fixed memory, responders may very
-// rarely be dropped as presumed duplicates). Neither is persisted: a
-// checkpoint stores the exact responder list, and a resumed scanner
-// re-adds that list (New), so it keeps suppressing responders the
-// handler was already given.
+// rarely be dropped as presumed duplicates). A run holds one (seenSet).
+// Neither is persisted: a checkpoint stores the exact responder list,
+// and a resumed run re-adds that list once, so it keeps suppressing
+// responders the handler was already given.
 type dedupSet interface {
 	seen(a ipv6.Addr) bool
-	add(a ipv6.Addr)
 	// checkAdd is the fused seen-then-add of the receive hot path: it
 	// records a and reports whether it was new (one hashing/probing pass
 	// instead of two).
@@ -34,8 +33,6 @@ type mapDedup map[ipv6.Addr]uint64
 var _ dedupSet = (mapDedup)(nil)
 
 func (m mapDedup) seen(a ipv6.Addr) bool { return m[a] > 0 }
-
-func (m mapDedup) add(a ipv6.Addr) { m[a]++ }
 
 func (m mapDedup) checkAdd(a ipv6.Addr) bool {
 	c := m[a]
@@ -80,11 +77,6 @@ func newBloomDedup(space uint128.Uint128, scanSeed []byte) (*bloomDedup, error) 
 func (b *bloomDedup) seen(a ipv6.Addr) bool {
 	u := a.Uint128()
 	return b.f.ContainsUint64Pair(u.Hi, u.Lo)
-}
-
-func (b *bloomDedup) add(a ipv6.Addr) {
-	u := a.Uint128()
-	b.f.AddUint64Pair(u.Hi, u.Lo)
 }
 
 func (b *bloomDedup) checkAdd(a ipv6.Addr) bool {

@@ -693,3 +693,101 @@ func TestScanParallelClosesCheckpointLog(t *testing.T) {
 		}
 	}
 }
+
+// burstDriver records the largest burst handed to SendBatch: a run's
+// 8-slot ring pumps bursts of at most 8, direct sends a whole send
+// window (16 targets between the test's checkpoints).
+type burstDriver struct {
+	*SimDriver
+	largest int
+}
+
+func (d *burstDriver) SendBatch(pkts [][]byte) (int, error) {
+	d.largest = max(d.largest, len(pkts))
+	return d.SimDriver.SendBatch(pkts)
+}
+
+// TestLoneScannerIsRunOfOne: New+Run is ScanParallel(…, 1, …), the same
+// run, so a lone scanner honours CheckpointPath, BeforeCheckpoint and
+// RingSize. On a slice of a distributed scan, stopped early and resumed
+// from its file, both write the same CSV byte for byte and the same
+// checkpoint log but for the Elapsed wall times it records.
+func TestLoneScannerIsRunOfOne(t *testing.T) {
+	scan := func(lone bool) (csv []byte, ckpt *Checkpoint, size int64) {
+		f := buildFixture(t)
+		drv := &burstDriver{SimDriver: f.drv}
+		path := filepath.Join(t.TempDir(), "scan.ckpt")
+		var buf bytes.Buffer
+		out, err := NewCSVOutput(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{
+			Window: window(t, f), Seed: []byte("run-of-one"), Shards: 2, ShardIndex: 1,
+			RingSize: 8, CheckpointEvery: 16, CheckpointPath: path, BeforeCheckpoint: out.Flush,
+		}
+		handler := func(r Response) {
+			if err := out.Write(r); err != nil {
+				t.Error(err)
+			}
+		}
+		leg := func(cfg Config) {
+			var stats Stats
+			var err error
+			if lone {
+				var s *Scanner
+				if s, err = New(cfg, drv); err != nil {
+					t.Fatal(err)
+				}
+				stats, err = s.Run(context.Background(), handler)
+			} else {
+				stats, err = ScanParallel(context.Background(), cfg, drv, 1, handler)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Sent == 0 {
+				t.Fatal("the leg sent nothing")
+			}
+		}
+		half := cfg
+		half.MaxTargets = 40
+		leg(half)
+		if cfg.ResumeFrom, err = LoadCheckpoint(path); err != nil {
+			t.Fatal(err)
+		}
+		leg(cfg)
+		if err := out.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if drv.largest == 0 || drv.largest > cfg.RingSize {
+			t.Errorf("lone=%v: largest burst %d, a ring of %d pumps at most that", lone, drv.largest, cfg.RingSize)
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ckpt, err = LoadCheckpoint(path); err != nil {
+			t.Fatal(err)
+		}
+		for i := range ckpt.States {
+			ckpt.States[i].Stats.Elapsed = 0
+		}
+		return buf.Bytes(), ckpt, fi.Size()
+	}
+	loneCSV, loneCkpt, loneSize := scan(true)
+	runCSV, runCkpt, runSize := scan(false)
+	if !bytes.Equal(loneCSV, runCSV) {
+		t.Errorf("CSV differs:\nNew+Run:\n%s\nScanParallel(1):\n%s", loneCSV, runCSV)
+	}
+	if strings.Count(string(loneCSV), "\n") < 2 {
+		t.Errorf("CSV lists no responder:\n%s", loneCSV)
+	}
+	if !bytes.Equal(loneCkpt.Marshal(), runCkpt.Marshal()) || loneSize != runSize {
+		t.Errorf("checkpoint differs: New+Run %d bytes %+v, ScanParallel(1) %d bytes %+v", loneSize, loneCkpt, runSize, runCkpt)
+	}
+	if len(loneCkpt.States) != 1 || !loneCkpt.States[0].Done || len(loneCkpt.Responders) == 0 {
+		t.Errorf("lone scanner's final checkpoint: %d states, %d responders; want one done state and the responders",
+			len(loneCkpt.States), len(loneCkpt.Responders))
+	}
+}

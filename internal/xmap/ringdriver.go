@@ -30,8 +30,8 @@ const pumpBurst = 64
 // scanner's AIMD window — a stalled pump delays the window's flush,
 // delaying its drain, exactly like a slow NIC.
 //
-// One RingDriver serves one scanner goroutine (single producer); use
-// one per shard under ScanParallel.
+// One RingDriver serves one scanner goroutine (single producer); a run
+// with Config.RingSize set gives each worker its own.
 type RingDriver struct {
 	under Driver
 	rel   Releaser // under's Releaser capability, if any
@@ -45,8 +45,6 @@ type RingDriver struct {
 	pushed    atomic.Uint64
 	completed atomic.Uint64
 	failed    atomic.Uint64
-	// stalls counts SendBatch backpressure waits (full ring).
-	stalls atomic.Uint64
 
 	// tracer, when set, records sampled ring-enqueue/ring-stall spans on
 	// stream trStream; SendBatch runs on the owning scanner goroutine,
@@ -109,7 +107,6 @@ func (d *RingDriver) SendBatch(pkts [][]byte) (int, error) {
 				stalled = true
 				d.tracer.Span(d.trStream, telemetry.SpanRingStall, d.pushed.Load(), dst, uint64(d.ring.Len()))
 			}
-			d.stalls.Add(1)
 			runtime.Gosched()
 		}
 		d.pushed.Add(1)
@@ -163,9 +160,6 @@ func (d *RingDriver) Pending() int {
 
 // Failed returns packets dropped after a hard underlying-driver error.
 func (d *RingDriver) Failed() uint64 { return d.failed.Load() }
-
-// Stalls returns how many times SendBatch waited on a full ring.
-func (d *RingDriver) Stalls() uint64 { return d.stalls.Load() }
 
 // Close stops the pump after it drains the ring. The underlying driver
 // is not closed.

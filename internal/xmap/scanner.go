@@ -26,8 +26,8 @@ type Config struct {
 	// validation. Scans with equal seeds are identical.
 	Seed []byte
 	// ShardIndex/Shards split the permutation across scanner instances
-	// (ZMap-style sharding; ScanParallel cuts the slice among its
-	// workers); Shards=0 means 1.
+	// (ZMap-style sharding): the run scans slice ShardIndex of Shards,
+	// cut among its workers; Shards=0 means 1.
 	ShardIndex, Shards int
 	// Rate caps probes per second; 0 disables limiting (the simulator
 	// runs faster than any real link).
@@ -43,13 +43,11 @@ type Config struct {
 	// DrainEvery pumps the receive path after this many probes
 	// (default 64).
 	DrainEvery int
-	// RingSize, under ScanParallel, inserts a lock-free SPSC
-	// transmission ring of this capacity (rounded up to a power of two)
-	// between each shard's scanner and the driver: probe generation and
-	// driver transmission then run pipelined in separate goroutines, a
-	// full ring acting as backpressure on the generator. 0 sends
-	// directly. Single scanners wanting the same pipeline wrap their
-	// driver in NewRingDriver themselves.
+	// RingSize inserts a lock-free SPSC transmission ring of this
+	// capacity (rounded up to a power of two) between each worker and the
+	// driver: probe generation and driver transmission then run pipelined
+	// in separate goroutines, a full ring acting as backpressure on the
+	// generator. 0 sends directly.
 	RingSize int
 	// DedupExact uses an exact map for responder dedup instead of the
 	// default Bloom filter — the ablation knob of DESIGN.md.
@@ -74,23 +72,23 @@ type Config struct {
 	// OnCheckpoint, when set, receives checkpoint states: periodically
 	// per CheckpointEvery, and at every exit including cancellation.
 	OnCheckpoint func(ShardState)
-	// CheckpointPath, under ScanParallel, persists the assembled scan
-	// checkpoint to this file on every shard update: an appended record,
-	// or a snapshot replacing the file by rename (see checkpointer).
+	// CheckpointPath persists the assembled scan checkpoint to this file
+	// on every worker's update: an appended record, or a snapshot
+	// replacing the file by rename (see checkpointer).
 	CheckpointPath string
 	// BeforeCheckpoint, when set, runs before every write of the
-	// CheckpointPath file, under the lock the handler runs under: every
-	// responder the file is about to list has been through the handler
-	// and none is in it. An output module's Flush belongs here, so that a
+	// CheckpointPath file, never beside a handler call: every responder
+	// the file is about to list has been through the handler and none is
+	// in it. An output module's Flush belongs here, so that a
 	// hard kill never leaves the file listing a responder whose row was
 	// still buffered. An error skips that write and fails the scan.
 	BeforeCheckpoint func() error
 	// ResumeFrom continues an interrupted scan mid-cycle. The run (New,
-	// or ScanParallel) verifies the checkpoint's config digest; each
-	// scanner restores the state recorded for its worker position
-	// (permutation cursor, cumulative statistics, retry ring; one without
-	// a state starts over) and re-adds every listed responder to its
-	// dedup set, so none is handed to the handler again.
+	// or ScanParallel) verifies the checkpoint's config digest against
+	// its worker count and adds every listed responder to its seen-set
+	// once, so none is handed to the handler again; each worker restores
+	// the state recorded for its position (permutation cursor, cumulative
+	// statistics, retry ring; one without a state starts over).
 	ResumeFrom *Checkpoint
 	// Telemetry, when set, receives live counters, gauges and histograms
 	// as the scan runs; the scanner writes to the registry shard of its
@@ -123,40 +121,38 @@ type Config struct {
 	// Watchdog, when set, receives this shard's stage transitions and
 	// one progress beat per drain window for stall diagnosis.
 	Watchdog *telemetry.Watchdog
-
-	// cycle, when set, is a pre-built permutation shared between the
-	// scanners of one ScanParallel call (a Cycle is immutable, and its
-	// construction — safe-prime search, generator selection — is the
-	// dominant per-scanner setup cost).
-	cycle *perm.Cycle
 }
 
 // Handler consumes one first-seen responder.
 type Handler func(Response)
 
-// Scanner executes scans against a Driver. A Scanner is not safe for
-// concurrent use: Validation, TargetFor and Run share reusable PRF and
-// buffer scratch state (ScanParallel gives each goroutine its own
-// Scanner).
+// Scanner is one worker of a run: it walks its shard of the
+// permutation, sends, and validates replies, offering each to the run's
+// seen-set. New returns the only worker of a run of one, and its Run
+// executes that run. A Scanner is not safe for concurrent use:
+// Validation, TargetFor and Run share reusable PRF and buffer scratch
+// state (ScanParallel gives each goroutine its own Scanner).
 type Scanner struct {
-	cfg     Config
-	drv     Driver
-	flusher Flusher // drv's Flusher capability, if any
-	probe   ProbeModule
-	cycle   *perm.Cycle
-	block   *lpm.Table[bool]
-	dedup   dedupSet
-	resume  *ShardState     // nil unless Config.ResumeFrom holds this shard's state
-	retry   *retryRing      // nil unless Config.Retries > 0
-	aimd    *aimdController // nil unless Config.AIMD
-	alias   *aliasDetector  // nil unless Config.Defend
-	tel     *telemetry.Shard
+	cfg    Config // the run's, with this worker's shard and checkpoint sink
+	run    *run
+	drv    Driver // the run's, or the ring in front of it during a run
+	probe  ProbeModule
+	cycle  *perm.Cycle
+	block  *lpm.Table[bool]
+	resume *ShardState     // nil unless Config.ResumeFrom holds this worker's state
+	retry  *retryRing      // nil unless Config.Retries > 0
+	aimd   *aimdController // nil unless Config.AIMD
+	alias  *aliasDetector  // nil unless Config.Defend
+	tel    *telemetry.Shard
 
-	// pos is the scanner's worker position: the telemetry shard, trace
+	// pos is the worker's place in the run: the telemetry shard, trace
 	// stream and watchdog slot it writes, and the index of the
-	// ShardState it emits and resumes from. A lone scanner's is its
-	// ShardIndex; a ScanParallel worker's is its place in the run.
+	// ShardState it emits and resumes from.
 	pos int
+	// passed is the responder this worker last offered to a shared
+	// seen-set: a repeat of it is a duplicate without taking the lock.
+	passed     ipv6.Addr
+	havePassed bool
 	// Probe-lifecycle tracing (nil tracer/watchdog = detached).
 	tracer *telemetry.Tracer
 	wd     *telemetry.Watchdog
@@ -214,33 +210,21 @@ func probeOrDefault(p ProbeModule) ProbeModule {
 	return p
 }
 
-// New validates the configuration and prepares a lone scanner: its
-// worker position is ShardIndex, and it resumes from a Checkpoint of
-// Shards shards.
+// New validates the configuration and prepares a run of one worker,
+// returned as that worker: Run then executes exactly what
+// ScanParallel(ctx, cfg, drv, 1, h) does, scanning slice ShardIndex of
+// Shards at worker position 0 and resuming from a one-shard Checkpoint.
 func New(cfg Config, drv Driver) (*Scanner, error) {
-	if ck := cfg.ResumeFrom; ck != nil {
-		if err := ck.Verify(cfg, cfg.Shards); err != nil {
-			return nil, err
-		}
+	r, err := newRun(cfg, drv, 1)
+	if err != nil {
+		return nil, err
 	}
-	return newScanner(cfg, drv, cfg.ShardIndex)
+	return r.workers[0], nil
 }
 
-// newScanner prepares the scanner at worker position pos; the caller has
-// verified cfg.ResumeFrom against its run.
-func newScanner(cfg Config, drv Driver, pos int) (*Scanner, error) {
-	if drv == nil {
-		return nil, fmt.Errorf("xmap: nil driver")
-	}
-	if cfg.Window.To == 0 {
-		return nil, fmt.Errorf("xmap: no scan window configured")
-	}
-	if cfg.Shards == 0 {
-		cfg.Shards = 1
-	}
-	if cfg.ShardIndex < 0 || cfg.ShardIndex >= cfg.Shards {
-		return nil, fmt.Errorf("xmap: shard %d of %d invalid", cfg.ShardIndex, cfg.Shards)
-	}
+// newScanner prepares worker pos of r, which walks shard cfg.ShardIndex
+// of cfg.Shards of cycle; r has validated the run-wide configuration.
+func newScanner(cfg Config, drv Driver, r *run, cycle *perm.Cycle, pos int) (*Scanner, error) {
 	if cfg.DrainEvery <= 0 {
 		cfg.DrainEvery = 64
 	}
@@ -260,20 +244,7 @@ func newScanner(cfg Config, drv Driver, pos int) (*Scanner, error) {
 		cfg.ShedBudget = 4 * cfg.DrainEvery
 	}
 	cfg.Seed = seedOrDefault(cfg.Seed)
-	size, ok := cfg.Window.Size()
-	if !ok {
-		return nil, fmt.Errorf("xmap: window %s too large", cfg.Window)
-	}
-	cycle := cfg.cycle
-	if cycle == nil {
-		var err error
-		cycle, err = perm.NewCycle(size, cfg.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("xmap: building permutation: %w", err)
-		}
-	}
-	s := &Scanner{cfg: cfg, drv: drv, cycle: cycle, pos: pos}
-	s.flusher, _ = drv.(Flusher)
+	s := &Scanner{cfg: cfg, run: r, drv: drv, cycle: cycle, pos: pos}
 	s.tel = cfg.Telemetry.Shard(pos)
 	s.tracer = cfg.Tracer
 	s.wd = cfg.Watchdog
@@ -297,21 +268,6 @@ func newScanner(cfg Config, drv Driver, pos int) (*Scanner, error) {
 			s.block.Insert(p, true)
 		}
 	}
-	if cfg.DedupExact {
-		s.dedup = make(mapDedup)
-	} else {
-		// A sharded scanner only probes its slice of the space, so its
-		// filter needs capacity for that slice, not the whole window.
-		shardSpace := size
-		if cfg.Shards > 1 {
-			shardSpace, _ = size.Add64(uint64(cfg.Shards) - 1).Div64(uint64(cfg.Shards))
-		}
-		bf, err := newBloomDedup(shardSpace, cfg.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("xmap: sizing dedup filter: %w", err)
-		}
-		s.dedup = bf
-	}
 	if cfg.Retries > 0 {
 		s.retry = newRetryRing(cfg.RetryRing)
 	}
@@ -319,13 +275,6 @@ func newScanner(cfg Config, drv Driver, pos int) (*Scanner, error) {
 		s.aimd = newAIMD(cfg.DrainEvery)
 	}
 	if ck := cfg.ResumeFrom; ck != nil {
-		// The list holds every responder any shard reported, a superset of
-		// what this shard's set held when the state was cut; adds are
-		// order-independent, so the seeded set suppresses at least what
-		// the interrupted one did.
-		for _, a := range ck.Responders {
-			s.dedup.add(a)
-		}
 		s.resume, _ = ck.StateFor(pos)
 		if r := s.resume; r != nil && len(r.Retry) > 4 { // 4 bytes is an empty ring's count header
 			if s.retry == nil {
@@ -346,7 +295,7 @@ func newScanner(cfg Config, drv Driver, pos int) (*Scanner, error) {
 // resume the counts cover the resumed leg only: every responder of the
 // checkpoint starts at 1.
 func (s *Scanner) ResponderCounts() map[ipv6.Addr]uint64 {
-	if m, ok := s.dedup.(mapDedup); ok {
+	if m, ok := s.run.seen.set.(mapDedup); ok {
 		return m
 	}
 	return nil
@@ -419,8 +368,16 @@ const (
 	cooldownDrainsRetry = 8
 )
 
-// Run executes the scan, invoking handler for each first-seen responder.
-// It honors ctx cancellation between probes.
+// Run executes the scanner's run, invoking handler for each first-seen
+// responder, and returns the run's Stats. It honors ctx cancellation
+// between probes.
+func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
+	return s.run.exec(ctx, handler)
+}
+
+// scan is one worker's part of a run: it walks the worker's shard and
+// returns the worker's Stats, whose Unique counts its own admissions to
+// the run's seen-set.
 //
 // The send path is batch-first: probes accumulate and flush once per
 // drain window through Driver.SendBatch, amortizing driver entry across
@@ -430,8 +387,8 @@ const (
 // With Config.ResumeFrom set, the scan continues mid-cycle: the
 // permutation cursor fast-forwards past the probed prefix of the shard's
 // sequence, statistics accumulate on top of the restored ones, and the
-// re-seeded dedup set keeps already-reported responders suppressed.
-func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
+// run's seeded seen-set keeps already-reported responders suppressed.
+func (s *Scanner) scan(ctx context.Context, handler Handler) (Stats, error) {
 	var stats Stats
 	var priorElapsed time.Duration
 	start := time.Now()
@@ -825,17 +782,18 @@ func (s *Scanner) skipTarget(a ipv6.Addr) bool {
 }
 
 // drain pumps the receive path through classification, validation and
-// dedup. A pipelined driver is flushed first, so the drain window is a
-// barrier: every probe accepted before it has reached the packet layer,
-// which keeps checkpoints (emitted only after a drain) and the
-// batch-vs-per-packet oracle sound. Buffers that no Response retains
+// the run's seen-set. A pipelined driver is flushed first, so the drain
+// window is a barrier: every probe accepted before it has reached the
+// packet layer, which keeps checkpoints (emitted only after a drain) and
+// the batch-vs-per-packet oracle sound. Buffers that no Response retains
 // (only KindUDPData keeps a Payload reference) go back to a Releaser
 // driver afterwards.
 func (s *Scanner) drain(stats *Stats, handler Handler) {
 	rawMod, isRaw := s.probe.(RawProbeModule)
 	releaser, _ := s.drv.(Releaser)
-	if s.flusher != nil {
-		s.flusher.Flush()
+	seen := s.run.seen
+	if flusher, ok := s.drv.(Flusher); ok {
+		flusher.Flush()
 	}
 	s.rx = s.drv.RecvBatch(s.rx[:0])
 	if s.alias != nil && len(s.rx) > s.cfg.ShedBudget {
@@ -891,15 +849,18 @@ func (s *Scanner) drain(stats *Stats, handler Handler) {
 			// dedup'd or handed to the handler.
 			continue
 		}
-		if !s.dedup.checkAdd(resp.Responder) {
+		var fresh bool
+		if seen.shared {
+			fresh = s.offerShared(&resp, handler)
+		} else {
+			fresh = seen.offer(&resp, handler)
+		}
+		if !fresh {
 			stats.Duplicates++
 			s.span(telemetry.SpanDedup, stats.Sent, resp.ProbeDst, 0)
 			continue
 		}
 		stats.Unique++
-		if handler != nil {
-			handler(resp)
-		}
 	}
 	if releaser != nil && len(s.recycle) > 0 {
 		// Deferred past the loop: s.sum still references the most
@@ -915,6 +876,21 @@ func (s *Scanner) drain(stats *Stats, handler Handler) {
 	if s.alias != nil {
 		s.aliasTick()
 	}
+}
+
+// offerShared is seenSet.offer under a shared set's lock, once the
+// worker has turned away a repeat of the responder it offered last: that
+// responder is a member already, since neither set has false negatives.
+// A run of one offers unlocked.
+func (s *Scanner) offerShared(resp *Response, handler Handler) bool {
+	if s.havePassed && resp.Responder == s.passed {
+		return false
+	}
+	s.passed, s.havePassed = resp.Responder, true
+	seen := s.run.seen
+	seen.mu.Lock()
+	defer seen.mu.Unlock()
+	return seen.offer(resp, handler)
 }
 
 // rateLimiter is a token bucket over wall-clock time. Tokens refill in

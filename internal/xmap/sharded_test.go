@@ -80,9 +80,8 @@ func TestScanBatchRespectsMaxTargets(t *testing.T) {
 func TestScanParallelSumsShardDuplicates(t *testing.T) {
 	f := buildFixture(t)
 	// The ISP router answers unreachable for all ~250 unassigned
-	// sub-prefixes, so each shard's scanner records many duplicates of
-	// its own, and the first shard to see the ISP makes the others
-	// record cross-shard ones.
+	// sub-prefixes, so every worker meets the ISP router again after
+	// the first one admitted it to the run's seen-set.
 	stats, err := ScanParallel(context.Background(),
 		Config{Window: window(t, f), Seed: []byte("dup")}, f.drv, 4, nil)
 	if err != nil {

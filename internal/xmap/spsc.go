@@ -4,7 +4,7 @@ import "sync/atomic"
 
 // SPSC is a bounded lock-free single-producer/single-consumer queue — the
 // handoff between a shard's probe-generation goroutine and its
-// transmission pump (RingDriver). One goroutine may call Push/PushBatch,
+// transmission pump (RingDriver). One goroutine may call Push,
 // one other goroutine may call Pop/PopBatch; Len and Cap are safe from
 // anywhere. The implementation is the classic power-of-two ring with
 // monotonic head/tail counters: the producer owns tail, the consumer owns
@@ -61,28 +61,6 @@ func (q *SPSC[T]) Push(v T) bool {
 	q.buf[t&q.mask] = v
 	q.tail.Store(t + 1)
 	return true
-}
-
-// PushBatch appends as many of vs as fit and returns how many it took.
-// Producer side only.
-func (q *SPSC[T]) PushBatch(vs []T) int {
-	t := q.tail.Load()
-	free := q.mask + 1 - (t - q.cachedHead)
-	if uint64(len(vs)) > free {
-		q.cachedHead = q.head.Load()
-		free = q.mask + 1 - (t - q.cachedHead)
-	}
-	n := len(vs)
-	if uint64(n) > free {
-		n = int(free)
-	}
-	for i := 0; i < n; i++ {
-		q.buf[(t+uint64(i))&q.mask] = vs[i]
-	}
-	if n > 0 {
-		q.tail.Store(t + uint64(n))
-	}
-	return n
 }
 
 // Pop removes and returns the oldest element, reporting false on an

@@ -7,6 +7,17 @@ import (
 	"testing"
 )
 
+// pushAll pushes vs in order until the queue is full and returns how
+// many it took: the batch a producer makes of Push.
+func pushAll[T any](q *SPSC[T], vs []T) int {
+	for i, v := range vs {
+		if !q.Push(v) {
+			return i
+		}
+	}
+	return len(vs)
+}
+
 // TestSPSCCapacityRounding pins the power-of-two rounding and the minimum
 // capacity.
 func TestSPSCCapacityRounding(t *testing.T) {
@@ -38,8 +49,8 @@ func TestSPSCEmptyAndFull(t *testing.T) {
 	if q.Push(99) {
 		t.Fatal("Push on full queue succeeded")
 	}
-	if n := q.PushBatch([]int{99, 100}); n != 0 {
-		t.Fatalf("PushBatch on full queue took %d", n)
+	if n := pushAll(q, []int{99, 100}); n != 0 {
+		t.Fatalf("pushAll on full queue took %d", n)
 	}
 	if q.Len() != 4 {
 		t.Fatalf("Len = %d after fill, want 4", q.Len())
@@ -88,14 +99,14 @@ func TestSPSCWraparound(t *testing.T) {
 	}
 }
 
-// TestSPSCBatchOps covers PushBatch/PopBatch partial acceptance: a batch
+// TestSPSCBatchOps covers pushAll/PopBatch partial acceptance: a batch
 // larger than the free space is truncated, a pop larger than the
 // population is truncated, and order is preserved either way.
 func TestSPSCBatchOps(t *testing.T) {
 	q := NewSPSC[int](8)
 	in := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
-	if n := q.PushBatch(in); n != 8 {
-		t.Fatalf("PushBatch took %d, want 8 (capacity)", n)
+	if n := pushAll(q, in); n != 8 {
+		t.Fatalf("pushAll took %d, want 8 (capacity)", n)
 	}
 	dst := make([]int, 3)
 	if n := q.PopBatch(dst); n != 3 {
@@ -107,8 +118,8 @@ func TestSPSCBatchOps(t *testing.T) {
 		}
 	}
 	// 5 queued, 3 free: a 4-element batch is truncated to 3.
-	if n := q.PushBatch([]int{100, 101, 102, 103}); n != 3 {
-		t.Fatalf("PushBatch into 3 free slots took %d", n)
+	if n := pushAll(q, []int{100, 101, 102, 103}); n != 3 {
+		t.Fatalf("pushAll into 3 free slots took %d", n)
 	}
 	want := []int{3, 4, 5, 6, 7, 100, 101, 102}
 	big := make([]int, 16)
@@ -145,16 +156,16 @@ func TestSPSCPropertyVsSliceModel(t *testing.T) {
 					model = append(model, next)
 				}
 				next++
-			case 1: // PushBatch
+			case 1: // pushAll
 				k := rng.Intn(capacity + 2)
 				vs := make([]int, k)
 				for i := range vs {
 					vs[i] = next + i
 				}
-				n := q.PushBatch(vs)
+				n := pushAll(q, vs)
 				wantN := min(k, capacity-len(model))
 				if n != wantN {
-					t.Fatalf("cap %d op %d: PushBatch(%d) = %d, model %d", capacity, op, k, n, wantN)
+					t.Fatalf("cap %d op %d: pushAll(%d) = %d, model %d", capacity, op, k, n, wantN)
 				}
 				model = append(model, vs[:n]...)
 				next += n
@@ -192,7 +203,7 @@ func TestSPSCPropertyVsSliceModel(t *testing.T) {
 }
 
 // TestSPSCTwoGoroutineStress is the concurrency property test: one
-// producer pushes a known sequence (mixing Push and PushBatch), one
+// producer pushes a known sequence (mixing Push and pushAll), one
 // consumer pops it (mixing Pop and PopBatch), and the consumer must see
 // exactly the sequence 0..total-1 in order — no loss, no duplication, no
 // reordering. Run under -race this also proves the ordering handshake
@@ -228,7 +239,7 @@ func TestSPSCTwoGoroutineStress(t *testing.T) {
 			for i := range vs {
 				vs[i] = next + i
 			}
-			if n := q.PushBatch(vs); n > 0 {
+			if n := pushAll(q, vs); n > 0 {
 				next += n
 			} else {
 				runtime.Gosched()

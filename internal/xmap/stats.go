@@ -7,7 +7,7 @@ import (
 )
 
 // Stats summarizes a finished scan. It is the scan's one counter set:
-// the checkpoint stores it, ScanParallel merges it, and the telemetry
+// the checkpoint stores it, a run merges it, and the telemetry
 // scan.* counters are a published view of it (statsFields).
 type Stats struct {
 	// Targets is the number of sub-prefixes probed.
@@ -47,10 +47,10 @@ type Stats struct {
 var statsFields = [...]struct {
 	counter telemetry.Counter
 	field   func(*Stats) *uint64
-	// shardLocal marks a count that does not sum across shards, so Merge
-	// leaves it alone: shard-local uniqueness double-counts a responder
-	// first seen by two shards, and aggregators (ScanParallel) count it
-	// across their own cross-shard dedup instead.
+	// shardLocal marks a count Merge leaves alone: a worker's Unique is
+	// its own admissions to the run's seen-set, but a resumed run's also
+	// counts the responders its checkpoint lists, which no restored state
+	// accounts for, so the run (and any aggregator) sets it itself.
 	shardLocal bool
 }{
 	{counter: telemetry.ScanTargets, field: func(s *Stats) *uint64 { return &s.Targets }},

@@ -143,8 +143,7 @@ func TestScanUnaffectedByTelemetry(t *testing.T) {
 }
 
 // TestStatsMerge: counts sum, Elapsed takes the slowest shard, and
-// Unique stays untouched (aggregators count uniqueness across their own
-// cross-shard dedup).
+// Unique stays untouched (the run counts the members of its seen-set).
 func TestStatsMerge(t *testing.T) {
 	// The table lists every counter field of Stats exactly once.
 	var probe Stats
@@ -185,5 +184,30 @@ func TestStatsMerge(t *testing.T) {
 	}
 	if a.Elapsed != 3*time.Second {
 		t.Errorf("Elapsed = %v, want the max 3s", a.Elapsed)
+	}
+}
+
+// TestScanParallelTelemetryCountsRunUnique: under ScanParallel every
+// worker publishes only its own admissions to the run's one seen-set,
+// so the live scan.unique sums to the run's Unique — the handler calls —
+// and scan.duplicates to its Duplicates, whichever worker first saw a
+// responder the others hear again.
+func TestScanParallelTelemetryCountsRunUnique(t *testing.T) {
+	f := buildFixture(t)
+	reg := telemetry.New(telemetry.Options{Shards: 4})
+	calls := 0
+	stats, err := ScanParallel(context.Background(), Config{
+		Window: window(t, f), Seed: []byte("tel-parallel"), Telemetry: reg,
+	}, f.drv, 4, func(Response) { calls++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	checkTelemetryMatchesStats(t, snap, stats)
+	if got := snap.Counters[telemetry.ScanUnique.String()]; got != 6 || stats.Unique != 6 || calls != 6 {
+		t.Errorf("scan.unique %d, Stats.Unique %d, %d handler calls; want 6 each", got, stats.Unique, calls)
+	}
+	if got := snap.Counters[telemetry.ScanDuplicates.String()]; got != 250 || stats.Duplicates != 250 {
+		t.Errorf("scan.duplicates %d, Stats.Duplicates %d; want 250 each", got, stats.Duplicates)
 	}
 }
