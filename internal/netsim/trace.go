@@ -20,7 +20,7 @@ import (
 // traced probe during its strict-probe-order delivery pass, the
 // identical crossing sequence from the compiled entry — same (node,
 // iface, hop-limit) triples, same order. Parity between the two is
-// pinned by simtest.RunFastPathOracle's trace leg.
+// pinned by the flow-trace relation of simtest's oracle-fastpath rows.
 
 // FlowTracer receives sampled flow crossings. Implementations decide
 // sampling via SampleFlow — called per crossing on the interpreted path

@@ -3,6 +3,7 @@ package simtest
 import (
 	"flag"
 	"fmt"
+	"regexp"
 	"runtime"
 	"testing"
 
@@ -16,96 +17,71 @@ var (
 	baseSeed  = flag.Int64("base-seed", 1, "first seed of the sweep (replay a failure with -base-seed N -seeds 1)")
 )
 
-// TestScenarios is the scenario runner: for every seed in the sweep and
-// every fault profile, it exercises xmap discovery, subnet inference
-// and loopscan end to end with the invariant checkers attached, plus
-// the per-seed differential oracles. Each subtest name carries the seed
-// and profile, so a failure replays exactly with
+// TestScenarios is the scenario runner. For every seed of the sweep it
+// runs the sweep rows (xmap discovery, subnet inference and loopscan end
+// to end with the invariant checkers attached) under every fault
+// profile as seed=K/<profile>, then every row of the oracle table under
+// each of its profiles as seed=K/<row>/<profile>. A failure replays
+// exactly with the -run pattern its subtest logs, e.g.
 //
-//	go test ./internal/simtest -run 'TestScenarios/seed=N/profile' -base-seed N -seeds 1
+//	go test ./internal/simtest -run 'TestScenarios/seed=N/oracle-batch/loss' -base-seed N -seeds 1
 func TestScenarios(t *testing.T) {
 	for i := 0; i < *seedCount; i++ {
 		seed := *baseSeed + int64(i)
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			report := func(t *testing.T, scenario string, problems []string, err error) {
-				t.Helper()
-				if err != nil {
-					t.Fatalf("%s: %v", scenario, err)
-				}
-				for _, p := range problems {
-					t.Errorf("%s: %s", scenario, p)
+			run := func(t *testing.T, p profile, path string, rows ...row) {
+				t.Logf("replay: go test ./internal/simtest -run 'TestScenarios/seed=%d/%s' -base-seed %d -seeds 1", seed, path, seed)
+				for _, r := range rows {
+					problems, err := r.run(env{seed: seed, p: p, dir: t.TempDir()})
+					if err != nil {
+						t.Fatalf("%s: %v", r.name, err)
+					}
+					for _, msg := range problems {
+						t.Errorf("%s: %s", r.name, msg)
+					}
 				}
 			}
-			for _, p := range Profiles {
-				p := p
-				t.Run(p.Name, func(t *testing.T) {
-					t.Logf("replay: go test ./internal/simtest -run 'TestScenarios/seed=%d/%s' -base-seed %d -seeds 1", seed, p.Name, seed)
-					problems, err := RunDiscoveryScenario(seed, p)
-					report(t, "discovery", problems, err)
-					problems, err = RunSubnetScenario(seed, p)
-					report(t, "subnet", problems, err)
-					problems, err = RunLoopScenario(seed, p)
-					report(t, "loopscan", problems, err)
+			for _, p := range faults(nil) {
+				t.Run(p.name, func(t *testing.T) { run(t, p, p.name, sweep...) })
+			}
+			for _, r := range rows {
+				t.Run(r.name, func(t *testing.T) {
+					for _, p := range r.profiles {
+						t.Run(p.name, func(t *testing.T) { run(t, p, r.name+"/"+p.name, r) })
+					}
 				})
 			}
-			t.Run("oracle-routes", func(t *testing.T) {
-				report(t, "lpm-vs-linear", RandomRouteOracle(seed), nil)
-			})
-			t.Run("oracle-udp", func(t *testing.T) {
-				problems, err := RunUDPOracle(seed)
-				report(t, "sim-vs-udp", problems, err)
-			})
-			t.Run("oracle-sharded", func(t *testing.T) {
-				problems, err := RunShardOracle(seed, 4)
-				report(t, "sharded-vs-single", problems, err)
-			})
-			t.Run("oracle-batch", func(t *testing.T) {
-				for _, p := range Profiles {
-					problems, err := RunBatchOracle(seed, p)
-					report(t, "batch-vs-per-packet/"+p.Name, problems, err)
-				}
-			})
-			t.Run("oracle-fastpath", func(t *testing.T) {
-				for _, p := range Profiles {
-					problems, err := RunFastPathOracle(seed, p)
-					report(t, "fastpath-vs-interpreted/"+p.Name, problems, err)
-				}
-			})
-			t.Run("oracle-tools", func(t *testing.T) {
-				problems, err := RunToolParityOracle(seed)
-				report(t, "tools-fastpath-vs-interpreted", problems, err)
-			})
-			t.Run("oracle-resume", func(t *testing.T) {
-				for _, p := range Profiles {
-					if !p.Lossless() {
-						continue
-					}
-					problems, err := RunResumeOracle(seed, p)
-					report(t, "kill-and-resume/"+p.Name, problems, err)
-				}
-			})
-			t.Run("oracle-hostile", func(t *testing.T) {
-				for _, hp := range HostileProfiles {
-					problems, err := RunHostileOracle(seed, hp)
-					report(t, "defended-vs-undefended/"+hp.Name, problems, err)
-				}
-			})
-			t.Run("watchdog", func(t *testing.T) {
-				problems, err := RunWatchdogScenario(seed)
-				report(t, "wedged-driver-watchdog", problems, err)
-			})
-			t.Run("oracle-adaptive", func(t *testing.T) {
-				for _, name := range []string{"loss", "ratelimit", "flap"} {
-					p, ok := ProfileByName(name)
-					if !ok {
-						t.Fatalf("profile %s missing", name)
-					}
-					problems, err := RunAdaptiveOracle(seed, p)
-					report(t, "adaptive-vs-blind/"+name, problems, err)
-				}
-			})
 		})
+	}
+}
+
+// TestRunPatternsSelectRows pins the -run patterns CI and the docs use:
+// go test passes silently when a pattern selects nothing, so a renamed
+// row or profile would turn each into a no-op.
+func TestRunPatternsSelectRows(t *testing.T) {
+	names := map[string]bool{}
+	for _, p := range faults(nil) {
+		names[p.name] = true
+	}
+	for _, r := range rows {
+		names[r.name] = true
+		if len(r.profiles) == 0 {
+			t.Errorf("row %s applies to no profile", r.name)
+		}
+	}
+	for _, pat := range []string{
+		"oracle-(fastpath|tools)", "oracle-hostile", "^watchdog$", "^none$",
+		"combo-", "oracle-fastpath-delegate",
+	} {
+		re := regexp.MustCompile(pat)
+		found := false
+		for n := range names {
+			found = found || re.MatchString(n)
+		}
+		if !found {
+			t.Errorf("-run element %q selects no row or profile", pat)
+		}
 	}
 }
 

@@ -12,14 +12,21 @@
 //   - invariant checkers (Invariants): a tap on every simulated link
 //     crossing verifying wire checksums, strict hop-limit decrement and
 //     the 255-hop amplification circulation cap;
-//   - differential oracles (oracles.go / scenarios.go): the same seeded
-//     scan run through paired implementations — bloom vs exact dedup,
-//     LPM trie vs linear route lookup, sim driver vs loopback UDP
-//     driver — with the result sets diffed.
+//   - differential oracles (rows.go): one table of rows. A row names the
+//     profiles it applies to, a reference leg, the legs compared against
+//     it, the relation that must hold between them (a subset of
+//     responder set, handler order, Stats counters, engine totals,
+//     per-link stats and per-flow hop traces) and a check for what is
+//     not an equality. Every leg is one legSpec run by runLeg and
+//     judged by diff (leg.go), so a feature combination costs one row.
+//     Rows that keep their own worlds (worlds.go: routes, UDP, shards,
+//     tools, watchdog) scan through the same runner and report through
+//     the same diff.
 //
 // The scenario runner lives in scenario_test.go:
 //
 //	go test ./internal/simtest -run TestScenarios -seeds 20
+//	go test ./internal/simtest -run 'TestScenarios/seed=K/<row>/<profile>' -base-seed K -seeds 1
 package simtest
 
 import (

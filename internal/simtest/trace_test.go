@@ -67,14 +67,15 @@ func TestAttachTraceNoOps(t *testing.T) {
 // run itself is clean, so the check injects a synthetic problem through
 // the same AttachTrace path the scenario uses.
 func TestDiscoveryFailureCarriesTrace(t *testing.T) {
-	run, err := runDiscovery(3, FaultProfile{Name: "none"}, true)
+	run, err := runLeg(env{seed: 3, p: profile{name: "none"}}, discoveryRef, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(run.Spans) == 0 {
+	spans := run.cfg.Tracer.AppendSpans(0, nil)
+	if len(spans) == 0 {
 		t.Fatal("discovery run recorded no spans")
 	}
-	problems := AttachTrace([]string{"synthetic failure"}, run.Spans, 16)
+	problems := AttachTrace([]string{"synthetic failure"}, spans, 16)
 	if len(problems) != 2 {
 		t.Fatalf("got %d problems, want 2", len(problems))
 	}
@@ -87,17 +88,15 @@ func TestDiscoveryFailureCarriesTrace(t *testing.T) {
 		t.Errorf("span tail carries no addresses: %q", tail)
 	}
 	// The scenario's snapshot view covers all three layers of the stack.
-	if run.Snapshot == nil {
-		t.Fatal("discovery run has no telemetry snapshot")
-	}
-	if run.Snapshot.Counters[telemetry.ScanSent.String()] != run.Stats.Sent {
+	snap := run.cfg.Telemetry.Snapshot()
+	if snap.Counters[telemetry.ScanSent.String()] != run.stats[0].Sent {
 		t.Errorf("snapshot scan.sent = %d, stats say %d",
-			run.Snapshot.Counters[telemetry.ScanSent.String()], run.Stats.Sent)
+			snap.Counters[telemetry.ScanSent.String()], run.stats[0].Sent)
 	}
-	if run.Snapshot.Counters[telemetry.InjectTransmissions.String()] == 0 {
+	if snap.Counters[telemetry.InjectTransmissions.String()] == 0 {
 		t.Error("inject.transmissions = 0: injector collector not registered")
 	}
-	if run.Snapshot.Counters[telemetry.SimTransmissions.String()] == 0 {
+	if snap.Counters[telemetry.SimTransmissions.String()] == 0 {
 		t.Error("sim.transmissions = 0: engine collector not registered")
 	}
 }

@@ -362,6 +362,10 @@ func shedSrc(raw []byte) (ipv6.Addr, bool) {
 	return ipv6.AddrFromBytes(raw[8:24]), true
 }
 
+// shedBudget caps the replies one drain processes under Config.Defend:
+// four drain windows' worth of probes.
+func (s *Scanner) shedBudget() int { return 4 * s.cfg.DrainEvery }
+
 // shed drops lowest-value buffered replies when a drain floods past the
 // budget, so an amplifier cannot stall the send path. Two deterministic
 // tiers, cheapest information first: replies sourced inside a prefix
@@ -370,7 +374,7 @@ func shedSrc(raw []byte) (ipv6.Addr, bool) {
 // Replies from unseen responders are never shed — shedding cannot cost
 // recall, only duplicate accounting.
 func (s *Scanner) shed(stats *Stats, releaser Releaser) {
-	need := len(s.rx) - s.cfg.ShedBudget
+	need := len(s.rx) - s.shedBudget()
 	before := stats.Shed
 	d := s.alias
 	for tier := 0; tier < 2 && need > 0; tier++ {

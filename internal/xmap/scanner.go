@@ -103,14 +103,12 @@ type Config struct {
 	// Defend enables the adversarial defenses: the cooldown alias
 	// detector (saturated prefixes are re-probed and, if confirmed,
 	// folded into the runtime blocklist), strict embedded-quote
-	// validation, reply quarantine, and drain-window overload shedding.
-	// Off by default; the hot path then carries no defense state.
+	// validation, reply quarantine, and drain-window overload shedding:
+	// a drain processes at most 4*DrainEvery replies, and when RecvBatch
+	// floods past that, lowest-value replies are dropped deterministically
+	// instead of stalling the send path. Off by default; the hot path
+	// then carries no defense state.
 	Defend bool
-	// ShedBudget caps the replies processed per drain under Defend:
-	// when RecvBatch floods past it, lowest-value replies are dropped
-	// deterministically instead of stalling the send path (default
-	// 4*DrainEvery; ignored without Defend).
-	ShedBudget int
 
 	// Tracer, when set, records sampled probe-lifecycle spans: the
 	// scanner writes the scan stream of its worker position and fires
@@ -239,9 +237,6 @@ func newScanner(cfg Config, drv Driver, r *run, cycle *perm.Cycle, pos int) (*Sc
 	}
 	if cfg.Retries > 0 && cfg.RetryRing <= 0 {
 		cfg.RetryRing = 1024
-	}
-	if cfg.Defend && cfg.ShedBudget <= 0 {
-		cfg.ShedBudget = 4 * cfg.DrainEvery
 	}
 	cfg.Seed = seedOrDefault(cfg.Seed)
 	s := &Scanner{cfg: cfg, run: r, drv: drv, cycle: cycle, pos: pos}
@@ -796,7 +791,7 @@ func (s *Scanner) drain(stats *Stats, handler Handler) {
 		flusher.Flush()
 	}
 	s.rx = s.drv.RecvBatch(s.rx[:0])
-	if s.alias != nil && len(s.rx) > s.cfg.ShedBudget {
+	if s.alias != nil && len(s.rx) > s.shedBudget() {
 		s.shed(stats, releaser)
 	}
 	for _, raw := range s.rx {
