@@ -68,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		quiet    = fs.Bool("quiet", false, "suppress the summary on stderr")
 		metaF    = fs.String("metadata", "", "write JSON scan metadata to this file ('-' for stderr)")
 		parallel = fs.Int("parallel", 1, "run this many shard scanners concurrently in this process")
-		ringSize = fs.Int("ring", 0, "per-shard SPSC transmission ring capacity under -parallel (0 = direct sends)")
+		ringSize = fs.Int("ring", 0, "per-worker transmission queue capacity in packets (0 = direct sends)")
 		retries  = fs.Int("retries", 0, "re-probe unanswered targets up to this many times with backoff")
 		defend   = fs.Bool("defend", false, "adversarial defenses: alias/cooldown detection, strict reply validation, overload shedding")
 		aimd     = fs.Bool("aimd", false, "adapt the send window to the reply rate (AIMD)")

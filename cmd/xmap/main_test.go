@@ -347,12 +347,14 @@ func TestRunTwiceNoGlobalState(t *testing.T) {
 }
 
 // TestBatchFlag: -batch sets the scanner's drain window (the send burst
-// size, visible as the scan.window gauge), and the batch size is purely
-// a throughput knob — a per-probe scan (-batch 1) must report the same
-// targets, sends and responders as the default burst of 64. (Batched
-// fast-path *replay* needs warm flows, i.e. repeated scans over one
-// deployment; a single cold CLI pass probes each destination once, so
-// that engagement is asserted by the engine and oracle tests instead.)
+// size, visible as the scan.window gauge), and every transmit flag is a
+// throughput knob over one send path — per-probe bursts (-batch 1), paced
+// sends (-rate), a transmission queue (-ring) and their combination with
+// probe copies (-probes) must write the default run's rows byte for byte
+// and count the same targets and responders. (Batched fast-path *replay*
+// needs warm flows, i.e. repeated scans over one deployment; a single
+// cold CLI pass probes each destination once, so that engagement is
+// asserted by the engine and oracle tests instead.)
 func TestBatchFlag(t *testing.T) {
 	readSnap := func(path string) (map[string]uint64, map[string]int64) {
 		t.Helper()
@@ -371,27 +373,46 @@ func TestBatchFlag(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	single := filepath.Join(dir, "single.json")
+	base := []string{"-max-targets", "200", "-quiet", "-seed", "9", "-status-json"}
 	deflt := filepath.Join(dir, "default.json")
-	runOnce(t, "-max-targets", "200", "-quiet", "-seed", "9", "-batch", "1", "-status-json", single)
-	runOnce(t, "-max-targets", "200", "-quiet", "-seed", "9", "-status-json", deflt)
-
-	sc, sg := readSnap(single)
+	wantCSV, _ := runOnce(t, append(base, deflt)...)
 	dc, dg := readSnap(deflt)
-	if got := sg["scan.window"]; got != 1 {
-		t.Errorf("scan.window gauge = %d, want the -batch value 1", got)
-	}
 	if got := dg["scan.window"]; got != 64 {
 		t.Errorf("scan.window gauge = %d, want the default drain window 64", got)
 	}
-	for _, key := range []string{"scan.targets", "scan.sent", "scan.received", "scan.unique"} {
-		if sc[key] != dc[key] {
-			t.Errorf("%s = %d with -batch 1 vs %d with the default window; batch size must not change scan results",
-				key, sc[key], dc[key])
-		}
+	if dc["scan.sent"] != 200 {
+		t.Errorf("scan.sent = %d, want 200", dc["scan.sent"])
 	}
-	if sc["scan.sent"] != 200 {
-		t.Errorf("scan.sent = %d, want 200", sc["scan.sent"])
+	for i, tc := range []struct {
+		flags  []string
+		probes uint64 // copies sent of each probe
+	}{
+		{[]string{"-batch", "1"}, 1},
+		{[]string{"-rate", "2000000"}, 1},
+		{[]string{"-ring", "8"}, 1},
+		{[]string{"-rate", "2000000", "-probes", "3", "-ring", "8"}, 3},
+	} {
+		status := filepath.Join(dir, fmt.Sprintf("run%d.json", i))
+		csv, _ := runOnce(t, append(append(tc.flags, base...), status)...)
+		if csv != wantCSV {
+			t.Errorf("%v: CSV differs from the default run's", tc.flags)
+		}
+		sc, sg := readSnap(status)
+		keys := []string{"scan.targets", "scan.unique"}
+		if tc.probes == 1 {
+			keys = append(keys, "scan.sent", "scan.received")
+		} else if sc["scan.sent"] != 200*tc.probes {
+			t.Errorf("%v: scan.sent = %d, want %d", tc.flags, sc["scan.sent"], 200*tc.probes)
+		}
+		for _, key := range keys {
+			if sc[key] != dc[key] {
+				t.Errorf("%v: %s = %d vs %d by default; transmit flags must not change scan results",
+					tc.flags, key, sc[key], dc[key])
+			}
+		}
+		if tc.flags[0] == "-batch" && sg["scan.window"] != 1 {
+			t.Errorf("scan.window gauge = %d, want the -batch value 1", sg["scan.window"])
+		}
 	}
 }
 

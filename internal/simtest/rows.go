@@ -185,7 +185,7 @@ var rows = []row{
 	{name: "oracle-sharded", profiles: clean, check: shardCheck},
 	// The transmission path is invisible: one injection per probe
 	// (AdaptPacketDriver), the scanner's native bursts, and the bursts
-	// behind an SPSC ring and pump goroutine report the same under every
+	// behind a ring and its pump goroutine report the same under every
 	// fault profile, lossy ones included. That holds only because the
 	// whole chain keeps per-packet order and decision sequence: the engine
 	// pumps batches a packet at a time, the ring is FIFO, and the scanner

@@ -329,7 +329,7 @@ func toolsCheck(e env, _ *leg, _ []*leg) ([]string, error) {
 // SendBatch of them until release is closed: a deterministic model of a
 // wedged packet layer (a NIC queue that stopped draining). Behind the
 // worker's RingDriver it wedges that ring's pump, the ring fills, and
-// the worker spins in ring backpressure: exactly the hang the stall
+// the worker blocks in ring backpressure: exactly the hang the stall
 // watchdog exists to name. Other workers' rings pump past it.
 type wedgeDriver struct {
 	*recordingDriver
@@ -381,7 +381,7 @@ func watchdogCheck(e env, _ *leg, _ []*leg) ([]string, error) {
 	f.Drv.RegisterTracer(tracer)
 
 	// Both workers send through small rings; worker 1's pump wedges after
-	// a few packets, and its goroutine ends up spinning on the full ring.
+	// a few packets, and its goroutine ends up waiting on the full ring.
 	// Worker 0 runs to completion: it must report StageDone and stay
 	// exempt from every stall check, which start once it has finished.
 	worker0Done := make(chan struct{})

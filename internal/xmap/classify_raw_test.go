@@ -55,7 +55,7 @@ func newParityFixture(tb testing.TB) *parityFixture {
 	// topology and returns its single reply.
 	exchange := func(dst ipv6.Addr, hop uint8) []byte {
 		p := &ICMPEchoProbe{HopLimit: hop}
-		pkt, err := p.MakeProbe(src, dst, validate(dst))
+		pkt, err := p.AppendProbe(nil, src, dst, validate(dst))
 		if err != nil {
 			tb.Fatal(err)
 		}

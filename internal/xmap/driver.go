@@ -7,6 +7,8 @@
 package xmap
 
 import (
+	"runtime"
+
 	"repro/internal/ipv6"
 	"repro/internal/netsim"
 	"repro/internal/telemetry"
@@ -64,11 +66,50 @@ type Releaser interface {
 
 // Flusher is an optional Driver capability for pipelined drivers
 // (RingDriver): block until every packet accepted by SendBatch has
-// entered the underlying packet layer. The scanner flushes before each
-// receive drain and before emitting a checkpoint, so a resumable state
-// never has probes parked invisibly in a ring.
+// entered the underlying packet layer or failed there, including a
+// burst the pipeline is still handing over. The scanner flushes before
+// each receive drain and before emitting a checkpoint, so a resumable
+// state never has probes parked invisibly in a queue.
 type Flusher interface {
 	Flush()
+}
+
+// maxSendStalls bounds how many short writes sendAll tolerates in one
+// burst before declaring the rest of it failed — a wedged driver must
+// not hang the scan.
+const maxSendStalls = 1 << 16
+
+// sendAll pushes a burst through drv with the SendBatch short-write
+// protocol and reports how many packets the driver took and how many
+// failed: a transient short write retries the unsent tail after a yield,
+// an errored packet fails once and the rest continue, and past
+// maxSendStalls short writes the remainder fails. Every packet is
+// counted exactly once. The scanner's direct sends and RingDriver's pump
+// both use it.
+func sendAll(drv Driver, pkts [][]byte) (sent, failed uint64) {
+	stalls := 0
+	for len(pkts) > 0 {
+		n, err := drv.SendBatch(pkts)
+		sent += uint64(n)
+		pkts = pkts[n:]
+		if len(pkts) == 0 {
+			break
+		}
+		if err != nil {
+			// pkts[0] is the packet the driver rejected.
+			failed++
+			pkts = pkts[1:]
+			continue
+		}
+		// Short write without error: ENOBUFS-style pushback. Yield so
+		// whatever drains the packet layer can run, then retry.
+		if stalls++; stalls > maxSendStalls {
+			failed += uint64(len(pkts))
+			break
+		}
+		runtime.Gosched()
+	}
+	return sent, failed
 }
 
 // AdaptPacketDriver wraps a per-packet driver as a batch Driver: the

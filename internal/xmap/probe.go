@@ -73,19 +73,14 @@ type Validator func(dst ipv6.Addr) uint32
 type ProbeModule interface {
 	// Name is the module identifier (e.g. "icmp6_echoscan").
 	Name() string
-	// MakeProbe builds the raw probe packet.
-	MakeProbe(src, dst ipv6.Addr, val uint32) ([]byte, error)
+	// AppendProbe builds the raw probe packet, into buf when the module
+	// reuses buffers and buf's capacity suffices; a module may ignore buf
+	// and build afresh. The scanner recycles probe buffers through it,
+	// since a driver does not retain them past SendBatch.
+	AppendProbe(buf []byte, src, dst ipv6.Addr, val uint32) ([]byte, error)
 	// Classify inspects a received packet; ok=false if the packet is not
 	// a validated response to this module's probes.
 	Classify(sum *wire.Summary, validate Validator) (Response, bool)
-}
-
-// AppendProbeModule is an optional ProbeModule capability: build the
-// probe into buf when its capacity suffices, so the scanner can recycle
-// probe buffers through the driver (which, per the Driver contract,
-// does not retain them past SendBatch).
-type AppendProbeModule interface {
-	AppendProbe(buf []byte, src, dst ipv6.Addr, val uint32) ([]byte, error)
 }
 
 // ICMPEchoProbe is the icmp6_echoscan module — the paper's discovery
@@ -127,7 +122,6 @@ type echoTmpl struct {
 }
 
 var _ RawProbeModule = (*ICMPEchoProbe)(nil)
-var _ AppendProbeModule = (*ICMPEchoProbe)(nil)
 
 // Name implements ProbeModule.
 func (p *ICMPEchoProbe) Name() string { return "icmp6_echoscan" }
@@ -139,12 +133,8 @@ func (p *ICMPEchoProbe) hopLimit() uint8 {
 	return p.HopLimit
 }
 
-// MakeProbe implements ProbeModule.
-func (p *ICMPEchoProbe) MakeProbe(src, dst ipv6.Addr, val uint32) ([]byte, error) {
-	return wire.BuildEchoRequest(src, dst, p.hopLimit(), uint16(val>>16), uint16(val), p.Data)
-}
-
-// AppendProbe implements AppendProbeModule.
+// AppendProbe implements ProbeModule, patching the cached probe image
+// into buf.
 func (p *ICMPEchoProbe) AppendProbe(buf []byte, src, dst ipv6.Addr, val uint32) ([]byte, error) {
 	t := p.tmpl.Load()
 	if t == nil || t.src != src || t.hop != p.hopLimit() || t.dataLen != len(p.Data) {
@@ -302,8 +292,8 @@ func (p *TCPSynProbe) hopLimit() uint8 {
 // srcPortBase spreads flows while keeping the port derivable.
 const srcPortBase = 32768
 
-// MakeProbe implements ProbeModule.
-func (p *TCPSynProbe) MakeProbe(src, dst ipv6.Addr, val uint32) ([]byte, error) {
+// AppendProbe implements ProbeModule; it builds afresh and ignores buf.
+func (p *TCPSynProbe) AppendProbe(_ []byte, src, dst ipv6.Addr, val uint32) ([]byte, error) {
 	t := wire.TCPHeader{
 		SrcPort: srcPortBase + uint16(val%8192),
 		DstPort: p.Port,
@@ -379,8 +369,8 @@ func (p *UDPProbe) hopLimit() uint8 {
 
 func (p *UDPProbe) srcPort(val uint32) uint16 { return srcPortBase + uint16(val%8192) }
 
-// MakeProbe implements ProbeModule.
-func (p *UDPProbe) MakeProbe(src, dst ipv6.Addr, val uint32) ([]byte, error) {
+// AppendProbe implements ProbeModule; it builds afresh and ignores buf.
+func (p *UDPProbe) AppendProbe(_ []byte, src, dst ipv6.Addr, val uint32) ([]byte, error) {
 	body, err := p.Payload(val)
 	if err != nil {
 		return nil, err

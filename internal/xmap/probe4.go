@@ -42,8 +42,9 @@ func (p *ICMPEcho4Probe) ttl() uint8 {
 	return p.TTL
 }
 
-// MakeProbe implements ProbeModule. src and dst must be IPv4-mapped.
-func (p *ICMPEcho4Probe) MakeProbe(src, dst ipv6.Addr, val uint32) ([]byte, error) {
+// AppendProbe implements ProbeModule; it builds afresh and ignores buf.
+// src and dst must be IPv4-mapped.
+func (p *ICMPEcho4Probe) AppendProbe(_ []byte, src, dst ipv6.Addr, val uint32) ([]byte, error) {
 	s4, ok := src.AsV4()
 	if !ok {
 		return nil, fmt.Errorf("xmap: icmp4 probe source %s not IPv4-mapped", src)

@@ -142,10 +142,10 @@ func TestV4TargetForStaysMapped(t *testing.T) {
 
 func TestICMPEcho4ProbeRejectsNonMapped(t *testing.T) {
 	p := &ICMPEcho4Probe{}
-	if _, err := p.MakeProbe(ipv6.MustParseAddr("2001:db8::1"), ipv6.V4Mapped(1), 0); err == nil {
+	if _, err := p.AppendProbe(nil, ipv6.MustParseAddr("2001:db8::1"), ipv6.V4Mapped(1), 0); err == nil {
 		t.Error("v6 source accepted")
 	}
-	if _, err := p.MakeProbe(ipv6.V4Mapped(1), ipv6.MustParseAddr("2001:db8::1"), 0); err == nil {
+	if _, err := p.AppendProbe(nil, ipv6.V4Mapped(1), ipv6.MustParseAddr("2001:db8::1"), 0); err == nil {
 		t.Error("v6 target accepted")
 	}
 }

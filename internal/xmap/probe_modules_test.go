@@ -49,7 +49,7 @@ func TestDNSProbeScanFindsOpenResolvers(t *testing.T) {
 	probe := NewDNSProbe("connectivity.example")
 	for _, d := range isp.Devices {
 		val := uint32(0xabcd0123)
-		pkt, err := probe.MakeProbe(dep.Edge.Addr(), d.WANAddr, val)
+		pkt, err := probe.AppendProbe(nil, dep.Edge.Addr(), d.WANAddr, val)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func TestNTPProbeModule(t *testing.T) {
 			want++
 		}
 		val := uint32(0x5a5a1111)
-		pkt, err := probe.MakeProbe(dep.Edge.Addr(), d.WANAddr, val)
+		pkt, err := probe.AppendProbe(nil, dep.Edge.Addr(), d.WANAddr, val)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,33 +1,31 @@
 package xmap
 
 import (
-	"runtime"
-	"sync/atomic"
-	"time"
+	"sync"
 
 	"repro/internal/ipv6"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
-// pumpBurst is how many ring entries the transmission pump forwards to
-// the underlying driver per SendBatch call.
-const pumpBurst = 64
-
-// RingDriver pipelines an underlying driver behind a lock-free SPSC
-// ring: SendBatch copies each packet into a pooled buffer and pushes it
-// onto the ring, returning as soon as the burst is queued, while a
-// dedicated pump goroutine pops bursts off the ring and forwards them
-// through the underlying driver's SendBatch. Probe generation and
-// transmission therefore overlap instead of lock-stepping — the
-// scanner-side analogue of a NIC TX ring.
+// RingDriver pipelines an underlying driver behind a bounded transmit
+// queue: SendBatch copies each packet into a recycled buffer and queues
+// it, returning as soon as the burst is queued, while a dedicated pump
+// goroutine takes everything queued and forwards it through the
+// underlying driver's SendBatch. Probe generation and transmission
+// therefore overlap instead of lock-stepping — the scanner-side analogue
+// of a NIC TX ring.
+//
+// The queue is a mutex-guarded slice with one condition variable that
+// every side blocks on: the pump while the queue is empty, SendBatch
+// while capacity packets are in flight, Flush until none are. Nothing
+// spins, so an idle or backpressured pipeline costs no CPU.
 //
 // Ownership: the caller's packet slices are copied and never retained
 // (the Driver contract); the copies live in RingDriver-owned buffers
-// that cycle scanner→ring→pump→free-ring→scanner, so the steady state
-// allocates nothing. A full ring is backpressure: SendBatch spins
-// (yielding) until the pump frees a slot, which composes with the
-// scanner's AIMD window — a stalled pump delays the window's flush,
+// that cycle scanner→queue→pump→free list→scanner, so the steady state
+// allocates nothing. A full queue is backpressure, which composes with
+// the scanner's AIMD window — a stalled pump delays the window's flush,
 // delaying its drain, exactly like a slow NIC.
 //
 // One RingDriver serves one scanner goroutine (single producer); a run
@@ -35,16 +33,23 @@ const pumpBurst = 64
 type RingDriver struct {
 	under Driver
 	rel   Releaser // under's Releaser capability, if any
-	ring  *SPSC[[]byte]
-	free  *SPSC[[]byte]
+	size  int      // capacity in packets
 
-	// pushed counts packets accepted into the ring; completed counts
-	// packets the pump has handed to the underlying driver; failed
-	// counts packets the pump gave up on after a hard driver error.
-	// Flush waits for completed+failed to catch up with pushed.
-	pushed    atomic.Uint64
-	completed atomic.Uint64
-	failed    atomic.Uint64
+	mu   sync.Mutex
+	cond sync.Cond // on mu; broadcast whenever queue or inflight changes
+	// queue holds accepted packets the pump has not taken yet; free holds
+	// buffers the pump has forwarded, for SendBatch to reuse.
+	queue [][]byte
+	free  [][]byte
+	// inflight counts accepted packets the pump has not finished
+	// forwarding: the queue plus the burst the pump is sending. Flush
+	// waits for it to reach zero.
+	inflight int
+	// accepted counts packets SendBatch has queued (the span clock);
+	// failed counts packets the underlying driver did not take.
+	accepted uint64
+	failed   uint64
+	closing  bool
 
 	// tracer, when set, records sampled ring-enqueue/ring-stall spans on
 	// stream trStream; SendBatch runs on the owning scanner goroutine,
@@ -52,38 +57,36 @@ type RingDriver struct {
 	tracer   *telemetry.Tracer
 	trStream int
 
-	stop chan struct{}
 	done chan struct{}
 }
 
 var _ Driver = (*RingDriver)(nil)
 var _ Flusher = (*RingDriver)(nil)
 
-// NewRingDriver inserts a ring of the given capacity (rounded up to a
-// power of two) in front of under and starts the transmission pump.
-// Call Close to stop the pump; packets still queued at Close time are
-// flushed first.
+// NewRingDriver inserts a queue of the given capacity in packets (at
+// least 1) in front of under and starts the transmission pump. Call
+// Close to stop the pump; packets still queued at Close time are
+// forwarded first.
 func NewRingDriver(under Driver, size int) *RingDriver {
-	if size < 2 {
-		size = 2
-	}
 	d := &RingDriver{
 		under: under,
-		ring:  NewSPSC[[]byte](size),
-		free:  NewSPSC[[]byte](size),
-		stop:  make(chan struct{}),
+		size:  max(size, 1),
 		done:  make(chan struct{}),
 	}
+	d.cond.L = &d.mu
 	d.rel, _ = under.(Releaser)
 	go d.pump()
 	return d
 }
 
-// SendBatch implements Driver: each packet is copied into a pooled
-// buffer and queued for the pump. It returns len(pkts) — acceptance
-// into the ring is the send, as with a kernel TX queue; transmission
-// failures surface through Failed and telemetry, not per call.
+// SendBatch implements Driver: each packet is copied into a recycled
+// buffer and queued for the pump, waiting while the queue is full. It
+// returns len(pkts) — acceptance into the queue is the send, as with a
+// kernel TX queue; transmission failures surface through Failed and
+// telemetry, not per call.
 func (d *RingDriver) SendBatch(pkts [][]byte) (int, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	for _, pkt := range pkts {
 		var traced bool
 		var dst [16]byte
@@ -91,36 +94,37 @@ func (d *RingDriver) SendBatch(pkts [][]byte) (int, error) {
 			copy(dst[:], pkt[24:40])
 			traced = d.tracer.SampleAddr(dst)
 		}
-		var buf []byte
-		if b, ok := d.free.Pop(); ok && cap(b) >= len(pkt) {
-			buf = b[:len(pkt)]
-		} else {
-			buf = make([]byte, len(pkt), max(len(pkt), 128))
-		}
-		copy(buf, pkt)
-		stalled := false
-		for !d.ring.Push(buf) {
-			// Full ring: the pump is behind. Yield until it catches up —
-			// the scanner-side backpressure signal.
-			if traced && !stalled {
-				// One stall span per packet, however long the spin lasts.
-				stalled = true
-				d.tracer.Span(d.trStream, telemetry.SpanRingStall, d.pushed.Load(), dst, uint64(d.ring.Len()))
+		if d.inflight == d.size {
+			// Full queue: the pump is behind. Hand it what is queued and
+			// wait — the scanner-side backpressure signal, recorded as one
+			// stall span per packet however long the wait lasts.
+			if traced {
+				d.tracer.Span(d.trStream, telemetry.SpanRingStall, d.accepted, dst, uint64(len(d.queue)))
 			}
-			runtime.Gosched()
+			d.cond.Broadcast()
+			for d.inflight == d.size {
+				d.cond.Wait()
+			}
 		}
-		d.pushed.Add(1)
+		var buf []byte
+		if l := len(d.free); l > 0 {
+			buf, d.free = d.free[l-1], d.free[:l-1]
+		}
+		d.queue = append(d.queue, append(buf[:0], pkt...))
+		d.inflight++
+		d.accepted++
 		if traced {
-			d.tracer.Span(d.trStream, telemetry.SpanRingEnqueue, d.pushed.Load(), dst, 0)
+			d.tracer.Span(d.trStream, telemetry.SpanRingEnqueue, d.accepted, dst, 0)
 		}
 	}
+	d.cond.Broadcast()
 	return len(pkts), nil
 }
 
 // SetTracer attaches the probe-lifecycle tracer: SendBatch then records
 // a ring-enqueue span per sampled packet, and a ring-stall span when a
-// sampled packet first meets a full ring. Call before the first
-// SendBatch; stream is the owning shard's span stream.
+// sampled packet meets a full queue. Call before the first SendBatch;
+// stream is the owning shard's span stream.
 func (d *RingDriver) SetTracer(tr *telemetry.Tracer, stream int) {
 	d.tracer = tr
 	d.trStream = stream
@@ -143,86 +147,68 @@ func (d *RingDriver) Release(pkts [][]byte) {
 }
 
 // Flush implements Flusher: it blocks until every packet accepted by
-// SendBatch has been handed to the underlying driver (or failed there).
-// The scanner calls it before each receive drain and before emitting a
+// SendBatch has been handed to the underlying driver (or failed there),
+// including the burst whose SendBatch the pump is still inside. The
+// scanner calls it before each receive drain and before emitting a
 // checkpoint, so ring contents are never silently in flight across a
 // drain window or a resumable state.
 func (d *RingDriver) Flush() {
-	for d.completed.Load()+d.failed.Load() < d.pushed.Load() {
-		runtime.Gosched()
+	d.mu.Lock()
+	for d.inflight > 0 {
+		d.cond.Wait()
 	}
+	d.mu.Unlock()
 }
 
 // Pending returns the packets accepted but not yet transmitted.
 func (d *RingDriver) Pending() int {
-	return int(d.pushed.Load() - d.completed.Load() - d.failed.Load())
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.inflight
 }
 
-// Failed returns packets dropped after a hard underlying-driver error.
-func (d *RingDriver) Failed() uint64 { return d.failed.Load() }
+// Failed returns packets the underlying driver did not take: hard
+// errors, and bursts abandoned at the short-write bound.
+func (d *RingDriver) Failed() uint64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.failed
+}
 
-// Close stops the pump after it drains the ring. The underlying driver
-// is not closed.
+// Close forwards whatever is still queued, then stops the pump. The
+// underlying driver is not closed.
 func (d *RingDriver) Close() {
-	close(d.stop)
+	d.mu.Lock()
+	d.closing = true
+	d.cond.Broadcast()
+	d.mu.Unlock()
 	<-d.done
 }
 
-// pump is the consumer goroutine: pop a burst, forward it (retrying
-// short writes), recycle the buffers.
+// pump is the consumer goroutine: wait for packets, take the whole
+// queue, forward it, then retire it from inflight and recycle its
+// buffers. batch and queue trade backing arrays, so the loop allocates
+// nothing once both have grown.
 func (d *RingDriver) pump() {
 	defer close(d.done)
-	batch := make([][]byte, pumpBurst)
-	idle := 0
+	var batch [][]byte
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	for {
-		n := d.ring.PopBatch(batch)
-		if n == 0 {
-			select {
-			case <-d.stop:
-				if d.ring.Len() == 0 {
-					return
-				}
-				continue // stop requested mid-push: drain first
-			default:
-			}
-			// Empty ring: yield, then back off to a sleep so an idle
-			// pipeline does not burn the core the scanner needs.
-			if idle++; idle > 256 {
-				time.Sleep(50 * time.Microsecond)
-			} else {
-				runtime.Gosched()
-			}
-			continue
+		for len(d.queue) == 0 && !d.closing {
+			d.cond.Wait()
 		}
-		idle = 0
-		d.forward(batch[:n])
-		for i := range batch[:n] {
-			// Return buffers for reuse; an overflowing free ring just
-			// lets the garbage collector have them.
-			if !d.free.Push(batch[i][:0]) {
-				break
-			}
-			batch[i] = nil
+		if len(d.queue) == 0 {
+			return
 		}
-		clear(batch[:n])
-	}
-}
-
-// forward hands one burst to the underlying driver, following the
-// SendBatch contract: an errored packet is skipped and counted, a
-// transient short write retries the tail.
-func (d *RingDriver) forward(pkts [][]byte) {
-	for len(pkts) > 0 {
-		n, err := d.under.SendBatch(pkts)
-		d.completed.Add(uint64(n))
-		pkts = pkts[n:]
-		if err != nil && len(pkts) > 0 {
-			d.failed.Add(1)
-			pkts = pkts[1:]
-			continue
-		}
-		if len(pkts) > 0 {
-			runtime.Gosched()
-		}
+		batch, d.queue = d.queue, batch[:0]
+		d.mu.Unlock()
+		_, failed := sendAll(d.under, batch)
+		d.mu.Lock()
+		d.failed += failed
+		d.inflight -= len(batch)
+		d.free = append(d.free, batch...)
+		clear(batch)
+		d.cond.Broadcast()
 	}
 }

@@ -2,8 +2,11 @@ package xmap
 
 import (
 	"context"
+	"encoding/binary"
+	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/ipv6"
 )
@@ -176,6 +179,125 @@ func TestRingDriverBackpressure(t *testing.T) {
 	rd.Flush()
 	if got := under.count(); got != 200 {
 		t.Fatalf("underlying saw %d packets, want 200", got)
+	}
+}
+
+// gateDriver holds every SendBatch until gate is closed, announcing on
+// entered that the pump is inside one.
+type gateDriver struct {
+	memDriver
+	entered chan struct{}
+	gate    chan struct{}
+}
+
+func (g *gateDriver) SendBatch(pkts [][]byte) (int, error) {
+	select {
+	case g.entered <- struct{}{}:
+	default:
+	}
+	<-g.gate
+	return g.memDriver.SendBatch(pkts)
+}
+
+// TestRingDriverFlushWaitsForForward pins Flush's barrier: once the pump
+// has taken the queue it is empty, but its packets are not transmitted
+// until the underlying SendBatch returns. Flush must wait for that, and
+// Pending must still count them.
+func TestRingDriverFlushWaitsForForward(t *testing.T) {
+	under := &gateDriver{entered: make(chan struct{}, 1), gate: make(chan struct{})}
+	rd := NewRingDriver(under, 8)
+	defer rd.Close()
+	release := sync.OnceFunc(func() { close(under.gate) })
+	defer release() // before Close, which waits for the held pump
+
+	rd.SendBatch([][]byte{{1}, {2}})
+	<-under.entered // the pump holds the whole queue inside SendBatch
+	if got := rd.Pending(); got != 2 {
+		t.Errorf("Pending = %d while the pump forwards 2 packets", got)
+	}
+	flushed := make(chan struct{})
+	go func() {
+		rd.Flush()
+		close(flushed)
+	}()
+	select {
+	case <-flushed:
+		t.Fatal("Flush returned before the underlying SendBatch did")
+	case <-time.After(50 * time.Millisecond):
+	}
+	release()
+	<-flushed
+	if got := under.count(); got != 2 {
+		t.Fatalf("underlying saw %d packets after Flush, want 2", got)
+	}
+}
+
+// TestRingDriverStress drives rings of capacity 2–8 with random bursts
+// of random-length packets over a driver that short-writes and fails
+// every k-th packet, flushing after every burst. Delivery must keep
+// order and content, each failure must be counted once, and Flush must
+// leave nothing pending. The caller overwrites its packet buffers after
+// every SendBatch.
+func TestRingDriverStress(t *testing.T) {
+	bursts := 2000
+	if testing.Short() || raceEnabled {
+		bursts = 300
+	}
+	rng := rand.New(rand.NewSource(7))
+	scratch := make([][]byte, 24)
+	for i := range scratch {
+		scratch[i] = make([]byte, 200)
+	}
+	for capacity := 2; capacity <= 8; capacity++ {
+		k := 3 + rng.Intn(8)
+		under := &memDriver{maxPerCall: 1 + rng.Intn(3), failEvery: k}
+		rd := NewRingDriver(under, capacity)
+		var seq uint32
+		for b := 0; b < bursts; b++ {
+			burst := scratch[:1+rng.Intn(len(scratch))]
+			for i := range burst {
+				seq++
+				n := 4 + int(seq%197)
+				burst[i] = burst[i][:n]
+				binary.BigEndian.PutUint32(burst[i], seq)
+				for j := 4; j < n; j++ {
+					burst[i][j] = byte(seq) ^ byte(j)
+				}
+			}
+			if n, err := rd.SendBatch(burst); n != len(burst) || err != nil {
+				t.Fatalf("cap %d: SendBatch = (%d, %v), want (%d, nil)", capacity, n, err, len(burst))
+			}
+			for i := range burst {
+				clear(burst[i])
+			}
+			rd.Flush()
+			if p := rd.Pending(); p != 0 {
+				t.Fatalf("cap %d burst %d: Pending = %d after Flush", capacity, b, p)
+			}
+			if got, want := rd.Failed(), uint64(seq)/uint64(k); got != want {
+				t.Fatalf("cap %d burst %d: Failed = %d, want %d", capacity, b, got, want)
+			}
+		}
+		rd.Close()
+		var want uint32 = 1
+		for i, p := range under.pkts {
+			if want%uint32(k) == 0 {
+				want++ // the failed packet never arrives
+			}
+			if len(p) != 4+int(want%197) || binary.BigEndian.Uint32(p) != want {
+				t.Fatalf("cap %d: delivery %d is packet %d of length %d, want %d of length %d",
+					capacity, i, binary.BigEndian.Uint32(p), len(p), want, 4+int(want%197))
+			}
+			for j := 4; j < len(p); j++ {
+				if p[j] != byte(want)^byte(j) {
+					t.Fatalf("cap %d: packet %d corrupted at byte %d", capacity, want, j)
+				}
+			}
+			want++
+		}
+		if got, total := uint64(len(under.pkts))+rd.Failed(), uint64(seq); got != total {
+			t.Fatalf("cap %d: delivered %d + failed %d != %d sent", capacity, len(under.pkts), rd.Failed(), total)
+		}
 	}
 }
 

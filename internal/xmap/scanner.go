@@ -3,7 +3,6 @@ package xmap
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/ipv6"
@@ -43,11 +42,11 @@ type Config struct {
 	// DrainEvery pumps the receive path after this many probes
 	// (default 64).
 	DrainEvery int
-	// RingSize inserts a lock-free SPSC transmission ring of this
-	// capacity (rounded up to a power of two) between each worker and the
-	// driver: probe generation and driver transmission then run pipelined
-	// in separate goroutines, a full ring acting as backpressure on the
-	// generator. 0 sends directly.
+	// RingSize inserts a transmission queue (RingDriver) of this many
+	// packets between each worker and the driver: probe generation and
+	// driver transmission then run pipelined in separate goroutines, a
+	// full queue acting as backpressure on the generator. 0 sends
+	// directly.
 	RingSize int
 	// DedupExact uses an exact map for responder dedup instead of the
 	// default Bloom filter — the ablation knob of DESIGN.md.
@@ -176,8 +175,6 @@ type Scanner struct {
 	// packet.
 	validate Validator
 	batch    [][]byte
-	// one is the single-probe batch for the paced send path.
-	one [1][]byte
 	// free holds probe buffers whose batch has been sent (the Driver
 	// contract: SendBatch does not retain them); recycle stages drained
 	// receive buffers for return to a Releaser driver; rx is the reused
@@ -346,11 +343,6 @@ func (s *Scanner) TargetFor(idx uint128.Uint128) (ipv6.Addr, error) {
 	return ipv6.AddrFrom128(sub.Addr().Uint128().Or(host)), nil
 }
 
-// maxSendStalls bounds how many consecutive zero-progress short writes
-// the scanner tolerates before declaring the rest of the burst failed —
-// a wedged driver must not hang the scan.
-const maxSendStalls = 1 << 16
-
 const (
 	// retryTimeoutWindows is the first retry's backoff in drain windows
 	// (DrainEvery probes each): a reply has had two full drains to arrive.
@@ -374,10 +366,10 @@ func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
 // returns the worker's Stats, whose Unique counts its own admissions to
 // the run's seen-set.
 //
-// The send path is batch-first: probes accumulate and flush once per
-// drain window through Driver.SendBatch, amortizing driver entry across
-// the burst. A rate limit forces per-probe pacing, so the paced path
-// sends each probe as a one-packet burst instead.
+// The send path is one path: every probe is appended to the batch, which
+// flushes once per drain window through Driver.SendBatch, amortizing
+// driver entry across the burst. A rate limit forces per-probe pacing,
+// so a paced probe is flushed as a one-packet burst.
 //
 // With Config.ResumeFrom set, the scan continues mid-cycle: the
 // permutation cursor fast-forwards past the probed prefix of the shard's
@@ -416,85 +408,48 @@ func (s *Scanner) scan(ctx context.Context, handler Handler) (Stats, error) {
 	if s.cfg.Rate > 0 {
 		limiter = newRateLimiter(s.cfg.Rate)
 	}
-	// Probe-buffer recycling needs the append-building probe module; the
-	// Driver contract already guarantees SendBatch does not retain.
-	appender, _ := s.probe.(AppendProbeModule)
-	// sendAll pushes a burst through the driver with the SendBatch
-	// short-write protocol: retry the unsent tail on transient
-	// backpressure, count an errored packet once and move on. Probes are
-	// neither dropped silently nor double-counted — Sent advances by
-	// exactly what the driver accepted.
-	sendAll := func(pkts [][]byte) {
-		idle := 0
-		for len(pkts) > 0 {
-			n, err := s.drv.SendBatch(pkts)
-			stats.Sent += uint64(n)
-			pkts = pkts[n:]
-			if len(pkts) == 0 {
-				return
-			}
-			if err != nil {
-				// pkts[0] is the packet the driver rejected.
-				stats.SendErrors++
-				pkts = pkts[1:]
-				continue
-			}
-			// Short write without error: ENOBUFS-style pushback. Yield so
-			// whatever drains the packet layer can run, then retry.
-			if idle++; idle > maxSendStalls {
-				stats.SendErrors += uint64(len(pkts))
-				return
-			}
-			runtime.Gosched()
-		}
-	}
+	// flush sends the batch through the driver and recycles its buffers:
+	// the Driver contract guarantees SendBatch does not retain them.
+	// Sent advances by exactly what the driver accepted.
 	flush := func() {
 		if len(s.batch) == 0 {
 			return
 		}
-		sendAll(s.batch)
-		if appender != nil {
-			for i, p := range s.batch {
-				// ProbesPerTarget copies are the same slice appended
-				// consecutively; recycle each buffer once.
-				if i > 0 && len(p) > 0 && len(s.batch[i-1]) > 0 && &p[0] == &s.batch[i-1][0] {
-					continue
-				}
-				s.free = append(s.free, p)
+		sent, failed := sendAll(s.drv, s.batch)
+		stats.Sent += sent
+		stats.SendErrors += failed
+		for _, p := range s.batch {
+			// ProbesPerTarget copies are one buffer sent consecutively,
+			// perhaps across paced flushes; recycle it once.
+			if l := len(s.free); l > 0 && len(p) > 0 && len(s.free[l-1]) > 0 && &p[0] == &s.free[l-1][0] {
+				continue
 			}
+			s.free = append(s.free, p)
 		}
 		clear(s.batch)
 		s.batch = s.batch[:0]
 	}
-	// send stages one built probe into the current batch, or — when a
-	// rate limit is set, since pacing is inherently per-probe — pushes it
-	// through the driver immediately as a one-probe burst.
+	// send stages one built probe into the current batch. A rate limit
+	// paces probes one at a time, so a paced probe waits for its token and
+	// is flushed at once.
 	send := func(pkt []byte) {
-		if limiter == nil {
-			s.batch = append(s.batch, pkt)
-			return
+		if limiter != nil {
+			limiter.wait()
+			if s.tracer != nil && len(pkt) >= wire.HeaderLen && pkt[0]>>4 == 6 {
+				s.span(telemetry.SpanRateGate, stats.Sent, ipv6.AddrFromBytes(pkt[24:40]), 0)
+			}
 		}
-		limiter.wait()
-		if s.tracer != nil && len(pkt) >= wire.HeaderLen && pkt[0]>>4 == 6 {
-			s.span(telemetry.SpanRateGate, stats.Sent, ipv6.AddrFromBytes(pkt[24:40]), 0)
-		}
-		s.one[0] = pkt
-		sendAll(s.one[:])
-		s.one[0] = nil
-		if appender != nil {
-			s.free = append(s.free, pkt)
+		s.batch = append(s.batch, pkt)
+		if limiter != nil {
+			flush()
 		}
 	}
 	buildProbe := func(target ipv6.Addr) ([]byte, error) {
-		if appender != nil {
-			var buf []byte
-			if l := len(s.free); l > 0 {
-				buf, s.free[l-1] = s.free[l-1], nil
-				s.free = s.free[:l-1]
-			}
-			return appender.AppendProbe(buf, src, target, s.Validation(target))
+		var buf []byte
+		if l := len(s.free); l > 0 {
+			buf, s.free = s.free[l-1], s.free[:l-1]
 		}
-		return s.probe.MakeProbe(src, target, s.Validation(target))
+		return s.probe.AppendProbe(buf, src, target, s.Validation(target))
 	}
 
 	// The drain cadence: a counter against the send window, which is

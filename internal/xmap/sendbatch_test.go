@@ -1,8 +1,10 @@
 package xmap
 
 import (
+	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/ipv6"
 )
@@ -138,6 +140,60 @@ func TestScanSurvivesWedgedDriver(t *testing.T) {
 	}
 	if stats.SendErrors != stats.Targets {
 		t.Errorf("send errors = %d, want %d (every probe)", stats.SendErrors, stats.Targets)
+	}
+}
+
+// TestRingScanSurvivesWedgedDriver: the same wedged driver behind a
+// ring. The pump's forward shares the scanner's short-write bound, so
+// the scan ends, every probe accepted into the ring fails there, and the
+// run reports each as a send error.
+func TestRingScanSurvivesWedgedDriver(t *testing.T) {
+	f := buildFixture(t)
+	s, err := New(Config{
+		Window: window(t, f), Seed: []byte("wedge"), MaxTargets: 16, DrainEvery: 4, RingSize: 64,
+	}, &wedgedDriver{d: f.drv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan Stats, 1)
+	go func() {
+		stats, _ := s.Run(context.Background(), nil)
+		done <- stats
+	}()
+	select {
+	case stats := <-done:
+		if stats.Sent != 16 {
+			t.Errorf("sent = %d, want 16 accepted into the ring", stats.Sent)
+		}
+		if stats.SendErrors != stats.Sent {
+			t.Errorf("send errors = %d, want %d (every accepted probe)", stats.SendErrors, stats.Sent)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("scan through a ring over a wedged driver did not finish")
+	}
+}
+
+// TestPacedScanRecyclesEachBufferOnce: a paced scan flushes every probe
+// copy on its own, and each flush must not push the copy's buffer onto
+// the free list again — the list stays at the one or two buffers the
+// scan actually cycles.
+func TestPacedScanRecyclesEachBufferOnce(t *testing.T) {
+	f := buildFixture(t)
+	s, err := New(Config{
+		Window: window(t, f), Seed: []byte("paced"), Rate: 2_000_000, ProbesPerTarget: 3,
+	}, f.drv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := s.Run(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Sent != 3*256 {
+		t.Fatalf("sent = %d, want %d", stats.Sent, 3*256)
+	}
+	if len(s.free) > 2 {
+		t.Errorf("free list holds %d buffers after %d targets, want <= 2", len(s.free), stats.Targets)
 	}
 }
 

@@ -441,7 +441,7 @@ func TestTCPSynProbeAgainstStack(t *testing.T) {
 	src := ipv6.MustParseAddr("2001:beef::100")
 	dst := ipv6.MustParseAddr("2001:db8::1")
 	val := uint32(0xcafe1234)
-	probe, err := p.MakeProbe(src, dst, val)
+	probe, err := p.AppendProbe(nil, src, dst, val)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -893,15 +893,26 @@ func TestProbeNames(t *testing.T) {
 	}
 	// Non-default hop limits apply.
 	p := &ICMPEchoProbe{HopLimit: 32}
-	pkt, err := p.MakeProbe(ipv6.MustParseAddr("::1"), ipv6.MustParseAddr("::2"), 0)
+	pkt, err := p.AppendProbe(nil, ipv6.MustParseAddr("::1"), ipv6.MustParseAddr("::2"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pkt[7] != 32 {
 		t.Errorf("hop limit = %d", pkt[7])
 	}
+	// The cached echo image, patched into a reused buffer holding an
+	// older probe, is the packet the wire builder makes.
+	src, dst := ipv6.MustParseAddr("2001:beef::100"), ipv6.MustParseAddr("2001:db8::7")
+	want, err := wire.BuildEchoRequest(src, dst, 32, 0x1234, 0x5678, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reused := bytes.Repeat([]byte{0xa5}, 128)
+	if got, err := p.AppendProbe(reused[:0], src, dst, 0x12345678); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("AppendProbe into a reused buffer = %x, %v; want %x", got, err, want)
+	}
 	t4 := &TCPSynProbe{Port: 80, HopLimit: 40}
-	pkt, err = t4.MakeProbe(ipv6.MustParseAddr("::1"), ipv6.MustParseAddr("::2"), 0)
+	pkt, err = t4.AppendProbe(nil, ipv6.MustParseAddr("::1"), ipv6.MustParseAddr("::2"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
