@@ -209,14 +209,22 @@ type Engine struct {
 	fpScratchR region
 	// inj is the batched-injection scratch (inject.go).
 	inj injScratch
+
+	// returned is the second freelist, fed by ReleaseBufs under retMu
+	// alone so a drain never waits behind an injection holding mu;
+	// getBufLocked swaps it in when pool runs dry (lock order: mu, then
+	// retMu). Kept last, away from the fields the pump touches under mu,
+	// because another goroutine writes it.
+	retMu    sync.Mutex
+	returned [][]byte
 }
 
 // DefaultEventBudget bounds a single Run; loop-attack packets terminate
 // via hop limit well before this.
 const DefaultEventBudget = 1 << 22
 
-// maxPooledBuffers bounds the freelist so a one-off burst does not pin
-// memory forever.
+// maxPooledBuffers bounds each freelist (pool and returned) so a
+// one-off burst does not pin memory forever.
 const maxPooledBuffers = 256
 
 // New creates an engine with a deterministic random source for loss
@@ -407,8 +415,13 @@ func (e *Engine) Counters() Counters {
 }
 
 // getBufLocked returns a packet buffer of length n, reusing a pooled
-// buffer when one fits.
+// buffer when one fits. An empty pool refills from the returned list.
 func (e *Engine) getBufLocked(n int) []byte {
+	if len(e.pool) == 0 {
+		e.retMu.Lock()
+		e.pool, e.returned = e.returned, e.pool
+		e.retMu.Unlock()
+	}
 	if l := len(e.pool); l > 0 {
 		b := e.pool[l-1]
 		e.pool[l-1] = nil
@@ -427,23 +440,27 @@ func (e *Engine) getBufLocked(n int) []byte {
 }
 
 // putBufLocked returns a buffer to the freelist.
-func (e *Engine) putBufLocked(b []byte) {
-	if cap(b) == 0 || len(e.pool) >= maxPooledBuffers {
+func (e *Engine) putBufLocked(b []byte) { putBuf(&e.pool, b) }
+
+// putBuf appends b to a freelist unless b is empty or the list is full.
+func putBuf(list *[][]byte, b []byte) {
+	if cap(b) == 0 || len(*list) >= maxPooledBuffers {
 		return
 	}
-	e.pool = append(e.pool, b[:0])
+	*list = append(*list, b[:0])
 }
 
-// ReleaseBufs returns packet buffers to the engine's freelist. Callers
-// that drain a retaining node (an Edge) use it to hand exhausted buffers
-// back instead of leaving them to the garbage collector; the buffers
-// must no longer be referenced.
+// ReleaseBufs returns packet buffers to the engine's returned list.
+// Callers that drain a retaining node (an Edge) use it to hand exhausted
+// buffers back instead of leaving them to the garbage collector; the
+// buffers must no longer be referenced. It never takes the engine lock,
+// so it does not wait behind an injection in progress.
 func (e *Engine) ReleaseBufs(pkts [][]byte) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.retMu.Lock()
 	for _, p := range pkts {
-		e.putBufLocked(p)
+		putBuf(&e.returned, p)
 	}
+	e.retMu.Unlock()
 }
 
 // bufBase identifies a packet buffer by the address of its first

@@ -1,7 +1,10 @@
 package netsim
 
 import (
+	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/ipv6"
 	"repro/internal/wire"
@@ -101,8 +104,8 @@ func TestPooledBuffersDoNotCorruptEdge(t *testing.T) {
 	}
 }
 
-// TestPoolRecyclesBuffers: after a pumped run the freelist holds
-// buffers, and a second run reuses them instead of allocating.
+// TestPoolRecyclesBuffers: after a pumped run the freelists hold
+// buffers.
 func TestPoolRecyclesBuffers(t *testing.T) {
 	eng := New(5)
 	edge := NewEdge("e", ipv6.MustParseAddr("2001:beef::100"))
@@ -118,11 +121,99 @@ func TestPoolRecyclesBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Inject(edge.Iface(), pkt)
-	eng.mu.Lock()
-	pooled := len(eng.pool)
-	eng.mu.Unlock()
-	if pooled == 0 {
+	if eng.pooledBufs() == 0 {
 		t.Fatal("no buffers recycled after a consumed delivery")
 	}
 	edge.Drain()
+}
+
+// pooledBufs counts the buffers on both freelists.
+func (e *Engine) pooledBufs() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.retMu.Lock()
+	defer e.retMu.Unlock()
+	return len(e.pool) + len(e.returned)
+}
+
+// TestReleaseBufsBypassesInjectLock: ReleaseBufs returns while an
+// injection holds the engine lock (its fault layer is blocked), the
+// returned list stays bounded, and once the pool runs dry the next
+// injection copies its packet into a released buffer instead of
+// allocating one.
+func TestReleaseBufsBypassesInjectLock(t *testing.T) {
+	eng := New(5)
+	edge := NewEdge("e", ipv6.MustParseAddr("2001:beef::100"))
+	r := NewRouter("r", ErrorPolicy{})
+	rif := r.AddIface(ipv6.MustParseAddr("2001:100::1"), "r:up")
+	eng.Connect(edge.Iface(), rif, 0)
+	pkt, err := wire.BuildEchoRequest(edge.Addr(), rif.Addr(), 64, 7, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	entered, gate := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	eng.SetFault(func(*Iface, []byte) FaultOutcome {
+		once.Do(func() {
+			close(entered)
+			<-gate
+		})
+		return FaultOutcome{}
+	})
+	injected := make(chan struct{})
+	go func() {
+		eng.InjectBatch(edge.Iface(), [][]byte{pkt})
+		close(injected)
+	}()
+	<-entered // the injection now holds mu
+
+	released := map[*byte]bool{}
+	var bufs [][]byte
+	for i := 0; i < 2*maxPooledBuffers; i++ {
+		b := make([]byte, 0, 256)
+		bufs = append(bufs, b)
+		released[bufBase(b[:1])] = true
+	}
+	done := make(chan struct{})
+	go func() {
+		eng.ReleaseBufs(bufs)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		close(gate) // let both goroutines finish
+		t.Fatal("ReleaseBufs waited behind an injection holding the engine lock")
+	}
+	eng.retMu.Lock()
+	n := len(eng.returned)
+	eng.retMu.Unlock()
+	if n != maxPooledBuffers {
+		t.Fatalf("returned list holds %d buffers, want the cap %d", n, maxPooledBuffers)
+	}
+	close(gate)
+	<-injected
+	eng.SetFault(nil)
+	edge.Drain()
+
+	// The rest of that run may have refilled the pool from the returned
+	// list and recycled its own buffers on top; keep only released ones.
+	eng.mu.Lock()
+	eng.pool = slices.DeleteFunc(eng.pool, func(b []byte) bool { return !released[bufBase(b[:1])] })
+	eng.mu.Unlock()
+	var first *byte
+	eng.SetTap(func(from *Iface, p []byte, _ bool) {
+		if first == nil {
+			first = bufBase(p)
+		}
+	})
+	eng.Inject(edge.Iface(), pkt)
+	eng.SetTap(nil)
+	if !released[first] {
+		t.Fatal("injection with an empty pool allocated instead of reusing a released buffer")
+	}
+	if got := len(edge.Drain()); got != 1 {
+		t.Fatalf("%d replies, want 1", got)
+	}
 }

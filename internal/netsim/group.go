@@ -34,23 +34,34 @@ type EngineGroup struct {
 	entries []*Iface
 	// routes is the general table. While every route is a /64 or shorter
 	// — all topo.Build installs — ShardFor never walks it: the top 64
-	// destination bits decide, through pin64 (the /64 routes, one per
-	// simulated device, checked first: nothing is longer) and coarse (the
-	// shorter ones, a block and a few window chunks per ISP, longest
-	// first). The first longer route folds the pins in and retires both.
-	routes *lpm.Table[int]
-	pin64  map[uint64]int
-	coarse []coarseRoute
+	// destination bits decide, through coarse (the routes shorter than
+	// /64, a block and a few window chunks per ISP, longest first) and
+	// pin64 (the /64 routes: device prefixes topo.Build places outside
+	// their device's chunk). A pin outranks every coarse route, but
+	// ShardFor reads pin64 only behind the first coarse match whose
+	// pinned flag says a pin lies inside it, or, with no match, when
+	// pinOutside records that a pin was routed while no coarse route held
+	// it. Flags are never cleared: one set too often costs a map miss,
+	// never a wrong shard. The first route longer than /64 folds the pins
+	// in and retires the shortcuts.
+	routes     *lpm.Table[int]
+	pin64      map[uint64]int
+	coarse     []coarseRoute
+	pinOutside bool
 	// bucketPool recycles InjectBatch's per-shard partition scratch
 	// across concurrent callers.
 	bucketPool sync.Pool
 }
 
-// coarseRoute matches a dst whose top word agrees with hi under mask.
+// coarseRoute matches a dst whose top word agrees with hi under mask;
+// pinned is set once any /64 pin lies inside it.
 type coarseRoute struct {
 	hi, mask uint64
 	shard    int
+	pinned   bool
 }
+
+func (r *coarseRoute) covers(hi uint64) bool { return (hi^r.hi)&r.mask == 0 }
 
 // NewEngineGroup creates n independent shard engines. Shard 0 uses
 // exactly seed — a group of one is loss-stream-compatible with a plain
@@ -98,6 +109,13 @@ func (g *EngineGroup) Route(p ipv6.Prefix, shard int) {
 	case g.pin64 == nil:
 	case p.Bits() == 64:
 		g.pin64[hi] = shard
+		inside := false
+		for i := range g.coarse {
+			if r := &g.coarse[i]; r.covers(hi) {
+				r.pinned, inside = true, true
+			}
+		}
+		g.pinOutside = g.pinOutside || !inside
 		return
 	case p.Bits() > 64:
 		// It can shadow a pin, so the top word no longer decides.
@@ -109,6 +127,12 @@ func (g *EngineGroup) Route(p ipv6.Prefix, shard int) {
 		// Ahead of the first route no longer than it (a shorter prefix
 		// has the smaller mask), so a re-routed prefix shadows its old entry.
 		r := coarseRoute{hi: hi, mask: ^uint64(0) << (64 - p.Bits()), shard: shard}
+		for h := range g.pin64 {
+			if r.covers(h) {
+				r.pinned = true
+				break
+			}
+		}
 		i := slices.IndexFunc(g.coarse, func(c coarseRoute) bool { return c.mask <= r.mask })
 		if i < 0 {
 			i = len(g.coarse)
@@ -119,19 +143,28 @@ func (g *EngineGroup) Route(p ipv6.Prefix, shard int) {
 }
 
 // ShardFor returns the shard owning dst (longest-prefix match; shard 0
-// on a miss).
+// on a miss). A dst can equal a pin only inside every coarse route
+// holding that pin, so the first coarse match's pinned flag (or, with
+// no match, pinOutside) says whether pin64 can answer at all.
 func (g *EngineGroup) ShardFor(dst ipv6.Addr) int {
 	if g.pin64 == nil {
 		s, _ := g.routes.Lookup(dst)
 		return s
 	}
 	hi := dst.Uint128().Hi
-	if s, ok := g.pin64[hi]; ok {
-		return s
-	}
 	for i := range g.coarse {
-		if r := &g.coarse[i]; (hi^r.hi)&r.mask == 0 {
+		if r := &g.coarse[i]; r.covers(hi) {
+			if r.pinned {
+				if s, ok := g.pin64[hi]; ok {
+					return s
+				}
+			}
 			return r.shard
+		}
+	}
+	if g.pinOutside {
+		if s, ok := g.pin64[hi]; ok {
+			return s
 		}
 	}
 	return 0

@@ -3,6 +3,8 @@ package netsim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/ipv6"
@@ -185,12 +187,16 @@ func TestGroupShardZeroMatchesSingleEngine(t *testing.T) {
 }
 
 // TestGroupShardForMatchesLPM holds ShardFor's top-word shortcuts (the
-// /64 pin map, the coarse routes scanned longest-first) to a reference
-// LPM holding every route, over a table shaped like a sharded
-// topo.Build — per ISP a block route, window chunks dealt round-robin,
-// a hostile region, device WAN and LAN /64 pins that cross chunk lines —
-// at every pin, every chunk boundary and outside the windows; then again
-// after a route longer than /64 retires the shortcuts.
+// coarse routes scanned longest-first, the /64 pin map behind their
+// pinned flags) to a reference LPM holding every route, over a table
+// shaped like a sharded topo.Build — per ISP a block route, window
+// chunks dealt round-robin, a hostile region, device WAN and LAN /64
+// pins that cross chunk lines — at every pin, every chunk boundary and
+// outside the windows. Then over the orders topo.Build does not use:
+// pins routed before the coarse routes covering them, a coarse route
+// added after lookups ran, a pin outside every coarse route; and a
+// chunk with no pins, where ShardFor must not read the pin map at all.
+// Last, again after a route longer than /64 retires the shortcuts.
 func TestGroupShardForMatchesLPM(t *testing.T) {
 	const shards, chunkBits, winBits = 3, 2, 44
 	g := NewEngineGroup(1, shards)
@@ -255,6 +261,73 @@ func TestGroupShardForMatchesLPM(t *testing.T) {
 	}
 	agree("shortcuts")
 
+	// A coarse route added after lookups ran, over pins already placed:
+	// ISP 0's first chunk gets a longer, re-sharded sub-route.
+	route(ipv6.MustParsePrefix("2400::/47"), 2)
+	if i := slices.IndexFunc(g.coarse, func(r coarseRoute) bool { return r.covers(0x2400 << 48) }); g.coarse[i].mask != 0xffff_ffff_fffe_0000 || !g.coarse[i].pinned {
+		t.Fatalf("the /47 over ISP 0's pins is not its first, flagged route: %+v", g.coarse[i])
+	}
+	agree("coarse after lookups")
+
+	// Pins routed before the block and chunks covering them; the first
+	// chunk gets none.
+	late := ipv6.MustParsePrefix("2410::/32")
+	lateWin, err := late.Sub(winBits, uint128.Zero)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for dev := 0; dev < 20; dev++ {
+		pin, err := late.Sub(64, uint128.From64(1<<(64-winBits-chunkBits)+rng.Uint64()%(1<<(64-winBits+1))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		route(pin, rng.Intn(shards))
+	}
+	route(late, 0)
+	var empty ipv6.Prefix
+	for c := 0; c < 1<<chunkBits; c++ {
+		chunk, err := lateWin.Sub(winBits+chunkBits, uint128.From64(uint64(c)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		route(chunk, c%shards)
+		if c == 0 {
+			empty = chunk
+		}
+	}
+	agree("pins before coarse")
+
+	// A pin outside every coarse route, then a route covering it.
+	route(ipv6.MustParsePrefix("2500:0:0:7::/64"), 1)
+	if !g.pinOutside {
+		t.Fatal("a pin outside every coarse route left pinOutside clear")
+	}
+	agree("pin outside coarse")
+	route(ipv6.MustParsePrefix("2500::/16"), 2)
+	agree("outside pin covered")
+
+	// The empty chunk's route is unflagged, so a probe inside it never
+	// reads pin64: a planted entry that disagrees goes unseen.
+	emptyHi := empty.Addr().Uint128().Hi
+	for _, r := range g.coarse {
+		if r.covers(emptyHi) {
+			if r.pinned {
+				t.Fatalf("chunk %s holds no pin but is flagged", empty)
+			}
+			break
+		}
+	}
+	for _, a := range []ipv6.Addr{empty.Addr(), ipv6.AddrFrom128(empty.Addr().Uint128().Or(uint128.Max.Rsh(uint(empty.Bits()))))} {
+		want, _ := ref.Lookup(a)
+		hi := a.Uint128().Hi
+		g.pin64[hi] = (want + 1) % shards
+		got := g.ShardFor(a)
+		delete(g.pin64, hi)
+		if got != want {
+			t.Fatalf("ShardFor(%s) = %d read the pin map inside pinless chunk %s (want %d)", a, got, empty, want)
+		}
+	}
+
 	// A /96 inside a pinned /64 owned by another shard: the pin alone no
 	// longer decides, so the shortcuts retire and the LPM takes over.
 	var pinned uint64
@@ -269,4 +342,46 @@ func TestGroupShardForMatchesLPM(t *testing.T) {
 	agree(">/64 fallback")
 	route(ipv6.MustParsePrefix("2403:0:0:7::/64"), 2) // routes keep landing in the LPM
 	agree("after fallback")
+}
+
+// TestGroupConcurrentInjectRelease: two goroutines inject bursts spanning
+// both shards while draining the shared edge and releasing what they
+// drained, as ScanParallel's workers do, so one's ReleaseBufs runs beside
+// the other's injection and its freelist refills. Every probe must come
+// back exactly once; the test exists for the -race runner.
+func TestGroupConcurrentInjectRelease(t *testing.T) {
+	n := buildGroupNet(t, 2)
+	const workers, rounds, burst = 2, 200, 16
+	var mu sync.Mutex
+	got := 0
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			batch := make([][]byte, burst)
+			var rx [][]byte
+			for i := 0; i < rounds; i++ {
+				for j := range batch {
+					pkt, err := wire.BuildEchoRequest(ipv6.MustParseAddr("2001:beef::100"), n.addrs[j%2], 64, uint16(w+1), uint16(i*burst+j), nil)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					batch[j] = pkt
+				}
+				n.grp.InjectBatch(batch)
+				rx = n.edge.DrainInto(rx[:0])
+				mu.Lock()
+				got += len(rx)
+				mu.Unlock()
+				n.grp.ReleaseBufs(rx)
+			}
+		}(w)
+	}
+	wg.Wait()
+	got += len(n.edge.Drain())
+	if want := workers * rounds * burst; got != want {
+		t.Fatalf("%d replies to %d probes", got, want)
+	}
 }

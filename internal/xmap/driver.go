@@ -204,9 +204,12 @@ func (d *SimDriver) RegisterTracer(tr *telemetry.Tracer) {
 
 // GroupDriver runs the scanner against a sharded netsim.EngineGroup:
 // every probe is routed to the engine shard owning its destination
-// prefix, so concurrent senders (ScanParallel) pump disjoint
-// serialization domains in parallel instead of convoying on one engine
-// lock. All shards deliver responses to the same edge.
+// prefix. Each burst is split across the shards and each part is
+// injected under its shard's engine lock, so two senders (ScanParallel)
+// contend only when their parts land on the same shard at once, not on
+// one engine lock for the whole burst. All shards deliver responses to
+// the same edge; Release hands reply buffers back without taking any
+// engine lock.
 type GroupDriver struct {
 	grp  *netsim.EngineGroup
 	edge *netsim.Edge

@@ -176,8 +176,8 @@ func (c *checkpointer) update(st ShardState) {
 // is invoked from multiple goroutines under an internal lock, so it
 // needs no synchronization of its own. The driver must be safe for
 // concurrent use (all bundled drivers are); against a sharded
-// deployment, use a GroupDriver so the senders pump disjoint engine
-// shards. ScanParallel(ctx, cfg, drv, 1, h) is New(cfg, drv).Run(ctx, h).
+// deployment, use a GroupDriver so each burst is split across the
+// engine shards. ScanParallel(ctx, cfg, drv, 1, h) is New(cfg, drv).Run(ctx, h).
 //
 // The workers share one seen-set (see run): Stats.Unique counts its
 // members, and Stats.Duplicates every validated response it turned away.
