@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"repro/internal/ipv6"
-	"repro/internal/wire"
 	"repro/internal/xmap"
 )
 
@@ -27,21 +26,24 @@ type Hop struct {
 	// Terminal marks the end of the path: a Destination Unreachable or
 	// an Echo Reply rather than a Time Exceeded.
 	Terminal bool
-	// Kind is the ICMPv6 type observed.
-	Kind uint8
+	// Kind is the reply observed.
+	Kind xmap.ResponseKind
 }
 
-// Tracer performs hop-limited path walks through a scan driver.
+// Tracer performs hop-limited path walks through a scan driver. Every
+// probe carries echo id 0xed97 and the tracer's running sequence number.
 type Tracer struct {
-	drv xmap.PacketDriver
 	// MaxHops bounds each trace (default 16).
 	MaxHops int
+	x       *xmap.EchoExchange
 	seq     uint16
 }
 
 // NewTracer creates a tracer.
 func NewTracer(drv xmap.PacketDriver) *Tracer {
-	return &Tracer{drv: drv, MaxHops: 16}
+	t := &Tracer{MaxHops: 16}
+	t.x = xmap.NewEchoExchange(drv, 1, func(ipv6.Addr) uint32 { return 0xed97<<16 | uint32(t.seq) })
+	return t
 }
 
 // Trace walks toward dst, one probe per hop limit, stopping at the first
@@ -53,15 +55,12 @@ func (t *Tracer) Trace(dst ipv6.Addr) ([]Hop, int, error) {
 	silent := 0
 	for h := 1; h <= t.MaxHops; h++ {
 		t.seq++
-		pkt, err := wire.BuildEchoRequest(t.drv.SourceAddr(), dst, uint8(h), 0xed97, t.seq, nil)
+		t.x.Probe.HopLimit = uint8(h)
+		r, ok, err := t.x.Ping(dst)
 		if err != nil {
-			return nil, probes, fmt.Errorf("edgy: building probe: %w", err)
-		}
-		if err := t.drv.Send(pkt); err != nil {
-			return nil, probes, err
+			return nil, probes, fmt.Errorf("edgy: probe at hop limit %d: %w", h, err)
 		}
 		probes++
-		hop, ok := t.await(dst, h)
 		if !ok {
 			// One unresponsive hop is tolerated (real traces see
 			// rate-limited routers); two consecutive end the walk.
@@ -72,41 +71,13 @@ func (t *Tracer) Trace(dst ipv6.Addr) ([]Hop, int, error) {
 			continue
 		}
 		silent = 0
+		hop := Hop{Distance: h, Addr: r.Responder, Kind: r.Kind, Terminal: r.Kind != xmap.KindTimeExceeded}
 		path = append(path, hop)
 		if hop.Terminal {
 			break
 		}
 	}
 	return path, probes, nil
-}
-
-// await drains the driver for a response to our probe.
-func (t *Tracer) await(dst ipv6.Addr, distance int) (Hop, bool) {
-	for _, raw := range t.drv.Recv() {
-		sum, err := wire.ParsePacket(raw)
-		if err != nil || sum.ICMP == nil {
-			continue
-		}
-		switch sum.ICMP.Type {
-		case wire.ICMPTimeExceeded:
-			inv, err := wire.ParseInvoking(sum.ICMP.Body)
-			if err != nil || inv.IP.Dst != dst || inv.EchoID != 0xed97 {
-				continue
-			}
-			return Hop{Distance: distance, Addr: sum.IP.Src, Kind: sum.ICMP.Type}, true
-		case wire.ICMPDestUnreach:
-			inv, err := wire.ParseInvoking(sum.ICMP.Body)
-			if err != nil || inv.IP.Dst != dst || inv.EchoID != 0xed97 {
-				continue
-			}
-			return Hop{Distance: distance, Addr: sum.IP.Src, Kind: sum.ICMP.Type, Terminal: true}, true
-		case wire.ICMPEchoReply:
-			if sum.IP.Src == dst {
-				return Hop{Distance: distance, Addr: sum.IP.Src, Kind: sum.ICMP.Type, Terminal: true}, true
-			}
-		}
-	}
-	return Hop{}, false
 }
 
 // Census aggregates a discovery campaign.

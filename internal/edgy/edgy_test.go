@@ -2,6 +2,9 @@ package edgy
 
 import (
 	"context"
+	"encoding/binary"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/ipv6"
@@ -61,7 +64,7 @@ func TestTraceReachesCPE(t *testing.T) {
 	}
 	// Intermediate hops are Time Exceeded.
 	for _, hop := range path[:len(path)-1] {
-		if hop.Kind != wire.ICMPTimeExceeded || hop.Terminal {
+		if hop.Kind != xmap.KindTimeExceeded || hop.Terminal {
 			t.Errorf("intermediate hop %+v", hop)
 		}
 	}
@@ -92,7 +95,7 @@ func TestTraceEchoTerminal(t *testing.T) {
 		t.Fatal(err)
 	}
 	last := path[len(path)-1]
-	if last.Addr != dev.WANAddr || last.Kind != wire.ICMPEchoReply {
+	if last.Addr != dev.WANAddr || last.Kind != xmap.KindEchoReply {
 		t.Errorf("last = %+v", last)
 	}
 }
@@ -169,5 +172,108 @@ func TestProbesPerLastHop(t *testing.T) {
 	}
 	if (&Census{}).ProbesPerLastHop() != 0 {
 		t.Error("empty census not 0")
+	}
+}
+
+// answerDriver is a per-packet test double in the style of
+// xmap.ChanDriver: every probe sent is answered by answer(probe).
+type answerDriver struct {
+	answer func(probe []byte) [][]byte
+	buf    [][]byte
+}
+
+func (d *answerDriver) Send(pkt []byte) error {
+	d.buf = append(d.buf, d.answer(pkt)...)
+	return nil
+}
+
+func (d *answerDriver) Recv() [][]byte {
+	out := d.buf
+	d.buf = nil
+	return out
+}
+
+func (d *answerDriver) SourceAddr() ipv6.Addr { return scannerAddr }
+
+var (
+	scannerAddr = ipv6.MustParseAddr("2001:db8:ffff::1")
+	decoyAddr   = ipv6.MustParseAddr("2001:db8:eeee::1")
+	cpeAddr     = ipv6.MustParseAddr("2001:db8:dddd::1")
+	otherAddr   = ipv6.MustParseAddr("2001:db8:cccc::1")
+)
+
+// forged returns a reply that answers some other probe: an error
+// quoting the probed destination with another echo id or sequence
+// number, one quoting the right id and sequence number sent to another
+// destination, one quoting a non-echo packet, or an echo reply from the
+// destination with a foreign id.
+func forged(t *testing.T, kind string, probe []byte) []byte {
+	t.Helper()
+	dst := ipv6.AddrFromBytes(probe[24:40])
+	id, seq := binary.BigEndian.Uint16(probe[44:46]), binary.BigEndian.Uint16(probe[46:48])
+	var quote, pkt []byte
+	var err error
+	switch kind {
+	case "foreign-id":
+		quote, err = wire.BuildEchoRequest(scannerAddr, dst, probe[7], id+1, seq, nil)
+	case "foreign-seq":
+		quote, err = wire.BuildEchoRequest(scannerAddr, dst, probe[7], id, seq+1, nil)
+	case "other-dst":
+		quote, err = wire.BuildEchoRequest(scannerAddr, otherAddr, probe[7], id, seq, nil)
+	case "udp-quote":
+		quote, err = wire.BuildUDP(scannerAddr, dst, probe[7], 33000, 53, nil)
+	case "echo-reply-foreign-id":
+		pkt, err = wire.BuildEchoReply(dst, scannerAddr, 64, id+1, seq, nil)
+	default:
+		t.Fatalf("unknown forgery %q", kind)
+	}
+	if err == nil && pkt == nil {
+		pkt, err = wire.BuildDestUnreach(decoyAddr, scannerAddr, 64, wire.UnreachAddress, quote)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pkt
+}
+
+var forgeries = []string{"foreign-id", "foreign-seq", "other-dst", "udp-quote", "echo-reply-foreign-id"}
+
+// TestTraceIgnoresForeignReplies: every probe draws a forged reply
+// answering another probe (see forged), then the honest one: Time
+// Exceeded from a router at hops 1 and 2, address unreachable from the
+// CPE at hop 3. The trace must be the honest path. Matching an error on
+// its quoted destination and echo id alone ends the trace at the decoy
+// on a foreign sequence number, and a forged echo reply ends it too.
+func TestTraceIgnoresForeignReplies(t *testing.T) {
+	dst := ipv6.MustParseAddr("2001:db8:dddd:1::42")
+	router := func(h uint8) ipv6.Addr { return ipv6.MustParseAddr(fmt.Sprintf("2001:db8:aaaa::%d", h)) }
+	for _, kind := range append([]string{"none"}, forgeries...) {
+		t.Run(kind, func(t *testing.T) {
+			drv := &answerDriver{answer: func(probe []byte) [][]byte {
+				honest, err := wire.BuildDestUnreach(cpeAddr, scannerAddr, 64, wire.UnreachAddress, probe)
+				if h := probe[7]; h < 3 {
+					honest, err = wire.BuildTimeExceeded(router(h), scannerAddr, 64, probe)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if kind == "none" {
+					return [][]byte{honest}
+				}
+				return [][]byte{forged(t, kind, probe), honest}
+			}}
+			path, probes, err := NewTracer(drv).Trace(dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := []Hop{
+				{Distance: 1, Addr: router(1), Kind: xmap.KindTimeExceeded},
+				{Distance: 2, Addr: router(2), Kind: xmap.KindTimeExceeded},
+				{Distance: 3, Addr: cpeAddr, Kind: xmap.KindDestUnreach, Terminal: true},
+			}
+			if !slices.Equal(path, want) || probes != 3 {
+				t.Errorf("path %+v after %d probes, want %+v after 3", path, probes, want)
+			}
+		})
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"repro/internal/tga"
 	"repro/internal/topo"
 	"repro/internal/uint128"
-	"repro/internal/wire"
 	"repro/internal/xmap"
 )
 
@@ -118,21 +117,15 @@ func (s *Suite) Feasibility() (string, error) {
 	rng := rand.New(rand.NewSource(s.opts.Seed))
 	tgaFound := map[ipv6.Addr]bool{}
 	tgaProbes := 0
+	ping := xmap.NewEchoExchange(drv, 64, func(ipv6.Addr) uint32 { return 0x761a_0001 })
 	for _, cand := range model.Generate(rng, int(budget.Lo)) {
-		pkt, err := wire.BuildEchoRequest(dep.Edge.Addr(), cand, 64, 0x761a, 1, nil)
+		r, ok, err := ping.Ping(cand)
 		if err != nil {
 			return "", err
 		}
-		dep.Engine.Inject(dep.Edge.Iface(), pkt)
 		tgaProbes++
-		for _, raw := range dep.Edge.Drain() {
-			sum, err := wire.ParsePacket(raw)
-			if err != nil || sum.ICMP == nil {
-				continue
-			}
-			if _, ok := dep.DeviceByWAN(sum.IP.Src); ok {
-				tgaFound[sum.IP.Src] = true
-			}
+		if _, wan := dep.DeviceByWAN(r.Responder); ok && wan {
+			tgaFound[r.Responder] = true
 		}
 	}
 	cmp.AddRow(fmt.Sprintf("TGA (seeded with %d addrs)", len(seeds)),

@@ -63,13 +63,12 @@ type CheckResult struct {
 	Verdict   Verdict
 }
 
-// Detector probes for loops through a scan driver. Probes are the
-// scanner's icmp6_echoscan module: each hop limit (h and h+2) has its own
-// ICMPEchoProbe and its own validator (xmap.NewValidator, the scanner's
-// PRF, keyed per hop limit so the two probes of a pair carry different
-// id/seq values), and replies are classified in place by ClassifyRaw. A
-// Detector is not safe for concurrent use: probes share one reused
-// packet buffer.
+// Detector probes for loops through a scan driver. Probes go through
+// the scanner's one per-packet probe path, xmap.EchoExchange: each hop
+// limit (h and h+2) has its own exchange and its own validator
+// (xmap.NewValidator, the scanner's PRF, keyed per hop limit so the two
+// probes of a pair carry different id/seq values). A Detector is not
+// safe for concurrent use.
 type Detector struct {
 	drv xmap.PacketDriver
 	// HopLimit is h (default DefaultHopLimit).
@@ -78,25 +77,9 @@ type Detector struct {
 	// telemetry shard (loop.* counters). Nil detaches instrumentation.
 	Tel *telemetry.Shard
 
-	// first probes at h, confirm at h+2. One module per hop limit keeps
-	// each module's cached probe template valid across probes.
-	first, confirm hopProbe
-	buf            []byte
-}
-
-// hopProbe is the echo module and validator for one hop limit.
-type hopProbe struct {
-	mod      *xmap.ICMPEchoProbe
-	validate xmap.Validator
-}
-
-// at returns p, rebuilt first if it was made for another hop limit.
-func (p *hopProbe) at(hopLimit uint8) *hopProbe {
-	if p.mod == nil || p.mod.HopLimit != hopLimit {
-		p.mod = &xmap.ICMPEchoProbe{HopLimit: hopLimit}
-		p.validate = xmap.NewValidator(fmt.Appendf(nil, "loopscan-h%d", hopLimit))
-	}
-	return p
+	// first probes at h, confirm at h+2. One exchange per hop limit
+	// keeps each one's cached probe template valid across probes.
+	first, confirm *xmap.EchoExchange
 }
 
 // NewDetector creates a detector.
@@ -104,23 +87,18 @@ func NewDetector(drv xmap.PacketDriver) *Detector {
 	return &Detector{drv: drv, HopLimit: DefaultHopLimit}
 }
 
-// probe sends one echo request through p and returns the first reply
-// ClassifyRaw validates for dst.
-func (d *Detector) probe(p *hopProbe, dst ipv6.Addr) (responder ipv6.Addr, kind xmap.ResponseKind, ok bool, err error) {
-	d.buf, err = p.mod.AppendProbe(d.buf, d.drv.SourceAddr(), dst, p.validate(dst))
-	if err != nil {
-		return ipv6.Addr{}, 0, false, err
+// probe sends one echo request at hopLimit through *x, rebuilt first if
+// it was made for another hop limit, and returns the first reply
+// validated for dst.
+func (d *Detector) probe(x **xmap.EchoExchange, hopLimit uint8, dst ipv6.Addr) (xmap.Response, bool, error) {
+	if *x == nil || (*x).Probe.HopLimit != hopLimit {
+		*x = xmap.NewEchoExchange(d.drv, hopLimit, xmap.NewValidator(fmt.Appendf(nil, "loopscan-h%d", hopLimit)))
 	}
-	if err := d.drv.Send(d.buf); err != nil {
-		return ipv6.Addr{}, 0, false, err
+	r, ok, err := (*x).Ping(dst)
+	if err == nil {
+		d.Tel.Inc(telemetry.LoopProbes)
 	}
-	d.Tel.Inc(telemetry.LoopProbes)
-	for _, raw := range d.drv.Recv() {
-		if r, ok := p.mod.ClassifyRaw(raw, p.validate); ok && r.ProbeDst == dst {
-			return r.Responder, r.Kind, true, nil
-		}
-	}
-	return ipv6.Addr{}, 0, false, nil
+	return r, ok, err
 }
 
 // CheckAddr applies the paper's method to one address: a Time Exceeded
@@ -130,27 +108,24 @@ func (d *Detector) probe(p *hopProbe, dst ipv6.Addr) (responder ipv6.Addr, kind 
 // the +2 step keeps loop parity so the same device answers).
 func (d *Detector) CheckAddr(dst ipv6.Addr) (CheckResult, error) {
 	res := CheckResult{Target: dst, Verdict: VerdictSilent}
-	from, kind, ok, err := d.probe(d.first.at(d.HopLimit), dst)
-	if err != nil {
+	r, ok, err := d.probe(&d.first, d.HopLimit, dst)
+	if err != nil || !ok {
 		return res, err
 	}
-	if !ok {
-		return res, nil
-	}
 	d.Tel.Inc(telemetry.LoopResponses)
-	res.Responder = from
-	if kind != xmap.KindTimeExceeded {
+	res.Responder = r.Responder
+	if r.Kind != xmap.KindTimeExceeded {
 		res.Verdict = VerdictUnreachable
 		return res, nil
 	}
-	from2, kind2, ok2, err := d.probe(d.confirm.at(d.HopLimit+2), dst)
+	r2, ok2, err := d.probe(&d.confirm, d.HopLimit+2, dst)
 	if err != nil {
 		return res, err
 	}
 	if ok2 {
 		d.Tel.Inc(telemetry.LoopResponses)
 	}
-	if ok2 && kind2 == xmap.KindTimeExceeded && from2 == from {
+	if ok2 && r2.Kind == xmap.KindTimeExceeded && r2.Responder == r.Responder {
 		res.Verdict = VerdictLoop
 		d.Tel.Inc(telemetry.LoopConfirmed)
 		return res, nil
@@ -289,22 +264,9 @@ type AmplificationResult struct {
 // amplification factor measurement (Section VI-A: each packet traverses
 // the ISP-CPE link 255-n times).
 func MeasureAmplification(drv xmap.PacketDriver, dst ipv6.Addr, victim *netsim.Link) (AmplificationResult, error) {
-	before := snapshot(victim)
-	pkt, err := wire.BuildEchoRequest(drv.SourceAddr(), dst, wire.MaxHopLimit, 0xa77a, 1, nil)
-	if err != nil {
-		return AmplificationResult{}, err
-	}
-	if err := drv.Send(pkt); err != nil {
-		return AmplificationResult{}, err
-	}
-	drv.Recv() // drain any terminal error
-	after := snapshot(victim)
-	res := AmplificationResult{
-		LinkPackets: after.pkts - before.pkts,
-		LinkBytes:   after.bytes - before.bytes,
-	}
-	res.Factor = float64(res.LinkPackets)
-	return res, nil
+	return amplify(drv, victim, 1, func(int) ([]byte, error) {
+		return wire.BuildEchoRequest(drv.SourceAddr(), dst, wire.MaxHopLimit, 0xa77a, 1, nil)
+	})
 }
 
 // MeasureAmplificationSpoofed repeats the measurement with a spoofed
@@ -313,22 +275,9 @@ func MeasureAmplification(drv xmap.PacketDriver, dst ipv6.Addr, victim *netsim.L
 // second time, "doubling the loop times" as Section VI-A notes for ASes
 // without source address validation.
 func MeasureAmplificationSpoofed(drv xmap.PacketDriver, dst, spoofedSrc ipv6.Addr, victim *netsim.Link) (AmplificationResult, error) {
-	before := snapshot(victim)
-	pkt, err := wire.BuildEchoRequest(spoofedSrc, dst, wire.MaxHopLimit, 0xa77b, 1, nil)
-	if err != nil {
-		return AmplificationResult{}, err
-	}
-	if err := drv.Send(pkt); err != nil {
-		return AmplificationResult{}, err
-	}
-	drv.Recv()
-	after := snapshot(victim)
-	res := AmplificationResult{
-		LinkPackets: after.pkts - before.pkts,
-		LinkBytes:   after.bytes - before.bytes,
-	}
-	res.Factor = float64(res.LinkPackets)
-	return res, nil
+	return amplify(drv, victim, 1, func(int) ([]byte, error) {
+		return wire.BuildEchoRequest(spoofedSrc, dst, wire.MaxHopLimit, 0xa77b, 1, nil)
+	})
 }
 
 type linkCounters struct{ pkts, bytes uint64 }
@@ -348,10 +297,18 @@ func Attack(drv xmap.PacketDriver, targets []ipv6.Addr, count int, victim *netsi
 	if len(targets) == 0 || count <= 0 {
 		return AmplificationResult{}, fmt.Errorf("loopscan: nothing to send")
 	}
+	return amplify(drv, victim, count, func(i int) ([]byte, error) {
+		return wire.BuildEchoRequest(drv.SourceAddr(), targets[i%len(targets)], wire.MaxHopLimit, uint16(i), uint16(i>>16), nil)
+	})
+}
+
+// amplify sends count packets built by probe(i), draining any terminal
+// error after each, and reports the victim-link traffic they induced per
+// packet sent.
+func amplify(drv xmap.PacketDriver, victim *netsim.Link, count int, probe func(i int) ([]byte, error)) (AmplificationResult, error) {
 	before := snapshot(victim)
 	for i := 0; i < count; i++ {
-		dst := targets[i%len(targets)]
-		pkt, err := wire.BuildEchoRequest(drv.SourceAddr(), dst, wire.MaxHopLimit, uint16(i), uint16(i>>16), nil)
+		pkt, err := probe(i)
 		if err != nil {
 			return AmplificationResult{}, err
 		}

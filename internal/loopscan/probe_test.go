@@ -71,13 +71,13 @@ func TestCheckAddrProbesDistinct(t *testing.T) {
 		t.Fatalf("the h and h+2 probes differ only in the hop limit:\n% x", h)
 	}
 
-	classify := func(p *hopProbe, raw []byte) bool {
-		r, ok := p.mod.ClassifyRaw(raw, p.validate)
+	classify := func(x *xmap.EchoExchange, raw []byte) bool {
+		r, ok := x.Probe.ClassifyRaw(raw, x.Validate)
 		return ok && r.ProbeDst == dst && r.Kind == xmap.KindTimeExceeded
 	}
 	for i, pair := range []struct {
-		own, other *hopProbe
-	}{{&det.first, &det.confirm}, {&det.confirm, &det.first}} {
+		own, other *xmap.EchoExchange
+	}{{det.first, det.confirm}, {det.confirm, det.first}} {
 		accepted := 0
 		for _, raw := range rec.recvd[i] {
 			if !classify(pair.own, raw) {
@@ -94,9 +94,10 @@ func TestCheckAddrProbesDistinct(t *testing.T) {
 	}
 }
 
-// TestCheckAddrAllocs: the detector builds and classifies without
-// allocating. What remains is the simulator's, two per probe: the reply
-// buffer and Edge.Drain's slice.
+// TestCheckAddrAllocs: a warm detector over SimDriver allocates nothing.
+// It builds and classifies in place, and its exchanges drain replies
+// through RecvBatch into a reused slice and hand the buffers back with
+// Release, so the simulator reuses them for the next reply.
 func TestCheckAddrAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -113,13 +114,12 @@ func TestCheckAddrAllocs(t *testing.T) {
 		t.Fatal("fixture lacks a healthy CPE")
 	}
 	for _, tc := range []struct {
-		name   string
-		dst    ipv6.Addr
-		want   Verdict
-		probes float64
+		name string
+		dst  ipv6.Addr
+		want Verdict
 	}{
-		{"unreachable", targetIn(safe.CPE.Delegated(), []byte("x")), VerdictUnreachable, 1},
-		{"loop", targetIn(loopingDevice(t, dep).CPE.Delegated(), []byte("x")), VerdictLoop, 2},
+		{"unreachable", targetIn(safe.CPE.Delegated(), []byte("x")), VerdictUnreachable},
+		{"loop", targetIn(loopingDevice(t, dep).CPE.Delegated(), []byte("x")), VerdictLoop},
 	} {
 		var got Verdict
 		allocs := testing.AllocsPerRun(200, func() {
@@ -132,8 +132,8 @@ func TestCheckAddrAllocs(t *testing.T) {
 		if got != tc.want {
 			t.Fatalf("%s: verdict %s, want %s", tc.name, got, tc.want)
 		}
-		if allocs > 2*tc.probes {
-			t.Errorf("%s: CheckAddr allocates %.1f times, want <= %.0f (2 per probe)", tc.name, allocs, 2*tc.probes)
+		if allocs != 0 {
+			t.Errorf("%s: CheckAddr allocates %.1f times, want 0", tc.name, allocs)
 		}
 	}
 }

@@ -30,6 +30,59 @@ func TestFlowEntryLayout(t *testing.T) {
 	}
 }
 
+// TestEngineLayout pins netsim.Engine's field offsets (64-bit
+// platforms). The pump's hot fields sit at the front; retMu/returned,
+// which ReleaseBufs writes from another goroutine, sit last. The layout
+// carries measurable speed that nothing else guards: 32 bytes inserted
+// after pool made scan_cold and rescan_warm ~4.5% slower, while the
+// same fields appended at the end left both flat.
+func TestEngineLayout(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("offsets pinned for 64-bit platforms")
+	}
+	var e Engine
+	for _, f := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"mu", unsafe.Offsetof(e.mu), 0},
+		{"fifo", unsafe.Offsetof(e.fifo), 8},
+		{"ordq", unsafe.Offsetof(e.ordq), 48},
+		{"links", unsafe.Offsetof(e.links), 72},
+		{"rng", unsafe.Offsetof(e.rng), 96},
+		{"steps", unsafe.Offsetof(e.steps), 104},
+		{"budget", unsafe.Offsetof(e.budget), 112},
+		{"seq", unsafe.Offsetof(e.seq), 120},
+		{"fault", unsafe.Offsetof(e.fault), 128},
+		{"tap", unsafe.Offsetof(e.tap), 136},
+		{"txPackets", unsafe.Offsetof(e.txPackets), 144},
+		{"txBytes", unsafe.Offsetof(e.txBytes), 152},
+		{"txDropped", unsafe.Offsetof(e.txDropped), 160},
+		{"disordered", unsafe.Offsetof(e.disordered), 168},
+		{"pool", unsafe.Offsetof(e.pool), 176},
+		{"owner", unsafe.Offsetof(e.owner), 200},
+		{"ownerReused", unsafe.Offsetof(e.ownerReused), 208},
+		{"ftr", unsafe.Offsetof(e.ftr), 216},
+		{"fp", unsafe.Offsetof(e.fp), 232},
+		{"fpScratchH", unsafe.Offsetof(e.fpScratchH), 448},
+		{"fpScratchC", unsafe.Offsetof(e.fpScratchC), 512},
+		{"fpScratchR", unsafe.Offsetof(e.fpScratchR), 1016},
+		{"inj", unsafe.Offsetof(e.inj), 1168},
+		{"retMu", unsafe.Offsetof(e.retMu), 9392},
+		{"returned", unsafe.Offsetof(e.returned), 9400},
+		{"(end)", unsafe.Sizeof(e), 9424},
+	} {
+		if f.got != f.want {
+			t.Errorf("Engine.%s at offset %d, pinned at %d. Re-pin only with paired "+
+				"scan_cold/rescan_warm runs against the parent (bench/): a 32-byte insert "+
+				"after pool cost ~4.5%%. Keep retMu/returned last.", f.name, f.got, f.want)
+		}
+	}
+	if end := unsafe.Offsetof(e.returned) + unsafe.Sizeof(e.returned); end != unsafe.Sizeof(e) {
+		t.Errorf("Engine.returned ends at %d of %d: retMu/returned must be the last fields", end, unsafe.Sizeof(e))
+	}
+}
+
 // TestFlowCacheTagCollisionProperty is the tag-prefilter soundness
 // property: a colliding tag — the 8-byte prefilter word matching a
 // probe whose flow the slot does not hold — may cost a wasted hot-line

@@ -151,7 +151,7 @@ func udpCheck(e env, _ *leg, _ []*leg) ([]string, error) {
 	perSub := func(dst ipv6.Addr) uint32 { return validate(dst.WithIID(0)) }
 	for deadline := time.Now().Add(20 * time.Second); len(udp.set) < len(sim.set) && time.Now().Before(deadline); {
 		time.Sleep(5 * time.Millisecond)
-		for _, raw := range drv.Recv() {
+		for _, raw := range drv.RecvBatch(nil) {
 			if sum, err := wire.ParsePacket(raw); err == nil {
 				if resp, ok := (&xmap.ICMPEchoProbe{}).Classify(sum, perSub); ok {
 					udp.set[resp.Responder] = true

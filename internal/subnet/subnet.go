@@ -64,14 +64,16 @@ func Infer(drv xmap.PacketDriver, block ipv6.Prefix, opts Options) (Result, erro
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	res := Result{Block: block, Length: -1}
+	// Every probe carries echo id 0x5bac and sequence number 1.
+	x := xmap.NewEchoExchange(drv, 64, func(ipv6.Addr) uint32 { return 0x5bac_0001 })
 
 	counts := map[int]int{}
 	for r := 0; r < opts.Repeats; r++ {
-		target, responder, err := findPeriphery(drv, block, rng, opts.MaxPreliminary)
+		target, responder, err := findPeriphery(x, block, rng, opts.MaxPreliminary)
 		if err != nil {
 			return res, err
 		}
-		length, err := walkBoundary(drv, target, responder, opts.MinLength)
+		length, err := walkBoundary(x, target, responder, opts.MinLength)
 		if err != nil {
 			return res, err
 		}
@@ -89,46 +91,13 @@ func Infer(drv xmap.PacketDriver, block ipv6.Prefix, opts Options) (Result, erro
 	return res, nil
 }
 
-// probeOnce sends one echo request and returns the first ICMPv6 error
-// response matching the probed target (nil responder if silence).
-func probeOnce(drv xmap.PacketDriver, dst ipv6.Addr) (responder ipv6.Addr, code uint8, errType uint8, ok bool, err error) {
-	pkt, err := wire.BuildEchoRequest(drv.SourceAddr(), dst, 64, 0x5bac, 0x0001, nil)
-	if err != nil {
-		return ipv6.Addr{}, 0, 0, false, err
-	}
-	if err := drv.Send(pkt); err != nil {
-		return ipv6.Addr{}, 0, 0, false, err
-	}
-	for _, raw := range drv.Recv() {
-		sum, perr := wire.ParsePacket(raw)
-		if perr != nil || sum.ICMP == nil {
-			continue
-		}
-		switch sum.ICMP.Type {
-		case wire.ICMPDestUnreach, wire.ICMPTimeExceeded:
-			inv, perr := wire.ParseInvoking(sum.ICMP.Body)
-			if perr != nil || inv.IP.Dst != dst {
-				continue
-			}
-			return sum.IP.Src, sum.ICMP.Code, sum.ICMP.Type, true, nil
-		case wire.ICMPEchoReply:
-			if sum.IP.Src == dst {
-				// Astonishing luck: the random IID exists. Treat the
-				// reply as the periphery itself.
-				return sum.IP.Src, 0, wire.ICMPEchoReply, true, nil
-			}
-		}
-	}
-	return ipv6.Addr{}, 0, 0, false, nil
-}
-
 // findPeriphery probes random /64 sub-prefixes of the block until an
 // error arrives from a periphery-like address. Following the paper, a
 // responder qualifies when its interface identifier is EUI-64 format,
 // when the error is the NDP address-unreachable signature, or when the
 // responder is not one of the provider's infrastructure addresses (which
 // betray themselves by answering for many unrelated sub-prefixes).
-func findPeriphery(drv xmap.PacketDriver, block ipv6.Prefix, rng *rand.Rand, maxProbes int) (target, responder ipv6.Addr, err error) {
+func findPeriphery(x *xmap.EchoExchange, block ipv6.Prefix, rng *rand.Rand, maxProbes int) (target, responder ipv6.Addr, err error) {
 	n64, _ := block.NumSub(64)
 	seen := map[ipv6.Addr]int{}
 	const infraThreshold = 3
@@ -139,23 +108,25 @@ func findPeriphery(drv xmap.PacketDriver, block ipv6.Prefix, rng *rand.Rand, max
 			return ipv6.Addr{}, ipv6.Addr{}, serr
 		}
 		dst := ipv6.SLAAC(sub, rng.Uint64()|1)
-		from, code, typ, ok, perr := probeOnce(drv, dst)
+		r, ok, perr := x.Ping(dst)
 		if perr != nil {
 			return ipv6.Addr{}, ipv6.Addr{}, perr
 		}
-		if !ok || typ == wire.ICMPEchoReply {
+		// An echo reply means the random IID exists: astonishing luck,
+		// but no periphery.
+		if !ok || r.Kind == xmap.KindEchoReply {
 			continue
 		}
-		seen[from]++
+		seen[r.Responder]++
 		switch {
-		case typ == wire.ICMPDestUnreach && code == wire.UnreachAddress:
-			return dst, from, nil
-		case ipv6.Classify(from) == ipv6.IIDEUI64:
-			return dst, from, nil
-		case i >= 8 && seen[from] < infraThreshold:
+		case r.Kind == xmap.KindDestUnreach && r.Code == wire.UnreachAddress:
+			return dst, r.Responder, nil
+		case ipv6.Classify(r.Responder) == ipv6.IIDEUI64:
+			return dst, r.Responder, nil
+		case i >= 8 && seen[r.Responder] < infraThreshold:
 			// A fresh responder once the infrastructure addresses have
 			// revealed themselves by repetition.
-			return dst, from, nil
+			return dst, r.Responder, nil
 		}
 	}
 	return ipv6.Addr{}, ipv6.Addr{}, fmt.Errorf("subnet: no periphery found in %s after %d probes", block, maxProbes)
@@ -164,15 +135,15 @@ func findPeriphery(drv xmap.PacketDriver, block ipv6.Prefix, rng *rand.Rand, max
 // walkBoundary flips target bits from position 64 upward (toward shorter
 // prefixes) until the responder changes; the first differing position is
 // the boundary length.
-func walkBoundary(drv xmap.PacketDriver, target, responder ipv6.Addr, minLength int) (int, error) {
+func walkBoundary(x *xmap.EchoExchange, target, responder ipv6.Addr, minLength int) (int, error) {
 	for b := 64; b > minLength; b-- {
 		// Bit b in prefix-notation is bit (128-b) counting from the LSB.
 		flipped := ipv6.AddrFrom128(target.Uint128().Xor(uint128.One.Lsh(uint(128 - b))))
-		from, _, _, ok, err := probeOnce(drv, flipped)
+		r, ok, err := x.Ping(flipped)
 		if err != nil {
 			return 0, err
 		}
-		if !ok || from != responder {
+		if !ok || r.Responder != responder {
 			return b, nil
 		}
 	}

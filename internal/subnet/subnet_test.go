@@ -1,10 +1,13 @@
 package subnet
 
 import (
+	"encoding/binary"
 	"testing"
 
+	"repro/internal/ipv6"
 	"repro/internal/topo"
 	"repro/internal/uint128"
+	"repro/internal/wire"
 	"repro/internal/xmap"
 )
 
@@ -76,5 +79,99 @@ func TestInferFailsOnEmptyBlock(t *testing.T) {
 	}
 	if _, err := Infer(drv, empty, Options{Seed: 1, MaxPreliminary: 64}); err == nil {
 		t.Error("inference in empty space succeeded")
+	}
+}
+
+// answerDriver is a per-packet test double in the style of
+// xmap.ChanDriver: every probe sent is answered by answer(probe).
+type answerDriver struct {
+	answer func(probe []byte) [][]byte
+	buf    [][]byte
+}
+
+func (d *answerDriver) Send(pkt []byte) error {
+	d.buf = append(d.buf, d.answer(pkt)...)
+	return nil
+}
+
+func (d *answerDriver) Recv() [][]byte {
+	out := d.buf
+	d.buf = nil
+	return out
+}
+
+func (d *answerDriver) SourceAddr() ipv6.Addr { return scannerAddr }
+
+var (
+	scannerAddr = ipv6.MustParseAddr("2001:db8:ffff::1")
+	decoyAddr   = ipv6.MustParseAddr("2001:db8:eeee::211:22ff:fe33:4455")
+	cpeAddr     = ipv6.MustParseAddr("2001:db8:dddd::2aa:bbff:fecc:ddee")
+	otherAddr   = ipv6.MustParseAddr("2001:db8:cccc::1")
+)
+
+// forged returns a reply that answers some other probe: an error
+// quoting the probed destination with another echo id or sequence
+// number, one quoting the right id and sequence number sent to another
+// destination, one quoting a non-echo packet, or an echo reply from the
+// destination with a foreign id.
+func forged(t *testing.T, kind string, probe []byte) []byte {
+	t.Helper()
+	dst := ipv6.AddrFromBytes(probe[24:40])
+	id, seq := binary.BigEndian.Uint16(probe[44:46]), binary.BigEndian.Uint16(probe[46:48])
+	var quote, pkt []byte
+	var err error
+	switch kind {
+	case "foreign-id":
+		quote, err = wire.BuildEchoRequest(scannerAddr, dst, probe[7], id+1, seq, nil)
+	case "foreign-seq":
+		quote, err = wire.BuildEchoRequest(scannerAddr, dst, probe[7], id, seq+1, nil)
+	case "other-dst":
+		quote, err = wire.BuildEchoRequest(scannerAddr, otherAddr, probe[7], id, seq, nil)
+	case "udp-quote":
+		quote, err = wire.BuildUDP(scannerAddr, dst, probe[7], 33000, 53, nil)
+	case "echo-reply-foreign-id":
+		pkt, err = wire.BuildEchoReply(dst, scannerAddr, 64, id+1, seq, nil)
+	default:
+		t.Fatalf("unknown forgery %q", kind)
+	}
+	if err == nil && pkt == nil {
+		pkt, err = wire.BuildDestUnreach(decoyAddr, scannerAddr, 64, wire.UnreachAddress, quote)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pkt
+}
+
+var forgeries = []string{"foreign-id", "foreign-seq", "other-dst", "udp-quote", "echo-reply-foreign-id"}
+
+// TestInferIgnoresForeignReplies: every probe draws a forged reply
+// answering another probe (see forged), then the honest
+// address-unreachable error from one CPE. Inference must anchor on the
+// CPE and, since it answers for every flipped bit, walk to the
+// shallowest boundary. Matching an error on its quoted destination
+// alone anchors on the decoy, and a forged echo reply hides the CPE.
+func TestInferIgnoresForeignReplies(t *testing.T) {
+	block := ipv6.MustParsePrefix("2001:db8:100::/40")
+	for _, kind := range append([]string{"none"}, forgeries...) {
+		t.Run(kind, func(t *testing.T) {
+			drv := &answerDriver{answer: func(probe []byte) [][]byte {
+				honest, err := wire.BuildDestUnreach(cpeAddr, scannerAddr, 64, wire.UnreachAddress, probe)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if kind == "none" {
+					return [][]byte{honest}
+				}
+				return [][]byte{forged(t, kind, probe), honest}
+			}}
+			res, err := Infer(drv, block, Options{Seed: 1, Repeats: 1, MaxPreliminary: 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Periphery != cpeAddr || res.Length != 41 {
+				t.Errorf("inferred /%d anchored on %s, want /41 on %s", res.Length, res.Periphery, cpeAddr)
+			}
+		})
 	}
 }

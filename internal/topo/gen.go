@@ -43,9 +43,12 @@ type Config struct {
 	// engine shards (a netsim.EngineGroup with a replicated core/border
 	// spine); 0 or 1 builds the classic single-engine deployment.
 	// Subscriber prefixes are assigned to shards by contiguous window
-	// chunk, so concurrent scanners pump disjoint serialization domains.
-	// With more than one shard, inject through Deployment.Group (or
-	// xmap.NewGroupDriver), which routes each probe to the owning shard.
+	// chunk, so each shard serializes only its own chunks' traffic. The
+	// shards do not partition the scanners' work: ScanParallel workers
+	// walk permutation slices that span every chunk, so each of their
+	// bursts is split across all shards. With more than one shard,
+	// inject through Deployment.Group (or xmap.NewGroupDriver), which
+	// routes each probe to the owning shard.
 	Shards int
 	// FastPath toggles the engines' compiled forwarding fast path
 	// (netsim flow cache). nil means the engine default (enabled);

@@ -20,7 +20,7 @@ import (
 // millions of probes per second, so the scanner always hands the driver
 // a burst. The production analogue is a raw socket (or PF_RING); this
 // repository provides the simulator drivers and an in-memory loopback
-// for tests. Per-packet tools use the PacketDriver shim instead.
+// for tests. Per-packet tools use SimDriver's PacketDriver shim instead.
 type Driver interface {
 	// SendBatch transmits a burst of raw IPv6 packets and returns how
 	// many entered the packet layer. pkts[:n] were sent. A short write
@@ -40,12 +40,13 @@ type Driver interface {
 	SourceAddr() ipv6.Addr
 }
 
-// PacketDriver is the pre-batching per-packet contract, kept as a
-// compatibility shim for tools that genuinely work one packet at a time
-// (the subnet walker, the loop tracer, zgrab-style service probes) and
-// for the batch-vs-per-packet differential oracle. Send must not retain
-// pkt. All bundled drivers implement both interfaces; wrap any other
-// PacketDriver with AdaptPacketDriver to run the scanner over it.
+// PacketDriver is the per-packet contract of tools that work one packet
+// at a time: the follow-up tools reach it through EchoExchange (subnet
+// inference, the loop detector, the traceroute baseline) or minitcp
+// (zgrab-style service probes). Send must not retain pkt. SimDriver is
+// the one bundled driver that implements it; wrap any PacketDriver with
+// AdaptPacketDriver to run the scanner over it, which is what the
+// batch-vs-per-packet differential oracle runs as its reference leg.
 type PacketDriver interface {
 	// Send transmits one raw IPv6 packet.
 	Send(pkt []byte) error
@@ -54,6 +55,69 @@ type PacketDriver interface {
 	Recv() [][]byte
 	// SourceAddr is the scanner's source address.
 	SourceAddr() ipv6.Addr
+}
+
+// EchoExchange is the follow-up tools' one probe path: it sends one
+// icmp6_echoscan probe to a destination and returns the first reply
+// ClassifyRaw validates for it, so a reply quoting another address, a
+// foreign id/seq or a non-echo packet is never taken as the answer. The
+// probe buffer and the receive slice are reused. When the driver also
+// speaks the batch contract with Release (SimDriver does), replies are
+// drained through RecvBatch and handed back once classified; otherwise
+// through Recv. Not safe for concurrent use.
+type EchoExchange struct {
+	// Probe builds and classifies the probes. Its HopLimit may change
+	// between calls to Ping.
+	Probe ICMPEchoProbe
+	// Validate gives each probe's id/seq; a reply must carry it back.
+	Validate Validator
+
+	drv   PacketDriver
+	batch releasingDriver // drv, when it can drain in batches and take replies back
+	buf   []byte
+	rx    [][]byte
+}
+
+type releasingDriver interface {
+	Driver
+	Releaser
+}
+
+// NewEchoExchange returns an exchange over drv probing at hopLimit.
+func NewEchoExchange(drv PacketDriver, hopLimit uint8, validate Validator) *EchoExchange {
+	x := &EchoExchange{Probe: ICMPEchoProbe{HopLimit: hopLimit}, Validate: validate, drv: drv}
+	x.batch, _ = drv.(releasingDriver)
+	return x
+}
+
+// Ping sends one probe to dst and returns the first validated reply for
+// it; ok is false when none arrived. Errors are the probe build's or
+// Send's.
+func (x *EchoExchange) Ping(dst ipv6.Addr) (r Response, ok bool, err error) {
+	x.buf, err = x.Probe.AppendProbe(x.buf, x.drv.SourceAddr(), dst, x.Validate(dst))
+	if err != nil {
+		return Response{}, false, err
+	}
+	if err := x.drv.Send(x.buf); err != nil {
+		return Response{}, false, err
+	}
+	if x.batch != nil {
+		x.rx = x.batch.RecvBatch(x.rx[:0])
+	} else {
+		x.rx = x.drv.Recv()
+	}
+	for _, raw := range x.rx {
+		if got, valid := x.Probe.ClassifyRaw(raw, x.Validate); valid && got.ProbeDst == dst {
+			r, ok = got, true
+			break
+		}
+	}
+	if x.batch != nil {
+		// An echo Response holds no reference into its reply buffer.
+		x.batch.Release(x.rx)
+		clear(x.rx)
+	}
+	return r, ok, nil
 }
 
 // Releaser is an optional Driver capability: hand packet buffers
@@ -216,7 +280,6 @@ type GroupDriver struct {
 }
 
 var _ Driver = (*GroupDriver)(nil)
-var _ PacketDriver = (*GroupDriver)(nil)
 
 // NewGroupDriver wires a driver to the engine group at the given edge.
 // The edge must be attached to every shard (topo.Build deployments are).
@@ -224,20 +287,11 @@ func NewGroupDriver(grp *netsim.EngineGroup, edge *netsim.Edge) *GroupDriver {
 	return &GroupDriver{grp: grp, edge: edge}
 }
 
-// Send implements PacketDriver.
-func (d *GroupDriver) Send(pkt []byte) error {
-	d.grp.Inject(pkt)
-	return nil
-}
-
 // SendBatch implements Driver.
 func (d *GroupDriver) SendBatch(pkts [][]byte) (int, error) {
 	d.grp.InjectBatch(pkts)
 	return len(pkts), nil
 }
-
-// Recv implements PacketDriver.
-func (d *GroupDriver) Recv() [][]byte { return d.edge.Drain() }
 
 // RecvBatch implements Driver.
 func (d *GroupDriver) RecvBatch(buf [][]byte) [][]byte { return d.edge.DrainInto(buf) }
@@ -296,51 +350,3 @@ func engineCollector(counters func() netsim.Counters) telemetry.Collector {
 		add(telemetry.SimFastPathEvictions, c.FastPathEvictions)
 	}
 }
-
-// ChanDriver is a test driver connecting the scanner to a handler
-// function: every sent packet is answered by fn (nil = drop).
-type ChanDriver struct {
-	Src ipv6.Addr
-	Fn  func(pkt []byte) [][]byte
-
-	buf [][]byte
-}
-
-var _ Driver = (*ChanDriver)(nil)
-var _ PacketDriver = (*ChanDriver)(nil)
-
-// Send implements PacketDriver.
-func (d *ChanDriver) Send(pkt []byte) error {
-	if d.Fn != nil {
-		d.buf = append(d.buf, d.Fn(pkt)...)
-	}
-	return nil
-}
-
-// SendBatch implements Driver.
-func (d *ChanDriver) SendBatch(pkts [][]byte) (int, error) {
-	for _, pkt := range pkts {
-		if d.Fn != nil {
-			d.buf = append(d.buf, d.Fn(pkt)...)
-		}
-	}
-	return len(pkts), nil
-}
-
-// Recv implements PacketDriver.
-func (d *ChanDriver) Recv() [][]byte {
-	out := d.buf
-	d.buf = nil
-	return out
-}
-
-// RecvBatch implements Driver.
-func (d *ChanDriver) RecvBatch(buf [][]byte) [][]byte {
-	buf = append(buf, d.buf...)
-	clear(d.buf)
-	d.buf = d.buf[:0]
-	return buf
-}
-
-// SourceAddr implements Driver.
-func (d *ChanDriver) SourceAddr() ipv6.Addr { return d.Src }

@@ -29,7 +29,6 @@ type UDPDriver struct {
 }
 
 var _ Driver = (*UDPDriver)(nil)
-var _ PacketDriver = (*UDPDriver)(nil)
 
 // Responder consumes one tunneled packet and returns reply packets.
 type Responder func(pkt []byte) [][]byte
@@ -97,12 +96,6 @@ func NewUDPDriver(src ipv6.Addr, handler Responder) (*UDPDriver, error) {
 	return d, nil
 }
 
-// Send implements PacketDriver.
-func (d *UDPDriver) Send(pkt []byte) error {
-	_, err := d.conn.WriteToUDP(pkt, d.peer)
-	return err
-}
-
 // SendBatch implements Driver: one datagram per packet. The first write
 // error reports the failing packet's position per the Driver contract.
 func (d *UDPDriver) SendBatch(pkts [][]byte) (int, error) {
@@ -112,15 +105,6 @@ func (d *UDPDriver) SendBatch(pkts [][]byte) (int, error) {
 		}
 	}
 	return len(pkts), nil
-}
-
-// Recv implements PacketDriver.
-func (d *UDPDriver) Recv() [][]byte {
-	d.mu.Lock()
-	out := d.buf
-	d.buf = nil
-	d.mu.Unlock()
-	return out
 }
 
 // RecvBatch implements Driver.

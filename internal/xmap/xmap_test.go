@@ -745,7 +745,7 @@ func TestUDPDriverAsync(t *testing.T) {
 	}
 	for len(found) < fixtureCPEs+1 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
-		for _, raw := range drv.Recv() {
+		for _, raw := range drv.RecvBatch(nil) {
 			sum, err := wire.ParsePacket(raw)
 			if err != nil {
 				continue
@@ -920,3 +920,35 @@ func TestProbeNames(t *testing.T) {
 		t.Errorf("tcp hop limit = %d", pkt[7])
 	}
 }
+
+// ChanDriver is a test driver connecting the scanner to a handler
+// function: every sent packet is answered by Fn (nil = drop).
+type ChanDriver struct {
+	Src ipv6.Addr
+	Fn  func(pkt []byte) [][]byte
+
+	buf [][]byte
+}
+
+var _ Driver = (*ChanDriver)(nil)
+
+// SendBatch implements Driver.
+func (d *ChanDriver) SendBatch(pkts [][]byte) (int, error) {
+	for _, pkt := range pkts {
+		if d.Fn != nil {
+			d.buf = append(d.buf, d.Fn(pkt)...)
+		}
+	}
+	return len(pkts), nil
+}
+
+// RecvBatch implements Driver.
+func (d *ChanDriver) RecvBatch(buf [][]byte) [][]byte {
+	buf = append(buf, d.buf...)
+	clear(d.buf)
+	d.buf = d.buf[:0]
+	return buf
+}
+
+// SourceAddr implements Driver.
+func (d *ChanDriver) SourceAddr() ipv6.Addr { return d.Src }

@@ -64,12 +64,6 @@ func New(drv xmap.PacketDriver) *Prober {
 	return &Prober{drv: drv, nextPort: 33000, maxRounds: 4}
 }
 
-// conn adapts the scan driver to minitcp.Conn.
-type conn struct{ drv xmap.PacketDriver }
-
-func (c conn) Send(pkt []byte) error { return c.drv.Send(pkt) }
-func (c conn) Recv() [][]byte        { return c.drv.Recv() }
-
 // srcPort hands out distinct client ports so flows never collide.
 func (p *Prober) srcPort() uint16 {
 	p.nextPort++
@@ -216,7 +210,7 @@ type bannerParser func(banner, data []byte, res *ServiceResult)
 
 func (p *Prober) probeBanner(addr ipv6.Addr, svc services.ID, req []byte, parse bannerParser) (ServiceResult, error) {
 	res := ServiceResult{Service: svc}
-	x, err := minitcp.Exchange(conn{p.drv}, p.drv.SourceAddr(), addr, p.srcPort(), svc.Port(), req, p.maxRounds)
+	x, err := minitcp.Exchange(p.drv, p.drv.SourceAddr(), addr, p.srcPort(), svc.Port(), req, p.maxRounds)
 	if err != nil {
 		return res, err
 	}
@@ -296,7 +290,7 @@ func stripTelnetIAC(b []byte) string {
 func (p *Prober) probeHTTP(addr ipv6.Addr, svc services.ID) (ServiceResult, error) {
 	res := ServiceResult{Service: svc}
 	req := []byte("GET / HTTP/1.1\r\nHost: [" + addr.String() + "]\r\nUser-Agent: XMap-research-scan\r\nConnection: close\r\n\r\n")
-	x, err := minitcp.Exchange(conn{p.drv}, p.drv.SourceAddr(), addr, p.srcPort(), svc.Port(), req, p.maxRounds)
+	x, err := minitcp.Exchange(p.drv, p.drv.SourceAddr(), addr, p.srcPort(), svc.Port(), req, p.maxRounds)
 	if err != nil {
 		return res, err
 	}
@@ -340,7 +334,7 @@ func (p *Prober) probeTLS(addr ipv6.Addr) (ServiceResult, error) {
 	if err != nil {
 		return res, err
 	}
-	x, err := minitcp.Exchange(conn{p.drv}, p.drv.SourceAddr(), addr, p.srcPort(), 443, hello, p.maxRounds)
+	x, err := minitcp.Exchange(p.drv, p.drv.SourceAddr(), addr, p.srcPort(), 443, hello, p.maxRounds)
 	if err != nil {
 		return res, err
 	}
