@@ -396,12 +396,12 @@ func buildV4(spec string, seed int64) (ipv6.Window, *xmap.SimDriver, error) {
 		return ipv6.Window{}, nil, err
 	}
 
-	eng := netsim.New(seed)
+	eng := netsim.New()
 	scanV4 := wire.IPv4AddrFrom(198, 51, 100, 7)
 	edge := netsim.NewEdge("scanner4", ipv6.V4Mapped(uint32(scanV4)))
 	isp := netsim.NewV4Router("isp4")
 	up := isp.AddIface4(wire.IPv4AddrFrom(198, 51, 100, 1), "isp:up")
-	eng.Connect(edge.Iface(), up, 0)
+	eng.Connect(edge.Iface(), up)
 	isp.AddRoute4(scanV4, 32, up)
 
 	// Populate ~1/16 of the window with NAT homes.
@@ -419,7 +419,7 @@ func buildV4(spec string, seed int64) (ipv6.Window, *xmap.SimDriver, error) {
 		nat := netsim.NewNATGateway(fmt.Sprintf("home-%d", i), public,
 			[]wire.IPv4Addr{wire.IPv4AddrFrom(192, 168, 1, 10)})
 		down := isp.AddIface4(wire.IPv4AddrFrom(10, 0, byte(i>>8), byte(i)), "isp:down")
-		eng.Connect(down, nat.WAN(), 0)
+		eng.Connect(down, nat.WAN())
 		isp.AddRoute4(public, 32, down)
 	}
 

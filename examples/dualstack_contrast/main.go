@@ -42,12 +42,12 @@ func run() error {
 // scanIPv4World: brute-force the provider /24 (feasible: 256 probes for
 // the whole space) and try the services.
 func scanIPv4World() error {
-	eng := netsim.New(3)
+	eng := netsim.New()
 	scanV4 := wire.IPv4AddrFrom(198, 51, 100, 7)
 	edge := netsim.NewEdge("scanner4", ipv6.V4Mapped(uint32(scanV4)))
 	isp := netsim.NewV4Router("isp4")
 	up := isp.AddIface4(wire.IPv4AddrFrom(198, 51, 100, 1), "isp:up")
-	eng.Connect(edge.Iface(), up, 0)
+	eng.Connect(edge.Iface(), up)
 	isp.AddRoute4(scanV4, 32, up)
 
 	for i := 0; i < homes; i++ {
@@ -55,7 +55,7 @@ func scanIPv4World() error {
 		nat := netsim.NewNATGateway(fmt.Sprintf("home-%d", i), public,
 			[]wire.IPv4Addr{wire.IPv4AddrFrom(192, 168, 1, 10)})
 		down := isp.AddIface4(wire.IPv4AddrFrom(10, 0, 0, byte(2+i)), "isp:down")
-		eng.Connect(down, nat.WAN(), 0)
+		eng.Connect(down, nat.WAN())
 		isp.AddRoute4(public, 32, down)
 	}
 

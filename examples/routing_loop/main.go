@@ -84,7 +84,7 @@ func run() error {
 
 	// Step 4: the Table XII lab — every modelled router, latest
 	// firmware, loop-tested on WAN and LAN prefixes.
-	lab, err := topo.BuildLab(*seed)
+	lab, err := topo.BuildLab()
 	if err != nil {
 		return err
 	}

@@ -305,7 +305,7 @@ func (s *Suite) Lab() ([]LabOutcome, error) {
 	if s.lab != nil {
 		return s.lab, nil
 	}
-	dep, err := topo.BuildLab(s.opts.Seed)
+	dep, err := topo.BuildLab()
 	if err != nil {
 		return nil, err
 	}

@@ -7,8 +7,8 @@ import (
 )
 
 // TestEngineCounters: the engine's cumulative totals track every link
-// crossing — transmissions, bytes and drops — and a lossy link shows up
-// in Dropped without inflating Transmissions.
+// crossing — events, transmissions and bytes — and nothing is dropped
+// without a fault layer (TestEngineCountersCountDrops arms one).
 func TestEngineCounters(t *testing.T) {
 	n := buildGroupNet(t, 1)
 	eng := n.grp.Shard(0)
@@ -27,7 +27,7 @@ func TestEngineCounters(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		pkt := echoTo(t, n.addrs[0], uint16(i))
 		injected += uint64(len(pkt))
-		n.grp.Inject(pkt)
+		n.grp.InjectBatch([][]byte{pkt})
 	}
 	n.edge.Drain()
 	c := eng.Counters()
@@ -36,14 +36,14 @@ func TestEngineCounters(t *testing.T) {
 	if c.Transmissions != 20 {
 		t.Errorf("Transmissions = %d, want 20", c.Transmissions)
 	}
-	if c.Events != eng.Steps() {
-		t.Errorf("Events = %d, Steps = %d — must agree", c.Events, eng.Steps())
+	if c.Events != 20 {
+		t.Errorf("Events = %d, want 20 (one delivery per crossing)", c.Events)
 	}
 	if c.Bytes < 2*injected {
 		t.Errorf("Bytes = %d, want at least %d (requests + replies)", c.Bytes, 2*injected)
 	}
 	if c.Dropped != 0 {
-		t.Errorf("Dropped = %d on a lossless link", c.Dropped)
+		t.Errorf("Dropped = %d without a fault layer", c.Dropped)
 	}
 	// Hits and misses partition the packets offered to the flow cache:
 	// one per injection, none for the replies on their way back. The
@@ -55,28 +55,29 @@ func TestEngineCounters(t *testing.T) {
 	// A tapped or armed engine offers nothing to the cache, so neither
 	// counter moves; a disabled one likewise.
 	eng.SetTap(func(*Iface, []byte, bool) {})
-	n.grp.Inject(echoTo(t, n.addrs[0], 10))
+	n.grp.InjectBatch([][]byte{echoTo(t, n.addrs[0], 10)})
 	eng.SetTap(nil)
 	eng.SetFault(func(*Iface, []byte) FaultOutcome { return FaultOutcome{} })
-	n.grp.Inject(echoTo(t, n.addrs[0], 11))
+	n.grp.InjectBatch([][]byte{echoTo(t, n.addrs[0], 11)})
 	eng.SetFault(nil)
 	eng.SetFastPath(false)
-	n.grp.Inject(echoTo(t, n.addrs[0], 12))
+	n.grp.InjectBatch([][]byte{echoTo(t, n.addrs[0], 12)})
 	if c2 := eng.Counters(); c2.FastPathHits != c.FastPathHits || c2.FastPathMisses != c.FastPathMisses {
 		t.Errorf("observed/disabled injections moved the account: hits %d -> %d, misses %d -> %d",
 			c.FastPathHits, c2.FastPathHits, c.FastPathMisses, c2.FastPathMisses)
 	}
 }
 
-// TestEngineCountersCountDrops: on a 100%-loss link every attempt is
-// counted in both Transmissions (attempts, matching per-link
-// LinkStats.Packets) and Dropped.
+// TestEngineCountersCountDrops: under a drop-everything fault layer
+// every attempt is counted in both Transmissions (attempts, matching
+// per-link LinkStats.Packets) and Dropped.
 func TestEngineCountersCountDrops(t *testing.T) {
-	eng := New(7)
+	eng := New()
 	edge := NewEdge("e", ipv6.MustParseAddr("2001:beef::100"))
 	r := NewRouter("r", ErrorPolicy{})
 	rif := r.AddIface(ipv6.MustParseAddr("2001:100::1"), "r:up")
-	eng.Connect(edge.Iface(), rif, 1.0)
+	eng.Connect(edge.Iface(), rif)
+	eng.SetFault(func(*Iface, []byte) FaultOutcome { return FaultOutcome{Drop: true} })
 	for i := 0; i < 5; i++ {
 		eng.Inject(edge.Iface(), echoTo(t, rif.Addr(), uint16(i)))
 	}
@@ -87,9 +88,9 @@ func TestEngineCountersCountDrops(t *testing.T) {
 	if c.Transmissions != 5 {
 		t.Errorf("Transmissions = %d, want 5 attempts counted", c.Transmissions)
 	}
-	// A lossy injection link is a failed replay guard: offered, missed.
-	if c.FastPathHits != 0 || c.FastPathMisses != 5 {
-		t.Errorf("hits %d, misses %d on a lossy injection link, want 0 and 5", c.FastPathHits, c.FastPathMisses)
+	// An armed engine does not consult its cache.
+	if c.FastPathHits != 0 || c.FastPathMisses != 0 {
+		t.Errorf("hits %d, misses %d on an armed engine, want 0 and 0", c.FastPathHits, c.FastPathMisses)
 	}
 }
 
@@ -98,7 +99,7 @@ func TestGroupCountersSumShards(t *testing.T) {
 	n := buildGroupNet(t, 3)
 	for rep := 0; rep < 2; rep++ {
 		for s, addr := range n.addrs {
-			n.grp.Inject(echoTo(t, addr, uint16(rep*3+s)))
+			n.grp.InjectBatch([][]byte{echoTo(t, addr, uint16(rep*3+s))})
 		}
 	}
 	n.edge.Drain()
@@ -136,7 +137,7 @@ func TestEngineCountersCompilesAndEvictions(t *testing.T) {
 	// Destination Unreachable.
 	noRoute := ipv6.MustParseAddr("2001:100:dead::1")
 	for i := 0; i < 10; i++ {
-		n.grp.Inject(echoTo(t, noRoute, uint16(i)))
+		n.grp.InjectBatch([][]byte{echoTo(t, noRoute, uint16(i))})
 	}
 	if got := len(n.edge.Drain()); got != 10 {
 		t.Fatalf("%d replies to 10 no-route probes", got)

@@ -9,7 +9,6 @@ package netsim
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 
 	"repro/internal/ipv6"
@@ -91,7 +90,6 @@ func (i *Iface) Peer() *Iface {
 // Link is a point-to-point link between two interfaces.
 type Link struct {
 	ends  [2]*Iface
-	loss  float64
 	stats [2]LinkStats
 }
 
@@ -134,8 +132,8 @@ type delivery struct {
 
 // FaultOutcome is a fault layer's decision for one transmission.
 type FaultOutcome struct {
-	// Drop discards the packet after link stats are counted, exactly
-	// like built-in link loss.
+	// Drop discards the packet after link stats are counted: the
+	// engine's only way to lose a packet.
 	Drop bool
 	// Deliveries, when non-empty, replaces the single in-order delivery:
 	// one copy of the packet is enqueued per element, deferred past that
@@ -149,32 +147,28 @@ type FaultOutcome struct {
 
 // FaultFunc inspects one link transmission and decides its fate. It is
 // called with the engine lock held and must not call back into the
-// engine or retain pkt. Built-in link loss is applied first; dropped
-// packets are not offered to the fault layer.
+// engine or retain pkt.
 type FaultFunc func(from *Iface, pkt []byte) FaultOutcome
 
-// TapFunc observes every link transmission, after loss and fault
-// decisions; dropped reports whether the packet was discarded. Taps run
+// TapFunc observes every link transmission, after the fault layer's
+// decision; dropped reports whether the packet was discarded. Taps run
 // with the engine lock held and must not call back into the engine or
 // retain pkt (copy what you need: buffers are recycled).
 type TapFunc func(from *Iface, pkt []byte, dropped bool)
 
 // Engine owns one simulation shard: links, the event queue, and the
 // virtual pump. All methods are safe for concurrent use; the engine
-// serializes internally, so a run is deterministic for a given seed and
-// injection order. For multi-core scaling across disjoint subtrees, see
-// EngineGroup.
+// serializes internally, so a run is deterministic for a given
+// injection order and fault layer. For multi-core scaling across
+// disjoint subtrees, see EngineGroup.
 type Engine struct {
-	mu     sync.Mutex
-	fifo   ring  // FIFO fast path
-	ordq   dheap // ordered path, used only while disordered
-	links  []*Link
-	rng    *rand.Rand
-	steps  uint64
-	budget int
-	seq    uint64
-	fault  FaultFunc
-	tap    TapFunc
+	mu    sync.Mutex
+	queue dheap // pending deliveries, popped in (due, seq) order
+	links []*Link
+	steps uint64
+	seq   uint64
+	fault FaultFunc
+	tap   TapFunc
 	// Engine-wide traffic totals (the LinkStats aggregate). Kept as
 	// plain counters under mu — transmissions far outnumber probes, so
 	// per-transmission atomics would be measurable; telemetry folds
@@ -182,9 +176,6 @@ type Engine struct {
 	txPackets uint64
 	txBytes   uint64
 	txDropped uint64
-	// disordered is set while any queued delivery was deferred, forcing
-	// the pump onto the ordered (min-due) pop path.
-	disordered bool
 
 	// pool is the packet-buffer freelist. Buffers never escape the
 	// engine's serialization domain, so a plain slice under mu beats
@@ -219,31 +210,27 @@ type Engine struct {
 	returned [][]byte
 }
 
-// DefaultEventBudget bounds a single Run; loop-attack packets terminate
-// via hop limit well before this.
-const DefaultEventBudget = 1 << 22
+// eventBudget bounds the events one injected packet may cause;
+// loop-attack packets terminate via hop limit well before this.
+const eventBudget = 1 << 22
 
 // maxPooledBuffers bounds each freelist (pool and returned) so a
 // one-off burst does not pin memory forever.
 const maxPooledBuffers = 256
 
-// New creates an engine with a deterministic random source for loss
-// decisions.
-func New(seed int64) *Engine {
-	return &Engine{
-		rng:    rand.New(rand.NewSource(seed)),
-		budget: DefaultEventBudget,
-		fp:     flowCache{enabled: true, gen: 1},
-	}
+// New creates an empty engine with the fast path enabled.
+func New() *Engine {
+	return &Engine{fp: flowCache{enabled: true, gen: 1}}
 }
 
-// Connect joins two interfaces with a link that drops each packet with
-// probability loss. It panics if either interface is already connected.
-func (e *Engine) Connect(a, b *Iface, loss float64) *Link {
+// Connect joins two interfaces with a link. Links never lose packets by
+// themselves: loss is a fault layer's Drop (SetFault). It panics if
+// either interface is already connected.
+func (e *Engine) Connect(a, b *Iface) *Link {
 	if a.link != nil || b.link != nil {
 		panic(fmt.Sprintf("netsim: interface %s or %s already connected", a.name, b.name))
 	}
-	l := &Link{ends: [2]*Iface{a, b}, loss: loss}
+	l := &Link{ends: [2]*Iface{a, b}}
 	a.link, a.end = l, 0
 	b.link, b.end = l, 1
 	a.eng, b.eng = e, e
@@ -270,10 +257,11 @@ func (e *Engine) Links() []*Link {
 }
 
 // SetFault installs (or, with nil, removes) a fault-injection layer
-// consulted on every link transmission. Simulation tests use it for
-// seeded loss, duplication, reordering and outage windows. While a
-// layer is installed every packet is interpreted; the flows compiled
-// before stay valid for when it is removed.
+// consulted on every link transmission: the engine's only source of
+// loss, duplication and reordering. Simulation tests use it for seeded
+// loss, duplication, reordering and outage windows. While a layer is
+// installed every packet is interpreted; the flows compiled before
+// stay valid for when it is removed.
 func (e *Engine) SetFault(f FaultFunc) {
 	e.mu.Lock()
 	e.fault = f
@@ -329,10 +317,10 @@ func (e *Engine) Inject(from *Iface, pkt []byte) int {
 
 // InjectBatch is Inject for multiple packets from the same interface
 // under one lock acquisition. Observable behavior is exactly as if the
-// packets were injected one Inject call at a time — every stat charge,
-// seeded loss and fault decision lands identically — which is what lets
-// the batched scanner path be diffed against the per-packet path under
-// fault injection.
+// packets were injected one Inject call at a time — every stat charge
+// and fault decision lands identically — which is what lets the batched
+// scanner path be diffed against the per-packet path under fault
+// injection.
 func (e *Engine) InjectBatch(from *Iface, pkts [][]byte) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -353,32 +341,25 @@ func (e *Engine) injectLocked(from *Iface, pkts [][]byte) int {
 		pkt := pkts[i]
 		cp := e.getBufLocked(len(pkt))
 		copy(cp, pkt)
-		e.transmitLocked(from, cp, false)
+		e.transmitLocked(from, cp)
 		n += e.runLocked()
 		i++
 	}
 	return n
 }
 
-// Steps returns the total events processed since creation.
-func (e *Engine) Steps() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.steps
-}
-
 // Counters is an engine's cumulative traffic view: events pumped plus
 // the all-links transmission totals. It exists so observers (telemetry
 // collectors) read one consistent aggregate instead of walking links.
 type Counters struct {
-	// Events is the deliveries pumped (Steps).
+	// Events is the deliveries pumped since creation.
 	Events uint64
 	// Transmissions counts packets pushed onto any link, duplicates
 	// included; Bytes is their payload total.
 	Transmissions uint64
 	Bytes         uint64
-	// Dropped counts transmissions discarded by link loss or a fault
-	// layer's Drop decision.
+	// Dropped counts transmissions discarded by a fault layer's Drop
+	// decision.
 	Dropped uint64
 	// FastPathHits and FastPathMisses partition the packets offered to
 	// the flow cache — every injection while the fast path is enabled
@@ -481,54 +462,38 @@ func (e *Engine) discardLocked(pkt []byte) {
 	}
 }
 
-// transmitLocked pushes pkt from iface onto its link (applying loss and
-// the fault layer) and hands the arrival at the peer to the event
-// queue. The engine owns pkt from here on. With chain set, a plain
-// in-order single delivery is returned to the caller instead of
-// enqueued — the pump's chaining, which forwards a packet hop to hop
-// without queue traffic. Drops and fault-layer rewrites
-// (duplication, deferral) never chain.
-func (e *Engine) transmitLocked(from *Iface, pkt []byte, chain bool) (delivery, bool) {
+// transmitLocked pushes pkt from iface onto its link (consulting the
+// fault layer) and hands the arrival at the peer to the event queue.
+// The engine owns pkt from here on.
+func (e *Engine) transmitLocked(from *Iface, pkt []byte) {
 	l := from.link
 	if l == nil {
-		return delivery{}, false // unconnected interface: packet vanishes
+		return // unconnected interface: packet vanishes
 	}
 	st := &l.stats[from.end]
 	st.Packets++
 	st.Bytes += uint64(len(pkt))
 	e.txPackets++
 	e.txBytes += uint64(len(pkt))
-	drop := l.loss > 0 && e.rng.Float64() < l.loss
 	var out FaultOutcome
-	if !drop && e.fault != nil {
+	if e.fault != nil {
 		out = e.fault(from, pkt)
-		drop = out.Drop
 	}
 	if e.tap != nil {
-		e.tap(from, pkt, drop)
+		e.tap(from, pkt, out.Drop)
 	}
 	if e.ftr != nil {
-		e.traceCrossingLocked(from, pkt, drop)
+		e.traceCrossingLocked(from, pkt, out.Drop)
 	}
-	if drop {
+	if out.Drop {
 		e.txDropped++
 		e.discardLocked(pkt)
-		return delivery{}, false
+		return
 	}
 	to := l.ends[1-from.end]
 	if len(out.Deliveries) == 0 {
-		if chain {
-			// Mirror enqueueLocked without the queue: advance the
-			// sequence (so deferral math is unchanged by chaining) and
-			// keep the owner-reuse check.
-			e.seq++
-			if b := bufBase(pkt); b != nil && b == e.owner {
-				e.ownerReused = true
-			}
-			return delivery{to: to, pkt: pkt, due: 2 * e.seq, seq: e.seq}, true
-		}
 		e.enqueueLocked(to, pkt, 0)
-		return delivery{}, false
+		return
 	}
 	for i, delay := range out.Deliveries {
 		cp := pkt
@@ -544,15 +509,11 @@ func (e *Engine) transmitLocked(from *Iface, pkt []byte, chain bool) (delivery, 
 		}
 		e.enqueueLocked(to, cp, delay)
 	}
-	return delivery{}, false
 }
 
 // enqueueLocked adds one delivery, deferred past delay subsequently
 // enqueued deliveries.
 func (e *Engine) enqueueLocked(to *Iface, pkt []byte, delay int) {
-	if delay < 0 {
-		delay = 0
-	}
 	e.seq++
 	// Dues advance in steps of two so a deferred delivery can land
 	// strictly after the delay-th subsequent enqueue (the +1 breaks the
@@ -560,83 +521,34 @@ func (e *Engine) enqueueLocked(to *Iface, pkt []byte, delay int) {
 	due := 2 * e.seq
 	if delay > 0 {
 		due += 2*uint64(delay) + 1
-		if !e.disordered {
-			// FIFO no longer holds: migrate the ring into the heap.
-			e.disordered = true
-			for e.fifo.len() > 0 {
-				e.ordq.push(e.fifo.pop())
-			}
-		}
 	}
 	if b := bufBase(pkt); b != nil && b == e.owner {
 		e.ownerReused = true
 	}
-	d := delivery{to: to, pkt: pkt, due: due, seq: e.seq}
-	if e.disordered {
-		e.ordq.push(d)
-	} else {
-		e.fifo.push(d)
-	}
+	e.queue.push(delivery{to: to, pkt: pkt, due: due, seq: e.seq})
 }
 
-// queuedLocked returns the number of pending deliveries.
-func (e *Engine) queuedLocked() int {
-	return e.fifo.len() + e.ordq.len()
-}
-
-// runLocked pumps queued deliveries until the network is quiescent or the
-// event budget is exhausted, returning events processed.
-//
-// The common simulated event is a single-emission forward: a packet
-// walks router to router, one Handle producing exactly one next-hop
-// transmission. When that happens with nothing else queued, the next
-// delivery is chained — handled immediately, never touching the event
-// queue — so a probe's whole round trip costs zero queue operations.
-// Chained deliveries are counted (steps, budget) exactly as queued ones,
-// and the chain breaks the moment ordering could matter: multiple
-// emissions, other queued deliveries, or a fault-layer rewrite.
+// runLocked pumps queued deliveries in (due, seq) order until the
+// network is quiescent or the event budget is exhausted, returning
+// events processed.
 func (e *Engine) runLocked() int {
 	n := 0
-	for e.queuedLocked() > 0 && n < e.budget {
-		var d delivery
-		if e.disordered {
-			d = e.ordq.pop()
-			if e.ordq.len() == 0 {
-				e.disordered = false
-			}
-		} else {
-			d = e.fifo.pop()
+	for ; e.queue.len() > 0 && n < eventBudget; n++ {
+		d := e.queue.pop()
+		e.steps++
+		e.owner, e.ownerReused = bufBase(d.pkt), false
+		for _, em := range d.to.node.Handle(d.to, d.pkt) {
+			e.transmitLocked(em.Out, em.Pkt)
 		}
-		for {
-			n++
-			e.steps++
-			e.owner, e.ownerReused = bufBase(d.pkt), false
-			ems := d.to.node.Handle(d.to, d.pkt)
-			var next delivery
-			chained := false
-			if len(ems) == 1 && e.queuedLocked() == 0 && n < e.budget {
-				next, chained = e.transmitLocked(ems[0].Out, ems[0].Pkt, true)
-			} else {
-				for _, em := range ems {
-					e.transmitLocked(em.Out, em.Pkt, false)
-				}
-			}
-			if e.owner != nil && !e.ownerReused && !retainsPackets(d.to.node) {
-				e.putBufLocked(d.pkt)
-			}
-			e.owner = nil
-			if !chained {
-				break
-			}
-			d = next
+		if e.owner != nil && !e.ownerReused && !retainsPackets(d.to.node) {
+			e.putBufLocked(d.pkt)
 		}
+		e.owner = nil
 	}
-	if e.queuedLocked() > 0 {
+	if e.queue.len() > 0 {
 		// Budget exceeded: drop the remainder. The buffers are left to
 		// the garbage collector — this path only fires on runaway loops.
-		e.fifo.reset()
-		e.ordq.reset()
+		e.queue.reset()
 	}
-	e.disordered = false
 	return n
 }

@@ -13,23 +13,23 @@ import (
 // probe costs four events — enough to exercise the queue and the pool.
 func buildBenchNet(b *testing.B) (*Engine, *Edge, ipv6.Addr) {
 	b.Helper()
-	eng := New(1)
+	eng := New()
 	edge := NewEdge("e", ipv6.MustParseAddr("2001:beef::100"))
 	core := NewRouter("core", ErrorPolicy{})
 	dst := NewRouter("dst", ErrorPolicy{})
 	coreScan := core.AddIface(ipv6.MustParseAddr("2001:beef::1"), "core:scan")
 	coreDst := core.AddIface(ipv6.MustParseAddr("2001:face::1"), "core:dst")
 	dstUp := dst.AddIface(ipv6.MustParseAddr("2001:100::1"), "dst:up")
-	eng.Connect(edge.Iface(), coreScan, 0)
-	eng.Connect(coreDst, dstUp, 0)
+	eng.Connect(edge.Iface(), coreScan)
+	eng.Connect(coreDst, dstUp)
 	core.AddRoute(ipv6.MustParsePrefix("2001:100::/32"), coreDst)
 	core.AddRoute(ipv6.MustParsePrefix("2001:beef::/64"), coreScan)
 	return eng, edge, dstUp.Addr()
 }
 
-// BenchmarkEnginePump measures the event pump on the FIFO fast path
-// (ordered) and with the fault layer deferring deliveries so the pump
-// runs on the heap (disordered).
+// BenchmarkEnginePump measures the event pump with deliveries in
+// enqueue order (ordered) and with the fault layer deferring every
+// other delivery (disordered).
 func BenchmarkEnginePump(b *testing.B) {
 	run := func(b *testing.B, disorder bool) {
 		eng, edge, dst := buildBenchNet(b)

@@ -24,12 +24,12 @@ func hookPair(e *Engine) (*Iface, *recorder) {
 	sink := &recorder{name: "sink"}
 	a := NewIface(src, ipv6.MustParseAddr("fd00::1"), "a")
 	b := NewIface(sink, ipv6.MustParseAddr("fd00::2"), "b")
-	e.Connect(a, b, 0)
+	e.Connect(a, b)
 	return a, sink
 }
 
 func TestTapObservesTransmissions(t *testing.T) {
-	e := New(1)
+	e := New()
 	a, sink := hookPair(e)
 	var seen, dropped int
 	e.SetTap(func(from *Iface, pkt []byte, wasDropped bool) {
@@ -55,7 +55,7 @@ func TestTapObservesTransmissions(t *testing.T) {
 }
 
 func TestFaultDropDiscardsButCountsStats(t *testing.T) {
-	e := New(1)
+	e := New()
 	a, sink := hookPair(e)
 	e.SetFault(func(from *Iface, pkt []byte) FaultOutcome {
 		return FaultOutcome{Drop: true}
@@ -75,7 +75,7 @@ func TestFaultDropDiscardsButCountsStats(t *testing.T) {
 }
 
 func TestFaultDuplicateDeliversCopies(t *testing.T) {
-	e := New(1)
+	e := New()
 	a, sink := hookPair(e)
 	e.SetFault(func(from *Iface, pkt []byte) FaultOutcome {
 		return FaultOutcome{Deliveries: []int{0, 0}}
@@ -119,7 +119,7 @@ func TestFaultReorderDefersDelivery(t *testing.T) {
 	// cascade, so the reorder must happen among emissions of one Handle:
 	// poke a fanout node that emits 1,2,3 and defer the first past the
 	// next two.
-	e := New(1)
+	e := New()
 	src := &recorder{name: "src"}
 	fan := &fanout{name: "fan"}
 	sink := &recorder{name: "sink"}
@@ -128,8 +128,8 @@ func TestFaultReorderDefersDelivery(t *testing.T) {
 	fout := NewIface(fan, ipv6.MustParseAddr("fd00::3"), "fan-out")
 	fan.out = fout
 	b := NewIface(sink, ipv6.MustParseAddr("fd00::4"), "b")
-	e.Connect(a, fin, 0)
-	e.Connect(fout, b, 0)
+	e.Connect(a, fin)
+	e.Connect(fout, b)
 	first := true
 	e.SetFault(func(from *Iface, pkt []byte) FaultOutcome {
 		if from == fout && first {
@@ -156,7 +156,7 @@ func TestFaultReorderDefersDelivery(t *testing.T) {
 // one at a time produce the same arrivals in the same order.
 func TestInjectBatchMatchesSequentialInject(t *testing.T) {
 	run := func(batch bool) [][]byte {
-		e := New(7)
+		e := New()
 		a, sink := hookPair(e)
 		n := 0
 		e.SetFault(func(from *Iface, pkt []byte) FaultOutcome {
@@ -193,7 +193,7 @@ func TestInjectBatchMatchesSequentialInject(t *testing.T) {
 }
 
 func TestNoFaultKeepsFIFO(t *testing.T) {
-	e := New(1)
+	e := New()
 	a, sink := hookPair(e)
 	e.InjectBatch(a, [][]byte{{1}, {2}, {3}, {4}})
 	for i, pkt := range sink.got {

@@ -1,6 +1,9 @@
 package netsim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -9,35 +12,6 @@ import (
 	"repro/internal/ipv6"
 	"repro/internal/wire"
 )
-
-// TestRingWrapAndGrow pushes enough to force wrap-around and a grow
-// mid-stream, expecting strict FIFO throughout.
-func TestRingWrapAndGrow(t *testing.T) {
-	var r ring
-	next, popped := uint64(0), uint64(0)
-	push := func(k int) {
-		for i := 0; i < k; i++ {
-			r.push(delivery{seq: next})
-			next++
-		}
-	}
-	pop := func(k int) {
-		for i := 0; i < k; i++ {
-			d := r.pop()
-			if d.seq != popped {
-				t.Fatalf("popped seq %d, want %d", d.seq, popped)
-			}
-			popped++
-		}
-	}
-	push(10)
-	pop(7)   // head advances into the middle
-	push(20) // wraps, then grows past the initial 16
-	pop(23)
-	if r.len() != 0 {
-		t.Fatalf("ring len %d after draining", r.len())
-	}
-}
 
 // TestHeapOrdersByDueThenSeq: equal dues (which odd deferred dues can
 // produce) must resolve to the earliest enqueue, reproducing the old
@@ -69,11 +43,11 @@ func TestHeapOrdersByDueThenSeq(t *testing.T) {
 // (PacketRetainer), so replies accumulated across many injections —
 // while the pool recycles every intermediate buffer — must stay intact.
 func TestPooledBuffersDoNotCorruptEdge(t *testing.T) {
-	eng := New(5)
+	eng := New()
 	edge := NewEdge("e", ipv6.MustParseAddr("2001:beef::100"))
 	r := NewRouter("r", ErrorPolicy{})
 	rif := r.AddIface(ipv6.MustParseAddr("2001:100::1"), "r:up")
-	eng.Connect(edge.Iface(), rif, 0)
+	eng.Connect(edge.Iface(), rif)
 
 	const probes = 100
 	for i := 0; i < probes; i++ {
@@ -107,11 +81,11 @@ func TestPooledBuffersDoNotCorruptEdge(t *testing.T) {
 // TestPoolRecyclesBuffers: after a pumped run the freelists hold
 // buffers.
 func TestPoolRecyclesBuffers(t *testing.T) {
-	eng := New(5)
+	eng := New()
 	edge := NewEdge("e", ipv6.MustParseAddr("2001:beef::100"))
 	r := NewRouter("r", ErrorPolicy{})
 	rif := r.AddIface(ipv6.MustParseAddr("2001:100::1"), "r:up")
-	eng.Connect(edge.Iface(), rif, 0)
+	eng.Connect(edge.Iface(), rif)
 
 	// Probe an address the router has no route for: the request buffer
 	// is consumed at the router (fresh error reply comes back), so it
@@ -142,11 +116,11 @@ func (e *Engine) pooledBufs() int {
 // injection copies its packet into a released buffer instead of
 // allocating one.
 func TestReleaseBufsBypassesInjectLock(t *testing.T) {
-	eng := New(5)
+	eng := New()
 	edge := NewEdge("e", ipv6.MustParseAddr("2001:beef::100"))
 	r := NewRouter("r", ErrorPolicy{})
 	rif := r.AddIface(ipv6.MustParseAddr("2001:100::1"), "r:up")
-	eng.Connect(edge.Iface(), rif, 0)
+	eng.Connect(edge.Iface(), rif)
 	pkt, err := wire.BuildEchoRequest(edge.Addr(), rif.Addr(), 64, 7, 1, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -215,5 +189,69 @@ func TestReleaseBufsBypassesInjectLock(t *testing.T) {
 	}
 	if got := len(edge.Drain()); got != 1 {
 		t.Fatalf("%d replies, want 1", got)
+	}
+}
+
+// TestPumpOrderPinned pins the pump's delivery order under a fixed
+// reorder + duplicate fault layer: a short burst into the Figure 1a net
+// whose CPE loops the not-used LAN prefix, so duplicated and deferred
+// copies of one probe share the queue with each other for dozens of
+// hops. The digests of every transmission (in pump order, via a tap)
+// and of the edge's arrivals, and the engine counters, were taken from
+// the ring-plus-heap queue with hop chaining that the single heap
+// replaced; any change to deferral order moves them.
+func TestPumpOrderPinned(t *testing.T) {
+	n := buildTestNet(t, CPEBehavior{VulnLAN: true}, ErrorPolicy{})
+	k := 0
+	n.eng.SetFault(func(*Iface, []byte) FaultOutcome {
+		k++
+		switch {
+		case k%13 == 0:
+			return FaultOutcome{Deliveries: []int{0, 2}}
+		case k%5 == 0:
+			return FaultOutcome{Deliveries: []int{k%3 + 1}}
+		case k%29 == 0:
+			return FaultOutcome{Drop: true}
+		}
+		return FaultOutcome{}
+	})
+	tx := sha256.New()
+	n.eng.SetTap(func(from *Iface, pkt []byte, dropped bool) {
+		fmt.Fprintf(tx, "%s %t %x\n", from.Name(), dropped, pkt)
+	})
+	var burst [][]byte
+	for i, dst := range []ipv6.Addr{
+		ipv6.MustParseAddr("2001:db8:4321:8769::77"), // loops
+		lanHost,
+		ipv6.MustParseAddr("2001:db8:4321:876a::1"), // loops
+		wanAddr,
+		ipv6.MustParseAddr("2001:db8:aaaa::1"), // unassigned: unreachable
+		lanAddr,
+	} {
+		pkt, err := wire.BuildEchoRequest(scannerAddr, dst, 24, 0xbeef, uint16(i), []byte("order"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		burst = append(burst, pkt)
+	}
+	n.eng.InjectBatch(n.scanner.Iface(), burst)
+	rx := sha256.New()
+	arrivals := n.scanner.Drain()
+	for _, pkt := range arrivals {
+		fmt.Fprintf(rx, "%x\n", pkt)
+	}
+	const (
+		wantTx = "c496312288d850d404d71a15f0c0fe49d49846234853b60968bf93337b204b0e"
+		wantRx = "ff6188026260b64fa3c00837c08e052acb09981c196891e2271a2aecdf3a75f5"
+	)
+	wantC := Counters{Events: 132, Transmissions: 136, Bytes: 8264, Dropped: 4, FastPathInvalidations: 8}
+	if got := hex.EncodeToString(tx.Sum(nil)); got != wantTx {
+		t.Errorf("transmission order digest %s, want %s", got, wantTx)
+	}
+	if got := hex.EncodeToString(rx.Sum(nil)); got != wantRx {
+		t.Errorf("edge arrival digest %s over %d arrivals, want %s", got, len(arrivals), wantRx)
+	}
+	if c := n.eng.Counters(); c != wantC {
+		t.Errorf("counters %+v, want %+v", c, wantC)
 	}
 }

@@ -15,12 +15,11 @@ import (
 // crossed, the hop-limit decrements, the terminal action, the reply's
 // way back to an Edge — so later injections of the flow replay as one
 // fused event each (inject.go). The cache is consulted at injection,
-// for plain runs, on an unobserved engine: queued and chained
-// deliveries are interpreted; a round trip that did not compile end to
-// end over lossless links is cached negative and interpreted; and with
-// a fault layer or a tap installed nothing is looked up or compiled, so
-// loss, duplication, reordering and rate limiting are the interpreter's
-// alone. Flows are keyed by (ingress interface, destination); entries
+// for plain runs, on an unobserved engine: queued deliveries are
+// interpreted; a round trip that did not compile end to end is cached
+// negative and interpreted; and with a fault layer or a tap installed
+// nothing is looked up or compiled, so loss, duplication, reordering
+// and rate limiting are the interpreter's alone. Flows are keyed by (ingress interface, destination); entries
 // whose every decision is uniform across a region of the destination
 // space are stored wide, so the scanner's random-IID probes into one
 // window cell share an entry — and all the unassigned space of an ISP
@@ -58,8 +57,9 @@ type entryKind uint8
 
 const (
 	// entryNeg: the round trip did not compile end to end (a stateful
-	// hop or terminal, a lossy link, more than maxCompiledHops); the flow
-	// is interpreted, cached so the walk isn't retried. Always exact.
+	// hop or terminal, an unconnected egress, more than
+	// maxCompiledHops); the flow is interpreted, cached so the walk
+	// isn't retried. Always exact.
 	entryNeg entryKind = iota
 	// entryEdge: fused transit ending in inline delivery to an Edge.
 	entryEdge
@@ -722,9 +722,8 @@ func (e *Engine) compileFlow(to *Iface, pkt []byte) {
 			}
 			break
 		}
-		if int(ent.nf) == maxCompiledHops || v.ifc == nil || v.ifc.link == nil || v.ifc.link.loss != 0 {
-			// Path too long, egress unconnected or link lossy (an RNG
-			// draw per crossing): interpreted.
+		if int(ent.nf) == maxCompiledHops || v.ifc == nil || v.ifc.link == nil {
+			// Path too long or egress unconnected: interpreted.
 			break
 		}
 		applyRegion(ent, cld, reg)
@@ -849,9 +848,9 @@ outer:
 // compileReply records the error's return path from termIn back to an
 // Edge into the cold tail's rev list (rev[0] is the emission out the
 // arrival interface, the rest forwarding crossings). false when any
-// reverse hop is uncompilable or crosses a lossy link.
+// reverse hop is uncompilable or unconnected.
 func compileReply(h *flowHot, c *flowCold, termIn *Iface, rdst ipv6.Addr) bool {
-	if termIn.link == nil || termIn.link.loss != 0 {
+	if termIn.link == nil {
 		return false
 	}
 	c.rev[0] = hopTo(termIn, nil)
@@ -871,7 +870,7 @@ func compileReply(h *flowHot, c *flowCold, termIn *Iface, rdst ipv6.Addr) bool {
 		// region is asked for.
 		v := d.decide(rin, rdst, false, nil)
 		if !v.compiles() || v.act != actForward || nr == maxCompiledHops ||
-			v.ifc == nil || v.ifc.link == nil || v.ifc.link.loss != 0 {
+			v.ifc == nil || v.ifc.link == nil {
 			return false
 		}
 		c.rev[nr] = hopTo(v.ifc, d.fw().fwd)

@@ -383,13 +383,13 @@ func TestFlowCacheInvalidationCounter(t *testing.T) {
 // nothing (topo.Build delegates thousands of subscribers to one router;
 // walking its interfaces per Delegate made that quadratic).
 func TestFlowCacheBumpPerEngine(t *testing.T) {
-	engs := []*Engine{New(1), New(2)}
+	engs := []*Engine{New(), New()}
 	isp := NewISPRouter("isp", ispBlock, ErrorPolicy{})
 	var downs []*Iface
 	for i := 0; i < 6; i++ { // interfaces alternate between the engines
 		down := isp.AddIface(ipv6.MustParseAddr("2001:db8:fffe::3"), fmt.Sprintf("isp:down%d", i))
 		peer := NewEdge(fmt.Sprintf("peer%d", i), ipv6.MustParseAddr("2001:beef::100"))
-		engs[i%2].Connect(down, peer.Iface(), 0)
+		engs[i%2].Connect(down, peer.Iface())
 		downs = append(downs, down)
 	}
 	count := func() [2]uint64 {

@@ -46,31 +46,27 @@ func TestEngineLayout(t *testing.T) {
 		got, want uintptr
 	}{
 		{"mu", unsafe.Offsetof(e.mu), 0},
-		{"fifo", unsafe.Offsetof(e.fifo), 8},
-		{"ordq", unsafe.Offsetof(e.ordq), 48},
-		{"links", unsafe.Offsetof(e.links), 72},
-		{"rng", unsafe.Offsetof(e.rng), 96},
-		{"steps", unsafe.Offsetof(e.steps), 104},
-		{"budget", unsafe.Offsetof(e.budget), 112},
-		{"seq", unsafe.Offsetof(e.seq), 120},
-		{"fault", unsafe.Offsetof(e.fault), 128},
-		{"tap", unsafe.Offsetof(e.tap), 136},
-		{"txPackets", unsafe.Offsetof(e.txPackets), 144},
-		{"txBytes", unsafe.Offsetof(e.txBytes), 152},
-		{"txDropped", unsafe.Offsetof(e.txDropped), 160},
-		{"disordered", unsafe.Offsetof(e.disordered), 168},
-		{"pool", unsafe.Offsetof(e.pool), 176},
-		{"owner", unsafe.Offsetof(e.owner), 200},
-		{"ownerReused", unsafe.Offsetof(e.ownerReused), 208},
-		{"ftr", unsafe.Offsetof(e.ftr), 216},
-		{"fp", unsafe.Offsetof(e.fp), 232},
-		{"fpScratchH", unsafe.Offsetof(e.fpScratchH), 448},
-		{"fpScratchC", unsafe.Offsetof(e.fpScratchC), 512},
-		{"fpScratchR", unsafe.Offsetof(e.fpScratchR), 1016},
-		{"inj", unsafe.Offsetof(e.inj), 1168},
-		{"retMu", unsafe.Offsetof(e.retMu), 9392},
-		{"returned", unsafe.Offsetof(e.returned), 9400},
-		{"(end)", unsafe.Sizeof(e), 9424},
+		{"queue", unsafe.Offsetof(e.queue), 8},
+		{"links", unsafe.Offsetof(e.links), 32},
+		{"steps", unsafe.Offsetof(e.steps), 56},
+		{"seq", unsafe.Offsetof(e.seq), 64},
+		{"fault", unsafe.Offsetof(e.fault), 72},
+		{"tap", unsafe.Offsetof(e.tap), 80},
+		{"txPackets", unsafe.Offsetof(e.txPackets), 88},
+		{"txBytes", unsafe.Offsetof(e.txBytes), 96},
+		{"txDropped", unsafe.Offsetof(e.txDropped), 104},
+		{"pool", unsafe.Offsetof(e.pool), 112},
+		{"owner", unsafe.Offsetof(e.owner), 136},
+		{"ownerReused", unsafe.Offsetof(e.ownerReused), 144},
+		{"ftr", unsafe.Offsetof(e.ftr), 152},
+		{"fp", unsafe.Offsetof(e.fp), 168},
+		{"fpScratchH", unsafe.Offsetof(e.fpScratchH), 384},
+		{"fpScratchC", unsafe.Offsetof(e.fpScratchC), 448},
+		{"fpScratchR", unsafe.Offsetof(e.fpScratchR), 952},
+		{"inj", unsafe.Offsetof(e.inj), 1104},
+		{"retMu", unsafe.Offsetof(e.retMu), 9328},
+		{"returned", unsafe.Offsetof(e.returned), 9336},
+		{"(end)", unsafe.Sizeof(e), 9360},
 	} {
 		if f.got != f.want {
 			t.Errorf("Engine.%s at offset %d, pinned at %d. Re-pin only with paired "+

@@ -30,7 +30,7 @@ var sparseBlock = ipv6.MustParsePrefix("2001:db8::/40")
 // doubles as the WAN subnet.
 func buildSparseNet(tb testing.TB, block ipv6.Prefix, delegs []ipv6.Prefix) *sparseNet {
 	tb.Helper()
-	n := &sparseNet{eng: New(1)}
+	n := &sparseNet{eng: New()}
 	n.scanner = NewEdge("scanner", scannerAddr)
 	n.core = NewRouter("core", ErrorPolicy{})
 	n.isp = NewISPRouter("isp", block, ErrorPolicy{})
@@ -42,8 +42,8 @@ func buildSparseNet(tb testing.TB, block ipv6.Prefix, delegs []ipv6.Prefix) *spa
 	coreScan := n.core.AddIface(ipv6.MustParseAddr("2001:beef::1"), "core:scan")
 	coreISP := n.core.AddIface(ipv6.SLAAC(linkNet, 1), "core:isp")
 	n.up = n.isp.AddIface(ipv6.SLAAC(linkNet, 2), "isp:up")
-	n.eng.Connect(n.scanner.Iface(), coreScan, 0)
-	n.eng.Connect(coreISP, n.up, 0)
+	n.eng.Connect(n.scanner.Iface(), coreScan)
+	n.eng.Connect(coreISP, n.up)
 	n.core.AddRoute(block, coreISP)
 	n.core.AddRoute(ipv6.MustParsePrefix("2001:beef::/64"), coreScan)
 	n.isp.SetUpstream(n.up)
@@ -66,7 +66,7 @@ func (n *sparseNet) delegate(tb testing.TB, p ipv6.Prefix, i int) {
 	}
 	cpe := NewCPE(cfg)
 	down := n.isp.AddIface(ipv6.SLAAC(n.up.Addr().Prefix64(), 3), cfg.Name+":down")
-	n.eng.Connect(down, cpe.WAN(), 0)
+	n.eng.Connect(down, cpe.WAN())
 	n.downs = append(n.downs, down)
 	if err := n.isp.Delegate(p, down); err != nil {
 		tb.Fatal(err)

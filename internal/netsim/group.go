@@ -24,8 +24,8 @@ import (
 // Concurrent callers (xmap.ScanParallel) interleave injections
 // nondeterministically across goroutines, but because shards share no
 // state the multiset of per-shard outcomes — responder sets, link
-// counters, step totals — is unchanged on lossless, fault-free
-// topologies; only arrival order at the edge varies.
+// counters, event totals — is unchanged without a fault layer; only
+// arrival order at the edge varies.
 //
 // The routing table is built before pumping starts and read-only
 // afterwards, so ShardFor needs no lock.
@@ -63,21 +63,14 @@ type coarseRoute struct {
 
 func (r *coarseRoute) covers(hi uint64) bool { return (hi^r.hi)&r.mask == 0 }
 
-// NewEngineGroup creates n independent shard engines. Shard 0 uses
-// exactly seed — a group of one is loss-stream-compatible with a plain
-// New(seed) engine — and further shards derive their loss streams from
-// seed deterministically.
-func NewEngineGroup(seed int64, n int) *EngineGroup {
+// NewEngineGroup creates n independent shard engines.
+func NewEngineGroup(n int) *EngineGroup {
 	if n < 1 {
 		n = 1
 	}
 	g := &EngineGroup{routes: lpm.New[int](), pin64: make(map[uint64]int)}
 	for i := 0; i < n; i++ {
-		s := seed
-		if i > 0 {
-			s = seed + int64(i)*1_000_003
-		}
-		g.shards = append(g.shards, New(s))
+		g.shards = append(g.shards, New())
 	}
 	g.entries = make([]*Iface, n)
 	return g
@@ -179,17 +172,11 @@ func (g *EngineGroup) shardForPacket(pkt []byte) int {
 	return g.ShardFor(ipv6.AddrFromBytes(pkt[24:40]))
 }
 
-// Inject routes pkt to the shard owning its destination and injects it
-// at that shard's entry interface, pumping the shard to quiescence. It
-// returns the events processed. Safe for concurrent use; injections to
-// different shards proceed in parallel.
-func (g *EngineGroup) Inject(pkt []byte) int {
-	s := g.shardForPacket(pkt)
-	return g.shards[s].Inject(g.entries[s], pkt)
-}
-
 // InjectBatch partitions pkts by owning shard, preserving per-shard
-// order, and injects each partition as one batch.
+// order, and injects each partition as one batch at that shard's entry
+// interface, pumping the shard to quiescence. It returns the events
+// processed. Safe for concurrent use; injections to different shards
+// proceed in parallel.
 func (g *EngineGroup) InjectBatch(pkts [][]byte) int {
 	if len(g.shards) == 1 {
 		return g.shards[0].InjectBatch(g.entries[0], pkts)
@@ -249,15 +236,6 @@ func (g *EngineGroup) SetFastPath(on bool) {
 	for _, e := range g.shards {
 		e.SetFastPath(on)
 	}
-}
-
-// Steps sums events processed across all shards.
-func (g *EngineGroup) Steps() uint64 {
-	var n uint64
-	for _, e := range g.shards {
-		n += e.Steps()
-	}
-	return n
 }
 
 // Counters sums the engine totals across all shards.

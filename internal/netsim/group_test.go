@@ -24,7 +24,7 @@ type groupNet struct {
 func buildGroupNet(t *testing.T, shards int) *groupNet {
 	t.Helper()
 	n := &groupNet{
-		grp:  NewEngineGroup(1, shards),
+		grp:  NewEngineGroup(shards),
 		edge: NewEdge("scanner", ipv6.MustParseAddr("2001:beef::100")),
 	}
 	for s := 0; s < shards; s++ {
@@ -36,7 +36,7 @@ func buildGroupNet(t *testing.T, shards int) *groupNet {
 		if s > 0 {
 			edgeIf = n.edge.AddIface(fmt.Sprintf("scanner:if%d", s))
 		}
-		n.grp.Shard(s).Connect(edgeIf, rif, 0)
+		n.grp.Shard(s).Connect(edgeIf, rif)
 		n.grp.SetEntry(s, edgeIf)
 		n.grp.Route(prefix, s)
 		n.addrs = append(n.addrs, addr)
@@ -60,9 +60,9 @@ func TestGroupRoutesByDestination(t *testing.T) {
 	for s, addr := range n.addrs {
 		before := make([]uint64, 4)
 		for i := range before {
-			before[i] = n.grp.Shard(i).Steps()
+			before[i] = n.grp.Shard(i).Counters().Events
 		}
-		n.grp.Inject(echoTo(t, addr, uint16(s)))
+		n.grp.InjectBatch([][]byte{echoTo(t, addr, uint16(s))})
 		replies := n.edge.Drain()
 		if len(replies) != 1 {
 			t.Fatalf("shard %d: %d replies, want 1", s, len(replies))
@@ -75,7 +75,7 @@ func TestGroupRoutesByDestination(t *testing.T) {
 			t.Errorf("reply from %s, want %s", sum.IP.Src, addr)
 		}
 		for i := range before {
-			moved := n.grp.Shard(i).Steps() - before[i]
+			moved := n.grp.Shard(i).Counters().Events - before[i]
 			if i == s && moved == 0 {
 				t.Errorf("owning shard %d processed no events", i)
 			}
@@ -84,8 +84,8 @@ func TestGroupRoutesByDestination(t *testing.T) {
 			}
 		}
 	}
-	if got := n.grp.Steps(); got == 0 {
-		t.Error("group Steps() = 0")
+	if got := n.grp.Counters().Events; got == 0 {
+		t.Error("group Counters().Events = 0")
 	}
 }
 
@@ -93,9 +93,9 @@ func TestGroupRoutesByDestination(t *testing.T) {
 // land on shard 0 instead of being dropped.
 func TestGroupRouteMissFallsToShardZero(t *testing.T) {
 	n := buildGroupNet(t, 2)
-	before := n.grp.Shard(0).Steps()
-	n.grp.Inject(echoTo(t, ipv6.MustParseAddr("2001:dead::1"), 1))
-	if n.grp.Shard(0).Steps() == before {
+	before := n.grp.Shard(0).Counters().Events
+	n.grp.InjectBatch([][]byte{echoTo(t, ipv6.MustParseAddr("2001:dead::1"), 1)})
+	if n.grp.Shard(0).Counters().Events == before {
 		t.Error("unrouted destination did not reach shard 0")
 	}
 	if n.grp.shardForPacket([]byte{0x40, 0x00}) != 0 {
@@ -146,7 +146,7 @@ func TestGroupTapSeesEveryShard(t *testing.T) {
 		}
 	})
 	for _, addr := range n.addrs {
-		n.grp.Inject(echoTo(t, addr, 1))
+		n.grp.InjectBatch([][]byte{echoTo(t, addr, 1)})
 	}
 	for _, addr := range n.addrs {
 		if seen[addr] == 0 {
@@ -154,36 +154,6 @@ func TestGroupTapSeesEveryShard(t *testing.T) {
 		}
 	}
 	n.grp.SetTap(nil)
-}
-
-// TestGroupShardZeroMatchesSingleEngine: shard 0 of a group uses
-// exactly the group seed, so its loss stream replays a plain engine's —
-// the property that keeps seeded goldens valid when a deployment moves
-// onto a group of one.
-func TestGroupShardZeroMatchesSingleEngine(t *testing.T) {
-	run := func(eng *Engine) []int {
-		edge := NewEdge("e", ipv6.MustParseAddr("2001:beef::100"))
-		r := NewRouter("r", ErrorPolicy{})
-		rif := r.AddIface(ipv6.MustParseAddr("2001:100::1"), "r:up")
-		eng.Connect(edge.Iface(), rif, 0.4)
-		var got []int
-		for i := 0; i < 200; i++ {
-			pkt, err := wire.BuildEchoRequest(edge.Addr(), rif.Addr(), 64, 7, uint16(i), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng.Inject(edge.Iface(), pkt)
-			got = append(got, len(edge.Drain()))
-		}
-		return got
-	}
-	single := run(New(99))
-	sharded := run(NewEngineGroup(99, 3).Shard(0))
-	for i := range single {
-		if single[i] != sharded[i] {
-			t.Fatalf("loss streams diverge at injection %d: %d vs %d", i, single[i], sharded[i])
-		}
-	}
 }
 
 // TestGroupShardForMatchesLPM holds ShardFor's top-word shortcuts (the
@@ -199,7 +169,7 @@ func TestGroupShardZeroMatchesSingleEngine(t *testing.T) {
 // Last, again after a route longer than /64 retires the shortcuts.
 func TestGroupShardForMatchesLPM(t *testing.T) {
 	const shards, chunkBits, winBits = 3, 2, 44
-	g := NewEngineGroup(1, shards)
+	g := NewEngineGroup(shards)
 	ref := lpm.New[int]()
 	var probes []ipv6.Addr
 	route := func(p ipv6.Prefix, shard int) {

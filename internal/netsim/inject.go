@@ -23,8 +23,8 @@ import (
 // run rather than on consecutive-probe groups; a run that touches e
 // entries pays the pointer-chasing stat walk e times, not k.
 //
-// Only the plain case qualifies: a fully compiled round trip, a
-// loss-free injection link, no fault layer, no tap. An unseen flow is
+// Only the plain case qualifies: a fully compiled round trip from a
+// connected interface, no fault layer, no tap. An unseen flow is
 // compiled at the head of a run; anything else — negative entries,
 // ICMP-error probes, guard mismatches — ends the run and that one
 // packet is interpreted.
@@ -65,7 +65,7 @@ func (e *Engine) injectFastLocked(from *Iface, pkts [][]byte) int {
 	}
 	fp := &e.fp
 	l := from.link
-	if l == nil || l.loss != 0 {
+	if l == nil {
 		fp.misses++
 		return 0
 	}

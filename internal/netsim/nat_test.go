@@ -22,7 +22,7 @@ type v4Net struct {
 func buildV4Net(t *testing.T) *v4Net {
 	t.Helper()
 	n := &v4Net{
-		eng:     New(9),
+		eng:     New(),
 		public:  wire.IPv4AddrFrom(203, 0, 113, 42),
 		private: wire.IPv4AddrFrom(192, 168, 1, 10),
 		scanV4:  wire.IPv4AddrFrom(198, 51, 100, 7),
@@ -33,8 +33,8 @@ func buildV4Net(t *testing.T) *v4Net {
 
 	up := n.isp.AddIface4(wire.IPv4AddrFrom(198, 51, 100, 1), "isp:up")
 	down := n.isp.AddIface4(wire.IPv4AddrFrom(203, 0, 113, 1), "isp:down")
-	n.eng.Connect(n.scanner.Iface(), up, 0)
-	n.eng.Connect(down, n.nat.WAN(), 0)
+	n.eng.Connect(n.scanner.Iface(), up)
+	n.eng.Connect(down, n.nat.WAN())
 	n.isp.AddRoute4(n.public, 32, down)
 	n.isp.AddRoute4(n.scanV4, 32, up)
 	return n

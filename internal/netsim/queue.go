@@ -1,59 +1,13 @@
 package netsim
 
-// The engine's event queue has two regimes. While deliveries are in
-// FIFO order (no fault layer deferring anything) pops come from a ring
-// buffer in O(1) — the common case, and the scan hot path. The moment a
-// deferred delivery is enqueued the ring's contents migrate into a
-// binary min-heap ordered by (due, seq) and pops cost O(log n) until
-// the queue drains, after which the engine falls back to the ring.
-
-// ring is a growable FIFO ring buffer of deliveries.
-type ring struct {
-	buf  []delivery
-	head int
-	n    int
-}
-
-func (r *ring) len() int { return r.n }
-
-func (r *ring) push(d delivery) {
-	if r.n == len(r.buf) {
-		r.grow()
-	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = d
-	r.n++
-}
-
-// pop removes and returns the oldest delivery. It must not be called on
-// an empty ring.
-func (r *ring) pop() delivery {
-	d := r.buf[r.head]
-	r.buf[r.head] = delivery{} // release the pkt reference
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	return d
-}
-
-// grow doubles capacity (kept a power of two so indexing is a mask).
-func (r *ring) grow() {
-	nb := make([]delivery, max(16, 2*len(r.buf)))
-	for i := 0; i < r.n; i++ {
-		nb[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-	}
-	r.buf, r.head = nb, 0
-}
-
-// reset drops all queued deliveries but keeps the backing array.
-func (r *ring) reset() {
-	for i := range r.buf {
-		r.buf[i] = delivery{}
-	}
-	r.head, r.n = 0, 0
-}
+// The engine's event queue is one binary min-heap ordered by (due,
+// seq). Without a fault layer every due is twice its enqueue sequence,
+// so the heap pops in FIFO order; a deferred delivery's due lands it
+// after the deliveries enqueued behind it (enqueueLocked).
 
 // dheap is a binary min-heap of deliveries ordered by (due, seq): the
-// seq tie-break reproduces the old linear scan's earliest-enqueued-wins
-// rule, so reordered replays stay bit-identical.
+// seq tie-break pops equal dues earliest-enqueued first, so reordered
+// replays stay bit-identical.
 type dheap struct {
 	d []delivery
 }

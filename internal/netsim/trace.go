@@ -34,7 +34,7 @@ type FlowTracer interface {
 	SampleFlow(hi, lo uint64) bool
 	// HopCrossing records one link crossing of a traced flow: the
 	// transmitting node and interface, the hop limit on the wire, and
-	// whether loss or a fault dropped the packet.
+	// whether the fault layer dropped the packet.
 	HopCrossing(hi, lo uint64, node, iface string, hopLimit uint8, dropped bool)
 }
 

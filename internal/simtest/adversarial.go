@@ -88,7 +88,7 @@ func (f *ISPFixture) plant(region ipv6.Prefix, hp HostileProfile, seed int64, i 
 		return err
 	}
 	down := f.isp.AddIface(ipv6.SLAAC(first64, 1), h.Name()+":down")
-	f.Eng.Connect(down, h.Iface(), 0)
+	f.Eng.Connect(down, h.Iface())
 	if err := f.isp.Delegate(region, down); err != nil {
 		return err
 	}

@@ -66,15 +66,15 @@ func (f *ISPFixture) Truth() map[ipv6.Addr]bool {
 	return truth
 }
 
-// BuildISPFixture constructs the fixture. The engine's loss source is
-// seeded from seed, so two fixtures built with the same seed behave
-// identically.
+// BuildISPFixture constructs the fixture. It takes a seed only to share
+// the world builders' signature: the dense fixture draws nothing from
+// it, so every build is identical.
 func BuildISPFixture(seed int64) (*ISPFixture, error) {
 	cells := make([]uint64, FixtureCPEs)
 	for i := range cells {
 		cells[i] = uint64(i)
 	}
-	return buildFixture(seed, ipv6.MustParsePrefix("2001:db8::/56"), cells, 200)
+	return buildFixture(ipv6.MustParsePrefix("2001:db8::/56"), cells, 200)
 }
 
 // Sparse-fixture shape: a 2^12-cell window holding a dozen CPEs and one
@@ -99,7 +99,7 @@ func BuildSparseFixture(seed int64) (*ISPFixture, error) {
 	for i := range wans {
 		wans[i] = uint64(perm[i])
 	}
-	f, err := buildFixture(seed, block, wans, uint64(perm[sparseCPEs]))
+	f, err := buildFixture(block, wans, uint64(perm[sparseCPEs]))
 	if err != nil {
 		return nil, err
 	}
@@ -112,9 +112,9 @@ func BuildSparseFixture(seed int64) (*ISPFixture, error) {
 
 // buildFixture wires scanner, core and ISP over block, one CPE per
 // listed /64 cell; the first CPE also holds the LAN delegation lanCell.
-func buildFixture(seed int64, block ipv6.Prefix, cells []uint64, lanCell uint64) (*ISPFixture, error) {
+func buildFixture(block ipv6.Prefix, cells []uint64, lanCell uint64) (*ISPFixture, error) {
 	f := &ISPFixture{
-		Eng:     netsim.New(seed),
+		Eng:     netsim.New(),
 		Block:   block,
 		ISPAddr: ipv6.MustParseAddr("2001:feed::2"),
 	}
@@ -127,8 +127,8 @@ func buildFixture(seed int64, block ipv6.Prefix, cells []uint64, lanCell uint64)
 	coreISP := core.AddIface(ipv6.MustParseAddr("2001:feed::1"), "core:isp")
 	ispUp := isp.AddIface(f.ISPAddr, "isp:up")
 	isp.SetUpstream(ispUp)
-	f.Eng.Connect(f.Edge.Iface(), coreScan, 0)
-	f.Eng.Connect(coreISP, ispUp, 0)
+	f.Eng.Connect(f.Edge.Iface(), coreScan)
+	f.Eng.Connect(coreISP, ispUp)
 	scanNet := ipv6.MustParsePrefix("2001:beef::/64")
 	core.AddRoute(f.Block, coreISP)
 	core.AddRoute(scanNet, coreScan)
@@ -176,7 +176,7 @@ func (f *ISPFixture) addCPE(i int, cell uint64, lan int) (delegateLAN func() err
 	}
 	cpe := netsim.NewCPE(cfg)
 	down := f.isp.AddIface(ipv6.SLAAC(wanPrefix, 1), "isp:down")
-	f.Eng.Connect(down, cpe.WAN(), 0)
+	f.Eng.Connect(down, cpe.WAN())
 	if err := f.isp.Delegate(wanPrefix, down); err != nil {
 		return nil, err
 	}

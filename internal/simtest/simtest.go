@@ -129,8 +129,8 @@ type Injector struct {
 // duplicated transmission.
 var dupDeliveries = []int{0, 0}
 
-// NewInjector creates an injector for the profile, seeded independently
-// of the engine's own loss source.
+// NewInjector creates an injector for the profile, its decisions drawn
+// from a stream seeded by seed.
 func NewInjector(seed int64, p FaultProfile) *Injector {
 	j := &Injector{
 		rng:     rand.New(rand.NewSource(seed ^ 0x5117e57)),

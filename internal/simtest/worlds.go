@@ -214,7 +214,7 @@ func shardCheck(e env, _ *leg, _ []*leg) ([]string, error) {
 	}
 
 	problems := append(findings(one, many), diff(many, one, relation{relSet, []telemetry.Counter{telemetry.ScanTargets, telemetry.ScanSent}})...)
-	if a, b := single.Engine.Steps(), sharded.Group.Steps(); a != b {
+	if a, b := single.Engine.Counters().Events, sharded.Group.Counters().Events; a != b {
 		problems = append(problems, fmt.Sprintf("event totals diverge: single %d, sharded %d", a, b))
 	}
 	singleDevs, shardedDevs := single.Devices(), sharded.Devices()

@@ -100,21 +100,21 @@ func BuildBGPUniverse(cfg BGPConfig) (*BGPDeployment, error) {
 	oui := registry.NewOUIDB()
 
 	dep := &BGPDeployment{
-		Engine: netsim.New(cfg.Seed),
+		Engine: netsim.New(),
 		Table:  table,
 		Geo:    table.GeoDB(),
 	}
 	dep.Edge = netsim.NewEdge("scanner", ScannerAddr)
 	dep.Core = netsim.NewRouter("core", netsim.ErrorPolicy{})
 	coreScan := dep.Core.AddIface(ipv6.MustParseAddr("2001:beef::1"), "core:scan")
-	dep.Engine.Connect(dep.Edge.Iface(), coreScan, 0)
+	dep.Engine.Connect(dep.Edge.Iface(), coreScan)
 	dep.Core.AddRoute(ipv6.MustParsePrefix("2001:beef::/64"), coreScan)
 	// Border transit hop: keeps the hop-limit parity such that looping
 	// packets expire at the periphery (see topo.Deployment.Border).
 	border := netsim.NewRouter("border", netsim.ErrorPolicy{})
 	coreBorder := dep.Core.AddIface(ipv6.MustParseAddr("2001:face::1"), "core:border")
 	borderUp := border.AddIface(ipv6.MustParseAddr("2001:face::2"), "border:up")
-	dep.Engine.Connect(coreBorder, borderUp, 0)
+	dep.Engine.Connect(coreBorder, borderUp)
 	border.AddRoute(ipv6.MustParsePrefix("::/0"), borderUp)
 
 	// Per-AS loop multiplier: a small set of ASes are dramatically worse
@@ -149,7 +149,7 @@ func BuildBGPUniverse(cfg BGPConfig) (*BGPDeployment, error) {
 		}
 		borderIf := border.AddIface(ipv6.SLAAC(upNet, 1), fmt.Sprintf("border:bgp%d", linkIdx))
 		ispUp := isp.AddIface(ipv6.SLAAC(upNet, 2), "isp:up")
-		dep.Engine.Connect(borderIf, ispUp, 0)
+		dep.Engine.Connect(borderIf, ispUp)
 		border.AddRoute(adv.Prefix, borderIf)
 		dep.Core.AddRoute(adv.Prefix, coreBorder)
 		isp.SetUpstream(ispUp)
@@ -202,7 +202,7 @@ func BuildBGPUniverse(cfg BGPConfig) (*BGPDeployment, error) {
 				Behavior:  netsim.CPEBehavior{VulnLAN: vuln},
 			})
 			down := isp.AddIface(ipv6.SLAAC(upNet, 3), fmt.Sprintf("isp:d%d", d))
-			dep.Engine.Connect(down, cpe.WAN(), 0)
+			dep.Engine.Connect(down, cpe.WAN())
 			if err := isp.Delegate(deleg, down); err != nil {
 				return nil, err
 			}

@@ -228,7 +228,7 @@ func Build(cfg Config) (*Deployment, error) {
 	}
 
 	dep := &Deployment{
-		Group: netsim.NewEngineGroup(cfg.Seed, nshards),
+		Group: netsim.NewEngineGroup(nshards),
 		Geo:   registry.NewGeoDB(),
 		OUI:   registry.NewOUIDB(),
 		byWAN: make(map[ipv6.Addr]*Device),
@@ -255,11 +255,11 @@ func Build(cfg Config) (*Deployment, error) {
 			edgeIf = dep.Edge.AddIface(fmt.Sprintf("scanner:if%d", s))
 		}
 		coreScan := core.AddIface(ipv6.MustParseAddr("2001:beef::1"), "core:scan"+suffix)
-		eng.Connect(edgeIf, coreScan, 0)
+		eng.Connect(edgeIf, coreScan)
 		core.AddRoute(scanNet, coreScan)
 		coreBorder := core.AddIface(ipv6.MustParseAddr("2001:face::1"), "core:border"+suffix)
 		borderUp := border.AddIface(ipv6.MustParseAddr("2001:face::2"), "border:up"+suffix)
-		eng.Connect(coreBorder, borderUp, 0)
+		eng.Connect(coreBorder, borderUp)
 		border.AddRoute(ipv6.MustParsePrefix("::/0"), borderUp)
 		dep.Group.SetEntry(s, edgeIf)
 		dep.cores = append(dep.cores, core)
@@ -409,7 +409,7 @@ func buildISP(dep *Deployment, spec *ISPSpec, cfg Config, pl *placement) (*ISPDe
 		router := netsim.NewISPRouter(spec.Name, block, netsim.ErrorPolicy{})
 		borderIf := dep.borders[s].AddIface(ipv6.SLAAC(linkNet, 1), fmt.Sprintf("border:isp%d", spec.Index))
 		ispUp := router.AddIface(ipv6.SLAAC(linkNet, 2), "isp:up")
-		dep.Group.Shard(s).Connect(borderIf, ispUp, 0)
+		dep.Group.Shard(s).Connect(borderIf, ispUp)
 		dep.borders[s].AddRoute(block, borderIf)
 		dep.cores[s].AddRoute(block, dep.coreBorders[s])
 		router.SetUpstream(ispUp)
@@ -484,7 +484,7 @@ func buildISP(dep *Deployment, spec *ISPSpec, cfg Config, pl *placement) (*ISPDe
 		shard := isp.shardOf(uint64(top))
 		router := isp.Routers[shard]
 		down := router.AddIface(downAddr, h.Name()+":down")
-		dep.Group.Shard(shard).Connect(down, h.Iface(), 0)
+		dep.Group.Shard(shard).Connect(down, h.Iface())
 		if err := router.Delegate(region, down); err != nil {
 			return nil, err
 		}
@@ -693,7 +693,7 @@ func buildDevice(
 		dev.WANAddr = ipv6.SLAAC(prefix, iid)
 		ue := netsim.NewUE(name, dev.WANAddr, prefix, stack, policy)
 		down := router.AddIface(isp.downAddr, name+":bs")
-		dev.AccessLink = dep.Group.Shard(shard).Connect(down, ue.Iface(), 0)
+		dev.AccessLink = dep.Group.Shard(shard).Connect(down, ue.Iface())
 		if err := router.Delegate(prefix, down); err != nil {
 			return nil, err
 		}
@@ -735,7 +735,7 @@ func buildDevice(
 		cpeCfg.Behavior = behaviorFor(dev)
 		cpe := netsim.NewCPE(cpeCfg)
 		down := router.AddIface(isp.downAddr, name+":down")
-		dev.AccessLink = dep.Group.Shard(shard).Connect(down, cpe.WAN(), 0)
+		dev.AccessLink = dep.Group.Shard(shard).Connect(down, cpe.WAN())
 		if err := router.Delegate(wanPrefix, down); err != nil {
 			return nil, err
 		}
@@ -803,7 +803,7 @@ func buildDevice(
 		cpeCfg.Behavior = behaviorFor(dev)
 		cpe := netsim.NewCPE(cpeCfg)
 		down := router.AddIface(isp.downAddr, name+":down")
-		dev.AccessLink = dep.Group.Shard(shard).Connect(down, cpe.WAN(), 0)
+		dev.AccessLink = dep.Group.Shard(shard).Connect(down, cpe.WAN())
 		if err := router.Delegate(deleg, down); err != nil {
 			return nil, err
 		}

@@ -144,8 +144,8 @@ type LabDeployment struct {
 var LabBlock = ipv6.MustParsePrefix("2001:4b0::/32")
 
 // BuildLab instantiates the Table XII test network.
-func BuildLab(seed int64) (*LabDeployment, error) {
-	dep := &LabDeployment{Engine: netsim.New(seed)}
+func BuildLab() (*LabDeployment, error) {
+	dep := &LabDeployment{Engine: netsim.New()}
 	dep.Edge = netsim.NewEdge("tester", ScannerAddr)
 	isp := netsim.NewISPRouter("lab-isp", LabBlock, netsim.ErrorPolicy{})
 	dep.ISP = isp
@@ -155,7 +155,7 @@ func BuildLab(seed int64) (*LabDeployment, error) {
 		return nil, err
 	}
 	ispUp := isp.AddIface(ipv6.SLAAC(upNet, 2), "isp:up")
-	dep.Engine.Connect(dep.Edge.Iface(), ispUp, 0)
+	dep.Engine.Connect(dep.Edge.Iface(), ispUp)
 	isp.SetUpstream(ispUp)
 
 	for i, r := range LabRouters() {
@@ -187,7 +187,7 @@ func BuildLab(seed int64) (*LabDeployment, error) {
 			Behavior:  netsim.CPEBehavior{VulnWAN: r.VulnWAN, VulnLAN: r.VulnLAN, LoopCap: r.LoopCap},
 		})
 		down := isp.AddIface(ipv6.SLAAC(wanPrefix, routerIID), fmt.Sprintf("isp:lab%d", i))
-		link := dep.Engine.Connect(down, cpe.WAN(), 0)
+		link := dep.Engine.Connect(down, cpe.WAN())
 		if err := isp.Delegate(wanPrefix, down); err != nil {
 			return nil, err
 		}

@@ -263,7 +263,7 @@ func TestShardedBuildMatchesSingle(t *testing.T) {
 		}
 	}
 	for s := 0; s < 4; s++ {
-		if sharded.Group.Shard(s).Steps() == 0 {
+		if sharded.Group.Shard(s).Counters().Events == 0 {
 			t.Errorf("shard %d processed no events; work not spread", s)
 		}
 	}
@@ -385,7 +385,7 @@ func TestLabRoutersCensus(t *testing.T) {
 }
 
 func TestLabLoopBehaviorEndToEnd(t *testing.T) {
-	dep, err := BuildLab(3)
+	dep, err := BuildLab()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +419,7 @@ func TestLabLoopBehaviorEndToEnd(t *testing.T) {
 }
 
 func TestLabLoopCapClass(t *testing.T) {
-	dep, err := BuildLab(3)
+	dep, err := BuildLab()
 	if err != nil {
 		t.Fatal(err)
 	}

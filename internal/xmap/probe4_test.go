@@ -24,19 +24,19 @@ type v4Fixture struct {
 
 func buildV4Fixture(t *testing.T) *v4Fixture {
 	t.Helper()
-	f := &v4Fixture{eng: netsim.New(77)}
+	f := &v4Fixture{eng: netsim.New()}
 	scanV4 := wire.IPv4AddrFrom(198, 51, 100, 7)
 	f.edge = netsim.NewEdge("scanner4", ipv6.V4Mapped(uint32(scanV4)))
 	isp := netsim.NewV4Router("isp4")
 	up := isp.AddIface4(wire.IPv4AddrFrom(198, 51, 100, 1), "isp:up")
-	f.eng.Connect(f.edge.Iface(), up, 0)
+	f.eng.Connect(f.edge.Iface(), up)
 	isp.AddRoute4(scanV4, 32, up)
 
 	for i := 0; i < 6; i++ {
 		public := wire.IPv4AddrFrom(203, 0, 113, byte(10+i*7))
 		nat := netsim.NewNATGateway("nat", public, []wire.IPv4Addr{wire.IPv4AddrFrom(192, 168, 1, 10)})
 		down := isp.AddIface4(wire.IPv4AddrFrom(10, 0, 0, byte(2+i)), "isp:down")
-		f.eng.Connect(down, nat.WAN(), 0)
+		f.eng.Connect(down, nat.WAN())
 		isp.AddRoute4(public, 32, down)
 		f.publics = append(f.publics, public)
 	}

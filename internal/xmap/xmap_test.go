@@ -32,7 +32,7 @@ const fixtureCPEs = 5
 func buildFixture(t testing.TB) *scanFixture {
 	t.Helper()
 	f := &scanFixture{
-		eng:   netsim.New(42),
+		eng:   netsim.New(),
 		block: ipv6.MustParsePrefix("2001:db8::/56"),
 	}
 	f.edge = netsim.NewEdge("scanner", ipv6.MustParseAddr("2001:beef::100"))
@@ -42,8 +42,8 @@ func buildFixture(t testing.TB) *scanFixture {
 	coreScan := core.AddIface(ipv6.MustParseAddr("2001:beef::1"), "core:scan")
 	coreISP := core.AddIface(ipv6.MustParseAddr("2001:feed::1"), "core:isp")
 	ispUp := isp.AddIface(ipv6.MustParseAddr("2001:feed::2"), "isp:up")
-	f.eng.Connect(f.edge.Iface(), coreScan, 0)
-	f.eng.Connect(coreISP, ispUp, 0)
+	f.eng.Connect(f.edge.Iface(), coreScan)
+	f.eng.Connect(coreISP, ispUp)
 	core.AddRoute(f.block, coreISP)
 	core.AddRoute(ipv6.MustParsePrefix("2001:beef::/64"), coreScan)
 	isp.SetUpstream(ispUp)
@@ -70,7 +70,7 @@ func buildFixture(t testing.TB) *scanFixture {
 		}
 		cpe := netsim.NewCPE(cfg)
 		down := isp.AddIface(ipv6.SLAAC(wanPrefix, 1), "isp:down")
-		f.eng.Connect(down, cpe.WAN(), 0)
+		f.eng.Connect(down, cpe.WAN())
 		if err := isp.Delegate(wanPrefix, down); err != nil {
 			t.Fatal(err)
 		}
@@ -557,43 +557,15 @@ func TestHitRate(t *testing.T) {
 	}
 }
 
-// buildLossyFixture is buildFixture with loss on the scanner uplink.
+// buildLossyFixture is buildFixture with a seeded fault layer dropping
+// each packet on the scanner uplink, in either direction, with
+// probability loss.
 func buildLossyFixture(t *testing.T, loss float64) *scanFixture {
-	t.Helper()
-	f := &scanFixture{
-		eng:   netsim.New(1234),
-		block: ipv6.MustParsePrefix("2001:db8::/56"),
-	}
-	f.edge = netsim.NewEdge("scanner", ipv6.MustParseAddr("2001:beef::100"))
-	core := netsim.NewRouter("core", netsim.ErrorPolicy{})
-	isp := netsim.NewISPRouter("isp", f.block, netsim.ErrorPolicy{})
-
-	coreScan := core.AddIface(ipv6.MustParseAddr("2001:beef::1"), "core:scan")
-	coreISP := core.AddIface(ipv6.MustParseAddr("2001:feed::1"), "core:isp")
-	ispUp := isp.AddIface(ipv6.MustParseAddr("2001:feed::2"), "isp:up")
-	f.eng.Connect(f.edge.Iface(), coreScan, loss)
-	f.eng.Connect(coreISP, ispUp, 0)
-	core.AddRoute(f.block, coreISP)
-	core.AddRoute(ipv6.MustParsePrefix("2001:beef::/64"), coreScan)
-	isp.SetUpstream(ispUp)
-
-	for i := 0; i < fixtureCPEs; i++ {
-		wanPrefix, err := f.block.Sub(64, uint128.From64(uint64(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		wanAddr := ipv6.SLAAC(wanPrefix, 0x0211_22ff_fe00_0000|uint64(i))
-		cpe := netsim.NewCPE(netsim.CPEConfig{
-			Name: "cpe", WANAddr: wanAddr, WANPrefix: wanPrefix,
-		})
-		down := isp.AddIface(ipv6.SLAAC(wanPrefix, 1), "isp:down")
-		f.eng.Connect(down, cpe.WAN(), 0)
-		if err := isp.Delegate(wanPrefix, down); err != nil {
-			t.Fatal(err)
-		}
-		f.wans = append(f.wans, wanAddr)
-	}
-	f.drv = NewSimDriver(f.eng, f.edge)
+	f := buildFixture(t)
+	up, rng := f.edge.Iface(), rand.New(rand.NewSource(1234))
+	f.eng.SetFault(func(from *netsim.Iface, _ []byte) netsim.FaultOutcome {
+		return netsim.FaultOutcome{Drop: (from == up || from == up.Peer()) && rng.Float64() < loss}
+	})
 	return f
 }
 
