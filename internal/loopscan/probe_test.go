@@ -94,15 +94,20 @@ func TestCheckAddrProbesDistinct(t *testing.T) {
 	}
 }
 
-// TestCheckAddrAllocs: a warm detector over SimDriver allocates nothing.
-// It builds and classifies in place, and its exchanges drain replies
-// through RecvBatch into a reused slice and hand the buffers back with
-// Release, so the simulator reuses them for the next reply.
+// packetOnly hides every method of its driver but PacketDriver's, the
+// shape of a wrapper that counts or times Send and Recv.
+type packetOnly struct{ xmap.PacketDriver }
+
+// TestCheckAddrAllocs: a warm detector over SimDriver allocates nothing,
+// directly or behind a wrapper that forwards only Send and Recv. It
+// builds and classifies in place, its exchanges drain through Recv, and
+// each Recv hands the previous drain's buffers back to the engine, which
+// builds the next replies in them.
 func TestCheckAddrAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	dep, det := fixture(t)
+	dep, _ := fixture(t)
 	var safe *topo.Device
 	for _, d := range dep.ISPs[0].Devices {
 		if !d.Vulnerable() && d.CPE != nil && d.CPE.Delegated().Bits() > 0 {
@@ -113,27 +118,36 @@ func TestCheckAddrAllocs(t *testing.T) {
 	if safe == nil {
 		t.Fatal("fixture lacks a healthy CPE")
 	}
-	for _, tc := range []struct {
+	sim := xmap.NewSimDriver(dep.Engine, dep.Edge)
+	for _, drv := range []struct {
 		name string
-		dst  ipv6.Addr
-		want Verdict
+		det  *Detector
 	}{
-		{"unreachable", targetIn(safe.CPE.Delegated(), []byte("x")), VerdictUnreachable},
-		{"loop", targetIn(loopingDevice(t, dep).CPE.Delegated(), []byte("x")), VerdictLoop},
+		{"sim", NewDetector(sim)},
+		{"send/recv only", NewDetector(packetOnly{sim})},
 	} {
-		var got Verdict
-		allocs := testing.AllocsPerRun(200, func() {
-			res, err := det.CheckAddr(tc.dst)
-			if err != nil {
-				t.Fatal(err)
+		for _, tc := range []struct {
+			name string
+			dst  ipv6.Addr
+			want Verdict
+		}{
+			{"unreachable", targetIn(safe.CPE.Delegated(), []byte("x")), VerdictUnreachable},
+			{"loop", targetIn(loopingDevice(t, dep).CPE.Delegated(), []byte("x")), VerdictLoop},
+		} {
+			var got Verdict
+			allocs := testing.AllocsPerRun(200, func() {
+				res, err := drv.det.CheckAddr(tc.dst)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = res.Verdict
+			})
+			if got != tc.want {
+				t.Fatalf("%s, %s: verdict %s, want %s", drv.name, tc.name, got, tc.want)
 			}
-			got = res.Verdict
-		})
-		if got != tc.want {
-			t.Fatalf("%s: verdict %s, want %s", tc.name, got, tc.want)
-		}
-		if allocs != 0 {
-			t.Errorf("%s: CheckAddr allocates %.1f times, want 0", tc.name, allocs)
+			if allocs != 0 {
+				t.Errorf("%s, %s: CheckAddr allocates %.1f times, want 0", drv.name, tc.name, allocs)
+			}
 		}
 	}
 }

@@ -61,7 +61,7 @@ func FuzzExchange(f *testing.F) {
 		srv.Register(22, echoService{banner: "SSH-2.0-dropbear_2019.78"})
 		srv.Register(80, echoService{prefix: "HTTP/1.0 200 OK\r\n\r\n"})
 		conn := &loopConn{srv: srv}
-		res, err := Exchange(conn, clientAddr, serverAddr, 40000, port, req, 8)
+		res, err := new(Client).Exchange(conn, clientAddr, serverAddr, 40000, port, req, 8)
 		if err != nil {
 			return
 		}

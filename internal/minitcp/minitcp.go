@@ -12,7 +12,6 @@
 package minitcp
 
 import (
-	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -33,13 +32,23 @@ type Service interface {
 
 // Server dispatches segments for one device to its per-port services.
 type Server struct {
-	key      []byte
+	// key is the SYN-cookie HMAC key as RFC 2104 pads it: the seed, or
+	// its SHA-256 digest when longer than a block, zero-filled to one
+	// block.
+	key      [sha256.BlockSize]byte
 	services map[uint16]Service
 }
 
 // NewServer creates a server whose SYN-cookie key is derived from seed.
 func NewServer(seed []byte) *Server {
-	return &Server{key: append([]byte(nil), seed...), services: make(map[uint16]Service)}
+	s := &Server{services: make(map[uint16]Service)}
+	if len(seed) > sha256.BlockSize {
+		d := sha256.Sum256(seed)
+		copy(s.key[:], d[:])
+	} else {
+		copy(s.key[:], seed)
+	}
+	return s
 }
 
 // Register binds svc to port, replacing any previous binding.
@@ -54,17 +63,28 @@ func (s *Server) Ports() []uint16 {
 	return out
 }
 
-// isn computes the SYN-cookie initial sequence number for a 4-tuple.
+// isn computes the SYN-cookie initial sequence number for a 4-tuple:
+// the first four bytes of HMAC-SHA256 (RFC 2104) keyed by s.key over
+// both addresses and both ports. The inner and outer blocks are built
+// in stack arrays and hashed with two sha256.Sum256 calls, so a segment
+// allocates nothing for its cookie.
 func (s *Server) isn(self, peer ipv6.Addr, selfPort, peerPort uint16) uint32 {
-	mac := hmac.New(sha256.New, s.key)
+	const bs = sha256.BlockSize
+	var inner [bs + 2*16 + 4]byte
+	var outer [bs + sha256.Size]byte
+	for i, k := range s.key {
+		inner[i] = k ^ 0x36
+		outer[i] = k ^ 0x5c
+	}
 	a, b := self.Bytes(), peer.Bytes()
-	mac.Write(a[:])
-	mac.Write(b[:])
-	var pb [4]byte
-	binary.BigEndian.PutUint16(pb[:2], selfPort)
-	binary.BigEndian.PutUint16(pb[2:], peerPort)
-	mac.Write(pb[:])
-	return binary.BigEndian.Uint32(mac.Sum(nil)[:4])
+	copy(inner[bs:], a[:])
+	copy(inner[bs+16:], b[:])
+	binary.BigEndian.PutUint16(inner[bs+32:], selfPort)
+	binary.BigEndian.PutUint16(inner[bs+34:], peerPort)
+	sum := sha256.Sum256(inner[:])
+	copy(outer[bs:], sum[:])
+	mac := sha256.Sum256(outer[:])
+	return binary.BigEndian.Uint32(mac[:4])
 }
 
 // HandleSegment processes one TCP segment addressed to self and returns
@@ -165,7 +185,8 @@ func segLen(seg wire.TCPHeader, payload []byte) uint32 {
 
 // Conn abstracts the transport under the client: send one packet, then
 // collect whatever packets have arrived. The network simulator satisfies
-// this with lock-step semantics.
+// this with lock-step semantics. Send must not retain pkt; the packets
+// Recv returns need stay valid only until the next Recv.
 type Conn interface {
 	Send(pkt []byte) error
 	Recv() [][]byte
@@ -178,45 +199,33 @@ type Result struct {
 	Data   []byte // response to the request
 }
 
-// Exchange performs a banner-grab conversation: handshake, optional
-// banner read, optional request/response. A RST or silence at the SYN
-// step reports Open=false. maxRounds bounds the Send/Recv iterations.
-func Exchange(c Conn, src, dst ipv6.Addr, srcPort, dstPort uint16, req []byte, maxRounds int) (Result, error) {
+// Client runs banner-grab conversations. It keeps one send buffer, one
+// parse state and one segment slice across exchanges, so building and
+// parsing a segment allocates nothing once warm. The zero value is ready
+// to use. Not safe for concurrent use.
+type Client struct {
+	buf  []byte
+	sum  wire.Summary
+	segs []segment
+}
+
+// Exchange performs a banner-grab conversation over c: handshake,
+// optional banner read, optional request/response. A RST or silence at
+// the SYN step reports Open=false. maxRounds bounds the Send/Recv
+// iterations. The Result's Banner and Data are copies, owned by the
+// caller.
+func (cl *Client) Exchange(c Conn, src, dst ipv6.Addr, srcPort, dstPort uint16, req []byte, maxRounds int) (Result, error) {
 	var res Result
 	const clientISN = 0x01000000
 
-	send := func(t wire.TCPHeader, data []byte) error {
-		pkt, err := wire.BuildTCP(src, dst, 64, t, data)
-		if err != nil {
-			return err
-		}
-		return c.Send(pkt)
-	}
-	// collect reads arrived packets, returning decoded TCP segments from
-	// dst for this flow.
-	collect := func() []segment {
-		var segs []segment
-		for _, raw := range c.Recv() {
-			s, err := wire.ParsePacket(raw)
-			if err != nil || s.TCP == nil {
-				continue
-			}
-			if s.IP.Src != dst || s.TCP.SrcPort != dstPort || s.TCP.DstPort != srcPort {
-				continue
-			}
-			segs = append(segs, segment{h: *s.TCP, data: s.Payload})
-		}
-		return segs
-	}
-
-	if err := send(wire.TCPHeader{SrcPort: srcPort, DstPort: dstPort, Seq: clientISN, Flags: wire.TCPSyn, Window: 65535}, nil); err != nil {
+	if err := cl.send(c, src, dst, wire.TCPHeader{SrcPort: srcPort, DstPort: dstPort, Seq: clientISN, Flags: wire.TCPSyn, Window: 65535}, nil); err != nil {
 		return res, fmt.Errorf("minitcp: send SYN: %w", err)
 	}
 
 	var serverISN uint32
 	established := false
 	for round := 0; round < maxRounds && !established; round++ {
-		for _, seg := range collect() {
+		for _, seg := range cl.collect(c, dst, srcPort, dstPort) {
 			switch {
 			case seg.h.Flags&wire.TCPRst != 0:
 				return res, nil // closed
@@ -232,10 +241,10 @@ func Exchange(c Conn, src, dst ipv6.Addr, srcPort, dstPort uint16, req []byte, m
 	res.Open = true
 
 	// Complete the handshake; a banner may come back immediately.
-	if err := send(wire.TCPHeader{SrcPort: srcPort, DstPort: dstPort, Seq: clientISN + 1, Ack: serverISN + 1, Flags: wire.TCPAck, Window: 65535}, nil); err != nil {
+	if err := cl.send(c, src, dst, wire.TCPHeader{SrcPort: srcPort, DstPort: dstPort, Seq: clientISN + 1, Ack: serverISN + 1, Flags: wire.TCPAck, Window: 65535}, nil); err != nil {
 		return res, fmt.Errorf("minitcp: send ACK: %w", err)
 	}
-	for _, seg := range collect() {
+	for _, seg := range cl.collect(c, dst, srcPort, dstPort) {
 		if len(seg.data) > 0 {
 			res.Banner = append(res.Banner, seg.data...)
 		}
@@ -243,7 +252,7 @@ func Exchange(c Conn, src, dst ipv6.Addr, srcPort, dstPort uint16, req []byte, m
 
 	if req != nil {
 		ack := serverISN + 1 + uint32(len(res.Banner))
-		if err := send(wire.TCPHeader{
+		if err := cl.send(c, src, dst, wire.TCPHeader{
 			SrcPort: srcPort, DstPort: dstPort,
 			Seq: clientISN + 1, Ack: ack,
 			Flags: wire.TCPPsh | wire.TCPAck, Window: 65535,
@@ -252,7 +261,7 @@ func Exchange(c Conn, src, dst ipv6.Addr, srcPort, dstPort uint16, req []byte, m
 		}
 		done := false
 		for round := 0; round < maxRounds && !done; round++ {
-			for _, seg := range collect() {
+			for _, seg := range cl.collect(c, dst, srcPort, dstPort) {
 				if len(seg.data) > 0 {
 					res.Data = append(res.Data, seg.data...)
 				}
@@ -267,8 +276,37 @@ func Exchange(c Conn, src, dst ipv6.Addr, srcPort, dstPort uint16, req []byte, m
 	}
 
 	// Politely reset to tear down whatever half-state the peer holds.
-	_ = send(wire.TCPHeader{SrcPort: srcPort, DstPort: dstPort, Seq: clientISN + 1, Flags: wire.TCPRst}, nil)
+	_ = cl.send(c, src, dst, wire.TCPHeader{SrcPort: srcPort, DstPort: dstPort, Seq: clientISN + 1, Flags: wire.TCPRst}, nil)
 	return res, nil
+}
+
+// send builds one segment into the client's buffer and sends it; Conn's
+// Send does not retain the packet.
+func (cl *Client) send(c Conn, src, dst ipv6.Addr, t wire.TCPHeader, data []byte) error {
+	pkt, err := wire.AppendTCP(cl.buf, src, dst, 64, t, data)
+	if err != nil {
+		return err
+	}
+	cl.buf = pkt
+	return c.Send(pkt)
+}
+
+// collect reads arrived packets and returns the TCP segments from dst
+// for this flow. The segments' data alias the received packets, which
+// the next Recv may recycle: Exchange copies what it keeps first.
+func (cl *Client) collect(c Conn, dst ipv6.Addr, srcPort, dstPort uint16) []segment {
+	cl.segs = cl.segs[:0]
+	for _, raw := range c.Recv() {
+		s := &cl.sum
+		if s.Parse(raw) != nil || s.TCP == nil {
+			continue
+		}
+		if s.IP.Src != dst || s.TCP.SrcPort != dstPort || s.TCP.DstPort != srcPort {
+			continue
+		}
+		cl.segs = append(cl.segs, segment{h: *s.TCP, data: s.Payload})
+	}
+	return cl.segs
 }
 
 type segment struct {

@@ -2,10 +2,15 @@ package minitcp
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/binary"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/ipv6"
+	"repro/internal/uint128"
 	"repro/internal/wire"
 )
 
@@ -67,7 +72,7 @@ func newConn(svc Service, port uint16) *loopConn {
 
 func TestRequestResponse(t *testing.T) {
 	c := newConn(echoService{prefix: "RESP:"}, 80)
-	res, err := Exchange(c, clientAddr, serverAddr, 40000, 80, []byte("GET /"), 4)
+	res, err := new(Client).Exchange(c, clientAddr, serverAddr, 40000, 80, []byte("GET /"), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +89,7 @@ func TestRequestResponse(t *testing.T) {
 
 func TestBannerProtocol(t *testing.T) {
 	c := newConn(echoService{banner: "SSH-2.0-dropbear_0.46\r\n"}, 22)
-	res, err := Exchange(c, clientAddr, serverAddr, 40001, 22, nil, 4)
+	res, err := new(Client).Exchange(c, clientAddr, serverAddr, 40001, 22, nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +100,7 @@ func TestBannerProtocol(t *testing.T) {
 
 func TestBannerThenRequest(t *testing.T) {
 	c := newConn(echoService{banner: "220 ftp ready\r\n", prefix: "331 "}, 21)
-	res, err := Exchange(c, clientAddr, serverAddr, 40002, 21, []byte("USER anonymous\r\n"), 4)
+	res, err := new(Client).Exchange(c, clientAddr, serverAddr, 40002, 21, []byte("USER anonymous\r\n"), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +114,7 @@ func TestBannerThenRequest(t *testing.T) {
 
 func TestClosedPortGetsRST(t *testing.T) {
 	c := newConn(echoService{prefix: "x"}, 80)
-	res, err := Exchange(c, clientAddr, serverAddr, 40003, 8080, []byte("hi"), 4)
+	res, err := new(Client).Exchange(c, clientAddr, serverAddr, 40003, 8080, []byte("hi"), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +126,7 @@ func TestClosedPortGetsRST(t *testing.T) {
 func TestNoServicesSilence(t *testing.T) {
 	// A conn that drops everything: filtered port.
 	drop := &dropConn{}
-	res, err := Exchange(drop, clientAddr, serverAddr, 40004, 80, nil, 3)
+	res, err := new(Client).Exchange(drop, clientAddr, serverAddr, 40004, 80, nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,9 +178,38 @@ func TestSynCookieDeterministic(t *testing.T) {
 	}
 }
 
+// TestSynCookieMatchesHMAC: isn computes HMAC-SHA256 by hand, so it is
+// held to crypto/hmac over random 4-tuples, for keys shorter than a
+// SHA-256 block, exactly one block, and longer (which RFC 2104 hashes
+// first). The server validates only its own cookies, so no end-to-end
+// run would notice a different value.
+func TestSynCookieMatchesHMAC(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	addr := func() ipv6.Addr { return ipv6.AddrFrom128(uint128.New(rng.Uint64(), rng.Uint64())) }
+	for _, n := range []int{0, 16, 64, 65, 200} {
+		key := make([]byte, n)
+		rng.Read(key)
+		srv := NewServer(key)
+		for i := 0; i < 64; i++ {
+			self, peer := addr(), addr()
+			selfPort, peerPort := uint16(rng.Uint32()), uint16(rng.Uint32())
+			mac := hmac.New(sha256.New, key)
+			a, b := self.Bytes(), peer.Bytes()
+			mac.Write(a[:])
+			mac.Write(b[:])
+			mac.Write(binary.BigEndian.AppendUint16(binary.BigEndian.AppendUint16(nil, selfPort), peerPort))
+			want := binary.BigEndian.Uint32(mac.Sum(nil))
+			if got := srv.isn(self, peer, selfPort, peerPort); got != want {
+				t.Fatalf("key of %d bytes, %s:%d <- %s:%d: isn %#08x, HMAC-SHA256 gives %#08x",
+					n, self, selfPort, peer, peerPort, got, want)
+			}
+		}
+	}
+}
+
 func TestEmptyResponseClosesWithFin(t *testing.T) {
 	c := newConn(echoService{}, 23)
-	res, err := Exchange(c, clientAddr, serverAddr, 40005, 23, []byte("req"), 4)
+	res, err := new(Client).Exchange(c, clientAddr, serverAddr, 40005, 23, []byte("req"), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +234,7 @@ func TestPorts(t *testing.T) {
 func TestLargeResponseSingleSegment(t *testing.T) {
 	big := bytes.Repeat([]byte("A"), 4000)
 	c := newConn(echoService{prefix: string(big)}, 8080)
-	res, err := Exchange(c, clientAddr, serverAddr, 40006, 8080, []byte("!"), 4)
+	res, err := new(Client).Exchange(c, clientAddr, serverAddr, 40006, 8080, []byte("!"), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func TestEngineCounters(t *testing.T) {
 		injected += uint64(len(pkt))
 		n.grp.InjectBatch([][]byte{pkt})
 	}
-	n.edge.Drain()
+	n.edge.DrainInto(nil)
 	c := eng.Counters()
 	// Each echo crosses the scanner-router link twice: request out,
 	// reply back.
@@ -102,7 +102,7 @@ func TestGroupCountersSumShards(t *testing.T) {
 			n.grp.InjectBatch([][]byte{echoTo(t, addr, uint16(rep*3+s))})
 		}
 	}
-	n.edge.Drain()
+	n.edge.DrainInto(nil)
 	var want Counters
 	for s := 0; s < 3; s++ {
 		c := n.grp.Shard(s).Counters()
@@ -139,7 +139,7 @@ func TestEngineCountersCompilesAndEvictions(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		n.grp.InjectBatch([][]byte{echoTo(t, noRoute, uint16(i))})
 	}
-	if got := len(n.edge.Drain()); got != 10 {
+	if got := len(n.edge.DrainInto(nil)); got != 10 {
 		t.Fatalf("%d replies to 10 no-route probes", got)
 	}
 	c := eng.Counters()

@@ -44,7 +44,8 @@ func (e *Edge) AddIface(name string) *Iface {
 }
 
 // RetainsPackets implements PacketRetainer: delivered buffers are
-// handed to the driver through Drain and must never be recycled.
+// handed to the driver through DrainInto and come back to the engine
+// only through ReleaseBufs.
 func (e *Edge) RetainsPackets() bool { return true }
 
 // Addr returns the edge's address (the scanner's source address).
@@ -79,17 +80,6 @@ func (e *Edge) handleBatch(pkts [][]byte) {
 	e.mu.Unlock()
 }
 
-// Drain returns and clears all buffered packets. The returned slice is
-// surrendered (the next arrival starts a fresh one); drain loops that
-// want to reuse their own slice use DrainInto.
-func (e *Edge) Drain() [][]byte {
-	e.mu.Lock()
-	out := e.buf
-	e.buf = nil
-	e.mu.Unlock()
-	return out
-}
-
 // DrainInto appends all buffered packets to dst and returns the
 // extended slice, keeping the internal buffer's backing array for
 // reuse — the steady-state drain path allocates nothing on either side.
@@ -110,7 +100,7 @@ func (e *Edge) Pending() int {
 }
 
 // Wait returns a channel that is closed when a packet arrives after the
-// call. Use together with Drain for blocking reads.
+// call. Use together with DrainInto for blocking reads.
 func (e *Edge) Wait() <-chan struct{} {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -37,7 +37,8 @@ type Node interface {
 
 // PacketRetainer marks nodes whose Handle keeps delivered packet
 // buffers past the call (the Edge does: it hands them to the driver via
-// Drain). The engine never recycles buffers delivered to such nodes.
+// DrainInto). The engine never recycles buffers delivered to such nodes
+// on its own; they come back only through ReleaseBufs.
 type PacketRetainer interface {
 	RetainsPackets() bool
 }

@@ -62,7 +62,7 @@ func BenchmarkEnginePump(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		edge.Drain()
+		edge.DrainInto(nil)
 	}
 	b.Run("ordered", func(b *testing.B) { run(b, false) })
 	b.Run("disordered", func(b *testing.B) { run(b, true) })
@@ -184,7 +184,7 @@ func BenchmarkFlowCacheLookupGap(b *testing.B) {
 	for _, c := range cells[:subscribers] {
 		warm(base | uint64(c)<<4 | 5)
 	}
-	n.scanner.Drain()
+	n.scanner.DrainInto(nil)
 	if got := len(n.isp.gaps.ranges); got < subscribers*9/10 {
 		b.Fatalf("index holds %d ranges for %d delegations", got, subscribers)
 	}

@@ -57,7 +57,7 @@ func TestPooledBuffersDoNotCorruptEdge(t *testing.T) {
 		}
 		eng.Inject(edge.Iface(), pkt)
 	}
-	replies := edge.Drain()
+	replies := edge.DrainInto(nil)
 	if len(replies) != probes {
 		t.Fatalf("%d replies, want %d", len(replies), probes)
 	}
@@ -98,7 +98,7 @@ func TestPoolRecyclesBuffers(t *testing.T) {
 	if eng.pooledBufs() == 0 {
 		t.Fatal("no buffers recycled after a consumed delivery")
 	}
-	edge.Drain()
+	edge.DrainInto(nil)
 }
 
 // pooledBufs counts the buffers on both freelists.
@@ -169,7 +169,7 @@ func TestReleaseBufsBypassesInjectLock(t *testing.T) {
 	close(gate)
 	<-injected
 	eng.SetFault(nil)
-	edge.Drain()
+	edge.DrainInto(nil)
 
 	// The rest of that run may have refilled the pool from the returned
 	// list and recycled its own buffers on top; keep only released ones.
@@ -187,7 +187,7 @@ func TestReleaseBufsBypassesInjectLock(t *testing.T) {
 	if !released[first] {
 		t.Fatal("injection with an empty pool allocated instead of reusing a released buffer")
 	}
-	if got := len(edge.Drain()); got != 1 {
+	if got := len(edge.DrainInto(nil)); got != 1 {
 		t.Fatalf("%d replies, want 1", got)
 	}
 }
@@ -236,7 +236,7 @@ func TestPumpOrderPinned(t *testing.T) {
 	}
 	n.eng.InjectBatch(n.scanner.Iface(), burst)
 	rx := sha256.New()
-	arrivals := n.scanner.Drain()
+	arrivals := n.scanner.DrainInto(nil)
 	for _, pkt := range arrivals {
 		fmt.Fprintf(rx, "%x\n", pkt)
 	}

@@ -47,7 +47,7 @@ func (p mirrorPair) inject(t *testing.T, dst ipv6.Addr, hopLimit uint8, seq uint
 // forwarding counters. Events are exempt — fusing them is the point.
 func (p mirrorPair) compare(t *testing.T, tag string) {
 	t.Helper()
-	fr, sr := p.fast.scanner.Drain(), p.slow.scanner.Drain()
+	fr, sr := p.fast.scanner.DrainInto(nil), p.slow.scanner.DrainInto(nil)
 	if len(fr) != len(sr) {
 		t.Fatalf("%s: fastpath delivered %d replies, interpreted %d", tag, len(fr), len(sr))
 	}

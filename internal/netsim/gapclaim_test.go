@@ -134,7 +134,7 @@ func (n *sparseNet) probe(tb testing.TB, dst ipv6.Addr, seq uint16) [][]byte {
 		tb.Fatal(err)
 	}
 	n.eng.Inject(n.scanner.Iface(), pkt)
-	return n.scanner.Drain()
+	return n.scanner.DrainInto(nil)
 }
 
 // TestFlowCacheGapClaimSound is the gap flow's contract: over random
@@ -394,7 +394,7 @@ func TestFlowCacheWidthOverflowNarrows(t *testing.T) {
 		t.Errorf("%d of 3 probes into the narrowed region hit (compiles %d -> %d)",
 			got, before.FastPathCompiles, after.FastPathCompiles)
 	}
-	if got := len(n.scanner.Drain()); got != 4 {
+	if got := len(n.scanner.DrainInto(nil)); got != 4 {
 		t.Errorf("%d replies for 4 probes", got)
 	}
 }

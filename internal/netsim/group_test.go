@@ -63,7 +63,7 @@ func TestGroupRoutesByDestination(t *testing.T) {
 			before[i] = n.grp.Shard(i).Counters().Events
 		}
 		n.grp.InjectBatch([][]byte{echoTo(t, addr, uint16(s))})
-		replies := n.edge.Drain()
+		replies := n.edge.DrainInto(nil)
 		if len(replies) != 1 {
 			t.Fatalf("shard %d: %d replies, want 1", s, len(replies))
 		}
@@ -116,7 +116,7 @@ func TestGroupInjectBatchPartitions(t *testing.T) {
 	if events := n.grp.InjectBatch(batch); events == 0 {
 		t.Fatal("batch processed no events")
 	}
-	replies := n.edge.Drain()
+	replies := n.edge.DrainInto(nil)
 	if len(replies) != len(batch) {
 		t.Fatalf("%d replies to a %d-packet batch", len(replies), len(batch))
 	}
@@ -350,7 +350,7 @@ func TestGroupConcurrentInjectRelease(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	got += len(n.edge.Drain())
+	got += len(n.edge.DrainInto(nil))
 	if want := workers * rounds * burst; got != want {
 		t.Fatalf("%d replies to %d probes", got, want)
 	}

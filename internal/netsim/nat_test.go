@@ -48,7 +48,7 @@ func (n *v4Net) ping(t *testing.T, dst wire.IPv4Addr, ttl uint8) []*wire.Summary
 	}
 	n.eng.Inject(n.scanner.Iface(), pkt)
 	var out []*wire.Summary4
-	for _, raw := range n.scanner.Drain() {
+	for _, raw := range n.scanner.DrainInto(nil) {
 		s, err := wire.ParsePacket4(raw)
 		if err != nil {
 			t.Fatalf("bad packet: %v", err)
@@ -125,7 +125,7 @@ func TestNATDropsNonEcho(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.eng.Inject(n.scanner.Iface(), pkt)
-	if got := len(n.scanner.Drain()); got != 0 {
+	if got := len(n.scanner.DrainInto(nil)); got != 0 {
 		t.Errorf("NAT answered a UDP probe with %d packets", got)
 	}
 }

@@ -86,7 +86,7 @@ func (n *testNet) probe(t *testing.T, dst ipv6.Addr, hopLimit uint8) []*wire.Sum
 	}
 	n.eng.Inject(n.scanner.Iface(), pkt)
 	var out []*wire.Summary
-	for _, raw := range n.scanner.Drain() {
+	for _, raw := range n.scanner.DrainInto(nil) {
 		s, err := wire.ParsePacket(raw)
 		if err != nil {
 			t.Fatalf("undecodable packet at scanner: %v", err)
@@ -322,7 +322,7 @@ func TestUEUnreachableAndEcho(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Inject(scan.Iface(), pkt)
-	drained := scan.Drain()
+	drained := scan.DrainInto(nil)
 	if len(drained) != 1 {
 		t.Fatalf("got %d replies", len(drained))
 	}
@@ -340,7 +340,7 @@ func TestUEUnreachableAndEcho(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Inject(scan.Iface(), pkt)
-	drained = scan.Drain()
+	drained = scan.DrainInto(nil)
 	if len(drained) != 1 {
 		t.Fatalf("got %d replies", len(drained))
 	}
@@ -446,7 +446,7 @@ func TestGarbageThroughRouters(t *testing.T) {
 		}
 		n.eng.Inject(n.scanner.Iface(), b)
 	}
-	n.scanner.Drain()
+	n.scanner.DrainInto(nil)
 }
 
 func TestInjectBatch(t *testing.T) {
@@ -460,7 +460,7 @@ func TestInjectBatch(t *testing.T) {
 		pkts = append(pkts, pkt)
 	}
 	n.eng.InjectBatch(n.scanner.Iface(), pkts)
-	if got := len(n.scanner.Drain()); got != 5 {
+	if got := len(n.scanner.DrainInto(nil)); got != 5 {
 		t.Errorf("batch got %d replies", got)
 	}
 }
@@ -553,7 +553,7 @@ func TestUEDropsTransitAndExhaustsHops(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Inject(scan.Iface(), pkt)
-	got := scan.Drain()
+	got := scan.DrainInto(nil)
 	if len(got) != 1 {
 		t.Fatalf("got %d replies", len(got))
 	}
@@ -568,7 +568,7 @@ func TestUEDropsTransitAndExhaustsHops(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Inject(scan.Iface(), pkt)
-	if got := len(scan.Drain()); got != 0 {
+	if got := len(scan.DrainInto(nil)); got != 0 {
 		t.Errorf("UE transited %d packets", got)
 	}
 }

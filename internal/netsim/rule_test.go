@@ -244,7 +244,7 @@ func TestEchoToLANHostAllocFree(t *testing.T) {
 	// The reply crosses the ISP and the core on the way back.
 	want[7] -= 2
 	n.eng.Inject(n.scanner.Iface(), pkt)
-	got := n.scanner.Drain()
+	got := n.scanner.DrainInto(nil)
 	if len(got) != 1 || !bytes.Equal(got[0], want) {
 		t.Fatalf("host reply:\n got %x\nwant %x", got, want)
 	}

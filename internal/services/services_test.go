@@ -215,7 +215,7 @@ func TestClosedUDPPortUnreachable(t *testing.T) {
 func TestFTPBannerAndUser(t *testing.T) {
 	st := newStack(t)
 	c := &stackConn{st: st}
-	res, err := minitcp.Exchange(c, clientAddr, devAddr, 40000, 21, []byte("USER anonymous\r\n"), 4)
+	res, err := new(minitcp.Client).Exchange(c, clientAddr, devAddr, 40000, 21, []byte("USER anonymous\r\n"), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestFTPBannerAndUser(t *testing.T) {
 func TestSSHVersionExchange(t *testing.T) {
 	st := newStack(t)
 	c := &stackConn{st: st}
-	res, err := minitcp.Exchange(c, clientAddr, devAddr, 40001, 22, []byte("SSH-2.0-probe\r\n"), 4)
+	res, err := new(minitcp.Client).Exchange(c, clientAddr, devAddr, 40001, 22, []byte("SSH-2.0-probe\r\n"), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestSSHVersionExchange(t *testing.T) {
 func TestTelnetLoginPrompt(t *testing.T) {
 	st := newStack(t)
 	c := &stackConn{st: st}
-	res, err := minitcp.Exchange(c, clientAddr, devAddr, 40002, 23, nil, 4)
+	res, err := new(minitcp.Client).Exchange(c, clientAddr, devAddr, 40002, 23, nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestTelnetLoginPrompt(t *testing.T) {
 func TestHTTPLoginPage(t *testing.T) {
 	st := newStack(t)
 	c := &stackConn{st: st}
-	res, err := minitcp.Exchange(c, clientAddr, devAddr, 40003, 80,
+	res, err := new(minitcp.Client).Exchange(c, clientAddr, devAddr, 40003, 80,
 		[]byte("GET / HTTP/1.1\r\nHost: router\r\n\r\n"), 4)
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +277,7 @@ func TestHTTPLoginPage(t *testing.T) {
 func TestHTTP8080NoLogin(t *testing.T) {
 	st := newStack(t)
 	c := &stackConn{st: st}
-	res, err := minitcp.Exchange(c, clientAddr, devAddr, 40004, 8080,
+	res, err := new(minitcp.Client).Exchange(c, clientAddr, devAddr, 40004, 8080,
 		[]byte("GET / HTTP/1.1\r\n\r\n"), 4)
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +290,7 @@ func TestHTTP8080NoLogin(t *testing.T) {
 func TestHTTPBadRequest(t *testing.T) {
 	st := newStack(t)
 	c := &stackConn{st: st}
-	res, err := minitcp.Exchange(c, clientAddr, devAddr, 40005, 80, []byte("NONSENSE\r\n\r\n"), 4)
+	res, err := new(minitcp.Client).Exchange(c, clientAddr, devAddr, 40005, 80, []byte("NONSENSE\r\n\r\n"), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestTLSHandshake(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := minitcp.Exchange(c, clientAddr, devAddr, 40006, 443, hello, 4)
+	res, err := new(minitcp.Client).Exchange(c, clientAddr, devAddr, 40006, 443, hello, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestDisabledServicesClosed(t *testing.T) {
 		t.Error("Enabled() wrong")
 	}
 	c := &stackConn{st: st}
-	res, err := minitcp.Exchange(c, clientAddr, devAddr, 40007, 22, nil, 4)
+	res, err := new(minitcp.Client).Exchange(c, clientAddr, devAddr, 40007, 22, nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -130,7 +130,7 @@ func udpCheck(e env, _ *leg, _ []*leg) ([]string, error) {
 	}
 	drv, err := xmap.NewUDPDriver(f.Edge.Addr(), func(pkt []byte) [][]byte {
 		f.Eng.Inject(f.Edge.Iface(), pkt)
-		return f.Edge.Drain()
+		return f.Edge.DrainInto(nil)
 	})
 	if err != nil {
 		return nil, err

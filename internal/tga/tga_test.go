@@ -124,7 +124,7 @@ func TestSeedDiversityCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 		dep.Engine.Inject(dep.Edge.Iface(), pkt)
-		for _, raw := range dep.Edge.Drain() {
+		for _, raw := range dep.Edge.DrainInto(nil) {
 			sum, err := wire.ParsePacket(raw)
 			if err != nil || sum.ICMP == nil {
 				continue

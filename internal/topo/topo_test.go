@@ -335,7 +335,7 @@ func TestGeneratedServicesReachable(t *testing.T) {
 		t.Fatal(err)
 	}
 	dep.Engine.Inject(dep.Edge.Iface(), syn)
-	replies := dep.Edge.Drain()
+	replies := dep.Edge.DrainInto(nil)
 	if len(replies) != 1 {
 		t.Fatalf("got %d replies to SYN", len(replies))
 	}
@@ -402,7 +402,7 @@ func TestLabLoopBehaviorEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		dep.Engine.Inject(dep.Edge.Iface(), pkt)
-		dep.Edge.Drain()
+		dep.Edge.DrainInto(nil)
 		return asus.AccessLink.TotalPackets() - before
 	}
 

@@ -31,12 +31,7 @@ func buildEcho(scratch []byte, typ uint8, src, dst ipv6.Addr, hopLimit uint8, id
 		return nil, fmt.Errorf("wire: payload length %d exceeds 65535", payloadLen)
 	}
 	n := HeaderLen + payloadLen
-	var pkt []byte
-	if cap(scratch) >= n {
-		pkt = scratch[:n]
-	} else {
-		pkt = make([]byte, n)
-	}
+	pkt := sized(scratch, n)
 	h := IPv6Header{NextHeader: ProtoICMPv6, HopLimit: hopLimit, Src: src, Dst: dst}
 	putIPv6(pkt, &h, payloadLen)
 	m := pkt[HeaderLen:]
@@ -93,12 +88,7 @@ func buildError(scratch []byte, typ, code uint8, src, dst ipv6.Addr, hopLimit ui
 	}
 	payloadLen := 8 + len(invoking)
 	n := HeaderLen + payloadLen
-	var pkt []byte
-	if cap(scratch) >= n {
-		pkt = scratch[:n]
-	} else {
-		pkt = make([]byte, n)
-	}
+	pkt := sized(scratch, n)
 	h := IPv6Header{NextHeader: ProtoICMPv6, HopLimit: hopLimit, Src: src, Dst: dst}
 	putIPv6(pkt, &h, payloadLen)
 	m := pkt[HeaderLen:]
@@ -137,17 +127,24 @@ func AppendTimeExceeded(buf []byte, src, dst ipv6.Addr, hopLimit uint8, invoking
 
 // BuildUDP assembles a complete IPv6 UDP packet in one allocation.
 func BuildUDP(src, dst ipv6.Addr, hopLimit uint8, srcPort, dstPort uint16, payload []byte) ([]byte, error) {
+	return AppendUDP(nil, src, dst, hopLimit, srcPort, dstPort, payload)
+}
+
+// AppendUDP is BuildUDP building into buf when its capacity suffices
+// (allocating otherwise), for clients that recycle one send buffer.
+func AppendUDP(buf []byte, src, dst ipv6.Addr, hopLimit uint8, srcPort, dstPort uint16, payload []byte) ([]byte, error) {
 	payloadLen := 8 + len(payload)
 	if payloadLen > 0xffff {
 		return nil, fmt.Errorf("wire: UDP payload too long: %d", len(payload))
 	}
-	pkt := make([]byte, HeaderLen+payloadLen)
+	pkt := sized(buf, HeaderLen+payloadLen)
 	h := IPv6Header{NextHeader: ProtoUDP, HopLimit: hopLimit, Src: src, Dst: dst}
 	putIPv6(pkt, &h, payloadLen)
 	u := pkt[HeaderLen:]
 	binary.BigEndian.PutUint16(u[0:2], srcPort)
 	binary.BigEndian.PutUint16(u[2:4], dstPort)
 	binary.BigEndian.PutUint16(u[4:6], uint16(payloadLen))
+	u[6], u[7] = 0, 0
 	copy(u[8:], payload)
 	csum := Checksum(src, dst, ProtoUDP, u)
 	if csum == 0 {
@@ -159,11 +156,17 @@ func BuildUDP(src, dst ipv6.Addr, hopLimit uint8, srcPort, dstPort uint16, paylo
 
 // BuildTCP assembles a complete IPv6 TCP packet in one allocation.
 func BuildTCP(src, dst ipv6.Addr, hopLimit uint8, t TCPHeader, payload []byte) ([]byte, error) {
+	return AppendTCP(nil, src, dst, hopLimit, t, payload)
+}
+
+// AppendTCP is BuildTCP building into buf when its capacity suffices
+// (allocating otherwise), for clients that recycle one send buffer.
+func AppendTCP(buf []byte, src, dst ipv6.Addr, hopLimit uint8, t TCPHeader, payload []byte) ([]byte, error) {
 	payloadLen := 20 + len(payload)
 	if payloadLen > 0xffff {
 		return nil, fmt.Errorf("wire: TCP payload too long: %d", len(payload))
 	}
-	pkt := make([]byte, HeaderLen+payloadLen)
+	pkt := sized(buf, HeaderLen+payloadLen)
 	h := IPv6Header{NextHeader: ProtoTCP, HopLimit: hopLimit, Src: src, Dst: dst}
 	putIPv6(pkt, &h, payloadLen)
 	seg := pkt[HeaderLen:]
@@ -174,9 +177,20 @@ func BuildTCP(src, dst ipv6.Addr, hopLimit uint8, t TCPHeader, payload []byte) (
 	seg[12] = 5 << 4 // data offset: 5 words
 	seg[13] = t.Flags
 	binary.BigEndian.PutUint16(seg[14:16], t.Window)
+	clear(seg[16:20]) // checksum and urgent pointer
 	copy(seg[20:], payload)
 	binary.BigEndian.PutUint16(seg[16:18], Checksum(src, dst, ProtoTCP, seg))
 	return pkt, nil
+}
+
+// sized returns buf resliced to n bytes when its capacity suffices and a
+// fresh n-byte slice otherwise. Builders into it write every byte, so a
+// reused buffer yields the same packet as a fresh one.
+func sized(buf []byte, n int) []byte {
+	if cap(buf) >= n {
+		return buf[:n]
+	}
+	return make([]byte, n)
 }
 
 // Summary is a decoded view of a packet used by receive paths to dispatch

@@ -180,6 +180,10 @@ func TestErrorBodyTruncatesTo1280(t *testing.T) {
 	}
 }
 
+// dirty returns an empty slice over n+8 bytes of garbage, for checking
+// that an Append builder overwrites whatever a reused buffer held.
+func dirty(n int) []byte { return bytes.Repeat([]byte{0xa5}, n+8)[:0] }
+
 func TestUDPRoundTrip(t *testing.T) {
 	f := func(sp, dp uint16, payload []byte) bool {
 		if len(payload) > 60000 {
@@ -193,7 +197,11 @@ func TestUDPRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return s.UDP.SrcPort == sp && s.UDP.DstPort == dp && bytes.Equal(s.Payload, payload)
+		// Appending into a dirty buffer with room to spare builds the
+		// same bytes: every header byte is written, not assumed zero.
+		again, err := AppendUDP(dirty(len(pkt)), srcA, dstA, 64, sp, dp, payload)
+		return err == nil && bytes.Equal(again, pkt) &&
+			s.UDP.SrcPort == sp && s.UDP.DstPort == dp && bytes.Equal(s.Payload, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -245,7 +253,8 @@ func TestTCPRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return *s.TCP == th && bytes.Equal(s.Payload, payload)
+		again, err := AppendTCP(dirty(len(pkt)), srcA, dstA, 64, th, payload)
+		return err == nil && bytes.Equal(again, pkt) && *s.TCP == th && bytes.Equal(s.Payload, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -7,6 +7,7 @@
 package xmap
 
 import (
+	"bytes"
 	"runtime"
 
 	"repro/internal/ipv6"
@@ -51,7 +52,9 @@ type PacketDriver interface {
 	// Send transmits one raw IPv6 packet.
 	Send(pkt []byte) error
 	// Recv drains packets that have arrived since the last call. It
-	// never blocks.
+	// never blocks. The returned slice and the packets in it are valid
+	// until the next Recv, which may hand them back to the packet layer
+	// for reuse: a caller copies out whatever it keeps longer.
 	Recv() [][]byte
 	// SourceAddr is the scanner's source address.
 	SourceAddr() ipv6.Addr
@@ -61,10 +64,9 @@ type PacketDriver interface {
 // icmp6_echoscan probe to a destination and returns the first reply
 // ClassifyRaw validates for it, so a reply quoting another address, a
 // foreign id/seq or a non-echo packet is never taken as the answer. The
-// probe buffer and the receive slice are reused. When the driver also
-// speaks the batch contract with Release (SimDriver does), replies are
-// drained through RecvBatch and handed back once classified; otherwise
-// through Recv. Not safe for concurrent use.
+// probe buffer is reused, and an echo Response holds no reference into
+// its reply, so over SimDriver (whose Recv recycles the previous drain)
+// a warm exchange allocates nothing. Not safe for concurrent use.
 type EchoExchange struct {
 	// Probe builds and classifies the probes. Its HopLimit may change
 	// between calls to Ping.
@@ -72,22 +74,13 @@ type EchoExchange struct {
 	// Validate gives each probe's id/seq; a reply must carry it back.
 	Validate Validator
 
-	drv   PacketDriver
-	batch releasingDriver // drv, when it can drain in batches and take replies back
-	buf   []byte
-	rx    [][]byte
-}
-
-type releasingDriver interface {
-	Driver
-	Releaser
+	drv PacketDriver
+	buf []byte
 }
 
 // NewEchoExchange returns an exchange over drv probing at hopLimit.
 func NewEchoExchange(drv PacketDriver, hopLimit uint8, validate Validator) *EchoExchange {
-	x := &EchoExchange{Probe: ICMPEchoProbe{HopLimit: hopLimit}, Validate: validate, drv: drv}
-	x.batch, _ = drv.(releasingDriver)
-	return x
+	return &EchoExchange{Probe: ICMPEchoProbe{HopLimit: hopLimit}, Validate: validate, drv: drv}
 }
 
 // Ping sends one probe to dst and returns the first validated reply for
@@ -101,23 +94,12 @@ func (x *EchoExchange) Ping(dst ipv6.Addr) (r Response, ok bool, err error) {
 	if err := x.drv.Send(x.buf); err != nil {
 		return Response{}, false, err
 	}
-	if x.batch != nil {
-		x.rx = x.batch.RecvBatch(x.rx[:0])
-	} else {
-		x.rx = x.drv.Recv()
-	}
-	for _, raw := range x.rx {
+	for _, raw := range x.drv.Recv() {
 		if got, valid := x.Probe.ClassifyRaw(raw, x.Validate); valid && got.ProbeDst == dst {
-			r, ok = got, true
-			break
+			return got, true, nil
 		}
 	}
-	if x.batch != nil {
-		// An echo Response holds no reference into its reply buffer.
-		x.batch.Release(x.rx)
-		clear(x.rx)
-	}
-	return r, ok, nil
+	return Response{}, false, nil
 }
 
 // Releaser is an optional Driver capability: hand packet buffers
@@ -196,19 +178,26 @@ func (a *packetAdapter) SendBatch(pkts [][]byte) (int, error) {
 	return len(pkts), nil
 }
 
-// RecvBatch implements Driver.
+// RecvBatch implements Driver. Recv lends its packets only until the
+// next Recv, while RecvBatch's caller owns what it gets (a KindUDPData
+// Response keeps its Payload), so each packet is copied out.
 func (a *packetAdapter) RecvBatch(buf [][]byte) [][]byte {
-	return append(buf, a.p.Recv()...)
+	for _, pkt := range a.p.Recv() {
+		buf = append(buf, bytes.Clone(pkt))
+	}
+	return buf
 }
 
 // SourceAddr implements Driver.
 func (a *packetAdapter) SourceAddr() ipv6.Addr { return a.p.SourceAddr() }
 
 // SimDriver runs the scanner against a netsim topology through an edge
-// node.
+// node. Send and the batch entry points are safe for concurrent use;
+// Recv is not, since each call recycles the previous one's packets.
 type SimDriver struct {
 	eng  *netsim.Engine
 	edge *netsim.Edge
+	rx   [][]byte // Recv's drain, handed back to the engine by the next Recv
 }
 
 var _ Driver = (*SimDriver)(nil)
@@ -234,8 +223,15 @@ func (d *SimDriver) SendBatch(pkts [][]byte) (int, error) {
 	return len(pkts), nil
 }
 
-// Recv implements PacketDriver.
-func (d *SimDriver) Recv() [][]byte { return d.edge.Drain() }
+// Recv implements PacketDriver. It first hands the previous call's
+// packets back to the engine, then drains into the same slice, so a
+// steady Send/Recv loop allocates nothing on the receive side.
+func (d *SimDriver) Recv() [][]byte {
+	d.eng.ReleaseBufs(d.rx)
+	clear(d.rx)
+	d.rx = d.edge.DrainInto(d.rx[:0])
+	return d.rx
+}
 
 // RecvBatch implements Driver.
 func (d *SimDriver) RecvBatch(buf [][]byte) [][]byte { return d.edge.DrainInto(buf) }

@@ -692,7 +692,7 @@ func TestUDPDriverAsync(t *testing.T) {
 	f := buildFixture(t) // provides the engine and edge
 	handler := func(pkt []byte) [][]byte {
 		f.eng.Inject(f.edge.Iface(), pkt)
-		return f.edge.Drain()
+		return f.edge.DrainInto(nil)
 	}
 	drv, err := NewUDPDriver(ipv6.MustParseAddr("2001:beef::100"), handler)
 	if err != nil {

@@ -51,17 +51,51 @@ func (d *DeviceResult) AliveCount() int {
 	return n
 }
 
-// Prober drives service probes through a scan driver.
+// Prober drives service probes through a scan driver. It reuses its
+// packet buffers, parse state and requests across probes. Not safe for
+// concurrent use.
 type Prober struct {
 	drv      xmap.PacketDriver
+	tcp      minitcp.Client
 	nextPort uint16
 	// maxRounds bounds each TCP exchange (lock-step drivers need few).
 	maxRounds int
+
+	// The constant requests, marshalled once.
+	dnsQuery, versionQuery, ntpQuery, clientHello []byte
+
+	udpBuf  []byte       // udpRoundTrip's send buffer
+	sum     wire.Summary // udpRoundTrip's reply parse state
+	httpReq []byte       // probeHTTP's request, rebuilt per device
 }
 
 // New creates a prober.
 func New(drv xmap.PacketDriver) *Prober {
-	return &Prober{drv: drv, nextPort: 33000, maxRounds: 4}
+	return &Prober{
+		drv: drv, nextPort: 33000, maxRounds: 4,
+		dnsQuery:     must(dnswire.NewQuery(dnsQueryID, "connectivity.xmap.example", dnswire.TypeA, dnswire.ClassIN).Marshal()),
+		versionQuery: must(dnswire.NewVersionBindQuery(versionQueryID).Marshal()),
+		ntpQuery:     must(ntpwire.NewClientQuery(ntpXmit).Marshal()),
+		clientHello: must(tlswire.MarshalClientHello(&tlswire.ClientHello{
+			CipherSuites: []uint16{tlswire.TLSECDHERSAWithAES128GCMSHA256, tlswire.TLSRSAWithAES128CBCSHA},
+		})),
+	}
+}
+
+// The ids the DNS and NTP replies must echo.
+const (
+	dnsQueryID     = 0x1a2b
+	versionQueryID = 0x1a2c
+	ntpXmit        = 0x58aa_77cc_1122_3344
+)
+
+// must unwraps the marshalling of a constant request: its inputs are
+// fixed, so only a bug makes it fail.
+func must(b []byte, err error) []byte {
+	if err != nil {
+		panic("zgrab: marshalling a constant request: " + err.Error())
+	}
+	return b
 }
 
 // srcPort hands out distinct client ports so flows never collide.
@@ -121,19 +155,22 @@ func (p *Prober) probeService(addr ipv6.Addr, svc services.ID) (ServiceResult, e
 	return res, fmt.Errorf("zgrab: unknown service %v", svc)
 }
 
-// udpRoundTrip sends one datagram and returns the matching reply payload.
+// udpRoundTrip sends one datagram and returns the matching reply
+// payload. The payload aliases the reply packet, so it is valid only
+// until the driver's next Recv.
 func (p *Prober) udpRoundTrip(addr ipv6.Addr, dstPort uint16, payload []byte) ([]byte, error) {
 	sp := p.srcPort()
-	pkt, err := wire.BuildUDP(p.drv.SourceAddr(), addr, 64, sp, dstPort, payload)
+	pkt, err := wire.AppendUDP(p.udpBuf, p.drv.SourceAddr(), addr, 64, sp, dstPort, payload)
 	if err != nil {
 		return nil, err
 	}
+	p.udpBuf = pkt
 	if err := p.drv.Send(pkt); err != nil {
 		return nil, err
 	}
+	sum := &p.sum
 	for _, raw := range p.drv.Recv() {
-		sum, err := wire.ParsePacket(raw)
-		if err != nil || sum.UDP == nil {
+		if sum.Parse(raw) != nil || sum.UDP == nil {
 			continue
 		}
 		if sum.IP.Src != addr || sum.UDP.SrcPort != dstPort || sum.UDP.DstPort != sp {
@@ -144,13 +181,11 @@ func (p *Prober) udpRoundTrip(addr ipv6.Addr, dstPort uint16, payload []byte) ([
 	return nil, nil
 }
 
+// probeDNS asks for an A record, then for version.bind. Each reply is
+// parsed before the next round trip's Recv recycles it.
 func (p *Prober) probeDNS(addr ipv6.Addr) (ServiceResult, error) {
 	res := ServiceResult{Service: services.SvcDNS}
-	q, err := dnswire.NewQuery(0x1a2b, "connectivity.xmap.example", dnswire.TypeA, dnswire.ClassIN).Marshal()
-	if err != nil {
-		return res, err
-	}
-	reply, err := p.udpRoundTrip(addr, 53, q)
+	reply, err := p.udpRoundTrip(addr, 53, p.dnsQuery)
 	if err != nil {
 		return res, err
 	}
@@ -158,17 +193,13 @@ func (p *Prober) probeDNS(addr ipv6.Addr) (ServiceResult, error) {
 		return res, nil
 	}
 	m, err := dnswire.Parse(reply)
-	if err != nil || m.ID != 0x1a2b || m.Flags&dnswire.FlagQR == 0 {
+	if err != nil || m.ID != dnsQueryID || m.Flags&dnswire.FlagQR == 0 {
 		return res, nil
 	}
 	res.Alive = true
 
 	// Follow up with the version fingerprint.
-	vq, err := dnswire.NewVersionBindQuery(0x1a2c).Marshal()
-	if err != nil {
-		return res, err
-	}
-	vreply, err := p.udpRoundTrip(addr, 53, vq)
+	vreply, err := p.udpRoundTrip(addr, 53, p.versionQuery)
 	if err != nil || vreply == nil {
 		return res, err
 	}
@@ -185,11 +216,7 @@ func (p *Prober) probeDNS(addr ipv6.Addr) (ServiceResult, error) {
 
 func (p *Prober) probeNTP(addr ipv6.Addr) (ServiceResult, error) {
 	res := ServiceResult{Service: services.SvcNTP}
-	q, err := ntpwire.NewClientQuery(0x58aa_77cc_1122_3344).Marshal()
-	if err != nil {
-		return res, err
-	}
-	reply, err := p.udpRoundTrip(addr, 123, q)
+	reply, err := p.udpRoundTrip(addr, 123, p.ntpQuery)
 	if err != nil {
 		return res, err
 	}
@@ -197,7 +224,7 @@ func (p *Prober) probeNTP(addr ipv6.Addr) (ServiceResult, error) {
 		return res, nil
 	}
 	pkt, err := ntpwire.Parse(reply)
-	if err != nil || pkt.Mode != ntpwire.ModeServer || pkt.OrigTimestamp != 0x58aa_77cc_1122_3344 {
+	if err != nil || pkt.Mode != ntpwire.ModeServer || pkt.OrigTimestamp != ntpXmit {
 		return res, nil
 	}
 	res.Alive = true
@@ -205,12 +232,13 @@ func (p *Prober) probeNTP(addr ipv6.Addr) (ServiceResult, error) {
 	return res, nil
 }
 
-// bannerParser extracts software/vendor evidence from banner+data.
-type bannerParser func(banner, data []byte, res *ServiceResult)
+// bannerParser extracts software and vendor evidence from a banner; ok
+// is false when the banner is not the service's greeting.
+type bannerParser func(banner []byte) (software, vendor string, ok bool)
 
 func (p *Prober) probeBanner(addr ipv6.Addr, svc services.ID, req []byte, parse bannerParser) (ServiceResult, error) {
 	res := ServiceResult{Service: svc}
-	x, err := minitcp.Exchange(p.drv, p.drv.SourceAddr(), addr, p.srcPort(), svc.Port(), req, p.maxRounds)
+	x, err := p.tcp.Exchange(p.drv, p.drv.SourceAddr(), addr, p.srcPort(), svc.Port(), req, p.maxRounds)
 	if err != nil {
 		return res, err
 	}
@@ -222,41 +250,42 @@ func (p *Prober) probeBanner(addr ipv6.Addr, svc services.ID, req []byte, parse 
 		// that got nothing back — the paper requires a valid response.
 		return res, nil
 	}
-	res.Alive = true
-	parse(x.Banner, x.Data, &res)
+	res.Software, res.Vendor, res.Alive = parse(x.Banner)
 	return res, nil
 }
 
-func parseFTP(banner, _ []byte, res *ServiceResult) {
+func parseFTP(banner []byte) (software, vendor string, ok bool) {
 	line := strings.TrimSpace(string(banner))
 	if !strings.HasPrefix(line, "220") {
-		res.Alive = false
-		return
+		return "", "", false
 	}
 	if i := strings.IndexByte(line, '('); i >= 0 {
 		if j := strings.IndexByte(line[i:], ')'); j > 0 {
-			res.Software = line[i+1 : i+j]
+			software = line[i+1 : i+j]
 		}
 	}
+	return software, "", true
 }
 
-func parseSSH(banner, data []byte, res *ServiceResult) {
+func parseSSH(banner []byte) (software, vendor string, ok bool) {
 	line := strings.TrimSpace(string(banner))
 	if !strings.HasPrefix(line, "SSH-") {
-		res.Alive = false
-		return
+		return "", "", false
 	}
+	// The software field may be empty ("SSH-2.0-"): the greeting still
+	// counts, with no version to report.
 	if rest, ok := strings.CutPrefix(line, "SSH-2.0-"); ok {
-		res.Software = strings.Fields(rest)[0]
+		if f := strings.Fields(rest); len(f) > 0 {
+			software = f[0]
+		}
 	}
-	_ = data
+	return software, "", true
 }
 
-func parseTelnet(banner, _ []byte, res *ServiceResult) {
+func parseTelnet(banner []byte) (software, vendor string, ok bool) {
 	text := stripTelnetIAC(banner)
 	if !strings.Contains(text, "login:") && !strings.Contains(text, "Login") {
-		res.Alive = false
-		return
+		return "", "", false
 	}
 	// "<device>\r\n<vendor> login: " — the token before "login:" names
 	// the vendor.
@@ -265,12 +294,13 @@ func parseTelnet(banner, _ []byte, res *ServiceResult) {
 		if j := strings.LastIndexAny(head, "\r\n"); j >= 0 {
 			head = strings.TrimSpace(head[j+1:])
 		}
-		res.Vendor = head
+		vendor = head
 	}
 	lines := strings.Split(strings.TrimSpace(text), "\n")
 	if len(lines) > 0 {
-		res.Software = strings.TrimSpace(lines[0])
+		software = strings.TrimSpace(lines[0])
 	}
+	return software, vendor, true
 }
 
 // stripTelnetIAC removes IAC negotiation sequences.
@@ -289,8 +319,11 @@ func stripTelnetIAC(b []byte) string {
 
 func (p *Prober) probeHTTP(addr ipv6.Addr, svc services.ID) (ServiceResult, error) {
 	res := ServiceResult{Service: svc}
-	req := []byte("GET / HTTP/1.1\r\nHost: [" + addr.String() + "]\r\nUser-Agent: XMap-research-scan\r\nConnection: close\r\n\r\n")
-	x, err := minitcp.Exchange(p.drv, p.drv.SourceAddr(), addr, p.srcPort(), svc.Port(), req, p.maxRounds)
+	req := append(p.httpReq[:0], "GET / HTTP/1.1\r\nHost: ["...)
+	req = addr.AppendTo(req)
+	req = append(req, "]\r\nUser-Agent: XMap-research-scan\r\nConnection: close\r\n\r\n"...)
+	p.httpReq = req
+	x, err := p.tcp.Exchange(p.drv, p.drv.SourceAddr(), addr, p.srcPort(), svc.Port(), req, p.maxRounds)
 	if err != nil {
 		return res, err
 	}
@@ -328,13 +361,7 @@ func (p *Prober) probeHTTP(addr ipv6.Addr, svc services.ID) (ServiceResult, erro
 
 func (p *Prober) probeTLS(addr ipv6.Addr) (ServiceResult, error) {
 	res := ServiceResult{Service: services.SvcTLS}
-	hello, err := tlswire.MarshalClientHello(&tlswire.ClientHello{
-		CipherSuites: []uint16{tlswire.TLSECDHERSAWithAES128GCMSHA256, tlswire.TLSRSAWithAES128CBCSHA},
-	})
-	if err != nil {
-		return res, err
-	}
-	x, err := minitcp.Exchange(p.drv, p.drv.SourceAddr(), addr, p.srcPort(), 443, hello, p.maxRounds)
+	x, err := p.tcp.Exchange(p.drv, p.drv.SourceAddr(), addr, p.srcPort(), 443, p.clientHello, p.maxRounds)
 	if err != nil {
 		return res, err
 	}
