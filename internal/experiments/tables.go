@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/ipv6"
+	"repro/internal/netsim"
 	"repro/internal/report"
 	"repro/internal/services"
 	"repro/internal/topo"
@@ -175,30 +176,9 @@ var tableVISpec = []struct {
 	{services.SvcHTTP8080, "HTTP GET request", "header, version, body"},
 }
 
-// stackDriver exposes one service stack as a scan driver, for
-// conformance checks without a full topology.
-type stackDriver struct {
-	self  ipv6.Addr
-	src   ipv6.Addr
-	stack *services.Stack
-	buf   [][]byte
-}
-
-func (d *stackDriver) Send(pkt []byte) error {
-	d.buf = append(d.buf, d.stack.HandleLocal(d.self, pkt)...)
-	return nil
-}
-
-func (d *stackDriver) Recv() [][]byte {
-	out := d.buf
-	d.buf = nil
-	return out
-}
-
-func (d *stackDriver) SourceAddr() ipv6.Addr { return d.src }
-
 // TableVI verifies each probe's request/response conformance against a
-// reference device exposing all eight services.
+// reference device exposing all eight services: one CPE behind the
+// scanner's edge, probed through the node path the census takes.
 func (s *Suite) TableVI() (string, error) {
 	self := ipv6.MustParseAddr("2001:db8::1")
 	stack := services.NewStack(services.Config{
@@ -210,8 +190,13 @@ func (s *Suite) TableVI() (string, error) {
 			services.SvcTLS: "embedded", services.SvcHTTP8080: "Jetty 6.1.26",
 		},
 	}, []byte("table6"))
-	drv := &stackDriver{self: self, src: ipv6.MustParseAddr("2001:beef::9"), stack: stack}
-	prober := zgrab.New(drv)
+	cpe := netsim.NewCPE(netsim.CPEConfig{
+		Name: "reference", WANAddr: self, WANPrefix: ipv6.MustParsePrefix("2001:db8::/64"), Stack: stack,
+	})
+	eng := netsim.New()
+	edge := netsim.NewEdge("scanner", ipv6.MustParseAddr("2001:beef::9"))
+	eng.Connect(edge.Iface(), cpe.WAN())
+	prober := zgrab.New(xmap.NewSimDriver(eng, edge))
 	res, err := prober.ProbeDevice(self, nil)
 	if err != nil {
 		return "", err

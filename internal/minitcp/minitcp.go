@@ -87,16 +87,15 @@ func (s *Server) isn(self, peer ipv6.Addr, selfPort, peerPort uint16) uint32 {
 	return binary.BigEndian.Uint32(mac[:4])
 }
 
-// HandleSegment processes one TCP segment addressed to self and returns
-// raw reply packets. hopLimit is used for replies.
-func (s *Server) HandleSegment(self, peer ipv6.Addr, seg wire.TCPHeader, payload []byte) [][]byte {
+// HandleSegment answers one TCP segment addressed to self with at most
+// one reply segment, built into buf with wire.AppendTCP (hop limit 64),
+// or returns nil for silence. A reply longer than buf's capacity is
+// built in a fresh buffer.
+func (s *Server) HandleSegment(buf []byte, self, peer ipv6.Addr, seg wire.TCPHeader, payload []byte) []byte {
 	svc, open := s.services[seg.DstPort]
-	reply := func(t wire.TCPHeader, data []byte) [][]byte {
-		pkt, err := wire.BuildTCP(self, peer, 64, t, data)
-		if err != nil {
-			return nil
-		}
-		return [][]byte{pkt}
+	reply := func(t wire.TCPHeader, data []byte) []byte {
+		pkt, _ := wire.AppendTCP(buf, self, peer, 64, t, data) // nil with its error
+		return pkt
 	}
 
 	if seg.Flags&wire.TCPRst != 0 {

@@ -51,8 +51,9 @@ func (c *loopConn) Send(pkt []byte) error {
 	if err != nil || s.TCP == nil {
 		return err
 	}
-	replies := c.srv.HandleSegment(s.IP.Dst, s.IP.Src, *s.TCP, s.Payload)
-	c.buf = append(c.buf, replies...)
+	if reply := c.srv.HandleSegment(nil, s.IP.Dst, s.IP.Src, *s.TCP, s.Payload); reply != nil {
+		c.buf = append(c.buf, reply)
+	}
 	return nil
 }
 
@@ -146,9 +147,8 @@ func TestServerIgnoresForeignAck(t *testing.T) {
 	// A data segment with a bogus ack (not matching the cookie) must be
 	// ignored, not answered.
 	seg := wire.TCPHeader{SrcPort: 1234, DstPort: 80, Seq: 55, Ack: 0xdeadbeef, Flags: wire.TCPAck | wire.TCPPsh}
-	replies := srv.HandleSegment(serverAddr, clientAddr, seg, []byte("req"))
-	if len(replies) != 0 {
-		t.Errorf("got %d replies to forged segment", len(replies))
+	if reply := srv.HandleSegment(nil, serverAddr, clientAddr, seg, []byte("req")); reply != nil {
+		t.Errorf("answered a forged segment with % x", reply)
 	}
 }
 
@@ -156,12 +156,12 @@ func TestServerRSTNotAnswered(t *testing.T) {
 	srv := NewServer([]byte("k"))
 	srv.Register(80, echoService{prefix: "R"})
 	seg := wire.TCPHeader{SrcPort: 1234, DstPort: 80, Seq: 1, Flags: wire.TCPRst}
-	if replies := srv.HandleSegment(serverAddr, clientAddr, seg, nil); len(replies) != 0 {
-		t.Errorf("server answered a RST with %d packets", len(replies))
+	if reply := srv.HandleSegment(nil, serverAddr, clientAddr, seg, nil); reply != nil {
+		t.Errorf("server answered a RST with % x", reply)
 	}
 	// RST to a closed port is also not answered.
 	seg.DstPort = 9999
-	if replies := srv.HandleSegment(serverAddr, clientAddr, seg, nil); len(replies) != 0 {
+	if reply := srv.HandleSegment(nil, serverAddr, clientAddr, seg, nil); reply != nil {
 		t.Error("server answered a RST to a closed port")
 	}
 }
@@ -240,5 +240,27 @@ func TestLargeResponseSingleSegment(t *testing.T) {
 	}
 	if len(res.Data) != 4001 {
 		t.Errorf("data length = %d", len(res.Data))
+	}
+}
+
+// TestHandleSegmentAppendsIntoBuf: the reply is built into the buffer the
+// server is given when it fits — a dirty one yields the same bytes as a
+// fresh build — and in a buffer of its own when it does not.
+func TestHandleSegmentAppendsIntoBuf(t *testing.T) {
+	srv := NewServer([]byte("k"))
+	srv.Register(80, echoService{prefix: "R"})
+	syn := wire.TCPHeader{SrcPort: 1234, DstPort: 80, Seq: 7, Flags: wire.TCPSyn, Window: 65535}
+	want := srv.HandleSegment(nil, serverAddr, clientAddr, syn, nil)
+	if want == nil {
+		t.Fatal("no SYN/ACK")
+	}
+	dirty := bytes.Repeat([]byte{0xa5}, 128)
+	got := srv.HandleSegment(dirty[:0], serverAddr, clientAddr, syn, nil)
+	if !bytes.Equal(got, want) || &got[0] != &dirty[0] {
+		t.Errorf("into a dirty buffer: % x (shared %v), want % x", got, &got[0] == &dirty[0], want)
+	}
+	small := make([]byte, 0, 8)
+	if got := srv.HandleSegment(small, serverAddr, clientAddr, syn, nil); !bytes.Equal(got, want) {
+		t.Errorf("past a small buffer: % x, want % x", got, want)
 	}
 }

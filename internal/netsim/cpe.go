@@ -7,45 +7,6 @@ import (
 	"repro/internal/wire"
 )
 
-// LocalStack is the transport/application stack of a periphery device.
-// The services package provides an implementation with DNS, HTTP, and the
-// other periphery services; netsim itself ships an echo-only stack.
-type LocalStack interface {
-	// HandleLocal processes a packet addressed to self and returns any
-	// reply packets (already fully marshalled, source = self).
-	HandleLocal(self ipv6.Addr, pkt []byte) [][]byte
-}
-
-// EchoStack answers ICMPv6 echo requests and nothing else: a periphery
-// with no exposed services.
-type EchoStack struct{}
-
-var _ LocalStack = EchoStack{}
-
-// HandleLocal implements LocalStack. Tool traffic to a device without
-// services (TCP and UDP probes) is refused from two header bytes before
-// any parse: ParseIPv6 walks no extension headers, so only a packet
-// whose next header is ICMPv6 and whose first payload byte is Echo
-// Request can parse to one.
-func (EchoStack) HandleLocal(self ipv6.Addr, pkt []byte) [][]byte {
-	if len(pkt) <= wire.HeaderLen || pkt[6] != wire.ProtoICMPv6 || pkt[wire.HeaderLen] != wire.ICMPEchoRequest {
-		return nil
-	}
-	s, err := wire.ParsePacket(pkt)
-	if err != nil || s.ICMP == nil || s.ICMP.Type != wire.ICMPEchoRequest {
-		return nil
-	}
-	e, err := wire.ParseEcho(s.ICMP.Body)
-	if err != nil {
-		return nil
-	}
-	reply, err := wire.BuildEchoReply(self, s.IP.Src, 64, e.ID, e.Seq, e.Data)
-	if err != nil {
-		return nil
-	}
-	return [][]byte{reply}
-}
-
 // CPEBehavior captures how a CPE's routing module handles addresses it
 // has no specific route for — the implementation property the paper's
 // Section VI measures.
@@ -97,7 +58,7 @@ type CPEConfig struct {
 	LANAddr   ipv6.Addr // CPE address within Subnets[0]; zero for none
 	Hosts     []ipv6.Addr
 	Behavior  CPEBehavior
-	Stack     LocalStack // nil means EchoStack
+	Stack     LocalStack // nil answers echo only
 	Policy    ErrorPolicy
 }
 
@@ -116,9 +77,6 @@ func NewCPE(cfg CPEConfig) *CPE {
 		self: c, stack: cfg.Stack, fwd: &c.CountForwarded,
 		loops: loopCap{limit: cfg.Behavior.LoopCap},
 		gate:  errorGate{policy: cfg.Policy},
-	}
-	if c.stack == nil {
-		c.stack = EchoStack{}
 	}
 	if len(cfg.Hosts) > 0 {
 		c.hosts = make(map[ipv6.Addr]bool, len(cfg.Hosts))
@@ -146,8 +104,8 @@ func (c *CPE) Behavior() CPEBehavior { return c.behavior }
 func (c *CPE) Delegated() ipv6.Prefix { return c.delegated }
 
 // decide is the CPE's rule, the routing table of the paper's Figure 4 —
-// correct or flawed depending on Behavior: its own addresses go to the
-// stack and operated LAN hosts answer pings; on expiry, Time Exceeded
+// correct or flawed depending on Behavior: its own addresses are
+// delivered locally and operated LAN hosts answer pings; on expiry, Time Exceeded
 // from the WAN address (how a looping probe finally exposes a flawed
 // CPE; expiry precedes routing, so it holds everywhere but those
 // specials); else the WAN /64, operated subnets, the Not-used Prefix and
@@ -374,9 +332,6 @@ var _ Node = (*UE)(nil)
 func NewUE(name string, addr ipv6.Addr, prefix ipv6.Prefix, stack LocalStack, policy ErrorPolicy) *UE {
 	u := &UE{name: name, prefix: prefix}
 	u.forwarder = forwarder{self: u, stack: stack, gate: errorGate{policy: policy}}
-	if u.stack == nil {
-		u.stack = EchoStack{}
-	}
 	u.ifc = NewIface(u, addr, name+":radio")
 	return u
 }
@@ -390,7 +345,7 @@ func (u *UE) Iface() *Iface { return u.ifc }
 // Addr returns the UE's own address.
 func (u *UE) Addr() ipv6.Addr { return u.ifc.addr }
 
-// decide is the UE's rule: its own address goes to the stack, and a
+// decide is the UE's rule: its own address is delivered locally, and a
 // nonexistent address inside its prefix draws address-unreachable from
 // the UE itself (paper Figure 1b). A UE is not a transit router: it
 // drops anything else. Its hop-limit expiry is left to the interpreter.

@@ -88,6 +88,24 @@ func (i *Iface) Peer() *Iface {
 	return i.link.ends[1-i.end]
 }
 
+// buf borrows a packet buffer of length n from the engine the interface
+// is connected to, for a node building a reply while that engine runs
+// it (the engine lock is held). An unconnected interface — a node
+// driven directly — lends nil, and the wire builders allocate.
+func (i *Iface) buf(n int) []byte {
+	if i == nil || i.eng == nil {
+		return nil
+	}
+	return i.eng.getBufLocked(n)
+}
+
+// unbuf hands back a buffer borrowed with buf that carries no packet.
+func (i *Iface) unbuf(b []byte) {
+	if i != nil && i.eng != nil {
+		i.eng.putBufLocked(b)
+	}
+}
+
 // Link is a point-to-point link between two interfaces.
 type Link struct {
 	ends  [2]*Iface

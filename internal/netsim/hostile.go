@@ -93,6 +93,7 @@ type Hostile struct {
 	rng       *rand.Rand
 	sc        emitScratch
 	pkts      [][]byte
+	inner     []byte // the forged-quote variant's inner echo request
 
 	// CountReplies tallies reply packets emitted, for amplification
 	// accounting in tests.
@@ -149,13 +150,6 @@ func hostileAddrIn(p ipv6.Prefix, iid uint64) ipv6.Addr {
 	return ipv6.AddrFrom128(p.First().Uint128().Or(uint128.From64(iid & mask)))
 }
 
-// isEchoRequest reports whether pkt is an ICMPv6 Echo Request without a
-// full parse.
-func isEchoRequest(pkt []byte) bool {
-	return len(pkt) >= wire.HeaderLen+8 &&
-		pkt[6] == wire.ProtoICMPv6 && pkt[wire.HeaderLen] == wire.ICMPEchoRequest
-}
-
 // Handle implements Node.
 func (h *Hostile) Handle(in *Iface, pkt []byte) []Emission {
 	dst, ok := wire.ForwardDst(pkt)
@@ -182,40 +176,12 @@ func (h *Hostile) Handle(in *Iface, pkt []byte) []Emission {
 	return ems
 }
 
-// echoReplyFrom mirrors an echo request as a reply sourced from src,
-// built into a pooled engine buffer; nil if pkt is not an echo request.
-func (h *Hostile) echoReplyFrom(in *Iface, src ipv6.Addr, pkt []byte) []byte {
-	s := &h.sc.sum
-	if err := s.Parse(pkt); err != nil || s.ICMP == nil || s.ICMP.Type != wire.ICMPEchoRequest {
-		return nil
-	}
-	e, err := wire.ParseEcho(s.ICMP.Body)
-	if err != nil {
-		return nil
-	}
-	var scratch []byte
-	if in != nil && in.eng != nil {
-		scratch = in.eng.getBufLocked(len(pkt))
-	}
-	out, err := wire.AppendEchoReply(scratch, src, s.IP.Src, 64, e.ID, e.Seq, e.Data)
-	if err != nil {
-		return nil
-	}
-	return out
-}
-
 // replyAliased: the probed address itself appears to answer.
 func (h *Hostile) replyAliased(in *Iface, dst ipv6.Addr, pkt []byte) []Emission {
 	if isEchoRequest(pkt) {
-		if out := h.echoReplyFrom(in, dst, pkt); out != nil {
-			return h.sc.emit(in, out)
-		}
-		return nil
+		return h.sc.emit(in, h.sc.echoReply(in, dst, pkt))
 	}
-	if out := icmpError(in, dst, pkt, wire.ICMPDestUnreach, wire.UnreachAddress); out != nil {
-		return h.sc.emit(in, out)
-	}
-	return nil
+	return h.sc.emit(in, icmpError(in, dst, pkt, wire.ICMPDestUnreach, wire.UnreachAddress))
 }
 
 // replySpoofed: errors (and occasional echo replies) sourced from the
@@ -228,15 +194,9 @@ func (h *Hostile) replySpoofed(in *Iface, dst ipv6.Addr, pkt []byte) []Emission 
 	if variant == 0 && isEchoRequest(pkt) {
 		// Spoofed-source echo reply: fails the scanner's HMAC check
 		// (id/seq commit to the probed target) — quarantine fodder.
-		if out := h.echoReplyFrom(in, src, pkt); out != nil {
-			return h.sc.emit(in, out)
-		}
-		return nil
+		return h.sc.emit(in, h.sc.echoReply(in, src, pkt))
 	}
-	if out := icmpError(in, src, pkt, wire.ICMPDestUnreach, wire.UnreachNoRoute); out != nil {
-		return h.sc.emit(in, out)
-	}
-	return nil
+	return h.sc.emit(in, icmpError(in, src, pkt, wire.ICMPDestUnreach, wire.UnreachNoRoute))
 }
 
 // replyMalformed: three rotating corruption variants, all sourced from
@@ -250,7 +210,7 @@ func (h *Hostile) replyMalformed(in *Iface, dst ipv6.Addr, pkt []byte) []Emissio
 	case 0:
 		// Corrupted checksum: a valid reply from the target with one
 		// checksum byte flipped. Fails ParseICMPv6's checksum verify.
-		out := h.echoReplyFrom(in, dst, pkt)
+		out := h.sc.echoReply(in, dst, pkt)
 		if out == nil {
 			return nil
 		}
@@ -259,7 +219,7 @@ func (h *Hostile) replyMalformed(in *Iface, dst ipv6.Addr, pkt []byte) []Emissio
 	case 1:
 		// Truncated: outer IPv6 header intact, payload length patched to
 		// a 4-byte stub — shorter than the ICMPv6 header itself.
-		out := h.echoReplyFrom(in, dst, pkt)
+		out := h.sc.echoReply(in, dst, pkt)
 		if out == nil || len(out) < wire.HeaderLen+4 {
 			return nil
 		}
@@ -280,15 +240,12 @@ func (h *Hostile) replyMalformed(in *Iface, dst ipv6.Addr, pkt []byte) []Emissio
 			return nil
 		}
 		scanner := s.IP.Src
-		inner, err := wire.BuildEchoRequest(hostileAddrIn(dst.Prefix64(), iid2), dst, 64, e.ID, e.Seq, e.Data)
+		inner, err := wire.AppendEchoRequest(h.inner, hostileAddrIn(dst.Prefix64(), iid2), dst, 64, e.ID, e.Seq, e.Data)
 		if err != nil {
 			return nil
 		}
-		var scratch []byte
-		if in != nil && in.eng != nil {
-			scratch = in.eng.getBufLocked(wire.ErrorLen(inner))
-		}
-		out, err := wire.AppendDestUnreach(scratch, hostileAddrIn(dst.Prefix64(), iid), scanner,
+		h.inner = inner
+		out, err := wire.AppendDestUnreach(in.buf(wire.ErrorLen(inner)), hostileAddrIn(dst.Prefix64(), iid), scanner,
 			wire.MaxHopLimit, wire.UnreachAddress, inner)
 		if err != nil {
 			return nil
@@ -303,7 +260,7 @@ func (h *Hostile) replyMalformed(in *Iface, dst ipv6.Addr, pkt []byte) []Emissio
 func (h *Hostile) replyStorm(in *Iface, dst ipv6.Addr, pkt []byte) []Emission {
 	var base []byte
 	if isEchoRequest(pkt) {
-		base = h.echoReplyFrom(in, dst, pkt)
+		base = h.sc.echoReply(in, dst, pkt)
 	} else {
 		base = icmpError(in, dst, pkt, wire.ICMPDestUnreach, wire.UnreachAddress)
 	}
@@ -312,14 +269,7 @@ func (h *Hostile) replyStorm(in *Iface, dst ipv6.Addr, pkt []byte) []Emission {
 	}
 	h.pkts = append(h.pkts[:0], base)
 	for i := 1; i < h.storm; i++ {
-		var dup []byte
-		if in != nil && in.eng != nil {
-			dup = in.eng.getBufLocked(len(base))
-		} else {
-			dup = make([]byte, len(base))
-		}
-		copy(dup, base)
-		h.pkts = append(h.pkts, dup)
+		h.pkts = append(h.pkts, append(in.buf(len(base))[:0], base...))
 	}
 	return h.sc.emitAll(in, h.pkts)
 }

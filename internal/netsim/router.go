@@ -31,10 +31,7 @@ func icmpError(in *Iface, src ipv6.Addr, invoking []byte, typ, code uint8) []byt
 	if err != nil {
 		return nil
 	}
-	var scratch []byte
-	if in != nil && in.eng != nil {
-		scratch = in.eng.getBufLocked(wire.ErrorLen(invoking))
-	}
+	scratch := in.buf(wire.ErrorLen(invoking))
 	var out []byte
 	switch typ {
 	case wire.ICMPDestUnreach:
@@ -231,29 +228,4 @@ func (r *Router) regionClaim(dst ipv6.Addr, reg *region) uint8 {
 		return 0
 	}
 	return avoidAddrs(uint8(w), dst, r.addrs, reg)
-}
-
-// respondLocalEcho answers an ICMPv6 Echo Request addressed to self with
-// an Echo Reply out the arrival interface. Non-echo local traffic is
-// silently dropped (core routers in this simulator expose no services).
-func respondLocalEcho(sc *emitScratch, in *Iface, self ipv6.Addr, pkt []byte) []Emission {
-	s := &sc.sum
-	if err := s.Parse(pkt); err != nil || s.ICMP == nil || s.ICMP.Type != wire.ICMPEchoRequest {
-		return nil
-	}
-	e, err := wire.ParseEcho(s.ICMP.Body)
-	if err != nil {
-		return nil
-	}
-	// Build the reply into a pooled engine buffer (the reply mirrors the
-	// request, so the request's length is exactly the reply's).
-	var scratch []byte
-	if in != nil && in.eng != nil {
-		scratch = in.eng.getBufLocked(len(pkt))
-	}
-	reply, err := wire.AppendEchoReply(scratch, self, s.IP.Src, 64, e.ID, e.Seq, e.Data)
-	if err != nil {
-		return nil
-	}
-	return sc.emit(in, reply)
 }

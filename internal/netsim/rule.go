@@ -18,7 +18,7 @@ type action uint8
 
 const (
 	actDrop    action = iota // discard silently
-	actLocal                 // hand to the node's own stack
+	actLocal                 // deliver to the node itself: echo, or its stack
 	actEcho                  // answer an echo request on the node's behalf
 	actForward               // decrement the hop limit and send out an interface
 	actError                 // answer with an ICMPv6 error, subject to a gate
@@ -119,7 +119,7 @@ type decider interface {
 // imply, and the one Handle that applies any decider's verdicts.
 type forwarder struct {
 	self  decider
-	stack LocalStack // actLocal's handler; nil on routers
+	stack LocalStack // actLocal's TCP and UDP handler; nil answers echo only
 	fwd   *uint64    // the node's transit counter (CountForwarded); nil on a UE
 	loops loopCap    // a CPE's per-destination loop bound; zero elsewhere
 	gate  errorGate
@@ -141,9 +141,9 @@ func (f *forwarder) Handle(in *Iface, pkt []byte) []Emission {
 	v := f.self.decide(in, dst, expired, nil)
 	switch v.act {
 	case actLocal:
-		return f.sc.emitAll(in, f.stack.HandleLocal(dst, pkt))
+		return f.sc.emit(in, f.local(in, dst, pkt))
 	case actEcho:
-		return respondLocalEcho(&f.sc, in, dst, pkt)
+		return f.sc.emit(in, f.sc.echoReply(in, dst, pkt))
 	case actDrop:
 		return nil
 	}
@@ -166,4 +166,47 @@ func (f *forwarder) Handle(in *Iface, pkt []byte) []Emission {
 		return nil
 	}
 	return f.sc.emit(in, out)
+}
+
+// LocalStack is the transport and application stack of a periphery
+// device: the TCP and UDP half of its local delivery (the node answers
+// echo itself). The services package provides the implementation.
+type LocalStack interface {
+	// HandleLocal answers one TCP or UDP packet addressed to the device,
+	// parsed into s (pkt is its raw form, for a quote). It builds at
+	// most one reply from s.IP.Dst with the wire.Append* builders into
+	// buf — an empty engine buffer — and returns it, or returns nil to
+	// stay silent. A reply too long for buf's capacity is built in a
+	// buffer of its own.
+	HandleLocal(buf []byte, s *wire.Summary, pkt []byte) []byte
+}
+
+// localReplyCap is the capacity of the engine buffer a stack answers
+// into: the IPv6 minimum link MTU, which every reply the simulated
+// services send fits.
+const localReplyCap = 1280
+
+// local is the one local delivery of every node: a packet addressed to
+// the node itself. TCP and UDP go to the stack, parsed once into the
+// node's Summary, with an engine buffer to answer into; everything else
+// (and everything, on a node without a stack) gets the echo reply or
+// nothing.
+func (f *forwarder) local(in *Iface, self ipv6.Addr, pkt []byte) []byte {
+	if f.stack == nil || (pkt[6] != wire.ProtoTCP && pkt[6] != wire.ProtoUDP) {
+		return f.sc.echoReply(in, self, pkt)
+	}
+	s := &f.sc.sum
+	if s.Parse(pkt) != nil {
+		return nil
+	}
+	buf := in.buf(localReplyCap)[:0]
+	reply := f.stack.HandleLocal(buf, s, pkt)
+	if len(reply) == 0 {
+		in.unbuf(buf) // silent: the borrowed buffer goes straight back
+		return nil
+	}
+	if len(reply) > cap(buf) {
+		in.unbuf(buf) // answered in a buffer of the stack's own
+	}
+	return reply
 }

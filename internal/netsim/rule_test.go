@@ -1,14 +1,12 @@
 package netsim
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/ipv6"
 	"repro/internal/uint128"
-	"repro/internal/wire"
 )
 
 // regionCase is one node under the region-soundness test: the arrival
@@ -222,42 +220,5 @@ func ueCase() regionCase {
 	return regionCase{
 		name: "ue", node: u, ins: []*Iface{u.Iface()},
 		marks: []ipv6.Prefix{prefix, ipv6.MustPrefix(addr, 128), ipv6.MustParsePrefix("2001:db8:ee00::/48")},
-	}
-}
-
-// TestEchoToLANHostAllocFree: a ping to an operated LAN host, answered
-// by the CPE on the host's behalf, comes back as exactly the reply the
-// wire builder makes — and the interpreted round trip, which cannot be
-// compiled (operated hosts are exclusions), allocates nothing once warm:
-// the reply is built into a pooled engine buffer.
-func TestEchoToLANHostAllocFree(t *testing.T) {
-	n := buildTestNet(t, CPEBehavior{}, ErrorPolicy{})
-	data := []byte("probe")
-	pkt, err := wire.BuildEchoRequest(scannerAddr, lanHost, 64, 0xbeef, 7, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := wire.BuildEchoReply(lanHost, scannerAddr, 64, 0xbeef, 7, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The reply crosses the ISP and the core on the way back.
-	want[7] -= 2
-	n.eng.Inject(n.scanner.Iface(), pkt)
-	got := n.scanner.DrainInto(nil)
-	if len(got) != 1 || !bytes.Equal(got[0], want) {
-		t.Fatalf("host reply:\n got %x\nwant %x", got, want)
-	}
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
-	var drained [][]byte
-	allocs := testing.AllocsPerRun(100, func() {
-		n.eng.Inject(n.scanner.Iface(), pkt)
-		drained = n.scanner.DrainInto(drained[:0])
-		n.eng.ReleaseBufs(drained)
-	})
-	if allocs != 0 {
-		t.Errorf("a ping to a LAN host allocates %.1f times per round trip, want 0", allocs)
 	}
 }

@@ -17,7 +17,7 @@ func TestStackSurvivesGarbage(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		b := make([]byte, rng.Intn(300))
 		rng.Read(b)
-		_ = st.HandleLocal(devAddr, b)
+		_ = handle(st, b)
 	}
 }
 
@@ -39,7 +39,7 @@ func TestStackSurvivesMutatedProtocols(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_ = st.HandleLocal(devAddr, pkt)
+		_ = handle(st, pkt)
 	}
 	// Truncated TCP segments through the valid-checksum path.
 	for i := 0; i < 3000; i++ {
@@ -55,11 +55,12 @@ func TestStackSurvivesMutatedProtocols(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_ = st.HandleLocal(devAddr, pkt)
+		_ = handle(st, pkt)
 	}
 }
 
-// FuzzStackHandleLocal runs arbitrary bytes through the stack.
+// FuzzStackHandleLocal runs arbitrary bytes through the stack, parsed
+// as a device node parses them.
 func FuzzStackHandleLocal(f *testing.F) {
 	st := NewStack(fullConfig(), []byte("fuzz"))
 	ping, err := wire.BuildEchoRequest(clientAddr, devAddr, 64, 1, 1, nil)
@@ -68,8 +69,13 @@ func FuzzStackHandleLocal(f *testing.F) {
 	}
 	f.Add(ping)
 	f.Add([]byte{})
+	syn, err := wire.BuildTCP(clientAddr, devAddr, 64, wire.TCPHeader{SrcPort: 40000, DstPort: 80, Seq: 1, Flags: wire.TCPSyn, Window: 65535}, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(syn)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_ = st.HandleLocal(devAddr, data)
+		_ = handle(st, data)
 	})
 }
 

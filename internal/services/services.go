@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"repro/internal/dnswire"
-	"repro/internal/ipv6"
 	"repro/internal/minitcp"
 	"repro/internal/ntpwire"
 	"repro/internal/tlswire"
@@ -99,7 +98,8 @@ type UDPService interface {
 }
 
 // Stack is a periphery device's transport/application stack. It
-// implements netsim.LocalStack.
+// implements netsim.LocalStack: the device node answers echo itself and
+// hands its TCP and UDP packets here, parsed.
 type Stack struct {
 	cfg Config
 	tcp *minitcp.Server
@@ -138,51 +138,28 @@ func (s *Stack) Enabled(id ID) bool {
 	return ok
 }
 
-// HandleLocal implements the device side of every probe: ICMPv6 echo,
-// UDP services (with port-unreachable for closed ports), and TCP via the
-// embedded mini-TCP server.
-func (s *Stack) HandleLocal(self ipv6.Addr, pkt []byte) [][]byte {
-	sum, err := wire.ParsePacket(pkt)
-	if err != nil {
-		return nil
-	}
+// HandleLocal implements netsim.LocalStack: UDP services (port
+// unreachable for a closed port) and TCP through the embedded mini-TCP
+// server, each answered with at most one packet built into buf.
+func (s *Stack) HandleLocal(buf []byte, sum *wire.Summary, pkt []byte) []byte {
+	self, peer := sum.IP.Dst, sum.IP.Src
 	switch {
-	case sum.ICMP != nil:
-		if sum.ICMP.Type != wire.ICMPEchoRequest {
-			return nil
-		}
-		e, err := wire.ParseEcho(sum.ICMP.Body)
-		if err != nil {
-			return nil
-		}
-		reply, err := wire.BuildEchoReply(self, sum.IP.Src, 64, e.ID, e.Seq, e.Data)
-		if err != nil {
-			return nil
-		}
-		return [][]byte{reply}
-
 	case sum.UDP != nil:
 		svc, ok := s.udp[sum.UDP.DstPort]
 		if !ok {
-			// RFC 4443: port unreachable.
-			errPkt, err := wire.BuildDestUnreach(self, sum.IP.Src, 64, wire.UnreachPort, pkt)
-			if err != nil {
-				return nil
-			}
-			return [][]byte{errPkt}
+			// RFC 4443: port unreachable. The builders return nil with
+			// their error.
+			out, _ := wire.AppendDestUnreach(buf, self, peer, 64, wire.UnreachPort, pkt)
+			return out
 		}
 		resp := svc.Handle(sum.Payload)
 		if resp == nil {
 			return nil
 		}
-		out, err := wire.BuildUDP(self, sum.IP.Src, 64, sum.UDP.DstPort, sum.UDP.SrcPort, resp)
-		if err != nil {
-			return nil
-		}
-		return [][]byte{out}
-
+		out, _ := wire.AppendUDP(buf, self, peer, 64, sum.UDP.DstPort, sum.UDP.SrcPort, resp)
+		return out
 	case sum.TCP != nil:
-		return s.tcp.HandleSegment(self, sum.IP.Src, *sum.TCP, sum.Payload)
+		return s.tcp.HandleSegment(buf, self, peer, *sum.TCP, sum.Payload)
 	}
 	return nil
 }
@@ -344,20 +321,35 @@ type HTTPService struct {
 	Server    string // Server header, e.g. "MiniWeb HTTP Server", "Jetty 6.1.26"
 	Vendor    string
 	LoginPage bool
+
+	page []byte // the 200 response, rendered on first use from the fields above
 }
 
 var _ minitcp.Service = (*HTTPService)(nil)
 
+// badRequest answers anything but a GET or HEAD request line.
+var badRequest = []byte("HTTP/1.1 400 Bad Request\r\nConnection: close\r\n\r\n")
+
 // Banner implements minitcp.Service.
 func (h *HTTPService) Banner() []byte { return nil }
 
-// Respond implements minitcp.Service.
+// Respond implements minitcp.Service. The page is constant, so it is
+// rendered once and returned read-only (minitcp copies it into the
+// segment); a device's stack runs on one engine at a time.
 func (h *HTTPService) Respond(req []byte) []byte {
 	line, _, _ := strings.Cut(string(req), "\r\n")
 	fields := strings.Fields(line)
 	if len(fields) < 3 || (fields[0] != "GET" && fields[0] != "HEAD") {
-		return []byte("HTTP/1.1 400 Bad Request\r\nConnection: close\r\n\r\n")
+		return badRequest
 	}
+	if h.page == nil {
+		h.page = h.render()
+	}
+	return h.page
+}
+
+// render builds the 200 response from Server, Vendor and LoginPage.
+func (h *HTTPService) render() []byte {
 	var body string
 	if h.LoginPage {
 		body = "<html><head><title>" + h.Vendor + " Router - Login</title></head>" +
@@ -369,10 +361,9 @@ func (h *HTTPService) Respond(req []byte) []byte {
 		body = "<html><head><title>" + h.Vendor + "</title></head>" +
 			"<body><h1>It works</h1><!-- vendor: " + h.Vendor + " --></body></html>"
 	}
-	resp := fmt.Sprintf(
+	return fmt.Appendf(nil,
 		"HTTP/1.1 200 OK\r\nServer: %s\r\nContent-Type: text/html\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s",
 		h.Server, len(body), body)
-	return []byte(resp)
 }
 
 // TLSService answers a ClientHello with a ServerHello + a synthetic

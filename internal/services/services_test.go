@@ -7,6 +7,7 @@ import (
 	"repro/internal/dnswire"
 	"repro/internal/ipv6"
 	"repro/internal/minitcp"
+	"repro/internal/netsim"
 	"repro/internal/ntpwire"
 	"repro/internal/tlswire"
 	"repro/internal/wire"
@@ -38,6 +39,16 @@ func newStack(t *testing.T) *Stack {
 	return NewStack(fullConfig(), []byte("seed"))
 }
 
+// handle delivers pkt to the stack as a device node does: parsed once,
+// answered into a buffer (nil here, so the reply is allocated).
+func handle(st *Stack, pkt []byte) []byte {
+	var s wire.Summary
+	if s.Parse(pkt) != nil {
+		return nil
+	}
+	return st.HandleLocal(nil, &s, pkt)
+}
+
 // stackConn adapts a Stack to minitcp.Conn for client exchanges.
 type stackConn struct {
 	st  *Stack
@@ -45,7 +56,9 @@ type stackConn struct {
 }
 
 func (c *stackConn) Send(pkt []byte) error {
-	c.buf = append(c.buf, c.st.HandleLocal(devAddr, pkt)...)
+	if reply := handle(c.st, pkt); reply != nil {
+		c.buf = append(c.buf, reply)
+	}
 	return nil
 }
 
@@ -61,14 +74,11 @@ func udpRoundTrip(t *testing.T, st *Stack, port uint16, payload []byte) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replies := st.HandleLocal(devAddr, pkt)
-	if len(replies) == 0 {
+	reply := handle(st, pkt)
+	if reply == nil {
 		return nil
 	}
-	if len(replies) != 1 {
-		t.Fatalf("got %d replies", len(replies))
-	}
-	s, err := wire.ParsePacket(replies[0])
+	s, err := wire.ParsePacket(reply)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,13 +110,21 @@ func TestServiceIDBasics(t *testing.T) {
 	}
 }
 
+// TestEchoReply: a device with services still answers pings — the node
+// answers echo itself and hands only TCP and UDP to its stack.
 func TestEchoReply(t *testing.T) {
-	st := newStack(t)
+	eng := netsim.New()
+	scanner := netsim.NewEdge("scanner", clientAddr)
+	cpe := netsim.NewCPE(netsim.CPEConfig{
+		Name: "cpe", WANAddr: devAddr, WANPrefix: devAddr.Prefix64(), Stack: newStack(t),
+	})
+	eng.Connect(scanner.Iface(), cpe.WAN())
 	pkt, err := wire.BuildEchoRequest(clientAddr, devAddr, 64, 7, 9, []byte("ping"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	replies := st.HandleLocal(devAddr, pkt)
+	eng.Inject(scanner.Iface(), pkt)
+	replies := scanner.DrainInto(nil)
 	if len(replies) != 1 {
 		t.Fatalf("replies = %d", len(replies))
 	}
@@ -116,6 +134,9 @@ func TestEchoReply(t *testing.T) {
 	}
 	if s.ICMP.Type != wire.ICMPEchoReply || s.IP.Src != devAddr {
 		t.Errorf("reply = %+v", s)
+	}
+	if handle(newStack(t), pkt) != nil {
+		t.Error("the stack answered an echo request the node answers")
 	}
 }
 
@@ -199,11 +220,11 @@ func TestClosedUDPPortUnreachable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replies := st.HandleLocal(devAddr, pkt)
-	if len(replies) != 1 {
-		t.Fatalf("replies = %d", len(replies))
+	reply := handle(st, pkt)
+	if reply == nil {
+		t.Fatal("no reply")
 	}
-	s, err := wire.ParsePacket(replies[0])
+	s, err := wire.ParsePacket(reply)
 	if err != nil {
 		t.Fatal(err)
 	}
