@@ -9,6 +9,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/ipv6"
@@ -26,22 +27,22 @@ var seed = flag.Int64("seed", 3, "simulation seed (same seed, same output)")
 
 func main() {
 	flag.Parse()
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "dualstack_contrast:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	if err := scanIPv4World(); err != nil {
+func run(out io.Writer) error {
+	if err := scanIPv4World(out); err != nil {
 		return err
 	}
-	return scanIPv6World()
+	return scanIPv6World(out)
 }
 
 // scanIPv4World: brute-force the provider /24 (feasible: 256 probes for
 // the whole space) and try the services.
-func scanIPv4World() error {
+func scanIPv4World(out io.Writer) error {
 	eng := netsim.New()
 	scanV4 := wire.IPv4AddrFrom(198, 51, 100, 7)
 	edge := netsim.NewEdge("scanner4", ipv6.V4Mapped(uint32(scanV4)))
@@ -77,16 +78,16 @@ func scanIPv4World() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("IPv4 world: brute-forced the whole /24 in %d probes.\n", stats.Sent)
-	fmt.Printf("  visible: %d NAT public addresses. Home networks: invisible.\n", found)
-	fmt.Printf("  services behind NAT: unreachable (no mappings; unsolicited inbound dropped).\n\n")
+	fmt.Fprintf(out, "IPv4 world: brute-forced the whole /24 in %d probes.\n", stats.Sent)
+	fmt.Fprintf(out, "  visible: %d NAT public addresses. Home networks: invisible.\n", found)
+	fmt.Fprintf(out, "  services behind NAT: unreachable (no mappings; unsolicited inbound dropped).\n\n")
 	return nil
 }
 
 // scanIPv6World: the same homes with global addressing — one probe per
 // delegated prefix exposes the periphery, and its services answer the
 // world.
-func scanIPv6World() error {
+func scanIPv6World(out io.Writer) error {
 	dep, err := topo.Build(topo.Config{
 		Seed: *seed, Scale: 0.0001, WindowWidth: 10,
 		MaxDevicesPerISP: homes, OnlyISPs: []int{12},
@@ -109,26 +110,27 @@ func scanIPv6World() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("IPv6 world: the same homes hold delegated prefixes inside a space that would\n")
-	fmt.Printf("  take 2^64+ probes to brute-force — but one probe per sub-prefix sufficed.\n")
-	fmt.Printf("  probes: %d, peripheries exposed: %d of %d homes\n", stats.Sent, len(peripheries), len(isp.Devices))
+	fmt.Fprintf(out, "IPv6 world: the same homes hold delegated prefixes inside a space that would\n")
+	fmt.Fprintf(out, "  take 2^64+ probes to brute-force — but one probe per sub-prefix sufficed.\n")
+	fmt.Fprintf(out, "  probes: %d, peripheries exposed: %d of %d homes\n", stats.Sent, len(peripheries), len(isp.Devices))
 
 	prober := zgrab.New(drv)
+	svcs := []services.ID{services.SvcDNS, services.SvcHTTP80, services.SvcHTTP8080}
 	reachable := 0
 	for _, addr := range peripheries {
-		res, err := prober.ProbeDevice(addr, []services.ID{services.SvcDNS, services.SvcHTTP80, services.SvcHTTP8080})
+		res, err := prober.ProbeDevice(addr, svcs)
 		if err != nil {
 			return err
 		}
 		if res.AliveCount() > 0 {
 			reachable++
-			for _, svc := range res.Results {
-				if svc.Alive {
-					fmt.Printf("  %-40s %-10s reachable globally (%s)\n", addr, svc.Service, svc.Software)
+			for _, id := range svcs { // in the requested order: Results is a map
+				if svc := res.Results[id]; svc.Alive {
+					fmt.Fprintf(out, "  %-40s %-10s reachable globally (%s)\n", addr, svc.Service, svc.Software)
 				}
 			}
 		}
 	}
-	fmt.Printf("  homes with globally reachable services: %d (behind NAT these were invisible)\n", reachable)
+	fmt.Fprintf(out, "  homes with globally reachable services: %d (behind NAT these were invisible)\n", reachable)
 	return nil
 }

@@ -75,8 +75,8 @@ func NewCPE(cfg CPEConfig) *CPE {
 	}
 	c.forwarder = forwarder{
 		self: c, stack: cfg.Stack, fwd: &c.CountForwarded,
-		loops: loopCap{limit: cfg.Behavior.LoopCap},
-		gate:  errorGate{policy: cfg.Policy},
+		loops:    loopCap{limit: cfg.Behavior.LoopCap},
+		suppress: cfg.Policy.Suppress,
 	}
 	if len(cfg.Hosts) > 0 {
 		c.hosts = make(map[ipv6.Addr]bool, len(cfg.Hosts))
@@ -331,7 +331,7 @@ var _ Node = (*UE)(nil)
 // NewUE builds a UE holding prefix, answering at addr.
 func NewUE(name string, addr ipv6.Addr, prefix ipv6.Prefix, stack LocalStack, policy ErrorPolicy) *UE {
 	u := &UE{name: name, prefix: prefix}
-	u.forwarder = forwarder{self: u, stack: stack, gate: errorGate{policy: policy}}
+	u.forwarder = forwarder{self: u, stack: stack, suppress: policy.Suppress}
 	u.ifc = NewIface(u, addr, name+":radio")
 	return u
 }

@@ -384,8 +384,9 @@ type Counters struct {
 	// the flow cache — every injection while the fast path is enabled
 	// and the engine has neither a fault layer nor a tap: a hit replayed
 	// a flow compiled earlier, a miss compiled first, met a negative
-	// entry or failed a replay guard. FastPathInvalidations counts
-	// generation bumps (each discards every compiled flow).
+	// entry, failed a replay guard or belonged to a traced flow.
+	// FastPathInvalidations counts generation bumps (each discards
+	// every compiled flow).
 	// FastPathCompiles counts route-compilation walks and
 	// FastPathEvictions live entries overwritten because the table was
 	// full: compiles near the probe count, or any evictions, mean the

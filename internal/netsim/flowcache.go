@@ -17,14 +17,19 @@ import (
 // fused event each (inject.go). The cache is consulted at injection,
 // for plain runs, on an unobserved engine: queued deliveries are
 // interpreted; a round trip that did not compile end to end is cached
-// negative and interpreted; and with a fault layer or a tap installed
-// nothing is looked up or compiled, so loss, duplication, reordering
-// and rate limiting are the interpreter's alone. Flows are keyed by (ingress interface, destination); entries
-// whose every decision is uniform across a region of the destination
-// space are stored wide, so the scanner's random-IID probes into one
-// window cell share an entry — and all the unassigned space of an ISP
-// block is one entry, the gap flow, whose hole set is the provider
-// edge's own emptiness index (gapIndex, isp.go), not a list it carries.
+// negative and interpreted; a probe whose flow a FlowTracer samples is
+// interpreted, so the interpreter is the one recorder of crossings; and
+// with a fault layer or a tap installed nothing is looked up or
+// compiled, so loss, duplication, reordering and rate limiting are the
+// interpreter's alone. A replayed probe's fate is a function of the
+// packet and the entry alone: no node state is read or charged beyond
+// the link stats and transit counters. Flows are keyed by (ingress
+// interface, destination); entries whose every decision is uniform
+// across a region of the destination space are stored wide, so the
+// scanner's random-IID probes into one window cell share an entry —
+// and all the unassigned space of an ISP block is one entry, the gap
+// flow, whose hole set is the provider edge's own emptiness index
+// (gapIndex, isp.go), not a list it carries.
 //
 // The compiler walks the same rule the interpreter applies: each node
 // on the path that implements decider (rule.go) is asked for its verdict
@@ -129,7 +134,6 @@ type flowHot struct {
 	// cold indexes the entry's tail in flowCache.cold. Meaningless on a
 	// negative entry, which has none.
 	cold uint32
-	gate *errorGate
 	// gaps is a gap flow's hole set, the terminal ISP router's emptiness
 	// index: the entry serves no /64 it holds. nil on every other entry.
 	gaps *gapIndex
@@ -162,7 +166,7 @@ type flowHot struct {
 	hlIn      uint8
 	loopStart uint8
 	loopLen   uint8
-	_         [1]byte // explicit pad: 64 bytes total, asserted below
+	_         [9]byte // explicit pad: 64 bytes total, asserted below
 }
 
 // flowHotSize pins flowHot to one cache line; either assertion failing
@@ -188,7 +192,7 @@ func (h *flowHot) hasTmpl() bool { return h.flags&fpFlagTmpl != 0 }
 // only for destinations whose /64 cell the hot pre-filter marked.
 type flowCold struct {
 	replySrc ipv6.Addr // reply path below is valid only for this probe source
-	edge     *Iface    // edge ingress for the reply (entryError) or packet (entryEdge)
+	edge     *Iface    // edge ingress for the reply (nr > 0) or packet (entryEdge)
 	// Error header template, captured on first replay: the error's IPv6
 	// + ICMPv6 headers for a probe of probeLen bytes, plus the partial
 	// checksum of the constant region. Replay copies the header, splices
@@ -884,18 +888,18 @@ func compileReply(h *flowHot, c *flowCold, termIn *Iface, rdst ipv6.Addr) bool {
 // compileErrorTerm upgrades the entry to a fully fused error round
 // trip: the terminal node's ICMPv6 error verdict over its region plus
 // the compiled reply path back to an Edge; without one the entry stays
-// negative.
+// negative. A terminal that suppresses its errors compiles with no
+// reply path (nr == 0): its probes die there.
 func compileErrorTerm(h *flowHot, c *flowCold, termIn *Iface, term decider, v verdict, reg *region, pkt []byte) {
 	// The reply path is compiled for this probe's source; the resolve
 	// pass guards on it.
 	rdst := ipv6.AddrFromBytes(pkt[8:24])
-	if !compileReply(h, c, termIn, rdst) {
+	if !term.fw().suppress && !compileReply(h, c, termIn, rdst) {
 		return
 	}
 	h.kind = entryError
 	h.errType, h.errCode = v.err.typ, v.err.code
 	c.errSrc = v.ifc.addr
-	h.gate = &term.fw().gate
 	c.replySrc = rdst
 	applyRegion(h, c, reg)
 	h.gaps = reg.gaps

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -513,4 +514,116 @@ func TestFlowCacheConcurrentInjectBatch(t *testing.T) {
 	if got := uint64(n.scanner.Pending()); got == 0 {
 		t.Error("no replies delivered")
 	}
+}
+
+// injectBatch sends the same burst into both nets with one InjectBatch
+// each and returns the fast net's hits and misses for it.
+func (p mirrorPair) injectBatch(pkts [][]byte) (hits, misses uint64) {
+	before := p.fast.eng.Counters()
+	p.fast.eng.InjectBatch(p.fast.scanner.Iface(), pkts)
+	p.slow.eng.InjectBatch(p.slow.scanner.Iface(), pkts)
+	after := p.fast.eng.Counters()
+	return after.FastPathHits - before.FastPathHits, after.FastPathMisses - before.FastPathMisses
+}
+
+// echoBurst builds one echo request per destination, hop limit 64.
+func echoBurst(t *testing.T, dsts []ipv6.Addr) [][]byte {
+	t.Helper()
+	pkts := make([][]byte, len(dsts))
+	for i, dst := range dsts {
+		pkt, err := wire.BuildEchoRequest(scannerAddr, dst, 64, 0xbeef, uint16(i+1), []byte("probe"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkts[i] = pkt
+	}
+	return pkts
+}
+
+// crossingTracer samples the flow of one target and records its
+// crossings in order.
+type crossingTracer struct {
+	target ipv6.Addr
+	hops   []string
+}
+
+func (c *crossingTracer) SampleFlow(hi, lo uint64) bool {
+	return ipv6.AddrFrom128(uint128.New(hi, lo)) == c.target
+}
+
+func (c *crossingTracer) HopCrossing(hi, lo uint64, node, iface string, hopLimit uint8, dropped bool) {
+	c.hops = append(c.hops, fmt.Sprintf("%s/%s/%d/%v", node, iface, hopLimit, dropped))
+}
+
+// TestFlowCacheTracedFlowInterpreted: a probe whose flow the tracer
+// samples ends the replayed run and is interpreted, so the interpreter
+// records its crossings while the probes around it still replay. Its
+// crossings must equal a fast-path-off engine's, it must count as the
+// one miss of a warm burst, and every probe offered counts as exactly
+// one hit or one miss.
+func TestFlowCacheTracedFlowInterpreted(t *testing.T) {
+	p := buildMirror(t, CPEBehavior{}, ErrorPolicy{})
+	gap := ipv6.MustParseAddr("2001:db8:aaaa:bbbb::")
+	traced := gap.WithIID(0x5a5a)
+	ft, st := &crossingTracer{target: traced}, &crossingTracer{target: traced}
+	p.fast.eng.SetFlowTracer(ft)
+	p.slow.eng.SetFlowTracer(st)
+	var dsts []ipv6.Addr
+	for i := 0; i < 16; i++ {
+		switch {
+		case i == 9:
+			dsts = append(dsts, traced)
+		case i%2 == 0:
+			dsts = append(dsts, gap.WithIID(uint64(i+1))) // the ISP's no-route error
+		default:
+			dsts = append(dsts, ipv6.SLAAC(lanSubnet, uint64(0x1000+i))) // the CPE's
+		}
+	}
+	pkts := echoBurst(t, dsts)
+	for pass := 0; pass < 2; pass++ {
+		hits, misses := p.injectBatch(pkts)
+		p.compare(t, fmt.Sprintf("pass %d", pass))
+		if hits+misses != uint64(len(pkts)) {
+			t.Errorf("pass %d: %d hits + %d misses for %d probes", pass, hits, misses, len(pkts))
+		}
+		if pass == 1 && misses != 1 {
+			t.Errorf("warm pass: %d misses, want 1 (the traced probe)", misses)
+		}
+	}
+	if len(st.hops) == 0 {
+		t.Fatal("the interpreted engine traced no crossing")
+	}
+	if !slices.Equal(ft.hops, st.hops) {
+		t.Errorf("traced flow crossings differ:\nfast %v\nslow %v", ft.hops, st.hops)
+	}
+}
+
+// TestFlowCacheSuppressedErrorsReplay: a suppressing ISP's unassigned
+// space compiles as an error entry with no reply path, so its warm
+// probes are hits that deliver nothing and charge the links exactly as
+// the interpreter does, alongside the CPE's replying entries in the
+// same burst.
+func TestFlowCacheSuppressedErrorsReplay(t *testing.T) {
+	p := buildMirror(t, CPEBehavior{}, ErrorPolicy{Suppress: true})
+	gap := ipv6.MustParseAddr("2001:db8:aaaa:bbbb::")
+	cold := echoBurst(t, []ipv6.Addr{gap.WithIID(1), ipv6.SLAAC(lanSubnet, 0x1000)})
+	p.injectBatch(cold)
+	p.compare(t, "cold")
+	var dsts []ipv6.Addr
+	for i := 0; i < 24; i++ {
+		dsts = append(dsts, gap.WithIID(uint64(i+2)))
+		if i%4 == 0 {
+			dsts = append(dsts, ipv6.SLAAC(lanSubnet, uint64(0x2000+i)))
+		}
+	}
+	up := p.fast.ispLink.Ends()[1] // the ISP's upstream interface
+	before := p.fast.ispLink.StatsFrom(up)
+	hits, misses := p.injectBatch(echoBurst(t, dsts))
+	if hits != uint64(len(dsts)) || misses != 0 {
+		t.Errorf("warm burst of %d probes: %d hits, %d misses", len(dsts), hits, misses)
+	}
+	if got, want := p.fast.ispLink.StatsFrom(up).Packets-before.Packets, uint64(6); got != want {
+		t.Errorf("the ISP sent %d packets upstream, want %d (the CPE's errors only)", got, want)
+	}
+	p.compare(t, "warm")
 }

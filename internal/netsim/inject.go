@@ -24,10 +24,11 @@ import (
 // entries pays the pointer-chasing stat walk e times, not k.
 //
 // Only the plain case qualifies: a fully compiled round trip from a
-// connected interface, no fault layer, no tap. An unseen flow is
-// compiled at the head of a run; anything else — negative entries,
-// ICMP-error probes, guard mismatches — ends the run and that one
-// packet is interpreted.
+// connected interface, no fault layer, no tap, a flow the FlowTracer
+// does not sample. An unseen flow is compiled at the head of a run;
+// anything else — negative entries, ICMP-error probes, guard
+// mismatches, traced flows — ends the run and that one packet is
+// interpreted.
 
 // injRun caps how many probes one batched pass resolves, sizing the
 // engine-inline scratch below (no per-batch allocation).
@@ -41,15 +42,14 @@ const InjectRunLen = injRun
 // injScratch is the engine's batched-injection scratch state. slot maps
 // each resolved probe to an index into the distinct-entry arrays;
 // dslot/dcount/dbytes describe the run's distinct flow entries and
-// dm/drbytes accumulate their reply counts and bytes as the gate
-// decides, in probe order, which probes draw errors.
+// drbytes accumulates the bytes of their replies as the delivery pass
+// builds them (every probe of an entry with a reply path draws one).
 type injScratch struct {
 	slot    [injRun]int32  // per-probe distinct-entry index
 	dslot   [injRun]int32  // distinct index -> flow-table slot
 	dcount  [injRun]uint32 // probes resolved to this entry
 	dbytes  [injRun]uint64 // their summed lengths
-	dm      [injRun]uint32 // replies the gate granted
-	drbytes [injRun]uint64 // their summed lengths
+	drbytes [injRun]uint64 // their replies' summed lengths
 	out     [][]byte       // delivery batch accumulated per edge
 	sink    uint64         // defeats dead-code elimination of warm loads
 }
@@ -93,6 +93,13 @@ resolve:
 			len(pkt)-wire.HeaderLen < int(binary.BigEndian.Uint16(pkt[4:6])) {
 			break
 		}
+		// A traced flow is interpreted: transmitLocked records its
+		// crossings, as it does every other packet's.
+		if e.ftr != nil {
+			if thi, tlo, ok := flowTraceKey(pkt); ok && e.ftr.SampleFlow(thi, tlo) {
+				break
+			}
+		}
 		hi := binary.BigEndian.Uint64(pkt[24:32])
 		lo := binary.BigEndian.Uint64(pkt[32:40])
 		j := fp.lookup(ifid, hi, lo)
@@ -118,9 +125,9 @@ resolve:
 				break resolve
 			}
 		case entryError:
-			// nf decrements, the terminal's pre-error decrement, and
-			// the gate's no-errors-about-errors refund must not differ
-			// from the compiled decision.
+			// nf decrements and the terminal's pre-error decrement must
+			// leave the hop limit unexpired, and no error is sent about
+			// an error: the compiled decision holds for neither.
 			if int(pkt[7]) < int(h.nf)+2 || isICMPError(pkt) {
 				break resolve
 			}
@@ -158,7 +165,6 @@ resolve:
 			e.inj.dslot[di] = int32(j)
 			e.inj.dcount[di] = 0
 			e.inj.dbytes[di] = 0
-			e.inj.dm[di] = 0
 			e.inj.drbytes[di] = 0
 		}
 		e.inj.dcount[di]++
@@ -185,17 +191,19 @@ resolve:
 // fpReplayRun replays one resolved run of probes, all guards
 // pre-checked. Charging is arithmetic — once per distinct flow entry,
 // scaled by its probe count — but sums to exactly what interpreting the
-// k probes in turn would charge; the error gate is consumed in probe
-// order; and deliveries reach each edge in probe order, batched into as
-// few handoffs as the run's edge sequence allows.
+// k probes in turn would charge; and deliveries reach each edge in
+// probe order, batched into as few handoffs as the run's edge sequence
+// allows. Each probe's fate is its entry's: delivery to an edge, a
+// reply when the entry has a reply path, or nothing past the terminal
+// when it has none (nr == 0, a suppressing node).
 func (e *Engine) fpReplayRun(from *Iface, pkts [][]byte, d int, sumAll uint64) {
 	fp := &e.fp
 	k := len(pkts)
 
-	// Warm the distinct entries' replay state — the error gate, both ends
-	// of the cold hop lists, and the leaf hops' link-stat blocks (the
-	// spine links repeat across entries, but each entry's last hop is its
-	// own device link) — in one dependency-free loop, so those lines miss
+	// Warm the distinct entries' replay state — both ends of the cold
+	// hop lists, and the leaf hops' link-stat blocks (the spine links
+	// repeat across entries, but each entry's last hop is its own device
+	// link) — in one dependency-free loop, so those lines miss
 	// concurrently here instead of serializing inside the charging loops
 	// below.
 	var warm uint64
@@ -203,9 +211,6 @@ func (e *Engine) fpReplayRun(from *Iface, pkts [][]byte, d int, sumAll uint64) {
 		j := int(e.inj.dslot[di])
 		h := &fp.hot[j]
 		c := &fp.cold[h.cold]
-		if g := h.gate; g != nil {
-			warm += uint64(g.generated)
-		}
 		if h.nf > 0 {
 			warm += c.fwd[0].st.Packets + c.fwd[h.nf-1].st.Packets
 		}
@@ -264,86 +269,58 @@ func (e *Engine) fpReplayRun(from *Iface, pkts [][]byte, d int, sumAll uint64) {
 		}
 	}
 
-	// Delivery pass, strict probe order. Probes destined at an edge are
-	// copied in (the edge retains its buffers); terminal-error probes
-	// draw the gate in order — allowN per same-entry stretch — and
-	// build replies straight from the caller's packets, no intermediate
-	// copy. Deliveries accumulate into one slice flushed each time the
-	// target edge changes (once per run when a single vantage scans).
+	// Delivery pass, strict probe order. A probe destined at an edge is
+	// copied in (the edge retains its buffers); a probe whose entry has
+	// a reply path gets its reply built straight from the caller's
+	// packet, no intermediate copy. Deliveries accumulate into one slice
+	// flushed each time the target edge changes (once per run when a
+	// single vantage scans).
 	out := e.inj.out[:0]
 	var cur *Edge
-	for i := 0; i < k; {
-		di := int(e.inj.slot[i])
-		g := i + 1
-		for g < k && int(e.inj.slot[g]) == di {
-			g++
+	for i, pkt := range pkts {
+		di := e.inj.slot[i]
+		h := &fp.hot[e.inj.dslot[di]]
+		if h.kind != entryEdge && h.nr == 0 {
+			continue // the terminal suppresses its error
 		}
-		j := int(e.inj.dslot[di])
-		h := &fp.hot[j]
 		c := &fp.cold[h.cold]
-		if h.kind == entryEdge {
-			ed := c.edge.node.(*Edge)
-			if cur != ed && len(out) > 0 {
+		if ed := c.edge.node.(*Edge); ed != cur {
+			if len(out) > 0 {
 				cur.handleBatch(out)
 				out = out[:0]
 			}
 			cur = ed
-			for _, pkt := range pkts[i:g] {
-				cp := e.getBufLocked(len(pkt))
-				copy(cp, pkt)
-				cp[7] -= h.nf
-				out = append(out, cp)
-			}
-			if e.ftr != nil {
-				e.traceRunStretch(from, h, c, pkts[i:g], 0)
-			}
-			i = g
+		}
+		if h.kind == entryEdge {
+			cp := e.getBufLocked(len(pkt))
+			copy(cp, pkt)
+			cp[7] -= h.nf
+			out = append(out, cp)
 			continue
 		}
-		m := h.gate.allowN(g - i)
-		if e.ftr != nil {
-			// Synthesize the stretch's crossings — ungranted probes still
-			// crossed every forward link before dying at the gate.
-			e.traceRunStretch(from, h, c, pkts[i:g], m)
+		hl := h.hlIn - uint8(h.loopCross)
+		if h.kind == entryError {
+			hl = pkt[7] - (h.nf + 1)
 		}
-		if m > 0 {
-			ed := c.edge.node.(*Edge)
-			if cur != ed && len(out) > 0 {
-				cur.handleBatch(out)
-				out = out[:0]
-			}
-			cur = ed
-			var rb uint64
-			for _, pkt := range pkts[i : i+m] {
-				var hl uint8
-				if h.kind == entryError {
-					hl = pkt[7] - (h.nf + 1)
-				} else {
-					hl = h.hlIn - uint8(h.loopCross)
-				}
-				r := e.fpBuildErrorFrom(h, c, pkt, hl)
-				rb += uint64(len(r))
-				out = append(out, r)
-			}
-			e.inj.dm[di] += uint32(m)
-			e.inj.drbytes[di] += rb
-		}
-		i = g
+		r := e.fpBuildErrorFrom(h, c, pkt, hl)
+		e.inj.drbytes[di] += uint64(len(r))
+		out = append(out, r)
 	}
 	if len(out) > 0 {
 		cur.handleBatch(out)
 	}
 	e.inj.out = out[:0]
 
-	// Reverse-path charging, once per distinct entry that drew replies.
+	// Reverse-path charging, once per distinct entry with a reply path:
+	// every one of its probes drew a reply.
 	for di := 0; di < d; di++ {
-		m := uint64(e.inj.dm[di])
-		if m == 0 {
-			continue
-		}
 		j := int(e.inj.dslot[di])
 		h := &fp.hot[j]
+		if h.nr == 0 {
+			continue
+		}
 		c := &fp.cold[h.cold]
+		m := uint64(e.inj.dcount[di])
 		rb := e.inj.drbytes[di]
 		for i := uint8(0); i < h.nr; i++ {
 			hop := &c.rev[i]

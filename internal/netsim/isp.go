@@ -91,7 +91,7 @@ func NewISPRouter(name string, block ipv6.Prefix, policy ErrorPolicy) *ISPRouter
 		block: block,
 		addrs: make(map[ipv6.Addr]struct{}),
 	}
-	r.forwarder = forwarder{self: r, fwd: &r.CountForwarded, gate: errorGate{policy: policy}}
+	r.forwarder = forwarder{self: r, fwd: &r.CountForwarded, suppress: policy.Suppress}
 	return r
 }
 

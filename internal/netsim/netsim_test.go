@@ -239,18 +239,6 @@ func TestISPErrorSuppression(t *testing.T) {
 	}
 }
 
-func TestISPErrorBudget(t *testing.T) {
-	n := buildTestNet(t, CPEBehavior{}, ErrorPolicy{Budget: 3})
-	got := 0
-	for i := 0; i < 10; i++ {
-		a := ipv6.MustParseAddr("2001:db8:aaaa::1").WithIID(uint64(i))
-		got += len(n.probe(t, a, 64))
-	}
-	if got != 3 {
-		t.Errorf("received %d errors with budget 3", got)
-	}
-}
-
 func TestHopLimitExhaustionMidPath(t *testing.T) {
 	n := buildTestNet(t, CPEBehavior{}, ErrorPolicy{})
 	// Hop limit 1: dies at the core router.

@@ -48,56 +48,12 @@ func icmpError(in *Iface, src ipv6.Addr, invoking []byte, typ, code uint8) []byt
 }
 
 // ErrorPolicy controls a node's ICMPv6 error generation, modelling the
-// ISP filtering and rate-limiting policies the paper's Section IV-C
-// discusses as discovery limitations.
+// ISP filtering the paper's Section IV-C discusses as a discovery
+// limitation.
 type ErrorPolicy struct {
 	// Suppress drops all locally generated ICMPv6 errors (an ISP that
 	// filters outbound unreachables).
 	Suppress bool
-	// Budget, when positive, caps the number of errors the node will
-	// generate over its lifetime (a crude rate limiter; RFC 4443 2.4(f)).
-	Budget int
-}
-
-// errorGate tracks policy state for one node.
-type errorGate struct {
-	policy    ErrorPolicy
-	generated int
-}
-
-// allow reports whether one more error may be generated, consuming
-// budget.
-func (g *errorGate) allow() bool {
-	if g.policy.Suppress {
-		return false
-	}
-	if g.policy.Budget > 0 && g.generated >= g.policy.Budget {
-		return false
-	}
-	g.generated++
-	return true
-}
-
-// allowN is allow for a batch of k error draws against one gate: it
-// returns how many of the k may be generated — budget is consumed in
-// order, so the first allowN(k) callers' probes draw errors and the
-// rest are suppressed, exactly as k sequential allow calls would
-// decide.
-func (g *errorGate) allowN(k int) int {
-	if g.policy.Suppress || k <= 0 {
-		return 0
-	}
-	if g.policy.Budget > 0 {
-		rem := g.policy.Budget - g.generated
-		if rem <= 0 {
-			return 0
-		}
-		if k > rem {
-			k = rem
-		}
-	}
-	g.generated += k
-	return k
 }
 
 // RouteKind discriminates routing-table entries.
@@ -135,7 +91,7 @@ var _ Node = (*Router)(nil)
 // NewRouter creates a router with an empty routing table.
 func NewRouter(name string, policy ErrorPolicy) *Router {
 	r := &Router{name: name, table: lpm.New[Route]()}
-	r.forwarder = forwarder{self: r, fwd: &r.CountForwarded, gate: errorGate{policy: policy}}
+	r.forwarder = forwarder{self: r, fwd: &r.CountForwarded, suppress: policy.Suppress}
 	return r
 }
 

@@ -21,7 +21,7 @@ const (
 	actLocal                 // deliver to the node itself: echo, or its stack
 	actEcho                  // answer an echo request on the node's behalf
 	actForward               // decrement the hop limit and send out an interface
-	actError                 // answer with an ICMPv6 error, subject to a gate
+	actError                 // answer with an ICMPv6 error, unless the node suppresses them
 )
 
 // verdict is one node decision. It is comparable, so tests can hold two
@@ -29,8 +29,8 @@ const (
 // compiler to keep in registers end to end: the interpreter makes one
 // per packet. What a verdict implies but does not carry is the
 // deciding node's own (its forwarder): the transit counter a forward
-// charges, the gate an error draws on, the loop cap an interp forward
-// applies.
+// charges, whether an error is suppressed, the loop cap an interp
+// forward applies.
 type verdict struct {
 	act action
 	// interp marks a decision the flow cache must not compile: a
@@ -122,8 +122,11 @@ type forwarder struct {
 	stack LocalStack // actLocal's TCP and UDP handler; nil answers echo only
 	fwd   *uint64    // the node's transit counter (CountForwarded); nil on a UE
 	loops loopCap    // a CPE's per-destination loop bound; zero elsewhere
-	gate  errorGate
-	sc    emitScratch
+	// suppress drops every error the node would generate
+	// (ErrorPolicy.Suppress); the flow cache compiles such a terminal
+	// with no reply path.
+	suppress bool
+	sc       emitScratch
 }
 
 func (f *forwarder) fw() *forwarder { return f }
@@ -157,15 +160,10 @@ func (f *forwarder) Handle(in *Iface, pkt []byte) []Emission {
 		*f.fwd++
 		return f.sc.emit(v.ifc, pkt)
 	}
-	if !f.gate.allow() {
+	if f.suppress {
 		return nil
 	}
-	out := icmpError(in, v.ifc.addr, pkt, v.err.typ, v.err.code)
-	if out == nil {
-		f.gate.generated-- // nothing was sent; refund the budget
-		return nil
-	}
-	return f.sc.emit(in, out)
+	return f.sc.emit(in, icmpError(in, v.ifc.addr, pkt, v.err.typ, v.err.code))
 }
 
 // LocalStack is the transport and application stack of a periphery

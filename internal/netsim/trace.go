@@ -14,18 +14,19 @@ import (
 // source — so one target's entire round trip stitches into a single
 // hop sequence however many packets realize it.
 //
-// The interpreter records crossings from transmitLocked, right where
-// the tap runs. A tracer, unlike a tap, does not keep the flow cache
-// from being consulted: the fused replay (fpReplayRun) synthesizes, per
-// traced probe during its strict-probe-order delivery pass, the
-// identical crossing sequence from the compiled entry — same (node,
-// iface, hop-limit) triples, same order. Parity between the two is
-// pinned by the flow-trace relation of simtest's oracle-fastpath rows.
+// The interpreter is the one recorder: transmitLocked reports every
+// crossing, right where the tap runs. A tracer, unlike a tap, does not
+// keep the flow cache from being consulted for the flows it does not
+// sample; a probe whose flow it samples ends the fast-path run it would
+// have joined and is interpreted (injectFastLocked), so a traced flow
+// takes the interpreter's decide path hop by hop. The flow-trace
+// relation of simtest's oracle-fastpath rows holds the traces of a
+// fast-path engine equal to a fast-path-off one.
 
 // FlowTracer receives sampled flow crossings. Implementations decide
 // sampling via SampleFlow — called per crossing on the interpreted path
-// and per replayed probe on the fast path, so it must be cheap and
-// pure (same key, same answer) — and record crossings via HopCrossing.
+// and per probe offered to the flow cache, so it must be cheap and pure
+// (same key, same answer) — and record crossings via HopCrossing.
 // Both run with the engine lock held and must not call back into the
 // engine.
 type FlowTracer interface {
@@ -39,9 +40,8 @@ type FlowTracer interface {
 }
 
 // SetFlowTracer installs (or, with nil, removes) the flow-crossing
-// observer. Unlike SetTap it leaves the engine unobserved as far as the
-// flow cache goes: injected runs stay fused and synthesize their
-// crossings.
+// observer. Unlike SetTap it leaves the flow cache in use: only the
+// probes of sampled flows are interpreted, the rest stay fused.
 func (e *Engine) SetFlowTracer(t FlowTracer) {
 	e.mu.Lock()
 	e.ftr = t
@@ -50,8 +50,7 @@ func (e *Engine) SetFlowTracer(t FlowTracer) {
 
 // flowTraceKey derives a packet's flow key: the probed target address
 // as two big-endian 64-bit halves. ok=false for packets that cannot be
-// attributed to a flow (non-IPv6, truncated); those are never traced,
-// identically on both paths.
+// attributed to a flow (non-IPv6, truncated); those are never traced.
 func flowTraceKey(pkt []byte) (hi, lo uint64, ok bool) {
 	if len(pkt) < wire.HeaderLen+1 || pkt[0]>>4 != 6 {
 		return 0, 0, false
@@ -82,53 +81,5 @@ func flowTraceKey(pkt []byte) (hi, lo uint64, ok bool) {
 func (e *Engine) traceCrossingLocked(from *Iface, pkt []byte, drop bool) {
 	if hi, lo, ok := flowTraceKey(pkt); ok && e.ftr.SampleFlow(hi, lo) {
 		e.ftr.HopCrossing(hi, lo, from.node.Name(), from.name, pkt[7], drop)
-	}
-}
-
-// traceRunStretch synthesizes, per traced probe of one replayed
-// stretch, the crossings interpreting the probes in turn would have
-// recorded: the injection crossing out of `from`, the forward crossings
-// (every probe reaches the terminal — the stretch pre-resolved), and
-// the reply crossings for the first `granted` probes the error gate
-// admitted. entryEdge stretches pass granted=0 (delivery, no reply).
-func (e *Engine) traceRunStretch(from *Iface, h *flowHot, c *flowCold, pkts [][]byte, granted int) {
-	for t, pkt := range pkts {
-		hi, lo, ok := flowTraceKey(pkt)
-		if !ok || !e.ftr.SampleFlow(hi, lo) {
-			continue
-		}
-		e.ftr.HopCrossing(hi, lo, from.node.Name(), from.name, pkt[7], false)
-		switch h.kind {
-		case entryEdge, entryError:
-			hl := pkt[7]
-			for j := uint8(0); j < h.nf; j++ {
-				hl--
-				out := c.fwd[j].out
-				e.ftr.HopCrossing(hi, lo, out.node.Name(), out.name, hl, false)
-			}
-		case entryLoop:
-			cross := int(h.loopCross)
-			p, l := int(h.loopStart), int(h.loopLen)
-			hl := pkt[7]
-			for j := 0; j < cross; j++ {
-				i := j
-				if j >= p {
-					i = p + (j-p)%l
-				}
-				hl--
-				out := c.fwd[i].out
-				e.ftr.HopCrossing(hi, lo, out.node.Name(), out.name, hl, false)
-			}
-		}
-		if t < granted {
-			hl := uint8(wire.MaxHopLimit)
-			for j := uint8(0); j < h.nr; j++ {
-				if j > 0 {
-					hl--
-				}
-				out := c.rev[j].out
-				e.ftr.HopCrossing(hi, lo, out.node.Name(), out.name, hl, false)
-			}
-		}
 	}
 }

@@ -7,8 +7,11 @@
 package services
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/dnswire"
 	"repro/internal/minitcp"
@@ -337,15 +340,41 @@ func (h *HTTPService) Banner() []byte { return nil }
 // rendered once and returned read-only (minitcp copies it into the
 // segment); a device's stack runs on one engine at a time.
 func (h *HTTPService) Respond(req []byte) []byte {
-	line, _, _ := strings.Cut(string(req), "\r\n")
-	fields := strings.Fields(line)
-	if len(fields) < 3 || (fields[0] != "GET" && fields[0] != "HEAD") {
+	if !getOrHead(req) {
 		return badRequest
 	}
 	if h.page == nil {
 		h.page = h.render()
 	}
 	return h.page
+}
+
+// getOrHead reports whether req's request line (up to the first CRLF)
+// has at least three fields, the first GET or HEAD. Fields are split at
+// unicode.IsSpace runs, as strings.Fields splits; req is read in place.
+func getOrHead(req []byte) bool {
+	line, _, _ := bytes.Cut(req, []byte("\r\n"))
+	var method []byte
+	n := 0
+	for i := 0; i < len(line) && n < 3; {
+		r, size := utf8.DecodeRune(line[i:])
+		if unicode.IsSpace(r) {
+			i += size
+			continue
+		}
+		start := i
+		for i < len(line) {
+			if r, size = utf8.DecodeRune(line[i:]); unicode.IsSpace(r) {
+				break
+			}
+			i += size
+		}
+		if n == 0 {
+			method = line[start:i]
+		}
+		n++
+	}
+	return n == 3 && (string(method) == "GET" || string(method) == "HEAD")
 }
 
 // render builds the 200 response from Server, Vendor and LoginPage.

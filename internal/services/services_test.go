@@ -436,3 +436,71 @@ func TestDNSAAAAQuery(t *testing.T) {
 		t.Errorf("answers = %+v", m.Answers)
 	}
 }
+
+// oldGetOrHead is the request-line rule HTTPService.Respond applied
+// through a string conversion and strings.Fields, kept as the reference
+// for the in-place getOrHead.
+func oldGetOrHead(req []byte) bool {
+	line, _, _ := strings.Cut(string(req), "\r\n")
+	fields := strings.Fields(line)
+	return len(fields) >= 3 && (fields[0] == "GET" || fields[0] == "HEAD")
+}
+
+var requestLines = []string{
+	"GET / HTTP/1.1\r\n\r\n",
+	"HEAD / HTTP/1.1\r\n",
+	"GET / HTTP/1.1",
+	"  GET\t/  HTTP/1.0 extra\r\nHost: x\r\n",
+	"GET /\r\nHTTP/1.1\r\n",
+	"GET / \r\n",
+	"POST / HTTP/1.1\r\n",
+	"get / HTTP/1.1\r\n",
+	"GETS / HTTP/1.1\r\n",
+	"GET\u00a0/\u2003HTTP/1.1\r\n", // no-break and em spaces split fields
+	"GET\u0085/\u3000HTTP/1.1",     // NEL and ideographic space
+	"GET\v/\fHTTP/1.1\r\n",
+	"GET\xc2/ HTTP/1.1",      // a truncated rune is no space
+	"\xa0GET / HTTP/1.1\r\n", // nor is a lone continuation byte
+	"GET / HTTP/1.1\r",
+	"\r\nGET / HTTP/1.1\r\n",
+	"",
+	"HEAD",
+}
+
+// TestRequestLineMatchesFields holds getOrHead to the old rule, unicode
+// whitespace and invalid UTF-8 included.
+func TestRequestLineMatchesFields(t *testing.T) {
+	for _, req := range requestLines {
+		if got, want := getOrHead([]byte(req)), oldGetOrHead([]byte(req)); got != want {
+			t.Errorf("getOrHead(%q) = %v, strings.Fields rule %v", req, got, want)
+		}
+	}
+}
+
+func FuzzRequestLine(f *testing.F) {
+	for _, req := range requestLines {
+		f.Add([]byte(req))
+	}
+	f.Fuzz(func(t *testing.T, req []byte) {
+		if got, want := getOrHead(req), oldGetOrHead(req); got != want {
+			t.Errorf("getOrHead(%q) = %v, strings.Fields rule %v", req, got, want)
+		}
+	})
+}
+
+// TestHTTPRespondAllocFree: answering a request, good or bad, reads it
+// in place and returns the rendered page or the constant 400.
+func TestHTTPRespondAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	h := &HTTPService{Server: "micro_httpd", Vendor: "V"}
+	get, post := []byte("GET / HTTP/1.1\r\nHost: x\r\n\r\n"), []byte("POST / HTTP/1.1\r\n\r\n")
+	h.Respond(get) // renders the page
+	if n := testing.AllocsPerRun(100, func() {
+		h.Respond(get)
+		h.Respond(post)
+	}); n != 0 {
+		t.Errorf("Respond allocates %.1f times per request pair, want 0", n)
+	}
+}

@@ -401,10 +401,12 @@ type hopRec struct {
 	drop        bool
 }
 
-// traceCollector is a netsim.FlowTracer that samples every flow and
-// keeps each flow's full (node, iface, hop-limit) crossing sequence, so
-// the compiled fast path's synthesized traces can be diffed hop for hop
-// against the interpreted reference.
+// traceCollector is a netsim.FlowTracer that samples one flow in eight
+// and keeps each sampled flow's full (node, iface, hop-limit) crossing
+// sequence, so a fast-path engine's traces can be diffed hop for hop
+// against the interpreted reference. A sampled flow is interpreted on
+// either engine; the other seven in eight keep the compiled legs'
+// flow-cache hits.
 type traceCollector struct {
 	flows map[[16]byte][]hopRec
 	total uint64
@@ -414,7 +416,17 @@ func newTraceCollector() *traceCollector {
 	return &traceCollector{flows: map[[16]byte][]hopRec{}}
 }
 
-func (t *traceCollector) SampleFlow(hi, lo uint64) bool { return true }
+// SampleFlow takes the top three bits of a hash of the target: pure,
+// and uniform over the scanner's random IIDs.
+func (t *traceCollector) SampleFlow(hi, lo uint64) bool {
+	return (hi^lo)*0x9E3779B97F4A7C15>>61 == 0
+}
+
+// sampled reports whether the probes to dst belong to a sampled flow.
+func (t *traceCollector) sampled(dst ipv6.Addr) bool {
+	u := dst.Uint128()
+	return t.SampleFlow(u.Hi, u.Lo)
+}
 
 func (t *traceCollector) HopCrossing(hi, lo uint64, node, iface string, hop uint8, drop bool) {
 	var k [16]byte

@@ -362,7 +362,7 @@ func batchSizes(name string) []legSpec {
 }
 
 // fastPathCheck demands that each leg took the path it claims: compiled
-// legs hit the cache, synthesized their crossings, pumped fewer events
+// legs hit the cache, traced their sampled flows, pumped fewer events
 // and offered every probe to the cache exactly once; the interpreted
 // reference never touched it. Under an armed profile nothing touches it.
 func fastPathCheck(e env, ref *leg, legs []*leg) ([]string, error) {
@@ -387,7 +387,7 @@ func fastPathCheck(e env, ref *leg, legs []*leg) ([]string, error) {
 			problems = append(problems, l.name+" leg recorded zero flow-cache hits: fast path never engaged")
 		}
 		if l.flows.total == 0 {
-			problems = append(problems, l.name+" leg captured zero flow crossings: trace synthesis never engaged")
+			problems = append(problems, l.name+" leg captured zero flow crossings: no sampled flow was traced")
 		}
 		if c.Events >= off.Events {
 			problems = append(problems, fmt.Sprintf(
@@ -409,14 +409,22 @@ func fastPathCheck(e env, ref *leg, legs []*leg) ([]string, error) {
 // sparseCheck: the sparse window must actually be served by the block's
 // gap flow. All the empty space is one compile, each device a couple
 // more, and only the hostile cells (interpreted, so keyed per address:
-// one exact negative per cell per pass) miss every time.
+// one exact negative per cell per pass) and the flows the trace
+// collector samples (interpreted) miss every time.
 func sparseCheck(_ env, _ *leg, legs []*leg) ([]string, error) {
 	const hostileProbes = 2 << (64 - sparseHostileBits) // two passes
-	c := legs[0].counters
-	share := float64(c.FastPathHits) / float64(c.FastPathHits+c.FastPathMisses-hostileProbes)
+	l := legs[0]
+	c := l.counters
+	replayable := 0
+	for _, dst := range l.dsts {
+		if !l.flows.sampled(dst) && !inHostile(l, dst) {
+			replayable++
+		}
+	}
+	share := float64(c.FastPathHits) / float64(replayable)
 	if c.FastPathCompiles > sparseCPEs+hostileProbes+8 || !(share > 0.99) || c.FastPathEvictions != 0 {
 		return []string{fmt.Sprintf(
-			"sparse leg compiled %d flows (want <= %d devices + %d hostile probes + 8), hit share outside the hostile region %.4f (want > 0.99), %d evictions: the gap flow never engaged",
+			"sparse leg compiled %d flows (want <= %d devices + %d hostile probes + 8), hit share of the untraced probes outside the hostile region %.4f (want > 0.99), %d evictions: the gap flow never engaged",
 			c.FastPathCompiles, sparseCPEs, hostileProbes, share, c.FastPathEvictions)}, nil
 	}
 	return nil, nil
@@ -458,14 +466,22 @@ func discoveryCheck(e env, exact *leg, _ []*leg) ([]string, error) {
 func regionProbes(l *leg) int {
 	n := 0
 	for _, dst := range l.dsts {
-		for _, pr := range l.fix.Hostile {
-			if pr.Prefix.Contains(dst) {
-				n++
-				break
-			}
+		if inHostile(l, dst) {
+			n++
 		}
 	}
 	return n
+}
+
+// inHostile reports whether dst lies in one of l's planted hostile
+// regions.
+func inHostile(l *leg, dst ipv6.Addr) bool {
+	for _, pr := range l.fix.Hostile {
+		if pr.Prefix.Contains(dst) {
+			return true
+		}
+	}
+	return false
 }
 
 // pollution counts responders outside the honest ground truth.

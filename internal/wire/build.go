@@ -21,10 +21,8 @@ func putIPv6(b []byte, h *IPv6Header, payloadLen int) {
 	copy(b[24:40], dst[:])
 }
 
-// buildEcho assembles a complete echo request/reply in one allocation:
-// the Build* convenience wrappers are the per-probe hot path, so they
-// marshal the header and message directly into the final buffer instead
-// of composing the layer-by-layer Marshal calls.
+// buildEcho assembles a complete echo request/reply in one allocation,
+// writing the header and message straight into the final buffer.
 func buildEcho(scratch []byte, typ uint8, src, dst ipv6.Addr, hopLimit uint8, id, seq uint16, data []byte) ([]byte, error) {
 	payloadLen := 8 + len(data)
 	if payloadLen > 0xffff {

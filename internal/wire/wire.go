@@ -36,29 +36,6 @@ type IPv6Header struct {
 	Src, Dst     ipv6.Addr
 }
 
-// Marshal appends the header followed by payload and returns the packet.
-// The payload length field is computed from payload.
-func (h *IPv6Header) Marshal(payload []byte) ([]byte, error) {
-	if len(payload) > 0xffff {
-		return nil, fmt.Errorf("wire: payload length %d exceeds 65535", len(payload))
-	}
-	if h.FlowLabel > 0xfffff {
-		return nil, fmt.Errorf("wire: flow label %#x exceeds 20 bits", h.FlowLabel)
-	}
-	b := make([]byte, HeaderLen+len(payload))
-	b[0] = 6<<4 | h.TrafficClass>>4
-	b[1] = h.TrafficClass<<4 | uint8(h.FlowLabel>>16)
-	binary.BigEndian.PutUint16(b[2:4], uint16(h.FlowLabel))
-	binary.BigEndian.PutUint16(b[4:6], uint16(len(payload)))
-	b[6] = h.NextHeader
-	b[7] = h.HopLimit
-	src, dst := h.Src.Bytes(), h.Dst.Bytes()
-	copy(b[8:24], src[:])
-	copy(b[24:40], dst[:])
-	copy(b[40:], payload)
-	return b, nil
-}
-
 // ParseIPv6 decodes the fixed header and returns it with the payload
 // slice (aliasing b). The payload is truncated to the header's payload
 // length; packets shorter than that length are rejected.
@@ -192,17 +169,6 @@ type ICMPv6 struct {
 	Body       []byte
 }
 
-// Marshal serializes m with a checksum computed over the pseudo-header
-// for the given endpoints.
-func (m *ICMPv6) Marshal(src, dst ipv6.Addr) []byte {
-	b := make([]byte, 4+len(m.Body))
-	b[0], b[1] = m.Type, m.Code
-	copy(b[4:], m.Body)
-	csum := Checksum(src, dst, ProtoICMPv6, b)
-	binary.BigEndian.PutUint16(b[2:4], csum)
-	return b
-}
-
 // ParseICMPv6 decodes an ICMPv6 message and verifies its checksum against
 // the pseudo-header of the enclosing packet.
 func ParseICMPv6(src, dst ipv6.Addr, b []byte) (ICMPv6, error) {
@@ -219,15 +185,6 @@ func ParseICMPv6(src, dst ipv6.Addr, b []byte) (ICMPv6, error) {
 type Echo struct {
 	ID, Seq uint16
 	Data    []byte
-}
-
-// MarshalBody serializes the echo body (identifier, sequence, data).
-func (e *Echo) MarshalBody() []byte {
-	b := make([]byte, 4+len(e.Data))
-	binary.BigEndian.PutUint16(b[0:2], e.ID)
-	binary.BigEndian.PutUint16(b[2:4], e.Seq)
-	copy(b[4:], e.Data)
-	return b
 }
 
 // ParseEcho decodes an echo body.
@@ -253,17 +210,6 @@ type ErrorBody struct {
 // maxInvoking keeps the error packet (40 IPv6 + 8 ICMPv6) within 1280.
 const maxInvoking = 1280 - HeaderLen - 8
 
-// MarshalBody serializes the error body, truncating the invoking packet.
-func (e *ErrorBody) MarshalBody() []byte {
-	inv := e.Invoking
-	if len(inv) > maxInvoking {
-		inv = inv[:maxInvoking]
-	}
-	b := make([]byte, 4+len(inv))
-	copy(b[4:], inv)
-	return b
-}
-
 // ParseErrorBody decodes the body of an ICMPv6 error message.
 func ParseErrorBody(body []byte) (ErrorBody, error) {
 	if len(body) < 4 {
@@ -275,24 +221,6 @@ func ParseErrorBody(body []byte) (ErrorBody, error) {
 // UDPHeader is the 8-byte UDP header.
 type UDPHeader struct {
 	SrcPort, DstPort uint16
-}
-
-// Marshal serializes the UDP datagram with checksum.
-func (u *UDPHeader) Marshal(src, dst ipv6.Addr, payload []byte) ([]byte, error) {
-	if 8+len(payload) > 0xffff {
-		return nil, fmt.Errorf("wire: UDP payload too long: %d", len(payload))
-	}
-	b := make([]byte, 8+len(payload))
-	binary.BigEndian.PutUint16(b[0:2], u.SrcPort)
-	binary.BigEndian.PutUint16(b[2:4], u.DstPort)
-	binary.BigEndian.PutUint16(b[4:6], uint16(8+len(payload)))
-	copy(b[8:], payload)
-	csum := Checksum(src, dst, ProtoUDP, b)
-	if csum == 0 {
-		csum = 0xffff // RFC 8200: zero checksum is forbidden for UDP/IPv6
-	}
-	binary.BigEndian.PutUint16(b[6:8], csum)
-	return b, nil
 }
 
 // ParseUDP decodes a UDP datagram and verifies length and checksum.
@@ -329,22 +257,6 @@ type TCPHeader struct {
 	Seq, Ack         uint32
 	Flags            uint8
 	Window           uint16
-}
-
-// Marshal serializes the TCP segment with checksum.
-func (t *TCPHeader) Marshal(src, dst ipv6.Addr, payload []byte) []byte {
-	b := make([]byte, 20+len(payload))
-	binary.BigEndian.PutUint16(b[0:2], t.SrcPort)
-	binary.BigEndian.PutUint16(b[2:4], t.DstPort)
-	binary.BigEndian.PutUint32(b[4:8], t.Seq)
-	binary.BigEndian.PutUint32(b[8:12], t.Ack)
-	b[12] = 5 << 4 // data offset: 5 words
-	b[13] = t.Flags
-	binary.BigEndian.PutUint16(b[14:16], t.Window)
-	copy(b[20:], payload)
-	csum := Checksum(src, dst, ProtoTCP, b)
-	binary.BigEndian.PutUint16(b[16:18], csum)
-	return b
 }
 
 // ParseTCP decodes a TCP segment, verifying the checksum and skipping any

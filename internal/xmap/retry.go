@@ -35,6 +35,12 @@ type retryRing struct {
 	dropped uint64              // pushes refused because the ring was full
 }
 
+// retryRingCap bounds the retry scheduler's memory: at most this many
+// targets are tracked at once, and overflow is dropped and counted in
+// Stats.RetryDropped. It is fixed; a variable only so that tests can
+// overflow a small ring.
+var retryRingCap = 1024
+
 func newRetryRing(capacity int) *retryRing {
 	return &retryRing{
 		entries: make([]retryEntry, capacity),

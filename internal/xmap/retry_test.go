@@ -207,9 +207,10 @@ func TestRetrySchedulerRecoversLossEfficiently(t *testing.T) {
 // every retry, or abandoned at the cooldown deadline.
 func TestRetryTerminalAccounting(t *testing.T) {
 	f := buildLossyFixture(t, 1.0)
+	smallRetryRing(t, 8)
 	stats, _ := runScan(t, Config{
 		Window: window(t, f), Seed: []byte("dead"),
-		Retries: 2, RetryRing: 8,
+		Retries: 2,
 	}, f.drv)
 	if stats.Targets != 256 {
 		t.Fatalf("targets = %d", stats.Targets)
@@ -222,6 +223,14 @@ func TestRetryTerminalAccounting(t *testing.T) {
 		t.Errorf("dropped %d + exhausted %d + abandoned %d = %d, want 256",
 			stats.RetryDropped, stats.RetryExhausted, stats.RetryAbandoned, got)
 	}
+}
+
+// smallRetryRing shrinks the scanners' retry ring to n for the rest of
+// t.
+func smallRetryRing(t *testing.T, n int) {
+	old := retryRingCap
+	retryRingCap = n
+	t.Cleanup(func() { retryRingCap = old })
 }
 
 // TestRetryNoFalseRetries: on a clean link every target answers, so the

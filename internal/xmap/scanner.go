@@ -56,10 +56,6 @@ type Config struct {
 	// (0 = off). Unlike ProbesPerTarget, which sends blind copies to
 	// everyone, retries spend probes only on the silent fraction.
 	Retries int
-	// RetryRing bounds the retry scheduler's memory: at most this many
-	// targets are tracked at once; overflow is dropped and counted in
-	// Stats.RetryDropped (default 1024).
-	RetryRing int
 	// AIMD adapts the send window — probes between receive drains — to
 	// the observed reply rate: additive increase on clean windows,
 	// multiplicative decrease when the reply ratio collapses (the
@@ -232,9 +228,6 @@ func newScanner(cfg Config, drv Driver, r *run, cycle *perm.Cycle, pos int) (*Sc
 	if cfg.Retries < 0 || cfg.Retries > 16 {
 		return nil, fmt.Errorf("xmap: %d retries out of [0,16]", cfg.Retries)
 	}
-	if cfg.Retries > 0 && cfg.RetryRing <= 0 {
-		cfg.RetryRing = 1024
-	}
 	cfg.Seed = seedOrDefault(cfg.Seed)
 	s := &Scanner{cfg: cfg, run: r, drv: drv, cycle: cycle, pos: pos}
 	s.tel = cfg.Telemetry.Shard(pos)
@@ -261,7 +254,7 @@ func newScanner(cfg Config, drv Driver, r *run, cycle *perm.Cycle, pos int) (*Sc
 		}
 	}
 	if cfg.Retries > 0 {
-		s.retry = newRetryRing(cfg.RetryRing)
+		s.retry = newRetryRing(retryRingCap)
 	}
 	if cfg.AIMD {
 		s.aimd = newAIMD(cfg.DrainEvery)

@@ -85,9 +85,10 @@ func TestTelemetryMatchesStats(t *testing.T) {
 	t.Run("busy", func(t *testing.T) {
 		f := buildFixture(t)
 		reg := telemetry.New(telemetry.Options{Shards: 1})
+		smallRetryRing(t, 8)
 		stats, _ := runScan(t, Config{
 			Window: window(t, f), Seed: []byte("tel"), Telemetry: reg,
-			Retries: 2, RetryRing: 8, AIMD: true, Defend: true, DrainEvery: 16,
+			Retries: 2, AIMD: true, Defend: true, DrainEvery: 16,
 			Blocklist: []ipv6.Prefix{ipv6.MustParsePrefix("2001:db8:0:80::/58")},
 		}, &faultyDriver{d: f.drv, failEvery: 5})
 		for name, v := range map[string]uint64{

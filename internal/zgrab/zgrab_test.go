@@ -214,13 +214,14 @@ func TestTelnetVendorParsing(t *testing.T) {
 
 // TestProbeDeviceAllocs pins what probing all eight services of a
 // device allocates over SimDriver, averaged over the fixture's 150
-// devices: 9.5. The prober builds and parses its packets in reused
+// devices: 8.5. The prober builds and parses its packets in reused
 // buffers, its constant requests are marshalled once, and the driver
 // recycles each drain; inside the engine the device parses each packet
 // once into its node's Summary and its stack answers into an engine
 // buffer. What is left is zgrab's DeviceResult, the banners and
 // responses Exchange copies out, the strings the results carry, and the
-// simulated services' own application parsing (DNS above all). A stack
+// simulated services' own application parsing (DNS above all). HTTP's
+// request line through a string and strings.Fields cost 9.5; a stack
 // that re-parsed each packet with ParsePacket and built its replies
 // afresh cost 29.4; building, parsing and HMAC-keying every segment
 // afresh on the prober's side too cost 80.5.
