@@ -6,8 +6,8 @@
 package dnswire
 
 import (
+	"errors"
 	"fmt"
-	"strings"
 )
 
 // Common type and class codes.
@@ -69,36 +69,72 @@ type Message struct {
 // Rcode extracts the response code from the flags.
 func (m *Message) Rcode() int { return int(m.Flags & 0xf) }
 
-// appendName encodes a domain name in uncompressed wire form.
-func appendName(b []byte, name string) ([]byte, error) {
-	name = strings.TrimSuffix(name, ".")
-	if name != "" {
-		for _, label := range strings.Split(name, ".") {
-			if len(label) == 0 {
-				return nil, fmt.Errorf("dnswire: empty label in %q", name)
-			}
-			if len(label) > 63 {
-				return nil, fmt.Errorf("dnswire: label %q too long", label)
-			}
-			b = append(b, byte(len(label)))
-			b = append(b, label...)
+// Name faults. They are preallocated so the allocation-free readers
+// (Check, AppendParsedName) fail without allocating.
+var (
+	errEmptyLabel   = errors.New("dnswire: empty label")
+	errLongLabel    = errors.New("dnswire: label too long")
+	errNamePastEnd  = errors.New("dnswire: name runs past message end")
+	errTruncPtr     = errors.New("dnswire: truncated compression pointer")
+	errPtrLoop      = errors.New("dnswire: compression pointer loop")
+	errLabelPastEnd = errors.New("dnswire: label runs past message end")
+	// errReserved is indexed by the label type's high bit: 0x40, 0x80.
+	errReserved = [2]error{
+		errors.New("dnswire: reserved label type 0x40"),
+		errors.New("dnswire: reserved label type 0x80"),
+	}
+)
+
+// appendName encodes a domain name in uncompressed wire form: one
+// trailing dot is dropped, the rest split at dots into labels of 1 to 63
+// bytes.
+func appendName[S ~string | ~[]byte](b []byte, name S) ([]byte, error) {
+	if n := len(name); n > 0 && name[n-1] == '.' {
+		name = name[:n-1]
+	}
+	for len(name) > 0 {
+		i := 0
+		for i < len(name) && name[i] != '.' {
+			i++
 		}
+		switch {
+		case i == 0 || i == len(name)-1:
+			// A leading dot, two in a row, or a trailing one left after
+			// the trim: an empty label.
+			return nil, errEmptyLabel
+		case i > 63:
+			return nil, errLongLabel
+		}
+		b = append(b, byte(i))
+		b = append(b, name[:i]...)
+		if i == len(name) {
+			break
+		}
+		name = name[i+1:]
 	}
 	return append(b, 0), nil
 }
 
-// parseName decodes a possibly compressed name starting at off, returning
-// the name and the offset just past it in the uncompressed stream.
-func parseName(msg []byte, off int) (string, int, error) {
-	var (
-		sb     strings.Builder
-		jumped bool
-		retOff = off
-		hops   int
-	)
+// AppendName appends name, as AppendParsedName decodes it, in the
+// uncompressed wire form Marshal writes. It allocates only to grow b.
+func AppendName(b, name []byte) ([]byte, error) { return appendName(b, name) }
+
+// AppendParsedName appends the name at off in msg to dst as Parse
+// decodes it — labels joined by dots, compression pointers followed,
+// the root as no bytes at all — and returns the offset just past the
+// name in the uncompressed stream. It fails where Parse does, and
+// allocates only to grow dst.
+func AppendParsedName(dst, msg []byte, off int) ([]byte, int, error) {
+	return walkName(dst, true, msg, off)
+}
+
+// walkName is the one name decoder: AppendParsedName with keep, and a
+// bounds walk that appends nothing without it.
+func walkName(dst []byte, keep bool, msg []byte, off int) ([]byte, int, error) {
+	retOff, jumped, hops, start := off, false, 0, len(dst)
 	for {
 		if off >= len(msg) {
-			return "", 0, fmt.Errorf("dnswire: name runs past message end")
+			return dst, 0, errNamePastEnd
 		}
 		l := int(msg[off])
 		switch {
@@ -106,40 +142,78 @@ func parseName(msg []byte, off int) (string, int, error) {
 			if !jumped {
 				retOff = off + 1
 			}
-			name := sb.String()
-			if name == "" {
-				name = "."
-			}
-			return name, retOff, nil
+			return dst, retOff, nil
 		case l&0xc0 == 0xc0:
 			if off+1 >= len(msg) {
-				return "", 0, fmt.Errorf("dnswire: truncated compression pointer")
+				return dst, 0, errTruncPtr
 			}
-			ptr := (l&0x3f)<<8 | int(msg[off+1])
 			if !jumped {
 				retOff = off + 2
 				jumped = true
 			}
 			if hops++; hops > 32 {
-				return "", 0, fmt.Errorf("dnswire: compression pointer loop")
+				return dst, 0, errPtrLoop
 			}
-			if ptr >= off && !jumped {
-				return "", 0, fmt.Errorf("dnswire: forward compression pointer")
-			}
-			off = ptr
+			off = (l&0x3f)<<8 | int(msg[off+1])
 		case l&0xc0 != 0:
-			return "", 0, fmt.Errorf("dnswire: reserved label type %#x", l&0xc0)
+			return dst, 0, errReserved[l>>7]
 		default:
 			if off+1+l > len(msg) {
-				return "", 0, fmt.Errorf("dnswire: label runs past message end")
+				return dst, 0, errLabelPastEnd
 			}
-			if sb.Len() > 0 {
-				sb.WriteByte('.')
+			if keep {
+				if len(dst) > start {
+					dst = append(dst, '.')
+				}
+				dst = append(dst, msg[off+1:off+1+l]...)
 			}
-			sb.Write(msg[off+1 : off+1+l])
 			off += 1 + l
 		}
 	}
+}
+
+// parseName decodes a possibly compressed name starting at off, returning
+// the name ("." for the root) and the offset just past it in the
+// uncompressed stream.
+func parseName(msg []byte, off int) (string, int, error) {
+	var buf [64]byte
+	b, next, err := AppendParsedName(buf[:0], msg, off)
+	if err != nil {
+		return "", 0, err
+	}
+	if len(b) == 0 {
+		return ".", next, nil
+	}
+	return string(b), next, nil
+}
+
+// Check reports whether Parse accepts b — the header, every question
+// and every resource record within the message — without building the
+// message or allocating.
+func Check(b []byte) bool {
+	if len(b) < 12 {
+		return false
+	}
+	rd16 := func(off int) int { return int(b[off])<<8 | int(b[off+1]) }
+	off := 12
+	for i := rd16(4); i > 0; i-- {
+		_, n, err := walkName(nil, false, b, off)
+		if err != nil || n+4 > len(b) {
+			return false
+		}
+		off = n + 4
+	}
+	for i := rd16(6) + rd16(8) + rd16(10); i > 0; i-- {
+		_, n, err := walkName(nil, false, b, off)
+		if err != nil || n+10 > len(b) {
+			return false
+		}
+		off = n + 10 + rd16(n+8)
+		if off > len(b) {
+			return false
+		}
+	}
+	return true
 }
 
 func put16(b []byte, v uint16) []byte { return append(b, byte(v>>8), byte(v)) }
@@ -159,7 +233,7 @@ func (m *Message) Marshal() ([]byte, error) {
 	var err error
 	for _, q := range m.Questions {
 		if b, err = appendName(b, q.Name); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w in %q", err, q.Name)
 		}
 		b = put16(b, q.Type)
 		b = put16(b, q.Class)
@@ -167,7 +241,7 @@ func (m *Message) Marshal() ([]byte, error) {
 	for _, sec := range [][]RR{m.Answers, m.Authority, m.Extra} {
 		for _, rr := range sec {
 			if b, err = appendName(b, rr.Name); err != nil {
-				return nil, err
+				return nil, fmt.Errorf("%w in %q", err, rr.Name)
 			}
 			b = put16(b, rr.Type)
 			b = put16(b, rr.Class)

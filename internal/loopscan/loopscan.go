@@ -220,23 +220,19 @@ func (d *Detector) ScanWindows(windows []ipv6.Window, seed []byte) (*ScanResult,
 
 // targetIn derives the pseudo-random in-prefix host address.
 func targetIn(sub ipv6.Prefix, seed []byte) ipv6.Addr {
-	return targetInMac(sub, hmac.New(sha256.New, seed), nil, nil)
+	return targetInMac(sub, hmac.New(sha256.New, seed), make([]byte, 16), nil)
 }
 
 // targetInMac is targetIn against a reusable keyed HMAC. in (len 16)
-// stages the address bytes and scratch receives the digest; passing
-// both hoisted buffers keeps the per-target call allocation-free, since
-// a local array written through the hash.Hash interface would be forced
-// to the heap. Either may be nil.
+// stages the address bytes and scratch, which may be nil, receives the
+// digest. The address is always written through in: a local array
+// written through the hash.Hash interface would be forced to the heap,
+// so the hoisted buffers keep the per-target call allocation-free.
 func targetInMac(sub ipv6.Prefix, mac hash.Hash, in, scratch []byte) ipv6.Addr {
 	mac.Reset()
 	b := sub.Addr().Bytes()
-	if len(in) >= 16 {
-		copy(in, b[:])
-		mac.Write(in[:16])
-	} else {
-		mac.Write(b[:])
-	}
+	copy(in[:16], b[:])
+	mac.Write(in[:16])
 	sum := mac.Sum(scratch)
 	host := uint128.FromBytes(sum[:16])
 	hostBits := uint(128 - sub.Bits())

@@ -2,6 +2,8 @@ package loopscan
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
 	"slices"
 	"testing"
 
@@ -150,4 +152,60 @@ func TestCheckAddrAllocs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestTargetInMacAllocFree: the sweep's per-target address derivation
+// allocates nothing with its hoisted HMAC and buffers, and hashes the
+// same bytes as crypto/hmac over the prefix address, so the targets are
+// the ones targetIn derives.
+func TestTargetInMacAllocFree(t *testing.T) {
+	subs := []ipv6.Prefix{
+		ipv6.MustParsePrefix("2001:db8:4321:8760::/60"),
+		ipv6.MustParsePrefix("2001:db8:1234:5678::/64"),
+		ipv6.MustParsePrefix("2001:db8::/32"),
+	}
+	seed := []byte("loop-seed")
+	mac := hmac.New(sha256.New, seed)
+	in := make([]byte, 16)
+	var sum [sha256.Size]byte
+	for _, sub := range subs {
+		ref := hmac.New(sha256.New, seed)
+		b := sub.Addr().Bytes()
+		ref.Write(b[:])
+		d := ref.Sum(nil)
+		want := ipv6.AddrFromBytes(d[:16])
+		for i, p := range sub.Addr().Bytes() { // keep the prefix bits, host bits from the digest
+			bit := sub.Bits() - 8*i
+			mask := byte(0)
+			switch {
+			case bit >= 8:
+				mask = 0xff
+			case bit > 0:
+				mask = 0xff << (8 - bit)
+			}
+			want = setByte(want, i, p&mask|want.Bytes()[i]&^mask)
+		}
+		if got := targetInMac(sub, mac, in, sum[:0]); got != want {
+			t.Errorf("%s: targetInMac = %s, want %s", sub, got, want)
+		}
+		if got := targetIn(sub, seed); got != want {
+			t.Errorf("%s: targetIn = %s, want %s", sub, got, want)
+		}
+	}
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		targetInMac(subs[0], mac, in, sum[:0])
+	})
+	if allocs != 0 {
+		t.Errorf("targetInMac allocates %.1f times per target, want 0", allocs)
+	}
+}
+
+// setByte returns a with byte i replaced by v.
+func setByte(a ipv6.Addr, i int, v byte) ipv6.Addr {
+	b := a.Bytes()
+	b[i] = v
+	return ipv6.AddrFromBytes(b[:])
 }

@@ -352,8 +352,8 @@ func (e *Engine) InjectBatch(from *Iface, pkts [][]byte) int {
 func (e *Engine) injectLocked(from *Iface, pkts [][]byte) int {
 	n := 0
 	for i := 0; i < len(pkts); {
-		if k := e.injectFastLocked(from, pkts[i:]); k > 0 {
-			n += k
+		if k, ev := e.injectFastLocked(from, pkts[i:]); k > 0 {
+			n += ev
 			i += k
 			continue
 		}
@@ -383,8 +383,11 @@ type Counters struct {
 	// FastPathHits and FastPathMisses partition the packets offered to
 	// the flow cache — every injection while the fast path is enabled
 	// and the engine has neither a fault layer nor a tap: a hit replayed
-	// a flow compiled earlier, a miss compiled first, met a negative
-	// entry, failed a replay guard or belonged to a traced flow.
+	// a flow compiled earlier — a probe to a node's own address too,
+	// whatever the node answered and however its answer went back — and
+	// a miss compiled first, met a negative entry, failed a replay guard
+	// (source address, hop limit, an ICMP-error probe) or belonged to a
+	// traced flow.
 	// FastPathInvalidations counts generation bumps (each discards
 	// every compiled flow).
 	// FastPathCompiles counts route-compilation walks and

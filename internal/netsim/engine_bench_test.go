@@ -29,10 +29,14 @@ func buildBenchNet(b *testing.B) (*Engine, *Edge, ipv6.Addr) {
 
 // BenchmarkEnginePump measures the event pump with deliveries in
 // enqueue order (ordered) and with the fault layer deferring every
-// other delivery (disordered).
+// other delivery (disordered). The probe is an echo to the responder
+// router's own address, which the flow cache replays as a local entry,
+// so the fast path is off: every probe is pumped hop by hop
+// (BenchmarkEngineLocalRoundTrip times the replay).
 func BenchmarkEnginePump(b *testing.B) {
 	run := func(b *testing.B, disorder bool) {
 		eng, edge, dst := buildBenchNet(b)
+		eng.SetFastPath(false)
 		if disorder {
 			flip := false
 			defer2 := []int{2} // hoisted: the engine reads, never retains
@@ -66,6 +70,39 @@ func BenchmarkEnginePump(b *testing.B) {
 	}
 	b.Run("ordered", func(b *testing.B) { run(b, false) })
 	b.Run("disordered", func(b *testing.B) { run(b, true) })
+}
+
+// BenchmarkEngineLocalRoundTrip times one warm TCP SYN to a services
+// CPE two hops from the scanner and its SYN/ACK back, the follow-up
+// tools' unit of work, replayed through the flow cache's local entry
+// (cache=on) and interpreted hop by hop (cache=off).
+func BenchmarkEngineLocalRoundTrip(b *testing.B) {
+	for _, on := range []bool{true, false} {
+		name := "cache=on"
+		if !on {
+			name = "cache=off"
+		}
+		b.Run(name, func(b *testing.B) {
+			n := buildLocalNet(b)
+			n.eng.SetFastPath(on)
+			syn, err := wire.BuildTCP(scannerAddr, svcWAN, 64, wire.TCPHeader{SrcPort: 40000, DstPort: 80, Seq: 9, Flags: wire.TCPSyn, Window: 65535}, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var rx [][]byte
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n.eng.Inject(n.scanner.Iface(), syn)
+				rx = n.scanner.DrainInto(rx[:0])
+				n.eng.ReleaseBufs(rx)
+			}
+			b.StopTimer()
+			if len(rx) != 1 {
+				b.Fatalf("%d replies to the last SYN, want 1", len(rx))
+			}
+		})
+	}
 }
 
 // BenchmarkEngineInjectColdSparse measures the cold sweep the paper's

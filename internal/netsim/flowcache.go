@@ -23,10 +23,13 @@ import (
 // compiled, so loss, duplication, reordering and rate limiting are the
 // interpreter's alone. A replayed probe's fate is a function of the
 // packet and the entry alone: no node state is read or charged beyond
-// the link stats and transit counters. Flows are keyed by (ingress
-// interface, destination); entries whose every decision is uniform
-// across a region of the destination space are stored wide, so the
-// scanner's random-IID probes into one window cell share an entry —
+// the link stats and transit counters — with one exception, the answer
+// of a node to a packet addressed to it (an echo reply, its stack's TCP
+// or UDP reply), which the replay asks of the node's one local path
+// (forwarder.answer) exactly as the interpreter does. Flows are keyed
+// by (ingress interface, destination); entries whose every decision is
+// uniform across a region of the destination space are stored wide, so
+// the scanner's random-IID probes into one window cell share an entry —
 // and all the unassigned space of an ISP block is one entry, the gap
 // flow, whose hole set is the provider edge's own emptiness index
 // (gapIndex, isp.go), not a list it carries.
@@ -36,12 +39,12 @@ import (
 // and the region that verdict holds over, and the walk stops — the flow
 // stays interpreted — at any node that is not a decider (an Edge ends
 // the trip; Hostile, NAT and IPv4 nodes are interpreted) and at any
-// verdict that is not a stateless forward or error (local delivery, a
-// drop, a loop bounded by per-destination state, a UE's expiry). Entries
-// are validated against a generation counter bumped on topology
+// verdict that is not a stateless forward, an error or local delivery
+// (a drop, a loop bounded by per-destination state, a UE's expiry).
+// Entries are validated against a generation counter bumped on topology
 // mutation or fast-path toggle — a stale compiled path is never
-// replayed — and hold no fault-dependent fact, so arming and disarming a
-// fault layer leaves them valid.
+// replayed — and hold no fault-dependent fact, so arming and disarming
+// a fault layer leaves them valid.
 //
 // The table's memory follows its flows, not its slots: a slot is an
 // 8-byte tag plus a 64-byte hot header, and the ~504-byte cold tails
@@ -62,9 +65,9 @@ type entryKind uint8
 
 const (
 	// entryNeg: the round trip did not compile end to end (a stateful
-	// hop or terminal, an unconnected egress, more than
-	// maxCompiledHops); the flow is interpreted, cached so the walk
-	// isn't retried. Always exact.
+	// hop, a drop, an unconnected egress, a reply path that does not
+	// compile, more than maxCompiledHops); the flow is interpreted,
+	// cached so the walk isn't retried. Always exact.
 	entryNeg entryKind = iota
 	// entryEdge: fused transit ending in inline delivery to an Edge.
 	entryEdge
@@ -79,6 +82,13 @@ const (
 	// dozens of bounce crossings replay as one event with batched
 	// charging. Valid only for the exact compiled incoming hop limit.
 	entryLoop
+	// entryLocal: fused transit to a node answering for its own address
+	// (flowHot.act: actLocal or actEcho), the node's answer computed at
+	// replay by its local path, and the fused reply path back to the
+	// probe's source (rev[0] is the terminal's ingress). Always exact; it
+	// replays as a run of one (fpReplayLocal), since the answer is the
+	// node's state and not the entry's.
+	entryLocal
 )
 
 // maxCompiledHops bounds recorded path length in each direction; longer
@@ -166,7 +176,8 @@ type flowHot struct {
 	hlIn      uint8
 	loopStart uint8
 	loopLen   uint8
-	_         [9]byte // explicit pad: 64 bytes total, asserted below
+	act       action  // entryLocal: the terminal's verdict
+	_         [8]byte // explicit pad: 64 bytes total, asserted below
 }
 
 // flowHotSize pins flowHot to one cache line; either assertion failing
@@ -717,6 +728,10 @@ func (e *Engine) compileFlow(to *Iface, pkt []byte) {
 		if !v.compiles() {
 			break
 		}
+		if v.act == actLocal || v.act == actEcho {
+			compileLocalTerm(ent, cld, in, v.act, pkt)
+			break
+		}
 		if v.act == actError {
 			if hl <= 1 {
 				// The hop limit expires here, before any forwarding.
@@ -849,7 +864,7 @@ outer:
 	return true
 }
 
-// compileReply records the error's return path from termIn back to an
+// compileReply records the reply's return path from termIn back to an
 // Edge into the cold tail's rev list (rev[0] is the emission out the
 // arrival interface, the rest forwarding crossings). false when any
 // reverse hop is uncompilable or unconnected.
@@ -903,6 +918,23 @@ func compileErrorTerm(h *flowHot, c *flowCold, termIn *Iface, term decider, v ve
 	c.replySrc = rdst
 	applyRegion(h, c, reg)
 	h.gaps = reg.gaps
+}
+
+// compileLocalTerm upgrades the entry to a round trip ending at a node
+// answering for its own address: the forward hops so far, the
+// terminal's action and the reply path from its ingress back to this
+// probe's source, which the resolve pass guards on. The entry is exact
+// — the verdict holds for dst alone — and stays negative when the reply
+// path does not compile.
+func compileLocalTerm(h *flowHot, c *flowCold, termIn *Iface, act action, pkt []byte) {
+	rdst := ipv6.AddrFromBytes(pkt[8:24])
+	if !compileReply(h, c, termIn, rdst) {
+		return
+	}
+	h.kind = entryLocal
+	h.act = act
+	h.flags &^= fpFlagWide
+	c.replySrc = rdst
 }
 
 // compileLoopTerm upgrades the entry to a fused hop-limit-expiry round

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/dnswire"
 	"repro/internal/ipv6"
 	"repro/internal/uint128"
 	"repro/internal/wire"
@@ -626,4 +627,219 @@ func TestFlowCacheSuppressedErrorsReplay(t *testing.T) {
 		t.Errorf("the ISP sent %d packets upstream, want %d (the CPE's errors only)", got, want)
 	}
 	p.compare(t, "warm")
+}
+
+// localNet is testNet with a CPE running services and a UE behind the
+// ISP router as well: every kind of node that answers for its own
+// address, zero to two forwarding hops from the scanner.
+type localNet struct {
+	*testNet
+	svc *CPE
+	ue  *UE
+}
+
+var (
+	svcPrefix     = ipv6.MustParsePrefix("2001:db8:5555:1::/64")
+	svcWAN        = ipv6.SLAAC(svcPrefix, 0x5)
+	localUEPrefix = ipv6.MustParsePrefix("2001:db8:ee00:1::/64")
+	localUEAddr   = ipv6.SLAAC(localUEPrefix, 0x1234)
+	// otherAddr is a second host on the scanner's link: the core routes
+	// its /64 there, so the scanner's edge receives what is sent to it.
+	otherAddr = ipv6.MustParseAddr("2001:beef::300")
+)
+
+// oddStack answers UDP port 1 with a reply of hop limit 1, which
+// expires at the first router back, and port 2 with a reply to
+// otherAddr rather than the probe's source: answers a compiled reply
+// path cannot carry.
+type oddStack struct{}
+
+func (oddStack) HandleLocal(buf []byte, s *wire.Summary, _ []byte) []byte {
+	if s.UDP == nil {
+		return nil
+	}
+	hl, dst := uint8(64), s.IP.Src
+	switch s.UDP.DstPort {
+	case 1:
+		hl = 1
+	case 2:
+		dst = otherAddr
+	default:
+		return nil
+	}
+	out, _ := wire.AppendUDP(buf, s.IP.Dst, dst, hl, s.UDP.DstPort, s.UDP.SrcPort, []byte("odd"))
+	return out
+}
+
+func buildLocalNet(tb testing.TB) *localNet {
+	tb.Helper()
+	n := &localNet{testNet: buildTestNet(tb, CPEBehavior{}, ErrorPolicy{})}
+	n.svc = NewCPE(CPEConfig{Name: "svc", WANAddr: svcWAN, WANPrefix: svcPrefix, Stack: servicesStack()})
+	n.ue = NewUE("ue", localUEAddr, localUEPrefix, oddStack{}, ErrorPolicy{})
+	ispSvc := n.isp.AddIface(ipv6.MustParseAddr("2001:db8:5555:1::1"), "isp:svc")
+	ispUE := n.isp.AddIface(ipv6.MustParseAddr("2001:db8:fffd::1"), "isp:ue")
+	n.eng.Connect(ispSvc, n.svc.WAN())
+	n.eng.Connect(ispUE, n.ue.Iface())
+	if err := n.isp.Delegate(svcPrefix, ispSvc); err != nil {
+		tb.Fatal(err)
+	}
+	if err := n.isp.Delegate(localUEPrefix, ispUE); err != nil {
+		tb.Fatal(err)
+	}
+	return n
+}
+
+// localMirror is a mirrorPair of localNets.
+func localMirror(t *testing.T) mirrorPair {
+	t.Helper()
+	p := mirrorPair{fast: buildLocalNet(t).testNet, slow: buildLocalNet(t).testNet}
+	p.slow.eng.SetFastPath(false)
+	return p
+}
+
+// step injects pkt into both nets, checks the fast net's account for it
+// and how many replies the scanner got, then compares the nets.
+func (p mirrorPair) step(t *testing.T, tag string, pkt []byte, hit bool, replies int) {
+	t.Helper()
+	hits, misses := p.injectBatch([][]byte{pkt})
+	if want := map[bool][2]uint64{true: {1, 0}, false: {0, 1}}[hit]; hits != want[0] || misses != want[1] {
+		t.Errorf("%s: %d hits, %d misses, want %d and %d", tag, hits, misses, want[0], want[1])
+	}
+	if got := p.slow.scanner.Pending(); got != replies {
+		t.Errorf("%s: the interpreter delivered %d replies, want %d", tag, got, replies)
+	}
+	p.compare(t, tag)
+}
+
+// TestFlowCacheLocalReplay: a probe to a node's own address compiles,
+// once, into a local entry whose later probes replay — forward hops
+// charged, the node's own local path answering, the reply carried back
+// — with Edge deliveries, link stats, engine totals and transit
+// counters byte- and count-identical to the interpreter's, for every
+// node that answers: a stackless CPE's WAN address, an operated LAN
+// host, two routers, a services CPE's TCP and UDP services and a UE.
+// The guards fall back to the interpreter: a hop limit that expires on
+// the way, a probe from another source, an answer in a traced flow, one
+// too short-lived for the way back or addressed elsewhere. A local
+// entry replays alone, inside a batch too.
+func TestFlowCacheLocalReplay(t *testing.T) {
+	must := func(p []byte, err error) []byte {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	echoFrom := func(src, dst ipv6.Addr, hl uint8) []byte {
+		return must(wire.BuildEchoRequest(src, dst, hl, 0xbeef, 1, []byte("probe")))
+	}
+	echo := func(dst ipv6.Addr) []byte { return echoFrom(scannerAddr, dst, 64) }
+	tcp := func(h wire.TCPHeader, data []byte) []byte {
+		return must(wire.BuildTCP(scannerAddr, svcWAN, 64, h, data))
+	}
+	syn := tcp(wire.TCPHeader{SrcPort: 40000, DstPort: 80, Seq: 9, Flags: wire.TCPSyn, Window: 65535}, nil)
+	// Both nets' stacks share a seed, so one SYN/ACK's cookie serves both.
+	var isn uint32
+	{
+		n := buildLocalNet(t)
+		n.eng.Inject(n.scanner.Iface(), syn)
+		got := n.scanner.DrainInto(nil)
+		if len(got) != 1 {
+			t.Fatalf("%d replies to a SYN, want 1", len(got))
+		}
+		s, err := wire.ParsePacket(got[0])
+		if err != nil || s.TCP == nil {
+			t.Fatalf("SYN/ACK % x (%v)", got[0], err)
+		}
+		isn = s.TCP.Seq
+	}
+	query := must(dnswire.NewQuery(7, "example.com", dnswire.TypeA, dnswire.ClassIN).Marshal())
+	udp := func(dst ipv6.Addr, port uint16, payload []byte) []byte {
+		return must(wire.BuildUDP(scannerAddr, dst, 64, 40000, port, payload))
+	}
+
+	cases := []struct {
+		name    string
+		pkt     []byte
+		replies int
+	}{
+		{"cpe-wan-echo", echo(wanAddr), 1},
+		{"lan-host-echo", echo(lanHost), 1},
+		{"core-echo", echo(ipv6.MustParseAddr("2001:db8:fffe::1")), 1},
+		{"isp-echo", echo(ipv6.MustParseAddr("2001:db8:fffe::2")), 1},
+		{"syn", syn, 1},
+		{"data", tcp(wire.TCPHeader{SrcPort: 40000, DstPort: 80, Seq: 10, Ack: isn + 1, Flags: wire.TCPAck | wire.TCPPsh, Window: 65535}, []byte("GET / HTTP/1.0\r\n\r\n")), 1},
+		{"closed-udp", udp(svcWAN, 9999, []byte("x")), 1},
+		{"rst", tcp(wire.TCPHeader{SrcPort: 40000, DstPort: 80, Seq: 9, Flags: wire.TCPRst}, nil), 0},
+		{"dns", udp(svcWAN, 53, query), 1},
+		{"ue-echo", echo(localUEAddr), 1},
+		{"short-lived-answer", udp(localUEAddr, 1, nil), 0},
+		{"answer-elsewhere", udp(localUEAddr, 2, nil), 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := localMirror(t)
+			for i := 0; i < 3; i++ {
+				p.step(t, fmt.Sprintf("probe %d", i), tc.pkt, i > 0, tc.replies)
+			}
+		})
+	}
+
+	t.Run("hop-limit", func(t *testing.T) {
+		// Two forwarding hops to the CPE: a probe needs hop limit 3 to
+		// arrive; with 2 the ISP answers Time Exceeded instead.
+		p := localMirror(t)
+		p.step(t, "hl=3 cold", echoFrom(scannerAddr, wanAddr, 3), false, 1)
+		p.step(t, "hl=2", echoFrom(scannerAddr, wanAddr, 2), false, 1)
+		p.step(t, "hl=3 warm", echoFrom(scannerAddr, wanAddr, 3), true, 1)
+	})
+
+	t.Run("second-source", func(t *testing.T) {
+		// The entry's reply path was compiled for the scanner's address.
+		p := localMirror(t)
+		p.step(t, "scanner cold", echo(svcWAN), false, 1)
+		for i := 0; i < 2; i++ {
+			p.step(t, fmt.Sprintf("other %d", i), echoFrom(otherAddr, svcWAN, 64), false, 1)
+		}
+		p.step(t, "scanner warm", echo(svcWAN), true, 1)
+	})
+
+	t.Run("traced-answer", func(t *testing.T) {
+		// A TCP reply's flow is its destination, the scanner: sampled, it
+		// is interpreted from the device on, and its crossings recorded.
+		p := localMirror(t)
+		ft, st := &crossingTracer{target: scannerAddr}, &crossingTracer{target: scannerAddr}
+		p.fast.eng.SetFlowTracer(ft)
+		p.slow.eng.SetFlowTracer(st)
+		for i := 0; i < 3; i++ {
+			p.step(t, fmt.Sprintf("syn %d", i), syn, i > 0, 1)
+		}
+		if len(st.hops) != 9 {
+			t.Errorf("the interpreter traced %d crossings, want 9 (three SYN/ACKs, three hops each)", len(st.hops))
+		}
+		if !slices.Equal(ft.hops, st.hops) {
+			t.Errorf("traced crossings differ:\nfast %v\nslow %v", ft.hops, st.hops)
+		}
+	})
+
+	t.Run("batch", func(t *testing.T) {
+		// Local probes between scan probes: each ends the run it would
+		// join and replays alone, in order.
+		p := localMirror(t)
+		gap := ipv6.MustParseAddr("2001:db8:aaaa:bbbb::")
+		var pkts [][]byte
+		for i, c := range cases {
+			pkts = append(pkts, echo(gap.WithIID(uint64(i+1))), echo(ipv6.SLAAC(lanSubnet, uint64(0x100+i))), c.pkt)
+		}
+		for pass := 0; pass < 2; pass++ {
+			hits, misses := p.injectBatch(pkts)
+			p.compare(t, fmt.Sprintf("pass %d", pass))
+			if hits+misses != uint64(len(pkts)) {
+				t.Errorf("pass %d: %d hits + %d misses for %d probes", pass, hits, misses, len(pkts))
+			}
+			if pass == 1 && misses != 0 {
+				t.Errorf("warm pass: %d misses, want 0", misses)
+			}
+		}
+	})
 }

@@ -28,7 +28,10 @@ import (
 // does not sample. An unseen flow is compiled at the head of a run;
 // anything else — negative entries, ICMP-error probes, guard
 // mismatches, traced flows — ends the run and that one packet is
-// interpreted.
+// interpreted. A probe to a node's own address (entryLocal) replays
+// alone: it ends the run it would join, and at the head of a run it is
+// the whole run, replayed by fpReplayLocal, so the batched arithmetic of
+// fpReplayRun never meets an answer computed by a node's stack.
 
 // injRun caps how many probes one batched pass resolves, sizing the
 // engine-inline scratch below (no per-batch allocation).
@@ -55,19 +58,21 @@ type injScratch struct {
 }
 
 // injectFastLocked replays a prefix of pkts through the flow cache as
-// one run and returns how many packets it consumed, each one event; 0
-// means the caller must interpret pkts[0]. On an engine with a fault
-// layer or a tap the cache is not consulted at all; otherwise every
-// packet offered is counted as exactly one hit or one miss.
-func (e *Engine) injectFastLocked(from *Iface, pkts [][]byte) int {
+// one run and returns how many packets it consumed and the events they
+// cost — one each, plus the interpreted tail of a local answer the
+// compiled reply path could not carry; k == 0 means the caller must
+// interpret pkts[0]. On an engine with a fault layer or a tap the cache
+// is not consulted at all; otherwise every packet offered is counted as
+// exactly one hit or one miss.
+func (e *Engine) injectFastLocked(from *Iface, pkts [][]byte) (k, events int) {
 	if !e.fp.enabled || e.fault != nil || e.tap != nil {
-		return 0
+		return 0, 0
 	}
 	fp := &e.fp
 	l := from.link
 	if l == nil {
 		fp.misses++
-		return 0
+		return 0, 0
 	}
 	to := l.ends[1-from.end]
 	ifid := to.fpID
@@ -81,8 +86,9 @@ func (e *Engine) injectFastLocked(from *Iface, pkts [][]byte) int {
 	// relies on, stopping at the first probe the run cannot replay
 	// exactly. Each resolved probe is folded into the run's
 	// distinct-entry table as it lands.
-	k, d := 0, 0
+	d := 0
 	cold := false
+	local := -1 // the flow-table slot of a local entry heading the run
 	var sumAll uint64
 resolve:
 	for k < n {
@@ -128,23 +134,21 @@ resolve:
 			// nf decrements and the terminal's pre-error decrement must
 			// leave the hop limit unexpired, and no error is sent about
 			// an error: the compiled decision holds for neither.
-			if int(pkt[7]) < int(h.nf)+2 || isICMPError(pkt) {
-				break resolve
-			}
-			c := &fp.cold[h.cold]
-			if binary.BigEndian.Uint64(pkt[8:16]) != c.replySrc.Uint128().Hi ||
-				binary.BigEndian.Uint64(pkt[16:24]) != c.replySrc.Uint128().Lo {
+			if int(pkt[7]) < int(h.nf)+2 || isICMPError(pkt) || !fromSrc(pkt, &fp.cold[h.cold]) {
 				break resolve
 			}
 		case entryLoop:
-			if pkt[7] != h.hlIn || isICMPError(pkt) {
+			if pkt[7] != h.hlIn || isICMPError(pkt) || !fromSrc(pkt, &fp.cold[h.cold]) {
 				break resolve
 			}
-			c := &fp.cold[h.cold]
-			if binary.BigEndian.Uint64(pkt[8:16]) != c.replySrc.Uint128().Hi ||
-				binary.BigEndian.Uint64(pkt[16:24]) != c.replySrc.Uint128().Lo {
+		case entryLocal:
+			// A run of one: the probe survives the nf forward decrements,
+			// and the reply path was compiled for its source.
+			if k > 0 || int(pkt[7]) < int(h.nf)+1 || !fromSrc(pkt, &fp.cold[h.cold]) {
 				break resolve
 			}
+			local, k = j, 1
+			break resolve
 		default: // entryNeg: interpreted
 			break resolve
 		}
@@ -175,9 +179,14 @@ resolve:
 	}
 	if k == 0 {
 		fp.misses++
-		return 0
+		return 0, 0
 	}
-	e.fpReplayRun(from, pkts[:k], d, sumAll)
+	events = k
+	if local >= 0 {
+		events = e.fpReplayLocal(from, pkts[0], &fp.hot[local])
+	} else {
+		e.fpReplayRun(from, pkts[:k], d, sumAll)
+	}
 	e.steps += uint64(k)
 	fp.hits += uint64(k)
 	if cold {
@@ -185,7 +194,94 @@ resolve:
 		fp.hits--
 		fp.misses++
 	}
-	return k
+	return k, events
+}
+
+// charge adds cnt crossings of bytes in all to each compiled hop's link
+// stats and transit counter (nil on rev[0], the terminal's own
+// emission).
+func charge(hops []compiledHop, cnt, bytes uint64) {
+	for i := range hops {
+		hop := &hops[i]
+		if hop.fwd != nil {
+			*hop.fwd += cnt
+		}
+		hop.st.Packets += cnt
+		hop.st.Bytes += bytes
+	}
+}
+
+// fromSrc reports whether pkt comes from the source the entry's reply
+// path was compiled for.
+func fromSrc(pkt []byte, c *flowCold) bool {
+	u := c.replySrc.Uint128()
+	return binary.BigEndian.Uint64(pkt[8:16]) == u.Hi && binary.BigEndian.Uint64(pkt[16:24]) == u.Lo
+}
+
+// fpReplayLocal replays one probe of a local entry: the injection and
+// forward crossings charged arithmetically, the terminal node's answer
+// computed by its own local path (forwarder.answer) on a copy of the
+// probe as it arrives there, and the answer carried over the compiled
+// reply path to the Edge. It returns the events the probe cost: one,
+// plus the interpreted events of an answer the compiled path cannot
+// carry — not a well-formed packet to the compiled source, too short a
+// hop limit for the nr-1 forwarding hops back, or in a traced flow —
+// which leaves the terminal's ingress through transmitLocked as the
+// interpreter would send it.
+func (e *Engine) fpReplayLocal(from *Iface, pkt []byte, h *flowHot) int {
+	c := &e.fp.cold[h.cold]
+	n := uint64(len(pkt))
+	st := &from.link.stats[from.end]
+	st.Packets++
+	st.Bytes += n
+	charge(c.fwd[:h.nf], 1, n)
+	cross := 1 + uint64(h.nf)
+	e.txPackets += cross
+	e.txBytes += cross * n
+	e.seq += cross
+
+	term := c.rev[0].out
+	cp := e.getBufLocked(len(pkt))
+	copy(cp, pkt)
+	cp[7] -= h.nf
+	r := term.node.(decider).fw().answer(term, h.act, ipv6.AddrFromBytes(cp[24:40]), cp)
+	if bufBase(r) != bufBase(cp) {
+		e.putBufLocked(cp) // the answer does not reuse the request's buffer
+	}
+	if r == nil {
+		return 1
+	}
+	if !e.fpCarries(h, c, r) {
+		e.transmitLocked(term, r)
+		return 1 + e.runLocked()
+	}
+	if h.nr > 1 {
+		r[7] -= h.nr - 1
+	}
+	rb := uint64(len(r))
+	charge(c.rev[:h.nr], 1, rb)
+	e.txPackets += uint64(h.nr)
+	e.txBytes += uint64(h.nr) * rb
+	e.seq += uint64(h.nr)
+	c.edge.node.Handle(c.edge, r)
+	return 1
+}
+
+// fpCarries reports whether a local entry's compiled reply path carries
+// the terminal's answer r exactly as the interpreter would: a packet
+// every reverse hop forwards (the forwarder's validity check), to the
+// compiled source, with a hop limit that outlives the nr-1 forwarding
+// decrements, in a flow no tracer samples.
+func (e *Engine) fpCarries(h *flowHot, c *flowCold, r []byte) bool {
+	if dst, ok := wire.ForwardDst(r); !ok || dst != c.replySrc || int(r[7]) < int(h.nr) {
+		return false
+	}
+	if e.ftr != nil {
+		if hi, lo, ok := flowTraceKey(r); ok && e.ftr.SampleFlow(hi, lo) {
+			return false
+		}
+	}
+	return true
 }
 
 // fpReplayRun replays one resolved run of probes, all guards
@@ -237,15 +333,7 @@ func (e *Engine) fpReplayRun(from *Iface, pkts [][]byte, d int, sumAll uint64) {
 		cb := e.inj.dbytes[di]
 		switch h.kind {
 		case entryEdge, entryError:
-			for i := uint8(0); i < h.nf; i++ {
-				hop := &c.fwd[i]
-				if hop.fwd != nil {
-					*hop.fwd += cnt
-				}
-				lst := hop.st
-				lst.Packets += cnt
-				lst.Bytes += cb
-			}
+			charge(c.fwd[:h.nf], cnt, cb)
 			crossings += cnt * uint64(h.nf)
 			bytes += cb * uint64(h.nf)
 		case entryLoop:
@@ -322,16 +410,7 @@ func (e *Engine) fpReplayRun(from *Iface, pkts [][]byte, d int, sumAll uint64) {
 		c := &fp.cold[h.cold]
 		m := uint64(e.inj.dcount[di])
 		rb := e.inj.drbytes[di]
-		for i := uint8(0); i < h.nr; i++ {
-			hop := &c.rev[i]
-			// rev[0] is the terminal's own emission, not a transit hop.
-			if i > 0 && hop.fwd != nil {
-				*hop.fwd += m
-			}
-			lst := hop.st
-			lst.Packets += m
-			lst.Bytes += rb
-		}
+		charge(c.rev[:h.nr], m, rb)
 		crossings += m * uint64(h.nr)
 		bytes += rb * uint64(h.nr)
 	}

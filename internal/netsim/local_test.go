@@ -112,15 +112,17 @@ func TestLocalDeliveryIgnoresNonEcho(t *testing.T) {
 }
 
 // assertWarmAllocFree fails unless a warm round trip of pkt from edge
-// allocates nothing: every reply is built into a pooled engine buffer,
-// a silent stack hands its buffer back, and the drained replies return
-// through ReleaseBufs.
+// replays through the flow cache's local entry and allocates nothing:
+// every reply is built into a pooled engine buffer, a silent stack
+// hands its buffer back, and the drained replies return through
+// ReleaseBufs.
 func assertWarmAllocFree(t *testing.T, eng *Engine, edge *Edge, pkt []byte) {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	var drained [][]byte
+	before := eng.Counters()
 	allocs := testing.AllocsPerRun(100, func() {
 		eng.Inject(edge.Iface(), pkt)
 		drained = edge.DrainInto(drained[:0])
@@ -129,13 +131,18 @@ func assertWarmAllocFree(t *testing.T, eng *Engine, edge *Edge, pkt []byte) {
 	if allocs != 0 {
 		t.Errorf("a round trip allocates %.1f times, want 0", allocs)
 	}
+	after := eng.Counters()
+	// AllocsPerRun runs the function once more to warm up.
+	if hits, misses := after.FastPathHits-before.FastPathHits, after.FastPathMisses-before.FastPathMisses; hits != 101 || misses != 0 {
+		t.Errorf("warm round trips: %d hits, %d misses, want 101 and 0", hits, misses)
+	}
 }
 
 // TestEchoToLANHostAllocFree: a ping to any node's own address — an
 // operated LAN host the CPE answers for, a stackless CPE's WAN address,
 // a CPE with services, a UE — comes back as exactly the reply the wire
-// builder makes, and the interpreted round trip (local traffic is never
-// compiled) allocates nothing once warm.
+// builder makes, and the round trip, replayed through the flow cache
+// once warm, allocates nothing.
 func TestEchoToLANHostAllocFree(t *testing.T) {
 	uePrefix := ipv6.MustParsePrefix("2001:db8:ee00:1::/64")
 	ueAddr := ipv6.SLAAC(uePrefix, 0x1234)

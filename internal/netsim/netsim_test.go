@@ -36,7 +36,7 @@ var (
 	lanHost     = ipv6.MustParseAddr("2001:db8:4321:8765::42")
 )
 
-func buildTestNet(t *testing.T, behavior CPEBehavior, ispPolicy ErrorPolicy) *testNet {
+func buildTestNet(t testing.TB, behavior CPEBehavior, ispPolicy ErrorPolicy) *testNet {
 	t.Helper()
 	n := &testNet{eng: New()}
 

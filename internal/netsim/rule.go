@@ -11,7 +11,9 @@ import (
 // interpreter applies verdicts packet by packet (forwarder.Handle); the
 // flow cache's compiler (compileFlow, compileReply) reads the same
 // verdicts, plus the region each one holds over, to record whole round
-// trips. There is no second copy of any routing decision to drift.
+// trips. There is no second copy of any routing decision to drift, and
+// no second copy of a node's answer to its own traffic: both the
+// interpreter and a replayed local flow call forwarder.answer.
 
 // action is what a node does with one packet.
 type action uint8
@@ -47,9 +49,10 @@ type verdict struct {
 type icmpMsg struct{ typ, code uint8 }
 
 // compiles reports whether the flow cache may record v: a stateless
-// forward or error.
+// forward or error, or delivery to the node itself, whose answer the
+// replay asks the node for (forwarder.answer).
 func (v verdict) compiles() bool {
-	return !v.interp && (v.act == actForward || v.act == actError)
+	return !v.interp && v.act != actDrop
 }
 
 func forwardOut(out *Iface) verdict {
@@ -143,10 +146,8 @@ func (f *forwarder) Handle(in *Iface, pkt []byte) []Emission {
 	expired := pkt[7] <= 1
 	v := f.self.decide(in, dst, expired, nil)
 	switch v.act {
-	case actLocal:
-		return f.sc.emit(in, f.local(in, dst, pkt))
-	case actEcho:
-		return f.sc.emit(in, f.sc.echoReply(in, dst, pkt))
+	case actLocal, actEcho:
+		return f.sc.emit(in, f.answer(in, v.act, dst, pkt))
 	case actDrop:
 		return nil
 	}
@@ -183,6 +184,18 @@ type LocalStack interface {
 // into: the IPv6 minimum link MTU, which every reply the simulated
 // services send fits.
 const localReplyCap = 1280
+
+// answer is the node's reply to a packet addressed to it, arrived on in:
+// for actLocal the node's own local delivery, for actEcho the echo reply
+// it sends for an operated host. nil means silence. The interpreter and
+// the flow cache's local replay (fpReplayLocal) both answer through it,
+// so a stack sees the same packets, in the same order, either way.
+func (f *forwarder) answer(in *Iface, act action, dst ipv6.Addr, pkt []byte) []byte {
+	if act == actEcho {
+		return f.sc.echoReply(in, dst, pkt)
+	}
+	return f.local(in, dst, pkt)
+}
 
 // local is the one local delivery of every node: a packet addressed to
 // the node itself. TCP and UDP go to the stack, parsed once into the

@@ -96,7 +96,9 @@ type Config struct {
 
 // UDPService handles one UDP request datagram.
 type UDPService interface {
-	// Handle returns the response payload, or nil for silence.
+	// Handle returns the response payload, or nil for silence. The
+	// payload may live in a buffer the service reuses: it is valid until
+	// the next call.
 	Handle(req []byte) []byte
 }
 
@@ -170,54 +172,107 @@ func (s *Stack) HandleLocal(buf []byte, sum *wire.Summary, pkt []byte) []byte {
 // DNSForwarder models the dnsmasq-style forwarder on home routers: it
 // "resolves" A/AAAA queries (synthetically), answers version.bind, and
 // sets RA — which is exactly what makes it an open resolver when exposed.
+// It reads each query in place and answers into a buffer it reuses, so
+// it is not safe for concurrent use; a device's stack runs under its
+// engine's lock.
 type DNSForwarder struct {
 	Software string // e.g. "dnsmasq-2.45"
+
+	// txt is the version.bind answer's rdata, rendered on first use;
+	// txtOK is false when Software does not fit one TXT string.
+	txt          []byte
+	txtDone      bool
+	txtOK        bool
+	name, answer []byte // scratch: a decoded question name, the response
 }
 
 var _ UDPService = (*DNSForwarder)(nil)
 
-// Handle implements UDPService.
+// The synthetic upstream answers: the forwarder "recurses" and the
+// simulation answers with deterministic addresses.
+var (
+	dnsAnswerA    = []byte{93, 184, 216, 34}
+	dnsAnswerAAAA = []byte{0x26, 0x06, 0x28, 0x00, 0x02, 0x20, 0, 1, 0x02, 0x48, 0x18, 0x93, 0x25, 0xc8, 0x19, 0x46}
+	versionBind   = []byte("version.bind")
+)
+
+// Handle implements UDPService. The response is the query's ID and
+// every question, re-encoded uncompressed as dnswire.Message.Marshal
+// writes them, plus one answer to the first question: the version TXT
+// for version.bind (CH), the synthetic address for A or AAAA (IN), else
+// no answer and NOTIMP. Anything dnswire.Parse rejects, a response, or
+// a query with no question gets silence. A warm query allocates
+// nothing; the response is valid until the next call.
 func (d *DNSForwarder) Handle(req []byte) []byte {
-	q, err := dnswire.Parse(req)
-	if err != nil || q.Flags&dnswire.FlagQR != 0 || len(q.Questions) == 0 {
+	if !dnswire.Check(req) || req[2]&(dnswire.FlagQR>>8) != 0 {
 		return nil
 	}
-	question := q.Questions[0]
-	resp := &dnswire.Message{
-		ID:        q.ID,
-		Flags:     dnswire.FlagQR | dnswire.FlagRA | dnswire.FlagRD,
-		Questions: q.Questions,
+	qd := int(req[4])<<8 | int(req[5])
+	if qd == 0 {
+		return nil
 	}
-	switch {
-	case question.Class == dnswire.ClassCH && question.Type == dnswire.TypeTXT &&
-		strings.EqualFold(question.Name, "version.bind"):
-		txt, err := dnswire.TXTData(d.Software)
-		if err != nil {
+	out := append(d.answer[:0], req[0], req[1], 0, 0, req[4], req[5], 0, 0, 0, 0, 0, 0)
+	var (
+		nameAt, nameEnd int // the first question's encoded name in out
+		qtype, qclass   uint16
+		version         bool
+	)
+	off := 12
+	for i := 0; i < qd; i++ {
+		name, next, _ := dnswire.AppendParsedName(d.name[:0], req, off) // Check accepted it
+		d.name = name
+		at := len(out)
+		var err error
+		if out, err = dnswire.AppendName(out, name); err != nil {
 			return nil
 		}
-		resp.Answers = []dnswire.RR{{
-			Name: question.Name, Type: dnswire.TypeTXT, Class: dnswire.ClassCH, TTL: 0, Data: txt,
-		}}
-	case question.Class == dnswire.ClassIN && question.Type == dnswire.TypeA:
-		// The forwarder "recurses" to its upstream; the simulation
-		// answers with a deterministic synthetic address.
-		resp.Answers = []dnswire.RR{{
-			Name: question.Name, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 300,
-			Data: []byte{93, 184, 216, 34},
-		}}
-	case question.Class == dnswire.ClassIN && question.Type == dnswire.TypeAAAA:
-		resp.Answers = []dnswire.RR{{
-			Name: question.Name, Type: dnswire.TypeAAAA, Class: dnswire.ClassIN, TTL: 300,
-			Data: []byte{0x26, 0x06, 0x28, 0x00, 0x02, 0x20, 0, 1, 0x02, 0x48, 0x18, 0x93, 0x25, 0xc8, 0x19, 0x46},
-		}}
+		if i == 0 {
+			nameAt, nameEnd = at, len(out)
+			qtype = uint16(req[next])<<8 | uint16(req[next+1])
+			qclass = uint16(req[next+2])<<8 | uint16(req[next+3])
+			version = bytes.EqualFold(name, versionBind)
+		}
+		out = append(out, req[next:next+4]...)
+		off = next + 4
+	}
+	flags := uint16(dnswire.FlagQR | dnswire.FlagRA | dnswire.FlagRD)
+	var data []byte
+	var ttl uint32
+	switch {
+	case qclass == dnswire.ClassCH && qtype == dnswire.TypeTXT && version:
+		txt, ok := d.versionTXT()
+		if !ok {
+			return nil
+		}
+		data = txt
+	case qclass == dnswire.ClassIN && qtype == dnswire.TypeA:
+		data, ttl = dnsAnswerA, 300
+	case qclass == dnswire.ClassIN && qtype == dnswire.TypeAAAA:
+		data, ttl = dnsAnswerAAAA, 300
 	default:
-		resp.Flags |= dnswire.RcodeNotImp
+		flags |= dnswire.RcodeNotImp
 	}
-	out, err := resp.Marshal()
-	if err != nil {
-		return nil
+	out[2], out[3] = byte(flags>>8), byte(flags)
+	if data != nil {
+		out[7] = 1
+		out = append(out, out[nameAt:nameEnd]...)
+		out = append(out, byte(qtype>>8), byte(qtype), byte(qclass>>8), byte(qclass),
+			byte(ttl>>24), byte(ttl>>16), byte(ttl>>8), byte(ttl),
+			byte(len(data)>>8), byte(len(data)))
+		out = append(out, data...)
 	}
+	d.answer = out
 	return out
+}
+
+// versionTXT returns the version.bind rdata, rendering it once.
+func (d *DNSForwarder) versionTXT() ([]byte, bool) {
+	if !d.txtDone {
+		d.txtDone = true
+		txt, err := dnswire.TXTData(d.Software)
+		d.txt, d.txtOK = txt, err == nil
+	}
+	return d.txt, d.txtOK
 }
 
 // NTPService answers NTPv4 mode-3 queries with a mode-4 reply.

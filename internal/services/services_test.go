@@ -504,3 +504,38 @@ func TestHTTPRespondAllocFree(t *testing.T) {
 		t.Errorf("Respond allocates %.1f times per request pair, want 0", n)
 	}
 }
+
+// TestDNSForwarderAllocFree: once warm, the forwarder answers an A, an
+// AAAA and a version.bind query, and refuses garbage, without
+// allocating: it reads the query in place and answers into a buffer it
+// reuses.
+func TestDNSForwarderAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	must := func(m *dnswire.Message) []byte {
+		b, err := m.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	d := &DNSForwarder{Software: "dnsmasq-2.45"}
+	for _, tc := range []struct {
+		name   string
+		q      []byte
+		answer bool
+	}{
+		{"a", must(dnswire.NewQuery(1, "example.com", dnswire.TypeA, dnswire.ClassIN)), true},
+		{"aaaa", must(dnswire.NewQuery(2, "example.com", dnswire.TypeAAAA, dnswire.ClassIN)), true},
+		{"version.bind", must(dnswire.NewVersionBindQuery(3)), true},
+		{"garbage", []byte("not a DNS message at all"), false},
+	} {
+		if got := d.Handle(tc.q); (got != nil) != tc.answer {
+			t.Fatalf("%s: answered %v, want %v", tc.name, got != nil, tc.answer)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { d.Handle(tc.q) }); allocs != 0 {
+			t.Errorf("%s: a warm query allocates %.1f times, want 0", tc.name, allocs)
+		}
+	}
+}

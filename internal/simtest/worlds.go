@@ -245,6 +245,10 @@ type toolLeg struct {
 	grabs      []*zgrab.DeviceResult
 	loop       *loopscan.ScanResult
 	loopEvents uint64
+	// grabHits and grabMisses are the flow cache's account of the
+	// service prober's packets alone: every one is addressed to a
+	// device's own address.
+	grabHits, grabMisses uint64
 }
 
 func runToolLeg(seed int64, fastpath bool) (*toolLeg, error) {
@@ -261,6 +265,7 @@ func runToolLeg(seed int64, fastpath bool) (*toolLeg, error) {
 	drv := xmap.NewSimDriver(dep.Engine, dep.Edge)
 	t.subnet, t.subnetErr = subnet.Infer(drv, isp.Window.Base, subnet.Options{Seed: seed})
 	prober := zgrab.New(drv)
+	grabStart := dep.Engine.Counters()
 	for _, dev := range isp.Devices {
 		grab, err := prober.ProbeDevice(dev.WANAddr, nil)
 		if err != nil {
@@ -268,7 +273,10 @@ func runToolLeg(seed int64, fastpath bool) (*toolLeg, error) {
 		}
 		t.grabs = append(t.grabs, grab)
 	}
-	before := dep.Engine.Counters().Events
+	grabEnd := dep.Engine.Counters()
+	t.grabHits = grabEnd.FastPathHits - grabStart.FastPathHits
+	t.grabMisses = grabEnd.FastPathMisses - grabStart.FastPathMisses
+	before := grabEnd.Events
 	if t.loop, err = loopscan.NewDetector(drv).ScanWindows([]ipv6.Window{isp.Window}, scanSeed(seed)); err != nil {
 		return nil, err
 	}
@@ -283,8 +291,10 @@ func runToolLeg(seed int64, fastpath bool) (*toolLeg, error) {
 // fault-free. Every packet they send goes through Engine.Inject, and the
 // sweep rows tap their engines (an observed engine is interpreted), so
 // this row is what runs the tools over the compiled path: identical
-// reports, engine totals and link stats, cache hits on the compiled leg,
-// and a loop sweep that costs fewer events there (loop fusion engaged at
+// reports, engine totals and link stats, cache hits on the compiled leg
+// — in the service prober's phase too, whose packets all end at a
+// device's own address, with at most one miss per device — and a loop
+// sweep that costs fewer events there (loop fusion engaged at
 // injection).
 func toolsCheck(e env, _ *leg, _ []*leg) ([]string, error) {
 	on, err := runToolLeg(e.seed, true)
@@ -315,6 +325,15 @@ func toolsCheck(e env, _ *leg, _ []*leg) ([]string, error) {
 		problems = append(problems, fmt.Sprintf(
 			"tools legs took the wrong path: %d hits fastpath, %d hits + %d misses interpreted",
 			a.FastPathHits, b.FastPathHits, b.FastPathMisses))
+	}
+	// Every packet the service prober sends is addressed to a device's
+	// own address: on the cache leg the first to each device compiles
+	// its local entry and the rest replay it, so its phase has hits and
+	// at most one miss per device.
+	if on.grabHits == 0 || on.grabMisses > uint64(len(on.grabs)) {
+		problems = append(problems, fmt.Sprintf(
+			"service prober: %d hits, %d misses over %d devices fastpath: local delivery was interpreted",
+			on.grabHits, on.grabMisses, len(on.grabs)))
 	}
 	if on.loopEvents >= off.loopEvents {
 		problems = append(problems, fmt.Sprintf(

@@ -214,13 +214,15 @@ func TestTelnetVendorParsing(t *testing.T) {
 
 // TestProbeDeviceAllocs pins what probing all eight services of a
 // device allocates over SimDriver, averaged over the fixture's 150
-// devices: 8.5. The prober builds and parses its packets in reused
+// devices: 6.8. The prober builds and parses its packets in reused
 // buffers, its constant requests are marshalled once, and the driver
 // recycles each drain; inside the engine the device parses each packet
-// once into its node's Summary and its stack answers into an engine
-// buffer. What is left is zgrab's DeviceResult, the banners and
-// responses Exchange copies out, the strings the results carry, and the
-// simulated services' own application parsing (DNS above all). HTTP's
+// once into its node's Summary, its stack answers into an engine
+// buffer, and its DNS forwarder reads the query in place. What is left
+// is zgrab's DeviceResult, the banners and responses Exchange copies
+// out, the strings the results carry, and the other simulated services'
+// own application parsing. A forwarder that parsed each query with
+// dnswire.Parse and marshalled a fresh message cost 8.5; HTTP's
 // request line through a string and strings.Fields cost 9.5; a stack
 // that re-parsed each packet with ParsePacket and built its replies
 // afresh cost 29.4; building, parsing and HMAC-keying every segment
@@ -238,7 +240,9 @@ func TestProbeDeviceAllocs(t *testing.T) {
 			}
 		}
 	})
-	if perDevice := allocs / float64(len(devs)); perDevice > 10 {
-		t.Errorf("ProbeDevice allocates %.1f times per device over %d devices, want <= 10", perDevice, len(devs))
+	perDevice := allocs / float64(len(devs))
+	t.Logf("ProbeDevice allocates %.2f times per device over %d devices", perDevice, len(devs))
+	if perDevice > 7 {
+		t.Errorf("ProbeDevice allocates %.1f times per device over %d devices, want <= 7", perDevice, len(devs))
 	}
 }
