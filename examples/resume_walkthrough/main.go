@@ -1,10 +1,11 @@
 // Resume walkthrough: the crash-safety path of the scan reliability
 // layer, end to end. A sharded scan writes periodic checkpoints, is
-// "killed" mid-cycle (context cancellation — the SIGINT path of
-// cmd/xmap), and a second scan resumes from the checkpoint file. The
-// walkthrough then verifies the crash cost: the union of both legs'
-// responders equals an uninterrupted reference scan, no responder is
-// reported twice, and the probes re-sent because of the crash are
+// stopped mid-cycle — each shard at its own fixed target count, leaving
+// the resumable exit checkpoint a cancelled scan (the SIGINT path of
+// cmd/xmap) leaves — and a second scan resumes from the checkpoint
+// file. The walkthrough then verifies the crash cost: the union of both
+// legs' responders equals an uninterrupted reference scan, no responder
+// is reported twice, and the probes re-sent because of the crash are
 // bounded by one checkpoint interval per shard.
 //
 // A week-long Internet scan (the paper probes 63M /64 prefixes per
@@ -14,13 +15,11 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 
 	"repro/internal/ipv6"
 	"repro/internal/topo"
@@ -32,7 +31,7 @@ var seed = flag.Int64("seed", 7, "simulation seed (same seed, same output)")
 const (
 	shards          = 2
 	checkpointEvery = 256
-	killAfter       = 900 // targets per shard before the simulated crash
+	killAfter       = 900 // targets each shard probes before the simulated crash
 )
 
 func main() {
@@ -72,26 +71,21 @@ func run(out io.Writer) error {
 	fmt.Fprintf(out, "reference scan:  %5d probes, %4d responders\n", refStats.Sent, refStats.Unique)
 
 	// Leg 1: fresh identical world, checkpoint to disk, crash mid-scan.
-	// The cancellation fires from a checkpoint callback, so the "kill"
-	// lands between batches exactly like a signal would.
+	// Each shard stops after killAfter targets of its own, so the crash
+	// lands at the same point of every run: a cancellation fired by one
+	// shard would race the other, and the crashed leg's size with it.
 	dep, window, err = buildDeployment()
 	if err != nil {
 		return err
 	}
 	drv := xmap.NewSimDriver(dep.Engine, dep.Edge)
-	ctx, cancel := context.WithCancel(context.Background())
-	var crashed atomic.Bool
 	killCfg := cfg
 	killCfg.CheckpointPath = ckptPath
 	killCfg.CheckpointEvery = checkpointEvery
-	killCfg.OnCheckpoint = func(st xmap.ShardState) {
-		if st.Stats.Targets >= killAfter && !crashed.Swap(true) {
-			cancel()
-		}
-	}
+	killCfg.MaxTargets = killAfter
 	seen := map[ipv6.Addr]int{}
-	leg1, err := xmap.ScanParallel(ctx, killCfg, drv, shards, func(r xmap.Response) { seen[r.Responder]++ })
-	if err != nil && !errors.Is(err, context.Canceled) {
+	leg1, err := xmap.ScanParallel(context.Background(), killCfg, drv, shards, func(r xmap.Response) { seen[r.Responder]++ })
+	if err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "crashed leg:     %5d probes, %4d responders, checkpoint %s\n",

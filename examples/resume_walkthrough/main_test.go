@@ -31,3 +31,23 @@ func TestWalkthrough(t *testing.T) {
 		t.Errorf("crash re-sent %d probes, bound %d (want %d)", resent, bound, shards*checkpointEvery)
 	}
 }
+
+// TestSameSeedSameOutput runs the default seed twice: the output,
+// crashed leg included, must be identical — the crash lands at the same
+// target of each shard every run.
+func TestSameSeedSameOutput(t *testing.T) {
+	var first, second bytes.Buffer
+	if err := run(&first); err != nil {
+		t.Fatalf("%v\n%s", err, first.String())
+	}
+	if err := run(&second); err != nil {
+		t.Fatalf("%v\n%s", err, second.String())
+	}
+	if first.String() != second.String() {
+		t.Errorf("same seed, different output:\n%s\n---\n%s", first.String(), second.String())
+	}
+	crashed := fmt.Sprintf("crashed leg:      %d probes,", shards*killAfter)
+	if !strings.Contains(first.String(), crashed) {
+		t.Errorf("output lacks %q:\n%s", crashed, first.String())
+	}
+}

@@ -7,6 +7,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/ipv6"
@@ -21,13 +22,13 @@ var seed = flag.Int64("seed", 17, "simulation seed (same seed, same output)")
 
 func main() {
 	flag.Parse()
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "routing_loop:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(out io.Writer) error {
 	// China Unicom broadband: 78.9% of its last hops loop (Table XI).
 	dep, err := topo.Build(topo.Config{
 		Seed:             *seed,
@@ -49,7 +50,7 @@ func run() error {
 		return err
 	}
 	vuln := res.VulnerableHops()
-	fmt.Printf("swept %d sub-prefixes: %d responses, %d loop-vulnerable last hops\n",
+	fmt.Fprintf(out, "swept %d sub-prefixes: %d responses, %d loop-vulnerable last hops\n",
 		res.Targets, res.Responses, len(vuln))
 
 	// Step 2: amplification on one victim. A single spoofable packet
@@ -70,8 +71,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\none attack packet to %s:\n", notUsed)
-	fmt.Printf("  access link carried %d packets (%d bytes) -> amplification factor %.0fx\n",
+	fmt.Fprintf(out, "\none attack packet to %s:\n", notUsed)
+	fmt.Fprintf(out, "  access link carried %d packets (%d bytes) -> amplification factor %.0fx\n",
 		amp.LinkPackets, amp.LinkBytes, amp.Factor)
 
 	// Step 3: a short flood to show the link-saturation effect.
@@ -79,7 +80,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("  50-packet flood moved %d packets on the victim link (%.0fx)\n",
+	fmt.Fprintf(out, "  50-packet flood moved %d packets on the victim link (%.0fx)\n",
 		atk.LinkPackets, atk.Factor)
 
 	// Step 4: the Table XII lab — every modelled router, latest
@@ -116,8 +117,8 @@ func run() error {
 				fmt.Sprintf("%d", wan.LinkPackets))
 		}
 	}
-	fmt.Print(t.String())
-	fmt.Printf("%d of %d lab routers vulnerable (the paper: all 99)\n", vulnCount, len(lab.Entries))
+	fmt.Fprint(out, t.String())
+	fmt.Fprintf(out, "%d of %d lab routers vulnerable (the paper: all 99)\n", vulnCount, len(lab.Entries))
 	return nil
 }
 

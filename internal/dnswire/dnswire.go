@@ -77,6 +77,7 @@ var (
 	errNamePastEnd  = errors.New("dnswire: name runs past message end")
 	errTruncPtr     = errors.New("dnswire: truncated compression pointer")
 	errPtrLoop      = errors.New("dnswire: compression pointer loop")
+	errPtrForward   = errors.New("dnswire: compression pointer does not point back")
 	errLabelPastEnd = errors.New("dnswire: label runs past message end")
 	// errReserved is indexed by the label type's high bit: 0x40, 0x80.
 	errReserved = [2]error{
@@ -154,7 +155,13 @@ func walkName(dst []byte, keep bool, msg []byte, off int) ([]byte, int, error) {
 			if hops++; hops > 32 {
 				return dst, 0, errPtrLoop
 			}
-			off = (l&0x3f)<<8 | int(msg[off+1])
+			// RFC 1035 §4.1.4: a pointer names a prior occurrence of
+			// the name, so it points strictly before itself.
+			ptr := (l&0x3f)<<8 | int(msg[off+1])
+			if ptr >= off {
+				return dst, 0, errPtrForward
+			}
+			off = ptr
 		case l&0xc0 != 0:
 			return dst, 0, errReserved[l>>7]
 		default:

@@ -2,6 +2,7 @@ package dnswire
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -124,6 +125,51 @@ func TestCompressionPointerLoopRejected(t *testing.T) {
 	}
 	if _, err := Parse(b); err == nil {
 		t.Error("pointer loop accepted")
+	}
+}
+
+// TestCompressionPointerMustPointBack: a pointer names a prior
+// occurrence of a name (RFC 1035 §4.1.4), so one to itself or to a later
+// offset is rejected with its own error, wherever the name is read.
+func TestCompressionPointerMustPointBack(t *testing.T) {
+	hdr := []byte{0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00}
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{
+		{"self", []byte{0xc0, 12, 0x00, 0x01, 0x00, 0x01}},
+		{"forward", []byte{0xc0, 18, 0x00, 0x01, 0x00, 0x01, 1, 'z', 0}},
+		{"forward after a label", []byte{1, 'a', 0xc0, 20, 0x00, 0x01, 0x00, 0x01, 1, 'z', 0}},
+	} {
+		msg := append(append([]byte{}, hdr...), tc.body...)
+		if _, err := Parse(msg); !errors.Is(err, errPtrForward) {
+			t.Errorf("%s: Parse error %v, want %v", tc.name, err, errPtrForward)
+		}
+		if Check(msg) {
+			t.Errorf("%s: Check accepted the message", tc.name)
+		}
+		if _, _, err := AppendParsedName(nil, msg, 12); !errors.Is(err, errPtrForward) {
+			t.Errorf("%s: AppendParsedName error %v, want %v", tc.name, err, errPtrForward)
+		}
+	}
+}
+
+// TestCompressionPointerHopBound: backward pointers cannot loop, but a
+// chain of them is still followed for at most 32 hops.
+func TestCompressionPointerHopBound(t *testing.T) {
+	msg := []byte{1, 'a', 0} // the name at offset 0
+	for i := 0; i < 33; i++ {
+		prev := 0
+		if i > 0 {
+			prev = len(msg) - 2
+		}
+		msg = append(msg, 0xc0, byte(prev))
+	}
+	if name, _, err := AppendParsedName(nil, msg, 3+2*31); err != nil || string(name) != "a" {
+		t.Errorf("32 hops: %q, %v; want \"a\"", name, err)
+	}
+	if _, _, err := AppendParsedName(nil, msg, 3+2*32); !errors.Is(err, errPtrLoop) {
+		t.Errorf("33 hops: error %v, want %v", err, errPtrLoop)
 	}
 }
 

@@ -386,8 +386,9 @@ type Counters struct {
 	// a flow compiled earlier — a probe to a node's own address too,
 	// whatever the node answered and however its answer went back — and
 	// a miss compiled first, met a negative entry, failed a replay guard
-	// (source address, hop limit, an ICMP-error probe) or belonged to a
-	// traced flow.
+	// (source address; a hop limit that dies before the terminal, or on
+	// another turn of a loop entry's cycle; an ICMP-error probe) or
+	// belonged to a traced flow.
 	// FastPathInvalidations counts generation bumps (each discards
 	// every compiled flow).
 	// FastPathCompiles counts route-compilation walks and

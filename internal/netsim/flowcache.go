@@ -37,10 +37,12 @@ import (
 // The compiler walks the same rule the interpreter applies: each node
 // on the path that implements decider (rule.go) is asked for its verdict
 // and the region that verdict holds over, and the walk stops — the flow
-// stays interpreted — at any node that is not a decider (an Edge ends
-// the trip; Hostile, NAT and IPv4 nodes are interpreted) and at any
-// verdict that is not a stateless forward, an error or local delivery
-// (a drop, a loop bounded by per-destination state, a UE's expiry).
+// stays interpreted — at any node that is not a decider (an Edge,
+// Hostile, NAT and IPv4 nodes) and at any verdict that is not a
+// stateless forward, an error or local delivery (a drop, a loop bounded
+// by per-destination state, a UE's expiry). The walk never asks about
+// the compiling probe's hop limit: an entry is a function of its path
+// alone, and the resolve pass decides which hop limits it serves.
 // Entries are validated against a generation counter bumped on topology
 // mutation or fast-path toggle — a stale compiled path is never
 // replayed — and hold no fault-dependent fact, so arming and disarming
@@ -69,18 +71,19 @@ const (
 	// compile, more than maxCompiledHops); the flow is interpreted,
 	// cached so the walk isn't retried. Always exact.
 	entryNeg entryKind = iota
-	// entryEdge: fused transit ending in inline delivery to an Edge.
-	entryEdge
 	// entryError: fused transit, compiled ICMPv6 error at the terminal,
-	// fused reply path, inline delivery to the Edge.
+	// fused reply path, inline delivery to the Edge. Serves every probe
+	// whose hop limit outlives the forward hops and the terminal's own
+	// decrement.
 	entryError
-	// entryLoop: the path ends in hop-limit exhaustion — either a
-	// routing loop (the paper's flawed-CPE bounce, ISP↔CPE until TTL
-	// death) or a short initial hop limit. The entry records the prefix
-	// crossings, one unrolled cycle, the total crossing count to expiry,
-	// the expiring node's Time Exceeded, and the fused reply path; the
-	// dozens of bounce crossings replay as one event with batched
-	// charging. Valid only for the exact compiled incoming hop limit.
+	// entryLoop: a routing loop (the paper's flawed-CPE bounce, ISP↔CPE
+	// until the hop limit dies). The entry records the acyclic prefix
+	// (fwd[:loopStart]), one turn of the cycle (fwd[loopStart:nf]), the
+	// turn loopTurn of the cycle whose node's Time Exceeded it compiled,
+	// and the fused reply path from there. It serves every probe that
+	// dies on that turn — hop limit hl with hl-1 ≥ loopStart and
+	// (hl-1-loopStart) mod loopLen = loopTurn — whose hl-1 crossings
+	// replay as one event with batched charging.
 	entryLoop
 	// entryLocal: fused transit to a node answering for its own address
 	// (flowHot.act: actLocal or actEcho), the node's answer computed at
@@ -127,8 +130,8 @@ const (
 )
 
 // flowHot is the hot header of one compiled flow: everything the
-// lookup's key confirmation and the replay dispatch decision need,
-// packed into exactly one 64-byte cache line. A warm probe touches one
+// lookup's key confirmation, the resolve guards and the replay dispatch
+// need, packed into exactly one 64-byte cache line. A warm probe touches one
 // tag line and this line before committing to a replay; the cold tail
 // (flowCold, in the dense tail array, found through cold) is reached
 // only once the entry is going to be used. The layout is pinned by a
@@ -154,7 +157,6 @@ type flowHot struct {
 	// the hit path skips the hole/exclusion walk in the cold tail.
 	// Regions wider than 16 cells mark everything (always walk).
 	shadowCell uint16
-	loopCross  uint16 // entryLoop: total crossings until expiry
 	// probeLen validates the cold error template: the header splice is
 	// only byte-exact for invoking packets of the compiled length.
 	probeLen uint16
@@ -163,21 +165,22 @@ type flowHot struct {
 	// width is the entry's key granularity: hi is masked to its top
 	// `width` bits and the entry serves every destination sharing them
 	// (minus excl/holes). Exact entries use width 64 with lo compared.
-	width  uint8
-	nf, nr uint8
-	nExcl  uint8
-	nHole  uint8
-	// entryLoop geometry: valid for packets arriving with hop limit
-	// hlIn; fwd[:loopStart] is the acyclic prefix, fwd[loopStart:nf]
-	// one turn of the cycle.
+	width     uint8
+	nf, nr    uint8
+	nExcl     uint8
+	nHole     uint8
 	cellShift uint8
 	errType   uint8
 	errCode   uint8
-	hlIn      uint8
+	// entryLoop geometry: fwd[:loopStart] is the acyclic prefix,
+	// fwd[loopStart:nf] one turn of the cycle, and the terminal expires
+	// loopTurn crossings into a turn. A probe's crossings follow from
+	// its own hop limit.
 	loopStart uint8
 	loopLen   uint8
-	act       action  // entryLocal: the terminal's verdict
-	_         [8]byte // explicit pad: 64 bytes total, asserted below
+	loopTurn  uint8
+	act       action   // entryLocal: the terminal's verdict
+	_         [10]byte // explicit pad: 64 bytes total, asserted below
 }
 
 // flowHotSize pins flowHot to one cache line; either assertion failing
@@ -203,7 +206,7 @@ func (h *flowHot) hasTmpl() bool { return h.flags&fpFlagTmpl != 0 }
 // only for destinations whose /64 cell the hot pre-filter marked.
 type flowCold struct {
 	replySrc ipv6.Addr // reply path below is valid only for this probe source
-	edge     *Iface    // edge ingress for the reply (nr > 0) or packet (entryEdge)
+	edge     *Iface    // edge ingress for the reply (nr > 0)
 	// Error header template, captured on first replay: the error's IPv6
 	// + ICMPv6 headers for a probe of probeLen bytes, plus the partial
 	// checksum of the constant region. Replay copies the header, splices
@@ -687,7 +690,9 @@ func prefixWidth(p ipv6.Prefix) uint8 {
 // to dst and installs the resulting entry (negative unless the whole
 // trip compiled) for the caller to look up. No Handle is executed and
 // no state mutated: the walk asks each node's decide for its verdict
-// and region only. The entry and the region are built in engine
+// and region only, as for a packet whose hop limit never expires on the
+// way, so the entry depends on the path and not on the compiling
+// probe's hop limit. The entry and the region are built in engine
 // scratch, so compiling never allocates.
 func (e *Engine) compileFlow(to *Iface, pkt []byte) {
 	e.fp.compiles++
@@ -703,28 +708,18 @@ func (e *Engine) compileFlow(to *Iface, pkt []byte) {
 	ent.kind = entryNeg
 	ent.flags = fpFlagWide
 	ent.width = 1
-	hlIn := pkt[7]
-	hl := hlIn
 	// Visited ingress interfaces, for routing-cycle detection: ins[i]
 	// is where the packet is after i crossings.
 	var ins [maxCompiledHops + 1]*Iface
 	ins[0] = to
 	in := to
 	for {
-		node := in.node
-		if _, isEdge := node.(*Edge); isEdge {
-			if ent.nf > 0 {
-				ent.kind = entryEdge
-				cld.edge = in
-			}
-			break
-		}
-		d, ok := node.(decider)
+		d, ok := in.node.(decider)
 		if !ok {
-			break
+			break // an Edge, or a node only the interpreter runs
 		}
 		*reg = region{}
-		v := d.decide(in, dst, hl <= 1, reg)
+		v := d.decide(in, dst, false, reg)
 		if !v.compiles() {
 			break
 		}
@@ -733,12 +728,7 @@ func (e *Engine) compileFlow(to *Iface, pkt []byte) {
 			break
 		}
 		if v.act == actError {
-			if hl <= 1 {
-				// The hop limit expires here, before any forwarding.
-				compileLoopTerm(ent, cld, in, d, v, reg, pkt, int(ent.nf), 0, int(ent.nf))
-			} else {
-				compileErrorTerm(ent, cld, in, d, v, reg, pkt)
-			}
+			compileErrorTerm(ent, cld, in, d, v, reg, pkt)
 			break
 		}
 		if int(ent.nf) == maxCompiledHops || v.ifc == nil || v.ifc.link == nil {
@@ -748,27 +738,25 @@ func (e *Engine) compileFlow(to *Iface, pkt []byte) {
 		applyRegion(ent, cld, reg)
 		cld.fwd[ent.nf] = hopTo(v.ifc, d.fw().fwd)
 		ent.nf++
-		hl--
 		next := v.ifc.link.ends[1-v.ifc.end]
-		cycle := -1
-		for j := 0; j < int(ent.nf); j++ {
-			if ins[j] == next {
-				cycle = j
-				break
+		if p := slices.Index(ins[:ent.nf], next); p >= 0 {
+			// A routing loop: the packet bounces around the cycle
+			// ins[p:nf] until its hop limit dies. A probe arriving with
+			// hop limit hl expires after hl-1 crossings, at ins[p+r] for
+			// the turn r = (hl-1-p) mod l. The entry takes this probe's
+			// turn — or, when this probe dies before the cycle, the turn
+			// a probe of the maximum hop limit dies on.
+			l := int(ent.nf) - p
+			k := int(pkt[7]) - 1
+			if k < p {
+				k = wire.MaxHopLimit - 1
 			}
-		}
-		if cycle >= 0 {
-			// A routing loop: the packet bounces around the cycle until
-			// its hop limit dies. One decrement per crossing, so expiry
-			// lands after hlIn-1 crossings at a node fixed by cycle
-			// arithmetic.
-			p, l := cycle, int(ent.nf)-cycle
-			k := int(hlIn) - 1
-			exp := ins[p+(k-p)%l]
+			r := (k - p) % l
+			exp := ins[p+r]
 			if d, ok := exp.node.(decider); ok {
 				*reg = region{}
 				if v := d.decide(exp, dst, true, reg); v.compiles() && v.act == actError {
-					compileLoopTerm(ent, cld, exp, d, v, reg, pkt, p, l, k)
+					compileLoopTerm(ent, cld, exp, d, v, reg, pkt, p, l, r)
 				}
 			}
 			break
@@ -938,20 +926,17 @@ func compileLocalTerm(h *flowHot, c *flowCold, termIn *Iface, act action, pkt []
 }
 
 // compileLoopTerm upgrades the entry to a fused hop-limit-expiry round
-// trip: prefix crossings (fwd[:p]), a cycle of l crossings (fwd[p:p+l],
-// zero for a plain short-hop-limit path), cross total crossings until
-// the Time Exceeded fires at expIn's node, and the compiled reply. Only
-// valid for packets arriving with exactly pkt's hop limit; the resolve
-// pass guards on it.
-func compileLoopTerm(h *flowHot, c *flowCold, expIn *Iface, exp decider, v verdict, reg *region, pkt []byte, p, l, cross int) {
+// trip: prefix crossings (fwd[:p]), a cycle of l crossings (fwd[p:p+l]),
+// the Time Exceeded that fires at expIn's node r crossings into a turn,
+// and the compiled reply. The resolve pass serves it to every probe
+// that dies on that turn.
+func compileLoopTerm(h *flowHot, c *flowCold, expIn *Iface, exp decider, v verdict, reg *region, pkt []byte, p, l, r int) {
 	compileErrorTerm(h, c, expIn, exp, v, reg, pkt)
 	if h.kind != entryError {
 		return
 	}
 	h.kind = entryLoop
-	h.hlIn = pkt[7]
-	h.loopStart, h.loopLen = uint8(p), uint8(l)
-	h.loopCross = uint16(cross)
+	h.loopStart, h.loopLen, h.loopTurn = uint8(p), uint8(l), uint8(r)
 }
 
 // loopHopCount is how many times recorded hop i is crossed when a loop

@@ -279,32 +279,138 @@ func TestFlowCacheArmedEngineInterprets(t *testing.T) {
 // TestFlowCacheLoopFusionParity pins the routing-loop bounce: a probe
 // into a vulnerable delegation ping-pongs ~253 times on the access
 // link. The fused replay must reproduce the interpreted amplification
-// byte-for-byte while collapsing the crossings into far fewer events,
-// and a later probe arriving with a different hop limit than the
-// compiled entry recorded must fall back, recompile, and still match.
+// byte-for-byte while collapsing the crossings into far fewer events.
+// One compiled entry serves every hop limit that dies on its turn of
+// the ISP↔CPE cycle — h+2 after h, as the loop detector sends them —
+// and every other probe (another turn, or a hop limit that dies before
+// the cycle) falls back to the interpreter; nothing recompiles. A
+// compiling probe that dies before the cycle keys the turn a probe of
+// hop limit 255 dies on.
 func TestFlowCacheLoopFusionParity(t *testing.T) {
-	p := buildMirror(t, CPEBehavior{VulnLAN: true}, ErrorPolicy{})
 	notUsed := ipv6.MustParseAddr("2001:db8:4321:8769::77")
+	for _, tc := range []struct {
+		compileHL, turnOf uint8 // the compiling probe, and a hop limit on the entry's turn
+	}{
+		{255, 255},
+		{32, 34},
+		{2, 255},
+	} {
+		t.Run(fmt.Sprintf("compiled at %d", tc.compileHL), func(t *testing.T) {
+			p := buildMirror(t, CPEBehavior{VulnLAN: true}, ErrorPolicy{})
+			p.inject(t, notUsed, tc.compileHL, 1) // compiles the loop
+			p.compare(t, "cold loop")
+			c0 := p.fast.eng.Counters()
+			if c0.FastPathCompiles != 1 {
+				t.Fatalf("cold probe: %d compiles, want 1", c0.FastPathCompiles)
+			}
+			// The test net's loop: core→isp, isp→cpe, then the cycle
+			// cpe→isp, isp→cpe. A probe of hop limit hl dies after hl-1
+			// crossings, on turn (hl-3) mod 2 if it reaches the cycle.
+			j := p.fast.eng.fp.lookup(p.fast.scanner.Iface().Peer().fpID, notUsed.Uint128().Hi, notUsed.Uint128().Lo)
+			if j < 0 || p.fast.eng.fp.hot[j].kind != entryLoop {
+				t.Fatal("the cold probe compiled no loop entry")
+			}
+			if h := p.fast.eng.fp.hot[j]; h.loopStart != 2 || h.loopLen != 2 || h.loopTurn != (tc.turnOf-3)%2 {
+				t.Fatalf("loop entry geometry prefix %d, cycle %d, turn %d; want 2, 2, %d",
+					h.loopStart, h.loopLen, h.loopTurn, (tc.turnOf-3)%2)
+			}
+			onTurn := func(hl uint8) bool { return hl >= 3 && (hl-3)%2 == (tc.turnOf-3)%2 }
 
-	p.inject(t, notUsed, 255, 1) // compiles the loop
-	p.compare(t, "cold loop")
-	p.inject(t, notUsed, 255, 2) // replays it fused
-	p.compare(t, "warm loop")
-	if got := p.fast.cpeLink.TotalPackets(); got < 400 {
-		t.Errorf("access link carried %d packets across two loops, want ~506", got)
-	}
-	fastEvents := p.fast.eng.Counters().Events
-	slowEvents := p.slow.eng.Counters().Events
-	if fastEvents*10 > slowEvents {
-		t.Errorf("loop fusion saved too little: %d events fastpath vs %d interpreted",
-			fastEvents, slowEvents)
-	}
+			p.inject(t, notUsed, tc.turnOf, 2) // replays it fused
+			p.compare(t, "warm loop")
+			if got := p.fast.eng.Counters().FastPathHits - c0.FastPathHits; got != 1 {
+				t.Fatalf("hop limit %d on the entry's turn: %d hits, want 1", tc.turnOf, got)
+			}
+			if tc.turnOf == 255 {
+				if got := p.fast.cpeLink.TotalPackets(); got < 250 {
+					t.Errorf("access link carried %d packets across the warm loop, want ~253", got)
+				}
+				fastEvents := p.fast.eng.Counters().Events
+				slowEvents := p.slow.eng.Counters().Events
+				if fastEvents*10 > slowEvents {
+					t.Errorf("loop fusion saved too little: %d events fastpath vs %d interpreted",
+						fastEvents, slowEvents)
+				}
+			}
 
-	// hlIn mismatch: the entry recorded arrival hop limits for 255;
-	// these probes must not replay it blindly.
-	for i, hl := range []uint8{250, 64, 5, 255} {
-		p.inject(t, notUsed, hl, uint16(10+i))
-		p.compare(t, fmt.Sprintf("hop limit %d", hl))
+			for hl := 1; hl <= 255; hl++ {
+				before := p.fast.eng.Counters()
+				p.inject(t, notUsed, uint8(hl), uint16(10+hl))
+				p.compare(t, fmt.Sprintf("hop limit %d", hl))
+				after := p.fast.eng.Counters()
+				hit := after.FastPathHits - before.FastPathHits
+				if want := onTurn(uint8(hl)); (hit == 1) != want || after.FastPathCompiles != before.FastPathCompiles {
+					t.Errorf("hop limit %d (on the entry's turn: %v): %d hits, %d misses, %d compiles",
+						hl, want, hit, after.FastPathMisses-before.FastPathMisses,
+						after.FastPathCompiles-before.FastPathCompiles)
+				}
+			}
+
+			// One batch, one entry, several hop limits on its turn: each
+			// hop limit's probes are charged their own crossings.
+			var batch [][]byte
+			for round := 0; round < 2; round++ {
+				for _, hl := range []uint8{3, 4, 5, 6, 100, 101, 254, 255} {
+					if !onTurn(hl) {
+						continue
+					}
+					pkt, err := wire.BuildEchoRequest(scannerAddr, notUsed, hl, 0xbeef, uint16(300+len(batch)), []byte("probe"))
+					if err != nil {
+						t.Fatal(err)
+					}
+					batch = append(batch, pkt)
+				}
+			}
+			if hits, misses := p.injectBatch(batch); hits != uint64(len(batch)) || misses != 0 {
+				t.Errorf("a batch of %d probes on the entry's turn: %d hits, %d misses", len(batch), hits, misses)
+			}
+			p.compare(t, "mixed hop limits in one batch")
+		})
+	}
+}
+
+// TestFlowCacheShortHopLimitKeepsRegion: a probe whose hop limit dies on
+// the way compiles its region's entry as any probe would, and is itself
+// interpreted; the full-hop-limit probes that follow into the region
+// replay that entry. A wide entry keyed to the short probe's own expiry
+// would refuse every one of them and never be recompiled.
+func TestFlowCacheShortHopLimitKeepsRegion(t *testing.T) {
+	p := buildMirror(t, CPEBehavior{}, ErrorPolicy{})
+	gap := func(i uint64) ipv6.Addr {
+		return ipv6.AddrFrom128(uint128.New(0x20010db8_90000000|i<<16, i+1))
+	}
+	p.inject(t, gap(0), 2, 1) // expires at the ISP, one hop short of its error
+	p.compare(t, "hop limit 2")
+	before := p.fast.eng.Counters()
+	for i := uint64(1); i <= 20; i++ {
+		p.inject(t, gap(i), 64, uint16(1+i))
+		p.compare(t, fmt.Sprintf("gap probe %d", i))
+	}
+	after := p.fast.eng.Counters()
+	hits, misses := after.FastPathHits-before.FastPathHits, after.FastPathMisses-before.FastPathMisses
+	if compiles := after.FastPathCompiles - before.FastPathCompiles; hits != 20 || misses != 0 || compiles != 0 {
+		t.Errorf("20 hop-limit-64 probes into the gap after a hop-limit-2 one: %d hits, %d misses, %d compiles; want 20, 0, 0",
+			hits, misses, compiles)
+	}
+}
+
+// TestFlowCacheEdgeDeliveryInterpreted: a walk that reaches an Edge — a
+// probe to another address of the scanner's own /64, routed back out to
+// the scanner — compiles negative, and the probe and its repeat are
+// interpreted exactly as on a fast-path-off engine.
+func TestFlowCacheEdgeDeliveryInterpreted(t *testing.T) {
+	p := buildMirror(t, CPEBehavior{}, ErrorPolicy{})
+	dst := ipv6.MustParseAddr("2001:beef::55")
+	for i := uint16(1); i <= 2; i++ {
+		p.inject(t, dst, 64, i)
+		p.compare(t, fmt.Sprintf("edge probe %d", i))
+	}
+	if c := p.fast.eng.Counters(); c.FastPathCompiles != 1 || c.FastPathHits != 0 || c.FastPathMisses != 2 {
+		t.Errorf("two probes delivered to an Edge: %d compiles, %d hits, %d misses; want 1, 0, 2",
+			c.FastPathCompiles, c.FastPathHits, c.FastPathMisses)
+	}
+	if got := p.slow.eng.Links()[0].TotalPackets(); got != 4 {
+		t.Errorf("the scanner link carried %d packets, want 2 probes out and 2 back", got)
 	}
 }
 

@@ -64,9 +64,9 @@ func TestEngineLayout(t *testing.T) {
 		{"fpScratchC", unsafe.Offsetof(e.fpScratchC), 448},
 		{"fpScratchR", unsafe.Offsetof(e.fpScratchR), 952},
 		{"inj", unsafe.Offsetof(e.inj), 1104},
-		{"retMu", unsafe.Offsetof(e.retMu), 8304},
-		{"returned", unsafe.Offsetof(e.returned), 8312},
-		{"(end)", unsafe.Sizeof(e), 8336},
+		{"retMu", unsafe.Offsetof(e.retMu), 8048},
+		{"returned", unsafe.Offsetof(e.returned), 8056},
+		{"(end)", unsafe.Sizeof(e), 8080},
 	} {
 		if f.got != f.want {
 			t.Errorf("Engine.%s at offset %d, pinned at %d. Re-pin only with paired "+

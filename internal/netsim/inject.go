@@ -43,14 +43,17 @@ const injRun = 256
 const InjectRunLen = injRun
 
 // injScratch is the engine's batched-injection scratch state. slot maps
-// each resolved probe to an index into the distinct-entry arrays;
-// dslot/dcount/dbytes describe the run's distinct flow entries and
-// drbytes accumulates the bytes of their replies as the delivery pass
-// builds them (every probe of an entry with a reply path draws one).
+// each resolved probe to an index into the distinct-record arrays;
+// dslot/dhl/dcount/dbytes describe the run's distinct (flow entry, hop
+// limit) pairs — a loop entry's crossings follow from the hop limit —
+// and drbytes accumulates the bytes of their replies as the delivery
+// pass builds them (every probe of an entry with a reply path draws
+// one).
 type injScratch struct {
-	slot    [injRun]int32  // per-probe distinct-entry index
+	slot    [injRun]int32  // per-probe distinct-record index
 	dslot   [injRun]int32  // distinct index -> flow-table slot
-	dcount  [injRun]uint32 // probes resolved to this entry
+	dcount  [injRun]uint16 // probes resolved to this record (≤ injRun)
+	dhl     [injRun]uint8  // their arrival hop limit
 	dbytes  [injRun]uint64 // their summed lengths
 	drbytes [injRun]uint64 // their replies' summed lengths
 	out     [][]byte       // delivery batch accumulated per edge
@@ -85,7 +88,7 @@ func (e *Engine) injectFastLocked(from *Iface, pkts [][]byte) (k, events int) {
 	// Resolve pass: per-probe flow lookup plus every guard the replay
 	// relies on, stopping at the first probe the run cannot replay
 	// exactly. Each resolved probe is folded into the run's
-	// distinct-entry table as it lands.
+	// distinct-record table as it lands.
 	d := 0
 	cold := false
 	local := -1 // the flow-table slot of a local entry heading the run
@@ -124,27 +127,26 @@ resolve:
 			}
 		}
 		h := &fp.hot[j]
+		hl := pkt[7]
 		switch h.kind {
-		case entryEdge:
-			// The probe must survive nf hop-limit decrements.
-			if int(pkt[7]) < int(h.nf)+1 {
-				break resolve
-			}
 		case entryError:
 			// nf decrements and the terminal's pre-error decrement must
 			// leave the hop limit unexpired, and no error is sent about
 			// an error: the compiled decision holds for neither.
-			if int(pkt[7]) < int(h.nf)+2 || isICMPError(pkt) || !fromSrc(pkt, &fp.cold[h.cold]) {
+			if int(hl) < int(h.nf)+2 || isICMPError(pkt) || !fromSrc(pkt, &fp.cold[h.cold]) {
 				break resolve
 			}
 		case entryLoop:
-			if pkt[7] != h.hlIn || isICMPError(pkt) || !fromSrc(pkt, &fp.cold[h.cold]) {
+			// The probe reaches the cycle and dies on the entry's turn
+			// of it, after hl-1 crossings.
+			if x := int(hl) - 1 - int(h.loopStart); x < 0 || x%int(h.loopLen) != int(h.loopTurn) ||
+				isICMPError(pkt) || !fromSrc(pkt, &fp.cold[h.cold]) {
 				break resolve
 			}
 		case entryLocal:
 			// A run of one: the probe survives the nf forward decrements,
 			// and the reply path was compiled for its source.
-			if k > 0 || int(pkt[7]) < int(h.nf)+1 || !fromSrc(pkt, &fp.cold[h.cold]) {
+			if k > 0 || int(hl) < int(h.nf)+1 || !fromSrc(pkt, &fp.cold[h.cold]) {
 				break resolve
 			}
 			local, k = j, 1
@@ -153,11 +155,11 @@ resolve:
 			break resolve
 		}
 		di := -1
-		if k > 0 && e.inj.dslot[e.inj.slot[k-1]] == int32(j) {
+		if k > 0 && e.inj.dslot[e.inj.slot[k-1]] == int32(j) && e.inj.dhl[e.inj.slot[k-1]] == hl {
 			di = int(e.inj.slot[k-1])
 		} else {
 			for t := 0; t < d; t++ {
-				if e.inj.dslot[t] == int32(j) {
+				if e.inj.dslot[t] == int32(j) && e.inj.dhl[t] == hl {
 					di = t
 					break
 				}
@@ -167,6 +169,7 @@ resolve:
 			di = d
 			d++
 			e.inj.dslot[di] = int32(j)
+			e.inj.dhl[di] = hl
 			e.inj.dcount[di] = 0
 			e.inj.dbytes[di] = 0
 			e.inj.drbytes[di] = 0
@@ -285,13 +288,13 @@ func (e *Engine) fpCarries(h *flowHot, c *flowCold, r []byte) bool {
 }
 
 // fpReplayRun replays one resolved run of probes, all guards
-// pre-checked. Charging is arithmetic — once per distinct flow entry,
+// pre-checked. Charging is arithmetic — once per distinct record,
 // scaled by its probe count — but sums to exactly what interpreting the
 // k probes in turn would charge; and deliveries reach each edge in
 // probe order, batched into as few handoffs as the run's edge sequence
-// allows. Each probe's fate is its entry's: delivery to an edge, a
-// reply when the entry has a reply path, or nothing past the terminal
-// when it has none (nr == 0, a suppressing node).
+// allows. Each probe's fate is its entry's: a reply when the entry has
+// a reply path, or nothing past the terminal when it has none (nr == 0,
+// a suppressing node).
 func (e *Engine) fpReplayRun(from *Iface, pkts [][]byte, d int, sumAll uint64) {
 	fp := &e.fp
 	k := len(pkts)
@@ -324,7 +327,7 @@ func (e *Engine) fpReplayRun(from *Iface, pkts [][]byte, d int, sumAll uint64) {
 	crossings := uint64(k)
 	bytes := sumAll
 
-	// Forward-path charging, once per distinct entry.
+	// Forward-path charging, once per distinct record.
 	for di := 0; di < d; di++ {
 		j := int(e.inj.dslot[di])
 		h := &fp.hot[j]
@@ -332,12 +335,12 @@ func (e *Engine) fpReplayRun(from *Iface, pkts [][]byte, d int, sumAll uint64) {
 		cnt := uint64(e.inj.dcount[di])
 		cb := e.inj.dbytes[di]
 		switch h.kind {
-		case entryEdge, entryError:
+		case entryError:
 			charge(c.fwd[:h.nf], cnt, cb)
 			crossings += cnt * uint64(h.nf)
 			bytes += cb * uint64(h.nf)
 		case entryLoop:
-			cross := int(h.loopCross)
+			cross := int(e.inj.dhl[di]) - 1
 			p, ll := int(h.loopStart), int(h.loopLen)
 			for i := 0; i < int(h.nf); i++ {
 				hc := loopHopCount(i, p, ll, cross)
@@ -357,18 +360,17 @@ func (e *Engine) fpReplayRun(from *Iface, pkts [][]byte, d int, sumAll uint64) {
 		}
 	}
 
-	// Delivery pass, strict probe order. A probe destined at an edge is
-	// copied in (the edge retains its buffers); a probe whose entry has
-	// a reply path gets its reply built straight from the caller's
-	// packet, no intermediate copy. Deliveries accumulate into one slice
-	// flushed each time the target edge changes (once per run when a
-	// single vantage scans).
+	// Delivery pass, strict probe order. A probe whose entry has a reply
+	// path gets its reply built straight from the caller's packet, no
+	// intermediate copy. Deliveries accumulate into one slice flushed
+	// each time the target edge changes (once per run when a single
+	// vantage scans).
 	out := e.inj.out[:0]
 	var cur *Edge
 	for i, pkt := range pkts {
 		di := e.inj.slot[i]
 		h := &fp.hot[e.inj.dslot[di]]
-		if h.kind != entryEdge && h.nr == 0 {
+		if h.nr == 0 {
 			continue // the terminal suppresses its error
 		}
 		c := &fp.cold[h.cold]
@@ -379,14 +381,7 @@ func (e *Engine) fpReplayRun(from *Iface, pkts [][]byte, d int, sumAll uint64) {
 			}
 			cur = ed
 		}
-		if h.kind == entryEdge {
-			cp := e.getBufLocked(len(pkt))
-			copy(cp, pkt)
-			cp[7] -= h.nf
-			out = append(out, cp)
-			continue
-		}
-		hl := h.hlIn - uint8(h.loopCross)
+		hl := uint8(1) // a loop's terminal sees the hop limit expire
 		if h.kind == entryError {
 			hl = pkt[7] - (h.nf + 1)
 		}
@@ -399,7 +394,7 @@ func (e *Engine) fpReplayRun(from *Iface, pkts [][]byte, d int, sumAll uint64) {
 	}
 	e.inj.out = out[:0]
 
-	// Reverse-path charging, once per distinct entry with a reply path:
+	// Reverse-path charging, once per distinct record with a reply path:
 	// every one of its probes drew a reply.
 	for di := 0; di < d; di++ {
 		j := int(e.inj.dslot[di])

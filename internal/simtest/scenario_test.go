@@ -71,7 +71,7 @@ func TestRunPatternsSelectRows(t *testing.T) {
 		}
 	}
 	for _, pat := range []string{
-		"oracle-(fastpath|tools)", "oracle-hostile", "^watchdog$", "^none$",
+		"oracle-fastpath", "oracle-tools", "oracle-hostile", "^watchdog$", "^none$",
 		"combo-", "oracle-fastpath-delegate",
 	} {
 		re := regexp.MustCompile(pat)

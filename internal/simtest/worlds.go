@@ -249,6 +249,8 @@ type toolLeg struct {
 	// service prober's packets alone: every one is addressed to a
 	// device's own address.
 	grabHits, grabMisses uint64
+	// loopMisses and loopCompiles are its account of the loop sweep.
+	loopMisses, loopCompiles uint64
 }
 
 func runToolLeg(seed int64, fastpath bool) (*toolLeg, error) {
@@ -282,6 +284,8 @@ func runToolLeg(seed int64, fastpath bool) (*toolLeg, error) {
 	}
 	t.counters, t.eng = dep.Engine.Counters(), dep.Engine
 	t.loopEvents = t.counters.Events - before
+	t.loopMisses = t.counters.FastPathMisses - grabEnd.FastPathMisses
+	t.loopCompiles = t.counters.FastPathCompiles - grabEnd.FastPathCompiles
 	return t, nil
 }
 
@@ -295,7 +299,7 @@ func runToolLeg(seed int64, fastpath bool) (*toolLeg, error) {
 // — in the service prober's phase too, whose packets all end at a
 // device's own address, with at most one miss per device — and a loop
 // sweep that costs fewer events there (loop fusion engaged at
-// injection).
+// injection) and misses only where it compiles.
 func toolsCheck(e env, _ *leg, _ []*leg) ([]string, error) {
 	on, err := runToolLeg(e.seed, true)
 	if err != nil {
@@ -334,6 +338,15 @@ func toolsCheck(e env, _ *leg, _ []*leg) ([]string, error) {
 		problems = append(problems, fmt.Sprintf(
 			"service prober: %d hits, %d misses over %d devices fastpath: local delivery was interpreted",
 			on.grabHits, on.grabMisses, len(on.grabs)))
+	}
+	// A loop entry serves every hop limit that dies on its turn of the
+	// cycle, so the sweep's h and h+2 probes replay what its discovery
+	// probes compiled: every miss of its phase is a compile, none a
+	// refused guard.
+	if on.loopMisses > on.loopCompiles {
+		problems = append(problems, fmt.Sprintf(
+			"loop sweep: %d misses, %d compiles fastpath: a compiled entry refused probes",
+			on.loopMisses, on.loopCompiles))
 	}
 	if on.loopEvents >= off.loopEvents {
 		problems = append(problems, fmt.Sprintf(
