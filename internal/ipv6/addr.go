@@ -162,7 +162,7 @@ func ParseAddr(s string) (Addr, error) {
 	}
 	// Mixed notation: rewrite a trailing dotted quad as two hex groups.
 	if i := strings.LastIndexByte(s, ':'); i >= 0 && strings.Contains(s[i+1:], ".") {
-		v4, err := parseDottedQuad(s[i+1:])
+		v4, err := ParseDottedQuad(s[i+1:])
 		if err != nil {
 			return Addr{}, fmt.Errorf("ipv6: bad IPv4 suffix in %q: %w", orig, err)
 		}
@@ -262,20 +262,18 @@ func MustParseAddr(s string) Addr {
 	return a
 }
 
-// parseDottedQuad parses "a.b.c.d" strictly (no leading zeros beyond a
-// bare "0", each octet 0-255).
-func parseDottedQuad(s string) (uint32, error) {
+// ParseDottedQuad parses an IPv4 address "a.b.c.d" strictly: four
+// octets 0-255, each in decimal digits with no sign and no leading zero
+// beyond a bare "0".
+func ParseDottedQuad(s string) (uint32, error) {
 	parts := strings.Split(s, ".")
 	if len(parts) != 4 {
 		return 0, fmt.Errorf("want 4 octets, have %d", len(parts))
 	}
 	var v uint32
 	for _, p := range parts {
-		if p == "" || len(p) > 3 || (len(p) > 1 && p[0] == '0') {
-			return 0, fmt.Errorf("bad octet %q", p)
-		}
 		n, err := strconv.Atoi(p)
-		if err != nil || n > 255 {
+		if err != nil || n < 0 || n > 255 || strconv.Itoa(n) != p {
 			return 0, fmt.Errorf("bad octet %q", p)
 		}
 		v = v<<8 | uint32(n)

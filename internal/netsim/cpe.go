@@ -171,7 +171,7 @@ func (c *CPE) decide(in *Iface, dst ipv6.Addr, expired bool, reg *region) verdic
 			reg.width = 0
 		}
 		if reg.width == 0 {
-			reg.nExcl, reg.nHole = 0, 0
+			reg.nHole = 0
 		}
 	}
 	return v
@@ -283,14 +283,14 @@ func (c *CPE) defaultRegion(dst ipv6.Addr, reg *region) uint8 {
 	return w
 }
 
-// exclSpecials folds the CPE's own addresses and operated hosts that
-// fall inside prefix(dst, width) into the exclusion list — lookups to
-// them miss into the interpreter. ok=false on overflow.
+// exclSpecials holes out, as /128s, the CPE's own addresses and
+// operated hosts that fall inside prefix(dst, width) — lookups to them
+// miss and compile their own entry. ok=false on overflow.
 func (c *CPE) exclSpecials(width uint8, dst ipv6.Addr, reg *region) bool {
 	dh := dst.Uint128().Hi
 	add := func(a ipv6.Addr) bool {
-		// dst itself, or outside the region, needs no exclusion.
-		return a == dst || (dh^a.Uint128().Hi)&fpMask(width) != 0 || reg.addExcl(a)
+		// dst itself, or outside the region, needs no hole.
+		return a == dst || (dh^a.Uint128().Hi)&fpMask(width) != 0 || reg.addHole(ipv6.MustPrefix(a, 128))
 	}
 	if !add(c.wan.addr) {
 		return false
@@ -363,7 +363,7 @@ func (u *UE) decide(in *Iface, dst ipv6.Addr, expired bool, reg *region) verdict
 	}
 	if reg != nil {
 		if reg.width = prefixWidth(u.prefix); reg.width != 0 {
-			reg.addExcl(u.ifc.addr)
+			reg.addHole(ipv6.MustPrefix(u.ifc.addr, 128))
 		}
 	}
 	return unreachable(u.ifc, wire.UnreachAddress)

@@ -82,6 +82,10 @@ func TestPooledBuffersDoNotCorruptEdge(t *testing.T) {
 // buffers.
 func TestPoolRecyclesBuffers(t *testing.T) {
 	eng := New()
+	// Interpreted: a replayed error is built straight from the caller's
+	// packet, so only the interpreter copies the request into an engine
+	// buffer for the router to consume.
+	eng.SetFastPath(false)
 	edge := NewEdge("e", ipv6.MustParseAddr("2001:beef::100"))
 	r := NewRouter("r", ErrorPolicy{})
 	rif := r.AddIface(ipv6.MustParseAddr("2001:100::1"), "r:up")

@@ -49,18 +49,17 @@ import (
 // a fault layer leaves them valid.
 //
 // The table's memory follows its flows, not its slots: a slot is an
-// 8-byte tag plus a 64-byte hot header, and the ~504-byte cold tails
+// 8-byte tag plus a 64-byte hot header, and the 456-byte cold tails
 // are held densely, one per live entry that replays (flowCache).
 
-// fpExclCap bounds the per-entry exclusion list: addresses inside a
-// wide entry's region that the path treats specially (a CPE's own WAN
-// address, LAN hosts). Lookups to them miss into the interpreter.
-const fpExclCap = 4
-
-// fpHoleCap bounds the per-entry excluded-sub-prefix list: regions a
-// wide entry does not cover (operated subnets, the WAN /64 inside a
-// delegation). Lookups to them miss and compile their own entry.
-const fpHoleCap = 3
+// fpHoleCap bounds the per-entry hole list: what a wide entry's region
+// does not cover — sub-prefixes (operated subnets, the WAN /64 inside a
+// delegation) and, as /128 holes, addresses the path treats specially (a
+// node's own addresses, operated LAN hosts). Lookups to them miss and
+// compile their own entry. No measured entry holds more than four; five
+// keeps the engine's batched-injection scratch at the same offset within
+// its cache line (TestEngineLayout).
+const fpHoleCap = 5
 
 // entryKind discriminates flow-cache entries.
 type entryKind uint8
@@ -101,7 +100,7 @@ const maxCompiledHops = 6
 // fpTmplLen is the inline error-template length: exactly the error's
 // 40-byte IPv6 header plus the 8-byte ICMPv6 header. The invoking
 // packet that follows is spliced in from the live probe at replay, so
-// only the constant header needs caching.
+// only the header is compiled.
 const fpTmplLen = wire.HeaderLen + 8
 
 // compiledHop is one recorded link crossing. st caches &out.link.
@@ -123,10 +122,8 @@ func hopTo(out *Iface, fwd *uint64) compiledHop {
 // flowHot flag bits.
 const (
 	// fpFlagWide: the entry serves every destination sharing its masked
-	// hi bits (minus the cold tail's exclusions/holes).
+	// hi bits (minus the cold tail's holes).
 	fpFlagWide = 1 << 0
-	// fpFlagTmpl: the cold tail's error template is valid.
-	fpFlagTmpl = 1 << 1
 )
 
 // flowHot is the hot header of one compiled flow: everything the
@@ -152,26 +149,20 @@ type flowHot struct {
 	gaps *gapIndex
 	ifid uint32
 	// Shadow pre-filter: the region's /64 cells (≤16 of them when width
-	// ≥ 60; cellShift = 64-width) that contain a hole or an exclusion.
-	// A destination in an unmarked cell is definitely not shadowed, so
-	// the hit path skips the hole/exclusion walk in the cold tail.
-	// Regions wider than 16 cells mark everything (always walk).
+	// ≥ 60; cellShift = 64-width) that contain a hole. A destination in
+	// an unmarked cell is definitely not shadowed, so the hit path skips
+	// the hole walk in the cold tail. Regions wider than 16 cells mark
+	// everything (always walk).
 	shadowCell uint16
-	// probeLen validates the cold error template: the header splice is
-	// only byte-exact for invoking packets of the compiled length.
-	probeLen uint16
-	kind     entryKind
-	flags    uint8 // fpFlag* bits
+	kind       entryKind
+	flags      uint8 // fpFlag* bits
 	// width is the entry's key granularity: hi is masked to its top
 	// `width` bits and the entry serves every destination sharing them
-	// (minus excl/holes). Exact entries use width 64 with lo compared.
+	// (minus holes). Exact entries use width 64 with lo compared.
 	width     uint8
 	nf, nr    uint8
-	nExcl     uint8
 	nHole     uint8
 	cellShift uint8
-	errType   uint8
-	errCode   uint8
 	// entryLoop geometry: fwd[:loopStart] is the acyclic prefix,
 	// fwd[loopStart:nf] one turn of the cycle, and the terminal expires
 	// loopTurn crossings into a turn. A probe's crossings follow from
@@ -180,7 +171,7 @@ type flowHot struct {
 	loopLen   uint8
 	loopTurn  uint8
 	act       action   // entryLocal: the terminal's verdict
-	_         [10]byte // explicit pad: 64 bytes total, asserted below
+	_         [15]byte // explicit pad: 64 bytes total, asserted below
 }
 
 // flowHotSize pins flowHot to one cache line; either assertion failing
@@ -190,40 +181,38 @@ const flowHotSize = 64
 var _ [flowHotSize - unsafe.Sizeof(flowHot{})]byte
 var _ [unsafe.Sizeof(flowHot{}) - flowHotSize]byte
 
-func (h *flowHot) wide() bool    { return h.flags&fpFlagWide != 0 }
-func (h *flowHot) hasTmpl() bool { return h.flags&fpFlagTmpl != 0 }
+func (h *flowHot) wide() bool { return h.flags&fpFlagWide != 0 }
 
-// flowCold is the cold tail of one compiled flow (~504 B): the
-// forward/reverse hop lists, the reply path metadata, the cached error
-// template and the wide-region exclusion bookkeeping. Tails are held
-// densely, one per live non-negative entry, not one per slot: the table
-// runs a few percent full (see the sizing comment), so a slot-parallel
-// array spent ~37 MB on a 64K-slot table to hold ~2 MB of flows. Field
-// order is replay order — the batched resolve guard (replySrc), the
-// delivery target (edge) and the template checksum share the tail's
-// first cache line, which the batched warm pass pulls alongside the hot
-// header — with the shadow-walk data (holes, exclusions) last, touched
-// only for destinations whose /64 cell the hot pre-filter marked.
+// flowCold is the cold tail of one compiled flow (456 B): the
+// forward/reverse hop lists, the reply path metadata, the error header
+// and the wide region's holes. Tails are held densely, one per live
+// non-negative entry, not one per slot: the table runs a few percent
+// full (see the sizing comment), so a slot-parallel array spent ~37 MB
+// on a 64K-slot table to hold ~2 MB of flows. Field order is replay
+// order — the batched resolve guard (replySrc), the delivery target
+// (edge) and the template checksum share the tail's first cache line,
+// which the batched warm pass pulls alongside the hot header — with the
+// holes last, walked only for destinations whose /64 cell the hot
+// pre-filter marked. Nothing writes a tail after compile.
 type flowCold struct {
 	replySrc ipv6.Addr // reply path below is valid only for this probe source
 	edge     *Iface    // edge ingress for the reply (nr > 0)
-	// Error header template, captured on first replay: the error's IPv6
-	// + ICMPv6 headers for a probe of probeLen bytes, plus the partial
-	// checksum of the constant region. Replay copies the header, splices
-	// the invoking packet after it, and finishes the checksum
-	// incrementally.
+	// Error header template, built at compile (compileErrorTerm): the
+	// error's IPv6 + ICMPv6 headers with the payload length and checksum
+	// left for the replay, plus the partial checksum of everything but
+	// the length and the quote. Replay copies the header, splices the
+	// invoking packet after it, and finishes length and checksum
+	// arithmetically (fpBuildErrorFrom).
 	tmplSum uint64
 	tmpl    [fpTmplLen]byte
 	rev     [maxCompiledHops]compiledHop
 	fwd     [maxCompiledHops]compiledHop
-	errSrc  ipv6.Addr
-	// Excluded sub-prefixes of a wide region, pre-split for the lookup
-	// path: holeBits ≤ 64 compares masked hi only, longer holes compare
-	// hi exactly plus masked lo.
+	// Holes of a wide region, pre-split for the lookup path: holeBits ≤
+	// 64 compares masked hi only, longer holes (a /128 among them)
+	// compare hi exactly plus masked lo.
 	holeBits [fpHoleCap]uint8
 	holeHi   [fpHoleCap]uint64
 	holeLo   [fpHoleCap]uint64
-	excl     [fpExclCap]ipv6.Addr
 }
 
 // Flow-table sizing: open-addressed, fixed slot count per generation,
@@ -289,7 +278,7 @@ type flowCache struct {
 
 	// widths lists the distinct key widths of live entries. Probe order
 	// is a perf knob, not a correctness one — a wide entry refuses
-	// destinations in its exclusions/holes (shadowed), so any entry a
+	// destinations in its holes (shadowed), so any entry a
 	// lookup matches is safe to replay — and lookups keep it sorted by
 	// whits, each width's recent hit count (halved all round when one
 	// reaches fpWidthDecay), so the workload's dominant granularity is
@@ -374,7 +363,7 @@ func fpTagExact(h, lo uint64) uint64 {
 // when it is live or the width table has room for it, else the nearest
 // live width above it. Narrowing a claim is always sound — the smaller
 // region is a subset of a uniform one, aligned on the same destination,
-// and the exclusions and holes stay a superset of what it needs — and
+// and the holes stay a superset of what it needs — and
 // keeps the entry shared across a region instead of degrading it to one
 // address. ok=false when no live width is that narrow.
 func (fp *flowCache) keyWidth(w uint8) (uint8, bool) {
@@ -396,9 +385,9 @@ func (fp *flowCache) keyWidth(w uint8) (uint8, bool) {
 }
 
 // buildShadowCells precomputes a wide entry's shadow pre-filter: one
-// bit per /64 cell of the region that holds a hole or an exclusion.
-// Marking too much is sound (a marked cell just walks the full lists),
-// so anything unexpressible marks everything.
+// bit per /64 cell of the region that holds a hole. Marking too much is
+// sound (a marked cell just walks the full list), so anything
+// unexpressible marks everything.
 func buildShadowCells(h *flowHot, c *flowCold) {
 	shift := 64 - int(h.width)
 	if shift > 4 {
@@ -423,16 +412,13 @@ func buildShadowCells(h *flowHot, c *flowCold) {
 			}
 		}
 	}
-	for k := uint8(0); k < h.nExcl; k++ {
-		cells |= 1 << (c.excl[k].Uint128().Hi & mask & 15)
-	}
 	h.shadowCell = cells
 }
 
 // shadowed reports whether dst (hi, lo) falls in one of a wide entry's
-// exclusions — a special address or a carved-out sub-prefix. Such
-// lookups miss, so the excluded destination compiles its own (more
-// specific) entry rather than replaying the wide one.
+// holes — a carved-out sub-prefix or a special address. Such lookups
+// miss, so the holed destination compiles its own (more specific) entry
+// rather than replaying the wide one.
 func shadowed(h *flowHot, c *flowCold, hi, lo uint64) bool {
 	for k := uint8(0); k < h.nHole; k++ {
 		hb := c.holeBits[k]
@@ -444,17 +430,12 @@ func shadowed(h *flowHot, c *flowCold, hi, lo uint64) bool {
 			return true
 		}
 	}
-	for k := uint8(0); k < h.nExcl; k++ {
-		if u := c.excl[k].Uint128(); u.Hi == hi && u.Lo == lo {
-			return true
-		}
-	}
 	return false
 }
 
 // lookup finds a live entry for (ifid, dst), probing once per live key
 // width, and returns its slot index (-1 on miss). Wide entries match
-// any address sharing the masked hi bits outside their exclusions;
+// any address sharing the masked hi bits outside their holes;
 // exact entries require the full destination. The width that hits moves
 // ahead of any it has out-hit, so steady-state traffic resolves against
 // its dominant granularity on the first probe.
@@ -487,7 +468,7 @@ func (fp *flowCache) lookup(ifid uint32, hi, lo uint64) int {
 			if s.gaps != nil && s.gaps.assigned(hi) {
 				continue // a hole of the gap flow: the narrower widths hold it
 			}
-			if s.flags&fpFlagWide != 0 && s.nExcl|s.nHole != 0 {
+			if s.flags&fpFlagWide != 0 && s.nHole != 0 {
 				cell := uint16(1) << (hi & (uint64(1)<<s.cellShift - 1))
 				if s.shadowCell&cell != 0 && shadowed(s, &fp.cold[s.cold], hi, lo) {
 					continue
@@ -652,10 +633,10 @@ func (fp *flowCache) grow() {
 
 // avoidAddrs returns the width (≥ width) of the largest claimable
 // region around dst that keeps every element of addrs out of it;
-// addresses sharing dst's full /64 cannot be widened past and join the
-// exclusion list instead. When that list overflows it is emptied and
-// the width is 0: the claim must be exact. Routers use this to bound
-// region claims by their own interface addresses.
+// addresses sharing dst's full /64 cannot be widened past and become
+// /128 holes instead. When the hole list overflows the width is 0: the
+// claim must be exact. Routers use this to bound region claims by their
+// own interface addresses.
 func avoidAddrs(width uint8, dst ipv6.Addr, addrs []ipv6.Addr, reg *region) uint8 {
 	dh := dst.Uint128().Hi
 	for _, a := range addrs {
@@ -664,8 +645,7 @@ func avoidAddrs(width uint8, dst ipv6.Addr, addrs []ipv6.Addr, reg *region) uint
 			if a == dst {
 				continue // the caller already handled dst itself
 			}
-			if !reg.addExcl(a) {
-				reg.nExcl = 0
+			if !reg.addHole(ipv6.MustPrefix(a, 128)) {
 				return 0
 			}
 			continue
@@ -779,9 +759,9 @@ func (e *Engine) compileFlow(to *Iface, pkt []byte) {
 		buildShadowCells(ent, cld)
 	} else {
 		// Exact entries are keyed at /64 with the low half compared,
-		// and never match a special address or hole.
+		// and carry no holes.
 		ent.width = 64
-		ent.nExcl, ent.nHole, ent.gaps = 0, 0, nil
+		ent.nHole, ent.gaps = 0, nil
 		if _, ok := e.fp.keyWidth(64); !ok {
 			return // unkeyable
 		}
@@ -791,16 +771,12 @@ func (e *Engine) compileFlow(to *Iface, pkt []byte) {
 
 // applyRegion folds one hop's or the terminal's region claim into the
 // entry: the width narrows to the claim's (larger width = smaller
-// region), exclusions and holes accumulate; any overflow forces the
-// entry exact.
+// region) and the holes accumulate; an overflow forces the entry exact.
 func applyRegion(h *flowHot, c *flowCold, reg *region) {
 	if reg.width == 0 {
 		h.flags &^= fpFlagWide
 	} else if reg.width > h.width {
 		h.width = reg.width
-	}
-	if !mergeExcl(h, c, reg.excl[:reg.nExcl]) {
-		h.flags &^= fpFlagWide
 	}
 	for _, p := range reg.holes[:reg.nHole] {
 		if !mergeHole(h, c, p) {
@@ -809,8 +785,7 @@ func applyRegion(h *flowHot, c *flowCold, reg *region) {
 	}
 }
 
-// mergeHole folds an excluded sub-prefix into the entry,
-// deduplicating; false when the inline list overflows (the entry must
+// mergeHole folds a hole into the entry, deduplicating; false when the inline list overflows (the entry must
 // then be exact).
 func mergeHole(h *flowHot, c *flowCold, p ipv6.Prefix) bool {
 	b := p.Bits()
@@ -830,25 +805,6 @@ func mergeHole(h *flowHot, c *flowCold, p ipv6.Prefix) bool {
 	c.holeHi[h.nHole] = u.Hi
 	c.holeLo[h.nHole] = u.Lo
 	h.nHole++
-	return true
-}
-
-// mergeExcl folds addrs into the entry's exclusion list, deduplicating;
-// false when the inline list overflows (the entry must then be exact).
-func mergeExcl(h *flowHot, c *flowCold, addrs []ipv6.Addr) bool {
-outer:
-	for _, a := range addrs {
-		for k := uint8(0); k < h.nExcl; k++ {
-			if c.excl[k] == a {
-				continue outer
-			}
-		}
-		if int(h.nExcl) == fpExclCap {
-			return false
-		}
-		c.excl[h.nExcl] = a
-		h.nExcl++
-	}
 	return true
 }
 
@@ -889,10 +845,10 @@ func compileReply(h *flowHot, c *flowCold, termIn *Iface, rdst ipv6.Addr) bool {
 }
 
 // compileErrorTerm upgrades the entry to a fully fused error round
-// trip: the terminal node's ICMPv6 error verdict over its region plus
-// the compiled reply path back to an Edge; without one the entry stays
-// negative. A terminal that suppresses its errors compiles with no
-// reply path (nr == 0): its probes die there.
+// trip: the terminal node's ICMPv6 error verdict over its region, the
+// compiled reply path back to an Edge and the error's headers; without
+// a reply path the entry stays negative. A terminal that suppresses its
+// errors compiles with no reply path (nr == 0): its probes die there.
 func compileErrorTerm(h *flowHot, c *flowCold, termIn *Iface, term decider, v verdict, reg *region, pkt []byte) {
 	// The reply path is compiled for this probe's source; the resolve
 	// pass guards on it.
@@ -901,11 +857,23 @@ func compileErrorTerm(h *flowHot, c *flowCold, termIn *Iface, term decider, v ve
 		return
 	}
 	h.kind = entryError
-	h.errType, h.errCode = v.err.typ, v.err.code
-	c.errSrc = v.ifc.addr
 	c.replySrc = rdst
 	applyRegion(h, c, reg)
 	h.gaps = reg.gaps
+	// The headers of the error quoting nothing, built in place, with the
+	// hop limit already lowered for the nr-1 reverse forwarding hops.
+	// The checksum sum leaves out the length, which the quote sets.
+	hl := uint8(wire.MaxHopLimit)
+	if h.nr > 1 {
+		hl -= h.nr - 1
+	}
+	if v.err.typ == wire.ICMPTimeExceeded {
+		wire.AppendTimeExceeded(c.tmpl[:0], v.ifc.addr, rdst, hl, nil)
+	} else {
+		wire.AppendDestUnreach(c.tmpl[:0], v.ifc.addr, rdst, hl, v.err.code, nil)
+	}
+	c.tmplSum = wire.PseudoSum(v.ifc.addr, rdst, wire.ProtoICMPv6, 0) +
+		uint64(v.err.typ)<<8 + uint64(v.err.code)
 }
 
 // compileLocalTerm upgrades the entry to a round trip ending at a node

@@ -32,10 +32,13 @@ func buildMirror(t *testing.T, behavior CPEBehavior, policy ErrorPolicy) mirrorP
 	return p
 }
 
-// inject sends the same echo request into both nets.
-func (p mirrorPair) inject(t *testing.T, dst ipv6.Addr, hopLimit uint8, seq uint16) {
+// probeData is the echo payload of the differential tests' probes.
+var probeData = []byte("probe")
+
+// inject sends the same echo request, carrying data, into both nets.
+func (p mirrorPair) inject(t *testing.T, dst ipv6.Addr, hopLimit uint8, seq uint16, data []byte) {
 	t.Helper()
-	pkt, err := wire.BuildEchoRequest(scannerAddr, dst, hopLimit, 0xbeef, seq, []byte("probe"))
+	pkt, err := wire.BuildEchoRequest(scannerAddr, dst, hopLimit, 0xbeef, seq, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +133,7 @@ func TestFlowCachePropertyNoStaleReplay(t *testing.T) {
 			for op := 0; op < 80; op++ {
 				switch r := rng.Intn(10); {
 				case r < 7: // probe
-					p.inject(t, dsts[rng.Intn(len(dsts))], hops[rng.Intn(len(hops))], seq)
+					p.inject(t, dsts[rng.Intn(len(dsts))], hops[rng.Intn(len(hops))], seq, probeData)
 					seq++
 				case r == 7 && len(fresh) > 0: // delegate a fresh /64
 					pf := fresh[0]
@@ -163,9 +166,9 @@ func TestFlowCachePropertyNoStaleReplay(t *testing.T) {
 				hi := ipv6.MustParseAddr("2001:db8:9000::").Uint128().Hi | uint64(seed)<<16 | cell
 				return ipv6.AddrFrom128(uint128.New(hi, uint64(rng.Int63())|1))
 			}
-			p.inject(t, gap(0x10), 64, seq)
+			p.inject(t, gap(0x10), 64, seq, probeData)
 			before := p.fast.eng.Counters().FastPathHits
-			p.inject(t, gap(0x20), 64, seq+1)
+			p.inject(t, gap(0x20), 64, seq+1, probeData)
 			p.compare(t, "gap warm")
 			if p.fast.eng.Counters().FastPathHits == before {
 				t.Error("two probes into one empty stretch did not share an entry; the gap mutation tests nothing")
@@ -193,7 +196,7 @@ func TestFlowCachePropertyNoStaleReplay(t *testing.T) {
 					if isPlanted[cell] {
 						want++
 					}
-					p.inject(t, gap(cell), 64, seq)
+					p.inject(t, gap(cell), 64, seq, probeData)
 					seq++
 					p.compare(t, fmt.Sprintf("round %d: gap cell %#x after Delegate", round, cell))
 				}
@@ -221,7 +224,7 @@ func TestFlowCacheArmedEngineInterprets(t *testing.T) {
 	round := func(tag string, n int) {
 		t.Helper()
 		for i := 0; i < n; i++ {
-			p.inject(t, dsts[i%len(dsts)], 64, seq)
+			p.inject(t, dsts[i%len(dsts)], 64, seq, probeData)
 			seq++
 			p.compare(t, fmt.Sprintf("%s probe %d", tag, i))
 		}
@@ -297,7 +300,7 @@ func TestFlowCacheLoopFusionParity(t *testing.T) {
 	} {
 		t.Run(fmt.Sprintf("compiled at %d", tc.compileHL), func(t *testing.T) {
 			p := buildMirror(t, CPEBehavior{VulnLAN: true}, ErrorPolicy{})
-			p.inject(t, notUsed, tc.compileHL, 1) // compiles the loop
+			p.inject(t, notUsed, tc.compileHL, 1, probeData) // compiles the loop
 			p.compare(t, "cold loop")
 			c0 := p.fast.eng.Counters()
 			if c0.FastPathCompiles != 1 {
@@ -316,7 +319,7 @@ func TestFlowCacheLoopFusionParity(t *testing.T) {
 			}
 			onTurn := func(hl uint8) bool { return hl >= 3 && (hl-3)%2 == (tc.turnOf-3)%2 }
 
-			p.inject(t, notUsed, tc.turnOf, 2) // replays it fused
+			p.inject(t, notUsed, tc.turnOf, 2, probeData) // replays it fused
 			p.compare(t, "warm loop")
 			if got := p.fast.eng.Counters().FastPathHits - c0.FastPathHits; got != 1 {
 				t.Fatalf("hop limit %d on the entry's turn: %d hits, want 1", tc.turnOf, got)
@@ -335,7 +338,7 @@ func TestFlowCacheLoopFusionParity(t *testing.T) {
 
 			for hl := 1; hl <= 255; hl++ {
 				before := p.fast.eng.Counters()
-				p.inject(t, notUsed, uint8(hl), uint16(10+hl))
+				p.inject(t, notUsed, uint8(hl), uint16(10+hl), probeData)
 				p.compare(t, fmt.Sprintf("hop limit %d", hl))
 				after := p.fast.eng.Counters()
 				hit := after.FastPathHits - before.FastPathHits
@@ -379,11 +382,11 @@ func TestFlowCacheShortHopLimitKeepsRegion(t *testing.T) {
 	gap := func(i uint64) ipv6.Addr {
 		return ipv6.AddrFrom128(uint128.New(0x20010db8_90000000|i<<16, i+1))
 	}
-	p.inject(t, gap(0), 2, 1) // expires at the ISP, one hop short of its error
+	p.inject(t, gap(0), 2, 1, probeData) // expires at the ISP, one hop short of its error
 	p.compare(t, "hop limit 2")
 	before := p.fast.eng.Counters()
 	for i := uint64(1); i <= 20; i++ {
-		p.inject(t, gap(i), 64, uint16(1+i))
+		p.inject(t, gap(i), 64, uint16(1+i), probeData)
 		p.compare(t, fmt.Sprintf("gap probe %d", i))
 	}
 	after := p.fast.eng.Counters()
@@ -394,6 +397,92 @@ func TestFlowCacheShortHopLimitKeepsRegion(t *testing.T) {
 	}
 }
 
+// TestFlowCacheErrorQuoteLengths replays errors quoting probes of many
+// lengths — empty and odd payloads, and probes longer than an error may
+// quote (RFC 4443's 1,280-byte cap cuts them) — through each kind of
+// error entry of the test net, at a hop limit that replays and one that
+// dies on the way. Replies must be byte-identical to the interpreter's,
+// and the replays must leave every entry as its compile left it: the
+// warm pass sends the lengths in the opposite order, so an entry that
+// kept state from the probe it last answered would differ.
+func TestFlowCacheErrorQuoteLengths(t *testing.T) {
+	p := buildMirror(t, CPEBehavior{VulnWAN: true, VulnLAN: true}, ErrorPolicy{})
+	dsts := []ipv6.Addr{
+		ipv6.MustParseAddr("2001:db8:9000:1::1"),     // the ISP block's gap flow
+		ipv6.SLAAC(wanPrefix, 0x99),                  // the WAN loop
+		ipv6.MustParseAddr("2001:db8:4321:8769::77"), // the Not-used loop
+		ipv6.SLAAC(lanSubnet, 0xdeadbeefcafef00d),    // the subnet's address unreachable
+	}
+	sizes := []int{0, 5, 64, 200, 1300, 1400}
+	seq := uint16(1)
+	pass := func(tag string, sizes []int) {
+		t.Helper()
+		for _, dst := range dsts {
+			for _, hl := range []uint8{64, 3} {
+				for _, n := range sizes {
+					data := make([]byte, n)
+					for i := range data {
+						data[i] = byte(i*7 + n)
+					}
+					p.inject(t, dst, hl, seq, data)
+					seq++
+					p.compare(t, fmt.Sprintf("%s: %s, hop limit %d, %d-byte payload", tag, dst, hl, n))
+				}
+			}
+		}
+	}
+	pass("cold", sizes)
+	before := snapshotFlows(&p.fast.eng.fp)
+	kinds := map[entryKind]int{}
+	for _, f := range before {
+		kinds[f.hot.kind]++
+	}
+	if kinds[entryError] == 0 || kinds[entryLoop] == 0 {
+		t.Fatalf("the cold pass compiled %v; want error and loop entries", kinds)
+	}
+	c0 := p.fast.eng.Counters()
+	warm := slices.Clone(sizes)
+	slices.Reverse(warm)
+	pass("warm", warm)
+	c1 := p.fast.eng.Counters()
+	if c1.FastPathCompiles != c0.FastPathCompiles || c1.FastPathHits == c0.FastPathHits {
+		t.Errorf("warm pass: %d compiles, %d hits; want 0 compiles and some hits",
+			c1.FastPathCompiles-c0.FastPathCompiles, c1.FastPathHits-c0.FastPathHits)
+	}
+	after := snapshotFlows(&p.fast.eng.fp)
+	if len(after) != len(before) {
+		t.Errorf("%d live entries before the warm pass, %d after", len(before), len(after))
+	}
+	for j, f := range before {
+		if after[j] != f {
+			t.Errorf("slot %d changed under replay:\nbefore %+v\nafter  %+v", j, f, after[j])
+		}
+	}
+}
+
+// flowSnap is a copy of one live entry: its hot header and, unless it is
+// negative, its cold tail.
+type flowSnap struct {
+	hot  flowHot
+	cold flowCold
+}
+
+// snapshotFlows copies every live entry, keyed by slot.
+func snapshotFlows(fp *flowCache) map[int]flowSnap {
+	m := map[int]flowSnap{}
+	for j := range fp.tags {
+		if !fp.live(uint64(j)) {
+			continue
+		}
+		f := flowSnap{hot: fp.hot[j]}
+		if f.hot.kind != entryNeg {
+			f.cold = fp.cold[f.hot.cold]
+		}
+		m[j] = f
+	}
+	return m
+}
+
 // TestFlowCacheEdgeDeliveryInterpreted: a walk that reaches an Edge — a
 // probe to another address of the scanner's own /64, routed back out to
 // the scanner — compiles negative, and the probe and its repeat are
@@ -402,7 +491,7 @@ func TestFlowCacheEdgeDeliveryInterpreted(t *testing.T) {
 	p := buildMirror(t, CPEBehavior{}, ErrorPolicy{})
 	dst := ipv6.MustParseAddr("2001:beef::55")
 	for i := uint16(1); i <= 2; i++ {
-		p.inject(t, dst, 64, i)
+		p.inject(t, dst, 64, i, probeData)
 		p.compare(t, fmt.Sprintf("edge probe %d", i))
 	}
 	if c := p.fast.eng.Counters(); c.FastPathCompiles != 1 || c.FastPathHits != 0 || c.FastPathMisses != 2 {
@@ -428,10 +517,10 @@ func TestFlowCacheWideEntrySharing(t *testing.T) {
 	// adjacent /64 compiles its own.
 	a1 := ipv6.MustParseAddr("2001:db8:aaaa:bbbb::1")
 	a2 := ipv6.MustParseAddr("2001:db8:aaaa:bbbb::2")
-	p.inject(t, a1, 64, 1)
+	p.inject(t, a1, 64, 1, probeData)
 	p.compare(t, "cold region")
 	before := p.fast.eng.Counters()
-	p.inject(t, a2, 64, 2)
+	p.inject(t, a2, 64, 2, probeData)
 	p.compare(t, "warm region")
 	after := p.fast.eng.Counters()
 	if after.FastPathHits <= before.FastPathHits {
@@ -441,15 +530,15 @@ func TestFlowCacheWideEntrySharing(t *testing.T) {
 
 	// The provider-side WAN interface address lies inside the delegated
 	// WAN /64 whose other addresses forward to the CPE: the compiled
-	// region must exclude it (excl/shadow machinery), in both orders.
+	// region must hole it out (hole/shadow machinery), in both orders.
 	local := ipv6.MustParseAddr("2001:db8:1234:5678::1")
 	other := ipv6.SLAAC(wanPrefix, 0xdeadbeef)
-	p.inject(t, other, 64, 3) // compile the forwarding region first
+	p.inject(t, other, 64, 3, probeData) // compile the forwarding region first
 	p.compare(t, "wan region")
-	p.inject(t, local, 64, 4) // then the excluded local address
+	p.inject(t, local, 64, 4, probeData) // then the holed local address
 	p.compare(t, "wan local addr")
-	p.inject(t, local, 64, 5) // warm local
-	p.inject(t, other, 64, 6) // warm region
+	p.inject(t, local, 64, 5, probeData) // warm local
+	p.inject(t, other, 64, 6, probeData) // warm region
 	p.compare(t, "wan interleaved")
 }
 

@@ -385,7 +385,7 @@ func (e *Engine) fpReplayRun(from *Iface, pkts [][]byte, d int, sumAll uint64) {
 		if h.kind == entryError {
 			hl = pkt[7] - (h.nf + 1)
 		}
-		r := e.fpBuildErrorFrom(h, c, pkt, hl)
+		r := e.fpBuildErrorFrom(c, pkt, hl)
 		e.inj.drbytes[di] += uint64(len(r))
 		out = append(out, r)
 	}
@@ -416,54 +416,22 @@ func (e *Engine) fpReplayRun(from *Iface, pkts [][]byte, d int, sumAll uint64) {
 }
 
 // fpBuildErrorFrom builds the terminal's ICMPv6 error for an invoking
-// probe without mutating it: the quote is spliced from the caller's
-// packet with the hop-limit byte patched to hl (what the terminal saw),
-// its checksum contribution adjusted in place, and the reply's own hop
-// limit pre-decremented for the nr-1 reverse forwarding crossings. The
-// first reply for a probe length goes through the wire builders on a
-// patched scratch copy (byte-exact by construction) and captures its
-// headers as the entry's template for the later ones.
-func (e *Engine) fpBuildErrorFrom(ent *flowHot, cld *flowCold, pkt []byte, hl uint8) []byte {
-	hlOut := uint8(wire.MaxHopLimit)
-	if ent.nr > 1 {
-		hlOut -= ent.nr - 1
-	}
-	const invOff = fpTmplLen
-	n := len(pkt)
-	if ent.hasTmpl() && int(ent.probeLen) == n {
-		out := e.getBufLocked(invOff + n)
-		copy(out[:invOff], cld.tmpl[:])
-		copy(out[invOff:], pkt)
-		out[invOff+7] = hl
-		// The quoted hop limit is the low byte of an aligned 16-bit
-		// word, so the patch shifts the sum by exactly its difference.
-		cs := wire.FoldSum(cld.tmplSum + wire.SumWords(pkt) - uint64(pkt[7]) + uint64(hl))
-		binary.BigEndian.PutUint16(out[invOff-6:invOff-4], cs)
-		out[7] = hlOut
-		return out
-	}
-	cp := e.getBufLocked(n)
-	copy(cp, pkt)
-	cp[7] = hl
-	scratch := e.getBufLocked(wire.ErrorLen(cp))
-	rdst := ipv6.AddrFromBytes(cp[8:24])
-	var out []byte
-	if ent.errType == wire.ICMPTimeExceeded {
-		out, _ = wire.AppendTimeExceeded(scratch, cld.errSrc, rdst, wire.MaxHopLimit, cp)
-	} else {
-		out, _ = wire.AppendDestUnreach(scratch, cld.errSrc, rdst, wire.MaxHopLimit, ent.errCode, cp)
-	}
-	e.putBufLocked(cp)
-	if len(out) == invOff+n {
-		// Untruncated: cache the headers as the template. The constant
-		// checksum region is the pseudo-header plus the ICMPv6 header,
-		// of which only type and code are non-zero.
-		copy(cld.tmpl[:], out[:invOff])
-		ent.flags |= fpFlagTmpl
-		ent.probeLen = uint16(n)
-		cld.tmplSum = wire.PseudoSum(cld.errSrc, rdst, wire.ProtoICMPv6, len(out)-wire.HeaderLen) +
-			uint64(ent.errType)<<8 + uint64(ent.errCode)
-	}
-	out[7] = hlOut
+// probe, reading the probe and the entry's tail and writing neither:
+// the compiled headers, then the probe cut to what the error quotes
+// (wire.ErrorLen) with its hop-limit byte patched to hl (what the
+// terminal saw), then the payload length and the checksum, finished
+// from the template's partial sum.
+func (e *Engine) fpBuildErrorFrom(cld *flowCold, pkt []byte, hl uint8) []byte {
+	out := e.getBufLocked(wire.ErrorLen(pkt))
+	q := pkt[:len(out)-fpTmplLen]
+	copy(out, cld.tmpl[:])
+	copy(out[fpTmplLen:], q)
+	out[fpTmplLen+7] = hl
+	plen := len(out) - wire.HeaderLen
+	binary.BigEndian.PutUint16(out[4:6], uint16(plen))
+	// The quoted hop limit is the low byte of an aligned 16-bit word, so
+	// the patch shifts the probe's sum by exactly its difference.
+	cs := wire.FoldSum(cld.tmplSum + uint64(plen) + wire.SumWords(q) - uint64(pkt[7]) + uint64(hl))
+	binary.BigEndian.PutUint16(out[wire.HeaderLen+2:wire.HeaderLen+4], cs)
 	return out
 }

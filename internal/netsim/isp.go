@@ -322,7 +322,7 @@ func (r *ISPRouter) gapIndex() *gapIndex {
 // regionClaim returns the width of the largest region around dst — a
 // delegated or an out-of-block destination — over which the forwarding
 // decision is uniform, bounded away from the router's own interface
-// addresses (same-/64 ones are excluded instead). For a delegated
+// addresses (same-/64 ones become /128 holes instead). For a delegated
 // destination that is one cell of the finest delegation table (every
 // address of a delegated /60 resolves to the same subscriber); outside
 // the block the region also stops at the first bit where dst and the

@@ -176,7 +176,7 @@ func (r *Router) decide(in *Iface, dst ipv6.Addr, expired bool, reg *region) ver
 
 // regionClaim computes the width of the largest region around dst over
 // which the routing table's decision is uniform, bounded away from the
-// router's own addresses (same-/64 ones are excluded instead). 0 means
+// router's own addresses (same-/64 ones become /128 holes). 0 means
 // the claim must be exact.
 func (r *Router) regionClaim(dst ipv6.Addr, reg *region) uint8 {
 	w := r.table.UniformWidth(dst)

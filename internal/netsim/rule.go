@@ -69,34 +69,20 @@ func timeExceeded(src *Iface) verdict {
 
 // region is the destination space a verdict holds over: every address
 // sharing dst's first width bits (1..64; 0 means dst alone), minus the
-// excluded addresses, the holes and — for an ISP block's gap flow —
-// every /64 the gap index holds. A router whose delegations are /60s
-// claims width 60, and one flow entry serves the scanner's probes into
-// all sixteen /64s of the cell.
+// holes and — for an ISP block's gap flow — every /64 the gap index
+// holds. A router whose delegations are /60s claims width 60, and one
+// flow entry serves the scanner's probes into all sixteen /64s of the
+// cell.
 type region struct {
 	width uint8
-	nExcl uint8
 	nHole uint8
 	// gaps, when non-nil, holds further holes (an ISP block's gap flow).
 	gaps *gapIndex
-	// excl lists addresses inside the region the verdict does NOT cover
-	// (the node's own addresses, operated hosts): lookups to them miss
-	// into the interpreter.
-	excl [fpExclCap]ipv6.Addr
-	// holes lists sub-prefixes the verdict does not cover (an operated
-	// subnet inside a delegated prefix): lookups to them miss and
+	// holes lists what the verdict does not cover inside the region: an
+	// operated subnet inside a delegated prefix, or as a /128 one of the
+	// node's own addresses or operated hosts. Lookups to them miss and
 	// compile their own narrower entry.
 	holes [fpHoleCap]ipv6.Prefix
-}
-
-// addExcl appends an excluded address; false on overflow.
-func (r *region) addExcl(a ipv6.Addr) bool {
-	if int(r.nExcl) == fpExclCap {
-		return false
-	}
-	r.excl[r.nExcl] = a
-	r.nExcl++
-	return true
 }
 
 // addHole appends a hole; false on overflow.

@@ -46,15 +46,10 @@ func (tc *regionCase) near(rng *rand.Rand) ipv6.Addr {
 }
 
 // covers reports whether reg, claimed for dst, covers a: inside the
-// width and outside every exclusion, hole and gap-index /64.
+// width and outside every hole and gap-index /64.
 func covers(reg *region, dst, a ipv6.Addr) bool {
 	if (dst.Uint128().Hi^a.Uint128().Hi)&fpMask(reg.width) != 0 {
 		return false
-	}
-	for _, x := range reg.excl[:reg.nExcl] {
-		if x == a {
-			return false
-		}
 	}
 	for _, h := range reg.holes[:reg.nHole] {
 		if h.Contains(a) {
@@ -67,9 +62,9 @@ func covers(reg *region, dst, a ipv6.Addr) bool {
 // TestFlowCacheRegionSound holds every compilable node's region claims
 // to its rule: for random destinations, the verdict decide returns with
 // a region must be the verdict it returns, without one, for 64 other
-// addresses drawn inside that region but outside its exclusions and
-// holes. The interpreter and the compiler read one rule, so the region
-// is the only thing left that can drift from what the interpreter does.
+// addresses drawn inside that region but outside its holes. The
+// interpreter and the compiler read one rule, so the region is the only
+// thing left that can drift from what the interpreter does.
 func TestFlowCacheRegionSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	var cases []regionCase
@@ -105,8 +100,8 @@ func TestFlowCacheRegionSound(t *testing.T) {
 					}
 					checked++
 					if got := tc.node.decide(in, a, expired, nil); got != v {
-						t.Fatalf("%s (expired %v) claims /%d (excl %v, holes %v) for %+v, but %s draws %+v",
-							dst, expired, reg.width, reg.excl[:reg.nExcl], reg.holes[:reg.nHole], v, a, got)
+						t.Fatalf("%s (expired %v) claims /%d (holes %v) for %+v, but %s draws %+v",
+							dst, expired, reg.width, reg.holes[:reg.nHole], v, a, got)
 					}
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"repro/internal/ipv6"
@@ -68,31 +69,25 @@ func parseBlockEntry(s string) (ipv6.Prefix, error) {
 	}
 	// Dotted quad, possibly with /len: map into ::ffff:0:0/96.
 	addrPart, lenPart, hasLen := strings.Cut(s, "/")
-	v4, err := parseDottedQuad(addrPart)
+	v4, err := ipv6.ParseDottedQuad(addrPart)
 	if err != nil {
-		return ipv6.Prefix{}, err
+		return ipv6.Prefix{}, fmt.Errorf("bad IPv4 address %q: %w", addrPart, err)
 	}
 	bits := 32
 	if hasLen {
-		if _, err := fmt.Sscanf(lenPart, "%d", &bits); err != nil || bits < 0 || bits > 32 {
-			return ipv6.Prefix{}, fmt.Errorf("bad IPv4 prefix length %q", lenPart)
+		if bits, err = parseV4Bits(lenPart); err != nil {
+			return ipv6.Prefix{}, err
 		}
 	}
 	return ipv6.NewPrefix(ipv6.V4Mapped(v4), 96+bits)
 }
 
-func parseDottedQuad(s string) (uint32, error) {
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
-		return 0, fmt.Errorf("bad IPv4 address %q", s)
+// parseV4Bits parses an IPv4 prefix length exactly: decimal digits with
+// no sign, space or leading zero, at most 32.
+func parseV4Bits(s string) (int, error) {
+	n, err := strconv.Atoi(s)
+	if err != nil || n < 0 || n > 32 || strconv.Itoa(n) != s {
+		return 0, fmt.Errorf("bad IPv4 prefix length %q", s)
 	}
-	var v uint32
-	for _, p := range parts {
-		var o int
-		if _, err := fmt.Sscanf(p, "%d", &o); err != nil || o < 0 || o > 255 || fmt.Sprintf("%d", o) != p {
-			return 0, fmt.Errorf("bad IPv4 octet %q in %q", p, s)
-		}
-		v = v<<8 | uint32(o)
-	}
-	return v, nil
+	return n, nil
 }

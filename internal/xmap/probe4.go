@@ -2,7 +2,6 @@ package xmap
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"repro/internal/ipv6"
@@ -126,25 +125,17 @@ func ParseV4Window(s string) (ipv6.Window, error) {
 	if !ok {
 		return ipv6.Window{}, fmt.Errorf("xmap: v4 window %q missing '-'", s)
 	}
-	from, err := strconv.Atoi(fromS)
+	from, err := parseV4Bits(fromS)
 	if err != nil {
 		return ipv6.Window{}, fmt.Errorf("xmap: bad v4 window lower bound in %q", s)
 	}
-	to, err := strconv.Atoi(toS)
+	to, err := parseV4Bits(toS)
 	if err != nil {
 		return ipv6.Window{}, fmt.Errorf("xmap: bad v4 window upper bound in %q", s)
 	}
-	octets := strings.Split(addrPart, ".")
-	if len(octets) != 4 {
-		return ipv6.Window{}, fmt.Errorf("xmap: bad v4 address in %q", s)
-	}
-	var v4 uint32
-	for _, o := range octets {
-		v, err := strconv.Atoi(o)
-		if err != nil || v < 0 || v > 255 {
-			return ipv6.Window{}, fmt.Errorf("xmap: bad v4 octet %q in %q", o, s)
-		}
-		v4 = v4<<8 | uint32(v)
+	v4, err := ipv6.ParseDottedQuad(addrPart)
+	if err != nil {
+		return ipv6.Window{}, fmt.Errorf("xmap: bad v4 address in %q: %w", s, err)
 	}
 	return V4Window(wire.IPv4Addr(v4), from, to)
 }

@@ -168,6 +168,44 @@ func TestParseV4Window(t *testing.T) {
 	}
 }
 
+// TestV4ParsersStrict holds ParseV4Window, ParseBlocklist and
+// ipv6.ParseAddr's mixed notation to one dotted-quad grammar (decimal
+// octets with no sign and no leading zero) and reads prefix lengths
+// exactly: no sign, space, leading zero or trailing text.
+func TestV4ParsersStrict(t *testing.T) {
+	for _, tc := range []struct {
+		window, block, addr string // each form under test; "" skips
+		ok                  bool
+	}{
+		{"10.0.0.0/8-24", "10.0.0.0/8", "10.0.0.0", true},
+		{"0.0.0.0/0-32", "0.0.0.0/0", "0.0.0.0", true},
+		{"255.255.255.255/24-32", "255.255.255.255", "255.255.255.255", true},
+		{"010.0.0.0/8-24", "010.0.0.0/8", "010.0.0.0", false},
+		{"+10.0.0.0/8-24", "+10.0.0.0/8", "+10.0.0.0", false},
+		{"1.2.3.04/24-32", "1.2.3.04", "1.2.3.04", false},
+		{"-0.0.0.0/8-24", "-0.0.0.0", "-0.0.0.0", false},
+		{"1.2.3. 4/24-32", "1.2.3. 4", "1.2.3. 4", false},
+		{"10.0.0.0/+8-24", "10.0.0.0/+24", "", false},
+		{"10.0.0.0/ 8-24", "10.0.0.0/ 24", "", false},
+		{"10.0.0.0/8-24x", "10.0.0.0/24x", "", false},
+		{"10.0.0.0/08-24", "10.0.0.0/024", "", false},
+		{"10.0.0.0/8--24", "10.0.0.0/-0", "", false},
+	} {
+		if _, err := ParseV4Window(tc.window); (err == nil) != tc.ok {
+			t.Errorf("ParseV4Window(%q): err %v, want ok %v", tc.window, err, tc.ok)
+		}
+		if _, err := ParseBlocklist(strings.NewReader(tc.block)); (err == nil) != tc.ok {
+			t.Errorf("ParseBlocklist(%q): err %v, want ok %v", tc.block, err, tc.ok)
+		}
+		if tc.addr == "" {
+			continue
+		}
+		if _, err := ipv6.ParseAddr("::ffff:" + tc.addr); (err == nil) != tc.ok {
+			t.Errorf("ipv6.ParseAddr(%q): err %v, want ok %v", "::ffff:"+tc.addr, err, tc.ok)
+		}
+	}
+}
+
 func TestMetadataRoundTrip(t *testing.T) {
 	f := buildV4Fixture(t)
 	w, err := V4Window(wire.IPv4AddrFrom(203, 0, 113, 0), 24, 32)
