@@ -169,6 +169,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		AIMD:            *aimd,
 		RingSize:        *ringSize,
 		Defend:          *defend,
+		DedupExact:      true,
 	}
 	// Telemetry shards, trace streams and watchdog slots are one per
 	// worker of the run.

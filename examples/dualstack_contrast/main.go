@@ -65,7 +65,7 @@ func scanIPv4World(out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	scanner, err := xmap.New(xmap.Config{Window: w, Probe: &xmap.ICMPEcho4Probe{}, Seed: []byte(fmt.Sprintf("v4-%d", *seed))}, drv)
+	scanner, err := xmap.New(xmap.Config{Window: w, Probe: &xmap.ICMPEcho4Probe{}, Seed: []byte(fmt.Sprintf("v4-%d", *seed)), DedupExact: true}, drv)
 	if err != nil {
 		return err
 	}

@@ -8,6 +8,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/analysis"
@@ -22,13 +23,13 @@ var seed = flag.Int64("seed", 11, "simulation seed (same seed, same output)")
 
 func main() {
 	flag.Parse()
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "periphery_census:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(out io.Writer) error {
 	// Three contrasting ISPs: an Indian /64-boundary mobile carrier, a
 	// US /56 broadband provider, and a Chinese /60 broadband provider.
 	dep, err := topo.Build(topo.Config{
@@ -45,14 +46,14 @@ func run() error {
 
 	// Step 1 (Section IV-A): infer each block's delegation boundary by
 	// bit-flipping around a discovered periphery.
-	fmt.Println("== Subnet boundary inference ==")
+	fmt.Fprintln(out, "== Subnet boundary inference ==")
 	for _, isp := range dep.ISPs {
 		res, err := subnet.Infer(drv, isp.Window.Base, subnet.Options{Seed: *seed, MaxPreliminary: 8192})
 		if err != nil {
-			fmt.Printf("  %-16s inference failed: %v\n", isp.Spec.Name, err)
+			fmt.Fprintf(out, "  %-16s inference failed: %v\n", isp.Spec.Name, err)
 			continue
 		}
-		fmt.Printf("  %-16s inferred /%d (paper says /%d; samples %v)\n",
+		fmt.Fprintf(out, "  %-16s inferred /%d (paper says /%d; samples %v)\n",
 			isp.Spec.Name, res.Length, isp.Spec.DelegLen, res.Samples)
 	}
 
@@ -76,7 +77,7 @@ func run() error {
 	}
 
 	// Step 3: the census tables.
-	fmt.Println("\n== Discovery census (Table II shape) ==")
+	fmt.Fprintln(out, "\n== Discovery census (Table II shape) ==")
 	t := report.Table{Headers: []string{"P", "ISP", "LastHops", "%same", "%diff", "EUI-64 %"}}
 	for _, row := range analysis.BuildTableII(recs) {
 		name := ""
@@ -88,24 +89,24 @@ func run() error {
 		t.AddRow(fmt.Sprintf("%d", row.ISPIndex), name, report.Count(row.UniqueHops),
 			report.Pct(row.SamePct), report.Pct(row.DiffPct), report.Pct(row.EUI64Pct))
 	}
-	fmt.Print(t.String())
+	fmt.Fprint(out, t.String())
 
-	fmt.Println("\n== IID mix (Table III shape) ==")
+	fmt.Fprintln(out, "\n== IID mix (Table III shape) ==")
 	dist := analysis.BuildTableIII(recs)
 	it := report.Table{Headers: []string{"Class", "Count", "%"}}
 	for _, c := range []ipv6.IIDClass{ipv6.IIDEUI64, ipv6.IIDLowByte, ipv6.IIDEmbedIPv4, ipv6.IIDBytePattern, ipv6.IIDRandomized} {
 		it.AddRow(c.String(), report.Count(dist.Counts[c]), report.Pct(dist.Pct(c)))
 	}
-	fmt.Print(it.String())
+	fmt.Fprint(out, it.String())
 
 	// Step 4: hardware attribution through embedded MAC addresses.
-	fmt.Println("\n== EUI-64 vendor attribution ==")
+	fmt.Fprintln(out, "\n== EUI-64 vendor attribution ==")
 	shown := 0
 	for _, rec := range recs {
 		if rec.VendorHW == "" || shown >= 8 {
 			continue
 		}
-		fmt.Printf("  %-40s MAC %s -> %s\n", rec.Addr, rec.MAC, rec.VendorHW)
+		fmt.Fprintf(out, "  %-40s MAC %s -> %s\n", rec.Addr, rec.MAC, rec.VendorHW)
 		shown++
 	}
 	return nil

@@ -7,6 +7,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/topo"
@@ -17,13 +18,13 @@ var seed = flag.Int64("seed", 7, "simulation seed (same seed, same output)")
 
 func main() {
 	flag.Parse()
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "quickstart:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(out io.Writer) error {
 	// One ISP (China Mobile broadband), ~50 simulated home routers, each
 	// delegated a /60 from the provider block.
 	dep, err := topo.Build(topo.Config{
@@ -37,15 +38,16 @@ func run() error {
 		return err
 	}
 	isp := dep.ISPs[0]
-	fmt.Printf("ISP block %s, scanning window %s (%d sub-prefixes)\n",
+	fmt.Fprintf(out, "ISP block %s, scanning window %s (%d sub-prefixes)\n",
 		isp.Block, isp.Window, 1<<isp.Window.Width())
 
 	// The scanner sends one ICMPv6 echo to a nonexistent address per
 	// sub-prefix; the periphery's RFC 4443 unreachable reply exposes its
 	// WAN address.
 	scanner, err := xmap.New(xmap.Config{
-		Window: isp.Window,
-		Seed:   []byte(fmt.Sprintf("quickstart-%d", *seed)),
+		Window:     isp.Window,
+		Seed:       []byte(fmt.Sprintf("quickstart-%d", *seed)),
+		DedupExact: true,
 	}, xmap.NewSimDriver(dep.Engine, dep.Edge))
 	if err != nil {
 		return err
@@ -56,14 +58,14 @@ func run() error {
 		// Ground truth lets the example annotate each discovery.
 		if dev, ok := dep.DeviceByWAN(r.Responder); ok {
 			found++
-			fmt.Printf("  periphery %-40s vendor=%-14s via %s (probe %s)\n",
+			fmt.Fprintf(out, "  periphery %-40s vendor=%-14s via %s (probe %s)\n",
 				r.Responder, dev.Vendor, r.Kind, r.ProbeDst)
 		}
 	})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("sent %d probes, discovered %d of %d simulated peripheries (hit rate %.2f%%)\n",
+	fmt.Fprintf(out, "sent %d probes, discovered %d of %d simulated peripheries (hit rate %.2f%%)\n",
 		stats.Sent, found, len(isp.Devices), 100*stats.HitRate())
 	return nil
 }

@@ -272,8 +272,8 @@ func ParseDottedQuad(s string) (uint32, error) {
 	}
 	var v uint32
 	for _, p := range parts {
-		n, err := strconv.Atoi(p)
-		if err != nil || n < 0 || n > 255 || strconv.Itoa(n) != p {
+		n, ok := decimal(p, 255)
+		if !ok {
 			return 0, fmt.Errorf("bad octet %q", p)
 		}
 		v = v<<8 | uint32(n)

@@ -320,3 +320,85 @@ func TestParseMixedNotationRejects(t *testing.T) {
 		}
 	}
 }
+
+// TestLengthGrammarStrict: prefix and window lengths are decimal digits
+// with no sign, space or leading zero, at most 128.
+func TestLengthGrammarStrict(t *testing.T) {
+	for _, tc := range []struct {
+		prefix, window string // "" skips the form
+		ok             bool
+	}{
+		{"2001:db8::/32", "2001:db8::/32-48", true},
+		{"::/0", "::/0-128", true},
+		{"2001:db8::1/128", "", true},
+		{"2001:db8::/+32", "2001:db8::/+32-48", false},
+		{"2001:db8::/032", "2001:db8::/032-48", false},
+		{"", "2001:db8::/32-+48", false},
+		{"", "2001:db8::/32-048", false},
+		{"::/00", "::/0-00", false},
+		{"2001:db8::/-0", "2001:db8::/32--48", false},
+		{"2001:db8::/ 32", "2001:db8::/32- 48", false},
+		{"2001:db8::/32 ", "2001:db8::/32-48 ", false},
+		{"2001:db8::/", "2001:db8::/32-", false},
+		{"2001:db8::/129", "2001:db8::/32-129", false},
+		{"2001:db8::/4294967328", "2001:db8::/32-18446744073709551664", false},
+		{"2001:db8::/3_2", "2001:db8::/32-4_8", false},
+		{"2001:db8::/0x20", "2001:db8::/32-0x30", false},
+		{"2001:db8::/３２", "2001:db8::/32-４８", false},
+	} {
+		if tc.prefix != "" {
+			if _, err := ParsePrefix(tc.prefix); (err == nil) != tc.ok {
+				t.Errorf("ParsePrefix(%q): err %v, want ok %v", tc.prefix, err, tc.ok)
+			}
+		}
+		if tc.window != "" {
+			if _, err := ParseWindow(tc.window); (err == nil) != tc.ok {
+				t.Errorf("ParseWindow(%q): err %v, want ok %v", tc.window, err, tc.ok)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		s     string
+		width int
+		want  int
+		ok    bool
+	}{
+		{"0", 32, 0, true}, {"32", 32, 32, true}, {"33", 32, 0, false},
+		{"128", 128, 128, true}, {"99999999999999999999", 128, 0, false},
+		{"", 32, 0, false}, {"01", 32, 0, false}, {"+1", 32, 0, false},
+	} {
+		got, err := ParseLength(tc.s, tc.width)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ParseLength(%q, %d) = %d, %v; want %d, ok %v", tc.s, tc.width, got, err, tc.want, tc.ok)
+		}
+	}
+}
+
+// FuzzParseRoundTrip: whatever ParsePrefix or ParseWindow accepts has a
+// canonical form (RFC 5952 address, masked, plain decimal lengths) that
+// parses back to the same value and formats to itself again.
+func FuzzParseRoundTrip(f *testing.F) {
+	for _, s := range []string{
+		"2001:db8::/32", "2001:db8::1/32", "::/0", "::ffff:1.2.3.4/120",
+		"2001:DB8:0:0::/64", "2001:db8::/32-64", "2001:db8::/+32", "2001:db8::/032-48",
+		"2001:db8::/32-+48", "::/0-128", "1::/129",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if p, err := ParsePrefix(s); err == nil {
+			c := p.String()
+			q, err := ParsePrefix(c)
+			if err != nil || q != p || q.String() != c {
+				t.Fatalf("ParsePrefix(%q) = %s, which parses to %s, %v", s, c, q, err)
+			}
+		}
+		if w, err := ParseWindow(s); err == nil {
+			c := w.String()
+			v, err := ParseWindow(c)
+			if err != nil || v != w || v.String() != c {
+				t.Fatalf("ParseWindow(%q) = %s, which parses to %s, %v", s, c, v, err)
+			}
+		}
+	})
+}

@@ -152,11 +152,40 @@ func ParsePrefix(s string) (Prefix, error) {
 	if err != nil {
 		return Prefix{}, err
 	}
-	bits, err := strconv.Atoi(s[i+1:])
+	bits, err := ParseLength(s[i+1:], 128)
 	if err != nil {
 		return Prefix{}, fmt.Errorf("ipv6: bad prefix length in %q", s)
 	}
 	return NewPrefix(a, bits)
+}
+
+// ParseLength reads a prefix length of an address family width bits
+// wide: decimal digits with no sign, space or leading zero (a bare "0"
+// is zero), at most width. It is the one reader of prefix lengths, for
+// IPv6 prefixes and windows and for IPv4 windows and blocklist lines.
+func ParseLength(s string, width int) (int, error) {
+	if n, ok := decimal(s, width); ok {
+		return n, nil
+	}
+	return 0, fmt.Errorf("ipv6: bad prefix length %q (want 0-%d)", s, width)
+}
+
+// decimal parses s as a canonical decimal number no larger than max:
+// digits only, no leading zero except in "0" itself.
+func decimal(s string, max int) (int, bool) {
+	if s == "" || len(s) > 1 && s[0] == '0' {
+		return 0, false
+	}
+	n := 0
+	for _, c := range []byte(s) {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		if n = n*10 + int(c-'0'); n > max {
+			return 0, false
+		}
+	}
+	return n, true
 }
 
 // MustParsePrefix is ParsePrefix, panicking on error.
@@ -194,7 +223,7 @@ func ParseWindow(s string) (Window, error) {
 	if err != nil {
 		return Window{}, err
 	}
-	to, err := strconv.Atoi(s[i+1:])
+	to, err := ParseLength(s[i+1:], 128)
 	if err != nil {
 		return Window{}, fmt.Errorf("ipv6: bad window upper bound in %q", s)
 	}

@@ -227,12 +227,36 @@ func Build(cfg Config) (*Deployment, error) {
 		return nil, fmt.Errorf("topo: %d shards exceed window width %d", nshards, cfg.WindowWidth)
 	}
 
+	want := func(index int) bool {
+		if len(cfg.OnlyISPs) == 0 {
+			return true
+		}
+		for _, i := range cfg.OnlyISPs {
+			if i == index {
+				return true
+			}
+		}
+		return false
+	}
+	var specs []*ISPSpec
+	devices := 0
+	for i := range Specs {
+		if want(Specs[i].Index) {
+			specs = append(specs, &Specs[i])
+			devices += population(&Specs[i], cfg)
+		}
+	}
+
 	dep := &Deployment{
 		Group: netsim.NewEngineGroup(nshards),
 		Geo:   registry.NewGeoDB(),
 		OUI:   registry.NewOUIDB(),
-		byWAN: make(map[ipv6.Addr]*Device),
+		byWAN: make(map[ipv6.Addr]*Device, devices),
 	}
+	// The ISPs are built off the engines from here on; the spine below
+	// and every attach run on this goroutine.
+	pl := startPlans(specs, cfg, nshards, dep.OUI)
+	defer pl.stop()
 	if cfg.FastPath != nil && !*cfg.FastPath {
 		dep.Group.SetFastPath(false)
 	}
@@ -268,88 +292,118 @@ func Build(cfg Config) (*Deployment, error) {
 	}
 	dep.Core, dep.Border = dep.cores[0], dep.borders[0]
 
-	want := func(index int) bool {
-		if len(cfg.OnlyISPs) == 0 {
-			return true
-		}
-		for _, i := range cfg.OnlyISPs {
-			if i == index {
-				return true
-			}
-		}
-		return false
-	}
-
-	var specs []*ISPSpec
-	for i := range Specs {
-		if want(Specs[i].Index) {
-			specs = append(specs, &Specs[i])
-		}
-	}
-	places := placeAll(specs, cfg)
+	// Attach each ISP in spec order as soon as its plan is ready.
 	for i, spec := range specs {
-		isp, err := buildISP(dep, spec, cfg, &places[i])
+		p := <-pl.plans[i]
+		err := p.err
+		if err == nil {
+			err = dep.attach(p)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("topo: building ISP %d (%s): %w", spec.Index, spec.Name, err)
 		}
-		dep.ISPs = append(dep.ISPs, isp)
+		dep.ISPs = append(dep.ISPs, p.isp)
+		<-pl.slots // attached: a worker may take another spec
 	}
 	return dep, nil
 }
 
-// placement is one ISP's share of the placement stage: its population,
-// the window cells its hostile regions reserve, its generator, and the
-// prefix of the window permutation its devices take cells from.
+// ispPlan is one ISP constructed off the engines: every draw made, every
+// node built, and the wiring recorded but not yet done. isp holds the
+// ground truth, the unattached router replicas and the device and
+// hostile nodes; attach joins them to the deployment.
+type ispPlan struct {
+	isp     *ISPDeployment
+	linkNet ipv6.Prefix // the core<->ISP link's /64
+	// hostileShards[i] is the shard holding isp.Hostile[i].
+	hostileShards []int
+	wires         []devWire // one per device, in isp.Devices order
+	err           error
+}
+
+// devWire is what attach does for one device: add the router-side
+// interface down on the shard's replica, connect it to the device and
+// delegate deleg[0] and, when set, deleg[1] through it. With more than
+// one shard deleg[1] (a dual-/64 LAN or a WAN /64 outside the window) is
+// first pinned to the device's shard.
+type devWire struct {
+	down  string
+	deleg [2]ipv6.Prefix
+	shard int
+}
+
+// planAhead is how many plans beyond one per worker may wait built but
+// unattached. Workers that run further ahead of attach leave the
+// collector no idle core and raise the build's peak heap.
+const planAhead = 1
+
+// planner runs the plan stage: min(GOMAXPROCS, ISPs) workers take specs
+// in order and each builds one whole ISP (planISP), sending it on
+// plans[i]. The plans share nothing: each ISP's generators have their
+// own seeds, so what a plan holds does not depend on which worker built
+// it or when. A worker takes a slot before it takes a spec, and Build
+// frees the slot once the plan is attached.
+type planner struct {
+	plans []chan *ispPlan
+	slots chan struct{}
+	done  chan struct{}
+	wg    sync.WaitGroup
+}
+
+func startPlans(specs []*ISPSpec, cfg Config, nshards int, oui *registry.OUIDB) *planner {
+	workers := min(runtime.GOMAXPROCS(0), len(specs))
+	pl := &planner{
+		plans: make([]chan *ispPlan, len(specs)),
+		slots: make(chan struct{}, workers+planAhead),
+		done:  make(chan struct{}),
+	}
+	for i := range pl.plans {
+		pl.plans[i] = make(chan *ispPlan, 1)
+	}
+	var next atomic.Int64
+	for range workers {
+		pl.wg.Add(1)
+		go func() {
+			defer pl.wg.Done()
+			for {
+				select {
+				case pl.slots <- struct{}{}:
+				case <-pl.done:
+					return
+				}
+				i := int(next.Add(1)) - 1
+				if i >= len(specs) {
+					return
+				}
+				pl.plans[i] <- planISP(specs[i], cfg, nshards, oui)
+			}
+		}()
+	}
+	return pl
+}
+
+// stop makes the workers quit after the plan in hand and waits for them.
+func (pl *planner) stop() {
+	close(pl.done)
+	pl.wg.Wait()
+}
+
+// placement is one ISP's population, the window cells its hostile
+// regions reserve, its generator, and the prefix of the window
+// permutation its devices take cells from.
 type placement struct {
 	n, reserved int
 	rng         *rand.Rand
 	indices     []int
 }
 
-// placeAll runs the placement stage: it seeds every ISP's generator and
-// draws its window permutation, one spec per worker at a time, and
-// returns when all are drawn. The draws share nothing — each ISP's
-// generator has its own seed and permPrefix is its first consumer — so
-// the stream every ISP's later draws see does not depend on scheduling.
-// Everything that touches the engines stays in buildISP, run serially
-// in spec order: Connect order fixes link order and flow-key ids.
-func placeAll(specs []*ISPSpec, cfg Config) []placement {
-	places := make([]placement, len(specs))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), len(specs)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(specs) {
-					return
-				}
-				places[i] = place(specs[i], cfg)
-			}
-		}()
-	}
-	wg.Wait()
-	return places
-}
-
 // place computes one ISP's population and reserved cells and draws its
 // placements. A population the window cannot hold draws nothing;
-// buildISP reports it, as it reports invalid hostile regions, which
+// planISP reports it, as it reports invalid hostile regions, which
 // reserve nothing here.
 func place(spec *ISPSpec, cfg Config) placement {
 	src := newSource(cfg.Seed*1000 + int64(spec.Index))
-	p := placement{
-		n:   int(float64(spec.PaperLastHops)*cfg.Scale + 0.5),
-		rng: rand.New(src),
-	}
-	if p.n < 1 {
-		p.n = 1
-	}
-	if cfg.MaxDevicesPerISP > 0 && p.n > cfg.MaxDevicesPerISP {
-		p.n = cfg.MaxDevicesPerISP
-	}
+	p := placement{n: population(spec, cfg), rng: rand.New(src)}
 	for _, hs := range cfg.Hostile {
 		if hs.ISP != spec.Index {
 			continue
@@ -371,68 +425,59 @@ func place(spec *ISPSpec, cfg Config) placement {
 	return p
 }
 
-// buildISP wires one ISP block from its placement.
-func buildISP(dep *Deployment, spec *ISPSpec, cfg Config, pl *placement) (*ISPDeployment, error) {
+// population is the number of devices the build gives an ISP.
+func population(spec *ISPSpec, cfg Config) int {
+	n := max(int(float64(spec.PaperLastHops)*cfg.Scale+0.5), 1)
+	if cfg.MaxDevicesPerISP > 0 {
+		n = min(n, cfg.MaxDevicesPerISP)
+	}
+	return n
+}
+
+// planISP places one ISP block and constructs all of it into a plan. It
+// calls no router mutator and touches no engine or shared table, so it
+// may run beside attach; a failure is returned in the plan.
+func planISP(spec *ISPSpec, cfg Config, nshards int, oui *registry.OUIDB) *ispPlan {
+	p := &ispPlan{}
+	p.err = p.build(spec, cfg, nshards, oui)
+	return p
+}
+
+func (p *ispPlan) build(spec *ISPSpec, cfg Config, nshards int, oui *registry.OUIDB) error {
+	pl := place(spec, cfg)
 	rng := pl.rng
 	iidGen := ipv6.NewIIDGenerator(cfg.Seed*2000 + int64(spec.Index))
 
 	block := BlockFor(spec)
-	dep.Geo.Add(block, registry.GeoEntry{ASN: spec.ASN, Country: spec.Country})
-
 	// Core <-> ISP link: addresses carved from a dedicated /64 of the
 	// ISP block's tail, outside any scan window.
 	linkNet, err := block.Sub(64, maxIndex(block, 64))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	// Subscriber-facing links are unnumbered: every down interface
-	// shares one provider-side address, as on a real BNG.
-	downAddr := ipv6.SLAAC(linkNet, 3)
-
+	p.linkNet = linkNet
 	// Scan window: the first (DelegLen-WindowWidth)-prefix of the block.
 	winBase, err := block.Sub(spec.DelegLen-cfg.WindowWidth, uint128.Zero)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	window, err := ipv6.NewWindow(winBase, spec.DelegLen)
 	if err != nil {
-		return nil, err
+		return err
 	}
-
-	nshards := dep.Group.NumShards()
 	isp := &ISPDeployment{
-		Spec: spec, Block: block, Window: window, downAddr: downAddr,
+		Spec: spec, Block: block, Window: window,
+		// Subscriber-facing links are unnumbered: every down interface
+		// shares one provider-side address, as on a real BNG.
+		downAddr:   ipv6.SLAAC(linkNet, 3),
 		shards:     nshards,
 		shardShift: cfg.WindowWidth - shardBitsFor(nshards),
 	}
-	for s := 0; s < nshards; s++ {
-		router := netsim.NewISPRouter(spec.Name, block, netsim.ErrorPolicy{})
-		borderIf := dep.borders[s].AddIface(ipv6.SLAAC(linkNet, 1), fmt.Sprintf("border:isp%d", spec.Index))
-		ispUp := router.AddIface(ipv6.SLAAC(linkNet, 2), "isp:up")
-		dep.Group.Shard(s).Connect(borderIf, ispUp)
-		dep.borders[s].AddRoute(block, borderIf)
-		dep.cores[s].AddRoute(block, dep.coreBorders[s])
-		router.SetUpstream(ispUp)
-		isp.Routers = append(isp.Routers, router)
+	p.isp = isp
+	for range nshards {
+		isp.Routers = append(isp.Routers, netsim.NewISPRouter(spec.Name, block, netsim.ErrorPolicy{}))
 	}
 	isp.Router = isp.Routers[0]
-
-	// Shard routing: the block falls back to shard 0 (link-net and
-	// unassigned space outside the window answer identically on every
-	// replica); the window splits into contiguous chunks assigned
-	// round-robin, matching shardOf. Per-device overrides below pin
-	// prefixes that land outside the device's primary chunk.
-	dep.Group.Route(block, 0)
-	if nshards > 1 {
-		shardBits := shardBitsFor(nshards)
-		for c := 0; c < 1<<shardBits; c++ {
-			chunk, err := winBase.Sub(winBase.Bits()+shardBits, uint128.From64(uint64(c)))
-			if err != nil {
-				return nil, err
-			}
-			dep.Group.Route(chunk, c%nshards)
-		}
-	}
 
 	n := pl.n
 	capacity := 1 << cfg.WindowWidth
@@ -443,7 +488,6 @@ func buildISP(dep *Deployment, spec *ISPSpec, cfg Config, pl *placement) (*ISPDe
 	// inside an adversarial region — the ground truth stays exact.
 	var runs []cellRun
 	top := capacity
-	hostileN := 0
 	for _, hs := range cfg.Hostile {
 		if hs.ISP != spec.Index {
 			continue
@@ -453,27 +497,28 @@ func buildISP(dep *Deployment, spec *ISPSpec, cfg Config, pl *placement) (*ISPDe
 			regionBits = spec.DelegLen
 		}
 		if regionBits <= winBase.Bits() || regionBits > spec.DelegLen {
-			return nil, fmt.Errorf("hostile region /%d outside window (/%d-%d)",
+			return fmt.Errorf("hostile region /%d outside window (/%d-%d)",
 				regionBits, winBase.Bits(), spec.DelegLen)
 		}
 		if nshards > 1 && regionBits < winBase.Bits()+shardBitsFor(nshards) {
-			return nil, fmt.Errorf("hostile region /%d wider than a /%d shard chunk",
+			return fmt.Errorf("hostile region /%d wider than a /%d shard chunk",
 				regionBits, winBase.Bits()+shardBitsFor(nshards))
 		}
 		cells := 1 << (spec.DelegLen - regionBits)
 		top = (top - cells) &^ (cells - 1)
 		if top < 0 {
-			return nil, fmt.Errorf("hostile regions exceed window capacity %d", capacity)
+			return fmt.Errorf("hostile regions exceed window capacity %d", capacity)
 		}
 		runs = append(runs, cellRun{top, top + cells})
 		region, err := winBase.Sub(regionBits, uint128.From64(uint64(top/cells)))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		mode := hs.Mode
 		if mode == 0 {
 			mode = netsim.HostileAliased
 		}
+		hostileN := len(isp.Hostile)
 		h := netsim.NewHostile(netsim.HostileConfig{
 			Name:        fmt.Sprintf("%s-hostile%d", spec.Name, hostileN),
 			Prefix:      region,
@@ -481,22 +526,12 @@ func buildISP(dep *Deployment, spec *ISPSpec, cfg Config, pl *placement) (*ISPDe
 			Seed:        cfg.Seed*3000 + int64(spec.Index)*64 + int64(hostileN),
 			StormFactor: hs.StormFactor,
 		})
-		shard := isp.shardOf(uint64(top))
-		router := isp.Routers[shard]
-		down := router.AddIface(downAddr, h.Name()+":down")
-		dep.Group.Shard(shard).Connect(down, h.Iface())
-		if err := router.Delegate(region, down); err != nil {
-			return nil, err
-		}
-		if nshards > 1 {
-			dep.Group.Route(region, shard)
-		}
 		isp.Hostile = append(isp.Hostile, HostileRegion{Prefix: region, Mode: mode, Node: h})
-		hostileN++
+		p.hostileShards = append(p.hostileShards, isp.shardOf(uint64(top)))
 	}
 
 	if n*2+pl.reserved > capacity {
-		return nil, fmt.Errorf("population %d exceeds window capacity %d", n, capacity)
+		return fmt.Errorf("population %d exceeds window capacity %d", n, capacity)
 	}
 
 	indices := pl.indices
@@ -526,15 +561,91 @@ func buildISP(dep *Deployment, spec *ISPSpec, cfg Config, pl *placement) (*ISPDe
 		}
 	}
 
-	for devN := 0; devN < n; devN++ {
-		dev, err := buildDevice(dep, isp, cfg, rng, iidGen, meanSvcW, meanLoopW, takeIdx, devN)
+	isp.Devices = make([]*Device, 0, n)
+	p.wires = make([]devWire, n)
+	for devN := range n {
+		dev, err := buildDevice(isp, cfg, oui, rng, iidGen, meanSvcW, meanLoopW, takeIdx, devN, &p.wires[devN])
 		if err != nil {
-			return nil, err
+			return err
 		}
 		isp.Devices = append(isp.Devices, dev)
+	}
+	return nil
+}
+
+// attach joins one plan to the deployment's engines, replaying in plan
+// order every call that touches an engine, a router or a shared table:
+// Connect order fixes link order and flow-key ids, and AddIface and
+// Delegate invalidate the compiled flows of the engines their router is
+// already attached to.
+func (dep *Deployment) attach(p *ispPlan) error {
+	isp, spec := p.isp, p.isp.Spec
+	dep.Geo.Add(isp.Block, registry.GeoEntry{ASN: spec.ASN, Country: spec.Country})
+	for s, router := range isp.Routers {
+		borderIf := dep.borders[s].AddIface(ipv6.SLAAC(p.linkNet, 1), fmt.Sprintf("border:isp%d", spec.Index))
+		ispUp := router.AddIface(ipv6.SLAAC(p.linkNet, 2), "isp:up")
+		dep.Group.Shard(s).Connect(borderIf, ispUp)
+		dep.borders[s].AddRoute(isp.Block, borderIf)
+		dep.cores[s].AddRoute(isp.Block, dep.coreBorders[s])
+		router.SetUpstream(ispUp)
+	}
+
+	// Shard routing: the block falls back to shard 0 (link-net and
+	// unassigned space outside the window answer identically on every
+	// replica); the window splits into contiguous chunks assigned
+	// round-robin, matching shardOf. Per-device pins below route
+	// prefixes that land outside the device's primary chunk.
+	dep.Group.Route(isp.Block, 0)
+	if isp.shards > 1 {
+		winBase := isp.Window.Base
+		shardBits := shardBitsFor(isp.shards)
+		for c := 0; c < 1<<shardBits; c++ {
+			chunk, err := winBase.Sub(winBase.Bits()+shardBits, uint128.From64(uint64(c)))
+			if err != nil {
+				return err
+			}
+			dep.Group.Route(chunk, c%isp.shards)
+		}
+	}
+
+	for i, hr := range isp.Hostile {
+		shard := p.hostileShards[i]
+		router := isp.Routers[shard]
+		down := router.AddIface(isp.downAddr, hr.Node.Name()+":down")
+		dep.Group.Shard(shard).Connect(down, hr.Node.Iface())
+		if err := router.Delegate(hr.Prefix, down); err != nil {
+			return err
+		}
+		if isp.shards > 1 {
+			dep.Group.Route(hr.Prefix, shard)
+		}
+	}
+
+	for i, dev := range isp.Devices {
+		w := &p.wires[i]
+		router := isp.Routers[w.shard]
+		if isp.shards > 1 && w.deleg[1].Bits() > 0 {
+			dep.Group.Route(w.deleg[1], w.shard)
+		}
+		down := router.AddIface(isp.downAddr, w.down)
+		var up *netsim.Iface
+		if dev.CPE != nil {
+			up = dev.CPE.WAN()
+		} else {
+			up = dev.UE.Iface()
+		}
+		dev.AccessLink = dep.Group.Shard(w.shard).Connect(down, up)
+		for _, d := range w.deleg {
+			if d.Bits() == 0 {
+				break
+			}
+			if err := router.Delegate(d, down); err != nil {
+				return err
+			}
+		}
 		dep.byWAN[dev.WANAddr] = dev
 	}
-	return isp, nil
+	return nil
 }
 
 // cellRun is the half-open run [lo, hi) of window cells one hostile
@@ -606,11 +717,13 @@ func pickIIDClass(rng *rand.Rand, eui64Frac float64) ipv6.IIDClass {
 	}
 }
 
+// buildDevice draws and constructs one device and records its wiring
+// in w.
 func buildDevice(
-	dep *Deployment, isp *ISPDeployment, cfg Config,
+	isp *ISPDeployment, cfg Config, oui *registry.OUIDB,
 	rng *rand.Rand, iidGen *ipv6.IIDGenerator,
 	meanSvcW map[services.ID]float64, meanLoopW float64,
-	takeIdx func() uint64, devN int,
+	takeIdx func() uint64, devN int, w *devWire,
 ) (*Device, error) {
 	spec := isp.Spec
 	dev := &Device{Spec: spec}
@@ -628,9 +741,8 @@ func buildDevice(
 	}
 
 	dev.Class = pickIIDClass(rng, eui64Frac)
-	ouis := dep.OUI.OUIsOf(dev.Vendor)
-	oui := ouis[rng.Intn(len(ouis))]
-	iid, mac := iidGen.Generate(dev.Class, oui)
+	ouis := oui.OUIsOf(dev.Vendor)
+	iid, mac := iidGen.Generate(dev.Class, ouis[rng.Intn(len(ouis))])
 	if dev.Class == ipv6.IIDEUI64 {
 		// A small share of devices clone a MAC already in the field
 		// (duplicated firmware images; the paper's Table II observes
@@ -680,36 +792,24 @@ func buildDevice(
 	name := fmt.Sprintf("%s-%d", spec.Name, devN)
 	policy := netsim.ErrorPolicy{Suppress: cfg.FilterPings}
 
+	idx := takeIdx()
+	w.shard = isp.shardOf(idx)
+	first, err := isp.Window.Sub(uint128.From64(idx))
+	if err != nil {
+		return nil, err
+	}
 	switch {
 	case spec.DelegLen == 64 && dev.IsUE:
-		idx := takeIdx()
-		shard := isp.shardOf(idx)
-		router := isp.Routers[shard]
-		prefix, err := isp.Window.Sub(uint128.From64(idx))
-		if err != nil {
-			return nil, err
-		}
 		dev.Model = modelShared64
-		dev.WANAddr = ipv6.SLAAC(prefix, iid)
-		ue := netsim.NewUE(name, dev.WANAddr, prefix, stack, policy)
-		down := router.AddIface(isp.downAddr, name+":bs")
-		dev.AccessLink = dep.Group.Shard(shard).Connect(down, ue.Iface())
-		if err := router.Delegate(prefix, down); err != nil {
-			return nil, err
-		}
-		dev.UE = ue
+		dev.WANAddr = ipv6.SLAAC(first, iid)
+		dev.UE = netsim.NewUE(name, dev.WANAddr, first, stack, policy)
+		w.down = name + ":bs"
+		w.deleg[0] = first
 
 	case spec.DelegLen == 64:
-		idx := takeIdx()
-		shard := isp.shardOf(idx)
-		router := isp.Routers[shard]
-		wanPrefix, err := isp.Window.Sub(uint128.From64(idx))
-		if err != nil {
-			return nil, err
-		}
-		dev.WANAddr = ipv6.SLAAC(wanPrefix, iid)
+		dev.WANAddr = ipv6.SLAAC(first, iid)
 		cpeCfg := netsim.CPEConfig{
-			Name: name, WANAddr: dev.WANAddr, WANPrefix: wanPrefix,
+			Name: name, WANAddr: dev.WANAddr, WANPrefix: first,
 			Stack: stack, Policy: policy,
 		}
 		dev.Model = modelShared64
@@ -719,12 +819,9 @@ func buildDevice(
 			if err != nil {
 				return nil, err
 			}
+			// The LAN /64 may fall in another shard's chunk; with more
+			// than one shard attach pins it to the shard holding the CPE.
 			cpeCfg.Delegated = lan
-			if isp.shards > 1 {
-				// The LAN /64 may fall in another shard's chunk; pin it
-				// to the shard holding the CPE.
-				dep.Group.Route(lan, shard)
-			}
 		}
 		if vulnerable {
 			dev.VulnWAN = true
@@ -733,27 +830,12 @@ func buildDevice(
 			}
 		}
 		cpeCfg.Behavior = behaviorFor(dev)
-		cpe := netsim.NewCPE(cpeCfg)
-		down := router.AddIface(isp.downAddr, name+":down")
-		dev.AccessLink = dep.Group.Shard(shard).Connect(down, cpe.WAN())
-		if err := router.Delegate(wanPrefix, down); err != nil {
-			return nil, err
-		}
-		if cpeCfg.Delegated.Bits() > 0 {
-			if err := router.Delegate(cpeCfg.Delegated, down); err != nil {
-				return nil, err
-			}
-		}
-		dev.CPE = cpe
+		dev.CPE = netsim.NewCPE(cpeCfg)
+		w.down = name + ":down"
+		w.deleg = [2]ipv6.Prefix{first, cpeCfg.Delegated}
 
 	default: // DelegLen < 64: delegated model
-		idx := takeIdx()
-		shard := isp.shardOf(idx)
-		router := isp.Routers[shard]
-		deleg, err := isp.Window.Sub(uint128.From64(idx))
-		if err != nil {
-			return nil, err
-		}
+		deleg := first
 		sub64s, _ := deleg.NumSub(64)
 		pick64 := func() (ipv6.Prefix, error) {
 			idx := uint128.From64(rng.Uint64()).Mod(sub64s)
@@ -767,7 +849,9 @@ func buildDevice(
 			}
 		} else {
 			// WAN /64 in a reserved region of the block outside the
-			// scan window (the second window-size region).
+			// scan window (the second window-size region). Outside the
+			// window it is outside chunk routing, so with more than one
+			// shard attach pins it to the shard holding the CPE.
 			wanRegion, err := isp.Block.Sub(spec.DelegLen-cfg.WindowWidth, uint128.One)
 			if err != nil {
 				return nil, err
@@ -776,11 +860,7 @@ func buildDevice(
 			if err != nil {
 				return nil, err
 			}
-			if isp.shards > 1 {
-				// Outside the window, so outside chunk routing: pin the
-				// WAN /64 to the shard holding the CPE.
-				dep.Group.Route(wanPrefix, shard)
-			}
+			w.deleg[1] = wanPrefix
 		}
 		dev.Model = modelDelegated
 		dev.WANAddr = ipv6.SLAAC(wanPrefix, iid)
@@ -801,18 +881,9 @@ func buildDevice(
 			Stack:   stack, Policy: policy,
 		}
 		cpeCfg.Behavior = behaviorFor(dev)
-		cpe := netsim.NewCPE(cpeCfg)
-		down := router.AddIface(isp.downAddr, name+":down")
-		dev.AccessLink = dep.Group.Shard(shard).Connect(down, cpe.WAN())
-		if err := router.Delegate(deleg, down); err != nil {
-			return nil, err
-		}
-		if !spec.WANInsideDelegation {
-			if err := router.Delegate(wanPrefix, down); err != nil {
-				return nil, err
-			}
-		}
-		dev.CPE = cpe
+		dev.CPE = netsim.NewCPE(cpeCfg)
+		w.down = name + ":down"
+		w.deleg[0] = deleg
 	}
 	return dev, nil
 }

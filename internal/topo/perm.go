@@ -8,6 +8,12 @@ import "math/rand"
 // nobody reads. Step i of Perm writes m[i] = m[j] and m[j] = i for a
 // drawn j <= i, so once i >= k the only write that can reach the prefix
 // is m[j] = i with j < k, and memory is O(k) instead of O(n).
+//
+// Those n-k steps are the build's one per-cell loop, so they inline
+// Uint64 and int31n with the register indices in locals, in unsigned
+// 32-bit arithmetic: a draw is a non-negative 31-bit value and the bound
+// is positive, so the rejection test and the modulus give int31n's
+// values and consume its draws.
 func permPrefix(src *source, n, k int) []int {
 	m := make([]int, k)
 	for i := 0; i < k; i++ {
@@ -15,11 +21,32 @@ func permPrefix(src *source, n, k int) []int {
 		m[i] = m[j]
 		m[j] = i
 	}
+	vec, tap, feed := &src.vec, src.tap, src.feed
+	draw := func() uint32 {
+		if tap--; tap < 0 {
+			tap += srcLen
+		}
+		if feed--; feed < 0 {
+			feed += srcLen
+		}
+		x := vec[feed] + vec[tap]
+		vec[feed] = x
+		return uint32(uint64(x) << 1 >> 33)
+	}
 	for i := k; i < n; i++ {
-		if j := int(src.int31n(int32(i + 1))); j < k {
+		bn := uint32(i + 1)
+		v := draw()
+		if v > 1<<31-1-bn {
+			bound := 1<<31 - 1 - (1<<31)%bn
+			for v > bound {
+				v = draw()
+			}
+		}
+		if j := int(v % bn); j < k {
 			m[j] = i
 		}
 	}
+	src.tap, src.feed = tap, feed
 	return m
 }
 

@@ -125,22 +125,35 @@ func deploymentDigest(dep *Deployment) string {
 
 // TestBuildPinned pins the generated deployment across commits, not only
 // within one run: a change to how devices are placed, drawn or wired
-// moves the digest. Every case runs on one core and on four, so a build
-// whose result depends on how its work was scheduled fails here.
+// moves the digest. Beside it, every shard engine's counters after the
+// build: nothing has run, so all that moves is the fast path's
+// invalidation count, one per AddIface, AddRoute, SetUpstream, Delegate
+// and Connect that reaches an attached engine — a build that mutates a
+// router before attaching it, or on another engine, moves it. Every case
+// runs on one core and on four, so a build whose result depends on how
+// its work was scheduled fails here.
 func TestBuildPinned(t *testing.T) {
+	inval := func(ns ...uint64) []netsim.Counters {
+		cs := make([]netsim.Counters, len(ns))
+		for i, n := range ns {
+			cs[i].FastPathInvalidations = n
+		}
+		return cs
+	}
 	cases := []struct {
-		name string
-		cfg  Config
-		want string
+		name     string
+		cfg      Config
+		want     string
+		counters []netsim.Counters // one per shard
 	}{
 		{"hostile-w18", Config{
 			Seed: 1, Scale: 0.0005, WindowWidth: 18, MaxDevicesPerISP: 4000, OnlyISPs: []int{13},
 			Hostile: scanHostile(),
-		}, "b86126d97b4c758083bcd87efb908e6dca510d30975a74d1165c8c9af007fbbe"},
+		}, "b86126d97b4c758083bcd87efb908e6dca510d30975a74d1165c8c9af007fbbe", inval(10996)},
 		{"shards2-w16", Config{Seed: 1, Scale: 0.0005, WindowWidth: 16, MaxDevicesPerISP: 4000, Shards: 2},
-			"adb2fc97a2753e6ec389b35ef734e613ece02bdb755b1396472d905d82655123"},
+			"adb2fc97a2753e6ec389b35ef734e613ece02bdb755b1396472d905d82655123", inval(29018, 29115)},
 		{"scan-cold-w20", Config{Seed: 1, Scale: 0.0005, WindowWidth: 20, MaxDevicesPerISP: 4000},
-			"68f63ed5a311d1ac2adb47c9c819eaa04c4f8bd77c9d0f6f731f2d89a8e30f55"},
+			"68f63ed5a311d1ac2adb47c9c819eaa04c4f8bd77c9d0f6f731f2d89a8e30f55", inval(58036)},
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 4} {
@@ -152,6 +165,14 @@ func TestBuildPinned(t *testing.T) {
 			}
 			if got := deploymentDigest(dep); got != c.want {
 				t.Errorf("%s at GOMAXPROCS %d: deployment digest %s, want %s", c.name, procs, got, c.want)
+			}
+			if n := dep.Group.NumShards(); n != len(c.counters) {
+				t.Fatalf("%s: %d shards, want %d", c.name, n, len(c.counters))
+			}
+			for s, want := range c.counters {
+				if got := dep.Group.Shard(s).Counters(); got != want {
+					t.Errorf("%s at GOMAXPROCS %d: shard %d counters %+v, want %+v", c.name, procs, s, got, want)
+				}
 			}
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 
 	"repro/internal/ipv6"
@@ -75,19 +74,9 @@ func parseBlockEntry(s string) (ipv6.Prefix, error) {
 	}
 	bits := 32
 	if hasLen {
-		if bits, err = parseV4Bits(lenPart); err != nil {
+		if bits, err = ipv6.ParseLength(lenPart, 32); err != nil {
 			return ipv6.Prefix{}, err
 		}
 	}
 	return ipv6.NewPrefix(ipv6.V4Mapped(v4), 96+bits)
-}
-
-// parseV4Bits parses an IPv4 prefix length exactly: decimal digits with
-// no sign, space or leading zero, at most 32.
-func parseV4Bits(s string) (int, error) {
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 0 || n > 32 || strconv.Itoa(n) != s {
-		return 0, fmt.Errorf("bad IPv4 prefix length %q", s)
-	}
-	return n, nil
 }

@@ -125,11 +125,11 @@ func ParseV4Window(s string) (ipv6.Window, error) {
 	if !ok {
 		return ipv6.Window{}, fmt.Errorf("xmap: v4 window %q missing '-'", s)
 	}
-	from, err := parseV4Bits(fromS)
+	from, err := ipv6.ParseLength(fromS, 32)
 	if err != nil {
 		return ipv6.Window{}, fmt.Errorf("xmap: bad v4 window lower bound in %q", s)
 	}
-	to, err := parseV4Bits(toS)
+	to, err := ipv6.ParseLength(toS, 32)
 	if err != nil {
 		return ipv6.Window{}, fmt.Errorf("xmap: bad v4 window upper bound in %q", s)
 	}

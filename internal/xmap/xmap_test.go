@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -669,6 +670,32 @@ func TestParseBlocklistRejects(t *testing.T) {
 			t.Errorf("blocklist %q accepted", bad)
 		}
 	}
+}
+
+// FuzzParseBlocklistRoundTrip: whatever ParseBlocklist accepts writes
+// out, one canonical prefix a line, as a blocklist that parses back to
+// the same prefixes.
+func FuzzParseBlocklistRoundTrip(f *testing.F) {
+	for _, s := range []string{
+		"2001:db8::/32 # doc\n::1\n", "10.0.0.0/8\n192.0.2.1", "::ffff:10.0.0.0/104",
+		"2001:db8::/+32", "10.0.0.0/08", "# only a comment\n\n",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		ps, err := ParseBlocklist(strings.NewReader(s))
+		if err != nil {
+			return
+		}
+		var b strings.Builder
+		for _, p := range ps {
+			b.WriteString(p.String() + "\n")
+		}
+		again, err := ParseBlocklist(strings.NewReader(b.String()))
+		if err != nil || !slices.Equal(again, ps) {
+			t.Fatalf("ParseBlocklist(%q) = %v, whose canonical form %q parses to %v, %v", s, ps, b.String(), again, err)
+		}
+	})
 }
 
 func TestBlocklistFileEndToEnd(t *testing.T) {

@@ -19,11 +19,8 @@
 # scan (-shard 0, then -shard 1, each with its own checkpoint file): the
 # four legs together must find the reference set, and a slice's file
 # must refuse to resume the other slice (config digest mismatch). The
-# dedup Bloom filter's false positives depend on which responders share
-# a filter, so a whole-window filter and two slice filters can drop
-# different peripheries: at seed 3 the slices find one responder the
-# reference drops, and this leg fails until the filter goes (DESIGN.md,
-# Checkpoint/resume; ROADMAP item 3).
+# CLI dedups with an exact seen-set, so the slices and the whole window
+# find the same peripheries at every seed.
 #
 # A last pair of legs is a real kill: the -parallel 2 scan, slowed by
 # -rate, gets kill -9 as soon as its checkpoint file lists a responder,
