@@ -455,12 +455,12 @@ func BenchmarkScannerThroughputSharded(b *testing.B) {
 // BenchmarkTopoBuild is the set-up a whole cmd/xmap sweep pays before its
 // first probe: the 15-ISP, width-20 deployment of bench's scan_cold
 // workload. Run it with -benchmem; B/op is the build's garbage. Run it
-// with -cpu 1,2: topo.Build draws the ISPs' window placements on
-// GOMAXPROCS workers, so -cpu 1 times the whole build's work on one core
-// and -cpu 2 shows what the concurrent placement stage saves. It is not
-// in scripts/bench.sh's pattern: that script's -short -check mode runs
-// every benchmark 10,000 times, which here would be about 25 minutes of
-// builds.
+// with -cpu 1,2: topo.Build places and constructs whole ISPs on
+// GOMAXPROCS workers while the calling goroutine attaches them, so -cpu
+// 1 times the whole build's work on one core and -cpu 2 shows what the
+// concurrent workers save. It is not in scripts/bench.sh's pattern: that
+// script's -short -check mode runs every benchmark 10,000 times, which
+// here would be about 25 minutes of builds.
 func BenchmarkTopoBuild(b *testing.B) {
 	cfg := topo.Config{Seed: 1, Scale: 0.0005, WindowWidth: 20, MaxDevicesPerISP: 4000}
 	b.ReportAllocs()

@@ -170,9 +170,9 @@ func ParseLength(s string, width int) (int, error) {
 	return 0, fmt.Errorf("ipv6: bad prefix length %q (want 0-%d)", s, width)
 }
 
-// decimal parses s as a canonical decimal number no larger than max:
+// decimal parses s as a canonical decimal number no larger than limit:
 // digits only, no leading zero except in "0" itself.
-func decimal(s string, max int) (int, bool) {
+func decimal(s string, limit int) (int, bool) {
 	if s == "" || len(s) > 1 && s[0] == '0' {
 		return 0, false
 	}
@@ -181,7 +181,7 @@ func decimal(s string, max int) (int, bool) {
 		if c < '0' || c > '9' {
 			return 0, false
 		}
-		if n = n*10 + int(c-'0'); n > max {
+		if n = n*10 + int(c-'0'); n > limit {
 			return 0, false
 		}
 	}
