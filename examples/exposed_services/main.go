@@ -8,6 +8,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/analysis"
@@ -23,13 +24,13 @@ var seed = flag.Int64("seed", 13, "simulation seed (same seed, same output)")
 
 func main() {
 	flag.Parse()
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "exposed_services:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(out io.Writer) error {
 	// China Unicom broadband: the second-most-exposed ISP in Table VII
 	// (24.6% of peripheries answer at least one service).
 	dep, err := topo.Build(topo.Config{
@@ -59,7 +60,7 @@ func run() error {
 		return err
 	}
 	counts := scanner.ResponderCounts()
-	fmt.Printf("discovered %d last hops in %s\n", len(recs), isp.Window)
+	fmt.Fprintf(out, "discovered %d last hops in %s\n", len(recs), isp.Window)
 
 	// Application-layer probing, one service at a time per target, as
 	// the paper's ethics section requires.
@@ -88,17 +89,17 @@ func run() error {
 		}
 		t.AddRow("Total", report.Count(row.Total), report.Pct(row.TotalPct()))
 	}
-	fmt.Print(t.String())
+	fmt.Fprint(out, t.String())
 
 	// The open-resolver story: DNS forwarders answering arbitrary
 	// Internet clients, mostly running years-old dnsmasq.
-	fmt.Println("\nOpen DNS resolvers (abusable for DDoS reflection, cache snooping):")
+	fmt.Fprintln(out, "\nOpen DNS resolvers (abusable for DDoS reflection, cache snooping):")
 	for _, rec := range peripheries {
 		res, ok := rec.Grab.Results[services.SvcDNS]
 		if !ok || !res.Alive {
 			continue
 		}
-		fmt.Printf("  %-40s %s (%d known CVEs)\n", rec.Addr, res.Software, registry.CVECount(res.Software))
+		fmt.Fprintf(out, "  %-40s %s (%d known CVEs)\n", rec.Addr, res.Software, registry.CVECount(res.Software))
 	}
 
 	// Management pages reachable from the whole IPv6 Internet.
@@ -108,10 +109,10 @@ func run() error {
 			loginPages++
 		}
 	}
-	fmt.Printf("\nweb management login pages reachable from the Internet: %d\n", loginPages)
+	fmt.Fprintf(out, "\nweb management login pages reachable from the Internet: %d\n", loginPages)
 
 	// Software-version census with CVE annotations.
-	fmt.Println("\nSoftware census (Table VIII shape):")
+	fmt.Fprintln(out, "\nSoftware census (Table VIII shape):")
 	sw := analysis.BuildTableVIII(peripheries)
 	st := report.Table{Headers: []string{"Service", "Software", "Devices", "CVEs"}}
 	for _, svc := range services.All {
@@ -119,6 +120,6 @@ func run() error {
 			st.AddRow(svc.String(), sc.Software, report.Count(sc.Count), fmt.Sprintf("%d", sc.CVEs))
 		}
 	}
-	fmt.Print(st.String())
+	fmt.Fprint(out, st.String())
 	return nil
 }

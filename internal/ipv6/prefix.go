@@ -107,25 +107,9 @@ func (p Prefix) SubIndex(a Addr, newBits int) (uint128.Uint128, error) {
 	return shifted.And(mask), nil
 }
 
-// SubIndexIn is SubIndex without error construction, for per-packet
-// lookup paths where misses are routine: ok is false when a is outside
-// p or newBits is invalid for the prefix.
-func (p Prefix) SubIndexIn(a Addr, newBits int) (uint128.Uint128, bool) {
-	if newBits <= p.bits || newBits > 128 || !p.Contains(a) {
-		return uint128.Zero, false
-	}
-	shifted := a.u.Rsh(uint(128 - newBits))
-	width := uint(newBits - p.bits)
-	if width >= 128 {
-		return shifted, true
-	}
-	mask := uint128.One.Lsh(width).Sub64(1)
-	return shifted.And(mask), true
-}
-
-// NumSub returns the number of newBits-length sub-prefixes of p, or
-// (Zero, false) if the count does not fit in 128 bits (p.bits==0,
-// newBits==128... actually 2^128 overflows only when width==128).
+// NumSub returns the number of newBits-length sub-prefixes of p. It
+// returns (Zero, false) when newBits is not longer than p's length (or
+// past 128), or when the count would be 2^128 (a /0 split into /128s).
 func (p Prefix) NumSub(newBits int) (uint128.Uint128, bool) {
 	if newBits <= p.bits || newBits > 128 {
 		return uint128.Zero, false

@@ -187,7 +187,7 @@ func (n *sparseNet) sweep(pkts, rx [][]byte) [][]byte {
 }
 
 // BenchmarkFlowCacheLookupGap measures flowCache.lookup against a block's
-// gap flow whose emptiness index holds 4,096 ranges (a 2^16-cell window,
+// gap flow whose emptiness index holds 4,096 spans (a 2^16-cell window,
 // one /60 in sixteen delegated). "hit" looks up unassigned space: key
 // match, one index search, served. "shadowed" alternates those with
 // lookups of delegated space, which the gap flow refuses so the lookup
@@ -222,8 +222,8 @@ func BenchmarkFlowCacheLookupGap(b *testing.B) {
 		warm(base | uint64(c)<<4 | 5)
 	}
 	n.scanner.DrainInto(nil)
-	if got := len(n.isp.gaps.ranges); got < subscribers*9/10 {
-		b.Fatalf("index holds %d ranges for %d delegations", got, subscribers)
+	if got := len(n.isp.gaps.spans); got != subscribers {
+		b.Fatalf("index holds %d spans for %d delegations", got, subscribers)
 	}
 	fp, ifid := &n.eng.fp, n.scanner.Iface().Peer().fpID
 	// his[2i] is unassigned, his[2i+1] delegated.

@@ -511,7 +511,7 @@ func TestFlowCacheEdgeDeliveryInterpreted(t *testing.T) {
 func TestFlowCacheWideEntrySharing(t *testing.T) {
 	p := buildMirror(t, CPEBehavior{}, ErrorPolicy{})
 
-	// The finest delegation table in buildTestNet is /64-grained, so the
+	// The finest delegated length in buildTestNet is /64, so the
 	// uniform cell around unassigned 2001:db8:aaaa:bbbb::/64 is exactly
 	// one /64: probing two IIDs of it shares the entry; probing the
 	// adjacent /64 compiles its own.

@@ -73,13 +73,13 @@ func (n *sparseNet) delegate(tb testing.TB, p ipv6.Prefix, i int) {
 	}
 }
 
-// mixedLens is several delegation tables' worth of lengths: hostile-style
+// mixedLens is several delegated lengths: hostile-style
 // /52 and /54 regions, /56s, /60s and side-region-style /64s.
 var mixedLens = []int{52, 54, 56, 60, 60, 64, 64, 64}
 
 // randomDelegs draws count non-overlapping delegations of mixed lengths
 // inside the first 2^winBits /64s of block, their lengths drawn from
-// lens (mixedLens unless the caller wants one table).
+// lens (mixedLens unless the caller wants one length).
 func randomDelegs(rng *rand.Rand, block ipv6.Prefix, winBits, count int, lens ...int) []ipv6.Prefix {
 	if len(lens) == 0 {
 		lens = mixedLens
@@ -138,7 +138,7 @@ func (n *sparseNet) probe(tb testing.TB, dst ipv6.Addr, seq uint16) [][]byte {
 }
 
 // TestFlowCacheGapClaimSound is the gap flow's contract: over random
-// /52-/64 delegation sets spread over several tables, with a router
+// /52-/64 delegation sets spread over several lengths, with a router
 // address planted inside the window, the block's gap flow serves an
 // address iff the interpreted mirror answers it "no route" from the
 // provider edge and its /64 holds no router address (those /64s are
@@ -155,8 +155,12 @@ func TestFlowCacheGapClaimSound(t *testing.T) {
 		fast := buildSparseNet(t, sparseBlock, delegs)
 		slow := buildSparseNet(t, sparseBlock, delegs)
 		slow.eng.SetFastPath(false)
-		if n := len(fast.isp.delegs); n < 2 && len(delegs) > 4 {
-			t.Fatalf("seed %d: %d delegations in %d tables; the draw lost its spread", seed, len(delegs), n)
+		lens := map[int]bool{}
+		for _, p := range delegs {
+			lens[p.Bits()] = true
+		}
+		if len(lens) < 2 && len(delegs) > 4 {
+			t.Fatalf("seed %d: %d delegations of %d lengths; the draw lost its spread", seed, len(delegs), len(lens))
 		}
 
 		// A router address in an unassigned /64 of the window.

@@ -1,19 +1,19 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"repro/internal/ipv6"
 	"repro/internal/wire"
 )
 
 // ISPRouter is the provider-edge router of one ISP block. Instead of a
-// general LPM table it holds per-length delegation tables (an exact-match
-// table per delegated prefix length), which is both how provider BNGs
-// are provisioned and memory-proportional to the number of subscribers.
+// general LPM table it holds one span per delegated prefix (gapIndex),
+// which is memory-proportional to the number of subscribers and is the
+// same index the block's gap flow reads as its hole set.
 type ISPRouter struct {
 	attachments
 	forwarder
@@ -28,11 +28,12 @@ type ISPRouter struct {
 	// 16-byte map key per transit packet. isLocal falls back to the
 	// map if a topology ever gives every interface its own address.
 	addrList []ipv6.Addr
-	delegs   []*delegTable
-	// gaps is what the block's gap flow does not cover. AddIface and
-	// Delegate mark it stale; the next gap claim rebuilds it.
+	// gaps holds every delegation and is what the block's gap flow does
+	// not cover. AddIface and Delegate mark it stale; the next lookup or
+	// gap claim rebuilds it. finest is the longest delegated length.
 	gaps      gapIndex
 	gapsStale bool
+	finest    int
 
 	// CountForwarded tallies transit packets for amplification
 	// measurements.
@@ -41,55 +42,13 @@ type ISPRouter struct {
 
 var _ Node = (*ISPRouter)(nil)
 
-// delegTable maps sub-prefix indices (at one prefix length within the
-// block) to subscriber-facing interfaces. Provisioned indices are small
-// and dense (subscribers are assigned consecutive sub-prefixes), so
-// indices under denseCap live in a direct-index slice — the transit hot
-// path then costs one bounds check instead of a hash probe per packet —
-// with the map kept for sparse outliers.
-type delegTable struct {
-	subLen  int
-	dense   []*Iface
-	entries map[uint64]*Iface
-}
-
-// denseCap bounds the direct-index slice (64k entries, 512 KiB of
-// pointers at worst); delegation indices past it fall back to the map.
-const denseCap = 1 << 16
-
-// set records one delegation, keeping the dense/map invariant: indices
-// under denseCap are stored in both (the slice answers lookups, the map
-// keeps DelegationCount trivial), larger ones in the map alone.
-func (t *delegTable) set(idx uint64, out *Iface) {
-	t.entries[idx] = out
-	if idx < denseCap {
-		if n := uint64(len(t.dense)); idx >= n {
-			t.dense = append(t.dense, make([]*Iface, idx+1-n)...)
-		}
-		t.dense[idx] = out
-	}
-}
-
-// get resolves one sub-prefix index.
-func (t *delegTable) get(idx uint64) (*Iface, bool) {
-	if idx < uint64(len(t.dense)) {
-		out := t.dense[idx]
-		return out, out != nil
-	}
-	if idx < denseCap {
-		// Under the dense bound but past the slice: never delegated.
-		return nil, false
-	}
-	out, ok := t.entries[idx]
-	return out, ok
-}
-
 // NewISPRouter creates the edge router for the given ISP block.
 func NewISPRouter(name string, block ipv6.Prefix, policy ErrorPolicy) *ISPRouter {
 	r := &ISPRouter{
-		name:  name,
-		block: block,
-		addrs: make(map[ipv6.Addr]struct{}),
+		name:      name,
+		block:     block,
+		addrs:     make(map[ipv6.Addr]struct{}),
+		gapsStale: true,
 	}
 	r.forwarder = forwarder{self: r, fwd: &r.CountForwarded, suppress: policy.Suppress}
 	return r
@@ -120,47 +79,31 @@ func (r *ISPRouter) SetUpstream(ifc *Iface) {
 	r.bumpFlows()
 }
 
-// Delegate routes the sub-prefix p of the block to the subscriber behind
-// out. All delegations of the same length share one exact-match table.
+// Delegate routes the sub-prefix p of the block, at most a /64, to the
+// subscriber behind out. Delegating the same prefix again re-routes it.
 func (r *ISPRouter) Delegate(p ipv6.Prefix, out *Iface) error {
 	if !r.block.Overlaps(p) || p.Bits() <= r.block.Bits() {
 		return fmt.Errorf("netsim: delegation %s outside block %s", p, r.block)
 	}
-	idx, err := r.block.SubIndex(p.Addr(), p.Bits())
-	if err != nil {
-		return err
+	if p.Bits() > 64 {
+		return fmt.Errorf("netsim: delegation %s longer than /64", p)
 	}
-	if idx.Hi != 0 {
-		return fmt.Errorf("netsim: delegation index for %s exceeds 64 bits", p)
-	}
-	// Tables stay sorted longest-first so more-specific delegations win.
-	pos := 0
-	for pos < len(r.delegs) && r.delegs[pos].subLen > p.Bits() {
-		pos++
-	}
-	if pos == len(r.delegs) || r.delegs[pos].subLen != p.Bits() {
-		t := &delegTable{subLen: p.Bits(), entries: map[uint64]*Iface{}}
-		r.delegs = slices.Insert(r.delegs, pos, t)
-	}
-	r.delegs[pos].set(idx.Lo, out)
+	lo := p.Addr().Uint128().Hi
+	r.gaps.spans = append(r.gaps.spans, span{lo: lo, hi: lo | (1<<(64-p.Bits()) - 1), out: out})
+	r.finest = max(r.finest, p.Bits())
 	r.gapsStale = true
 	r.bumpFlows()
 	return nil
 }
 
-// lookup resolves dst against the delegation tables.
+// lookup resolves dst to the interface of its longest delegation.
 func (r *ISPRouter) lookup(dst ipv6.Addr) (*Iface, bool) {
-	for _, t := range r.delegs {
-		idx, ok := r.block.SubIndexIn(dst, t.subLen)
-		if !ok {
-			return nil, false // not in block at all
-		}
-		if idx.Hi != 0 {
-			continue
-		}
-		if out, ok := t.get(idx.Lo); ok {
-			return out, true
-		}
+	if !r.block.Contains(dst) {
+		return nil, false
+	}
+	g := r.gapIndex()
+	if i := g.find(dst.Uint128().Hi); i >= 0 {
+		return g.spans[i].out, true
 	}
 	return nil, false
 }
@@ -185,7 +128,7 @@ func (r *ISPRouter) isLocal(dst ipv6.Addr) bool {
 // decide is the provider edge's rule: echo for its own addresses, Time
 // Exceeded from the arrival interface on expiry (the provider half of
 // the bounce when a looping probe dies here rather than at the CPE),
-// else the delegation tables, the upstream default for out-of-block
+// else the delegations, the upstream default for out-of-block
 // space — and for unassigned space within the block, no route: exactly
 // the error the paper's periphery discovery exploits, here one hop
 // early. Every unassigned in-block dst draws it alike, so it claims the
@@ -210,10 +153,10 @@ func (r *ISPRouter) decide(in *Iface, dst ipv6.Addr, expired bool, reg *region) 
 	}
 	if r.block.Contains(dst) {
 		if reg != nil {
-			if idx := r.gapIndex(); idx == nil {
-				reg.width = 0
-			} else if !idx.assigned(dst.Uint128().Hi) {
-				reg.width, reg.gaps = uint8(r.block.Bits()), idx
+			if b := r.block.Bits(); b < 1 || b > 64 {
+				reg.width = 0 // unexpressible in the top 64 bits: exact
+			} else if idx := r.gapIndex(); !idx.assigned(dst.Uint128().Hi) {
+				reg.width, reg.gaps = uint8(b), idx
 			} else {
 				reg.width = avoidAddrs(64, dst, r.addrList, reg)
 			}
@@ -229,48 +172,81 @@ func (r *ISPRouter) decide(in *Iface, dst ipv6.Addr, expired bool, reg *region) 
 	return unreachable(in, wire.UnreachNoRoute)
 }
 
-// hiRange is an inclusive range of top-64-bit address words.
-type hiRange struct{ lo, hi uint64 }
+// span is one delegation: the inclusive range of top-64-bit address
+// words its prefix covers, the subscriber interface, and the position of
+// the nearest span enclosing it (-1 if none). top is the hi of the
+// widest span enclosing it (its own hi if none): an address past top is
+// in none of them, so a miss needs no walk.
+type span struct {
+	lo, hi, top uint64
+	out         *Iface
+	up          int32
+}
 
-// gapIndex is a block's emptiness index: everything in it that is not
-// plain unassigned space. The block's gap flow points at it as its hole
-// set (flowCache.lookup), and a live flow never reads a stale index:
-// whatever marks it stale also bumps the flow generation of every
+// gapIndex is a block's delegations and emptiness index: everything in it
+// that is not plain unassigned space. The block's gap flow points at it as
+// its hole set (flowCache.lookup), and a live flow never reads a stale
+// index: whatever marks it stale also bumps the flow generation of every
 // engine the router is attached to, and the next claim rebuilds it.
 type gapIndex struct {
-	// ranges is every table's delegations, merged and sorted, over the
-	// top 64 address bits; own the /64s of the router's in-block addresses.
-	ranges []hiRange
-	own    []uint64
-	// start[k] is the first range ending at or past ranges[0].lo+k<<shift:
+	// spans is one entry per delegated prefix, sorted by lo with the wider
+	// of two spans sharing a lo first, so a span's enclosing spans all sit
+	// before it; own the /64s of the router's in-block addresses.
+	spans []span
+	own   []uint64
+	// start[k] is the first span with lo at or past base+k<<shift:
 	// delegations spread over the window, so a bucket holds about one, where
 	// a search over all of them mispredicts every other step of a sweep.
+	// base is spans[0].lo, or the highest top word when there are no
+	// spans; kept apart so that last is cheap enough to inline into the
+	// gap flow's per-probe assigned.
 	start []uint32
 	shift uint
+	base  uint64
+}
+
+// last returns the position of the last span starting at or before the
+// /64 with top word h, or -1. Any span holding h encloses that one or is
+// it, so h lies in some span iff that span's top reaches h.
+func (g *gapIndex) last(h uint64) int {
+	if h < g.base {
+		return -1
+	}
+	k := min((h-g.base)>>g.shift, uint64(len(g.start)-2))
+	i, j := g.start[k], g.start[k+1]
+	for i < j {
+		if m := (i + j) / 2; g.spans[m].lo <= h {
+			i = m + 1
+		} else {
+			j = m
+		}
+	}
+	return int(i) - 1
 }
 
 // assigned reports whether the /64 with top word h lies in the index.
 func (g *gapIndex) assigned(h uint64) bool {
-	if slices.Contains(g.own, h) {
-		return true
-	}
-	rs := g.ranges
-	if len(rs) == 0 || h < rs[0].lo || h > rs[len(rs)-1].hi {
-		return false
-	}
-	k := (h - rs[0].lo) >> g.shift
-	seg := rs[g.start[k]:min(int(g.start[k+1])+1, len(rs))]
-	i := sort.Search(len(seg), func(i int) bool { return seg[i].hi >= h })
-	return i < len(seg) && seg[i].lo <= h
+	i := g.last(h)
+	return i >= 0 && g.spans[i].top >= h || slices.Contains(g.own, h)
 }
 
-// gapIndex returns the emptiness index, rebuilt if an interface or a
-// delegation landed since the last claim; nil when it is unexpressible
-// in the top 64 bits (gap claims are then exact).
-func (r *ISPRouter) gapIndex() *gapIndex {
-	if b := r.block.Bits(); b < 1 || b > 64 || len(r.delegs) > 0 && r.delegs[0].subLen > 64 {
-		return nil // delegs is sorted longest-first
+// find returns the position of the narrowest span holding the /64 with
+// top word h, or -1: the last span starting at or before h, then out
+// through its enclosing spans until one reaches h.
+func (g *gapIndex) find(h uint64) int {
+	i := g.last(h)
+	if i < 0 || g.spans[i].top < h {
+		return -1
 	}
+	for g.spans[i].hi < h {
+		i = int(g.spans[i].up)
+	}
+	return i
+}
+
+// gapIndex returns the index, rebuilt if an interface or a delegation
+// landed since the last lookup or claim.
+func (r *ISPRouter) gapIndex() *gapIndex {
 	g := &r.gaps
 	if !r.gapsStale {
 		return g
@@ -281,40 +257,42 @@ func (r *ISPRouter) gapIndex() *gapIndex {
 			g.own = append(g.own, h)
 		}
 	}
-	rs := g.ranges[:0]
-	base := r.block.Addr().Uint128().Hi
-	for _, t := range r.delegs {
-		shift := uint(64 - t.subLen)
-		for idx := range t.entries {
-			lo := base | idx<<shift
-			rs = append(rs, hiRange{lo, lo | (uint64(1)<<shift - 1)})
-		}
-	}
-	sort.Slice(rs, func(i, j int) bool { return rs[i].lo < rs[j].lo })
+	s := g.spans
+	slices.SortStableFunc(s, func(a, b span) int {
+		return cmp.Or(cmp.Compare(a.lo, b.lo), cmp.Compare(b.hi, a.hi))
+	})
 	n := 0
-	for _, x := range rs {
-		if n > 0 && x.lo <= rs[n-1].hi+1 {
-			// Nested in the last range or adjacent to it: one range.
-			rs[n-1].hi = max(rs[n-1].hi, x.hi)
+	for _, x := range s {
+		if n > 0 && s[n-1].lo == x.lo && s[n-1].hi == x.hi {
+			s[n-1].out = x.out // a repeated prefix: the last Delegate wins
 			continue
 		}
-		rs[n] = x
+		// The nearest enclosing span is the previous one or encloses it.
+		x.up, x.top = int32(n-1), x.hi
+		for x.up >= 0 && s[x.up].hi < x.lo {
+			x.up = s[x.up].up
+		}
+		if x.up >= 0 {
+			x.top = s[x.up].top
+		}
+		s[n] = x
 		n++
 	}
-	g.ranges, g.start, g.shift = rs[:n], g.start[:0], 0
+	g.spans, g.start, g.shift, g.base = s[:n], append(g.start[:0], 0), 0, ^uint64(0)
 	if n > 0 {
-		span := rs[n-1].hi - rs[0].lo
-		for span>>g.shift >= uint64(2*n) {
+		g.base = s[0].lo
+		width := s[n-1].lo - g.base
+		for width>>g.shift >= uint64(2*n) {
 			g.shift++
 		}
-		for k, j := uint64(0), 0; k <= span>>g.shift; k++ {
-			for rs[j].hi < rs[0].lo+k<<g.shift {
+		for k, j := uint64(1), 0; k <= width>>g.shift; k++ {
+			for s[j].lo < g.base+k<<g.shift {
 				j++
 			}
 			g.start = append(g.start, uint32(j))
 		}
-		g.start = append(g.start, uint32(n))
 	}
+	g.start = append(g.start, uint32(n))
 	r.gapsStale = false
 	return g
 }
@@ -323,7 +301,7 @@ func (r *ISPRouter) gapIndex() *gapIndex {
 // delegated or an out-of-block destination — over which the forwarding
 // decision is uniform, bounded away from the router's own interface
 // addresses (same-/64 ones become /128 holes instead). For a delegated
-// destination that is one cell of the finest delegation table (every
+// destination that is one cell of the finest delegated length (every
 // address of a delegated /60 resolves to the same subscriber); outside
 // the block the region also stops at the first bit where dst and the
 // block diverge. 0 means unexpressible in the top 64 bits (claim must
@@ -332,13 +310,7 @@ func (r *ISPRouter) regionClaim(dst ipv6.Addr, reg *region) uint8 {
 	if r.block.Bits() > 64 {
 		return 0
 	}
-	w := uint8(1)
-	if len(r.delegs) > 0 {
-		if r.delegs[0].subLen > 64 { // sorted longest-first
-			return 0
-		}
-		w = uint8(r.delegs[0].subLen)
-	}
+	w := uint8(max(1, r.finest))
 	if r.block.Contains(dst) {
 		w = max(w, uint8(r.block.Bits()))
 	} else {
@@ -353,10 +325,4 @@ func (r *ISPRouter) regionClaim(dst ipv6.Addr, reg *region) uint8 {
 
 // DelegationCount returns the number of installed delegations (for
 // diagnostics and tests).
-func (r *ISPRouter) DelegationCount() int {
-	n := 0
-	for _, t := range r.delegs {
-		n += len(t.entries)
-	}
-	return n
-}
+func (r *ISPRouter) DelegationCount() int { return len(r.gapIndex().spans) }

@@ -343,6 +343,9 @@ func TestUEUnreachableAndEcho(t *testing.T) {
 
 func TestDelegateValidation(t *testing.T) {
 	isp := NewISPRouter("isp", ispBlock, ErrorPolicy{})
+	if _, ok := isp.lookup(ipv6.MustParseAddr("2001:db8::1")); ok {
+		t.Error("a router with no delegations resolved a lookup")
+	}
 	out := isp.AddIface(ipv6.MustParseAddr("2001:db8::1"), "x")
 	if err := isp.Delegate(ipv6.MustParsePrefix("2001:db9::/48"), out); err == nil {
 		t.Error("delegation outside block accepted")
@@ -350,34 +353,16 @@ func TestDelegateValidation(t *testing.T) {
 	if err := isp.Delegate(ipv6.MustParsePrefix("2001:db8::/32"), out); err == nil {
 		t.Error("delegation of whole block accepted")
 	}
+	for _, p := range []string{"2001:db8:4321:8765::/65", "2001:db8:4321:8765::1/128"} {
+		if err := isp.Delegate(ipv6.MustParsePrefix(p), out); err == nil {
+			t.Errorf("delegation %s longer than /64 accepted", p)
+		}
+	}
 	if err := isp.Delegate(wanPrefix, out); err != nil {
 		t.Errorf("valid delegation rejected: %v", err)
 	}
 	if isp.DelegationCount() != 1 {
 		t.Errorf("DelegationCount = %d", isp.DelegationCount())
-	}
-}
-
-// TestDelegTableGrowth: the dense slice grows to the highest index in one
-// step; lower indices set later, and a re-set, still resolve.
-func TestDelegTableGrowth(t *testing.T) {
-	a := NewIface(nil, ipv6.Addr{}, "a")
-	b := NewIface(nil, ipv6.Addr{}, "b")
-	tab := &delegTable{subLen: 64, entries: map[uint64]*Iface{}}
-	tab.set(40_000, a)
-	tab.set(3, a)
-	tab.set(40_000, b)
-	if got := len(tab.dense); got != 40_001 {
-		t.Errorf("len(dense) = %d, want 40001", got)
-	}
-	for _, c := range []struct {
-		idx  uint64
-		want *Iface
-	}{{40_000, b}, {3, a}, {4, nil}, {39_999, nil}, {40_001, nil}} {
-		got, ok := tab.get(c.idx)
-		if got != c.want || ok != (c.want != nil) {
-			t.Errorf("get(%d) = %v, %t; want %v", c.idx, got, ok, c.want)
-		}
 	}
 }
 

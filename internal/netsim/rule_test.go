@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -152,14 +153,8 @@ func ispCase(t *testing.T, rng *rand.Rand) regionCase {
 	for _, a := range n.isp.addrList {
 		tc.marks = append(tc.marks, ipv6.MustPrefix(a, 128))
 	}
-	for _, ts := range n.isp.delegs {
-		for idx := range ts.entries {
-			p, err := sparseBlock.Sub(ts.subLen, uint128.From64(idx))
-			if err != nil {
-				t.Fatal(err)
-			}
-			tc.marks = append(tc.marks, p)
-		}
+	for _, sp := range n.isp.gaps.spans {
+		tc.marks = append(tc.marks, delegIn(sp.lo, 64-bits.Len64(sp.hi-sp.lo)))
 	}
 	return tc
 }
