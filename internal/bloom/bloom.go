@@ -178,16 +178,10 @@ func (f *Filter) Contains(key []byte) bool {
 	return f.containsHash(h1, h2)
 }
 
-// AddIfAbsent inserts key and reports whether it was absent before the
-// call — one hashing pass replacing the Contains-then-Add pair on a
-// dedup hot path. Bit-for-bit equivalent to Contains followed by Add.
-func (f *Filter) AddIfAbsent(key []byte) bool {
-	h1, h2 := f.hashes(key)
-	return f.addIfAbsentHash(h1, h2)
-}
-
-// AddIfAbsentUint64Pair is AddIfAbsent for 128-bit keys held as two
-// words.
+// AddIfAbsentUint64Pair inserts the 128-bit key held as two words and
+// reports whether it was absent before the call — one hashing pass
+// replacing the Contains-then-Add pair on a dedup hot path. Bit-for-bit
+// equivalent to ContainsUint64Pair followed by AddUint64Pair.
 func (f *Filter) AddIfAbsentUint64Pair(hi, lo uint64) bool {
 	return f.addIfAbsentHash(hashPair(f.seed1, hi, lo), hashPair(f.seed2, hi, lo)|1)
 }

@@ -73,9 +73,6 @@ type Suite struct {
 // New creates a suite.
 func New(opts Options) *Suite { return &Suite{opts: opts} }
 
-// Opts returns the suite configuration.
-func (s *Suite) Opts() Options { return s.opts }
-
 func (s *Suite) logf(format string, args ...interface{}) {
 	if s.opts.Log != nil {
 		fmt.Fprintf(s.opts.Log, format+"\n", args...)

@@ -30,9 +30,8 @@ type Table[V any] struct {
 	overflowed bool
 
 	// maxBits tracks the longest prefix ever inserted (Remove leaves it
-	// as a conservative upper bound). Route-compilation wideness checks
-	// use it: with maxBits <= 64, every address of one /64 matches the
-	// same entry.
+	// as a conservative upper bound). UniformWidth falls back to it: with
+	// maxBits <= 64, every address of one /64 matches the same entry.
 	maxBits int
 }
 
@@ -78,16 +77,12 @@ func (t *Table[V]) Insert(p ipv6.Prefix, v V) {
 	t.smallInsert(p, v)
 }
 
-// MaxBits returns an upper bound on the length of any installed prefix
-// (0 for an empty table).
-func (t *Table[V]) MaxBits() int { return t.maxBits }
-
 // UniformWidth returns the smallest prefix length w such that every
 // address sharing a's first w bits takes the same Lookup decision: the
 // region prefix(a, w) lies inside the matched prefix (if any) and
 // overlaps no other installed prefix. Route compilation uses it to key
 // flow-cache entries at the widest sound granularity. Tables past the
-// small-mirror bound fall back to the conservative MaxBits answer
+// small-mirror bound fall back to the conservative maxBits answer
 // (which may exceed 64, telling the caller the region is unusable).
 func (t *Table[V]) UniformWidth(a ipv6.Addr) int {
 	if t.overflowed {

@@ -191,7 +191,7 @@ func (h *flowHot) wide() bool { return h.flags&fpFlagWide != 0 }
 // on a 64K-slot table to hold ~2 MB of flows. Field order is replay
 // order — the batched resolve guard (replySrc), the delivery target
 // (edge) and the template checksum share the tail's first cache line,
-// which the batched warm pass pulls alongside the hot header — with the
+// which the resolve pass pulls alongside the hot header — with the
 // holes last, walked only for destinations whose /64 cell the hot
 // pre-filter marked. Nothing writes a tail after compile.
 type flowCold struct {

@@ -508,6 +508,8 @@ func TestFlowCacheEdgeDeliveryInterpreted(t *testing.T) {
 // share a compiled entry (the second probe is a cache hit), while the
 // ISP's own interface address — which sits inside a compilable region —
 // keeps answering as itself rather than inheriting the region's fate.
+// A warm batch alternating between the two regions replays as the
+// interpreter runs it.
 func TestFlowCacheWideEntrySharing(t *testing.T) {
 	p := buildMirror(t, CPEBehavior{}, ErrorPolicy{})
 
@@ -540,6 +542,15 @@ func TestFlowCacheWideEntrySharing(t *testing.T) {
 	p.inject(t, local, 64, 5, probeData) // warm local
 	p.inject(t, other, 64, 6, probeData) // warm region
 	p.compare(t, "wan interleaved")
+
+	// One warm batch of stretches one to three probes long, alternating
+	// between the two regions' entries: each stretch is charged as a
+	// whole, its reverse path once per probe.
+	batch := echoBurst(t, []ipv6.Addr{a1, other, a2, a2, other, other, other, a1})
+	if hits, misses := p.injectBatch(batch); hits != uint64(len(batch)) || misses != 0 {
+		t.Errorf("alternating stretches: %d hits, %d misses, want %d and 0", hits, misses, len(batch))
+	}
+	p.compare(t, "alternating stretches")
 }
 
 // TestFlowCacheInvalidationCounter pins the observability contract:

@@ -64,9 +64,9 @@ func TestEngineLayout(t *testing.T) {
 		{"fpScratchC", unsafe.Offsetof(e.fpScratchC), 448},
 		{"fpScratchR", unsafe.Offsetof(e.fpScratchR), 904},
 		{"inj", unsafe.Offsetof(e.inj), 1040},
-		{"retMu", unsafe.Offsetof(e.retMu), 7984},
-		{"returned", unsafe.Offsetof(e.returned), 7992},
-		{"(end)", unsafe.Sizeof(e), 8016},
+		{"retMu", unsafe.Offsetof(e.retMu), 2088},
+		{"returned", unsafe.Offsetof(e.returned), 2096},
+		{"(end)", unsafe.Sizeof(e), 2120},
 	} {
 		if f.got != f.want {
 			t.Errorf("Engine.%s at offset %d, pinned at %d. Re-pin only with paired "+

@@ -6,8 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/ipv6"
-	"repro/internal/lpm"
-	"repro/internal/uint128"
 )
 
 // EngineGroup shards one simulated internet across several independent
@@ -32,19 +30,15 @@ import (
 type EngineGroup struct {
 	shards  []*Engine
 	entries []*Iface
-	// routes is the general table. While every route is a /64 or shorter
-	// — all topo.Build installs — ShardFor never walks it: the top 64
-	// destination bits decide, through coarse (the routes shorter than
-	// /64, a block and a few window chunks per ISP, longest first) and
-	// pin64 (the /64 routes: device prefixes topo.Build places outside
-	// their device's chunk). A pin outranks every coarse route, but
-	// ShardFor reads pin64 only behind the first coarse match whose
-	// pinned flag says a pin lies inside it, or, with no match, when
-	// pinOutside records that a pin was routed while no coarse route held
-	// it. Flags are never cleared: one set too often costs a map miss,
-	// never a wrong shard. The first route longer than /64 folds the pins
-	// in and retires the shortcuts.
-	routes     *lpm.Table[int]
+	// Routes are /64 or shorter, so the top 64 destination bits decide,
+	// through coarse (the routes shorter than /64, a block and a few
+	// window chunks per ISP, longest first) and pin64 (the /64 routes:
+	// device prefixes topo.Build places outside their device's chunk). A
+	// pin outranks every coarse route, but ShardFor reads pin64 only
+	// behind the first coarse match whose pinned flag says a pin lies
+	// inside it, or, with no match, when pinOutside records that a pin
+	// was routed while no coarse route held it. Flags are never cleared:
+	// one set too often costs a map miss, never a wrong shard.
 	pin64      map[uint64]int
 	coarse     []coarseRoute
 	pinOutside bool
@@ -68,7 +62,7 @@ func NewEngineGroup(n int) *EngineGroup {
 	if n < 1 {
 		n = 1
 	}
-	g := &EngineGroup{routes: lpm.New[int](), pin64: make(map[uint64]int)}
+	g := &EngineGroup{pin64: make(map[uint64]int)}
 	for i := 0; i < n; i++ {
 		g.shards = append(g.shards, New())
 	}
@@ -88,19 +82,17 @@ func (g *EngineGroup) SetEntry(shard int, ifc *Iface) {
 	g.entries[shard] = ifc
 }
 
-// Entry returns shard i's injection interface.
-func (g *EngineGroup) Entry(shard int) *Iface { return g.entries[shard] }
-
-// Route assigns a destination prefix to a shard. Must not be called
-// concurrently with injection.
+// Route assigns a destination prefix, /64 or shorter, to a shard. Must
+// not be called concurrently with injection.
 func (g *EngineGroup) Route(p ipv6.Prefix, shard int) {
 	if shard < 0 || shard >= len(g.shards) {
 		panic(fmt.Sprintf("netsim: Route to nonexistent shard %d", shard))
 	}
+	if p.Bits() > 64 {
+		panic(fmt.Sprintf("netsim: Route of %v, longer than /64", p))
+	}
 	hi := p.Addr().Uint128().Hi
-	switch {
-	case g.pin64 == nil:
-	case p.Bits() == 64:
+	if p.Bits() == 64 {
 		g.pin64[hi] = shard
 		inside := false
 		for i := range g.coarse {
@@ -110,29 +102,21 @@ func (g *EngineGroup) Route(p ipv6.Prefix, shard int) {
 		}
 		g.pinOutside = g.pinOutside || !inside
 		return
-	case p.Bits() > 64:
-		// It can shadow a pin, so the top word no longer decides.
-		for h, s := range g.pin64 {
-			g.routes.Insert(ipv6.MustPrefix(ipv6.AddrFrom128(uint128.New(h, 0)), 64), s)
-		}
-		g.pin64, g.coarse = nil, nil
-	default:
-		// Ahead of the first route no longer than it (a shorter prefix
-		// has the smaller mask), so a re-routed prefix shadows its old entry.
-		r := coarseRoute{hi: hi, mask: ^uint64(0) << (64 - p.Bits()), shard: shard}
-		for h := range g.pin64 {
-			if r.covers(h) {
-				r.pinned = true
-				break
-			}
-		}
-		i := slices.IndexFunc(g.coarse, func(c coarseRoute) bool { return c.mask <= r.mask })
-		if i < 0 {
-			i = len(g.coarse)
-		}
-		g.coarse = slices.Insert(g.coarse, i, r)
 	}
-	g.routes.Insert(p, shard)
+	// Ahead of the first route no longer than it (a shorter prefix has
+	// the smaller mask), so a re-routed prefix shadows its old entry.
+	r := coarseRoute{hi: hi, mask: ^uint64(0) << (64 - p.Bits()), shard: shard}
+	for h := range g.pin64 {
+		if r.covers(h) {
+			r.pinned = true
+			break
+		}
+	}
+	i := slices.IndexFunc(g.coarse, func(c coarseRoute) bool { return c.mask <= r.mask })
+	if i < 0 {
+		i = len(g.coarse)
+	}
+	g.coarse = slices.Insert(g.coarse, i, r)
 }
 
 // ShardFor returns the shard owning dst (longest-prefix match; shard 0
@@ -140,10 +124,6 @@ func (g *EngineGroup) Route(p ipv6.Prefix, shard int) {
 // holding that pin, so the first coarse match's pinned flag (or, with
 // no match, pinOutside) says whether pin64 can answer at all.
 func (g *EngineGroup) ShardFor(dst ipv6.Addr) int {
-	if g.pin64 == nil {
-		s, _ := g.routes.Lookup(dst)
-		return s
-	}
 	hi := dst.Uint128().Hi
 	for i := range g.coarse {
 		if r := &g.coarse[i]; r.covers(hi) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -166,7 +167,7 @@ func TestGroupTapSeesEveryShard(t *testing.T) {
 // pins routed before the coarse routes covering them, a coarse route
 // added after lookups ran, a pin outside every coarse route; and a
 // chunk with no pins, where ShardFor must not read the pin map at all.
-// Last, again after a route longer than /64 retires the shortcuts.
+// Last, a route longer than /64 is refused and changes nothing.
 func TestGroupShardForMatchesLPM(t *testing.T) {
 	const shards, chunkBits, winBits = 3, 2, 44
 	g := NewEngineGroup(shards)
@@ -226,8 +227,8 @@ func TestGroupShardForMatchesLPM(t *testing.T) {
 			}
 		}
 	}
-	if g.pin64 == nil || len(g.coarse) != 4*(2+1<<chunkBits)+1 {
-		t.Fatalf("shortcuts not in use: pin64 = %v, %d coarse routes", g.pin64 != nil, len(g.coarse))
+	if len(g.coarse) != 4*(2+1<<chunkBits)+1 {
+		t.Fatalf("%d coarse routes", len(g.coarse))
 	}
 	agree("shortcuts")
 
@@ -298,20 +299,24 @@ func TestGroupShardForMatchesLPM(t *testing.T) {
 		}
 	}
 
-	// A /96 inside a pinned /64 owned by another shard: the pin alone no
-	// longer decides, so the shortcuts retire and the LPM takes over.
+	// A /96 inside a pinned /64 owned by another shard is refused, and
+	// routing carries on as before.
 	var pinned uint64
 	for h := range g.pin64 {
 		pinned = max(pinned, h)
 	}
 	inner := ipv6.MustPrefix(ipv6.AddrFrom128(uint128.New(pinned, 0xabcd<<32)), 96)
-	route(inner, (g.pin64[pinned]+1)%shards)
-	if g.pin64 != nil || g.coarse != nil {
-		t.Fatal("a route longer than /64 left the top-word shortcuts in place")
-	}
-	agree(">/64 fallback")
-	route(ipv6.MustParsePrefix("2403:0:0:7::/64"), 2) // routes keep landing in the LPM
-	agree("after fallback")
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "longer than /64") {
+				t.Errorf("Route(%s) did not refuse a prefix longer than /64: %v", inner, r)
+			}
+		}()
+		g.Route(inner, (g.pin64[pinned]+1)%shards)
+	}()
+	agree("after a refused >/64 route")
+	route(ipv6.MustParsePrefix("2403:0:0:7::/64"), 2)
+	agree("after the refusal")
 }
 
 // TestGroupConcurrentInjectRelease: two goroutines inject bursts spanning

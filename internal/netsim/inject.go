@@ -14,14 +14,14 @@ import (
 // header, cold tail, back to back); the resolve pass issues those loads
 // for up to injRun probes in a tight loop, so the misses overlap in the
 // memory system instead of queuing behind each other. The one replay,
-// fpReplayRun, then charges link stats, transit counters and engine
-// totals arithmetically — once per distinct flow entry in the run,
-// multiplied by how many probes resolved to it — and builds replies in
-// strict probe order, with totals, ordering and edge delivery order
-// identical to interpreting the k probes one by one. Scanners randomize
-// probe order, so aggregation keys on the distinct entries of the whole
-// run rather than on consecutive-probe groups; a run that touches e
-// entries pays the pointer-chasing stat walk e times, not k.
+// fpReplayRun, then walks the run once in probe order: it builds the
+// replies and charges link stats, transit counters and engine totals
+// arithmetically, once per stretch of consecutive probes resolved to
+// one entry, scaled by the stretch's length, with totals, ordering and
+// edge delivery order identical to interpreting the k probes one by
+// one. A sweep's probes mostly resolve to one entry (a provider edge's
+// gap flow), so a run is a few long stretches and pays the
+// pointer-chasing stat walk a few times, not k.
 //
 // Only the plain case qualifies: a fully compiled round trip from a
 // connected interface, no fault layer, no tap, a flow the FlowTracer
@@ -42,22 +42,12 @@ const injRun = 256
 // runs. The differential oracles use it as a boundary batch size.
 const InjectRunLen = injRun
 
-// injScratch is the engine's batched-injection scratch state. slot maps
-// each resolved probe to an index into the distinct-record arrays;
-// dslot/dhl/dcount/dbytes describe the run's distinct (flow entry, hop
-// limit) pairs — a loop entry's crossings follow from the hop limit —
-// and drbytes accumulates the bytes of their replies as the delivery
-// pass builds them (every probe of an entry with a reply path draws
-// one).
+// injScratch is the engine's batched-injection scratch state: the
+// flow-table slot each resolved probe landed on, and the delivery batch
+// accumulated per edge.
 type injScratch struct {
-	slot    [injRun]int32  // per-probe distinct-record index
-	dslot   [injRun]int32  // distinct index -> flow-table slot
-	dcount  [injRun]uint16 // probes resolved to this record (≤ injRun)
-	dhl     [injRun]uint8  // their arrival hop limit
-	dbytes  [injRun]uint64 // their summed lengths
-	drbytes [injRun]uint64 // their replies' summed lengths
-	out     [][]byte       // delivery batch accumulated per edge
-	sink    uint64         // defeats dead-code elimination of warm loads
+	slot [injRun]int32 // per-probe flow-table slot
+	out  [][]byte      // delivery batch accumulated per edge
 }
 
 // injectFastLocked replays a prefix of pkts through the flow cache as
@@ -87,12 +77,9 @@ func (e *Engine) injectFastLocked(from *Iface, pkts [][]byte) (k, events int) {
 
 	// Resolve pass: per-probe flow lookup plus every guard the replay
 	// relies on, stopping at the first probe the run cannot replay
-	// exactly. Each resolved probe is folded into the run's
-	// distinct-record table as it lands.
-	d := 0
+	// exactly.
 	cold := false
 	local := -1 // the flow-table slot of a local entry heading the run
-	var sumAll uint64
 resolve:
 	for k < n {
 		pkt := pkts[k]
@@ -113,7 +100,7 @@ resolve:
 		lo := binary.BigEndian.Uint64(pkt[32:40])
 		j := fp.lookup(ifid, hi, lo)
 		if j < 0 {
-			// A compile may grow or evict the table the run's dslot
+			// A compile may grow or evict the table the run's slot
 			// indices point into, and may move the dense tails: only
 			// the head of a run compiles, so no tail pointer taken
 			// below outlives an insert.
@@ -154,30 +141,7 @@ resolve:
 		default: // entryNeg: interpreted
 			break resolve
 		}
-		di := -1
-		if k > 0 && e.inj.dslot[e.inj.slot[k-1]] == int32(j) && e.inj.dhl[e.inj.slot[k-1]] == hl {
-			di = int(e.inj.slot[k-1])
-		} else {
-			for t := 0; t < d; t++ {
-				if e.inj.dslot[t] == int32(j) && e.inj.dhl[t] == hl {
-					di = t
-					break
-				}
-			}
-		}
-		if di < 0 {
-			di = d
-			d++
-			e.inj.dslot[di] = int32(j)
-			e.inj.dhl[di] = hl
-			e.inj.dcount[di] = 0
-			e.inj.dbytes[di] = 0
-			e.inj.drbytes[di] = 0
-		}
-		e.inj.dcount[di]++
-		e.inj.dbytes[di] += uint64(len(pkt))
-		sumAll += uint64(len(pkt))
-		e.inj.slot[k] = int32(di)
+		e.inj.slot[k] = int32(j)
 		k++
 	}
 	if k == 0 {
@@ -188,7 +152,7 @@ resolve:
 	if local >= 0 {
 		events = e.fpReplayLocal(from, pkts[0], &fp.hot[local])
 	} else {
-		e.fpReplayRun(from, pkts[:k], d, sumAll)
+		e.fpReplayRun(from, pkts[:k])
 	}
 	e.steps += uint64(k)
 	fp.hits += uint64(k)
@@ -288,91 +252,40 @@ func (e *Engine) fpCarries(h *flowHot, c *flowCold, r []byte) bool {
 }
 
 // fpReplayRun replays one resolved run of probes, all guards
-// pre-checked. Charging is arithmetic — once per distinct record,
-// scaled by its probe count — but sums to exactly what interpreting the
-// k probes in turn would charge; and deliveries reach each edge in
-// probe order, batched into as few handoffs as the run's edge sequence
-// allows. Each probe's fate is its entry's: a reply when the entry has
-// a reply path, or nothing past the terminal when it has none (nr == 0,
-// a suppressing node).
-func (e *Engine) fpReplayRun(from *Iface, pkts [][]byte, d int, sumAll uint64) {
+// pre-checked, in one pass in probe order. Consecutive probes resolved
+// to the same entry with the same arrival hop limit form a stretch,
+// whose injection, forward and reverse crossings are charged once,
+// scaled by its length, when it ends; the charges sum to exactly what
+// interpreting the k probes in turn would charge. Deliveries reach each
+// edge in probe order, batched into as few handoffs as the run's edge
+// sequence allows. Each probe's fate is its entry's: a reply when the
+// entry has a reply path, or nothing past the terminal when it has none
+// (nr == 0, a suppressing node).
+func (e *Engine) fpReplayRun(from *Iface, pkts [][]byte) {
 	fp := &e.fp
-	k := len(pkts)
-
-	// Warm the distinct entries' replay state — both ends of the cold
-	// hop lists, and the leaf hops' link-stat blocks (the spine links
-	// repeat across entries, but each entry's last hop is its own device
-	// link) — in one dependency-free loop, so those lines miss
-	// concurrently here instead of serializing inside the charging loops
-	// below.
-	var warm uint64
-	for di := 0; di < d; di++ {
-		j := int(e.inj.dslot[di])
-		h := &fp.hot[j]
-		c := &fp.cold[h.cold]
-		if h.nf > 0 {
-			warm += c.fwd[0].st.Packets + c.fwd[h.nf-1].st.Packets
-		}
-		if h.nr > 0 {
-			warm += c.rev[0].st.Packets + c.rev[h.nr-1].st.Packets
-		}
-	}
-	e.inj.sink += warm
-
-	// The injection crossings: the batch enters from's link exactly as
-	// k enqueued transmissions would.
-	st := &from.link.stats[from.end]
-	st.Packets += uint64(k)
-	st.Bytes += sumAll
-	crossings := uint64(k)
-	bytes := sumAll
-
-	// Forward-path charging, once per distinct record.
-	for di := 0; di < d; di++ {
-		j := int(e.inj.dslot[di])
-		h := &fp.hot[j]
-		c := &fp.cold[h.cold]
-		cnt := uint64(e.inj.dcount[di])
-		cb := e.inj.dbytes[di]
-		switch h.kind {
-		case entryError:
-			charge(c.fwd[:h.nf], cnt, cb)
-			crossings += cnt * uint64(h.nf)
-			bytes += cb * uint64(h.nf)
-		case entryLoop:
-			cross := int(e.inj.dhl[di]) - 1
-			p, ll := int(h.loopStart), int(h.loopLen)
-			for i := 0; i < int(h.nf); i++ {
-				hc := loopHopCount(i, p, ll, cross)
-				if hc == 0 {
-					continue
-				}
-				hop := &c.fwd[i]
-				if hop.fwd != nil {
-					*hop.fwd += hc * cnt
-				}
-				lst := hop.st
-				lst.Packets += hc * cnt
-				lst.Bytes += hc * cb
-			}
-			crossings += cnt * uint64(cross)
-			bytes += cb * uint64(cross)
-		}
-	}
-
-	// Delivery pass, strict probe order. A probe whose entry has a reply
-	// path gets its reply built straight from the caller's packet, no
-	// intermediate copy. Deliveries accumulate into one slice flushed
-	// each time the target edge changes (once per run when a single
-	// vantage scans).
+	var (
+		sh               *flowHot // the open stretch's entry,
+		shl              uint8    // its probes' arrival hop limit,
+		n, bytes, rbytes uint64   // their number, bytes and replies' bytes
+	)
 	out := e.inj.out[:0]
 	var cur *Edge
 	for i, pkt := range pkts {
-		di := e.inj.slot[i]
-		h := &fp.hot[e.inj.dslot[di]]
+		h := &fp.hot[e.inj.slot[i]]
+		if h != sh || pkt[7] != shl {
+			if n > 0 {
+				e.chargeStretch(from, sh, shl, n, bytes, rbytes)
+			}
+			sh, shl, n, bytes, rbytes = h, pkt[7], 0, 0, 0
+		}
+		n++
+		bytes += uint64(len(pkt))
 		if h.nr == 0 {
 			continue // the terminal suppresses its error
 		}
+		// The reply is built straight from the caller's packet, no
+		// intermediate copy, into one slice flushed each time the target
+		// edge changes (once per run when a single vantage scans).
 		c := &fp.cold[h.cold]
 		if ed := c.edge.node.(*Edge); ed != cur {
 			if len(out) > 0 {
@@ -386,33 +299,53 @@ func (e *Engine) fpReplayRun(from *Iface, pkts [][]byte, d int, sumAll uint64) {
 			hl = pkt[7] - (h.nf + 1)
 		}
 		r := e.fpBuildErrorFrom(c, pkt, hl)
-		e.inj.drbytes[di] += uint64(len(r))
+		rbytes += uint64(len(r))
 		out = append(out, r)
 	}
+	e.chargeStretch(from, sh, shl, n, bytes, rbytes)
 	if len(out) > 0 {
 		cur.handleBatch(out)
 	}
 	e.inj.out = out[:0]
+}
 
-	// Reverse-path charging, once per distinct record with a reply path:
-	// every one of its probes drew a reply.
-	for di := 0; di < d; di++ {
-		j := int(e.inj.dslot[di])
-		h := &fp.hot[j]
-		if h.nr == 0 {
-			continue
+// chargeStretch charges a stretch of n probes of entry h, arriving from
+// from with hop limit hl, bytes long in all, whose replies are rbytes
+// long in all: their injection, forward and reverse crossings (a loop
+// entry's follow from the hop limit), and the engine totals.
+func (e *Engine) chargeStretch(from *Iface, h *flowHot, hl uint8, n, bytes, rbytes uint64) {
+	c := &e.fp.cold[h.cold]
+	st := &from.link.stats[from.end]
+	st.Packets += n
+	st.Bytes += bytes
+	fwd := uint64(1) // the injection and forward crossings of each probe
+	switch h.kind {
+	case entryError:
+		charge(c.fwd[:h.nf], n, bytes)
+		fwd += uint64(h.nf)
+	case entryLoop:
+		hc := int(hl) - 1
+		p, ll := int(h.loopStart), int(h.loopLen)
+		for i := 0; i < int(h.nf); i++ {
+			m := loopHopCount(i, p, ll, hc)
+			if m == 0 {
+				continue
+			}
+			hop := &c.fwd[i]
+			if hop.fwd != nil {
+				*hop.fwd += m * n
+			}
+			hop.st.Packets += m * n
+			hop.st.Bytes += m * bytes
 		}
-		c := &fp.cold[h.cold]
-		m := uint64(e.inj.dcount[di])
-		rb := e.inj.drbytes[di]
-		charge(c.rev[:h.nr], m, rb)
-		crossings += m * uint64(h.nr)
-		bytes += rb * uint64(h.nr)
+		fwd += uint64(hc)
 	}
-
-	e.txPackets += crossings
-	e.txBytes += bytes
-	e.seq += crossings
+	// Every probe of an entry with a reply path drew a reply.
+	charge(c.rev[:h.nr], n, rbytes)
+	cross := (fwd + uint64(h.nr)) * n
+	e.txPackets += cross
+	e.txBytes += fwd*bytes + uint64(h.nr)*rbytes
+	e.seq += cross
 }
 
 // fpBuildErrorFrom builds the terminal's ICMPv6 error for an invoking
