@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"sort"
+	"strconv"
 
 	"repro/internal/ipv6"
 	"repro/internal/loopscan"
@@ -88,21 +89,7 @@ func BuildFigure5(res *loopscan.ScanResult, geo *registry.GeoDB, n int) Figure5R
 	}
 }
 
-func asnLabel(asn int) string { return "AS" + itoa(asn) }
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[i:])
-}
+func asnLabel(asn int) string { return "AS" + strconv.Itoa(asn) }
 
 func topRanked(m map[string]int, n int) []RankedKey {
 	out := make([]RankedKey, 0, len(m))

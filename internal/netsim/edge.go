@@ -15,10 +15,6 @@ type Edge struct {
 
 	mu  sync.Mutex
 	buf [][]byte
-	// notify is created lazily by Wait and closed on the next arrival,
-	// so the hot delivery path pays for a channel only when a reader is
-	// actually blocked.
-	notify chan struct{}
 }
 
 var _ Node = (*Edge)(nil)
@@ -55,28 +51,19 @@ func (e *Edge) Addr() ipv6.Addr { return e.ifc.addr }
 func (e *Edge) Handle(_ *Iface, pkt []byte) []Emission {
 	e.mu.Lock()
 	e.buf = append(e.buf, pkt)
-	if e.notify != nil {
-		close(e.notify)
-		e.notify = nil
-	}
 	e.mu.Unlock()
 	return nil
 }
 
 // handleBatch is Handle for a burst: the batched fast path (inject.go)
-// delivers a whole group's packets under one lock acquisition and one
-// notify, in the same order k sequential Handle calls would append
-// them.
+// delivers a whole group's packets under one lock acquisition, in the
+// same order k sequential Handle calls would append them.
 func (e *Edge) handleBatch(pkts [][]byte) {
 	if len(pkts) == 0 {
 		return
 	}
 	e.mu.Lock()
 	e.buf = append(e.buf, pkts...)
-	if e.notify != nil {
-		close(e.notify)
-		e.notify = nil
-	}
 	e.mu.Unlock()
 }
 
@@ -97,15 +84,4 @@ func (e *Edge) Pending() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return len(e.buf)
-}
-
-// Wait returns a channel that is closed when a packet arrives after the
-// call. Use together with DrainInto for blocking reads.
-func (e *Edge) Wait() <-chan struct{} {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.notify == nil {
-		e.notify = make(chan struct{})
-	}
-	return e.notify
 }

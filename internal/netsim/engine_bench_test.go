@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -103,6 +104,99 @@ func BenchmarkEngineLocalRoundTrip(b *testing.B) {
 			}
 		})
 	}
+}
+
+// sparseNet is scanner(edge) -- core -- isp with a caller-chosen set of
+// delegations, each behind its own CPE: the shape of a scan window that
+// is almost entirely unassigned.
+type sparseNet struct {
+	eng     *Engine
+	scanner *Edge
+	core    *Router
+	isp     *ISPRouter
+	up      *Iface   // isp's upstream interface
+	downs   []*Iface // isp's subscriber interfaces, in delegation order
+}
+
+var sparseBlock = ipv6.MustParsePrefix("2001:db8::/40")
+
+// buildSparseNet wires the net. The ISP's own addresses sit in the
+// block's last /64, as topo.Build places them. A /64 delegation is a
+// CPE's WAN subnet; a shorter one is a delegated LAN whose first /64
+// doubles as the WAN subnet.
+func buildSparseNet(tb testing.TB, block ipv6.Prefix, delegs []ipv6.Prefix) *sparseNet {
+	tb.Helper()
+	n := &sparseNet{eng: New()}
+	n.scanner = NewEdge("scanner", scannerAddr)
+	n.core = NewRouter("core", ErrorPolicy{})
+	n.isp = NewISPRouter("isp", block, ErrorPolicy{})
+	last, _ := block.NumSub(64)
+	linkNet, err := block.Sub(64, last.Sub64(1))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	coreScan := n.core.AddIface(ipv6.MustParseAddr("2001:beef::1"), "core:scan")
+	coreISP := n.core.AddIface(ipv6.SLAAC(linkNet, 1), "core:isp")
+	n.up = n.isp.AddIface(ipv6.SLAAC(linkNet, 2), "isp:up")
+	n.eng.Connect(n.scanner.Iface(), coreScan)
+	n.eng.Connect(coreISP, n.up)
+	n.core.AddRoute(block, coreISP)
+	n.core.AddRoute(ipv6.MustParsePrefix("2001:beef::/64"), coreScan)
+	n.isp.SetUpstream(n.up)
+	for i, p := range delegs {
+		n.delegate(tb, p, i)
+	}
+	return n
+}
+
+// delegate plants one more subscriber behind the ISP.
+func (n *sparseNet) delegate(tb testing.TB, p ipv6.Prefix, i int) {
+	tb.Helper()
+	wan := p.Addr().Prefix64()
+	cfg := CPEConfig{
+		Name:    fmt.Sprintf("cpe%d", i),
+		WANAddr: ipv6.SLAAC(wan, 0x0211_22ff_fe00_0000|uint64(i)), WANPrefix: wan,
+	}
+	if p.Bits() < 64 {
+		cfg.Delegated = p
+	}
+	cpe := NewCPE(cfg)
+	down := n.isp.AddIface(ipv6.SLAAC(n.up.Addr().Prefix64(), 3), cfg.Name+":down")
+	n.eng.Connect(down, cpe.WAN())
+	n.downs = append(n.downs, down)
+	if err := n.isp.Delegate(p, down); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// mixedLens is several delegated lengths: hostile-style
+// /52 and /54 regions, /56s, /60s and side-region-style /64s.
+var mixedLens = []int{52, 54, 56, 60, 60, 64, 64, 64}
+
+// randomDelegs draws count non-overlapping delegations of mixed lengths
+// inside the first 2^winBits /64s of block, their lengths drawn from
+// lens (mixedLens unless the caller wants one length).
+func randomDelegs(rng *rand.Rand, block ipv6.Prefix, winBits, count int, lens ...int) []ipv6.Prefix {
+	if len(lens) == 0 {
+		lens = mixedLens
+	}
+	var out []ipv6.Prefix
+	for len(out) < count {
+		l := lens[rng.Intn(len(lens))]
+		cells := uint64(1) << (l - (64 - winBits))
+		p, err := block.Sub(l, uint128.From64(rng.Uint64()%cells))
+		if err != nil {
+			panic(err)
+		}
+		clash := false
+		for _, q := range out {
+			clash = clash || q.Overlaps(p)
+		}
+		if !clash {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 // BenchmarkEngineInjectColdSparse measures the cold sweep the paper's

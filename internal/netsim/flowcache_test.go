@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -46,168 +45,145 @@ func (p mirrorPair) inject(t *testing.T, dst ipv6.Addr, hopLimit uint8, seq uint
 	p.slow.eng.Inject(p.slow.scanner.Iface(), pkt)
 }
 
-// compare drains both scanners and checks every observable the fast
-// path promises to preserve: reply bytes (and order), per-link stats in
-// both directions, engine transmission/byte/drop totals, and the nodes'
-// forwarding counters. Events are exempt — fusing them is the point.
+// compare drains both scanners and holds the nets equal (compareNets).
 func (p mirrorPair) compare(t *testing.T, tag string) {
 	t.Helper()
-	fr, sr := p.fast.scanner.DrainInto(nil), p.slow.scanner.DrainInto(nil)
-	if len(fr) != len(sr) {
-		t.Fatalf("%s: fastpath delivered %d replies, interpreted %d", tag, len(fr), len(sr))
-	}
-	for i := range fr {
-		if !bytes.Equal(fr[i], sr[i]) {
-			t.Fatalf("%s: reply %d differs:\nfast %x\nslow %x", tag, i, fr[i], sr[i])
-		}
-	}
-	fl, sl := p.fast.eng.Links(), p.slow.eng.Links()
-	if len(fl) != len(sl) {
-		t.Fatalf("%s: link counts differ", tag)
-	}
-	for i := range fl {
-		fe, se := fl[i].Ends(), sl[i].Ends()
-		for end := 0; end < 2; end++ {
-			if got, want := fl[i].StatsFrom(fe[end]), sl[i].StatsFrom(se[end]); got != want {
-				t.Errorf("%s: link %d dir %s: fastpath %+v, interpreted %+v",
-					tag, i, fe[end].Name(), got, want)
+	compareNets(t, tag, p.fast.eng, p.slow.eng, p.fast.scanner, p.slow.scanner)
+}
+
+// TestFlowCacheReuse pins what the cache saves, which parity cannot
+// see: after a row's cold probes (one Inject each) and its mutation,
+// the warm probes (one InjectBatch) must hit, miss and compile as the
+// row says, and replay in the events it says (0: unchecked).
+// FuzzFlowCacheParity holds the replays themselves to the interpreter.
+func TestFlowCacheReuse(t *testing.T) {
+	gap := func(i uint64) ipv6.Addr { return ipv6.AddrFrom128(uint128.New(0x20010db8_90000000|i<<16, i+1)) }
+	a1, a2 := ipv6.MustParseAddr("2001:db8:aaaa:bbbb::1"), ipv6.MustParseAddr("2001:db8:aaaa:bbbb::2")
+	wan := ipv6.SLAAC(wanPrefix, 0xdeadbeef)
+	notUsed := ipv6.MustParseAddr("2001:db8:4321:8769::77")
+	lan := func(i uint64) ipv6.Addr { return ipv6.SLAAC(lanSubnet, 0x1000+i) }
+	// probes builds an echo request to each destination at each hop
+	// limit, carrying each payload length.
+	probes := func(dsts []ipv6.Addr, hls []uint8, sizes ...int) [][]byte {
+		var out [][]byte
+		for _, dst := range dsts {
+			for _, hl := range hls {
+				for _, n := range sizes {
+					pkt, err := wire.BuildEchoRequest(scannerAddr, dst, hl, 0xbeef, uint16(len(out)), parityPayload[:n])
+					if err != nil {
+						t.Fatal(err)
+					}
+					out = append(out, pkt)
+				}
 			}
 		}
+		return out
 	}
-	fc, sc := p.fast.eng.Counters(), p.slow.eng.Counters()
-	if fc.Transmissions != sc.Transmissions || fc.Bytes != sc.Bytes || fc.Dropped != sc.Dropped {
-		t.Errorf("%s: counters diverge: fastpath %+v, interpreted %+v", tag, fc, sc)
+	at := func(hls ...uint8) []uint8 { return hls }
+	every := make([]uint8, 255) // hop limits 1-255
+	for i := range every {
+		every[i] = uint8(i + 1)
 	}
-	if p.fast.core.CountForwarded != p.slow.core.CountForwarded {
-		t.Errorf("%s: core forwarded %d vs %d", tag, p.fast.core.CountForwarded, p.slow.core.CountForwarded)
+	var gaps, suppressed []ipv6.Addr
+	for i := uint64(1); i <= 24; i++ {
+		gaps, suppressed = append(gaps, gap(i)), append(suppressed, gap(i).WithIID(i))
+		if i%4 == 0 {
+			suppressed = append(suppressed, lan(i))
+		}
 	}
-	if p.fast.isp.CountForwarded != p.slow.isp.CountForwarded {
-		t.Errorf("%s: isp forwarded %d vs %d", tag, p.fast.isp.CountForwarded, p.slow.isp.CountForwarded)
-	}
-	if p.fast.cpe.CountForwarded != p.slow.cpe.CountForwarded {
-		t.Errorf("%s: cpe forwarded %d vs %d", tag, p.fast.cpe.CountForwarded, p.slow.cpe.CountForwarded)
+	vulnLAN := CPEBehavior{VulnLAN: true}
+	for _, tc := range []struct {
+		name                           string
+		behavior                       CPEBehavior
+		policy                         ErrorPolicy
+		cold, warm                     [][]byte
+		mutate                         func(n *testNet)
+		hits, misses, compiles, events uint64
+	}{
+		{name: "gap-flow-shared", cold: probes([]ipv6.Addr{a1, wan}, at(64), 5),
+			warm: probes([]ipv6.Addr{a1, wan, a2, a2, wan, wan, gap(1), gap(2), a1}, at(64), 5), hits: 9},
+		{name: "short-hop-limit", cold: probes(gaps[:1], at(2), 5),
+			warm: probes(gaps, at(64), 5), hits: 24},
+		{name: "loop-turn", behavior: vulnLAN, cold: probes([]ipv6.Addr{notUsed}, at(32), 5),
+			warm: probes([]ipv6.Addr{notUsed}, every, 5), hits: 126, misses: 129},
+		{name: "loop-compiled-short", behavior: vulnLAN, cold: probes([]ipv6.Addr{notUsed}, at(2), 5),
+			warm: probes([]ipv6.Addr{notUsed}, every, 5), hits: 127, misses: 128},
+		{name: "loop-fused", behavior: vulnLAN, cold: probes([]ipv6.Addr{notUsed}, at(255), 5),
+			warm: probes([]ipv6.Addr{notUsed}, at(255, 3, 5, 101, 101, 255), 5), hits: 6, events: 6},
+		{name: "error-quote-lengths", behavior: CPEBehavior{VulnWAN: true, VulnLAN: true},
+			cold: probes([]ipv6.Addr{gap(1), wan, notUsed, lan(0)}, at(64), 5),
+			warm: probes([]ipv6.Addr{gap(1), wan, notUsed, lan(0)}, at(64), 0, 5, 64, 200, 1300, 1400), hits: 24},
+		{name: "suppressed-errors", policy: ErrorPolicy{Suppress: true}, cold: probes([]ipv6.Addr{gap(0), lan(0)}, at(64), 5),
+			warm: probes(suppressed, at(64), 5), hits: 30},
+		{name: "planted-delegation", cold: probes([]ipv6.Addr{gap(0x10), gap(0x20)}, at(64), 5),
+			mutate: func(n *testNet) {
+				if err := n.isp.Delegate(gap(0x18).Prefix64(), n.isp.AddIface(n.isp.upstream.Addr(), "isp:gap")); err != nil {
+					t.Fatal(err)
+				}
+			},
+			warm: probes([]ipv6.Addr{gap(0x18), gap(0x17), gap(0x19), gap(0x10), gap(0x20), gap(0x18)}, at(64), 5),
+			hits: 3, misses: 3, compiles: 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := buildTestNet(t, tc.behavior, tc.policy)
+			for _, pkt := range tc.cold {
+				n.eng.Inject(n.scanner.Iface(), pkt)
+			}
+			if tc.mutate != nil {
+				tc.mutate(n)
+			}
+			c0 := n.eng.Counters()
+			n.eng.InjectBatch(n.scanner.Iface(), tc.warm)
+			c1 := n.eng.Counters()
+			hits, misses, compiles := c1.FastPathHits-c0.FastPathHits, c1.FastPathMisses-c0.FastPathMisses, c1.FastPathCompiles-c0.FastPathCompiles
+			if hits != tc.hits || misses != tc.misses || compiles != tc.compiles {
+				t.Errorf("%d warm probes: %d hits, %d misses, %d compiles; want %d, %d, %d",
+					len(tc.warm), hits, misses, compiles, tc.hits, tc.misses, tc.compiles)
+			}
+			if events := c1.Events - c0.Events; tc.events != 0 && events != tc.events {
+				t.Errorf("%d warm probes cost %d events, want %d", len(tc.warm), events, tc.events)
+			}
+		})
 	}
 }
 
-// TestFlowCachePropertyNoStaleReplay is the randomized invalidation
-// property: under an arbitrary interleaving of probes and topology
-// mutations, a compiled path must never replay stale — the mirrored
-// interpreted engine is ground truth after every single operation.
-// Mutations are applied to both nets; InvalidateFlows additionally
-// fires on the fast net alone, since discarding valid cache state must
-// be invisible.
-func TestFlowCachePropertyNoStaleReplay(t *testing.T) {
-	for seed := int64(1); seed <= 8; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			p := buildMirror(t, CPEBehavior{}, ErrorPolicy{})
-
-			// Destination pool: CPE WAN, LAN host, the ISP's own
-			// interfaces, unassigned space (several /64s of one region
-			// and of distinct regions), unused space inside the LAN
-			// delegation, and off-block transit.
-			dsts := []ipv6.Addr{
-				wanAddr,
-				lanHost,
-				ipv6.MustParseAddr("2001:db8:fffe::2"),
-				ipv6.MustParseAddr("2001:db8:1234:5678::1"),
-				ipv6.MustParseAddr("2001:db8:aaaa:bbbb::1"),
-				ipv6.MustParseAddr("2001:db8:aaaa:bbbc::1"),
-				ipv6.MustParseAddr("2001:db8:cccc::99"),
-				ipv6.MustParseAddr("2001:db8:4321:8769::77"),
-				ipv6.MustParseAddr("2001:beef::55"),
+// TestFlowCacheGapClaimReplay sweeps every /64 of a sparse window once:
+// the gap flow serves all of the window's empty space, so the pass
+// compiles about one flow per delegation, evicts nothing and hits on
+// more than 99% of its probes. (One table per run: a delegation costs a
+// flow per cell of the finest table, which the gap flow does not
+// change.) Only this test kills a CPE claiming its Not-used Prefix per
+// /64 (w := uint8(64) in CPE.loopRegion): parity holds, but a swept
+// delegation then costs a flow per /64.
+func TestFlowCacheGapClaimReplay(t *testing.T) {
+	const winBits, count = 14, 24
+	base := sparseBlock.Addr().Uint128().Hi
+	for _, bits := range []int{56, 60, 64} {
+		rng := rand.New(rand.NewSource(int64(bits)))
+		n := buildSparseNet(t, sparseBlock, randomDelegs(rng, sparseBlock, winBits, count, bits))
+		var pkts [][]byte
+		for i, c := range rng.Perm(1 << winBits) {
+			dst := ipv6.AddrFrom128(uint128.New(base|uint64(c), rng.Uint64()|1))
+			pkt, err := wire.BuildEchoRequest(scannerAddr, dst, 64, 0xbeef, uint16(i), nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-			hops := []uint8{64, 64, 64, 255, 3, 2}
-
-			// Fresh /64s the mutation stream delegates one at a time —
-			// each Delegate flips subsequent probes of that /64 (and
-			// shrinks the unassigned region around it).
-			fresh := []ipv6.Prefix{
-				ipv6.MustParsePrefix("2001:db8:aaaa:bbbb::/64"),
-				ipv6.MustParsePrefix("2001:db8:cccc::/64"),
-				ipv6.MustParsePrefix("2001:db8:aaaa:bbb8::/64"),
-			}
-
-			seq := uint16(1)
-			for op := 0; op < 80; op++ {
-				switch r := rng.Intn(10); {
-				case r < 7: // probe
-					p.inject(t, dsts[rng.Intn(len(dsts))], hops[rng.Intn(len(hops))], seq, probeData)
-					seq++
-				case r == 7 && len(fresh) > 0: // delegate a fresh /64
-					pf := fresh[0]
-					fresh = fresh[1:]
-					for _, n := range []*testNet{p.fast, p.slow} {
-						down := n.isp.AddIface(ipv6.SLAAC(pf, 1), "isp:extra")
-						if err := n.isp.Delegate(pf, down); err != nil {
-							t.Fatal(err)
-						}
-					}
-				case r == 8: // reroute scan-net return traffic (a no-op route re-insert)
-					for _, n := range []*testNet{p.fast, p.slow} {
-						n.core.AddRoute(ipv6.MustParsePrefix("2001:beef::/64"), n.scanner.Iface().Peer())
-					}
-				default: // discard valid cache state on the fast net only
-					p.fast.eng.InvalidateFlows()
-				}
-				p.compare(t, fmt.Sprintf("op %d", op))
-			}
-			// Gap mutation: warm the block's gap flow, plant a delegation in
-			// space it covers, then probe the new delegation and its
-			// neighbours on both sides. The new link is unnumbered (it
-			// reuses the upstream address), so only the emptiness index
-			// stands between the old entry and the new delegation — and the
-			// entry holds a pointer to that index, not a copy: Delegate must
-			// have bumped the flow generation before the index is rebuilt,
-			// or the old entry would answer for the new subscriber's
-			// neighbours from a half-updated hole set.
-			gap := func(cell uint64) ipv6.Addr {
-				hi := ipv6.MustParseAddr("2001:db8:9000::").Uint128().Hi | uint64(seed)<<16 | cell
-				return ipv6.AddrFrom128(uint128.New(hi, uint64(rng.Int63())|1))
-			}
-			p.inject(t, gap(0x10), 64, seq, probeData)
-			before := p.fast.eng.Counters().FastPathHits
-			p.inject(t, gap(0x20), 64, seq+1, probeData)
-			p.compare(t, "gap warm")
-			if p.fast.eng.Counters().FastPathHits == before {
-				t.Error("two probes into one empty stretch did not share an entry; the gap mutation tests nothing")
-			}
-			seq += 2
-			isPlanted := map[uint64]bool{}
-			for round, cells := range [][]uint64{{0x18, 0x17, 0x19, 0x10, 0x20, 0x18}, {0x11, 0x10, 0x12, 0x18, 0x20, 0x11}} {
-				planted := gap(cells[0]).Prefix64()
-				isPlanted[cells[0]] = true
-				gen, compiles := p.fast.eng.fp.gen, p.fast.eng.Counters().FastPathCompiles
-				for _, n := range []*testNet{p.fast, p.slow} {
-					down := n.isp.AddIface(n.isp.upstream.Addr(), "isp:gap")
-					if err := n.isp.Delegate(planted, down); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if p.fast.eng.fp.gen == gen || !p.fast.isp.gapsStale {
-					t.Fatalf("round %d: Delegate left the flow generation at %d (index stale = %v): the old gap flow outlives its index",
-						round, gen, p.fast.isp.gapsStale)
-				}
-				// The planted links lead nowhere, so every probe into one is
-				// an exact negative; all the empty cells share one new flow.
-				want := uint64(1)
-				for _, cell := range cells {
-					if isPlanted[cell] {
-						want++
-					}
-					p.inject(t, gap(cell), 64, seq, probeData)
-					seq++
-					p.compare(t, fmt.Sprintf("round %d: gap cell %#x after Delegate", round, cell))
-				}
-				if got := p.fast.eng.Counters().FastPathCompiles - compiles; got != want {
-					t.Errorf("round %d: %d compiles for six probes around the planted delegations, want %d", round, got, want)
-				}
-			}
-			if hits := p.fast.eng.Counters().FastPathHits; hits == 0 {
-				t.Error("property run never hit the flow cache; the test lost its teeth")
-			}
-		})
+			pkts = append(pkts, pkt)
+		}
+		n.sweep(pkts, nil)
+		c := n.eng.Counters()
+		share := float64(c.FastPathHits) / float64(c.FastPathHits+c.FastPathMisses)
+		if share <= 0.99 || c.FastPathEvictions != 0 {
+			t.Errorf("/%d: hit share %.4f, %d evictions over a sparse cold pass, want > 0.99 and none",
+				bits, share, c.FastPathEvictions)
+		}
+		budget := uint64(count + 4)
+		if bits < 64 {
+			budget += count // a CPE's WAN /64 inside its delegation is a second flow
+		}
+		if c.FastPathCompiles > budget {
+			t.Errorf("/%d: %d compiles for %d delegations: the empty space was not one flow", bits, c.FastPathCompiles, count)
+		}
 	}
 }
 
@@ -279,210 +255,6 @@ func TestFlowCacheArmedEngineInterprets(t *testing.T) {
 	}
 }
 
-// TestFlowCacheLoopFusionParity pins the routing-loop bounce: a probe
-// into a vulnerable delegation ping-pongs ~253 times on the access
-// link. The fused replay must reproduce the interpreted amplification
-// byte-for-byte while collapsing the crossings into far fewer events.
-// One compiled entry serves every hop limit that dies on its turn of
-// the ISP↔CPE cycle — h+2 after h, as the loop detector sends them —
-// and every other probe (another turn, or a hop limit that dies before
-// the cycle) falls back to the interpreter; nothing recompiles. A
-// compiling probe that dies before the cycle keys the turn a probe of
-// hop limit 255 dies on.
-func TestFlowCacheLoopFusionParity(t *testing.T) {
-	notUsed := ipv6.MustParseAddr("2001:db8:4321:8769::77")
-	for _, tc := range []struct {
-		compileHL, turnOf uint8 // the compiling probe, and a hop limit on the entry's turn
-	}{
-		{255, 255},
-		{32, 34},
-		{2, 255},
-	} {
-		t.Run(fmt.Sprintf("compiled at %d", tc.compileHL), func(t *testing.T) {
-			p := buildMirror(t, CPEBehavior{VulnLAN: true}, ErrorPolicy{})
-			p.inject(t, notUsed, tc.compileHL, 1, probeData) // compiles the loop
-			p.compare(t, "cold loop")
-			c0 := p.fast.eng.Counters()
-			if c0.FastPathCompiles != 1 {
-				t.Fatalf("cold probe: %d compiles, want 1", c0.FastPathCompiles)
-			}
-			// The test net's loop: core→isp, isp→cpe, then the cycle
-			// cpe→isp, isp→cpe. A probe of hop limit hl dies after hl-1
-			// crossings, on turn (hl-3) mod 2 if it reaches the cycle.
-			j := p.fast.eng.fp.lookup(p.fast.scanner.Iface().Peer().fpID, notUsed.Uint128().Hi, notUsed.Uint128().Lo)
-			if j < 0 || p.fast.eng.fp.hot[j].kind != entryLoop {
-				t.Fatal("the cold probe compiled no loop entry")
-			}
-			if h := p.fast.eng.fp.hot[j]; h.loopStart != 2 || h.loopLen != 2 || h.loopTurn != (tc.turnOf-3)%2 {
-				t.Fatalf("loop entry geometry prefix %d, cycle %d, turn %d; want 2, 2, %d",
-					h.loopStart, h.loopLen, h.loopTurn, (tc.turnOf-3)%2)
-			}
-			onTurn := func(hl uint8) bool { return hl >= 3 && (hl-3)%2 == (tc.turnOf-3)%2 }
-
-			p.inject(t, notUsed, tc.turnOf, 2, probeData) // replays it fused
-			p.compare(t, "warm loop")
-			if got := p.fast.eng.Counters().FastPathHits - c0.FastPathHits; got != 1 {
-				t.Fatalf("hop limit %d on the entry's turn: %d hits, want 1", tc.turnOf, got)
-			}
-			if tc.turnOf == 255 {
-				if got := p.fast.cpeLink.TotalPackets(); got < 250 {
-					t.Errorf("access link carried %d packets across the warm loop, want ~253", got)
-				}
-				fastEvents := p.fast.eng.Counters().Events
-				slowEvents := p.slow.eng.Counters().Events
-				if fastEvents*10 > slowEvents {
-					t.Errorf("loop fusion saved too little: %d events fastpath vs %d interpreted",
-						fastEvents, slowEvents)
-				}
-			}
-
-			for hl := 1; hl <= 255; hl++ {
-				before := p.fast.eng.Counters()
-				p.inject(t, notUsed, uint8(hl), uint16(10+hl), probeData)
-				p.compare(t, fmt.Sprintf("hop limit %d", hl))
-				after := p.fast.eng.Counters()
-				hit := after.FastPathHits - before.FastPathHits
-				if want := onTurn(uint8(hl)); (hit == 1) != want || after.FastPathCompiles != before.FastPathCompiles {
-					t.Errorf("hop limit %d (on the entry's turn: %v): %d hits, %d misses, %d compiles",
-						hl, want, hit, after.FastPathMisses-before.FastPathMisses,
-						after.FastPathCompiles-before.FastPathCompiles)
-				}
-			}
-
-			// One batch, one entry, several hop limits on its turn: each
-			// hop limit's probes are charged their own crossings.
-			var batch [][]byte
-			for round := 0; round < 2; round++ {
-				for _, hl := range []uint8{3, 4, 5, 6, 100, 101, 254, 255} {
-					if !onTurn(hl) {
-						continue
-					}
-					pkt, err := wire.BuildEchoRequest(scannerAddr, notUsed, hl, 0xbeef, uint16(300+len(batch)), []byte("probe"))
-					if err != nil {
-						t.Fatal(err)
-					}
-					batch = append(batch, pkt)
-				}
-			}
-			if hits, misses := p.injectBatch(batch); hits != uint64(len(batch)) || misses != 0 {
-				t.Errorf("a batch of %d probes on the entry's turn: %d hits, %d misses", len(batch), hits, misses)
-			}
-			p.compare(t, "mixed hop limits in one batch")
-		})
-	}
-}
-
-// TestFlowCacheShortHopLimitKeepsRegion: a probe whose hop limit dies on
-// the way compiles its region's entry as any probe would, and is itself
-// interpreted; the full-hop-limit probes that follow into the region
-// replay that entry. A wide entry keyed to the short probe's own expiry
-// would refuse every one of them and never be recompiled.
-func TestFlowCacheShortHopLimitKeepsRegion(t *testing.T) {
-	p := buildMirror(t, CPEBehavior{}, ErrorPolicy{})
-	gap := func(i uint64) ipv6.Addr {
-		return ipv6.AddrFrom128(uint128.New(0x20010db8_90000000|i<<16, i+1))
-	}
-	p.inject(t, gap(0), 2, 1, probeData) // expires at the ISP, one hop short of its error
-	p.compare(t, "hop limit 2")
-	before := p.fast.eng.Counters()
-	for i := uint64(1); i <= 20; i++ {
-		p.inject(t, gap(i), 64, uint16(1+i), probeData)
-		p.compare(t, fmt.Sprintf("gap probe %d", i))
-	}
-	after := p.fast.eng.Counters()
-	hits, misses := after.FastPathHits-before.FastPathHits, after.FastPathMisses-before.FastPathMisses
-	if compiles := after.FastPathCompiles - before.FastPathCompiles; hits != 20 || misses != 0 || compiles != 0 {
-		t.Errorf("20 hop-limit-64 probes into the gap after a hop-limit-2 one: %d hits, %d misses, %d compiles; want 20, 0, 0",
-			hits, misses, compiles)
-	}
-}
-
-// TestFlowCacheErrorQuoteLengths replays errors quoting probes of many
-// lengths — empty and odd payloads, and probes longer than an error may
-// quote (RFC 4443's 1,280-byte cap cuts them) — through each kind of
-// error entry of the test net, at a hop limit that replays and one that
-// dies on the way. Replies must be byte-identical to the interpreter's,
-// and the replays must leave every entry as its compile left it: the
-// warm pass sends the lengths in the opposite order, so an entry that
-// kept state from the probe it last answered would differ.
-func TestFlowCacheErrorQuoteLengths(t *testing.T) {
-	p := buildMirror(t, CPEBehavior{VulnWAN: true, VulnLAN: true}, ErrorPolicy{})
-	dsts := []ipv6.Addr{
-		ipv6.MustParseAddr("2001:db8:9000:1::1"),     // the ISP block's gap flow
-		ipv6.SLAAC(wanPrefix, 0x99),                  // the WAN loop
-		ipv6.MustParseAddr("2001:db8:4321:8769::77"), // the Not-used loop
-		ipv6.SLAAC(lanSubnet, 0xdeadbeefcafef00d),    // the subnet's address unreachable
-	}
-	sizes := []int{0, 5, 64, 200, 1300, 1400}
-	seq := uint16(1)
-	pass := func(tag string, sizes []int) {
-		t.Helper()
-		for _, dst := range dsts {
-			for _, hl := range []uint8{64, 3} {
-				for _, n := range sizes {
-					data := make([]byte, n)
-					for i := range data {
-						data[i] = byte(i*7 + n)
-					}
-					p.inject(t, dst, hl, seq, data)
-					seq++
-					p.compare(t, fmt.Sprintf("%s: %s, hop limit %d, %d-byte payload", tag, dst, hl, n))
-				}
-			}
-		}
-	}
-	pass("cold", sizes)
-	before := snapshotFlows(&p.fast.eng.fp)
-	kinds := map[entryKind]int{}
-	for _, f := range before {
-		kinds[f.hot.kind]++
-	}
-	if kinds[entryError] == 0 || kinds[entryLoop] == 0 {
-		t.Fatalf("the cold pass compiled %v; want error and loop entries", kinds)
-	}
-	c0 := p.fast.eng.Counters()
-	warm := slices.Clone(sizes)
-	slices.Reverse(warm)
-	pass("warm", warm)
-	c1 := p.fast.eng.Counters()
-	if c1.FastPathCompiles != c0.FastPathCompiles || c1.FastPathHits == c0.FastPathHits {
-		t.Errorf("warm pass: %d compiles, %d hits; want 0 compiles and some hits",
-			c1.FastPathCompiles-c0.FastPathCompiles, c1.FastPathHits-c0.FastPathHits)
-	}
-	after := snapshotFlows(&p.fast.eng.fp)
-	if len(after) != len(before) {
-		t.Errorf("%d live entries before the warm pass, %d after", len(before), len(after))
-	}
-	for j, f := range before {
-		if after[j] != f {
-			t.Errorf("slot %d changed under replay:\nbefore %+v\nafter  %+v", j, f, after[j])
-		}
-	}
-}
-
-// flowSnap is a copy of one live entry: its hot header and, unless it is
-// negative, its cold tail.
-type flowSnap struct {
-	hot  flowHot
-	cold flowCold
-}
-
-// snapshotFlows copies every live entry, keyed by slot.
-func snapshotFlows(fp *flowCache) map[int]flowSnap {
-	m := map[int]flowSnap{}
-	for j := range fp.tags {
-		if !fp.live(uint64(j)) {
-			continue
-		}
-		f := flowSnap{hot: fp.hot[j]}
-		if f.hot.kind != entryNeg {
-			f.cold = fp.cold[f.hot.cold]
-		}
-		m[j] = f
-	}
-	return m
-}
-
 // TestFlowCacheEdgeDeliveryInterpreted: a walk that reaches an Edge — a
 // probe to another address of the scanner's own /64, routed back out to
 // the scanner — compiles negative, and the probe and its repeat are
@@ -501,56 +273,6 @@ func TestFlowCacheEdgeDeliveryInterpreted(t *testing.T) {
 	if got := p.slow.eng.Links()[0].TotalPackets(); got != 4 {
 		t.Errorf("the scanner link carried %d packets, want 2 probes out and 2 back", got)
 	}
-}
-
-// TestFlowCacheWideEntrySharing pins region-width compilation: two
-// destinations in different /64s of one unassigned delegation cell
-// share a compiled entry (the second probe is a cache hit), while the
-// ISP's own interface address — which sits inside a compilable region —
-// keeps answering as itself rather than inheriting the region's fate.
-// A warm batch alternating between the two regions replays as the
-// interpreter runs it.
-func TestFlowCacheWideEntrySharing(t *testing.T) {
-	p := buildMirror(t, CPEBehavior{}, ErrorPolicy{})
-
-	// The finest delegated length in buildTestNet is /64, so the
-	// uniform cell around unassigned 2001:db8:aaaa:bbbb::/64 is exactly
-	// one /64: probing two IIDs of it shares the entry; probing the
-	// adjacent /64 compiles its own.
-	a1 := ipv6.MustParseAddr("2001:db8:aaaa:bbbb::1")
-	a2 := ipv6.MustParseAddr("2001:db8:aaaa:bbbb::2")
-	p.inject(t, a1, 64, 1, probeData)
-	p.compare(t, "cold region")
-	before := p.fast.eng.Counters()
-	p.inject(t, a2, 64, 2, probeData)
-	p.compare(t, "warm region")
-	after := p.fast.eng.Counters()
-	if after.FastPathHits <= before.FastPathHits {
-		t.Errorf("second probe of the region missed: hits %d -> %d (misses %d -> %d)",
-			before.FastPathHits, after.FastPathHits, before.FastPathMisses, after.FastPathMisses)
-	}
-
-	// The provider-side WAN interface address lies inside the delegated
-	// WAN /64 whose other addresses forward to the CPE: the compiled
-	// region must hole it out (hole/shadow machinery), in both orders.
-	local := ipv6.MustParseAddr("2001:db8:1234:5678::1")
-	other := ipv6.SLAAC(wanPrefix, 0xdeadbeef)
-	p.inject(t, other, 64, 3, probeData) // compile the forwarding region first
-	p.compare(t, "wan region")
-	p.inject(t, local, 64, 4, probeData) // then the holed local address
-	p.compare(t, "wan local addr")
-	p.inject(t, local, 64, 5, probeData) // warm local
-	p.inject(t, other, 64, 6, probeData) // warm region
-	p.compare(t, "wan interleaved")
-
-	// One warm batch of stretches one to three probes long, alternating
-	// between the two regions' entries: each stretch is charged as a
-	// whole, its reverse path once per probe.
-	batch := echoBurst(t, []ipv6.Addr{a1, other, a2, a2, other, other, other, a1})
-	if hits, misses := p.injectBatch(batch); hits != uint64(len(batch)) || misses != 0 {
-		t.Errorf("alternating stretches: %d hits, %d misses, want %d and 0", hits, misses, len(batch))
-	}
-	p.compare(t, "alternating stretches")
 }
 
 // TestFlowCacheInvalidationCounter pins the observability contract:
@@ -803,36 +525,6 @@ func TestFlowCacheTracedFlowInterpreted(t *testing.T) {
 	if !slices.Equal(ft.hops, st.hops) {
 		t.Errorf("traced flow crossings differ:\nfast %v\nslow %v", ft.hops, st.hops)
 	}
-}
-
-// TestFlowCacheSuppressedErrorsReplay: a suppressing ISP's unassigned
-// space compiles as an error entry with no reply path, so its warm
-// probes are hits that deliver nothing and charge the links exactly as
-// the interpreter does, alongside the CPE's replying entries in the
-// same burst.
-func TestFlowCacheSuppressedErrorsReplay(t *testing.T) {
-	p := buildMirror(t, CPEBehavior{}, ErrorPolicy{Suppress: true})
-	gap := ipv6.MustParseAddr("2001:db8:aaaa:bbbb::")
-	cold := echoBurst(t, []ipv6.Addr{gap.WithIID(1), ipv6.SLAAC(lanSubnet, 0x1000)})
-	p.injectBatch(cold)
-	p.compare(t, "cold")
-	var dsts []ipv6.Addr
-	for i := 0; i < 24; i++ {
-		dsts = append(dsts, gap.WithIID(uint64(i+2)))
-		if i%4 == 0 {
-			dsts = append(dsts, ipv6.SLAAC(lanSubnet, uint64(0x2000+i)))
-		}
-	}
-	up := p.fast.ispLink.Ends()[1] // the ISP's upstream interface
-	before := p.fast.ispLink.StatsFrom(up)
-	hits, misses := p.injectBatch(echoBurst(t, dsts))
-	if hits != uint64(len(dsts)) || misses != 0 {
-		t.Errorf("warm burst of %d probes: %d hits, %d misses", len(dsts), hits, misses)
-	}
-	if got, want := p.fast.ispLink.StatsFrom(up).Packets-before.Packets, uint64(6); got != want {
-		t.Errorf("the ISP sent %d packets upstream, want %d (the CPE's errors only)", got, want)
-	}
-	p.compare(t, "warm")
 }
 
 // localNet is testNet with a CPE running services and a UE behind the

@@ -281,3 +281,64 @@ func TestFlowCacheInseparableWindowEvicts(t *testing.T) {
 		t.Errorf("%d cold tails for %d live entries", tails, fpProbe)
 	}
 }
+
+// TestFlowCacheWidthOverflowNarrows: once fpWidthCap widths are live, an
+// entry claiming a new width is narrowed to the nearest live width above
+// it — still wide, still replayable — instead of being keyed per
+// address.
+func TestFlowCacheWidthOverflowNarrows(t *testing.T) {
+	var fp flowCache
+	live := []uint8{64, 60, 58, 56, 52, 48, 44, 40}
+	if len(live) != fpWidthCap {
+		t.Fatalf("test lists %d widths, fpWidthCap is %d", len(live), fpWidthCap)
+	}
+	for _, w := range live {
+		if got, ok := fp.keyWidth(w); !ok || got != w {
+			t.Fatalf("keyWidth(%d) = %d, %v with room in the table", w, got, ok)
+		}
+	}
+	for _, tc := range []struct{ claim, want uint8 }{{54, 56}, {50, 52}, {41, 44}, {62, 64}, {56, 56}} {
+		if got, ok := fp.keyWidth(tc.claim); !ok || got != tc.want {
+			t.Errorf("keyWidth(%d) = %d, %v on a full table, want %d", tc.claim, got, ok, tc.want)
+		}
+	}
+	fp = flowCache{nWidths: 1}
+	fp.widths[0] = 48
+	for i := 1; i < fpWidthCap; i++ {
+		fp.keyWidth(uint8(30 + i))
+	}
+	if _, ok := fp.keyWidth(52); ok {
+		t.Error("keyWidth(52) found a width with nothing live at or above 52")
+	}
+
+	// End to end: saturate an engine's width table, then probe a gap whose
+	// claim (/42 here: the core's own in-block address bounds it) is not
+	// live. The entry must land at a live width and serve its neighbours.
+	n := buildSparseNet(t, sparseBlock, []ipv6.Prefix{ipv6.MustParsePrefix("2001:db8::/64")})
+	n.eng.mu.Lock()
+	n.eng.fp.nWidths = 0
+	for _, w := range []uint8{64, 63, 62, 61, 59, 57, 56, 55} {
+		n.eng.fp.keyWidth(w)
+	}
+	n.eng.mu.Unlock()
+	probe := func(dst string, seq uint16) {
+		pkt, err := wire.BuildEchoRequest(scannerAddr, ipv6.MustParseAddr(dst), 64, 1, seq, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.eng.Inject(n.scanner.Iface(), pkt)
+	}
+	probe("2001:db8:80:1::1", 1)
+	before := n.eng.Counters()
+	probe("2001:db8:80:1::2", 2)   // same /64
+	probe("2001:db8:80:2::1", 3)   // same /55, different /64
+	probe("2001:db8:80:1ff::9", 4) // last /64 of the /55
+	after := n.eng.Counters()
+	if got := after.FastPathHits - before.FastPathHits; got != 3 {
+		t.Errorf("%d of 3 probes into the narrowed region hit (compiles %d -> %d)",
+			got, before.FastPathCompiles, after.FastPathCompiles)
+	}
+	if got := len(n.scanner.DrainInto(nil)); got != 4 {
+		t.Errorf("%d replies for 4 probes", got)
+	}
+}

@@ -438,22 +438,6 @@ func TestInjectBatch(t *testing.T) {
 	}
 }
 
-func TestEdgeWaitSignals(t *testing.T) {
-	n := buildTestNet(t, CPEBehavior{}, ErrorPolicy{})
-	ch := n.scanner.Wait()
-	select {
-	case <-ch:
-		t.Fatal("Wait fired before any arrival")
-	default:
-	}
-	n.probe(t, wanAddr, 64)
-	select {
-	case <-ch:
-	default:
-		t.Error("Wait did not fire after arrival")
-	}
-}
-
 func TestRejectRoute(t *testing.T) {
 	n := buildTestNet(t, CPEBehavior{}, ErrorPolicy{})
 	n.core.AddRejectRoute(ipv6.MustParsePrefix("2001:bad::/32"))

@@ -81,13 +81,6 @@ func (u Uint128) Add(v Uint128) Uint128 {
 	return Uint128{Hi: hi, Lo: lo}
 }
 
-// AddCarry returns u + v and the carry out (0 or 1).
-func (u Uint128) AddCarry(v Uint128) (Uint128, uint64) {
-	lo, carry := bits.Add64(u.Lo, v.Lo, 0)
-	hi, carry := bits.Add64(u.Hi, v.Hi, carry)
-	return Uint128{Hi: hi, Lo: lo}, carry
-}
-
 // Add64 returns u + v, wrapping on overflow.
 func (u Uint128) Add64(v uint64) Uint128 {
 	lo, carry := bits.Add64(u.Lo, v, 0)
@@ -105,13 +98,6 @@ func (u Uint128) Sub(v Uint128) Uint128 {
 func (u Uint128) Sub64(v uint64) Uint128 {
 	lo, borrow := bits.Sub64(u.Lo, v, 0)
 	return Uint128{Hi: u.Hi - borrow, Lo: lo}
-}
-
-// Mul returns the low 128 bits of u * v.
-func (u Uint128) Mul(v Uint128) Uint128 {
-	hi, lo := bits.Mul64(u.Lo, v.Lo)
-	hi += u.Hi*v.Lo + u.Lo*v.Hi
-	return Uint128{Hi: hi, Lo: lo}
 }
 
 // Mul64 returns the low 128 bits of u * v.
@@ -268,21 +254,8 @@ func (u Uint128) LeadingZeros() int {
 	return 64 + bits.LeadingZeros64(u.Lo)
 }
 
-// TrailingZeros returns the number of trailing zero bits in u.
-func (u Uint128) TrailingZeros() int {
-	if u.Lo != 0 {
-		return bits.TrailingZeros64(u.Lo)
-	}
-	return 64 + bits.TrailingZeros64(u.Hi)
-}
-
 // BitLen returns the minimum number of bits required to represent u.
 func (u Uint128) BitLen() int { return 128 - u.LeadingZeros() }
-
-// OnesCount returns the number of one bits in u.
-func (u Uint128) OnesCount() int {
-	return bits.OnesCount64(u.Hi) + bits.OnesCount64(u.Lo)
-}
 
 // Big returns u as a math/big.Int.
 func (u Uint128) Big() *big.Int {
@@ -308,9 +281,6 @@ func (u Uint128) String() string {
 	}
 	return u.Big().String()
 }
-
-// Hex returns the 32-digit zero-padded hexadecimal representation of u.
-func (u Uint128) Hex() string { return fmt.Sprintf("%016x%016x", u.Hi, u.Lo) }
 
 // MulMod returns (u * v) mod m using 256-bit intermediate precision.
 // It panics if m == 0.
@@ -358,20 +328,6 @@ func mod256(hi, lo, m Uint128) Uint128 {
 		}
 	}
 	return r
-}
-
-// AddMod returns (u + v) mod m. It panics if m == 0.
-func (u Uint128) AddMod(v, m Uint128) Uint128 {
-	if m.IsZero() {
-		panic("uint128: AddMod modulo zero")
-	}
-	u = u.Mod(m)
-	v = v.Mod(m)
-	s, carry := u.AddCarry(v)
-	if carry == 1 || s.Cmp(m) >= 0 {
-		s = s.Sub(m)
-	}
-	return s
 }
 
 // ExpMod returns u^e mod m by square-and-multiply. It panics if m == 0.

@@ -91,16 +91,6 @@ func TestSubMatchesBig(t *testing.T) {
 	}
 }
 
-func TestMulMatchesBig(t *testing.T) {
-	f := func(u, v Uint128) bool {
-		want := fromBigWrap(new(big.Int).Mul(u.toBig(), v.toBig()))
-		return u.Mul(v) == want
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestMulFullMatchesBig(t *testing.T) {
 	f := func(u, v Uint128) bool {
 		hi, lo := u.MulFull(v)
@@ -195,37 +185,27 @@ func TestBitGetSet(t *testing.T) {
 func TestCountsMatchBig(t *testing.T) {
 	f := func(u Uint128) bool {
 		b := u.toBig()
-		if u.BitLen() != b.BitLen() {
-			return false
-		}
-		ones := 0
-		for i := 0; i < b.BitLen(); i++ {
-			ones += int(b.Bit(i))
-		}
-		return u.OnesCount() == ones
+		return u.BitLen() == b.BitLen()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestLeadingTrailingZeros(t *testing.T) {
+func TestLeadingZeros(t *testing.T) {
 	cases := []struct {
-		u        Uint128
-		lead, tz int
+		u    Uint128
+		lead int
 	}{
-		{Zero, 128, 128},
-		{One, 127, 0},
-		{Max, 0, 0},
-		{New(1, 0), 63, 64},
-		{New(0, 1<<63), 64, 63},
+		{Zero, 128},
+		{One, 127},
+		{Max, 0},
+		{New(1, 0), 63},
+		{New(0, 1<<63), 64},
 	}
 	for _, c := range cases {
 		if got := c.u.LeadingZeros(); got != c.lead {
-			t.Errorf("LeadingZeros(%s) = %d, want %d", c.u.Hex(), got, c.lead)
-		}
-		if got := c.u.TrailingZeros(); got != c.tz {
-			t.Errorf("TrailingZeros(%s) = %d, want %d", c.u.Hex(), got, c.tz)
+			t.Errorf("LeadingZeros(%s) = %d, want %d", c.u, got, c.lead)
 		}
 	}
 }
@@ -260,21 +240,6 @@ func TestMulMod64FastPath(t *testing.T) {
 	}
 }
 
-func TestAddModMatchesBig(t *testing.T) {
-	f := func(u, v, m Uint128) bool {
-		if m.IsZero() {
-			return true
-		}
-		got := u.AddMod(v, m)
-		want := new(big.Int).Add(u.toBig(), v.toBig())
-		want.Mod(want, m.toBig())
-		return got.toBig().Cmp(want) == 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestExpModMatchesBig(t *testing.T) {
 	f := func(u Uint128, e uint16, m Uint128) bool {
 		if m.IsZero() {
@@ -300,23 +265,19 @@ func TestExpModFermat(t *testing.T) {
 	}
 }
 
-func TestStringAndHex(t *testing.T) {
+func TestString(t *testing.T) {
 	cases := []struct {
 		u   Uint128
 		dec string
-		hex string
 	}{
-		{Zero, "0", "00000000000000000000000000000000"},
-		{One, "1", "00000000000000000000000000000001"},
-		{New(1, 0), "18446744073709551616", "00000000000000010000000000000000"},
-		{Max, "340282366920938463463374607431768211455", "ffffffffffffffffffffffffffffffff"},
+		{Zero, "0"},
+		{One, "1"},
+		{New(1, 0), "18446744073709551616"},
+		{Max, "340282366920938463463374607431768211455"},
 	}
 	for _, c := range cases {
 		if got := c.u.String(); got != c.dec {
 			t.Errorf("String() = %q, want %q", got, c.dec)
-		}
-		if got := c.u.Hex(); got != c.hex {
-			t.Errorf("Hex() = %q, want %q", got, c.hex)
 		}
 	}
 }
