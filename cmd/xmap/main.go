@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/bits"
 	"math/rand"
 	"os"
 	"os/signal"
@@ -67,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		maxTgt   = fs.Uint64("max-targets", 0, "stop after this many probes (0 = all)")
 		quiet    = fs.Bool("quiet", false, "suppress the summary on stderr")
 		metaF    = fs.String("metadata", "", "write JSON scan metadata to this file ('-' for stderr)")
-		parallel = fs.Int("parallel", 1, "run this many shard scanners concurrently in this process")
+		parallel = fs.Int("parallel", 1, "run this many scanner workers concurrently in this process, each driving its own engine shard of the simulated network")
 		ringSize = fs.Int("ring", 0, "per-worker transmission queue capacity in packets (0 = direct sends)")
 		retries  = fs.Int("retries", 0, "re-probe unanswered targets up to this many times with backoff")
 		defend   = fs.Bool("defend", false, "adversarial defenses: alias/cooldown detection, strict reply validation, overload shedding")
@@ -90,14 +91,21 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("-resume needs -checkpoint to name the file")
 	}
 
+	// Telemetry shards, trace streams and watchdog slots are one per
+	// worker of the run.
+	workers := max(*parallel, 1)
+
 	// Every mode is one scan of one window through one simulated driver:
 	// a Table I ISP's window (or -window) in the generated deployment, or
-	// with -v4window a small NAT'd IPv4 neighborhood.
+	// with -v4window a small NAT'd IPv4 neighborhood. With -parallel n the
+	// deployment runs on n engine shards, one per worker (each worker
+	// probes the window chunks its shard owns; see xmap.ScanParallel).
 	var (
-		window  ipv6.Window
-		drv     *xmap.SimDriver
-		seedFmt = "xmap-cli-%d"
-		err     error
+		window    ipv6.Window
+		drv       simDriver
+		simShards = 1
+		seedFmt   = "xmap-cli-%d"
+		err       error
 	)
 	if *v4F != "" {
 		if *probeF == "icmp" {
@@ -106,10 +114,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 		window, drv, err = buildV4(*v4F, *seed)
 		seedFmt = "xmap-cli-v4-%d"
 	} else {
-		window, drv, err = buildV6(topo.Config{
+		tcfg := topo.Config{
 			Seed: *seed, Scale: *scale, WindowWidth: *width, MaxDevicesPerISP: *maxDev,
 			FastPath: fastF,
-		}, *windowF, *ispIndex)
+		}
+		if workers > 1 {
+			if need := bits.Len(uint(workers - 1)); need > *width {
+				return fmt.Errorf("-parallel %d needs one engine shard per worker, and a -width %d window has too few chunks for %d shards: use -width %d or more", workers, *width, workers, need)
+			}
+			tcfg.Shards, simShards = workers, workers
+		}
+		window, drv, err = buildV6(tcfg, *windowF, *ispIndex)
 	}
 	if err != nil {
 		return err
@@ -171,10 +186,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Defend:          *defend,
 		DedupExact:      true,
 	}
-	// Telemetry shards, trace streams and watchdog slots are one per
-	// worker of the run.
-	workers := max(*parallel, 1)
-
 	// Probe-lifecycle tracing attaches only when asked for; the sampler
 	// is keyed by the scan seed, so the traced target set — and the
 	// exported trace — is identical across runs of the same scan.
@@ -188,7 +199,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			Seed:        cfg.Seed,
 			SampleShift: shift,
 			ScanStreams: workers,
-			SimStreams:  1,
+			SimStreams:  simShards,
 		})
 		cfg.Tracer = tracer
 		drv.RegisterTracer(tracer)
@@ -332,14 +343,26 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
+// simDriver is a driver into the simulated network that also feeds its
+// engine totals to telemetry and its hop crossings to a tracer.
+type simDriver interface {
+	xmap.Driver
+	RegisterTelemetry(*telemetry.Registry)
+	RegisterTracer(*telemetry.Tracer)
+}
+
 // buildV6 builds the Table I deployment and picks the window to scan:
-// spec if given, else the window of the ISP with the given index.
-func buildV6(cfg topo.Config, spec string, ispIndex int) (ipv6.Window, *xmap.SimDriver, error) {
+// spec if given, else the window of the ISP with the given index. A
+// sharded deployment is driven through its engine group.
+func buildV6(cfg topo.Config, spec string, ispIndex int) (ipv6.Window, simDriver, error) {
 	dep, err := topo.Build(cfg)
 	if err != nil {
 		return ipv6.Window{}, nil, err
 	}
-	drv := xmap.NewSimDriver(dep.Engine, dep.Edge)
+	var drv simDriver = xmap.NewSimDriver(dep.Engine, dep.Edge)
+	if cfg.Shards > 1 {
+		drv = xmap.NewGroupDriver(dep.Group, dep.Edge)
+	}
 	if spec != "" {
 		window, err := ipv6.ParseWindow(spec)
 		return window, drv, err

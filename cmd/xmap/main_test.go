@@ -133,12 +133,15 @@ func TestDefendFlag(t *testing.T) {
 // TestMonitorLines: -monitor-every prints periodic status lines plus a
 // final "done" line on stderr, and the final line's progress is 100% of
 // what the run probes — across -parallel workers, each with its own
-// -max-targets, and for one slice of a -shards scan.
+// -max-targets (at -parallel 3 worker 0 keeps two of the four window
+// chunks, so 1500 cuts its part alone), and for one slice of a -shards
+// scan.
 func TestMonitorLines(t *testing.T) {
 	percent := regexp.MustCompile(` ([0-9.]+)%; send:`)
 	for _, args := range [][]string{
 		{"-max-targets", "200"},
 		{"-parallel", "2", "-max-targets", "1000"},
+		{"-parallel", "3", "-max-targets", "1500"},
 		{"-shards", "2", "-shard", "1"},
 	} {
 		_, errOut := runOnce(t, append(args, "-quiet", "-monitor-every", "64")...)
@@ -467,6 +470,47 @@ func TestShardTraceStream(t *testing.T) {
 	}
 	if kinds["sent"] == 0 || kinds["hop"] == 0 {
 		t.Errorf("trace kinds %v: want both sent and hop spans", kinds)
+	}
+}
+
+// TestParallelShardsTheNetwork: -parallel 2 runs the network on two
+// engine shards, one per worker, so the trace carries hop spans on both
+// simulator streams (after the two scan streams) and scanner spans on
+// both scan streams; a window with fewer chunks than workers is refused
+// by name.
+func TestParallelShardsTheNetwork(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.ndjson")
+	runOnce(t, "-parallel", "2", "-max-targets", "200", "-quiet", "-trace-sample", "0", "-trace-out", path)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hops, sent := map[int]int{}, map[int]int{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var span struct {
+			Stream int    `json:"stream"`
+			Kind   string `json:"kind"`
+		}
+		if err := json.Unmarshal([]byte(line), &span); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", line, err)
+		}
+		switch span.Kind {
+		case "hop":
+			hops[span.Stream]++
+		case "sent":
+			sent[span.Stream]++
+		}
+	}
+	if len(hops) != 2 || hops[2] == 0 || hops[3] == 0 {
+		t.Errorf("hop spans per stream %v, want streams 2 and 3 (one per engine shard)", hops)
+	}
+	if len(sent) != 2 || sent[0] != 200 || sent[1] != 200 {
+		t.Errorf("sent spans per stream %v, want 200 on each scan stream", sent)
+	}
+	var out, errb bytes.Buffer
+	err = run([]string{"-parallel", "32", "-width", "4", "-quiet"}, &out, &errb)
+	if err == nil || !strings.Contains(err.Error(), "-width 5 or more") {
+		t.Errorf("-parallel 32 over a -width 4 window: err = %v, want a refusal naming the width it needs", err)
 	}
 }
 

@@ -12,7 +12,8 @@ import (
 // Engines so injections can pump concurrently. Each shard is its own
 // serialization domain holding a disjoint subtree of the topology
 // (topo.Build replicates the core/border spine per shard and assigns
-// subscriber prefixes round-robin); a prefix table routes each injected
+// subscriber prefixes by contiguous window chunk, chunk c to shard
+// c mod n); a prefix table routes each injected
 // packet to the shard owning its destination, where it is injected at
 // that shard's entry interface.
 //
@@ -183,15 +184,27 @@ func (g *EngineGroup) InjectBatch(pkts [][]byte) int {
 	return n
 }
 
-// ReleaseBufs spreads exhausted packet buffers across the shard
-// freelists (buffer ownership is not tracked per shard; any shard can
-// reuse any buffer).
+// ReleaseBufs hands exhausted packet buffers back to the shard
+// freelists, each to the shard whose returned list is then shortest.
+// Buffer ownership is not tracked per shard (any shard can reuse any
+// buffer), and the shard that last swapped that list into its empty
+// pool is the one consuming, so the buffers follow the load when one
+// shard is busier than the others for a while.
 func (g *EngineGroup) ReleaseBufs(pkts [][]byte) {
-	per := (len(pkts) + len(g.shards) - 1) / len(g.shards)
-	for i := 0; i < len(g.shards) && len(pkts) > 0; i++ {
-		n := min(per, len(pkts))
-		g.shards[i].ReleaseBufs(pkts[:n])
-		pkts = pkts[n:]
+	for _, e := range g.shards {
+		e.retMu.Lock()
+	}
+	for _, p := range pkts {
+		low := g.shards[0]
+		for _, e := range g.shards[1:] {
+			if len(e.returned) < len(low.returned) {
+				low = e
+			}
+		}
+		putBuf(&low.returned, p)
+	}
+	for _, e := range g.shards {
+		e.retMu.Unlock()
 	}
 }
 

@@ -360,3 +360,35 @@ func TestGroupConcurrentInjectRelease(t *testing.T) {
 		t.Fatalf("%d replies to %d probes", got, want)
 	}
 }
+
+// TestGroupReleaseFollowsLoad: when one shard does all the work, the
+// buffers ReleaseBufs hands back reach that shard, which builds its
+// replies in them instead of allocating afresh while its idle peer's
+// freelist overflows.
+func TestGroupReleaseFollowsLoad(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	n := buildGroupNet(t, 2)
+	batch := make([][]byte, 64)
+	for j := range batch {
+		// Unrouted addresses behind shard 0's router: each draws a
+		// no-route error built into an engine buffer.
+		batch[j] = echoTo(t, ipv6.MustParseAddr(fmt.Sprintf("2001:100::%x", j+2)), uint16(j))
+	}
+	var rx [][]byte
+	burst := func() {
+		n.grp.InjectBatch(batch)
+		rx = n.edge.DrainInto(rx[:0])
+		n.grp.ReleaseBufs(rx)
+	}
+	for range 8 {
+		burst() // compile the flows and fill the freelists
+	}
+	if len(rx) != len(batch) {
+		t.Fatalf("%d replies to %d probes", len(rx), len(batch))
+	}
+	if a := testing.AllocsPerRun(50, burst); a > 1 {
+		t.Errorf("a 64-probe burst into one shard allocates %.1f times, want its replies in released buffers", a)
+	}
+}

@@ -34,11 +34,18 @@ type ISPFixture struct {
 	// Hostile is the planted adversarial ground truth (BuildHostileFixture).
 	Hostile []PlantedRegion
 
+	// Group is a sharded world's engine group (nil for one engine, the
+	// usual case): Eng and Drv are then its shard 0 alone, and a leg
+	// reaches the whole world through grouped.
+	Group *netsim.EngineGroup
+
 	// isp is kept so adversarial builders can delegate extra regions.
 	isp *netsim.ISPRouter
 	// midScan, when set, is a topology mutation the fast-path oracle
-	// applies halfway through its first pass.
-	midScan func() error
+	// applies once half a pass of probes has gone out, right before the
+	// next probe into midScanAt: that probe meets the change first.
+	midScan   func() error
+	midScanAt ipv6.Prefix
 }
 
 // PlantedRegion is ground truth for one adversarial responder planted
@@ -197,7 +204,11 @@ func (f *ISPFixture) addCPE(i int, cell uint64, lan int) (delegateLAN func() err
 // buildLateLANFixture is the sparse fixture with one more CPE on the
 // block's first two unrouted /64s: the WAN delegated at once, the LAN by
 // the fixture's mid-scan mutation — until then plain unassigned space
-// with no router address in it, so the block's gap flow answers for it.
+// with no router address in it, so the block's warm gap flow answers for
+// it. The next probe into the LAN follows the Delegate at once: only
+// the flow generation the Delegate bumps keeps the gap flow from
+// answering it, since the ISP's delegation index is rebuilt only when
+// the interpreter next asks it.
 func buildLateLANFixture(seed int64) (*ISPFixture, error) {
 	f, err := BuildSparseFixture(seed)
 	if err != nil {
@@ -217,8 +228,28 @@ func buildLateLANFixture(seed int64) (*ISPFixture, error) {
 			free = append(free, cell)
 		}
 	}
+	if f.midScanAt, err = f.Block.Sub(64, uint128.From64(free[1])); err != nil {
+		return nil, err
+	}
 	f.midScan, err = f.addCPE(len(f.WANs), free[0], int(free[1]))
 	return f, err
+}
+
+// buildShardedFixture generates a one-ISP deployment on two engine
+// shards over a 2^10-cell window: BSNL's spec, whose /64 delegations
+// include dual-/64 CPEs with a LAN in the other shard's chunk.
+func buildShardedFixture(seed int64) (*ISPFixture, error) {
+	dep, err := topo.Build(topo.Config{
+		Seed: seed, Scale: 0.05, WindowWidth: 10, MaxDevicesPerISP: 120, OnlyISPs: []int{2}, Shards: 2,
+	})
+	if err != nil {
+		return nil, err
+	}
+	isp := dep.ISPs[0]
+	return &ISPFixture{
+		Eng: dep.Engine, Edge: dep.Edge, Drv: xmap.NewSimDriver(dep.Engine, dep.Edge), Group: dep.Group,
+		Block: isp.Block, Window: isp.Window,
+	}, nil
 }
 
 // BuildLoopDeployment generates a small single-ISP deployment (China

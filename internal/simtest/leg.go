@@ -111,7 +111,7 @@ func runLeg(e env, spec legSpec, prev *leg) (*leg, error) {
 	}
 	var mid *midScanDriver
 	if f.midScan != nil {
-		mid = &midScanDriver{Driver: drv, after: 1 << (f.Window.Width() - 1), mutate: f.midScan}
+		mid = &midScanDriver{Driver: drv, at: f.midScanAt, after: 1 << (f.Window.Width() - 1), mutate: f.midScan}
 		drv = mid
 	}
 	var reg *telemetry.Registry
@@ -529,19 +529,36 @@ func (c *chunkDriver) SendBatch(pkts [][]byte) (int, error) {
 	return sent, nil
 }
 
-// midScanDriver runs mutate once, between two send batches, as soon as
-// after packets have gone out: a topology change in the middle of a
-// scan, at the same probe on every leg.
+// midScanDriver runs mutate once, at the same probe on every leg: right
+// before the first probe into at sent after the first after packets.
+// The batch holding that probe is sent in two parts around the change.
 type midScanDriver struct {
 	xmap.Driver
+	at          ipv6.Prefix
 	after, sent int
 	mutate      func() error
 	err         error
 }
 
 func (m *midScanDriver) SendBatch(pkts [][]byte) (int, error) {
-	if m.mutate != nil && m.sent >= m.after {
+	for j, pkt := range pkts {
+		if m.mutate == nil || m.sent+j < m.after || len(pkt) < 40 || !m.at.Contains(ipv6.AddrFromBytes(pkt[24:40])) {
+			continue
+		}
+		n, err := m.send(pkts[:j])
+		if err != nil || n < j {
+			return n, err
+		}
 		m.err, m.mutate = m.mutate(), nil
+		k, err := m.send(pkts[j:])
+		return n + k, err
+	}
+	return m.send(pkts)
+}
+
+func (m *midScanDriver) send(pkts [][]byte) (int, error) {
+	if len(pkts) == 0 {
+		return 0, nil
 	}
 	n, err := m.Driver.SendBatch(pkts)
 	m.sent += n

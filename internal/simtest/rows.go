@@ -178,6 +178,13 @@ func ring(size int) func(*ISPFixture, *recordingDriver) xmap.Driver {
 
 func perPacket(f *ISPFixture, _ *recordingDriver) xmap.Driver { return xmap.AdaptPacketDriver(f.Drv) }
 
+// grouped records the leg's probes on their way into every engine shard
+// of a sharded world.
+func grouped(f *ISPFixture, d *recordingDriver) xmap.Driver {
+	d.Driver = xmap.NewGroupDriver(f.Group, f.Edge)
+	return d
+}
+
 // rows run as subtest seed=K/<row>/<profile>.
 var rows = []row{
 	{name: "oracle-routes", profiles: clean, check: routesCheck},
@@ -292,6 +299,19 @@ var rows = []row{
 		check: func(_ env, _ *leg, legs []*leg) ([]string, error) {
 			return diff(legs[0], truthLeg(legs[0].fix), relation{rel: relMissed}), nil
 		},
+	},
+	// Parallel × resume over engine shards: two workers, each driving
+	// its own shard of a two-shard world, stop at a seed-varied target
+	// count and resume from the checkpoint file; together they report
+	// what one uninterrupted worker finds.
+	{
+		name: "combo-parallel-sharded-resume", profiles: clean,
+		ref: legSpec{name: "uninterrupted", build: buildShardedFixture, wrap: grouped},
+		legs: []legSpec{
+			{name: "killed", build: buildShardedFixture, wrap: grouped, workers: 2, cfg: all(killAt, toFile)},
+			{name: "resumed", wrap: grouped, workers: 2, cfg: toFile, resume: true},
+		},
+		check: parallelResumeCheck,
 	},
 	// Kill and resume through the checkpoint file with a tracer attached:
 	// the halves report the untraced uninterrupted set, and both trace.
@@ -580,6 +600,25 @@ func resumeCheck(_ env, ref *leg, legs []*leg) ([]string, error) {
 	if sent := killed.stats[0].Sent + resumed.stats[0].Sent - crash.Stats.Sent; sent > ref.stats[0].Sent+resumeCheckpointEvery {
 		problems = append(problems, fmt.Sprintf("kill+resume sent %d probes, uninterrupted %d (+%d allowed)",
 			sent, ref.stats[0].Sent, resumeCheckpointEvery))
+	}
+	return problems, nil
+}
+
+// parallelResumeCheck: the stopped and resumed workers together report
+// exactly the uninterrupted scan's set and cumulative targets, and the
+// stop left both workers short of their part.
+func parallelResumeCheck(_ env, ref *leg, legs []*leg) ([]string, error) {
+	killed, resumed := legs[0], legs[1]
+	union := &leg{name: "kill+resume", set: map[ipv6.Addr]bool{}}
+	for _, a := range append(killed.order, resumed.order...) {
+		union.set[a] = true
+	}
+	problems := diff(union, ref, relation{rel: relSet})
+	problems = append(problems, diff(resumed, ref, relation{stats: []telemetry.Counter{telemetry.ScanTargets}})...)
+	for w := range 2 {
+		if st, ok := resumed.from.StateFor(w); !ok || st.Done {
+			problems = append(problems, fmt.Sprintf("worker %d's checkpoint state is missing or done: the stop left it no work", w))
+		}
 	}
 	return problems, nil
 }

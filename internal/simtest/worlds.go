@@ -356,16 +356,16 @@ func toolsCheck(e env, _ *leg, _ []*leg) ([]string, error) {
 	return problems, nil
 }
 
-// wedgeDriver passes one worker's probes — those to a victim target —
-// until a fixed number have gone through, then blocks every further
-// SendBatch of them until release is closed: a deterministic model of a
-// wedged packet layer (a NIC queue that stopped draining). Behind the
-// worker's RingDriver it wedges that ring's pump, the ring fills, and
-// the worker blocks in ring backpressure: exactly the hang the stall
-// watchdog exists to name. Other workers' rings pump past it.
+// wedgeDriver passes one worker's probes — those into the victim
+// prefix — until a fixed number have gone through, then blocks every
+// further SendBatch of them until release is closed: a deterministic
+// model of a wedged packet layer (a NIC queue that stopped draining).
+// Behind the worker's RingDriver it wedges that ring's pump, the ring
+// fills, and the worker blocks in ring backpressure: exactly the hang
+// the stall watchdog exists to name. Other workers' rings pump past it.
 type wedgeDriver struct {
 	*recordingDriver
-	victim  map[ipv6.Addr]bool
+	victim  ipv6.Prefix
 	accept  int64
 	sent    atomic.Int64
 	release chan struct{}
@@ -373,7 +373,7 @@ type wedgeDriver struct {
 
 func (d *wedgeDriver) SendBatch(pkts [][]byte) (int, error) {
 	// A ring pump's burst holds one worker's probes only.
-	if len(pkts) == 0 || len(pkts[0]) < 40 || !d.victim[ipv6.AddrFromBytes(pkts[0][24:40])] {
+	if len(pkts) == 0 || len(pkts[0]) < 40 || !d.victim.Contains(ipv6.AddrFromBytes(pkts[0][24:40])) {
 		return d.recordingDriver.SendBatch(pkts)
 	}
 	if d.sent.Load() >= d.accept {
@@ -389,20 +389,17 @@ func (d *wedgeDriver) SendBatch(pkts [][]byte) (int, error) {
 // ring-stall span its trace stream recorded last, while the cleanly
 // finished worker stays exempt. Released, the scan completes normally.
 func watchdogCheck(e env, _ *leg, _ []*leg) ([]string, error) {
-	// Worker 1 of a two-worker run probes slice 1 of 2: record that
-	// slice's targets with a lone scan of it on an identical network.
-	slice, err := runLeg(e, legSpec{name: "slice", cfg: func(c *xmap.Config, _ env) { c.Shards, c.ShardIndex = 2, 1 }}, nil)
-	if err != nil {
-		return nil, fmt.Errorf("recording slice 1: %w", err)
-	}
-	wedge := &wedgeDriver{victim: map[ipv6.Addr]bool{}, accept: 8, release: make(chan struct{})}
-	for _, a := range slice.dsts {
-		wedge.victim[a] = true
-	}
 	f, err := BuildISPFixture(e.seed)
 	if err != nil {
 		return nil, err
 	}
+	// Worker 1 of a two-worker run probes the window's upper half, its
+	// second chunk.
+	upper, err := f.Window.Base.Sub(f.Window.Base.Bits()+1, uint128.One)
+	if err != nil {
+		return nil, err
+	}
+	wedge := &wedgeDriver{victim: upper, accept: 8, release: make(chan struct{})}
 	tracer := telemetry.NewTracer(telemetry.TracerOptions{
 		Seed:        scanSeed(e.seed),
 		SampleShift: 0, // trace everything: the wedged probe must span

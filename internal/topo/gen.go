@@ -43,12 +43,12 @@ type Config struct {
 	// engine shards (a netsim.EngineGroup with a replicated core/border
 	// spine); 0 or 1 builds the classic single-engine deployment.
 	// Subscriber prefixes are assigned to shards by contiguous window
-	// chunk, so each shard serializes only its own chunks' traffic. The
-	// shards do not partition the scanners' work: ScanParallel workers
-	// walk permutation slices that span every chunk, so each of their
-	// bursts is split across all shards. With more than one shard,
-	// inject through Deployment.Group (or xmap.NewGroupDriver), which
-	// routes each probe to the owning shard.
+	// chunk (shardOf), so each shard serializes only its own chunks'
+	// traffic. xmap.ScanParallel splits its workers' targets by the same
+	// rule, so worker i of n sends into shard i alone, apart from the
+	// /64s pinned to another shard. With more than one shard, inject
+	// through Deployment.Group (or xmap.NewGroupDriver), which routes
+	// each probe to the owning shard.
 	Shards int
 	// FastPath toggles the engines' compiled forwarding fast path
 	// (netsim flow cache). nil means the engine default (enabled);
@@ -592,8 +592,8 @@ func (dep *Deployment) attach(p *ispPlan) error {
 
 	// Shard routing: the block falls back to shard 0 (link-net and
 	// unassigned space outside the window answer identically on every
-	// replica); the window splits into contiguous chunks assigned
-	// round-robin, matching shardOf. Per-device pins below route
+	// replica); the window splits into contiguous chunks, chunk c on
+	// shard c mod shards, matching shardOf. Per-device pins below route
 	// prefixes that land outside the device's primary chunk.
 	dep.Group.Route(isp.Block, 0)
 	if isp.shards > 1 {

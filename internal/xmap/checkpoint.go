@@ -37,13 +37,23 @@ type Checkpoint struct {
 }
 
 // ConfigDigest fingerprints the scan parameters a checkpoint depends on:
-// window, seed, probe module, shard count and, for one slice of a
-// distributed scan (Config.Shards > 1), which slice. Operational knobs
-// (rate, drain cadence, retry depth, dedup implementation) may change
-// across a resume; these may not, or the permutation and validation
-// values would silently mismatch. Without a slice the digest is the one
+// window, seed, probe module, shard count (the run's workers) and, for
+// one slice of a distributed scan (Config.Shards > 1), which slice.
+// Operational knobs (rate, drain cadence, retry depth, dedup
+// implementation) may change across a resume; these may not, or the
+// permutation and validation values would silently mismatch. A run of
+// more than one worker also tags how its workers split the slice (by
+// window chunk, see ScanParallel): its states' cursors mean nothing
+// under another split. Without a slice, a run of one has the digest
 // files written before slices existed carry.
 func ConfigDigest(cfg Config, shards int) [32]byte {
+	return configDigest(cfg, shards, shards > 1)
+}
+
+// configDigest is ConfigDigest, with the window-chunk tag when chunked.
+// Without it, a digest of more than one worker is the one builds that
+// gave worker i the cycle positions ≡ i (mod n) wrote.
+func configDigest(cfg Config, shards int, chunked bool) [32]byte {
 	if shards <= 0 {
 		shards = 1
 	}
@@ -64,6 +74,9 @@ func ConfigDigest(cfg Config, shards int) [32]byte {
 		binary.BigEndian.PutUint32(slice[0:], uint32(cfg.Shards))
 		binary.BigEndian.PutUint32(slice[4:], uint32(cfg.ShardIndex))
 		h.Write(slice[:])
+	}
+	if chunked {
+		h.Write([]byte("split:window-chunk"))
 	}
 	var out [32]byte
 	h.Sum(out[:0])
@@ -391,6 +404,9 @@ func (c *Checkpoint) Verify(cfg Config, shards int) error {
 		return fmt.Errorf("xmap: checkpoint taken with %d shards, resuming with %d", c.Shards, shards)
 	}
 	if want := ConfigDigest(cfg, shards); c.Digest != want {
+		if shards > 1 && c.Digest == configDigest(cfg, shards, false) {
+			return fmt.Errorf("xmap: checkpoint of %d workers was written under the cycle-position worker split of older builds; this build splits by window chunk, so its cursors do not carry over: restart the scan", shards)
+		}
 		return fmt.Errorf("xmap: checkpoint config digest mismatch (window, seed, probe, shards or slice changed)")
 	}
 	return nil

@@ -244,15 +244,20 @@ func TestConfigDigestSensitivity(t *testing.T) {
 	}
 }
 
-// TestConfigDigestSlice: without a slice (Shards <= 1) the digest is
-// pinned to the value files written before slices existed carry, so they
-// still resume; each slice of a distributed scan has its own.
+// TestConfigDigestSlice: without a slice (Shards <= 1) a run of one
+// keeps the digest files written before slices existed carry, so they
+// still resume; a run of two is tagged with its window-chunk split, and
+// its untagged digest stays the one older builds, which split workers by
+// cycle position, wrote. Each slice of a distributed scan has its own.
 func TestConfigDigestSlice(t *testing.T) {
 	w, err := ipv6.NewWindow(ipv6.MustParsePrefix("2001:db8::/48"), 60)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const pinned = "760d5d3c012a6fddbb9a245dba63d9c4e53469af43253056332512e980f36fee"
+	const (
+		pinned     = "760d5d3c012a6fddbb9a245dba63d9c4e53469af43253056332512e980f36fee" // two workers, cycle-position split
+		pinnedLone = "6080a6629a596de5cbf2d7d6aed461c30de6d6c34ebc135f5119cdd24bbd99d4" // one worker
+	)
 	digests := map[[32]byte]string{}
 	for _, tc := range []struct {
 		name          string
@@ -260,10 +265,17 @@ func TestConfigDigestSlice(t *testing.T) {
 	}{
 		{"unset", 0, 0}, {"one", 1, 0}, {"slice 0/2", 2, 0}, {"slice 1/2", 2, 1}, {"slice 0/3", 3, 0},
 	} {
-		d := ConfigDigest(Config{Window: w, Seed: []byte("digest-pin"), Shards: tc.shards, ShardIndex: tc.index}, 2)
+		cfg := Config{Window: w, Seed: []byte("digest-pin"), Shards: tc.shards, ShardIndex: tc.index}
+		d := ConfigDigest(cfg, 2)
 		if tc.shards <= 1 {
-			if got := fmt.Sprintf("%x", d); got != pinned {
-				t.Errorf("%s: digest %s, want the pinned %s", tc.name, got, pinned)
+			if got := fmt.Sprintf("%x", configDigest(cfg, 2, false)); got != pinned {
+				t.Errorf("%s: untagged digest %s, want the pinned %s", tc.name, got, pinned)
+			}
+			if got := fmt.Sprintf("%x", ConfigDigest(cfg, 1)); got != pinnedLone {
+				t.Errorf("%s: one worker's digest %s, want the pinned %s", tc.name, got, pinnedLone)
+			}
+			if fmt.Sprintf("%x", d) == pinned {
+				t.Errorf("%s: two workers' digest is the cycle-position split's", tc.name)
 			}
 			continue
 		}

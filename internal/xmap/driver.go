@@ -265,9 +265,10 @@ func (d *SimDriver) RegisterTracer(tr *telemetry.Tracer) {
 // GroupDriver runs the scanner against a sharded netsim.EngineGroup:
 // every probe is routed to the engine shard owning its destination
 // prefix. Each burst is split across the shards and each part is
-// injected under its shard's engine lock, so two senders (ScanParallel)
-// contend only when their parts land on the same shard at once, not on
-// one engine lock for the whole burst. All shards deliver responses to
+// injected under its shard's engine lock. ScanParallel's n workers over
+// a topo.Config.Shards: n deployment each keep the window chunks of one
+// shard, so a worker's burst is one part, and two workers meet only on
+// pinned /64s and at the shared edge. All shards deliver responses to
 // the same edge; Release hands reply buffers back without taking any
 // engine lock.
 type GroupDriver struct {

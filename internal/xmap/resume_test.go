@@ -346,6 +346,43 @@ func TestScanParallelResumeRejectsSkew(t *testing.T) {
 	}
 }
 
+// TestResumeRefusesOtherSplit: a checkpoint of two workers written
+// under the cycle-position split of older builds, or one taken with
+// another worker count, is refused with an error naming the reason,
+// before any probe goes out.
+func TestResumeRefusesOtherSplit(t *testing.T) {
+	f := buildFixture(t)
+	cfg := Config{Window: window(t, f), Seed: []byte("split")}
+	for _, tc := range []struct {
+		name string
+		ck   Checkpoint
+		want string
+	}{
+		{"cycle-position split", Checkpoint{Digest: configDigest(cfg, 2, false), Shards: 2}, "cycle-position worker split"},
+		{"four workers", Checkpoint{Digest: ConfigDigest(cfg, 4), Shards: 4}, "taken with 4 shards, resuming with 2"},
+	} {
+		path := filepath.Join(t.TempDir(), "scan.ckpt")
+		tc.ck.States = []ShardState{{Shard: 1}}
+		if err := tc.ck.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		ck, err := LoadCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resume := cfg
+		resume.ResumeFrom = ck
+		drv := &memDriver{}
+		_, err = ScanParallel(context.Background(), resume, drv, 2, nil)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one naming %q", tc.name, err, tc.want)
+		}
+		if len(drv.pkts) != 0 {
+			t.Errorf("%s: %d probes sent before the refusal", tc.name, len(drv.pkts))
+		}
+	}
+}
+
 // TestResumeRestoresDedup: a scan killed after its last periodic
 // checkpoint re-probes the tail, and the ISP router that answered before
 // the cut answers again. No responder reported before the cut may reach

@@ -3,6 +3,7 @@ package xmap
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"os"
 	"sync"
 
@@ -168,16 +169,20 @@ func (c *checkpointer) update(st ShardState) {
 
 // ScanParallel runs one scan: slice Config.ShardIndex of Config.Shards
 // (0 means 1), cut among n scanner goroutines that share the driver —
-// the multi-threaded operation mode of the real tool. Worker i, at
-// worker position i, walks shard ShardIndex + i·Shards of Shards·n of
-// the cycle, whose positions are j, j+N, …: the slice holds the same
-// targets whatever n is. Config.MaxTargets applies per worker. The
-// handler receives each responder exactly once across all workers; it
-// is invoked from multiple goroutines under an internal lock, so it
-// needs no synchronization of its own. The driver must be safe for
-// concurrent use (all bundled drivers are); against a sharded
-// deployment, use a GroupDriver so each burst is split across the
-// engine shards. ScanParallel(ctx, cfg, drv, 1, h) is New(cfg, drv).Run(ctx, h).
+// the multi-threaded operation mode of the real tool. Every worker walks
+// the slice's one permutation sequence and keeps the targets of its own
+// window chunks (see chunkPart): worker i of n keeps the chunks c with
+// c mod n == i, the rule topo uses to give sub-prefixes to engine
+// shards, so against a topo.Config.Shards: n deployment each worker's
+// bursts land in one engine shard. The slice holds the same targets
+// whatever n is, and n = 1 walks it exactly as a lone scanner does.
+// Config.MaxTargets applies per worker. The handler receives each
+// responder exactly once across all workers; it is invoked from multiple
+// goroutines under an internal lock, so it needs no synchronization of
+// its own. The driver must be safe for concurrent use (all bundled
+// drivers are); against a sharded deployment, use a GroupDriver, which
+// routes each probe to the engine shard owning it.
+// ScanParallel(ctx, cfg, drv, 1, h) is New(cfg, drv).Run(ctx, h).
 //
 // The workers share one seen-set (see run): Stats.Unique counts its
 // members, and Stats.Duplicates every validated response it turned away.
@@ -185,10 +190,11 @@ func (c *checkpointer) update(st ShardState) {
 // With Config.CheckpointPath set, every worker's periodic and exit
 // checkpoint states are assembled into one log file (see checkpointer)
 // together with the run's responder set, after Config.BeforeCheckpoint
-// has drained the handler's output. With Config.ResumeFrom set, the
-// checkpoint is verified against this run (ConfigDigest with n shards),
-// each worker resumes from its state, and the handler is never
-// re-invoked for responders the interrupted scan already reported.
+// has drained the handler's output. A state's cursor is its worker's
+// place in the slice's walk. With Config.ResumeFrom set, the checkpoint
+// is verified against this run (ConfigDigest with n shards), each worker
+// resumes from its state, and the handler is never re-invoked for
+// responders the interrupted scan already reported.
 // Config.Monitor's total is set to the run's budget.
 func ScanParallel(ctx context.Context, cfg Config, drv Driver, n int, handler Handler) (Stats, error) {
 	r, err := newRun(cfg, drv, n)
@@ -284,7 +290,7 @@ func newRun(cfg Config, drv Driver, n int) (*run, error) {
 	r.workers = make([]*Scanner, n)
 	for i := range r.workers {
 		wcfg := cfg
-		wcfg.Shards, wcfg.ShardIndex = slices*n, cfg.ShardIndex+i*slices
+		wcfg.Shards = slices
 		if sink := cfg.OnCheckpoint; r.ckpt != nil {
 			wcfg.OnCheckpoint = func(st ShardState) {
 				r.ckpt.update(st)
@@ -296,8 +302,55 @@ func newRun(cfg Config, drv Driver, n int) (*run, error) {
 		if r.workers[i], err = newScanner(wcfg, drv, r, cycle, i); err != nil {
 			return nil, err
 		}
+		r.workers[i].part = newChunkPart(cfg.Window.Width(), n, i)
 	}
 	return r, nil
+}
+
+// chunkPart is one worker's share of its run's slice. The window's
+// 2^⌈log2 n⌉ contiguous chunks (single indices when the window has fewer)
+// go round-robin to the n workers, as topo gives them to engine shards
+// (ISPDeployment.shardOf): the worker keeps index idx iff chunk
+// c = idx >> shift has c mod n == i. Since c < 2n, one subtraction is
+// the modulo. A run of one keeps everything.
+type chunkPart struct {
+	shift  uint
+	chunks uint64
+	n, i   uint64
+}
+
+func newChunkPart(width, n, i int) chunkPart {
+	b := 0
+	for 1<<b < n {
+		b++
+	}
+	b = min(b, width)
+	return chunkPart{shift: uint(width - b), chunks: 1 << b, n: uint64(n), i: uint64(i)}
+}
+
+// owns reports whether the worker keeps window index idx.
+func (p chunkPart) owns(idx uint128.Uint128) bool {
+	if p.n <= 1 {
+		return true
+	}
+	c := idx.Rsh(p.shift).Lo
+	if c >= p.n {
+		c -= p.n
+	}
+	return c == p.i
+}
+
+// share is how many targets of a slice of size the worker keeps. It is
+// exact for a whole window; a slice's targets are taken as spread evenly
+// over the chunks.
+func (p chunkPart) share(size uint64) uint64 {
+	if p.i >= p.chunks {
+		return 0
+	}
+	kept := (p.chunks-1-p.i)/p.n + 1
+	hi, lo := bits.Mul64(size, kept)
+	q, _ := bits.Div64(hi, lo, p.chunks)
+	return q
 }
 
 // exec runs every worker to its end, worker 0 on the calling goroutine,
@@ -369,18 +422,21 @@ func (r *run) exec(ctx context.Context, handler Handler) (Stats, error) {
 	return total, firstErr
 }
 
-// budget is what the run's n workers probe: the slice, or n·MaxTargets
-// when that is less, minus what the states it resumes from already
-// probed (the telemetry counters count the resumed leg only). It fails
-// for a slice past 2^64 targets.
+// budget is what the run's workers probe: each its part of the slice,
+// or MaxTargets when that is less, minus what the states it resumes from
+// already probed (the telemetry counters count the resumed leg only). It
+// fails for a slice past 2^64 targets.
 func (r *run) budget() (uint64, bool) {
 	if r.share.Hi != 0 {
 		return 0, false
 	}
-	cfg, n := r.cfg, uint64(len(r.workers))
+	cfg := r.cfg
 	total := r.share.Lo
-	if cfg.MaxTargets > 0 && cfg.MaxTargets < total/n {
-		total = cfg.MaxTargets * n
+	if cfg.MaxTargets > 0 {
+		total = 0
+		for _, w := range r.workers {
+			total += min(cfg.MaxTargets, w.part.share(r.share.Lo))
+		}
 	}
 	if ck := cfg.ResumeFrom; ck != nil {
 		for _, st := range ck.States {

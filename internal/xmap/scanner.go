@@ -119,14 +119,14 @@ type Config struct {
 // Handler consumes one first-seen responder.
 type Handler func(Response)
 
-// Scanner is one worker of a run: it walks its shard of the
-// permutation, sends, and validates replies, offering each to the run's
-// seen-set. New returns the only worker of a run of one, and its Run
-// executes that run. A Scanner is not safe for concurrent use:
+// Scanner is one worker of a run: it walks the run's slice of the
+// permutation, probes the targets of its own window chunks, and
+// validates replies, offering each to the run's seen-set. New returns
+// the only worker of a run of one, and its Run executes that run. A Scanner is not safe for concurrent use:
 // Validation, TargetFor and Run share reusable PRF and buffer scratch
 // state (ScanParallel gives each goroutine its own Scanner).
 type Scanner struct {
-	cfg    Config // the run's, with this worker's shard and checkpoint sink
+	cfg    Config // the run's, with this worker's checkpoint sink
 	run    *run
 	drv    Driver // the run's, or the ring in front of it during a run
 	probe  ProbeModule
@@ -142,6 +142,8 @@ type Scanner struct {
 	// stream and watchdog slot it writes, and the index of the
 	// ShardState it emits and resumes from.
 	pos int
+	// part is the window chunks the worker keeps of the slice's walk.
+	part chunkPart
 	// passed is the responder this worker last offered to a shared
 	// seen-set: a repeat of it is a duplicate without taking the lock.
 	passed     ipv6.Addr
@@ -213,7 +215,7 @@ func New(cfg Config, drv Driver) (*Scanner, error) {
 	return r.workers[0], nil
 }
 
-// newScanner prepares worker pos of r, which walks shard cfg.ShardIndex
+// newScanner prepares worker pos of r, which walks slice cfg.ShardIndex
 // of cfg.Shards of cycle; r has validated the run-wide configuration.
 func newScanner(cfg Config, drv Driver, r *run, cycle *perm.Cycle, pos int) (*Scanner, error) {
 	if cfg.DrainEvery <= 0 {
@@ -355,9 +357,9 @@ func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
 	return s.run.exec(ctx, handler)
 }
 
-// scan is one worker's part of a run: it walks the worker's shard and
-// returns the worker's Stats, whose Unique counts its own admissions to
-// the run's seen-set.
+// scan is one worker's part of a run: it walks the run's slice, probes
+// the targets its part keeps, and returns the worker's Stats, whose
+// Unique counts its own admissions to the run's seen-set.
 //
 // The send path is one path: every probe is appended to the batch, which
 // flushes once per drain window through Driver.SendBatch, amortizing
@@ -365,7 +367,7 @@ func (s *Scanner) Run(ctx context.Context, handler Handler) (Stats, error) {
 // so a paced probe is flushed as a one-packet burst.
 //
 // With Config.ResumeFrom set, the scan continues mid-cycle: the
-// permutation cursor fast-forwards past the probed prefix of the shard's
+// permutation cursor fast-forwards past the walked prefix of the slice's
 // sequence, statistics accumulate on top of the restored ones, and the
 // run's seeded seen-set keeps already-reported responders suppressed.
 func (s *Scanner) scan(ctx context.Context, handler Handler) (Stats, error) {
@@ -621,6 +623,9 @@ func (s *Scanner) scan(ctx context.Context, handler Handler) (Stats, error) {
 			break
 		}
 		idx, ok := it.Next()
+		for ok && !s.part.owns(idx) {
+			idx, ok = it.Next()
+		}
 		if !ok {
 			ranOut = true
 			break

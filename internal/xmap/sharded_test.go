@@ -2,11 +2,14 @@ package xmap
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
 	"repro/internal/ipv6"
 	"repro/internal/telemetry"
+	"repro/internal/topo"
 	"repro/internal/uint128"
 )
 
@@ -264,4 +267,123 @@ func TestValidationAndTargetForStable(t *testing.T) {
 			t.Fatalf("idx %d: validation %08x, fresh scanner says %08x", i, val, want)
 		}
 	}
+}
+
+// workerTargets lists, per worker, the targets a fully sampled tracer
+// saw it send.
+func workerTargets(tr *telemetry.Tracer, n int) []map[ipv6.Addr]int {
+	out := make([]map[ipv6.Addr]int, n)
+	for i := range out {
+		out[i] = map[ipv6.Addr]int{}
+		for _, sp := range tr.AppendSpans(i, nil) {
+			if sp.Kind == telemetry.SpanSent {
+				out[i][ipv6.AddrFromBytes(sp.Addr[:])]++
+			}
+		}
+	}
+	return out
+}
+
+// TestScanParallelPartitionsSlice is a property test of the worker
+// split: for random window widths, slices and every worker count from 1
+// to 5 (non-powers of two, and more workers than the window has cells,
+// among them), the workers' target sets are disjoint, together are the
+// slice a lone scanner of it probes, and worker i's targets all lie in
+// window chunks c of 2^⌈log2 n⌉ (fewer when the window has fewer cells)
+// with c mod n == i — the chunks a topo.Config.Shards: n build gives
+// engine shard i.
+func TestScanParallelPartitionsSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x9a7))
+	base := ipv6.MustParsePrefix("2001:db8::/48")
+	for iter := 0; iter < 24; iter++ {
+		width := 1 + rng.Intn(10)
+		if iter < 4 {
+			width = 1 + iter%2 // up to five workers over two or four cells
+		}
+		w, err := ipv6.NewWindow(base, base.Bits()+width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slices := 1 + rng.Intn(4)
+		cfg := Config{Window: w, Seed: []byte(fmt.Sprintf("part-%d", iter)), Shards: slices, ShardIndex: rng.Intn(slices)}
+		lone := &memDriver{}
+		runScan(t, cfg, lone)
+		want := sentTargets(lone)
+		for n := 1; n <= 5; n++ {
+			name := fmt.Sprintf("width %d, slice %d/%d, %d workers", width, cfg.ShardIndex, slices, n)
+			bits := 0
+			for 1<<bits < n {
+				bits++
+			}
+			shift := uint(width - min(bits, width))
+			wcfg := cfg
+			wcfg.Tracer = telemetry.NewTracer(telemetry.TracerOptions{Seed: cfg.Seed, ScanStreams: n})
+			if _, err := ScanParallel(context.Background(), wcfg, &memDriver{}, n, nil); err != nil {
+				t.Fatal(err)
+			}
+			union := map[ipv6.Addr]int{}
+			for i, got := range workerTargets(wcfg.Tracer, n) {
+				for a, k := range got {
+					union[a] += k
+					idx := a.Uint128().Rsh(uint(128-w.To)).Lo & (1<<width - 1)
+					if c := idx >> shift; c%uint64(n) != uint64(i) {
+						t.Errorf("%s: worker %d probed %s in chunk %d", name, i, a, c)
+					}
+				}
+			}
+			if len(union) != len(want) {
+				t.Errorf("%s: workers probe %d targets, a lone scanner of the slice %d", name, len(union), len(want))
+			}
+			for a, k := range union {
+				if k != 1 || want[a] == 0 {
+					t.Errorf("%s: %s probed %d times, by the lone scanner %d", name, a, k, want[a])
+					break
+				}
+			}
+		}
+	}
+}
+
+// TestScanParallelShardAffinity: over a Shards: 2 deployment, worker i
+// of ScanParallel(2) probes only targets engine shard i owns, so each of
+// its bursts lands in one engine. The exceptions are the /64s topo pins
+// to the shard of the device holding them: a dual-/64 CPE's LAN outside
+// its WAN's chunk.
+func TestScanParallelShardAffinity(t *testing.T) {
+	dep, err := topo.Build(topo.Config{Seed: 1, Scale: 0.05, WindowWidth: 10, MaxDevicesPerISP: 200, OnlyISPs: []int{2}, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	isp := dep.ISPs[0]
+	lans := map[uint64]bool{} // top words of the dual-/64 CPEs' LANs
+	for _, d := range isp.Devices {
+		if d.CPE != nil && d.CPE.Delegated().Bits() == 64 {
+			lans[d.CPE.Delegated().Addr().Uint128().Hi] = true
+		}
+	}
+	tr := telemetry.NewTracer(telemetry.TracerOptions{Seed: []byte("affinity"), ScanStreams: 2})
+	cfg := Config{Window: isp.Window, Seed: []byte("affinity"), DedupExact: true, Tracer: tr}
+	if _, err := ScanParallel(context.Background(), cfg, NewGroupDriver(dep.Group, dep.Edge), 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	sent, pinned := 0, 0
+	for worker, got := range workerTargets(tr, 2) {
+		for a := range got {
+			sent++
+			switch shard := dep.Group.ShardFor(a); {
+			case shard == worker:
+			case lans[a.Uint128().Hi]:
+				pinned++
+			default:
+				t.Errorf("worker %d probed %s, which engine shard %d owns", worker, a, shard)
+			}
+		}
+	}
+	if sent != 1<<10 {
+		t.Errorf("the workers traced %d targets, want the window's %d", sent, 1<<10)
+	}
+	if pinned == 0 {
+		t.Error("no worker probed a /64 pinned to the other shard: the test does not reach the exception")
+	}
+	t.Logf("%d targets, %d of them on /64s pinned across shards", sent, pinned)
 }
